@@ -44,15 +44,19 @@ SETUP_PROBES = 5
 READY = "READY"
 WARMUP_ROUND = 1_000_000  # rng substream of the warm-up inputs
 
-# Machine-speed calibration.  On a shared VM the same code runs up to twice as
-# slow for stretches of seconds to minutes, which moves a run's medians by
-# tens of percent.  A fixed kernel (interpreter loop, small numpy calls, a
-# BLAS matmul) is timed every CALIBRATION_EVERY_S of busy time; the timing
-# metrics on the last line are scaled by CALIBRATION_REF_MS / its median, i.e.
-# expressed at the speed the machine had when the benchmark was defined.
-# The report line keeps the raw figures and the factor.
+# Machine-speed calibration.  On a shared VM the same code runs up to 1.5 to
+# 2 times faster or slower for stretches of seconds, which moves a run's
+# medians by tens of percent.  A fixed kernel (interpreter loop, small numpy
+# calls, a BLAS matmul) is timed between operations once CALIBRATION_EVERY_S
+# of wall time has passed since its last run, so checks and input generation
+# between operations do not leave long stretches unsampled.  Each
+# timed interval (an operation, a set-up probe) is scaled by
+# CALIBRATION_REF_MS / the median of the CALIBRATION_NEAREST kernel timings
+# nearest to it, i.e. expressed at the speed the machine had when the
+# benchmark was defined.  The report line keeps the raw figures.
 CALIBRATION_REF_MS = 9.5
-CALIBRATION_EVERY_S = 0.25
+CALIBRATION_EVERY_S = 0.2
+CALIBRATION_NEAREST = 3
 
 END_TO_END = (
     ("setup_s", "s"),
@@ -171,25 +175,31 @@ def setup(args):
     return wl, first
 
 
-def measure_setup(args):
-    """Median wall time from spawning a fresh interpreter until it is ready
-    to run its first timed operation."""
+def measure_setup(args, cal):
+    """Wall time from spawning a fresh interpreter until it is ready to run
+    its first timed operation: the median over the probes, raw and scaled
+    to the reference machine speed.  The kernel runs before each probe and
+    after the last."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", args.workload, "--seed", str(args.seed)]
     if args.tiny:
         cmd.append("--tiny")
-    times = []
+    probes = []
     for _ in range(1 if args.tiny else SETUP_PROBES):
-        t0 = time.perf_counter()
+        cal.kernel()
+        t0 = time.perf_counter_ns()
         with subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT) as proc:
             line = proc.stdout.readline().strip()
-            elapsed = time.perf_counter() - t0
+            t1 = time.perf_counter_ns()
             proc.stdout.read()
             code = proc.wait(timeout=120)
         if line != READY or code != 0:
             fail(f"set-up probe failed (exit {code}, said {line!r})")
-        times.append(elapsed)
-    return statistics.median(times), times
+        probes.append((t0, t1))
+    cal.kernel()
+    raw = [(t1 - t0) * 1e-9 for t0, t1 in probes]
+    scaled = [(t1 - t0) * 1e-9 / cal.slowness(t0, t1) for t0, t1 in probes]
+    return statistics.median(raw), statistics.median(scaled), raw
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +211,7 @@ class Record:
 
     def __init__(self):
         self.samples = []  # (kind, n, ns, props)
+        self.starts = []  # perf_counter_ns at the start of each sample
         self.attempted = 0
         self.failed = 0
         self.failures = []
@@ -208,8 +219,9 @@ class Record:
         self.work = 0
         self.work_by_n = defaultdict(lambda: [0, 0])  # n -> [work, ns]
 
-    def add(self, op, ns, error, result):
+    def add(self, op, start_ns, ns, error, result):
         self.attempted += 1
+        self.starts.append(start_ns)
         self.busy_ns += ns
         props = dict(op.props)
         if hasattr(result, "contracting"):
@@ -229,6 +241,11 @@ class Record:
                 if k == kind and (n is None or m == n)
                 and all(p.get(key) == v for key, v in props.items())]
 
+    def scaled_ns(self, cal):
+        """Each sample's duration at the reference machine speed."""
+        return [ns / cal.slowness(t0, t0 + ns)
+                for t0, (_, _, ns, _) in zip(self.starts, self.samples)]
+
 
 class Calibration:
     """Calibration kernel timings taken between operations."""
@@ -240,13 +257,13 @@ class Calibration:
         self._small = rng.random((64, 64)) / 64
         self._big = rng.random((128, 128))
         self._block = rng.random((128, 40))
-        self.samples_ms = []
-        self._last_busy_ns = None
+        self.samples = []  # (perf_counter_ns at the middle, ms)
+        self._last_ns = None
 
     def kernel(self):
         import numpy as np
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         x = np.full(64, 1 / 64)
         for _ in range(400):
             y = self._small @ x
@@ -257,16 +274,27 @@ class Calibration:
         s = 0
         for i in range(60000):
             s += i * i
-        self.samples_ms.append((time.perf_counter() - t0) * 1e3)
+        t1 = time.perf_counter_ns()
+        self._last_ns = t1
+        self.samples.append(((t0 + t1) // 2, (t1 - t0) * 1e-6))
 
-    def tick(self, busy_ns):
-        if self._last_busy_ns is None or busy_ns - self._last_busy_ns >= CALIBRATION_EVERY_S * 1e9:
-            self._last_busy_ns = busy_ns
+    def tick(self):
+        if self._last_ns is None or time.perf_counter_ns() - self._last_ns >= CALIBRATION_EVERY_S * 1e9:
             self.kernel()
 
+    def samples_ms(self):
+        return [ms for _, ms in self.samples]
+
     def factor(self):
-        """Machine slowness relative to the reference: >1 when slower."""
-        return statistics.median(self.samples_ms) / CALIBRATION_REF_MS
+        """Run-wide machine slowness relative to the reference: >1 when slower."""
+        return statistics.median(self.samples_ms()) / CALIBRATION_REF_MS
+
+    def slowness(self, start_ns, end_ns):
+        """Machine slowness around the interval [start_ns, end_ns]: from the
+        kernel timings nearest to it (inside it counts as distance 0)."""
+        nearest = sorted(self.samples,
+                         key=lambda s: max(start_ns - s[0], s[0] - end_ns, 0))
+        return statistics.median(ms for _, ms in nearest[:CALIBRATION_NEAREST]) / CALIBRATION_REF_MS
 
 
 def execute(op, record, tracer=None, op_id=0):
@@ -296,7 +324,7 @@ def execute(op, record, tracer=None, op_id=0):
         finally:
             if tracer is not None:
                 tracer.enabled = True
-    record.add(op, ns, error, result)
+    record.add(op, t0, ns, error, result)
     return ns
 
 
@@ -305,7 +333,7 @@ def run_untraced(wl, first, seconds, cal):
     rounds = wl.rounds_for(seconds)
     for r in range(rounds):
         for op in wl.round(r) if r else first:
-            cal.tick(record.busy_ns)
+            cal.tick()
             execute(op, record)
     return record, rounds, None
 
@@ -329,7 +357,7 @@ def run_traced(wl, first, seconds, cal):
                 tracer.install()
             try:
                 for op in ops:
-                    cal.tick(record.busy_ns)
+                    cal.tick()
                     ns = execute(op, record, tracer if traced_pass else None, op_id)
                     if traced_pass:
                         traced_ns += ns
@@ -470,9 +498,9 @@ def per_layer_spec():
 
 
 def run(args):
-    setup_s, setup_samples = measure_setup(args)
-    wl, first = setup(args)
     cal = Calibration()
+    setup_s, setup_scaled_s, setup_samples = measure_setup(args, cal)
+    wl, first = setup(args)
     if args.trace:
         record, rounds, (tracer, overhead) = run_traced(wl, first, args.seconds, cal)
     else:
@@ -492,9 +520,12 @@ def run(args):
                    for name, unit in per_layer_spec()}
         tracer.write(OUT_DIR / f"spans-{args.workload}-seed{args.seed}.jsonl")
     else:
-        e2e = {"setup_s": setup_s / slow, "op_p50_ms": primary["p50_ms"] / slow,
-               "op_tail_ms": primary["tail_ms"] / slow,
-               "ops_per_s": record.attempted / busy_s * slow, "peak_rss_mb": rss_mb}
+        scaled_ns = record.scaled_ns(cal)
+        scaled = latency_summary([ns * 1e-6 for ns, (kind, _, _, _)
+                                  in zip(scaled_ns, record.samples) if kind == wl.primary])
+        e2e = {"setup_s": setup_scaled_s, "op_p50_ms": scaled["p50_ms"],
+               "op_tail_ms": scaled["tail_ms"],
+               "ops_per_s": record.attempted / (sum(scaled_ns) * 1e-9), "peak_rss_mb": rss_mb}
         metrics = {name: {"value": e2e[name], "unit": unit} for name, unit in END_TO_END}
 
     report = {
@@ -513,8 +544,8 @@ def run(args):
                            "op_tail_ms": primary["tail_ms"],
                            "ops_per_s": record.attempted / busy_s},
         "calibration": {"reference_ms": CALIBRATION_REF_MS,
-                        "median_ms": statistics.median(cal.samples_ms),
-                        "samples": len(cal.samples_ms), "slowness": slow},
+                        "median_ms": statistics.median(cal.samples_ms()),
+                        "samples": len(cal.samples), "slowness": slow},
         "named_metrics": named,
         "by_size": by_size(record),
         "input_properties": input_properties(record),

@@ -152,9 +152,6 @@ def check_fixed_weight(model, family, weights, cert_osl, scale):
 
 def _lp_matrices(model, family):
     """The two matrices the LP bisection runs over, rebuilt from the model."""
-    if isinstance(model, mucert.Lure):
-        r1 = np.outer(model.b, model.c)
-        return [model.A + model.slopes.d1 * r1, model.A + model.slopes.d2 * r1]
     side = mucert.RIGHT if isinstance(model, mucert.Hopfield) else mucert.LEFT
     spec = mucert.PolytopeSpec(model.A, -np.diag(model.C), model.slopes, side)
     return list(mucert.envelope_matrices(spec, family))
@@ -189,15 +186,13 @@ def check_lp_certificate(model, family, cert):
 
 
 def lp_model(rng, kind, n):
-    """Hopfield/firing-rate with d1 < 0 (no closed form applies) or a scalar
-    loop.  Couplings are drawn on a scale where about 80 % are contracting."""
+    """Hopfield/firing-rate with d1 < 0, so no closed form applies.  Couplings
+    are drawn on a scale where about 80 % are contracting.
+
+    Scalar-loop (lure) models are left out: on a small share of them the LP
+    bisection raises or returns weights that miss its own optimum, a defect
+    of the package that lure_defect_repro.py reproduces."""
     slopes = mucert.SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
-    if kind == "lure":
-        A = signed(rng, metzler_base(rng, n, rng.uniform(0.3, 1.0), normalize=True))
-        b = rng.normal(size=n)
-        c = rng.normal(size=n)
-        c *= rng.uniform(0.2, 2.6) / (np.linalg.norm(b) * np.linalg.norm(c))  # loop gain
-        return mucert.Lure(A, b, c, slopes)
     G = rng.normal(size=(n, n))
     A = rng.uniform(0.4, 1.1) * G / dense_abscissa(majorant(G))
     C = np.diag(rng.uniform(0.8, 1.2, size=n))
@@ -205,12 +200,12 @@ def lp_model(rng, kind, n):
     return cls(C, A, slopes)
 
 
-LP_KINDS = ("hopfield", "firing_rate", "lure")
-LP_FAMILY = {"hopfield": mucert.L1, "firing_rate": mucert.LINF, "lure": mucert.L1}
+LP_KINDS = ("hopfield", "firing_rate")
+LP_FAMILY = {"hopfield": mucert.L1, "firing_rate": mucert.LINF}
 
 
 def certify_lp_round(rng, r, tiny):
-    sizes = {4: 3, 6: 2} if tiny else {16: 10, 32: 9, 64: 4, 128: 1}
+    sizes = {4: 3, 6: 2} if tiny else {16: 10, 32: 30, 64: 4, 128: 1}
     ops = []
     for n, count in sizes.items():
         for i in range(count):
@@ -342,14 +337,14 @@ def check_perron_certificate(model, kind, T, cert, perturbed, check_seed):
 
 
 def certify_perron_round(rng, r, tiny):
-    """Per round: 3 per kind at the small and middle sizes, 2 per kind at the
+    """Per round: 9 per kind at the small and middle sizes, 2 per kind at the
     large size; 5 reducible (2 small, 3 middle); one near-tied case at the
     small size.  Only the near tie is slower than the large-size class, so
     the tail lands inside that class."""
     small, mid, large = (4, 6, 8) if tiny else (16, 64, 256)
     plan = []
     for kind in PERRON_KINDS:
-        plan += [(kind, small, False)] * 3 + [(kind, mid, False)] * 3 + [(kind, large, False)] * 2
+        plan += [(kind, small, False)] * 9 + [(kind, mid, False)] * 9 + [(kind, large, False)] * 2
     reducible_kinds = [k for k in PERRON_KINDS if k != "multilure"]
     for i, n in enumerate((small, small, mid, mid, mid)):
         kind = reducible_kinds[(i + r) % len(reducible_kinds)]
@@ -636,8 +631,8 @@ class Workload:
 # many rounds a run of a given length does, so every run of one seed measures
 # the same inputs whatever the speed of the commit under test.
 WORKLOADS = {
-    "certify-lp": ("certify", certify_lp_round, 3.9,
-                   "LP bisection only: d1 < 0 Hopfield/firing-rate and lure, n 16-128"),
+    "certify-lp": ("certify", certify_lp_round, 4.9,
+                   "LP bisection only: d1 < 0 Hopfield/firing-rate, n 16-128"),
     "certify-perron": ("certify", certify_perron_round, 5.3,
                        "Perron route only: large n, reducible and near-tied majorants"),
     "verify-rk4": ("verify", verify_round, 4.9,
