@@ -1,7 +1,7 @@
 """Diagonally weighted log-norm contraction certificates for continuous-time
 neural network models: log norms and their worst cases over slope polytopes,
-weight optimization by LP bisection, matrix stability classes, per-model
-contraction certificates, and simulation-based verification."""
+weight optimization by spectral policy iteration, matrix stability classes,
+per-model contraction certificates, and simulation-based verification."""
 
 from .matrices import (
     as_matrix,

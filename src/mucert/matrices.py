@@ -6,6 +6,7 @@ never mutated.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -46,6 +47,21 @@ def is_metzler(A, tol: float = 0.0) -> bool:
     off = A.copy()
     np.fill_diagonal(off, 0.0)
     return bool(np.all(off >= -tol))
+
+
+def reachability(A) -> np.ndarray:
+    """Boolean matrix R with R[i, j] true iff i == j or a chain of nonzero
+    entries A[i, k1], A[k1, k2], ..., A[km, j] leads from i to j."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    reach = (A != 0.0) | np.eye(n, dtype=bool)
+    # Boolean transitive closure by repeated squaring.
+    for _ in range(int(math.ceil(math.log2(n))) + 1):
+        new = reach @ reach
+        if np.array_equal(new, reach):
+            break
+        reach = new
+    return reach
 
 
 def check_diagonal(C, nonneg: bool = True) -> np.ndarray:

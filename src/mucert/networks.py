@@ -50,7 +50,7 @@ from .spectral import (
 # point.
 CONTRACTION_MARGIN = 1e-9
 
-# The LP optimum and a matching closed form must agree this tightly.
+# The optimized level and a matching closed form must agree this tightly.
 CLOSED_FORM_TOL = 1e-6
 
 MULTILURE_MAX_DIM = 16
@@ -335,12 +335,12 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     """Weight-optimized contraction certificate for a Hopfield or firing-rate
     model with bounded slopes.
 
-    The optimum is found by LP bisection over the two envelope matrices of the
-    Jacobian polytope.  When the leak matrix is scalar with d1 >= 0, or d1 = 0
-    with strictly positive leak, the optimal weight has a dominant-eigenvector
-    closed form; that weight is used and cross-checked against the LP value.
-    Reducible majorants take a perturbed dominant eigenvector and the
-    certificate is marked non-tight.
+    The optimum is found by :func:`mucert.optimize.bisect_min_mu` over the two
+    envelope matrices of the Jacobian polytope.  When the leak matrix is
+    scalar with d1 >= 0, or d1 = 0 with strictly positive leak, the optimal
+    weight has a dominant-eigenvector closed form; that weight is used and
+    cross-checked against the optimized level.  Reducible majorants take a
+    perturbed dominant eigenvector and the certificate is marked non-tight.
     """
     if isinstance(model, Hopfield):
         kind = "hopfield"
@@ -358,8 +358,6 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     spec = _jacobian_polytope(model)
     M1, M2 = envelope_matrices(spec, family)
     res = bisect_min_mu([M1, M2], family)
-    if res.eta_star is None:
-        raise NumericalError("weight bisection returned no certificate")
     weights = res.eta_star
     theorem = f"{kind}/{family}/weight-lp"
     tight = exact
@@ -383,8 +381,8 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
             weights = pair.left if family == L1 else pair.right
             if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
                 raise NumericalError(
-                    f"closed-form optimum {closed_value} disagrees with the LP "
-                    f"optimum {res.b_star}"
+                    f"closed-form optimum {closed_value} disagrees with the optimized "
+                    f"level {res.b_star}"
                 )
             theorem = f"{kind}/{family}/perron"
             tight = exact and not perturbed
@@ -398,10 +396,12 @@ def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificat
     """Contraction certificate for Hopfield / firing-rate models whose
     activations have slopes in [d1, inf).
 
-    Requires the Metzler majorant of A to be Hurwitz and the resulting decay
-    bound  -(alpha(-C) + max(d1, 0) alpha(majorant) - (|d1| - d1) min_i A_ii)
-    to be positive; this is the bound the proof of the statement actually
-    yields (the certificate records the alternative sign arrangement under
+    Requires the log norm m(w) of the Metzler majorant of A at the carried
+    weights w to be negative (m(w) = alpha(majorant) unless the majorant is
+    reducible) and the resulting decay bound
+    -(alpha(-C) + max(d1, 0) m(w) - (|d1| - d1) min_i A_ii)  to be positive;
+    this is the bound the proof of the statement actually yields (the
+    certificate records the alternative sign arrangement under
     ``statement_rate`` for comparison).  Hopfield models are certified in the
     weighted l1 norm at the majorant's left dominant eigenvector, firing-rate
     models in the weighted linf norm at the right one.
@@ -426,8 +426,12 @@ def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificat
     weights = pair.left if kind == "hopfield" else pair.right
     theorem = f"{kind.replace('_', '-')}/{family}/unbounded-slope"
 
-    majorant_hurwitz = a_m < -CONTRACTION_MARGIN
-    rate = -(a_mc + max(d1, 0.0) * a_m - (abs(d1) - d1) * min_diag)
+    # The bound holds with the majorant's log norm at the carried weights.
+    # It equals a_m only for an irreducible majorant; a reducible one gets
+    # weights from its delta-perturbed pair, which can miss a_m by O(sqrt(delta)).
+    m_w = (mu1 if family == L1 else muinf)(Mzr, weights)
+    majorant_hurwitz = m_w < -CONTRACTION_MARGIN
+    rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
     statement_rate = -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag
     details = {
         "statement_rate": statement_rate,
@@ -526,14 +530,12 @@ def certify_lure(model: Lure, family: str) -> ContractionCertificate:
 
     The closed-loop Jacobian is A + s b c^T with the scalar slope s in
     [d1, d2]; convexity of the log norm in s puts the worst case at an
-    endpoint, so the LP runs over the two endpoint matrices.
+    endpoint, so the weight optimization runs over the two endpoint matrices.
     """
     rank_one = np.outer(model.b, model.c)
     M1 = model.A + model.slopes.d1 * rank_one
     M2 = model.A + model.slopes.d2 * rank_one
     res = bisect_min_mu([M1, M2], family)
-    if res.eta_star is None:
-        raise NumericalError("weight bisection returned no certificate")
     w = res.eta_star
     osl = max(log_norm(M1, family, w), log_norm(M2, family, w))
     return _certificate(

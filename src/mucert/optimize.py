@@ -1,30 +1,50 @@
-"""Weight optimization: linear feasibility by phase-1 simplex and bisection on
-the level b of the weighted log norm.
+"""Weight optimization by spectral policy iteration.
 
-Feasibility of  M_k w <= b w  over strictly positive w is a cone condition, so
-it is equivalent to feasibility over w >= 1 entrywise.  Substituting
-w = 1 + z with z >= 0 turns every level check into a plain phase-1 linear
-program, which is solved from scratch here (Bland's rule, dense tableau); the
-problems are tiny, completeness matters more than speed.
+The optimal diagonal weight minimizes the largest weighted l1 or linf log
+norm over a few matrices.  At weight w both log norms are row quotients of
+Metzler majorants: muinf(A, w) = max_i (M w)_i / w_i with M the majorant of
+A, and mu1 is the same with M transposed.  So the problem is the least level
+b at which some w > 0 satisfies M_k w <= b w for every k.
+
+Each row of that system may take any of the K matrices independently, a
+product family with row uncertainty.  For such families the least level is
+the largest spectral abscissa over the K^n row selections, attained at the
+right Perron vector of a maximizing selection (Blondel & Nesterov, SIAM J.
+Matrix Anal. Appl. 31(3), 2009; Protasov, "Spectral simplex method", Math.
+Program., 2016).  The solver starts with every row taken from the first
+matrix and repeats: compute the right Perron vector v of the selection, move
+each row i to the lowest-index matrix that strictly increases (M_k v)_i, and
+stop when no row moves.
+
+A reducible selection may have a Perron vector with zero entries.  It takes
+the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, solved
+one strongly connected block at a time: then S w = b w - 1 < b w, and the row
+switching runs at w.
+
+The returned level `b_star` is evaluated at the returned weights, so it is
+attained there, up to rounding, by construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, is_metzler, metzler_majorant
+from .matrices import as_matrix, is_metzler, metzler_majorant, reachability
 from .lognorm import L1, LINF
-from .spectral import NumericalError
+from .spectral import RESIDUAL_RTOL, NumericalError
 
-BISECT_TOL = 1e-8
-BISECT_MAXITER = 200
-
-_PIVOT_TOL = 1e-11
-_FEAS_TOL = 1e-9
+# Resolvent shift above the abscissa of a reducible selection.  b_star then
+# exceeds the optimum by at most about this much.
+RESOLVENT_SHIFT = 1e-8
+# Work budget: the number of row selections whose weights are computed.
+MAX_SELECTIONS = 100
+# Rounding allowance relative to the magnitudes compared: a row moves only if
+# it gains more than this, so rounding noise cannot make tied rows move back
+# and forth, and feasible_weights accepts a level this far above b.
+ROUNDING_RTOL = 1e-12
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TOLERANCE = "tolerance-reached"
-STATUS_INFEASIBLE = "infeasible-everywhere"
 
 
 @dataclass(frozen=True)
@@ -50,124 +70,111 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True)
 class BisectResult:
+    """Level `b_star` attained at the weights `eta_star` (least entry 1); it
+    is the optimum when `status` is "optimal".  `iterations` counts the row
+    selections visited."""
+
     b_star: float
-    eta_star: np.ndarray | None
+    eta_star: np.ndarray
     iterations: int
     status: str
 
 
-def _phase1_feasible(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-    """Find z >= 0 with G z <= h, or None if no such z exists.
+def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
+    """Right Perron vector of an irreducible Metzler S, or resolvent weights
+    (bI - S)^-1 1 at b = alpha(S) + shift for a reducible one."""
+    reach = reachability(S)
+    if not reach.all():
+        return _resolvent_weights(S, reach, shift)
+    lam, V = np.linalg.eig(S)
+    i = int(np.argmax(lam.real))
+    v = V[:, i].real
+    v = v / v[np.argmax(np.abs(v))]
+    if np.max(np.abs(S @ v - lam[i].real * v)) > RESIDUAL_RTOL * (1.0 + np.max(np.abs(S))):
+        raise NumericalError("Perron eigenvector residual check failed")
+    if not np.all(v > 0.0):
+        raise NumericalError("Perron eigenvector has nonpositive entries")
+    return v
 
-    Phase-1 simplex on the equality form G z + s = h with artificials on the
-    rows whose right-hand side is negative.  Bland's rule (lowest eligible
-    index for both entering and leaving variable) prevents cycling, so the
-    method terminates and is complete up to the pivot tolerance.
+
+def _resolvent_weights(S: np.ndarray, reach: np.ndarray, shift: float) -> np.ndarray:
+    """(bI - S)^-1 1 at b = alpha(S) + shift, solved one strongly connected
+    block at a time, the blocks a row depends on first.
+
+    One dense solve would square the condition number on tied blocks coupled
+    one way (b - alpha is tiny against both); block by block, each solve is an
+    irreducible M-matrix with a right-hand side of at least 1, so the weights
+    stay positive.  Ordering blocks by how many indices they reach puts every
+    block after the blocks it depends on.
     """
-    m, nv = G.shape
-    A = G.copy()
-    b = h.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    label = np.argmax(reach & reach.T, axis=1)  # least index of the block
+    heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
+    blocks = [np.flatnonzero(label == h) for h in heads]
+    b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks) + shift
+    w = np.zeros(S.shape[0])
+    for B in blocks:
+        w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise NumericalError("resolvent weights have nonpositive entries")
+    return w
 
-    slack = np.eye(m)
-    slack[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    if n_art == 0:
-        return np.zeros(nv)
 
-    art = np.zeros((m, n_art))
-    art[art_rows, np.arange(n_art)] = 1.0
-    # Columns: z (nv) | slack (m) | artificial (n_art) | rhs.
-    T = np.hstack([A, slack, art, b[:, None]])
-    total = nv + m + n_art
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = nv + np.flatnonzero(~flip)
-    basis[flip] = nv + m + np.arange(n_art)
-
-    # Objective: minimize the sum of artificials, expressed over nonbasics.
-    cost = np.zeros(total + 1)
-    cost[nv + m : nv + m + n_art] = 1.0
-    obj = cost.copy()
-    for r in np.flatnonzero(flip):
-        obj -= T[r]
-
-    max_pivots = 50 * (m + total) + 200
-    for _ in range(max_pivots):
-        entering = -1
-        for j in range(total):
-            if obj[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:
+    """Least b with M_k w <= b w for all k over w > 0, for Metzler M_k."""
+    stack = np.stack(mats)
+    n = stack.shape[1]
+    rows = np.arange(n)
+    magnitude = np.abs(stack)
+    selection = np.zeros(n, dtype=int)
+    best_level, best_w = np.inf, None
+    status = STATUS_TOLERANCE
+    for it in range(1, max_iter + 1):
+        try:
+            w = _selection_weights(stack[selection, rows], tol)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"selection weights failed: {exc}") from exc
+        values = stack @ w
+        top = np.max(values, axis=0)
+        level = float(np.max(top / w))
+        if level < best_level:
+            best_level, best_w = level, w
+        gain = top - values[selection, rows]
+        moves = gain > ROUNDING_RTOL * np.max(magnitude @ w, axis=0)
+        if not moves.any():
+            status = STATUS_OPTIMAL
             break
-        col = T[:, entering]
-        best = -1
-        best_ratio = np.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (best < 0 or basis[i] < basis[best])
-                ):
-                    best = i
-                    best_ratio = ratio
-        if best < 0:
-            # Phase-1 objective is bounded below by 0; an unbounded ray here
-            # means the tableau lost numerical meaning.
-            raise NumericalError("phase-1 simplex found an unbounded direction")
-        piv = T[best, entering]
-        T[best] /= piv
-        factors = T[:, entering].copy()
-        factors[best] = 0.0
-        T -= np.outer(factors, T[best])
-        obj -= obj[entering] * T[best]
-        basis[best] = entering
-    else:
-        raise NumericalError("phase-1 simplex exceeded its pivot budget")
-
-    scale = 1.0 + float(np.max(np.abs(h)))
-    if -obj[-1] > _FEAS_TOL * scale:
-        return None
-    z = np.zeros(total)
-    z[basis] = T[:, -1]
-    return np.maximum(z[:nv], 0.0)
+        selection = np.where(moves, np.argmax(values, axis=0), selection)
+    eta = best_w / np.min(best_w)
+    b_star = float(np.max(np.max(stack @ eta, axis=0) / eta))
+    return BisectResult(b_star, eta, it, status)
 
 
 def feasible_weights(problem: FeasibilityProblem) -> np.ndarray | None:
-    """A vector w >= 1 (entrywise) with M w <= b w for every constraint matrix,
-    or None if the system is infeasible.
-
-    Absence genuinely means infeasibility: the cone of feasible positive
-    vectors is nonempty iff its w >= 1 slice is.
-    """
-    mats = problem.matrices
-    n = mats[0].shape[0]
-    G = np.vstack([M - problem.b * np.eye(n) for M in mats])
-    h = -G @ np.ones(n)
-    z = _phase1_feasible(G, h)
-    if z is None:
+    """Optimal weights w (least entry 1) if they satisfy M w <= b w for every
+    constraint matrix up to rounding, else None: the system is infeasible, or
+    feasible only within the solver's resolvent shift of its optimum."""
+    res = _policy_iteration(problem.matrices, RESOLVENT_SHIFT, MAX_SELECTIONS)
+    scale = max(float(np.max(np.abs(M))) for M in problem.matrices)
+    if res.b_star > problem.b + ROUNDING_RTOL * scale:
         return None
-    return 1.0 + z
+    return res.eta_star
 
 
 def bisect_min_mu(
     matrices,
     family: str,
-    tol: float = BISECT_TOL,
-    max_iter: int = BISECT_MAXITER,
+    tol: float = RESOLVENT_SHIFT,
+    max_iter: int = MAX_SELECTIONS,
 ) -> BisectResult:
     """Minimize, over positive diagonal weights, the max weighted log norm of
-    the given matrices; the norm level is bisected with one feasibility LP per
-    step.
+    the given matrices by spectral policy iteration.
 
     The matrices are preprocessed internally: Metzler majorants are taken, and
     transposed for the l1 family (the l1 log norm of A at weight w is the
-    least b with majorant(A)^T w <= b w).  Returns the least certified level
-    b_star together with a weight vector achieving max mu <= b_star.
+    least b with majorant(A)^T w <= b w).  `tol` is the resolvent shift used
+    on reducible selections and `max_iter` bounds the selections visited;
+    status "tolerance-reached" means the budget ran out before no row moved.
+    Either way b_star is the level evaluated at eta_star.
     """
     if family not in (L1, LINF):
         raise ValueError("weight optimization is defined for l1/linf only")
@@ -179,24 +186,6 @@ def bisect_min_mu(
     n = mats[0].shape[0]
     if any(M.shape[0] != n for M in mats):
         raise ValueError("matrices must share one dimension")
-
-    # mu is sandwiched by the induced norm, so [-m, m] brackets the optimum:
-    # the top is feasible at w = 1 and the bottom is infeasible for any w > 0.
-    m = max(float(np.max(np.sum(np.abs(M), axis=1))) for M in mats) + 1.0
-    hi = m
-    lo = -m
-    eta_hi = feasible_weights(FeasibilityProblem(tuple(mats), hi))
-    if eta_hi is None:
-        return BisectResult(np.inf, None, 0, STATUS_INFEASIBLE)
-
-    it = 0
-    while hi - lo > tol and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        eta = feasible_weights(FeasibilityProblem(tuple(mats), mid))
-        if eta is not None:
-            hi, eta_hi = mid, eta
-        else:
-            lo = mid
-        it += 1
-    status = STATUS_OPTIMAL if hi - lo <= tol else STATUS_TOLERANCE
-    return BisectResult(b_star=hi, eta_star=eta_hi, iterations=it, status=status)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    return _policy_iteration(mats, tol, max_iter)

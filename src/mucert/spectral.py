@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, is_metzler
+from .matrices import as_matrix, is_metzler, reachability
 
 # Power iteration: relative vector change below POWER_TOL, or give up at the
 # cap and fall back to the dense solver.  The residual bound is the contract.
@@ -62,18 +62,7 @@ def spectral_abscissa(A) -> float:
 def is_irreducible(A) -> bool:
     """True iff the digraph with an edge j -> i whenever i != j and A[i, j] != 0
     is strongly connected."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    if n == 1:
-        return True
-    reach = (A != 0.0) | np.eye(n, dtype=bool)
-    # Boolean transitive closure by repeated squaring.
-    for _ in range(int(math.ceil(math.log2(n))) + 1):
-        new = reach @ reach
-        if np.array_equal(new, reach):
-            break
-        reach = new
-    return bool(reach.all())
+    return bool(reachability(as_matrix(A)).all())
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,31 @@ def test_unbounded_slope_certificates():
     assert c.details["violated"] == "decay-bound-not-positive"
 
 
+def test_unbounded_slope_rate_holds_at_weights_of_tied_reducible_majorant():
+    # Two diagonally similar 8x8 blocks (equal Perron roots) coupled one way:
+    # the weights come from the delta-perturbed pair, whose log norm sits
+    # O(sqrt(delta)) above the abscissa of the majorant.  (Each certificate
+    # takes seconds: power iteration stalls on the tie.)
+    rng = np.random.default_rng(12)
+    k, n = 8, 16
+    for cls in (Hopfield, FiringRate):
+        B = rng.uniform(0.1, 1.0, size=(k, k))
+        d = rng.uniform(0.5, 2.0, size=k)
+        P = np.zeros((n, n))
+        P[:k, :k] = B
+        P[k:, k:] = (d[:, None] * B) / d[None, :]
+        P[:k, k:] = rng.uniform(0.0, 1.0, size=(k, k))
+        np.fill_diagonal(P, 0.0)
+        alpha = float(np.max(np.linalg.eigvals(P).real))
+        A = P - (alpha + 0.3) * np.eye(n)
+        cert = certify(cls(np.eye(n), A, SlopeInterval(1.0, np.inf)))
+        assert cert.contracting and not cert.tight
+        for d2 in (1.0, 10.0):
+            trunc = cls(np.eye(n), A, SlopeInterval(1.0, d2))
+            value, _ = fixed_weight_osl(trunc, cert.family, cert.weights)
+            assert value <= cert.osl + 1e-12
+
+
 def test_unbounded_slope_routing_from_certify():
     m = Hopfield(np.eye(2), [[-2.0, 1.0], [1.0, -2.0]], SlopeInterval(1.0, np.inf))
     cert = certify(m)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,15 +7,25 @@ import scipy.optimize
 from mucert import (
     BisectResult,
     FeasibilityProblem,
+    FiringRate,
+    Hopfield,
     L1,
+    LEFT,
     LINF,
+    Lure,
+    PolytopeSpec,
+    RIGHT,
+    SlopeInterval,
     bisect_min_mu,
+    certify,
+    envelope_matrices,
     feasible_weights,
     metzler_majorant,
     mu1,
     muinf,
     spectral_abscissa,
 )
+from mucert.optimize import RESOLVENT_SHIFT
 
 from helpers import random_matrix, random_metzler
 
@@ -136,3 +148,161 @@ def test_bisect_result_shape():
     assert isinstance(res, BisectResult)
     assert res.iterations > 0
     assert res.b_star == pytest.approx(-2.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# policy iteration against independent oracles
+
+
+def _selection_oracle(mats, family):
+    """Largest dense-eigvals abscissa over all K^n row selections of the
+    (transposed for l1) Metzler majorants."""
+    maj = [metzler_majorant(M) for M in mats]
+    if family == L1:
+        maj = [M.T for M in maj]
+    stack = np.stack(maj)
+    rows = np.arange(stack.shape[1])
+    return max(
+        float(np.max(np.linalg.eigvals(stack[list(sel), rows]).real))
+        for sel in itertools.product(range(len(maj)), repeat=rows.size)
+    )
+
+
+def test_optimum_matches_selection_enumeration():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        k = 2 + trial % 2
+        fam = (L1, LINF)[(trial // 2) % 2]
+        mats = [random_matrix(rng, n) for _ in range(k)]
+        res = bisect_min_mu(mats, fam)
+        assert res.status == "optimal"
+        assert res.b_star == pytest.approx(_selection_oracle(mats, fam), abs=1e-8)
+
+
+def test_reducible_selections_within_resolvent_shift():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        k = 2 + trial % 2
+        fam = (L1, LINF)[(trial // 2) % 2]
+        mats = [random_matrix(rng, n) * (rng.random((n, n)) < 0.3) for _ in range(k)]
+        res = bisect_min_mu(mats, fam)
+        best = _selection_oracle(mats, fam)
+        assert best - 1e-12 <= res.b_star <= best + RESOLVENT_SHIFT + 1e-12
+
+
+def test_defective_block_reaches_optimum():
+    # l1 selections of this Hopfield envelope are reducible with a defective
+    # double eigenvalue -1; a delta-perturbed Perron vector would miss -1 by
+    # O(sqrt(delta)).
+    A = np.array([[0.0, 10.0], [0.0, 0.0]])
+    res = bisect_min_mu([-np.eye(2), -np.eye(2) + A], L1)
+    assert res.status == "optimal"
+    assert res.b_star == pytest.approx(-1.0, abs=1e-6)
+    cert = certify(Hopfield(np.eye(2), A, SlopeInterval(0.0, 1.0)), L1)
+    assert cert.details["b_star"] == pytest.approx(-1.0, abs=1e-6)
+    assert cert.details["closed_form"] == -1.0
+
+
+def test_iteration_budget_reports_tolerance():
+    rng = np.random.default_rng(9)
+    n = 6
+    mats = [-np.eye(n), -np.eye(n) + random_matrix(rng, n)]
+    full = bisect_min_mu(mats, LINF)
+    assert full.status == "optimal" and full.iterations >= 2
+    cut = bisect_min_mu(mats, LINF, max_iter=1)
+    assert cut.status == "tolerance-reached" and cut.iterations == 1
+    w = cut.eta_star
+    assert np.min(w) == 1.0
+    assert cut.b_star == pytest.approx(max(muinf(M, w) for M in mats), abs=1e-12)
+    assert cut.b_star > full.b_star + 1e-6
+    with pytest.raises(ValueError):
+        bisect_min_mu(mats, LINF, max_iter=0)
+
+
+# ---------------------------------------------------------------------------
+# scalar-loop models: the inputs on which LP bisection over a phase-1 simplex
+# raised NumericalError or returned weights far above its own optimum
+
+
+def _lure_model(rng, n, normalize):
+    """Metzler part with random off-diagonal signs and abscissa in
+    [-1, -0.3] (off-diagonal Perron root 1 when normalized, so entries are
+    O(1/n), else entries are O(1)), loop gain in [0.2, 2.6], d1 < 0."""
+    slopes = SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
+    gap = rng.uniform(0.3, 1.0)
+    P = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(P, 0.0)
+    alpha = float(np.max(np.linalg.eigvals(P).real))
+    if normalize:
+        P, alpha = P / alpha, 1.0
+    A = P * rng.choice((-1.0, 1.0), size=(n, n)) - (alpha + gap) * np.eye(n)
+    b, c = rng.normal(size=n), rng.normal(size=n)
+    c *= rng.uniform(0.2, 2.6) / (np.linalg.norm(b) * np.linalg.norm(c))
+    return Lure(A, b, c, slopes)
+
+
+def _check_optimized_certificate(model, family, mats):
+    """The certified osl is the optimizer's b_star, and scipy finds no
+    w >= 1 with majorant(M_k) w <= level w (transposed for l1) just below it."""
+    cert = certify(model, family)
+    scale = 1.0 + max(float(np.max(np.abs(M))) for M in mats)
+    assert cert.osl == pytest.approx(cert.details["b_star"], abs=1e-9 * scale)
+    level = cert.osl - 1e-5 * scale
+    n = model.n
+    maj = [metzler_majorant(M) for M in mats]
+    if family == L1:
+        maj = [M.T for M in maj]
+    G = np.vstack([M - level * np.eye(n) for M in maj])
+    res = scipy.optimize.linprog(
+        c=np.zeros(n),
+        A_ub=G,
+        b_ub=np.zeros(G.shape[0]),
+        bounds=[(1.0, None)] * n,
+        method="highs",
+    )
+    assert res.status == 2
+
+
+def _check_lure_certificate(model):
+    rank_one = np.outer(model.b, model.c)
+    mats = [model.A + d * rank_one for d in (model.slopes.d1, model.slopes.d2)]
+    _check_optimized_certificate(model, L1, mats)
+
+
+@pytest.mark.parametrize("seed", [[12345, 107, 32], [12345, 181, 32]])
+def test_lure_regression_cases(seed):
+    _check_lure_certificate(_lure_model(np.random.default_rng(seed), 32, True))
+
+
+def test_lure_unit_scale_models():
+    n = 64
+    for seed in range(30):
+        _check_lure_certificate(_lure_model(np.random.default_rng([seed, n]), n, False))
+
+
+def test_tied_blocks_coupled_one_way():
+    # Off-diagonal part: two 7x7 blocks with equal Perron roots, the first
+    # fed by the second, entries O(1000).  Some row selections are reducible
+    # with that tie; one dense resolvent solve over the whole selection lost
+    # positivity on these seeds.
+    k, n = 7, 14
+    for seed in (5, 16, 17):
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(0.1, 1.0, size=(k, k))
+        d = rng.uniform(0.5, 2.0, size=k)
+        P = np.zeros((n, n))
+        P[:k, :k] = B
+        P[k:, k:] = (d[:, None] * B) / d[None, :]
+        P[:k, k:] = rng.uniform(0.0, 1.0, size=(k, k))
+        np.fill_diagonal(P, 0.0)
+        P *= 1000.0
+        alpha = float(np.max(np.linalg.eigvals(P).real))
+        A = P * rng.choice((-1.0, 1.0), size=(n, n)) - (alpha + 300.0) * np.eye(n)
+        slopes = SlopeInterval(-0.3, 1.0)
+        for cls, side in ((Hopfield, RIGHT), (FiringRate, LEFT)):
+            for fam in (L1, LINF):
+                spec = PolytopeSpec(A, -np.ones(n), slopes, side)
+                mats = list(envelope_matrices(spec, fam))
+                _check_optimized_certificate(cls(np.eye(n), A, slopes), fam, mats)
