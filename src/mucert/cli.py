@@ -10,6 +10,7 @@ library API is 0-based.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,19 +31,13 @@ from .lognorm import (
     worst_case_mu,
 )
 from .networks import (
-    AxMinusCPhi,
+    CONTRACTION_MARGIN,
+    MODELS,
     ContractionCertificate,
-    Entrywise,
-    FiringRate,
-    Hopfield,
-    Lure,
-    MultiLure,
-    Persidskii,
     certify,
     fixed_weight_osl,
     osl_multilure_linf,
 )
-from .networks import CONTRACTION_MARGIN
 from .simulate import Activation, DivergenceError, verify_contraction
 from .spectral import NumericalError
 from .matrices import as_matrix, as_vector, as_weights
@@ -112,16 +107,12 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # model files
 
+# (required, optional) keys of the files that hold no network model.  A
+# network model file takes its class's dataclass fields (those without a
+# default are required) plus an optional "activation".
 _MODEL_KEYS = {
     "matrix": ({"A"}, set()),
     "polytope": ({"A", "c", "slopes", "side"}, set()),
-    "hopfield": ({"A", "C", "slopes"}, {"u", "activation"}),
-    "firing_rate": ({"A", "C", "slopes"}, {"u", "activation"}),
-    "persidskii": ({"A", "slopes"}, {"activation"}),
-    "ax_minus_cphi": ({"A", "C", "slopes"}, {"activation"}),
-    "entrywise": ({"A", "slopes"}, {"activation"}),
-    "lure": ({"A", "b", "c", "slopes"}, {"activation"}),
-    "multilure": ({"A", "B", "C", "slopes"}, {"activation"}),
 }
 
 _ACT_KEYS = {
@@ -172,9 +163,14 @@ def parse_model_dict(doc):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f'model file must declare "schema_version": "{SCHEMA_VERSION}"')
     tag = doc.get("model")
-    if tag not in _MODEL_KEYS:
+    if tag in MODELS:
+        model_fields = dataclasses.fields(MODELS[tag])
+        required = {f.name for f in model_fields if f.default is dataclasses.MISSING}
+        optional = {f.name for f in model_fields} - required | {"activation"}
+    elif tag in _MODEL_KEYS:
+        required, optional = _MODEL_KEYS[tag]
+    else:
         raise ValueError(f"unknown model tag {tag!r}")
-    required, optional = _MODEL_KEYS[tag]
     present = set(doc) - {"schema_version", "model"}
     unknown = present - required - optional
     if unknown:
@@ -195,22 +191,8 @@ def parse_model_dict(doc):
         )
         return tag, spec, act
 
-    slopes = parse_slopes(doc["slopes"])
-    if tag == "hopfield":
-        model = Hopfield(doc["C"], doc["A"], slopes, doc.get("u"))
-    elif tag == "firing_rate":
-        model = FiringRate(doc["C"], doc["A"], slopes, doc.get("u"))
-    elif tag == "persidskii":
-        model = Persidskii(doc["A"], slopes)
-    elif tag == "ax_minus_cphi":
-        model = AxMinusCPhi(doc["A"], doc["C"], slopes)
-    elif tag == "entrywise":
-        model = Entrywise(doc["A"], slopes)
-    elif tag == "lure":
-        model = Lure(doc["A"], doc["b"], doc["c"], slopes)
-    else:
-        model = MultiLure(doc["A"], doc["B"], doc["C"], slopes)
-    return tag, model, act
+    arrays = {k: doc[k] for k in present - {"slopes", "activation"}}
+    return tag, MODELS[tag](**arrays, slopes=parse_slopes(doc["slopes"])), act
 
 
 def load_model_file(path):
@@ -234,25 +216,13 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
     if tag == "matrix":
         doc["A"] = model.tolist()
         return doc
-    if tag == "polytope":
-        doc.update(
-            A=model.A.tolist(), c=model.c.tolist(),
-            slopes=_slopes_dict(model.slopes), side=model.side,
-        )
-        return doc
-    doc["A"] = model.A.tolist()
-    doc["slopes"] = _slopes_dict(model.slopes)
-    if tag in ("hopfield", "firing_rate"):
-        doc["C"] = model.C.tolist()
-        doc["u"] = model.u.tolist()
-    elif tag == "ax_minus_cphi":
-        doc["C"] = model.C.tolist()
-    elif tag == "lure":
-        doc["b"] = model.b.tolist()
-        doc["c"] = model.c.tolist()
-    elif tag == "multilure":
-        doc["B"] = model.B.tolist()
-        doc["C"] = model.C.tolist()
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, SlopeInterval):
+            value = _slopes_dict(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[f.name] = value
     if act is not None:
         a = {"kind": act.kind}
         for key in _ACT_KEYS[act.kind]:

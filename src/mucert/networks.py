@@ -1,5 +1,12 @@
-"""Per-model one-sided Lipschitz constants and contraction certificates for
-continuous-time neural network models.
+"""Continuous-time neural network models, their one-sided Lipschitz constants
+and their contraction certificates.
+
+Each model class owns its behaviour: `tag` names it in model files, `field`
+and `jacobian` evaluate its vector field, `fixed_weight_osl` bounds its
+one-sided Lipschitz constant at a given weight, and `certificate` returns its
+contraction certificate.  The module-level functions (`certify`,
+`fixed_weight_osl`, `certify_persidskii`, ...) delegate to these methods, and
+`MODELS` maps each tag to its class.
 
 Every certificate reports the one-sided Lipschitz bound actually certified at
 the weight vector it carries (`osl`), so the guarantee
@@ -56,187 +63,6 @@ CLOSED_FORM_TOL = 1e-6
 MULTILURE_MAX_DIM = 16
 
 
-def _bounded_slopes(slopes: SlopeInterval, model_name: str) -> SlopeInterval:
-    if not slopes.bounded:
-        raise ValueError(f"{model_name} requires a finite upper slope bound")
-    return slopes
-
-
-@dataclass(frozen=True, eq=False)
-class Hopfield:
-    """Membrane-potential model  dx/dt = -C x + A act(x) + u  with diagonal
-    C >= 0 and each activation coordinate slope-restricted to `slopes`."""
-
-    C: np.ndarray
-    A: np.ndarray
-    slopes: SlopeInterval
-    u: np.ndarray | None = None
-
-    def __post_init__(self):
-        C = check_diagonal(self.C)
-        A = as_matrix(self.A)
-        if A.shape != C.shape:
-            raise ValueError("C and A must share one dimension")
-        u = np.zeros(A.shape[0]) if self.u is None else as_vector(self.u, A.shape[0])
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FiringRate:
-    """Firing-rate model  dx/dt = -C x + act(A x + u)  with diagonal C >= 0."""
-
-    C: np.ndarray
-    A: np.ndarray
-    slopes: SlopeInterval
-    u: np.ndarray | None = None
-
-    def __post_init__(self):
-        C = check_diagonal(self.C)
-        A = as_matrix(self.A)
-        if A.shape != C.shape:
-            raise ValueError("C and A must share one dimension")
-        u = np.zeros(A.shape[0]) if self.u is None else as_vector(self.u, A.shape[0])
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Persidskii:
-    """Activation-only model  dx/dt = A act(x)  with strictly positive lower
-    slope bound."""
-
-    A: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        slopes = _bounded_slopes(self.slopes, "Persidskii")
-        if slopes.d1 <= 0:
-            raise ValueError("Persidskii model requires d1 > 0")
-        object.__setattr__(self, "A", A)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class AxMinusCPhi:
-    """Model  dx/dt = A x - C act(x)  with diagonal C >= 0."""
-
-    A: np.ndarray
-    C: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        C = check_diagonal(self.C)
-        if A.shape != C.shape:
-            raise ValueError("C and A must share one dimension")
-        _bounded_slopes(self.slopes, "AxMinusCPhi")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Entrywise:
-    """Entrywise-coupled model  dx_i/dt = sum_j A_ij act_ij(x_j)  where every
-    scalar activation shares the slope interval (d1 > 0)."""
-
-    A: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        slopes = _bounded_slopes(self.slopes, "Entrywise")
-        if slopes.d1 <= 0:
-            raise ValueError("Entrywise model requires d1 > 0")
-        object.__setattr__(self, "A", A)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Lure:
-    """Scalar-feedback loop  dx/dt = A x + b act(c^T x)."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        b = as_vector(self.b, A.shape[0])
-        c = as_vector(self.c, A.shape[0])
-        _bounded_slopes(self.slopes, "Lure")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class MultiLure:
-    """Multivariable feedback loop  dx/dt = A x + B act(C x)  with
-    B in R^(n x m) and C in R^(m x n)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        B = np.array(self.B, dtype=float)
-        C = np.array(self.C, dtype=float)
-        n = A.shape[0]
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError(f"B must be {n} x m, got shape {B.shape}")
-        m = B.shape[1]
-        if C.shape != (m, n):
-            raise ValueError(f"C must be {m} x {n}, got shape {C.shape}")
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
-            raise ValueError("matrix entries must be finite")
-        _bounded_slopes(self.slopes, "MultiLure")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-
-NetworkModel = (
-    Hopfield | FiringRate | Persidskii | AxMinusCPhi | Entrywise | Lure | MultiLure
-)
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionCertificate:
     """Result of a contraction analysis.
@@ -280,15 +106,6 @@ def _certificate(osl, family, weights, theorem, tight, alt_family=None,
     )
 
 
-def _jacobian_polytope(model) -> PolytopeSpec:
-    """Polytope swept by the model Jacobian as the activation slopes vary."""
-    if isinstance(model, Hopfield):
-        return PolytopeSpec(model.A, -np.diag(model.C), model.slopes, RIGHT)
-    if isinstance(model, FiringRate):
-        return PolytopeSpec(model.A, -np.diag(model.C), model.slopes, LEFT)
-    raise TypeError(f"no slope polytope for {type(model).__name__}")
-
-
 def _perron_weight_pair(M):
     """Perron pair of a Metzler matrix with automatic delta fallback for
     reducible input.  Returns (pair, perturbed flag)."""
@@ -297,14 +114,456 @@ def _perron_weight_pair(M):
     return pair, not irr
 
 
+def _coupling_certificate(B, theorem, alpha_key) -> ContractionCertificate:
+    """Certificate from a matrix B whose Metzler majorant dominates every
+    Jacobian majorant: one rate in the weighted l1 and linf norms at the
+    majorant's left and right dominant eigenvectors, never claimed exact."""
+    MzrB = metzler_majorant(B)
+    pair, _ = _perron_weight_pair(MzrB)
+    osl = max(mu1(B, pair.left), muinf(B, pair.right))
+    return _certificate(
+        osl, L1, pair.left, theorem, False,
+        alt_family=LINF, alt_weights=pair.right,
+        delta=pair.delta_used, **{alpha_key: spectral_abscissa(MzrB)},
+    )
+
+
+class _Model:
+    """Behaviour shared by every network model.
+
+    A subclass sets the class attribute `tag` and defines `field(act)` (the
+    right-hand side over column-stacked states (n, k)), `jacobian(act, x)`
+    and `fixed_weight_osl(family, weights)` (a (value, exact) pair).  Models
+    whose analysis fixes its own norm define `_certify()`; the others
+    override `certificate`.
+    """
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    def _require_bounded(self):
+        if not self.slopes.bounded:
+            raise ValueError(f"{type(self).__name__} requires a finite upper slope bound")
+
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        cert = self._certify()
+        if family is not None and family not in (cert.family, cert.alt_family):
+            raise ValueError(
+                f"{type(self).__name__} certificates fix their norm family "
+                f"({cert.family}{' and ' + cert.alt_family if cert.alt_family else ''})"
+            )
+        return cert
+
+
+@dataclass(frozen=True, eq=False)
+class _Leaky(_Model):
+    """Leaky network  dx/dt = -C x + ...  with diagonal C >= 0, coupling A and
+    input u (zero when omitted); the base of Hopfield and FiringRate.
+
+    A subclass sets `side`, the side of the slope polytope that its Jacobian
+    sweeps, and `family`, its default norm and the one in which its optimal
+    weight has a dominant-eigenvector closed form.  Unbounded slopes are
+    certified by :func:`certify_unbounded_slope` only.
+    """
+
+    C: np.ndarray
+    A: np.ndarray
+    slopes: SlopeInterval
+    u: np.ndarray | None = None
+
+    def __post_init__(self):
+        C = check_diagonal(self.C)
+        A = as_matrix(self.A)
+        if A.shape != C.shape:
+            raise ValueError("C and A must share one dimension")
+        u = np.zeros(A.shape[0]) if self.u is None else as_vector(self.u, A.shape[0])
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "u", u)
+
+    @property
+    def kind(self) -> str:
+        return self.tag.replace("_", "-")
+
+    @property
+    def exact(self) -> bool:
+        """Whether the fixed-weight bound is the minimal one-sided Lipschitz
+        constant: the Jacobian sweeps a right-side polytope in full, and a
+        left-side one (slopes taken at A x + u) iff A is invertible."""
+        return self.side == RIGHT or int(np.linalg.matrix_rank(self.A)) == self.n
+
+    def polytope(self) -> PolytopeSpec:
+        """Polytope swept by the model Jacobian as the activation slopes vary."""
+        if not self.slopes.bounded:
+            raise ValueError(
+                "slope interval is unbounded; use certify_unbounded_slope instead"
+            )
+        return PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        return worst_case_mu(self.polytope(), family, weights), self.exact
+
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        fam = self.family if family is None else family
+        if self.slopes.bounded:
+            return self.optimal_certificate(fam)
+        if fam != self.family:
+            raise ValueError(
+                f"unbounded-slope certificates for {self.tag} are {self.family}-only"
+            )
+        return self._unbounded_certificate()
+
+    def optimal_certificate(self, family: str) -> ContractionCertificate:
+        spec = self.polytope()
+        M1, M2 = envelope_matrices(spec, family)
+        res = bisect_min_mu([M1, M2], family)
+        weights = res.eta_star
+        theorem = f"{self.kind}/{family}/weight-lp"
+        tight = self.exact
+        details = {"b_star": res.b_star}
+
+        if family == self.family:
+            d1, d2 = self.slopes.d1, self.slopes.d2
+            cdiag = np.diag(self.C)
+            Mzr = metzler_majorant(self.A)
+            target = None
+            if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
+                target = -self.C + d2 * Mzr
+                closed_value = max(float(np.max(-cdiag)), spectral_abscissa(target))
+            elif d1 >= 0.0 and np.all(cdiag == cdiag[0]):
+                target = Mzr
+                a_m = spectral_abscissa(Mzr)
+                closed_value = -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
+            if target is not None:
+                pair, perturbed = _perron_weight_pair(target)
+                weights = pair.left if family == L1 else pair.right
+                if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
+                    raise NumericalError(
+                        f"closed-form optimum {closed_value} disagrees with the optimized "
+                        f"level {res.b_star}"
+                    )
+                theorem = f"{self.kind}/{family}/perron"
+                tight = tight and not perturbed
+                details.update(closed_form=closed_value, delta=pair.delta_used)
+
+        osl = max(log_norm(M1, family, weights), log_norm(M2, family, weights))
+        return _certificate(osl, family, weights, theorem, tight, **details)
+
+    def _unbounded_certificate(self) -> ContractionCertificate:
+        family, d1 = self.family, self.slopes.d1
+        Mzr = metzler_majorant(self.A)
+        pair, perturbed = _perron_weight_pair(Mzr)
+        a_m = spectral_abscissa(Mzr)
+        a_mc = float(np.max(-np.diag(self.C)))
+        min_diag = float(np.min(np.diag(self.A)))
+
+        weights = pair.left if family == L1 else pair.right
+        theorem = f"{self.kind}/{family}/unbounded-slope"
+
+        # The bound holds with the majorant's log norm at the carried weights.
+        # It equals a_m only for an irreducible majorant; a reducible one gets
+        # weights from its delta-perturbed pair, which can miss a_m by O(sqrt(delta)).
+        m_w = (mu1 if family == L1 else muinf)(Mzr, weights)
+        majorant_hurwitz = m_w < -CONTRACTION_MARGIN
+        rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
+        statement_rate = -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag
+        details = {
+            "statement_rate": statement_rate,
+            "mh_sufficient": d1 >= 0.0,
+            "alpha_majorant": a_m,
+        }
+        if not majorant_hurwitz:
+            details["violated"] = "majorant-not-hurwitz"
+            return _certificate(np.inf, family, None, theorem, False, **details)
+        if rate <= CONTRACTION_MARGIN:
+            details["violated"] = "decay-bound-not-positive"
+            return _certificate(np.inf, family, None, theorem, False, **details)
+        return _certificate(-rate, family, weights, theorem, not perturbed, **details)
+
+
+class Hopfield(_Leaky):
+    """Membrane-potential model  dx/dt = -C x + A act(x) + u  with diagonal
+    C >= 0 and each activation coordinate slope-restricted to `slopes`.
+    Certified in the weighted l1 norm by default."""
+
+    tag = "hopfield"
+    side = RIGHT
+    family = L1
+
+    def field(self, act):
+        C, A, u = self.C, self.A, self.u[:, None]
+        return lambda X: -C @ X + A @ act(X) + u
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return -self.C + self.A * act.deriv(x)[None, :]
+
+
+class FiringRate(_Leaky):
+    """Firing-rate model  dx/dt = -C x + act(A x + u)  with diagonal C >= 0.
+    Certified in the weighted linf norm by default."""
+
+    tag = "firing_rate"
+    side = LEFT
+    family = LINF
+
+    def field(self, act):
+        C, A, u = self.C, self.A, self.u[:, None]
+        return lambda X: -C @ X + act(A @ X + u)
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return -self.C + act.deriv(self.A @ x + self.u)[:, None] * self.A
+
+
+@dataclass(frozen=True, eq=False)
+class Persidskii(_Model):
+    """Activation-only model  dx/dt = A act(x)  with strictly positive lower
+    slope bound.
+
+    Contracting iff the Metzler majorant of A is Hurwitz, with rate
+    d1 * |alpha(majorant)| in the weighted l1 norm at the majorant's left
+    dominant eigenvector."""
+
+    tag = "persidskii"
+
+    A: np.ndarray
+    slopes: SlopeInterval
+
+    def __post_init__(self):
+        A = as_matrix(self.A)
+        self._require_bounded()
+        if self.slopes.d1 <= 0:
+            raise ValueError(f"{type(self).__name__} model requires d1 > 0")
+        object.__setattr__(self, "A", A)
+
+    def field(self, act):
+        A = self.A
+        return lambda X: A @ act(X)
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return self.A * act.deriv(x)[None, :]
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, RIGHT)
+        return worst_case_mu(spec, family, weights), True
+
+    def _certify(self) -> ContractionCertificate:
+        Mzr = metzler_majorant(self.A)
+        pair, perturbed = _perron_weight_pair(Mzr)
+        w = pair.left
+        m = mu1(self.A, w)
+        osl = max(self.slopes.d1 * m, self.slopes.d2 * m)
+        return _certificate(
+            osl, L1, w, "persidskii/l1/perron", not perturbed,
+            alpha_majorant=spectral_abscissa(Mzr),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class AxMinusCPhi(_Model):
+    """Model  dx/dt = A x - C act(x)  with diagonal C >= 0.
+
+    Contracting iff A - d1 C has a Hurwitz Metzler majorant, with rate
+    -alpha(majorant(A) - d1 C) in the weighted l1 norm at that matrix's left
+    dominant eigenvector."""
+
+    tag = "ax_minus_cphi"
+
+    A: np.ndarray
+    C: np.ndarray
+    slopes: SlopeInterval
+
+    def __post_init__(self):
+        A = as_matrix(self.A)
+        C = check_diagonal(self.C)
+        if A.shape != C.shape:
+            raise ValueError("C and A must share one dimension")
+        self._require_bounded()
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "C", C)
+
+    def field(self, act):
+        A, C = self.A, self.C
+        return lambda X: A @ X - C @ act(X)
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return self.A - self.C * act.deriv(x)[None, :]
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        return log_norm(self.A - self.slopes.d1 * self.C, family, weights), True
+
+    def _certify(self) -> ContractionCertificate:
+        d1 = self.slopes.d1
+        T = metzler_majorant(self.A) - d1 * self.C
+        pair, perturbed = _perron_weight_pair(T)
+        w = pair.left
+        osl = mu1(self.A - d1 * self.C, w)
+        return _certificate(
+            osl, L1, w, "ax-minus-cphi/l1/perron", not perturbed,
+            alpha_shifted_majorant=spectral_abscissa(T),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Entrywise(_Model):
+    """Entrywise-coupled model  dx_i/dt = sum_j A_ij act_ij(x_j)  where every
+    scalar activation shares the slope interval (d1 > 0).  Simulation uses
+    one activation for every entry.
+
+    Contracting iff the envelope matrix is M-Hurwitz; the rate holds
+    simultaneously in the weighted l1 and linf norms at the envelope
+    majorant's dominant left and right eigenvectors.  The bound is an
+    entrywise-domination upper bound, never claimed exact."""
+
+    tag = "entrywise"
+
+    A: np.ndarray
+    slopes: SlopeInterval
+
+    __post_init__ = Persidskii.__post_init__
+    field = Persidskii.field
+    jacobian = Persidskii.jacobian
+
+    def envelope(self) -> np.ndarray:
+        """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
+        every Jacobian majorant of the model."""
+        d1, d2 = self.slopes.d1, self.slopes.d2
+        return d2 * self.A - (d2 - d1) * np.diag(np.diag(self.A))
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        return log_norm(self.envelope(), family, weights), False
+
+    def _certify(self) -> ContractionCertificate:
+        return _coupling_certificate(
+            self.envelope(), "entrywise/coupling-bound", "alpha_envelope"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Lure(_Model):
+    """Scalar-feedback loop  dx/dt = A x + b act(c^T x).
+
+    The closed-loop Jacobian is A + s b c^T with the scalar slope s in
+    [d1, d2]; convexity of the log norm in s puts the worst case at an
+    endpoint, so the weight optimization (l1 by default) runs over the two
+    endpoint matrices."""
+
+    tag = "lure"
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    slopes: SlopeInterval
+
+    def __post_init__(self):
+        A = as_matrix(self.A)
+        b = as_vector(self.b, A.shape[0])
+        c = as_vector(self.c, A.shape[0])
+        self._require_bounded()
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def field(self, act):
+        A, b, c = self.A, self.b[:, None], self.c
+        return lambda X: A @ X + b * act(c @ X)[None, :]
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return self.A + float(act.deriv(self.c @ x)) * np.outer(self.b, self.c)
+
+    def endpoints(self) -> list[np.ndarray]:
+        rank_one = np.outer(self.b, self.c)
+        return [self.A + d * rank_one for d in (self.slopes.d1, self.slopes.d2)]
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        return max(log_norm(M, family, weights) for M in self.endpoints()), True
+
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        family = L1 if family is None else family
+        mats = self.endpoints()
+        res = bisect_min_mu(mats, family)
+        w = res.eta_star
+        osl = max(log_norm(M, family, w) for M in mats)
+        return _certificate(
+            osl, family, w, f"lure/{family}/weight-lp", True, b_star=res.b_star
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class MultiLure(_Model):
+    """Multivariable feedback loop  dx/dt = A x + B act(C x)  with
+    B in R^(n x m) and C in R^(m x n).
+
+    Certified via the coupling bound matrix: contracting iff that matrix is
+    M-Hurwitz, with the rate holding in both the weighted l1 and linf norms
+    at its dominant eigenvectors.  Fixed-weight bounds are linf-only."""
+
+    tag = "multilure"
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    slopes: SlopeInterval
+
+    def __post_init__(self):
+        A = as_matrix(self.A)
+        B = np.array(self.B, dtype=float)
+        C = np.array(self.C, dtype=float)
+        n = A.shape[0]
+        if B.ndim != 2 or B.shape[0] != n:
+            raise ValueError(f"B must be {n} x m, got shape {B.shape}")
+        m = B.shape[1]
+        if C.shape != (m, n):
+            raise ValueError(f"C must be {m} x {n}, got shape {C.shape}")
+        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+            raise ValueError("matrix entries must be finite")
+        self._require_bounded()
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
+
+    def field(self, act):
+        A, B, C = self.A, self.B, self.C
+        return lambda X: A @ X + B @ act(C @ X)
+
+    def jacobian(self, act, x) -> np.ndarray:
+        return self.A + self.B @ (act.deriv(self.C @ x)[:, None] * self.C)
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        if family != LINF:
+            raise ValueError("multivariable loop bounds are linf-only")
+        return osl_multilure_linf(self, weights)
+
+    def _certify(self) -> ContractionCertificate:
+        return _coupling_certificate(
+            multilure_coupling_bound(self), "multilure/coupling-bound", "alpha_coupling"
+        )
+
+
+# A new model is one class above plus its member here.
+NetworkModel = (
+    Hopfield | FiringRate | Persidskii | AxMinusCPhi | Entrywise | Lure | MultiLure
+)
+
+# Model-file tag -> model class.
+MODELS = {cls.tag: cls for cls in NetworkModel.__args__}
+
+
+def check_model(model):
+    """Return `model` if it is a network model; raise TypeError otherwise."""
+    if not isinstance(model, _Model):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model
+
+
 def osl_hopfield(model: Hopfield, family: str, weights=None) -> float:
     """Exact minimal one-sided Lipschitz constant of a Hopfield model at a
     fixed weight vector (all-ones by default)."""
-    if not model.slopes.bounded:
-        raise ValueError(
-            "slope interval is unbounded; use certify_unbounded_slope instead"
-        )
-    return worst_case_osl(model, family, weights)
+    return model.fixed_weight_osl(family, weights)[0]
 
 
 def osl_firing_rate(model: FiringRate, family: str, weights=None) -> tuple[float, bool]:
@@ -314,21 +573,7 @@ def osl_firing_rate(model: FiringRate, family: str, weights=None) -> tuple[float
     swept by the Jacobian); otherwise it is an upper bound, and the returned
     flag is False.
     """
-    if not model.slopes.bounded:
-        raise ValueError(
-            "slope interval is unbounded; use certify_unbounded_slope instead"
-        )
-    value = worst_case_osl(model, family, weights)
-    tight = int(np.linalg.matrix_rank(model.A)) == model.n
-    return value, tight
-
-
-def worst_case_osl(model, family: str, weights=None) -> float:
-    return worst_case_mu(_jacobian_polytope(model), family, weights)
-
-
-def _invertible(A: np.ndarray) -> bool:
-    return int(np.linalg.matrix_rank(A)) == A.shape[0]
+    return model.fixed_weight_osl(family, weights)
 
 
 def optimal_certificate(model, family: str) -> ContractionCertificate:
@@ -342,54 +587,9 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     cross-checked against the optimized level.  Reducible majorants take a
     perturbed dominant eigenvector and the certificate is marked non-tight.
     """
-    if isinstance(model, Hopfield):
-        kind = "hopfield"
-        exact = True
-    elif isinstance(model, FiringRate):
-        kind = "firing-rate"
-        exact = _invertible(model.A)
-    else:
+    if not isinstance(model, _Leaky):
         raise TypeError("optimal_certificate expects a Hopfield or FiringRate model")
-    if not model.slopes.bounded:
-        raise ValueError(
-            "slope interval is unbounded; use certify_unbounded_slope instead"
-        )
-
-    spec = _jacobian_polytope(model)
-    M1, M2 = envelope_matrices(spec, family)
-    res = bisect_min_mu([M1, M2], family)
-    weights = res.eta_star
-    theorem = f"{kind}/{family}/weight-lp"
-    tight = exact
-    details = {"b_star": res.b_star}
-
-    closed_family = L1 if kind == "hopfield" else LINF
-    if family == closed_family:
-        d1, d2 = model.slopes.d1, model.slopes.d2
-        cdiag = np.diag(model.C)
-        Mzr = metzler_majorant(model.A)
-        target = None
-        if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
-            target = -model.C + d2 * Mzr
-            closed_value = max(float(np.max(-cdiag)), spectral_abscissa(target))
-        elif d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            target = Mzr
-            a_m = spectral_abscissa(Mzr)
-            closed_value = -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
-        if target is not None:
-            pair, perturbed = _perron_weight_pair(target)
-            weights = pair.left if family == L1 else pair.right
-            if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
-                raise NumericalError(
-                    f"closed-form optimum {closed_value} disagrees with the optimized "
-                    f"level {res.b_star}"
-                )
-            theorem = f"{kind}/{family}/perron"
-            tight = exact and not perturbed
-            details.update(closed_form=closed_value, delta=pair.delta_used)
-
-    osl = max(log_norm(M1, family, weights), log_norm(M2, family, weights))
-    return _certificate(osl, family, weights, theorem, tight, **details)
+    return model.optimal_certificate(family)
 
 
 def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificate:
@@ -408,58 +608,12 @@ def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificat
     """
     if kind not in ("hopfield", "firing_rate"):
         raise ValueError(f"kind must be 'hopfield' or 'firing_rate', got {kind!r}")
-    C = check_diagonal(C)
-    A = as_matrix(A)
-    if A.shape != C.shape:
-        raise ValueError("C and A must share one dimension")
-    d1 = float(d1)
-    if not np.isfinite(d1):
-        raise ValueError("d1 must be finite")
-
-    Mzr = metzler_majorant(A)
-    pair, perturbed = _perron_weight_pair(Mzr)
-    a_m = spectral_abscissa(Mzr)
-    a_mc = float(np.max(-np.diag(C)))
-    min_diag = float(np.min(np.diag(A)))
-
-    family = L1 if kind == "hopfield" else LINF
-    weights = pair.left if kind == "hopfield" else pair.right
-    theorem = f"{kind.replace('_', '-')}/{family}/unbounded-slope"
-
-    # The bound holds with the majorant's log norm at the carried weights.
-    # It equals a_m only for an irreducible majorant; a reducible one gets
-    # weights from its delta-perturbed pair, which can miss a_m by O(sqrt(delta)).
-    m_w = (mu1 if family == L1 else muinf)(Mzr, weights)
-    majorant_hurwitz = m_w < -CONTRACTION_MARGIN
-    rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
-    statement_rate = -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag
-    details = {
-        "statement_rate": statement_rate,
-        "mh_sufficient": d1 >= 0.0,
-        "alpha_majorant": a_m,
-    }
-    if not majorant_hurwitz:
-        details["violated"] = "majorant-not-hurwitz"
-        return _certificate(np.inf, family, None, theorem, False, **details)
-    if rate <= CONTRACTION_MARGIN:
-        details["violated"] = "decay-bound-not-positive"
-        return _certificate(np.inf, family, None, theorem, False, **details)
-    return _certificate(-rate, family, weights, theorem, not perturbed, **details)
+    return MODELS[kind](C, A, SlopeInterval(d1, np.inf)).certificate()
 
 
 def certify_persidskii(model: Persidskii) -> ContractionCertificate:
-    """Certificate for dx/dt = A act(x): contracting iff the Metzler majorant
-    of A is Hurwitz, with rate d1 * |alpha(majorant)| in the weighted l1 norm
-    at the majorant's left dominant eigenvector."""
-    Mzr = metzler_majorant(model.A)
-    pair, perturbed = _perron_weight_pair(Mzr)
-    w = pair.left
-    m = mu1(model.A, w)
-    osl = max(model.slopes.d1 * m, model.slopes.d2 * m)
-    return _certificate(
-        osl, L1, w, "persidskii/l1/perron", not perturbed,
-        alpha_majorant=spectral_abscissa(Mzr),
-    )
+    """Certificate of a Persidskii model; the class docstring states it."""
+    return model.certificate()
 
 
 def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
@@ -487,60 +641,18 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
 
 
 def certify_ax_minus_cphi(model: AxMinusCPhi) -> ContractionCertificate:
-    """Certificate for dx/dt = A x - C act(x): contracting iff A - d1 C has a
-    Hurwitz Metzler majorant, with rate -alpha(majorant(A) - d1 C) in the
-    weighted l1 norm at that matrix's left dominant eigenvector."""
-    d1 = model.slopes.d1
-    T = metzler_majorant(model.A) - d1 * model.C
-    pair, perturbed = _perron_weight_pair(T)
-    w = pair.left
-    osl = mu1(model.A - d1 * model.C, w)
-    return _certificate(
-        osl, L1, w, "ax-minus-cphi/l1/perron", not perturbed,
-        alpha_shifted_majorant=spectral_abscissa(T),
-    )
-
-
-def entrywise_envelope(model: Entrywise) -> np.ndarray:
-    """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
-    every Jacobian majorant of the entrywise-coupled model."""
-    d1, d2 = model.slopes.d1, model.slopes.d2
-    return d2 * model.A - (d2 - d1) * np.diag(np.diag(model.A))
+    """Certificate of an AxMinusCPhi model; the class docstring states it."""
+    return model.certificate()
 
 
 def certify_entrywise(model: Entrywise) -> ContractionCertificate:
-    """Certificate for the entrywise-coupled model: contracting iff the
-    envelope matrix is M-Hurwitz; the rate holds simultaneously in the
-    weighted l1 and linf norms at the envelope majorant's dominant left and
-    right eigenvectors.  The bound is an entrywise-domination upper bound,
-    never claimed exact."""
-    B = entrywise_envelope(model)
-    MzrB = metzler_majorant(B)
-    pair, perturbed = _perron_weight_pair(MzrB)
-    osl = max(mu1(B, pair.left), muinf(B, pair.right))
-    return _certificate(
-        osl, L1, pair.left, "entrywise/coupling-bound", False,
-        alt_family=LINF, alt_weights=pair.right,
-        alpha_envelope=spectral_abscissa(MzrB), delta=pair.delta_used,
-    )
+    """Certificate of an Entrywise model; the class docstring states it."""
+    return model.certificate()
 
 
 def certify_lure(model: Lure, family: str) -> ContractionCertificate:
-    """Weight-optimized certificate for the scalar-feedback loop.
-
-    The closed-loop Jacobian is A + s b c^T with the scalar slope s in
-    [d1, d2]; convexity of the log norm in s puts the worst case at an
-    endpoint, so the weight optimization runs over the two endpoint matrices.
-    """
-    rank_one = np.outer(model.b, model.c)
-    M1 = model.A + model.slopes.d1 * rank_one
-    M2 = model.A + model.slopes.d2 * rank_one
-    res = bisect_min_mu([M1, M2], family)
-    w = res.eta_star
-    osl = max(log_norm(M1, family, w), log_norm(M2, family, w))
-    return _certificate(
-        osl, family, w, f"lure/{family}/weight-lp", True, b_star=res.b_star
-    )
+    """Weight-optimized certificate of a Lure model in the `family` norm."""
+    return model.certificate(family)
 
 
 def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
@@ -566,18 +678,8 @@ def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
 
 
 def certify_multilure(model: MultiLure) -> ContractionCertificate:
-    """Certificate for the multivariable feedback loop via the coupling bound
-    matrix: contracting iff that matrix is M-Hurwitz, with the rate holding in
-    both the weighted l1 and linf norms at its dominant eigenvectors."""
-    F = multilure_coupling_bound(model)
-    MzrF = metzler_majorant(F)
-    pair, perturbed = _perron_weight_pair(MzrF)
-    osl = max(mu1(F, pair.left), muinf(F, pair.right))
-    return _certificate(
-        osl, L1, pair.left, "multilure/coupling-bound", False,
-        alt_family=LINF, alt_weights=pair.right,
-        alpha_coupling=spectral_abscissa(MzrF), delta=pair.delta_used,
-    )
+    """Certificate of a MultiLure model; the class docstring states it."""
+    return model.certificate()
 
 
 def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
@@ -626,66 +728,15 @@ def fixed_weight_osl(model, family: str, weights=None) -> tuple[float, bool]:
     swept by the Jacobian; entrywise and multivariable-loop models only admit
     domination bounds (and the latter is linf-only).
     """
-    if isinstance(model, Hopfield):
-        return osl_hopfield(model, family, weights), True
-    if isinstance(model, FiringRate):
-        return osl_firing_rate(model, family, weights)
-    if isinstance(model, Persidskii):
-        spec = PolytopeSpec(model.A, np.zeros(model.n), model.slopes, RIGHT)
-        return worst_case_mu(spec, family, weights), True
-    if isinstance(model, AxMinusCPhi):
-        shifted = model.A - model.slopes.d1 * model.C
-        return log_norm(shifted, family, weights), True
-    if isinstance(model, Entrywise):
-        return log_norm(entrywise_envelope(model), family, weights), False
-    if isinstance(model, Lure):
-        rank_one = np.outer(model.b, model.c)
-        vals = [
-            log_norm(model.A + d * rank_one, family, weights)
-            for d in (model.slopes.d1, model.slopes.d2)
-        ]
-        return max(vals), True
-    if isinstance(model, MultiLure):
-        if family != LINF:
-            raise ValueError("multivariable loop bounds are linf-only")
-        return osl_multilure_linf(model, weights)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return check_model(model).fixed_weight_osl(family, weights)
 
 
 def certify(model, family: str | None = None) -> ContractionCertificate:
-    """Dispatch a model to its certificate analysis.
+    """The model's contraction certificate.
 
     `family` selects the norm for Hopfield (default l1), firing-rate (default
     linf) and scalar-loop (default l1) models; the remaining analyses fix
     their own norms.  Unbounded slopes route Hopfield / firing-rate models to
     the unbounded-slope certificate.
     """
-    if isinstance(model, (Hopfield, FiringRate)):
-        kind = "hopfield" if isinstance(model, Hopfield) else "firing_rate"
-        default = L1 if kind == "hopfield" else LINF
-        fam = default if family is None else family
-        if not model.slopes.bounded:
-            if fam != default:
-                raise ValueError(
-                    f"unbounded-slope certificates for {kind} are {default}-only"
-                )
-            return certify_unbounded_slope(kind, model.C, model.A, model.slopes.d1)
-        return optimal_certificate(model, fam)
-    if isinstance(model, Lure):
-        return certify_lure(model, L1 if family is None else family)
-    if isinstance(model, Persidskii):
-        cert = certify_persidskii(model)
-    elif isinstance(model, AxMinusCPhi):
-        cert = certify_ax_minus_cphi(model)
-    elif isinstance(model, Entrywise):
-        cert = certify_entrywise(model)
-    elif isinstance(model, MultiLure):
-        cert = certify_multilure(model)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if family is not None and family not in (cert.family, cert.alt_family):
-        raise ValueError(
-            f"{type(model).__name__} certificates fix their norm family "
-            f"({cert.family}{' and ' + cert.alt_family if cert.alt_family else ''})"
-        )
-    return cert
+    return check_model(model).certificate(family)

@@ -1,6 +1,10 @@
 """Activation functions, fixed-step integration of the network models, and
 empirical verification of contraction certificates.
 
+Each model supplies its own vector field (`field`, built once per integration
+or verification as a closure over column-stacked states) and Jacobian
+(`jacobian`); this module only steps, samples and measures.
+
 Verification integrates random trajectory pairs and checks the decay bound
 ``||x(t) - y(t)|| <= exp(-rate t) ||x(0) - y(0)||`` in the certificate's
 weighted norm, with a small allowance for integration error.  Pairs draw from
@@ -12,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lognorm import SlopeInterval, log_norm, weighted_norm
-from .networks import (
-    AxMinusCPhi,
-    ContractionCertificate,
-    Entrywise,
-    FiringRate,
-    Hopfield,
-    Lure,
-    MultiLure,
-    Persidskii,
-)
+from .networks import ContractionCertificate, check_model
 
 DECAY_RATIO_ALLOWANCE = 1e-3  # integration-error headroom on the decay bound
 KINK_NUDGE = 1e-12
@@ -129,42 +124,9 @@ def _check_act(model, act: Activation):
         )
 
 
-def _field(model, act: Activation):
-    """Right-hand side over column-stacked states (n, k)."""
-    if isinstance(model, Hopfield):
-        u = model.u[:, None]
-        return lambda X: -model.C @ X + model.A @ act(X) + u
-    if isinstance(model, FiringRate):
-        u = model.u[:, None]
-        return lambda X: -model.C @ X + act(model.A @ X + u)
-    if isinstance(model, (Persidskii, Entrywise)):
-        return lambda X: model.A @ act(X)
-    if isinstance(model, AxMinusCPhi):
-        return lambda X: model.A @ X - model.C @ act(X)
-    if isinstance(model, Lure):
-        b = model.b[:, None]
-        return lambda X: model.A @ X + b * act(model.c @ X)[None, :]
-    if isinstance(model, MultiLure):
-        return lambda X: model.A @ X + model.B @ act(model.C @ X)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def jacobian(model, act: Activation, x) -> np.ndarray:
     """Model Jacobian at a single state."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(model, Hopfield):
-        return -model.C + model.A * act.deriv(x)[None, :]
-    if isinstance(model, FiringRate):
-        return -model.C + act.deriv(model.A @ x + model.u)[:, None] * model.A
-    if isinstance(model, (Persidskii, Entrywise)):
-        return model.A * act.deriv(x)[None, :]
-    if isinstance(model, AxMinusCPhi):
-        return model.A - model.C * act.deriv(x)[None, :]
-    if isinstance(model, Lure):
-        return model.A + float(act.deriv(model.c @ x)) * np.outer(model.b, model.c)
-    if isinstance(model, MultiLure):
-        return model.A + model.B @ (act.deriv(model.C @ x)[:, None] * model.C)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return check_model(model).jacobian(act, np.asarray(x, dtype=float))
 
 
 def _rk4_step(f, X, h):
@@ -175,19 +137,31 @@ def _rk4_step(f, X, h):
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_count(horizon: float, step: float) -> int:
+    """Number of whole steps in the horizon; ValueError unless the horizon and
+    step are finite and positive and the horizon holds one to finitely many
+    steps."""
+    n_steps = np.floor(horizon / step) if 0.0 < step < np.inf else np.nan
+    if not (0.0 < horizon < np.inf and 1.0 <= n_steps < np.inf):
+        raise ValueError(
+            f"horizon {horizon} and step {step} must be finite and positive, "
+            "with one to finitely many steps in the horizon"
+        )
+    return int(n_steps)
+
+
 def integrate(model, act: Activation, x0, horizon: float, step: float):
     """Classical 4th-order fixed-step integration of one trajectory.
 
     Returns (times, states) with states of shape (steps + 1, n).  Divergence
     (a non-finite state) raises :class:`DivergenceError` carrying the first
-    bad time.
+    bad time.  The horizon and step must be finite and positive, with at least
+    one step in the horizon.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    n_steps = _step_count(horizon, step)
     _check_act(model, act)
     x0 = np.asarray(x0, dtype=float)
-    n_steps = int(np.floor(horizon / step))
-    f = _field(model, act)
+    f = model.field(act)
     X = x0.reshape(-1, 1).astype(float)
     out = np.empty((n_steps + 1, x0.size))
     out[0] = X[:, 0]
@@ -257,15 +231,16 @@ def verify_contraction(
     Identical endpoints contribute ratio 0 by convention.  The report passes
     iff the worst ratio stays within the integration-error allowance of 1.
     `initial_pairs` optionally supplies the endpoints directly as a pair of
-    (n, pairs) arrays instead of drawing them from the seed.
+    (n, pairs) arrays instead of drawing them from the seed.  Raises
+    ValueError unless the horizon and step are finite and positive, at least
+    one step fits, and there is at least one pair.
     """
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
     _check_act(model, act)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     if act.kind == "rect_poly":
         step = 0.5 * step
+    n_steps = _step_count(horizon, step)
 
     if initial_pairs is not None:
         X0 = np.asarray(initial_pairs[0], dtype=float).reshape(model.n, -1)
@@ -273,11 +248,12 @@ def verify_contraction(
         if X0.shape != Y0.shape:
             raise ValueError("initial pair arrays must have matching shapes")
         pairs = X0.shape[1]
-    else:
+    if pairs < 1:
+        raise ValueError(f"need at least one trajectory pair, got {pairs}")
+    if initial_pairs is None:
         X0, Y0 = _draw_pairs(model, act, pairs, seed)
     Z = np.hstack([X0, Y0])  # (n, 2 * pairs)
-    f = _field(model, act)
-    n_steps = int(np.floor(horizon / step))
+    f = model.field(act)
     fam, w = cert.family, cert.weights
 
     d0 = weighted_norm(X0 - Y0, fam, w)

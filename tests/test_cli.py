@@ -1,9 +1,12 @@
 import json
+import typing
 
 import numpy as np
 import pytest
 
+from mucert import NetworkModel
 from mucert.cli import dumps_canonical, main, model_to_dict, parse_model_dict
+from mucert.networks import MODELS
 
 from helpers import DAMPED_SPIRAL, ROTATION_SHIFT, SKEW_RING
 
@@ -267,6 +270,45 @@ def test_round_trip_model_files():
         HOPFIELD_DOC,
         {
             "schema_version": "1",
+            "model": "firing_rate",
+            "A": [[0.3, -0.5], [0.4, 0.2]],
+            "C": [[1.2, 0.0], [0.0, 1.0]],
+            "u": [0.4, -0.2],
+            "slopes": {"d1": 0, "d2": 1},
+            "activation": {"kind": "relu"},
+        },
+        {
+            "schema_version": "1",
+            "model": "persidskii",
+            "A": [[-2.0, 1.0], [1.0, -2.0]],
+            "slopes": {"d1": 0.25, "d2": 1},
+            "activation": {"kind": "leaky_relu", "a": 0.25},
+        },
+        {
+            "schema_version": "1",
+            "model": "ax_minus_cphi",
+            "A": [[-1.0, 0.5], [0.5, -1.0]],
+            "C": [[1.0, 0.0], [0.0, 2.0]],
+            "slopes": {"d1": 0, "d2": 1},
+        },
+        {
+            "schema_version": "1",
+            "model": "entrywise",
+            "A": [[-3.0, 1.0], [1.0, -3.0]],
+            "slopes": {"d1": 0.5, "d2": 1},
+            "activation": {"kind": "linear", "k": 0.75},
+        },
+        matrix_doc([[-1.0, 0.5], [0.2, -2.0]]),
+        {
+            "schema_version": "1",
+            "model": "polytope",
+            "A": [[0.0, 0.4], [0.3, 0.0]],
+            "c": [-1.0, -1.5],
+            "slopes": {"d1": -0.5, "d2": 1},
+            "side": "left",
+        },
+        {
+            "schema_version": "1",
             "model": "lure",
             "A": [[-2.0, 1.0], [0.0, -3.0]],
             "b": [1.0, 0.5],
@@ -292,13 +334,35 @@ def test_round_trip_model_files():
     for doc in docs:
         tag, model, act = parse_model_dict(doc)
         emitted = model_to_dict(tag, model, act)
+        assert set(doc) <= set(emitted) <= set(doc) | {"u"}  # u defaults to 0
         tag2, model2, act2 = parse_model_dict(emitted)
         assert tag2 == tag and act2 == act
-        np.testing.assert_array_equal(model.A, model2.A)
-        assert model.slopes == model2.slopes
+        np.testing.assert_array_equal(getattr(model, "A", model), getattr(model2, "A", model2))
+        assert getattr(model, "slopes", None) == getattr(model2, "slopes", None)
         assert model_to_dict(tag2, model2, act2) == emitted
+
+    # The tag table holds every network model, and the files above cover it.
+    assert set(MODELS.values()) == set(typing.get_args(NetworkModel))
+    assert all(MODELS[cls.tag] is cls for cls in MODELS.values())
+    assert set(MODELS) <= {doc["model"] for doc in docs}
 
 
 def test_canonical_float_formatting():
     s = dumps_canonical({"x": 1.0 / 3.0, "inf": np.inf, "neg": -np.inf, "i": 7})
     assert s == '{"i":7,"inf":"inf","neg":"-inf","x":0.33333333333333331}'
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--horizon", "-1"),
+        ("--step", "inf"),
+        ("--horizon", "inf"),
+        ("--pairs", "0"),
+    ],
+)
+def test_verify_rejects_runs_that_simulate_nothing(tmp_path, capsys, flags):
+    path = write(tmp_path, "h.json", HOPFIELD_DOC)
+    code, out, err = run(capsys, "verify", path, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

@@ -5,6 +5,7 @@ import pytest
 
 from mucert import (
     L1,
+    Activation,
     LEFT,
     LINF,
     RIGHT,
@@ -28,6 +29,7 @@ from mucert import (
     certify_unbounded_slope,
     envelope_matrices,
     fixed_weight_osl,
+    jacobian,
     log_norm,
     metzler_majorant,
     mu1,
@@ -534,3 +536,22 @@ def test_certificate_invariants():
         else:
             assert cert.rate == 0.0
         assert cert.margin == pytest.approx(-cert.osl, abs=0.0)
+
+
+def test_unsupported_model_types_raise_type_error():
+    class NotAModel:
+        A = np.eye(2)
+        C = np.eye(2)
+        slopes = SlopeInterval(0.0, 1.0)
+        n = 2
+
+    fake = NotAModel()
+    with pytest.raises(TypeError):
+        certify(fake)
+    with pytest.raises(TypeError):
+        fixed_weight_osl(fake, L1)
+    with pytest.raises(TypeError):
+        jacobian(fake, Activation("tanh"), np.zeros(2))
+    for model in (fake, Persidskii([[-2.0, 1.0], [1.0, -2.0]], SlopeInterval(0.5, 1.0))):
+        with pytest.raises(TypeError):
+            optimal_certificate(model, L1)

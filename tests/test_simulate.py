@@ -7,7 +7,9 @@ from mucert import (
     L1,
     L2,
     Activation,
+    AxMinusCPhi,
     DivergenceError,
+    Entrywise,
     Hopfield,
     Persidskii,
     SlopeInterval,
@@ -126,6 +128,32 @@ def test_verify_contraction_certified_fixture():
     assert report.seed == 1
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"horizon": -1.0},
+        {"horizon": np.inf},
+        {"horizon": np.nan},
+        {"horizon": 1e-4},  # shorter than one step
+        {"step": np.inf},
+        {"step": 0.0},
+        {"horizon": 1e300, "step": 1e-300},  # more steps than a float can count
+        {"pairs": 0},
+        {"initial_pairs": (np.zeros((2, 0)), np.zeros((2, 0)))},
+    ],
+)
+def test_verify_and_integrate_reject_runs_that_simulate_nothing(kwargs):
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    act = Activation("tanh")
+    cert = optimal_certificate(m, L1)
+    with pytest.raises(ValueError):
+        verify_contraction(m, act, cert, **kwargs)
+    span = {k: kwargs[k] for k in ("horizon", "step") if k in kwargs}
+    if span:
+        with pytest.raises(ValueError):
+            integrate(m, act, [1.0, 1.0], **{"horizon": 1.0, "step": 1e-3, **span})
+
+
 def test_verify_contraction_identical_pair_convention():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)
@@ -168,9 +196,9 @@ def test_decay_bound_only_guaranteed_in_certified_norm():
     )
     assert report.passed  # certified norm obeys the bound
 
-    from mucert.simulate import _field, _rk4_step
+    from mucert.simulate import _rk4_step
 
-    f = _field(m, act)
+    f = m.field(act)
     Z = np.hstack([X0, Y0])
     d0 = weighted_norm((X0 - Y0)[:, 0], L2, None)
     worst_uncert = 0.0
@@ -213,12 +241,23 @@ def test_sample_jacobian_mu_empty_and_kinks(monkeypatch):
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(6)
-    for _, model, act, _ in acceptance_fixtures():
+    smooth_extra = [
+        (
+            AxMinusCPhi([[-1.0, 0.5], [0.3, -2.0]], np.diag([1.0, 0.5]), SlopeInterval(0.0, 1.0)),
+            Activation("tanh"),
+        ),
+        # Entrywise needs d1 > 0, which no smooth nonlinear kind has; the field
+        # and Jacobian ignore the declared slopes, so tanh still checks them.
+        (
+            Entrywise([[-2.0, 0.7], [-0.4, -1.5]], SlopeInterval(0.2, 1.0)),
+            Activation("tanh"),
+        ),
+    ]
+    cases = [(model, act) for _, model, act, _ in acceptance_fixtures()] + smooth_extra
+    for model, act in cases:
         if act.kind in ("relu", "leaky_relu"):
             continue  # nonsmooth
-        from mucert.simulate import _field
-
-        f = _field(model, act)
+        f = model.field(act)
         x = rng.normal(size=model.n)
         J = jacobian(model, act, x)
         eps = 1e-6
