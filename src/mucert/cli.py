@@ -68,7 +68,6 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
     def emit(o, depth):
         pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
         endpad = "" if indent is None else "\n" + " " * (indent * depth)
-        comma = "," if indent is None else ","
         if isinstance(o, dict):
             if not o:
                 return "{}"
@@ -78,7 +77,7 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
                 else f"{json.dumps(str(k))}:{emit(v, depth + 1)}"
                 for k, v in sorted(o.items())
             ]
-            return "{" + comma.join(items) + endpad + "}"
+            return "{" + ",".join(items) + endpad + "}"
         if isinstance(o, np.ndarray):
             o = o.tolist()
         if isinstance(o, (list, tuple)):
@@ -88,7 +87,7 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
                 f"{pad}{emit(v, depth + 1)}" if indent is not None else emit(v, depth + 1)
                 for v in o
             ]
-            return "[" + comma.join(items) + endpad + "]"
+            return "[" + ",".join(items) + endpad + "]"
         if isinstance(o, (bool, np.bool_)):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
@@ -145,7 +144,7 @@ def parse_activation(doc) -> Activation:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError('activation must be an object with a "kind" field')
     kind = doc["kind"]
-    if kind not in _ACT_KEYS:
+    if not isinstance(kind, str) or kind not in _ACT_KEYS:
         raise ValueError(f"unknown activation kind {kind!r}")
     extra = set(doc) - {"kind"} - _ACT_KEYS[kind]
     if extra:
@@ -163,14 +162,14 @@ def parse_model_dict(doc):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f'model file must declare "schema_version": "{SCHEMA_VERSION}"')
     tag = doc.get("model")
+    if not isinstance(tag, str) or tag not in MODELS.keys() | _MODEL_KEYS.keys():
+        raise ValueError(f"unknown model tag {tag!r}")
     if tag in MODELS:
         model_fields = dataclasses.fields(MODELS[tag])
         required = {f.name for f in model_fields if f.default is dataclasses.MISSING}
         optional = {f.name for f in model_fields} - required | {"activation"}
-    elif tag in _MODEL_KEYS:
-        required, optional = _MODEL_KEYS[tag]
     else:
-        raise ValueError(f"unknown model tag {tag!r}")
+        required, optional = _MODEL_KEYS[tag]
     present = set(doc) - {"schema_version", "model"}
     unknown = present - required - optional
     if unknown:

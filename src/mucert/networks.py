@@ -47,7 +47,7 @@ from .optimize import bisect_min_mu
 from .spectral import (
     DEFAULT_DELTA,
     NumericalError,
-    is_irreducible,
+    ReducibleMatrixError,
     perron_pair,
     spectral_abscissa,
 )
@@ -107,24 +107,26 @@ def _certificate(osl, family, weights, theorem, tight, alt_family=None,
 
 
 def _perron_weight_pair(M):
-    """Perron pair of a Metzler matrix with automatic delta fallback for
-    reducible input.  Returns (pair, perturbed flag)."""
-    irr = is_irreducible(M)
-    pair = perron_pair(M, 0.0 if irr else DEFAULT_DELTA)
-    return pair, not irr
+    """(Perron pair, spectral abscissa) of a Metzler matrix: both from one
+    pair if it is irreducible, else the pair of its DEFAULT_DELTA perturbation
+    and the unperturbed abscissa, which the perturbation can move far more."""
+    try:
+        pair = perron_pair(M)
+    except ReducibleMatrixError:
+        return perron_pair(M, DEFAULT_DELTA), spectral_abscissa(M)
+    return pair, pair.alpha
 
 
 def _coupling_certificate(B, theorem, alpha_key) -> ContractionCertificate:
     """Certificate from a matrix B whose Metzler majorant dominates every
     Jacobian majorant: one rate in the weighted l1 and linf norms at the
     majorant's left and right dominant eigenvectors, never claimed exact."""
-    MzrB = metzler_majorant(B)
-    pair, _ = _perron_weight_pair(MzrB)
+    pair, alpha = _perron_weight_pair(metzler_majorant(B))
     osl = max(mu1(B, pair.left), muinf(B, pair.right))
     return _certificate(
         osl, L1, pair.left, theorem, False,
         alt_family=LINF, alt_weights=pair.right,
-        delta=pair.delta_used, **{alpha_key: spectral_abscissa(MzrB)},
+        delta=pair.delta_used, **{alpha_key: alpha},
     )
 
 
@@ -197,7 +199,7 @@ class _Leaky(_Model):
         """Polytope swept by the model Jacobian as the activation slopes vary."""
         if not self.slopes.bounded:
             raise ValueError(
-                "slope interval is unbounded; use certify_unbounded_slope instead"
+                "fixed-weight and optimized bounds need a finite upper slope bound d2"
             )
         return PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
 
@@ -227,16 +229,14 @@ class _Leaky(_Model):
             d1, d2 = self.slopes.d1, self.slopes.d2
             cdiag = np.diag(self.C)
             Mzr = metzler_majorant(self.A)
-            target = None
+            closed_value = None
             if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
-                target = -self.C + d2 * Mzr
-                closed_value = max(float(np.max(-cdiag)), spectral_abscissa(target))
+                pair, a_t = _perron_weight_pair(-self.C + d2 * Mzr)
+                closed_value = max(float(np.max(-cdiag)), a_t)
             elif d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-                target = Mzr
-                a_m = spectral_abscissa(Mzr)
+                pair, a_m = _perron_weight_pair(Mzr)
                 closed_value = -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
-            if target is not None:
-                pair, perturbed = _perron_weight_pair(target)
+            if closed_value is not None:
                 weights = pair.left if family == L1 else pair.right
                 if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
                     raise NumericalError(
@@ -244,7 +244,7 @@ class _Leaky(_Model):
                         f"level {res.b_star}"
                     )
                 theorem = f"{self.kind}/{family}/perron"
-                tight = tight and not perturbed
+                tight = tight and pair.irreducible
                 details.update(closed_form=closed_value, delta=pair.delta_used)
 
         osl = max(log_norm(M1, family, weights), log_norm(M2, family, weights))
@@ -253,8 +253,7 @@ class _Leaky(_Model):
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
         Mzr = metzler_majorant(self.A)
-        pair, perturbed = _perron_weight_pair(Mzr)
-        a_m = spectral_abscissa(Mzr)
+        pair, a_m = _perron_weight_pair(Mzr)
         a_mc = float(np.max(-np.diag(self.C)))
         min_diag = float(np.min(np.diag(self.A)))
 
@@ -279,7 +278,7 @@ class _Leaky(_Model):
         if rate <= CONTRACTION_MARGIN:
             details["violated"] = "decay-bound-not-positive"
             return _certificate(np.inf, family, None, theorem, False, **details)
-        return _certificate(-rate, family, weights, theorem, not perturbed, **details)
+        return _certificate(-rate, family, weights, theorem, pair.irreducible, **details)
 
 
 class Hopfield(_Leaky):
@@ -348,14 +347,13 @@ class Persidskii(_Model):
         return worst_case_mu(spec, family, weights), True
 
     def _certify(self) -> ContractionCertificate:
-        Mzr = metzler_majorant(self.A)
-        pair, perturbed = _perron_weight_pair(Mzr)
+        pair, alpha = _perron_weight_pair(metzler_majorant(self.A))
         w = pair.left
         m = mu1(self.A, w)
         osl = max(self.slopes.d1 * m, self.slopes.d2 * m)
         return _certificate(
-            osl, L1, w, "persidskii/l1/perron", not perturbed,
-            alpha_majorant=spectral_abscissa(Mzr),
+            osl, L1, w, "persidskii/l1/perron", pair.irreducible,
+            alpha_majorant=alpha,
         )
 
 
@@ -394,13 +392,12 @@ class AxMinusCPhi(_Model):
 
     def _certify(self) -> ContractionCertificate:
         d1 = self.slopes.d1
-        T = metzler_majorant(self.A) - d1 * self.C
-        pair, perturbed = _perron_weight_pair(T)
+        pair, alpha = _perron_weight_pair(metzler_majorant(self.A) - d1 * self.C)
         w = pair.left
         osl = mu1(self.A - d1 * self.C, w)
         return _certificate(
-            osl, L1, w, "ax-minus-cphi/l1/perron", not perturbed,
-            alpha_shifted_majorant=spectral_abscissa(T),
+            osl, L1, w, "ax-minus-cphi/l1/perron", pair.irreducible,
+            alpha_shifted_majorant=alpha,
         )
 
 
@@ -630,13 +627,12 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     if not (np.isfinite(d2) and d2 >= 0.0):
         raise ValueError("d2 must be finite and nonnegative")
 
-    T = -C + d2 * metzler_majorant(A)
-    pair, perturbed = _perron_weight_pair(T)
+    pair, alpha = _perron_weight_pair(-C + d2 * metzler_majorant(A))
     w = pair.left
     osl = max(mu1(-C, w), mu1(-C + d2 * A, w))
     return _certificate(
-        osl, L1, w, "hopfield-mh/l1/perron", not perturbed,
-        alpha_shifted_majorant=spectral_abscissa(T),
+        osl, L1, w, "hopfield-mh/l1/perron", pair.irreducible,
+        alpha_shifted_majorant=alpha,
     )
 
 

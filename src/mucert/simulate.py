@@ -233,7 +233,7 @@ def verify_contraction(
     `initial_pairs` optionally supplies the endpoints directly as a pair of
     (n, pairs) arrays instead of drawing them from the seed.  Raises
     ValueError unless the horizon and step are finite and positive, at least
-    one step fits, and there is at least one pair.
+    one step fits, there is at least one pair, and the seed is nonnegative.
     """
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
@@ -241,6 +241,8 @@ def verify_contraction(
     if act.kind == "rect_poly":
         step = 0.5 * step
     n_steps = _step_count(horizon, step)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     if initial_pairs is not None:
         X0 = np.asarray(initial_pairs[0], dtype=float).reshape(model.n, -1)

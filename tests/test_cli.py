@@ -208,9 +208,14 @@ def test_validation_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "lognorm", str(path))
     assert code == 2 and out == ""
 
-    path = write(tmp_path, "tag.json", {"schema_version": "1", "model": "mystery", "A": [[1]]})
-    code, _, err = run(capsys, "classify", str(path))
-    assert code == 2 and "unknown model tag" in err
+    for tag in ("mystery", ["hopfield"]):
+        path = write(tmp_path, "tag.json", {"schema_version": "1", "model": tag, "A": [[1]]})
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 2 and f"unknown model tag {tag!r}" in err
+
+    path = write(tmp_path, "act.json", {**HOPFIELD_DOC, "activation": {"kind": ["tanh"]}})
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "unknown activation kind ['tanh']" in err
 
     path = write(
         tmp_path, "vers.json", {"schema_version": "2", "model": "matrix", "A": [[1]]}
@@ -249,6 +254,14 @@ def test_unbounded_hopfield_via_cli(tmp_path, capsys):
     assert code == 0 and cert["contracting"] is True
     assert cert["rate"] == pytest.approx(2.0, abs=1e-9)
     assert cert["theorem"] == "hopfield/l1/unbounded-slope"
+
+
+def test_eta_on_unbounded_slope_file_asks_for_finite_d2(tmp_path, capsys):
+    doc = {**HOPFIELD_DOC, "slopes": {"d1": 0, "d2": "inf"}}
+    path = write(tmp_path, "hu.json", doc)
+    code, out, err = run(capsys, "certify", path, "--family", "l1", "--eta", "1,1.5")
+    assert code == 2 and out == ""
+    assert "finite" in err and "d2" in err and "certify_unbounded_slope" not in err
 
 
 def test_eta_file_argument(tmp_path, capsys):
@@ -359,6 +372,7 @@ def test_canonical_float_formatting():
         ("--step", "inf"),
         ("--horizon", "inf"),
         ("--pairs", "0"),
+        ("--seed", "-1"),
     ],
 )
 def test_verify_rejects_runs_that_simulate_nothing(tmp_path, capsys, flags):

@@ -262,8 +262,7 @@ def test_unbounded_slope_certificates():
 def test_unbounded_slope_rate_holds_at_weights_of_tied_reducible_majorant():
     # Two diagonally similar 8x8 blocks (equal Perron roots) coupled one way:
     # the weights come from the delta-perturbed pair, whose log norm sits
-    # O(sqrt(delta)) above the abscissa of the majorant.  (Each certificate
-    # takes seconds: power iteration stalls on the tie.)
+    # O(sqrt(delta)) above the abscissa of the majorant.
     rng = np.random.default_rng(12)
     k, n = 8, 16
     for cls in (Hopfield, FiringRate):

@@ -140,6 +140,7 @@ def test_verify_contraction_certified_fixture():
         {"horizon": 1e300, "step": 1e-300},  # more steps than a float can count
         {"pairs": 0},
         {"initial_pairs": (np.zeros((2, 0)), np.zeros((2, 0)))},
+        {"seed": -1},
     ],
 )
 def test_verify_and_integrate_reject_runs_that_simulate_nothing(kwargs):

@@ -2,16 +2,27 @@ import numpy as np
 import pytest
 
 from mucert import (
+    AxMinusCPhi,
+    Entrywise,
+    FiringRate,
+    Hopfield,
+    MultiLure,
+    Persidskii,
     ReducibleMatrixError,
+    SlopeInterval,
+    certify,
+    certify_hopfield_mh,
     eigenvalues,
     is_irreducible,
     metzler_majorant,
     mu1,
     muinf,
+    multilure_coupling_bound,
     perron_pair,
     perron_weights,
     spectral_abscissa,
 )
+from mucert import spectral
 
 from helpers import (
     SKEW_RING,
@@ -19,7 +30,6 @@ from helpers import (
     ROTATION_SHIFT,
     random_irreducible_metzler,
     random_matrix,
-    random_metzler,
 )
 
 
@@ -58,13 +68,115 @@ def test_spectral_abscissa_known_values():
     assert spectral_abscissa(pruned) == pytest.approx(2.1971, abs=1e-3)
 
 
+def _perron_certificates(rng, M):
+    """(certificate, its abscissa detail, the Metzler matrix behind it) for
+    every Perron-route certificate, each built so that its matrix has the
+    zero pattern of the Metzler matrix M."""
+    n = M.shape[0]
+    A = M * np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+    np.fill_diagonal(A, np.diag(M))
+    C = np.diag(rng.uniform(0.5, 1.5, size=n))
+    entrywise = Entrywise(A, SlopeInterval(0.5, 1.5))
+    multilure = MultiLure(A, 0.3 * np.eye(n), 0.5 * np.eye(n), SlopeInterval(0.0, 1.0))
+    unbounded = SlopeInterval(0.5, np.inf)
+    return [
+        (certify(Persidskii(A, SlopeInterval(0.5, 1.0))), "alpha_majorant", M),
+        (certify(AxMinusCPhi(A, C, SlopeInterval(0.4, 1.0))),
+         "alpha_shifted_majorant", M - 0.4 * C),
+        (certify(entrywise), "alpha_envelope", metzler_majorant(entrywise.envelope())),
+        (certify(multilure), "alpha_coupling",
+         metzler_majorant(multilure_coupling_bound(multilure))),
+        (certify(Hopfield(C, A, unbounded)), "alpha_majorant", M),
+        (certify(FiringRate(C, A, unbounded)), "alpha_majorant", M),
+        (certify_hopfield_mh(C, A, 0.7), "alpha_shifted_majorant", -C + 0.7 * M),
+        (certify(Hopfield(np.eye(n), A, SlopeInterval(0.0, 1.0)), "l1"), "closed_form",
+         -np.eye(n) + M),
+    ]
+
+
 def test_metzler_route_matches_dense_route():
+    # Each Perron certificate reports the abscissa of its Metzler matrix T.
+    # Irreducible T: read off its Perron pair, within the dense residual
+    # contract.  Reducible T: the pair is delta-perturbed, and the detail is
+    # the unperturbed dense value.
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        M = random_metzler(rng, n)
-        dense = float(np.max(np.linalg.eigvals(M).real))
-        assert spectral_abscissa(M) == pytest.approx(dense, abs=1e-9)
+    for trial in range(16):
+        n = int(rng.integers(2, 9))
+        M = random_irreducible_metzler(rng, n)
+        reducible = trial % 2 == 1
+        if reducible:
+            M[n // 2:, : n // 2] = 0.0
+        for cert, key, T in _perron_certificates(rng, M):
+            assert is_irreducible(T) != reducible
+            dense = float(np.max(np.linalg.eigvals(T).real))
+            scale = 1.0 + float(np.max(np.abs(T)))
+            if key == "closed_form":
+                dense = max(-1.0, dense)
+            if reducible:
+                assert cert.details[key] == pytest.approx(dense, abs=1e-12 * scale)
+                assert not cert.tight
+            else:
+                assert cert.details[key] == pytest.approx(dense, abs=1e-9 * scale)
+
+
+def _near_tie_metzler(rng, k):
+    """Two diagonally similar k x k blocks (equal Perron roots) coupled by
+    1e-9 both ways: irreducible, but its two leading eigenvalues lie about
+    1e-9 apart, so power iteration cannot converge."""
+    B = rng.uniform(0.1, 1.0, size=(k, k))
+    d = rng.uniform(0.5, 2.0, size=k)
+    M = np.full((2 * k, 2 * k), 1e-9)
+    M[:k, :k] = B
+    M[k:, k:] = (d[:, None] * B) / d[None, :]
+    np.fill_diagonal(M, -1.0)
+    return M
+
+
+class _CountingMatrix(np.ndarray):
+    steps = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.steps += 1
+        return np.asarray(self) @ other
+
+
+def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
+    assert spectral.POWER_MAXITER <= 1000
+    # Record each eigenvector route perron_pair takes: ("power", steps,
+    # converged) per power iteration and ("dense",) per dense eigensolve.
+    routes = []
+    power, dense = spectral._power_vector, spectral._dense_dominant_vector
+
+    def spy_power(N):
+        _CountingMatrix.steps = 0
+        x, ok = power(N.view(_CountingMatrix))
+        routes.append(("power", _CountingMatrix.steps, ok))
+        return x, ok
+
+    def spy_dense(N):
+        routes.append(("dense",))
+        return dense(N)
+
+    monkeypatch.setattr(spectral, "_power_vector", spy_power)
+    monkeypatch.setattr(spectral, "_dense_dominant_vector", spy_dense)
+    rng = np.random.default_rng(8)
+    for k in (4, 8):
+        M = _near_tie_metzler(rng, k)
+        routes.clear()
+        pair = perron_pair(M)
+        # Right then left vector: each spends the whole budget, then one
+        # dense eigensolve.
+        budget = ("power", spectral.POWER_MAXITER, False)
+        assert routes == [budget, ("dense",), budget, ("dense",)]
+        want = float(np.max(np.linalg.eigvals(M).real))
+        assert pair.alpha == pytest.approx(want, abs=1e-9)
+        assert np.all(pair.right > 0) and np.all(pair.left > 0)
+
+    # A well-separated input converges by power iteration alone.
+    routes.clear()
+    perron_pair(random_irreducible_metzler(rng, 16))
+    assert [r[0] for r in routes] == ["power", "power"]
+    assert all(ok and steps < spectral.POWER_MAXITER for _, steps, ok in routes)
 
 
 def _strongly_connected_bruteforce(A):
