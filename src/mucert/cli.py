@@ -194,15 +194,19 @@ def parse_model_dict(doc):
     return tag, MODELS[tag](**arrays, slopes=parse_slopes(doc["slopes"])), act
 
 
-def load_model_file(path):
+def _read_json(path, name):
+    """Parse the JSON file at `path`; errors call it `name`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {name}: {exc}") from exc
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    return parse_model_dict(doc)
+        raise ValueError(f"cannot read {name}: {exc}") from exc
+
+
+def load_model_file(path):
+    return parse_model_dict(_read_json(path, path))
 
 
 def _slopes_dict(slopes: SlopeInterval):
@@ -233,9 +237,7 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
 def parse_weights_arg(arg: str, n: int) -> np.ndarray:
     """--eta accepts a comma-separated list or a path to a JSON array."""
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return as_weights(data, n)
+        return as_weights(_read_json(arg, f"--eta file {arg}"), n)
     try:
         values = [float(tok) for tok in arg.split(",")]
     except ValueError as exc:

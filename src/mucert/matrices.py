@@ -5,7 +5,6 @@ validate shape and finiteness up front.  Everything here is pure; inputs are
 never mutated.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -125,9 +124,3 @@ def pad(y, indices, n: int) -> np.ndarray:
     out = np.zeros(n)
     out[list(idx)] = y
     return out
-
-
-def nonempty_subsets(n: int):
-    """Yield all nonempty strictly increasing index tuples over range(n)."""
-    for r in range(1, n + 1):
-        yield from itertools.combinations(range(n), r)

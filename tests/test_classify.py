@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import mucert.classify as classify_mod
+import mucert.spectral as spectral_mod
 from mucert import (
     classify_matrix,
     edge_removal_check,
@@ -12,9 +16,12 @@ from mucert import (
     metzler_majorant,
     mh_lds_witness,
     mu2,
+    perron_pair,
+    principal_submatrix,
     pruning_robustness,
     spectral_abscissa,
 )
+from mucert.spectral import DEFAULT_DELTA, is_irreducible
 
 from helpers import (
     DAMPED_SPIRAL,
@@ -165,3 +172,167 @@ def test_metzler_edge_removal_never_raises_abscissa():
         removed = M.copy()
         removed[i, j] = 0.0
         assert spectral_abscissa(removed) <= spectral_abscissa(M) + 1e-9
+
+
+# Totally Hurwitz, yet neither M-Hurwitz nor with a negative definite
+# symmetric part, so only the subset enumeration can decide it.
+SPIRAL_TH = np.array([[-1.0, 4.0], [-1.0, -1.0]])
+
+
+def _subsets(n):
+    for r in range(1, n + 1):
+        yield from itertools.combinations(range(n), r)
+
+
+def _reference_totally_hurwitz(A):
+    """One eigensolve per nonempty principal submatrix."""
+    return all(is_hurwitz(principal_submatrix(A, idx)) for idx in _subsets(A.shape[0]))
+
+
+def _negdef_not_mh(rng, n):
+    """Negative definite symmetric part plus a skew part that makes the
+    majorant unstable."""
+    while True:
+        Q = rng.normal(size=(n, n))
+        K = rng.normal(size=(n, n))
+        A = -(Q @ Q.T / n + 0.3 * np.eye(n)) + 1.5 * (K - K.T)
+        if not is_m_hurwitz(A):
+            return A
+
+
+def _spiral_blocks(rng, n):
+    """Block-diagonal copies of SPIRAL_TH (plus a -1 for odd n) with a weak
+    random coupling: totally Hurwitz only by enumeration."""
+    A = np.kron(np.eye(n // 2), SPIRAL_TH)
+    if n % 2:
+        A = np.pad(A, ((0, 1), (0, 1)))
+        A[-1, -1] = -1.0
+    return A + 1e-3 * rng.normal(size=(n, n))
+
+
+def _hurwitz_negative_diagonal(rng, n):
+    """Hurwitz with a negative diagonal; mostly not totally Hurwitz."""
+    while True:
+        G = 2.0 * rng.normal(size=(n, n))
+        A = G - (spectral_abscissa(G) + rng.uniform(0.05, 0.5)) * np.eye(n)
+        if np.all(np.diag(A) < -0.1):
+            return A
+
+
+def _oracle_inputs(rng):
+    yield from (-np.eye(2), SPIRAL_TH, STABLE_POS_DIAG)
+    for n in range(2, 9):
+        for _ in range(3):
+            yield random_mh_matrix(rng, n)
+            yield _negdef_not_mh(rng, n)
+            yield _spiral_blocks(rng, n)
+            yield _hurwitz_negative_diagonal(rng, n)
+
+
+def test_totally_hurwitz_matches_per_subset_reference():
+    rng = np.random.default_rng(11)
+    seen = {"mh": 0, "negdef": 0, "enumerated_true": 0, "hurwitz_not_th": 0}
+    for A in _oracle_inputs(rng):
+        want = _reference_totally_hurwitz(A)
+        assert is_totally_hurwitz(A) == want
+        if is_m_hurwitz(A):
+            seen["mh"] += 1
+        elif mu2(A) < -classify_mod.STRICT_TOL:
+            seen["negdef"] += 1
+        elif want:
+            seen["enumerated_true"] += 1
+        elif is_hurwitz(A):
+            seen["hurwitz_not_th"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pruning_entries_match_per_subset_abscissae_exactly():
+    rng = np.random.default_rng(12)
+    inputs = [SPIRAL_TH, DAMPED_SPIRAL, np.array([[-0.0]])]
+    for n in range(2, 9):
+        inputs += [random_mh_matrix(rng, n), rng.normal(size=(n, n)), _negdef_not_mh(rng, n)]
+    for A in inputs:
+        report = pruning_robustness(A)
+        want = [
+            (idx, spectral_abscissa(metzler_majorant(principal_submatrix(A, idx))))
+            for idx in _subsets(A.shape[0])
+        ]
+        assert [(e.indices, e.alpha_majorant) for e in report.entries] == want
+        assert all(e.m_hurwitz == (e.alpha_majorant < -classify_mod.STRICT_TOL)
+                   for e in report.entries)
+
+
+def _count_solved_submatrices(monkeypatch, batch=None):
+    """Spy on the stacked eigensolve; returns the list of stack sizes."""
+    sizes = []
+    solve = classify_mod._stacked_abscissae
+
+    def spy(stack):
+        sizes.append(stack.shape[0])
+        return solve(stack)
+
+    monkeypatch.setattr(classify_mod, "_stacked_abscissae", spy)
+    if batch is not None:
+        monkeypatch.setattr(classify_mod, "SUBSET_BATCH", batch)
+    return sizes
+
+
+def test_subset_enumeration_work_budget(monkeypatch):
+    sizes = _count_solved_submatrices(monkeypatch)
+    rng = np.random.default_rng(13)
+    full = 0
+    for A in _oracle_inputs(rng):
+        n = A.shape[0]
+        sizes.clear()
+        th = is_totally_hurwitz(A)
+        if np.any(np.diag(A) >= -classify_mod.STRICT_TOL):
+            assert not th and sizes == []
+        elif is_m_hurwitz(A) or mu2(A) < -classify_mod.STRICT_TOL:
+            assert th and sizes == []
+        elif th:  # a full enumeration; the 1x1 submatrices are the diagonal
+            assert sum(sizes) == 2**n - 1 - n
+            full += 1
+        else:
+            assert 0 < sum(sizes) <= 2**n - 1 - n
+
+        sizes.clear()
+        pruning_robustness(A)
+        assert sum(sizes) == 2**n - 1 - n
+
+    assert full >= 10
+
+    # a failing 2x2 block ends the enumeration after the first batch
+    A = _spiral_blocks(rng, 8)
+    A[0, 1] = -4.0
+    sizes.clear()
+    assert not is_totally_hurwitz(A) and sizes == [28]
+
+
+def test_subset_batches_respect_the_batch_cap(monkeypatch):
+    sizes = _count_solved_submatrices(monkeypatch, batch=5)
+    rng = np.random.default_rng(14)
+    A = _spiral_blocks(rng, 7)
+    batched = pruning_robustness(A)
+    monkeypatch.undo()
+    assert batched == pruning_robustness(A) and max(sizes) == 5
+    assert sum(sizes) == 2**7 - 1 - 7
+
+
+def test_mh_lds_witness_makes_one_irreducibility_pass(monkeypatch):
+    calls = []
+    check = spectral_mod.is_irreducible
+    monkeypatch.setattr(spectral_mod, "is_irreducible", lambda M: calls.append(1) or check(M))
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        A = random_mh_matrix(rng, 6)
+        calls.clear()
+        w = mh_lds_witness(A)
+        assert len(calls) == 1
+        pair = perron_pair(metzler_majorant(A))
+        assert np.array_equal(w, pair.left / pair.right)
+
+    A = np.diag([-1.0, -2.0, -3.0])  # reducible: weights of the delta-perturbed pair
+    A[0, 1] = 0.5
+    pair = perron_pair(metzler_majorant(A), DEFAULT_DELTA)
+    assert not is_irreducible(metzler_majorant(A))
+    assert np.array_equal(mh_lds_witness(A), pair.left / pair.right)

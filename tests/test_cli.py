@@ -239,6 +239,15 @@ def test_validation_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "certify", str(path))
     assert code == 2
 
+    # --eta naming a directory, or a file that is not JSON, names the path
+    hop = write(tmp_path, "hop.json", HOPFIELD_DOC)
+    bad_eta = tmp_path / "eta.json"
+    bad_eta.write_text("[1, 2", encoding="utf-8")
+    for eta in (tmp_path, bad_eta):
+        code, out, err = run(capsys, "certify", hop, "--family", "l1", "--eta", str(eta))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"--eta file {eta}" in err
+
 
 def test_unbounded_hopfield_via_cli(tmp_path, capsys):
     doc = {
