@@ -85,13 +85,20 @@ def is_totally_hurwitz(A) -> bool:
     submatrices) took 1.2 s with BLAS on one thread (one solve per
     submatrix: 3.7 s).
     """
-    A = as_matrix(A)
+    return _totally_hurwitz(as_matrix(A), None)
+
+
+def _totally_hurwitz(A: np.ndarray, m_hurwitz: bool | None) -> bool:
+    """:func:`is_totally_hurwitz` of a validated A, given its M-Hurwitz flag
+    when the caller has it (None: take the majorant abscissa if needed)."""
     n = A.shape[0]
     if n > TOTALLY_HURWITZ_MAX_DIM:
         raise ValueError(f"totally-Hurwitz check guarded at n <= {TOTALLY_HURWITZ_MAX_DIM}")
     if np.any(np.diag(A) >= -STRICT_TOL):
         return False  # a 1x1 submatrix already fails
-    if is_m_hurwitz(A) or _strictly_negative(mu2(A)):
+    if m_hurwitz is None:
+        m_hurwitz = is_m_hurwitz(A)
+    if m_hurwitz or _strictly_negative(mu2(A)):
         return True
     return all(np.all(alphas < -STRICT_TOL) for _, alphas in _subset_abscissae(A))
 
@@ -168,7 +175,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
 
     return ClassReport(
         hurwitz=_strictly_negative(alpha),
-        totally_hurwitz=is_totally_hurwitz(A),
+        totally_hurwitz=_totally_hurwitz(A, mh),
         m_hurwitz=mh,
         quasidominant=is_quasidominant(A),
         lds_certified_at=witness,

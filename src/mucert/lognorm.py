@@ -98,12 +98,55 @@ def _offdiag_abs(A: np.ndarray) -> np.ndarray:
     return off
 
 
+# Kernels: one formula per family, on an already validated finite square
+# matrix A (or (n, k) array X of column vectors) and weight vector w.
+
+
+def _mu1(A: np.ndarray, w: np.ndarray) -> float:
+    return float((np.diag(A) + (w @ _offdiag_abs(A)) / w).max())
+
+
+def _muinf(A: np.ndarray, w: np.ndarray) -> float:
+    return float((np.diag(A) + (_offdiag_abs(A) @ w) / w).max())
+
+
+def _mu2(A: np.ndarray, w: np.ndarray) -> float:
+    r = np.sqrt(w)
+    S = (r[:, None] * A) / r[None, :]
+    return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
+
+
+def _norm1(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w @ np.abs(X)
+
+
+def _norminf(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (np.abs(X) / w[:, None]).max(axis=0)
+
+
+def _norm2(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.sqrt(w @ (X * X))
+
+
+_KERNELS = {L1: (_mu1, _norm1), LINF: (_muinf, _norminf), L2: (_mu2, _norm2)}
+
+
+def kernels(family: str):
+    """The (log norm, column vector norms) kernels of a norm family.
+
+    They skip all validation, for loops that validate their weights once;
+    :func:`log_norm` and :func:`weighted_norm` are the checked entry points.
+    """
+    try:
+        return _KERNELS[family]
+    except KeyError:
+        raise ValueError(f"unknown norm family {family!r}") from None
+
+
 def mu1(A, weights=None) -> float:
     """Weighted l1 log norm: max over columns of A_ii + sum_{j!=i} (w_j/w_i)|A_ji|."""
     A = as_matrix(A)
-    w = _check_weights(A, weights)
-    off = _offdiag_abs(A)
-    return float(np.max(np.diag(A) + (w @ off) / w))
+    return _mu1(A, _check_weights(A, weights))
 
 
 def muinf(A, weights=None) -> float:
@@ -112,29 +155,20 @@ def muinf(A, weights=None) -> float:
     The weight matrix is diag(weights)^-1; see the module docstring.
     """
     A = as_matrix(A)
-    w = _check_weights(A, weights)
-    off = _offdiag_abs(A)
-    return float(np.max(np.diag(A) + (off @ w) / w))
+    return _muinf(A, _check_weights(A, weights))
 
 
 def mu2(A, weights=None) -> float:
     """Weighted l2 log norm: largest eigenvalue of the symmetrized similarity
     (1/2)(S + S^T) with S = diag(w)^(1/2) A diag(w)^(-1/2)."""
     A = as_matrix(A)
-    w = _check_weights(A, weights)
-    r = np.sqrt(w)
-    S = (r[:, None] * A) / r[None, :]
-    return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
+    return _mu2(A, _check_weights(A, weights))
 
 
 def log_norm(A, family: str, weights=None) -> float:
-    if family == L1:
-        return mu1(A, weights)
-    if family == LINF:
-        return muinf(A, weights)
-    if family == L2:
-        return mu2(A, weights)
-    raise ValueError(f"unknown norm family {family!r}")
+    mu = kernels(family)[0]
+    A = as_matrix(A)
+    return mu(A, _check_weights(A, weights))
 
 
 def weighted_norm(x, family: str, weights=None):
@@ -145,20 +179,10 @@ def weighted_norm(x, family: str, weights=None):
     """
     x = np.asarray(x, dtype=float)
     w = np.ones(x.shape[0]) if weights is None else as_weights(weights, x.shape[0])
+    norm = kernels(family)[1]
     if x.ndim == 1:
-        x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    if family == L1:
-        out = w @ np.abs(x)
-    elif family == LINF:
-        out = np.max(np.abs(x) / w[:, None], axis=0)
-    elif family == L2:
-        out = np.sqrt(w @ (x * x))
-    else:
-        raise ValueError(f"unknown norm family {family!r}")
-    return float(out[0]) if squeeze else out
+        return float(norm(x[:, None], w)[0])
+    return norm(x, w)
 
 
 def envelope_matrices(spec: PolytopeSpec, family: str) -> tuple[np.ndarray, np.ndarray]:

@@ -167,6 +167,9 @@ class _Leaky(_Model):
     sweeps, and `family`, its default norm and the one in which its optimal
     weight has a dominant-eigenvector closed form.  Unbounded slopes are
     certified by :func:`certify_unbounded_slope` only.
+
+    The fields scale rows by the diagonal of C, which for finite states is
+    C @ X entry for entry, without the n x n product.
     """
 
     C: np.ndarray
@@ -291,8 +294,8 @@ class Hopfield(_Leaky):
     family = L1
 
     def field(self, act):
-        C, A, u = self.C, self.A, self.u[:, None]
-        return lambda X: -C @ X + A @ act(X) + u
+        c, A, u = np.diag(self.C)[:, None], self.A, self.u[:, None]
+        return lambda X: -c * X + A @ act(X) + u
 
     def jacobian(self, act, x) -> np.ndarray:
         return -self.C + self.A * act.deriv(x)[None, :]
@@ -307,8 +310,8 @@ class FiringRate(_Leaky):
     family = LINF
 
     def field(self, act):
-        C, A, u = self.C, self.A, self.u[:, None]
-        return lambda X: -C @ X + act(A @ X + u)
+        c, A, u = np.diag(self.C)[:, None], self.A, self.u[:, None]
+        return lambda X: -c * X + act(A @ X + u)
 
     def jacobian(self, act, x) -> np.ndarray:
         return -self.C + act.deriv(self.A @ x + self.u)[:, None] * self.A
@@ -381,8 +384,8 @@ class AxMinusCPhi(_Model):
         object.__setattr__(self, "C", C)
 
     def field(self, act):
-        A, C = self.A, self.C
-        return lambda X: A @ X - C @ act(X)
+        A, c = self.A, np.diag(self.C)[:, None]
+        return lambda X: A @ X - c * act(X)
 
     def jacobian(self, act, x) -> np.ndarray:
         return self.A - self.C * act.deriv(x)[None, :]

@@ -336,3 +336,17 @@ def test_mh_lds_witness_makes_one_irreducibility_pass(monkeypatch):
     pair = perron_pair(metzler_majorant(A), DEFAULT_DELTA)
     assert not is_irreducible(metzler_majorant(A))
     assert np.array_equal(mh_lds_witness(A), pair.left / pair.right)
+
+
+def test_classify_matrix_takes_each_abscissa_once(monkeypatch):
+    # alpha(A), alpha(maj(A)) and the quasidominance abscissa: the
+    # totally-Hurwitz shortcut reuses the M-Hurwitz flag.
+    calls = []
+    solve = classify_mod.spectral_abscissa
+    monkeypatch.setattr(classify_mod, "spectral_abscissa", lambda M: calls.append(1) or solve(M))
+    rng = np.random.default_rng(16)
+    for A, mh in ((random_mh_matrix(rng, 8), True), (_spiral_blocks(rng, 8), False)):
+        calls.clear()
+        report = classify_matrix(A)
+        assert len(calls) == 3
+        assert report.m_hurwitz == mh and report.totally_hurwitz

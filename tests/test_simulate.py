@@ -6,11 +6,15 @@ import pytest
 from mucert import (
     L1,
     L2,
+    LINF,
     Activation,
     AxMinusCPhi,
     DivergenceError,
     Entrywise,
+    FiringRate,
     Hopfield,
+    Lure,
+    MultiLure,
     Persidskii,
     SlopeInterval,
     certify,
@@ -23,6 +27,8 @@ from mucert import (
     verify_contraction,
     weighted_norm,
 )
+
+from mucert.simulate import _draw_pairs
 
 from helpers import acceptance_fixtures
 
@@ -267,3 +273,174 @@ def test_jacobian_matches_finite_differences():
             e[j] = eps
             fd = (f((x + e)[:, None]) - f((x - e)[:, None]))[:, 0] / (2 * eps)
             np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
+
+
+# Reference verification loop: the straightforward form, through the public
+# validating norm, log-norm and Jacobian functions, with the diagonal leak
+# applied as a dense matrix product.
+def _reference_field(model, act):
+    if isinstance(model, Hopfield):
+        C, A, u = model.C, model.A, model.u[:, None]
+        return lambda X: -C @ X + A @ act(X) + u
+    if isinstance(model, FiringRate):
+        C, A, u = model.C, model.A, model.u[:, None]
+        return lambda X: -C @ X + act(A @ X + u)
+    if isinstance(model, AxMinusCPhi):
+        A, C = model.A, model.C
+        return lambda X: A @ X - C @ act(X)
+    return model.field(act)
+
+
+def _reference_rk4(f, X, h):
+    k1 = f(X)
+    k2 = f(X + 0.5 * h * k1)
+    k3 = f(X + 0.5 * h * k2)
+    k4 = f(X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride):
+    """(worst decay ratio, max sampled mu), or DivergenceError's time."""
+    if act.kind == "rect_poly":
+        step = 0.5 * step
+    n_steps = int(np.floor(horizon / step))
+    pairs = X0.shape[1]
+    Z = np.hstack([X0, Y0])
+    f = _reference_field(model, act)
+    fam, w = cert.family, cert.weights
+    d0 = weighted_norm(X0 - Y0, fam, w)
+    live = d0 > 0.0
+    worst = 0.0
+    max_mu = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps + 1):
+            if i > 0:
+                Z = _reference_rk4(f, Z, step)
+                if not np.all(np.isfinite(Z)):
+                    return i * step
+            t = i * step
+            nrm = weighted_norm(Z[:, :pairs] - Z[:, pairs:], fam, w)
+            if np.any(live):
+                ratios = nrm[live] / (np.exp(-cert.rate * t) * d0[live])
+                worst = max(worst, float(np.max(ratios)))
+            if i % stride == 0:
+                for col in range(Z.shape[1]):
+                    max_mu = max(max_mu, log_norm(jacobian(model, act, Z[:, col]), fam, w))
+    return worst, max_mu
+
+
+def _oracle_cases():
+    """One seeded contracting model of each tag, with a fitting activation."""
+    rng = np.random.default_rng(21)
+    n = 6
+
+    def stable(scale=0.15):
+        return -1.5 * np.eye(n) + scale * rng.normal(size=(n, n))
+
+    def leak():
+        return np.diag(rng.uniform(0.8, 1.2, size=n))
+
+    bounded = SlopeInterval(0.0, 1.0)
+    return [
+        (Hopfield(leak(), 0.1 * rng.normal(size=(n, n)), bounded, u=rng.normal(size=n)),
+         Activation("tanh")),
+        (FiringRate(leak(), 0.1 * rng.normal(size=(n, n)), bounded, u=rng.normal(size=n)),
+         Activation("relu")),
+        (Hopfield(leak(), stable(), SlopeInterval(0.0, np.inf)), Activation("rect_poly", r=2)),
+        (Persidskii(stable(), SlopeInterval(0.3, 1.0)), Activation("leaky_relu", a=0.3)),
+        (AxMinusCPhi(stable(), leak(), SlopeInterval(0.0, 0.25)), Activation("sigmoid")),
+        (Entrywise(stable(0.03), SlopeInterval(0.2, 1.0)), Activation("leaky_relu", a=0.3)),
+        (Lure(stable(), 0.3 * rng.normal(size=n), 0.3 * rng.normal(size=n), bounded),
+         Activation("tanh")),
+        (MultiLure(stable(), 0.2 * rng.normal(size=(n, 2)), 0.2 * rng.normal(size=(2, n)),
+                   bounded), Activation("tanh")),
+    ]
+
+
+def _oracle_certificates(model):
+    """The model's certificates in every family they carry; leaky models in
+    l1 and linf, and the first of them also at a made-up l2 weight."""
+    if isinstance(model, (Hopfield, FiringRate)) and model.slopes.bounded:
+        certs = [certify(model, L1), certify(model, LINF)]
+        if isinstance(model, Hopfield):
+            certs.append(dataclasses.replace(certs[0], family=L2,
+                                             weights=np.linspace(0.5, 2.0, model.n)))
+        return certs
+    cert = certify(model)
+    certs = [cert]
+    if cert.alt_family is not None:
+        certs.append(dataclasses.replace(cert, family=cert.alt_family,
+                                         weights=cert.alt_weights))
+    return certs
+
+
+def test_verify_and_sampled_mu_match_reference_loop_exactly():
+    tags = set()
+    families = set()
+    for model, act in _oracle_cases():
+        for cert in _oracle_certificates(model):
+            assert cert.contracting
+            tags.add(model.tag)
+            families.add(cert.family)
+            # seeded draws, and given starts with one identical pair
+            X0, Y0 = _draw_pairs(model, act, 4, 3)
+            Y0[:, 1] = X0[:, 1]
+            # an overclaimed rate puts the worst ratio at a late step, where
+            # it depends on every bit of the states
+            overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
+            for starts, claim in ((None, cert), ((X0, Y0), cert), ((X0, Y0), overclaim)):
+                report = verify_contraction(
+                    model, act, claim, pairs=4, horizon=0.4, step=1e-3, seed=3,
+                    mu_sample_stride=50, initial_pairs=starts,
+                )
+                X0s, Y0s = _draw_pairs(model, act, 4, 3) if starts is None else starts
+                worst, max_mu = _reference_verify(model, act, claim, X0s, Y0s, 0.4, 1e-3, 50)
+                assert report.worst_decay_ratio == worst
+                assert report.max_sampled_mu == max_mu
+            assert report.worst_decay_ratio > 1.0
+            rng = np.random.default_rng(2)
+            states = [rng.normal(scale=3.0, size=model.n) for _ in range(5)]
+            assert sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=2) == max(
+                log_norm(jacobian(model, act, x), cert.family, cert.weights) for x in states
+            )
+    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
+                    "entrywise", "lure", "multilure"}
+    assert families == {L1, LINF, L2}
+
+
+def test_verify_contraction_states_finite_while_difference_overflows():
+    # The states grow by e^(10 t) to about 2e154 and stay finite, while the
+    # sum of squares in their l2 distance overflows to inf: the report fails
+    # without a divergence.
+    cert = optimal_certificate(
+        Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
+    )
+    cert = dataclasses.replace(cert, family=L2, weights=np.ones(2))
+    m = Hopfield(np.eye(2), 11.0 * np.eye(2), SlopeInterval(0.0, 1.0))
+    act = Activation("linear", k=1.0)
+    X0 = np.array([[1e150, 1.0], [0.0, 1.0]])
+    Y0 = np.array([[-1e150, 0.0], [0.0, 1.0]])
+    report = verify_contraction(m, act, cert, horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
+    want = _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 100)
+    assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+    assert report.worst_decay_ratio == np.inf
+
+
+def test_verify_contraction_reports_divergence():
+    # A contracting certificate checked against a strongly unstable linear
+    # Hopfield model: the state overflows inside the horizon.
+    cert = optimal_certificate(
+        Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
+    )
+    m = Hopfield(np.eye(2), [[200.0, 200.0], [200.0, 200.0]], SlopeInterval(0.0, 1.0))
+    act = Activation("linear", k=1.0)
+    x0 = np.array([1.0, -0.5])
+    X0, Y0 = x0[:, None], 0.5 * x0[:, None]
+    with pytest.raises(DivergenceError) as info:
+        verify_contraction(m, act, cert, horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
+    first_bad = _reference_verify(m, act, cert, X0, Y0, 5.0, 1e-2, 100)
+    assert isinstance(first_bad, float) and 0.0 < first_bad < 5.0
+    assert info.value.time == first_bad
+    with pytest.raises(DivergenceError) as single:
+        integrate(m, act, x0, horizon=5.0, step=1e-2)
+    assert single.value.time == info.value.time
