@@ -14,7 +14,11 @@ Matrix Anal. Appl. 31(3), 2009; Protasov, "Spectral simplex method", Math.
 Program., 2016).  The solver starts with every row taken from the first
 matrix and repeats: compute the right Perron vector v of the selection, move
 each row i to the lowest-index matrix that strictly increases (M_k v)_i, and
-stop when no row moves.
+stop when no row moves.  The Perron vector of an irreducible selection comes
+from Noda's inverse iteration, one LU solve per step within a budget of
+NODA_MAXITER solves, with one dense eigensolve as its fallback (see
+`spectral._noda_vector`; T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
+Algebra Appl. 15, 1976).
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, solved
@@ -31,7 +35,7 @@ import numpy as np
 
 from .matrices import as_matrix, is_metzler, metzler_majorant, reachability
 from .lognorm import L1, LINF
-from .spectral import RESIDUAL_RTOL, NumericalError
+from .spectral import NumericalError, _noda_vector
 
 # Resolvent shift above the abscissa of a reducible selection.  b_star then
 # exceeds the optimum by at most about this much.
@@ -86,15 +90,7 @@ def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
     reach = reachability(S)
     if not reach.all():
         return _resolvent_weights(S, reach, shift)
-    lam, V = np.linalg.eig(S)
-    i = int(np.argmax(lam.real))
-    v = V[:, i].real
-    v = v / v[np.argmax(np.abs(v))]
-    if np.max(np.abs(S @ v - lam[i].real * v)) > RESIDUAL_RTOL * (1.0 + np.max(np.abs(S))):
-        raise NumericalError("Perron eigenvector residual check failed")
-    if not np.all(v > 0.0):
-        raise NumericalError("Perron eigenvector has nonpositive entries")
-    return v
+    return _noda_vector(S)
 
 
 def _resolvent_weights(S: np.ndarray, reach: np.ndarray, shift: float) -> np.ndarray:

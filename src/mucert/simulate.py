@@ -18,6 +18,7 @@ taken per trajectory.  The certificate's weights are validated once per run;
 the step loop calls the unchecked log-norm kernels.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,12 +254,15 @@ def verify_contraction(
     """Integrate random trajectory pairs and measure the worst decay ratio
     against the certificate's rate, in the certificate's weighted norm.
 
-    Identical endpoints contribute ratio 0 by convention.  The report passes
-    iff the worst ratio stays within the integration-error allowance of 1.
-    `initial_pairs` optionally supplies the endpoints directly as a pair of
-    (n, pairs) arrays instead of drawing them from the seed.  Raises
-    ValueError unless the horizon and step are finite and positive, at least
-    one step fits, there is at least one pair, and the seed is nonnegative.
+    Identical endpoints contribute ratio 0 by convention, and so does a zero
+    distance once the bound has underflowed to 0.  The report passes iff the
+    worst ratio stays within the integration-error allowance of 1; any other
+    NaN ratio makes the worst ratio NaN, which fails.  `initial_pairs`
+    optionally supplies the endpoints directly as a pair of (n, pairs) arrays
+    instead of drawing them from the seed.  Raises ValueError unless the
+    horizon and step are finite and positive, at least one step fits, there
+    is at least one pair, the seed is nonnegative, and every pair's entries
+    and start distance are finite.
     """
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
@@ -285,13 +289,18 @@ def verify_contraction(
     mu, norm = kernels(cert.family)
     check_model(model)
 
-    d0 = norm(X0 - Y0, w)
-    live = d0 > 0.0
-    d0_live = d0[live]
     worst = 0.0
     max_mu = -np.inf
-    # Divergence is detected and reported, so intermediate overflow is expected.
+    # Divergence and non-finite start distances are detected and reported, so
+    # intermediate overflow is expected.
     with np.errstate(over="ignore", invalid="ignore"):
+        # A non-finite entry makes its pair's start distance non-finite too.
+        d0 = norm(X0 - Y0, w)
+        bad = np.flatnonzero(~np.isfinite(d0))
+        if bad.size:
+            raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
+        live = d0 > 0.0
+        d0_live = d0[live]
         for i in range(n_steps + 1):
             if i > 0:
                 Z = _rk4_step(f, Z, step)
@@ -301,7 +310,12 @@ def verify_contraction(
                 raise DivergenceError(i * step)
             if d0_live.size:
                 ratios = nrm[live] / (np.exp(-cert.rate * (i * step)) * d0_live)
-                worst = max(worst, float(ratios.max()))
+                ratio = float(ratios.max())
+                if math.isnan(ratio):
+                    # 0/0 once the bound underflows: a zero distance meets it.
+                    ratio = float(np.where(nrm[live] == 0.0, 0.0, ratios).max())
+                if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
+                    worst = ratio
             if i % mu_sample_stride == 0:
                 for x in Z.T:
                     max_mu = max(max_mu, _jacobian_mu(model, act, x, mu, w))

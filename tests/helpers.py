@@ -47,6 +47,19 @@ def random_irreducible_metzler(rng, n):
     return M
 
 
+def near_tie_metzler(rng, k):
+    """Two diagonally similar k x k blocks (equal Perron roots) coupled by
+    1e-9 both ways: irreducible, but its two leading eigenvalues lie about
+    1e-9 apart, so power iteration cannot converge."""
+    B = rng.uniform(0.1, 1.0, size=(k, k))
+    d = rng.uniform(0.5, 2.0, size=k)
+    M = np.full((2 * k, 2 * k), 1e-9)
+    M[:k, :k] = B
+    M[k:, k:] = (d[:, None] * B) / d[None, :]
+    np.fill_diagonal(M, -1.0)
+    return M
+
+
 def random_metzler(rng, n, density=0.6):
     M = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random(size=(n, n)) < density)
     np.fill_diagonal(M, rng.normal(size=n))

@@ -25,9 +25,11 @@ from mucert import (
     muinf,
     spectral_abscissa,
 )
+from mucert import optimize, spectral
 from mucert.optimize import RESOLVENT_SHIFT
+from mucert.spectral import RESIDUAL_RTOL
 
-from helpers import random_matrix, random_metzler
+from helpers import near_tie_metzler, random_matrix, random_metzler
 
 
 def test_feasibility_known_cases():
@@ -306,3 +308,143 @@ def test_tied_blocks_coupled_one_way():
                 spec = PolytopeSpec(A, -np.ones(n), slopes, side)
                 mats = list(envelope_matrices(spec, fam))
                 _check_optimized_certificate(cls(np.eye(n), A, slopes), fam, mats)
+
+
+# ---------------------------------------------------------------------------
+# Noda iteration for the selection Perron vectors, against the dense route
+
+
+def _dense_selection_weights(S):
+    """The dense route the optimizer took before Noda iteration, kept as the
+    reference: the eigenvector of the eigenvalue with largest real part from
+    one `np.linalg.eig`, scaled to largest entry 1."""
+    lam, V = np.linalg.eig(S)
+    v = V[:, int(np.argmax(lam.real))].real
+    return v / v[np.argmax(np.abs(v))]
+
+
+def _irreducible_selection(rng, n, scale):
+    """Positive off-diagonal part with Perron root 1, as in the envelope
+    matrices of the certify inputs, plus a random diagonal, times `scale`."""
+    P = rng.uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(P, 0.0)
+    P /= float(np.max(np.linalg.eigvals(P).real))
+    return scale * (P + np.diag(rng.normal(size=n)))
+
+
+def _count_solves(monkeypatch):
+    """Spy on the solves `_noda_vector` makes; returns the per-call counts."""
+    per_call = []
+    solve, noda = spectral.solve, spectral._noda_vector
+
+    def counting_solve(A, b):
+        per_call[-1] += 1
+        return solve(A, b)
+
+    def counting_noda(S):
+        per_call.append(0)
+        return noda(S)
+
+    monkeypatch.setattr(spectral, "solve", counting_solve)
+    monkeypatch.setattr(optimize, "_noda_vector", counting_noda)
+    return per_call
+
+
+SIZES = (2, 3, 8, 32, 128)
+SCALES = (1e-4, 1.0, 1e4)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_noda_vector_matches_dense_reference(scale, monkeypatch):
+    def no_fallback(N):
+        raise AssertionError("Noda iteration fell back to the dense solver")
+
+    monkeypatch.setattr(spectral, "_dense_dominant_vector", no_fallback)
+    rng = np.random.default_rng([31, int(np.log10(scale)) + 4])
+    for n in SIZES:
+        S = _irreducible_selection(rng, n, scale)
+        x = spectral._noda_vector(S)
+        want = _dense_selection_weights(S)
+        assert np.all(x > 0.0) and np.max(x) == 1.0
+        np.testing.assert_allclose(x, want, rtol=1e-10, atol=0.0)
+        # The Collatz-Wielandt bracket at x holds the dense abscissa.
+        q = (S @ x) / x
+        alpha = float(np.max(np.linalg.eigvals(S).real))
+        slack = 1e-14 * (1.0 + float(np.max(np.abs(S))))
+        assert np.min(q) - slack <= alpha <= np.max(q) + slack
+        assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (1.0 + np.max(np.abs(S)))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_policy_iteration_matches_dense_route(scale, monkeypatch):
+    # certify-lp-style envelope pairs: d1 < 0, so no closed form applies.
+    rng = np.random.default_rng([32, int(np.log10(scale)) + 4])
+    cases = []
+    for n in SIZES:
+        for cls, side, fam in ((Hopfield, RIGHT, L1), (FiringRate, LEFT, LINF)):
+            G = rng.normal(size=(n, n))
+            A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
+            C = rng.uniform(0.8, 1.2, size=n)
+            slopes = SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
+            spec = PolytopeSpec(scale * A, -scale * C, slopes, side)
+            cases.append((list(envelope_matrices(spec, fam)), fam))
+    got = [bisect_min_mu(mats, fam) for mats, fam in cases]
+    monkeypatch.setattr(optimize, "_noda_vector", _dense_selection_weights)
+    for (mats, fam), res in zip(cases, got):
+        want = bisect_min_mu(mats, fam)
+        tol = 1e-12 * (1.0 + max(float(np.max(np.abs(M))) for M in mats))
+        assert (res.iterations, res.status) == (want.iterations, want.status)
+        assert res.b_star == pytest.approx(want.b_star, abs=tol)
+
+
+def test_noda_solves_stay_within_budget(monkeypatch):
+    per_call = _count_solves(monkeypatch)
+    rng = np.random.default_rng(33)
+    for n in SIZES:
+        for scale in SCALES:
+            optimize._selection_weights(_irreducible_selection(rng, n, scale), RESOLVENT_SHIFT)
+    for k in (2, 4, 8, 32):
+        S = near_tie_metzler(rng, k)
+        x = optimize._selection_weights(S, RESOLVENT_SHIFT)
+        lam = float(x @ (S @ x) / (x @ x))
+        assert np.all(x > 0.0)
+        assert np.max(np.abs(S @ x - lam * x)) <= RESIDUAL_RTOL * (1.0 + np.max(np.abs(S)))
+    assert len(per_call) == len(SIZES) * len(SCALES) + 4
+    assert max(per_call) <= spectral.NODA_MAXITER
+
+
+def test_noda_stalled_bracket_falls_back_to_dense(monkeypatch):
+    # Dense positive coupling puts the Perron root (about 70) far above
+    # max|S| (about 5), so rounding in q = (S x) / x keeps the bracket above
+    # NODA_RTOL (1 + max|S|): it stops shrinking long before the budget runs
+    # out.
+    per_call = _count_solves(monkeypatch)
+    rng = np.random.default_rng(35)
+    S = rng.uniform(0.1, 1.0, size=(128, 128))
+    np.fill_diagonal(S, rng.normal(scale=2.0, size=128))
+    x = optimize._selection_weights(S, RESOLVENT_SHIFT)
+    np.testing.assert_allclose(x, _dense_selection_weights(S), rtol=1e-12, atol=0.0)
+    assert 1 <= per_call[0] < spectral.NODA_MAXITER // 2
+    q = (S @ x) / x
+    assert np.max(q) - np.min(q) > spectral.NODA_RTOL * (1.0 + np.max(np.abs(S)))
+
+
+def test_noda_budget_exhausted_falls_back_to_dense(monkeypatch):
+    monkeypatch.setattr(spectral, "NODA_MAXITER", 1)
+    per_call = _count_solves(monkeypatch)
+    dense_calls = []
+    dense = spectral._dense_dominant_vector
+
+    def counting_dense(N):
+        dense_calls.append(N.shape[0])
+        return dense(N)
+
+    monkeypatch.setattr(spectral, "_dense_dominant_vector", counting_dense)
+    rng = np.random.default_rng(34)
+    for n in SIZES[1:]:
+        S = _irreducible_selection(rng, n, 1.0)
+        x = optimize._selection_weights(S, RESOLVENT_SHIFT)
+        assert np.all(x > 0.0) and np.max(x) == 1.0
+        np.testing.assert_allclose(x, _dense_selection_weights(S), rtol=1e-12, atol=0.0)
+    assert per_call == [1] * len(SIZES[1:])
+    assert dense_calls == list(SIZES[1:])

@@ -171,6 +171,48 @@ def test_verify_contraction_identical_pair_convention():
     assert report.worst_decay_ratio == 0.0
 
 
+def test_verify_contraction_non_finite_pair_cannot_hide_a_failure():
+    # A zero field keeps every pair at its start, so the decay ratio at time
+    # t is e^(rate t) and one finite pair fails.  A second pair at +-1e308
+    # has an infinite start distance; its inf/inf = NaN ratio used to be
+    # dropped by max(), hiding the failing pair: the report read 0.0 and
+    # passed.
+    m = Hopfield(np.zeros((2, 2)), np.zeros((2, 2)), SlopeInterval(0.0, 1.0))
+    stable = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    cert = dataclasses.replace(optimal_certificate(stable, L1), rate=1.0)
+    act = Activation("tanh")
+    X0, Y0 = np.array([[1.0], [0.5]]), np.zeros((2, 1))
+    report = verify_contraction(m, act, cert, horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
+    assert report.worst_decay_ratio == pytest.approx(np.e, rel=1e-12)
+    assert not report.passed
+    far = np.array([[1e308], [0.0]])
+    for bad in (far, np.array([[np.nan], [0.0]]), np.array([[np.inf], [0.0]])):
+        with pytest.raises(ValueError, match="pair 1"):
+            verify_contraction(
+                m, act, cert, horizon=1.0, step=1e-2,
+                initial_pairs=(np.hstack([X0, bad]), np.hstack([Y0, -far])),
+            )
+    # A NaN ratio fails the report instead of being dropped.
+    nan_rate = dataclasses.replace(cert, rate=np.nan)
+    report = verify_contraction(m, act, nan_rate, horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
+    assert np.isnan(report.worst_decay_ratio)
+    assert not report.passed
+
+
+def test_verify_contraction_zero_distance_meets_an_underflowed_bound():
+    # Both starts reach the equilibrium u / 200 bit for bit near t = 0.2; from
+    # t = 7.45 on, exp(-100 t) d0 underflows to 0, and 0 / 0 is NaN.  A zero
+    # distance meets any bound, so the report passes with its t = 0 ratio.
+    m = Hopfield(200.0 * np.eye(2), np.zeros((2, 2)), SlopeInterval(0.0, 1.0), u=[1.0, 1.0])
+    cert = dataclasses.replace(optimal_certificate(m, L1), rate=100.0)
+    X0, Y0 = np.array([[1.0], [0.5]]), np.zeros((2, 1))
+    report = verify_contraction(
+        m, Activation("tanh"), cert, horizon=10.0, step=1e-2, initial_pairs=(X0, Y0)
+    )
+    assert report.worst_decay_ratio == 1.0  # at t = 0
+    assert report.passed
+
+
 def test_verify_contraction_negative_control():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)

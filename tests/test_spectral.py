@@ -28,6 +28,7 @@ from helpers import (
     SKEW_RING,
     STABLE_POS_DIAG,
     ROTATION_SHIFT,
+    near_tie_metzler,
     random_irreducible_metzler,
     random_matrix,
 )
@@ -119,19 +120,6 @@ def test_metzler_route_matches_dense_route():
                 assert cert.details[key] == pytest.approx(dense, abs=1e-9 * scale)
 
 
-def _near_tie_metzler(rng, k):
-    """Two diagonally similar k x k blocks (equal Perron roots) coupled by
-    1e-9 both ways: irreducible, but its two leading eigenvalues lie about
-    1e-9 apart, so power iteration cannot converge."""
-    B = rng.uniform(0.1, 1.0, size=(k, k))
-    d = rng.uniform(0.5, 2.0, size=k)
-    M = np.full((2 * k, 2 * k), 1e-9)
-    M[:k, :k] = B
-    M[k:, k:] = (d[:, None] * B) / d[None, :]
-    np.fill_diagonal(M, -1.0)
-    return M
-
-
 class _CountingMatrix(np.ndarray):
     steps = 0
 
@@ -161,7 +149,7 @@ def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
     monkeypatch.setattr(spectral, "_dense_dominant_vector", spy_dense)
     rng = np.random.default_rng(8)
     for k in (4, 8):
-        M = _near_tie_metzler(rng, k)
+        M = near_tie_metzler(rng, k)
         routes.clear()
         pair = perron_pair(M)
         # Right then left vector: each spends the whole budget, then one
