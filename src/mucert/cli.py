@@ -345,6 +345,7 @@ def cmd_verify(args):
             "pairs": report.pairs,
             "horizon": report.horizon,
             "step": report.step,
+            "scheme": report.scheme,
             "seed": report.seed,
             "passed": report.passed,
         },

@@ -60,6 +60,12 @@ class SlopeInterval:
     def contains(self, other: "SlopeInterval") -> bool:
         return self.d1 <= other.d1 and other.d2 <= self.d2
 
+    def least_product(self, p) -> np.ndarray:
+        """Entrywise least value of s * p over s in [d1, d2], taking 0 * inf
+        as 0: d1 * p where p >= 0, d2 * p where p < 0."""
+        p = np.asarray(p, dtype=float)
+        return np.where(p < 0.0, self.d2, self.d1) * p
+
 
 @dataclass(frozen=True)
 class PolytopeSpec:

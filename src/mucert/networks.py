@@ -134,10 +134,11 @@ class _Model:
     """Behaviour shared by every network model.
 
     A subclass sets the class attribute `tag` and defines `field(act)` (the
-    right-hand side over column-stacked states (n, k)), `jacobian(act, x)`
-    and `fixed_weight_osl(family, weights)` (a (value, exact) pair).  Models
-    whose analysis fixes its own norm define `_certify()`; the others
-    override `certificate`.
+    right-hand side over column-stacked states (n, k)), `jacobian(act, x)`,
+    `diagonal_floor()` (the least Jacobian diagonal over the slope box, -inf
+    where it is unbounded below) and `fixed_weight_osl(family, weights)` (a
+    (value, exact) pair).  Models whose analysis fixes its own norm define
+    `_certify()`; the others override `certificate`.
     """
 
     @property
@@ -205,6 +206,9 @@ class _Leaky(_Model):
                 "fixed-weight and optimized bounds need a finite upper slope bound d2"
             )
         return PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
+
+    def diagonal_floor(self) -> np.ndarray:
+        return -np.diag(self.C) + self.slopes.least_product(np.diag(self.A))
 
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
         return worst_case_mu(self.polytope(), family, weights), self.exact
@@ -345,6 +349,9 @@ class Persidskii(_Model):
     def jacobian(self, act, x) -> np.ndarray:
         return self.A * act.deriv(x)[None, :]
 
+    def diagonal_floor(self) -> np.ndarray:
+        return self.slopes.least_product(np.diag(self.A))
+
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
         spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, RIGHT)
         return worst_case_mu(spec, family, weights), True
@@ -390,6 +397,9 @@ class AxMinusCPhi(_Model):
     def jacobian(self, act, x) -> np.ndarray:
         return self.A - self.C * act.deriv(x)[None, :]
 
+    def diagonal_floor(self) -> np.ndarray:
+        return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
+
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
         return log_norm(self.A - self.slopes.d1 * self.C, family, weights), True
 
@@ -423,6 +433,7 @@ class Entrywise(_Model):
     __post_init__ = Persidskii.__post_init__
     field = Persidskii.field
     jacobian = Persidskii.jacobian
+    diagonal_floor = Persidskii.diagonal_floor
 
     def envelope(self) -> np.ndarray:
         """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
@@ -470,6 +481,9 @@ class Lure(_Model):
 
     def jacobian(self, act, x) -> np.ndarray:
         return self.A + float(act.deriv(self.c @ x)) * np.outer(self.b, self.c)
+
+    def diagonal_floor(self) -> np.ndarray:
+        return np.diag(self.A) + self.slopes.least_product(self.b * self.c)
 
     def endpoints(self) -> list[np.ndarray]:
         rank_one = np.outer(self.b, self.c)
@@ -532,6 +546,9 @@ class MultiLure(_Model):
 
     def jacobian(self, act, x) -> np.ndarray:
         return self.A + self.B @ (act.deriv(self.C @ x)[:, None] * self.C)
+
+    def diagonal_floor(self) -> np.ndarray:
+        return np.diag(self.A) + self.slopes.least_product(self.B * self.C.T).sum(axis=1)
 
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
         if family != LINF:

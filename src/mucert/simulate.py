@@ -5,17 +5,36 @@ Each model supplies its own vector field (`field`, built once per integration
 or verification as a closure over column-stacked states) and Jacobian
 (`jacobian`); this module only steps, samples and measures.
 
-Verification integrates random trajectory pairs and checks the decay bound
-``||x(t) - y(t)|| <= exp(-rate t) ||x(0) - y(0)||`` in the certificate's
-weighted norm, with a small allowance for integration error.  Pairs draw from
+Verification steps random trajectory pairs and checks a decay bound in the
+certificate's weighted norm, by one of two schemes chosen once per run:
+
+* ``euler``: the forward-Euler map E(x) = x + h F(x) at the step h, checked
+  against the exact discrete bound ``||E^k(x) - E^k(y)|| <= (1 - h rate)^k
+  ||x - y||``.  In a weighted l1 or linf norm, ``||I + h J|| = 1 + h mu(J)``
+  whenever ``1 + h J_ii >= 0`` for every i, and F(x) - F(y) is a secant
+  matrix of the Jacobian polytope times x - y.  So the bound holds for every
+  pair of a certified model once h * max_i(-floor_i) < 1, where floor is the
+  model's `diagonal_floor` (Jafarpour, Davydov, Proskurnikov and Bullo,
+  "Robust implicit networks via non-Euclidean contractions", NeurIPS 2021;
+  Davydov, Jafarpour, Proskurnikov and Bullo, "Non-Euclidean monotone
+  operator theory with applications to recurrent neural networks", CDC 2022).
+  This scheme runs whenever the certificate family is l1 or linf and that
+  step condition holds; it needs a finite floor.
+* ``rk4``: classical RK4 trajectories, checked against
+  ``||x(t) - y(t)|| <= exp(-rate t) ||x(0) - y(0)||``.  It runs for l2
+  weights, for unbounded slopes with a negative a_ii (a floor of -inf), and
+  for steps at or above 1 / max_i(-floor_i).
+
+Ratios are taken in log space, exp(log d_k - log d_0 - log bound_k), so a
+bound far below the smallest float does not underflow.  Pairs draw from
 seed-derived substreams, so reports are reproducible at any parallelism.
 
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
-(n, 2 * pairs) stack.  Each RK4 step makes 4 field evaluations on the stack
-and one decay-ratio check, one weighted norm per pair, which also detects a
-non-finite state.  Every `mu_sample_stride` steps one Jacobian log norm is
-taken per trajectory.  The certificate's weights are validated once per run;
-the step loop calls the unchecked log-norm kernels.
+(n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
+(euler) or 4 (rk4), and one decay-ratio check, one weighted norm per pair,
+which also detects a non-finite state.  Every `mu_sample_stride` steps one
+Jacobian log norm is taken per trajectory.  The certificate's weights are
+validated once per run; the step loop calls the unchecked log-norm kernels.
 """
 
 import math
@@ -23,12 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lognorm import SlopeInterval, kernels
+from .lognorm import L1, LINF, SlopeInterval, kernels
 from .matrices import as_weights
 from .networks import ContractionCertificate, check_model
 
-DECAY_RATIO_ALLOWANCE = 1e-3  # integration-error headroom on the decay bound
+# Headroom on the decay bound: integration error on the rk4 scheme; on the
+# euler scheme, whose bound is exact, rounding only.
+DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
+# Distances below the smallest normal float carry no relative precision: the
+# decay check counts them as 0.
+DISTANCE_FLOOR = np.finfo(float).tiny
 
 _KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "rect_poly", "linear")
 
@@ -163,6 +187,14 @@ def _rk4_step(f, X, h):
     return k1
 
 
+def _euler_step(f, X, h):
+    """X + h f(X), combined in place; `f` must return a fresh array."""
+    K = f(X)
+    K *= h
+    K += X
+    return K
+
+
 def _step_count(horizon: float, step: float) -> int:
     """Number of whole steps in the horizon; ValueError unless the horizon and
     step are finite and positive and the horizon holds one to finitely many
@@ -205,10 +237,11 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
 class SimReport:
     """Empirical check of a decay bound over sampled trajectory pairs.
 
-    `worst_decay_ratio` is the max over pairs and sample times of
-    ||difference(t)|| / (exp(-rate t) ||difference(0)||) in the certified
-    weighted norm; `max_sampled_mu` is the largest weighted Jacobian log norm
-    seen along the trajectories.
+    `worst_decay_ratio` is the max over pairs and steps k of
+    ||difference_k|| / (bound_k ||difference_0||) in the certified weighted
+    norm, where bound_k is (1 - step rate)^k on the ``euler`` scheme and
+    exp(-rate k step) on the ``rk4`` scheme (`scheme`); `max_sampled_mu` is
+    the largest weighted Jacobian log norm seen along the trajectories.
     """
 
     worst_decay_ratio: float
@@ -217,6 +250,7 @@ class SimReport:
     horizon: float
     step: float
     seed: int
+    scheme: str
 
     @property
     def passed(self) -> bool:
@@ -251,18 +285,22 @@ def verify_contraction(
     mu_sample_stride: int = 100,
     initial_pairs=None,
 ) -> SimReport:
-    """Integrate random trajectory pairs and measure the worst decay ratio
-    against the certificate's rate, in the certificate's weighted norm.
+    """Step random trajectory pairs and measure the worst decay ratio against
+    the certificate's rate, in the certificate's weighted norm, on the
+    ``euler`` or ``rk4`` scheme that the module docstring describes.
 
-    Identical endpoints contribute ratio 0 by convention, and so does a zero
-    distance once the bound has underflowed to 0.  The report passes iff the
-    worst ratio stays within the integration-error allowance of 1; any other
-    NaN ratio makes the worst ratio NaN, which fails.  `initial_pairs`
-    optionally supplies the endpoints directly as a pair of (n, pairs) arrays
-    instead of drawing them from the seed.  Raises ValueError unless the
-    horizon and step are finite and positive, at least one step fits, there
-    is at least one pair, the seed is nonnegative, and every pair's entries
-    and start distance are finite.
+    A distance below `DISTANCE_FLOOR` counts as 0.  Pairs that start that
+    close contribute ratio 0 by convention, and so does a zero distance
+    against a zero bound.  On the ``euler`` scheme a claimed per-step factor
+    1 - step * rate <= 0 reads ratio inf: the Euler map's factor is at least
+    1 + step * min(floor) > 0 there, so no certificate of the model can claim
+    it.  The report passes iff the worst ratio stays within the allowance of
+    1; any other NaN ratio makes the worst ratio NaN, which fails.
+    `initial_pairs` optionally supplies the endpoints directly as a pair of
+    (n, pairs) arrays instead of drawing them from the seed.  Raises
+    ValueError unless the horizon and step are finite and positive, at least
+    one step fits, there is at least one pair, the seed is nonnegative, and
+    every pair's entries and start distance are finite.
     """
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
@@ -287,35 +325,47 @@ def verify_contraction(
     f = model.field(act)
     w = np.ones(model.n) if cert.weights is None else as_weights(cert.weights, model.n)
     mu, norm = kernels(cert.family)
-    check_model(model)
+    floor = check_model(model).diagonal_floor()
+    euler = cert.family in (L1, LINF) and step * float(np.max(-floor)) < 1.0
+    advance = _euler_step if euler else _rk4_step
+    # Log of the claimed per-step factor 1 - step * rate of the euler scheme.
+    h_rate = step * cert.rate
+    log_factor = -math.inf if h_rate >= 1.0 else math.log1p(-h_rate)
 
-    worst = 0.0
+    worst = math.inf if euler and h_rate >= 1.0 else 0.0
     max_mu = -np.inf
     # Divergence and non-finite start distances are detected and reported, so
-    # intermediate overflow is expected.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # intermediate overflow is expected; a zero distance has log -inf.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # A non-finite entry makes its pair's start distance non-finite too.
         d0 = norm(X0 - Y0, w)
         bad = np.flatnonzero(~np.isfinite(d0))
         if bad.size:
             raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
-        live = d0 > 0.0
-        d0_live = d0[live]
+        live = d0 >= DISTANCE_FLOOR
+        log_d0 = np.log(d0[live])
         for i in range(n_steps + 1):
             if i > 0:
-                Z = _rk4_step(f, Z, step)
+                Z = advance(f, Z, step)
             nrm = norm(Z[:, :pairs] - Z[:, pairs:], w)
             # A non-finite entry of Z makes its pair's norm non-finite.
             if i > 0 and not np.isfinite(nrm).all() and not np.isfinite(Z).all():
                 raise DivergenceError(i * step)
-            if d0_live.size:
-                ratios = nrm[live] / (np.exp(-cert.rate * (i * step)) * d0_live)
-                ratio = float(ratios.max())
-                if math.isnan(ratio):
-                    # 0/0 once the bound underflows: a zero distance meets it.
-                    ratio = float(np.where(nrm[live] == 0.0, 0.0, ratios).max())
-                if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
-                    worst = ratio
+            if log_d0.size:
+                if euler:
+                    log_bound = i * log_factor if i else 0.0
+                else:
+                    log_bound = -cert.rate * (i * step)
+                dist = nrm[live]
+                logs = np.log(dist) - log_d0
+                ratio = float(np.exp(logs.max() - log_bound))
+                if ratio > worst or math.isnan(ratio):
+                    # The floor only lowers the ratio, so only a new worst
+                    # pays for it.  A zero distance meets any bound, even 0.
+                    top = np.where(dist < DISTANCE_FLOOR, -np.inf, logs).max()
+                    ratio = float(np.exp(top - log_bound)) if top > -np.inf else 0.0
+                    if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
+                        worst = ratio
             if i % mu_sample_stride == 0:
                 for x in Z.T:
                     max_mu = max(max_mu, _jacobian_mu(model, act, x, mu, w))
@@ -326,6 +376,7 @@ def verify_contraction(
         horizon=horizon,
         step=step,
         seed=seed,
+        scheme="euler" if euler else "rk4",
     )
 
 

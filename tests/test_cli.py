@@ -118,6 +118,17 @@ def test_certify_fixed_weight(tmp_path, capsys):
     assert doc["osl"] == pytest.approx(-1.0 + 0.4, abs=1e-9)
 
 
+def test_verify_report_names_its_scheme(tmp_path, capsys):
+    poly = dict(HOPFIELD_DOC, A=[[-0.5, 0.3], [0.3, -0.5]], slopes={"d1": 0, "d2": "inf"},
+                activation={"kind": "rect_poly", "r": 2})
+    for doc, scheme in ((HOPFIELD_DOC, "euler"), (poly, "rk4")):
+        path = write(tmp_path, f"{scheme}.json", doc)
+        code, out, _ = run(capsys, "verify", path, "--pairs", "5", "--horizon", "1")
+        assert code == 0
+        assert json.loads(out)["report"]["scheme"] == scheme
+        assert f'"scheme":"{scheme}"' in out
+
+
 def test_verify_command(tmp_path, capsys):
     path = write(tmp_path, "h.json", HOPFIELD_DOC)
     code, out, _ = run(capsys, "verify", path, "--pairs", "5", "--horizon", "2", "--seed", "3")

@@ -554,3 +554,48 @@ def test_unsupported_model_types_raise_type_error():
     for model in (fake, Persidskii([[-2.0, 1.0], [1.0, -2.0]], SlopeInterval(0.5, 1.0))):
         with pytest.raises(TypeError):
             optimal_certificate(model, L1)
+
+
+# ---------------------------------------------------------------------------
+# diagonal floors
+
+
+def test_diagonal_floor_is_least_jacobian_diagonal():
+    # Each Jacobian diagonal entry is affine in the slopes, so its least value
+    # over the slope box sits at a vertex.  Apart from the multivariable loop
+    # it depends on one slope (or the scalar loop's one), and the two uniform
+    # linear activations at d1 and d2 reach it with the same arithmetic.
+    rng = np.random.default_rng(41)
+    n, slopes = 5, SlopeInterval(0.2, 1.5)
+    leak = np.diag(rng.uniform(0.0, 2.0, size=n))
+    A = rng.normal(size=(n, n))
+    A[0, 0] = 0.0
+    single = [
+        Hopfield(leak, A, slopes),
+        FiringRate(leak, A, slopes),
+        Persidskii(A, slopes),
+        AxMinusCPhi(A, leak, slopes),
+        Entrywise(A, slopes),
+        Lure(A, rng.normal(size=n), rng.normal(size=n), slopes),
+    ]
+    x = rng.normal(size=n)
+    for model in single:
+        diags = [np.diag(jacobian(model, Activation("linear", k=k), x)) for k in (0.2, 1.5)]
+        assert np.array_equal(model.diagonal_floor(), np.minimum(*diags)), model.tag
+
+    B, Cout = rng.normal(size=(n, 3)), rng.normal(size=(3, n))
+    model = MultiLure(A, B, Cout, slopes)
+    vertex_diags = [np.diag(A + B @ np.diag(d) @ Cout)
+                    for d in itertools.product((0.2, 1.5), repeat=3)]
+    np.testing.assert_allclose(model.diagonal_floor(), np.min(vertex_diags, axis=0),
+                               rtol=1e-14, atol=1e-14)
+
+    # Unbounded slopes: -inf where a_ii < 0, and 0 * inf = 0 where a_ii = 0.
+    A = np.full((3, 3), 0.1)
+    np.fill_diagonal(A, [-1.0, 0.0, 2.0])
+    leak = np.diag([1.0, 2.0, 3.0])
+    with np.errstate(all="raise"):
+        floor = Hopfield(leak, A, SlopeInterval(0.0, np.inf)).diagonal_floor()
+        assert floor.tolist() == [-np.inf, -2.0, -3.0]
+        floor = FiringRate(leak, A, SlopeInterval(-0.5, np.inf)).diagonal_floor()
+        assert floor.tolist() == [-np.inf, -2.0, -4.0]

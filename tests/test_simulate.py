@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -172,18 +173,19 @@ def test_verify_contraction_identical_pair_convention():
 
 
 def test_verify_contraction_non_finite_pair_cannot_hide_a_failure():
-    # A zero field keeps every pair at its start, so the decay ratio at time
-    # t is e^(rate t) and one finite pair fails.  A second pair at +-1e308
-    # has an infinite start distance; its inf/inf = NaN ratio used to be
-    # dropped by max(), hiding the failing pair: the report read 0.0 and
-    # passed.
+    # A zero field keeps every pair at its start, so on the euler scheme the
+    # decay ratio at step k is (1 - step rate)^-k and one finite pair fails.
+    # A second pair at +-1e308 has an infinite start distance; its inf/inf =
+    # NaN ratio used to be dropped by max(), hiding the failing pair: the
+    # report read 0.0 and passed.
     m = Hopfield(np.zeros((2, 2)), np.zeros((2, 2)), SlopeInterval(0.0, 1.0))
     stable = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = dataclasses.replace(optimal_certificate(stable, L1), rate=1.0)
     act = Activation("tanh")
     X0, Y0 = np.array([[1.0], [0.5]]), np.zeros((2, 1))
     report = verify_contraction(m, act, cert, horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
-    assert report.worst_decay_ratio == pytest.approx(np.e, rel=1e-12)
+    assert report.scheme == "euler"
+    assert report.worst_decay_ratio == pytest.approx(0.99**-100, rel=1e-12)
     assert not report.passed
     far = np.array([[1e308], [0.0]])
     for bad in (far, np.array([[np.nan], [0.0]]), np.array([[np.inf], [0.0]])):
@@ -219,6 +221,89 @@ def test_verify_contraction_negative_control():
     doubled = dataclasses.replace(cert, rate=2.0 * cert.rate)
     report = verify_contraction(m, Activation("tanh"), doubled, pairs=10, horizon=3.0, step=1e-3, seed=1)
     assert report.worst_decay_ratio > 1.001
+
+
+def test_verify_scheme_follows_family_floor_and_step():
+    # The diagonal floor of this model is -1 - 0.2 = -1.2, so alpha* = 1 / 1.2.
+    m = Hopfield(np.eye(2), [[-0.2, 0.4], [0.3, 0.1]], SlopeInterval(0.0, 1.0))
+    act = Activation("tanh")
+    l1, linf = certify(m, L1), certify(m, LINF)
+    l2 = dataclasses.replace(l1, family=L2, weights=np.ones(2))
+
+    def scheme(model, act, cert, step):
+        return verify_contraction(model, act, cert, pairs=2, horizon=4.0 * step, step=step).scheme
+
+    assert [scheme(m, act, c, 0.8) for c in (l1, linf, l2)] == ["euler", "euler", "rk4"]
+    assert scheme(m, act, l1, 0.85) == "rk4"  # 0.85 * 1.2 >= 1
+    # Unbounded slopes: a negative a_ii has floor -inf, so its certificate
+    # (which needs a_ii < 0 throughout) runs rk4 at any step.
+    poly = Activation("rect_poly", r=2)
+    unbounded = SlopeInterval(0.0, np.inf)
+    model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]], unbounded)
+    assert scheme(model, poly, certify(model), 1e-6) == "rk4"
+    # A zero a_ii has floor -c_i (0 * inf = 0).  rect_poly halves the step,
+    # and the halved step decides: 0.9 / 2 * 2 < 1 <= 1.0 / 2 * 2.
+    model = Hopfield(np.diag([1.0, 2.0]), [[0.0, 0.3], [0.3, 0.0]], unbounded)
+    assert scheme(model, poly, l1, 0.9) == "euler"
+    assert scheme(model, poly, l1, 1.0) == "rk4"
+
+
+def test_verify_euler_scheme_passes_a_stiff_certificate():
+    # Perron l1 certificate of rate 199.65.  The rk4 scheme read ratio 1.0026
+    # at horizon 1 (truncation error at h c = 0.2), and at horizon 5 the bound
+    # exp(-rate t) d0 underflowed to 0: the report read inf, with a divide by
+    # zero warning.  Distances below the smallest normal float count as 0.
+    m = Hopfield(200.0 * np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    cert = certify(m, L1)
+    assert cert.rate == pytest.approx(199.65, abs=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for horizon in (1.0, 5.0):
+            report = verify_contraction(m, Activation("tanh"), cert, horizon=horizon, step=1e-3)
+            assert report.scheme == "euler"
+            assert report.passed, horizon
+
+
+def test_verify_euler_scheme_fails_a_small_overclaim():
+    # An n = 16 Hopfield model with A >= 0 and its Perron l1 certificate.
+    # Starts near 0 along the right Perron vector with x - y >= 0 see the
+    # linearisation -I + A, whose weighted l1 log norm is the certified osl, so
+    # a 1e-2 relative overclaim of the rate shows on the exact euler bound.
+    rng = np.random.default_rng(8)
+    n = 16
+    P = rng.uniform(size=(n, n))
+    A = 0.5 * P / np.max(np.abs(np.linalg.eigvals(P)))
+    m = Hopfield(np.eye(n), A, SlopeInterval(0.0, 1.0))
+    cert = certify(m, L1)
+    assert cert.theorem == "hopfield/l1/perron"
+    vals, vecs = np.linalg.eig(A)
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    X0 = np.outer(v, [1e-3, 1e-4, 1e-6])
+    Y0 = 0.5 * X0
+    act = Activation("tanh")
+    report = verify_contraction(m, act, cert, horizon=1.0, step=1e-3, initial_pairs=(X0, Y0))
+    assert report.scheme == "euler" and report.passed
+    over = dataclasses.replace(cert, rate=1.01 * cert.rate)
+    report = verify_contraction(m, act, over, horizon=1.0, step=1e-3, initial_pairs=(X0, Y0))
+    assert report.scheme == "euler" and not report.passed
+
+
+def test_verify_euler_scheme_fails_a_claimed_factor_at_or_below_zero():
+    # Floor -1 and step 1/4: the Euler map is (3/4) I + A / 4, which sends the
+    # difference (1, -1) to exactly 0.  A claimed factor 1 - step * rate <= 0
+    # is impossible below alpha*, so it fails even when every distance
+    # collapses to 0, and it reads inf, not NaN.
+    m = Hopfield(np.eye(2), [[0.0, 3.0], [3.0, 0.0]], SlopeInterval(1.0, 1.0))
+    act = Activation("linear", k=1.0)
+    stable = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    cert = certify(stable, L1)
+    X0, Y0 = np.array([[1.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2))
+    for starts in ((X0[:, :1], Y0[:, :1]), (X0, Y0)):
+        for rate in (4.0, 5.0):
+            report = verify_contraction(m, act, dataclasses.replace(cert, rate=rate),
+                                        horizon=1.0, step=0.25, initial_pairs=starts)
+            assert report.scheme == "euler"
+            assert report.worst_decay_ratio == np.inf
 
 
 def test_verify_contraction_requires_certificate():
@@ -317,9 +402,12 @@ def test_jacobian_matches_finite_differences():
             np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
 
 
-# Reference verification loop: the straightforward form, through the public
+# Reference verification loops: the straightforward form, through the public
 # validating norm, log-norm and Jacobian functions, with the diagonal leak
-# applied as a dense matrix product.
+# applied as a dense matrix product.  The decay ratio is taken in log space,
+# exp(log d_k - log d_0 - log bound_k), with bound_k = (1 - h rate)^k on the
+# euler scheme and exp(-rate k h) on the rk4 scheme; a distance below the
+# smallest normal float counts as 0.
 def _reference_field(model, act):
     if isinstance(model, Hopfield):
         C, A, u = model.C, model.A, model.u[:, None]
@@ -341,30 +429,40 @@ def _reference_rk4(f, X, h):
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride):
-    """(worst decay ratio, max sampled mu), or DivergenceError's time."""
+def _reference_euler(f, X, h):
+    return X + h * f(X)
+
+
+def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="rk4"):
+    """(worst decay ratio, max sampled mu), or DivergenceError's time, on the
+    "euler" or "rk4" scheme."""
     if act.kind == "rect_poly":
         step = 0.5 * step
     n_steps = int(np.floor(horizon / step))
     pairs = X0.shape[1]
     Z = np.hstack([X0, Y0])
     f = _reference_field(model, act)
+    advance = {"euler": _reference_euler, "rk4": _reference_rk4}[scheme]
     fam, w = cert.family, cert.weights
+    tiny = np.finfo(float).tiny
     d0 = weighted_norm(X0 - Y0, fam, w)
-    live = d0 > 0.0
+    live = d0 >= tiny
     worst = 0.0
     max_mu = -np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n_steps + 1):
             if i > 0:
-                Z = _reference_rk4(f, Z, step)
+                Z = advance(f, Z, step)
                 if not np.all(np.isfinite(Z)):
                     return i * step
-            t = i * step
+            if scheme == "euler":
+                log_bound = i * np.log1p(-step * cert.rate) if i > 0 else 0.0
+            else:
+                log_bound = -cert.rate * (i * step)
             nrm = weighted_norm(Z[:, :pairs] - Z[:, pairs:], fam, w)
-            if np.any(live):
-                ratios = nrm[live] / (np.exp(-cert.rate * t) * d0[live])
-                worst = max(worst, float(np.max(ratios)))
+            for d, start in zip(nrm[live], d0[live]):
+                if d >= tiny:
+                    worst = max(worst, float(np.exp(np.log(d) - np.log(start) - log_bound)))
             if i % stride == 0:
                 for col in range(Z.shape[1]):
                     max_mu = max(max_mu, log_norm(jacobian(model, act, Z[:, col]), fam, w))
@@ -417,37 +515,45 @@ def _oracle_certificates(model):
 
 
 def test_verify_and_sampled_mu_match_reference_loop_exactly():
-    tags = set()
-    families = set()
+    tags = {"euler": set(), "rk4": set()}
+    families = {"euler": set(), "rk4": set()}
     for model, act in _oracle_cases():
+        stiffness = np.max(-model.diagonal_floor())  # 1 / alpha*
         for cert in _oracle_certificates(model):
             assert cert.contracting
-            tags.add(model.tag)
-            families.add(cert.family)
             # seeded draws, and given starts with one identical pair
             X0, Y0 = _draw_pairs(model, act, 4, 3)
             Y0[:, 1] = X0[:, 1]
             # an overclaimed rate puts the worst ratio at a late step, where
             # it depends on every bit of the states
             overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
-            for starts, claim in ((None, cert), ((X0, Y0), cert), ((X0, Y0), overclaim)):
+            runs = [(None, cert, 1e-3), ((X0, Y0), cert, 1e-3), ((X0, Y0), overclaim, 1e-3)]
+            if 0.0 < stiffness < np.inf:
+                # above the Euler step bound alpha* the rk4 scheme runs
+                runs.append(((X0, Y0), overclaim, 1.25 / stiffness))
+            for starts, claim, step in runs:
                 report = verify_contraction(
-                    model, act, claim, pairs=4, horizon=0.4, step=1e-3, seed=3,
-                    mu_sample_stride=50, initial_pairs=starts,
+                    model, act, claim, pairs=4, horizon=max(0.4, 4 * step), step=step,
+                    seed=3, mu_sample_stride=50, initial_pairs=starts,
                 )
+                tags[report.scheme].add(model.tag)
+                families[report.scheme].add(cert.family)
                 X0s, Y0s = _draw_pairs(model, act, 4, 3) if starts is None else starts
-                worst, max_mu = _reference_verify(model, act, claim, X0s, Y0s, 0.4, 1e-3, 50)
+                worst, max_mu = _reference_verify(
+                    model, act, claim, X0s, Y0s, max(0.4, 4 * step), step, 50, report.scheme
+                )
                 assert report.worst_decay_ratio == worst
                 assert report.max_sampled_mu == max_mu
-            assert report.worst_decay_ratio > 1.0
+                if claim is overclaim:
+                    assert report.worst_decay_ratio > 1.0
             rng = np.random.default_rng(2)
             states = [rng.normal(scale=3.0, size=model.n) for _ in range(5)]
             assert sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=2) == max(
                 log_norm(jacobian(model, act, x), cert.family, cert.weights) for x in states
             )
-    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
-                    "entrywise", "lure", "multilure"}
-    assert families == {L1, LINF, L2}
+    assert tags["euler"] == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
+                             "entrywise", "lure", "multilure"}
+    assert families == {"euler": {L1, LINF}, "rk4": {L1, LINF, L2}}
 
 
 def test_verify_contraction_states_finite_while_difference_overflows():
@@ -470,7 +576,9 @@ def test_verify_contraction_states_finite_while_difference_overflows():
 
 def test_verify_contraction_reports_divergence():
     # A contracting certificate checked against a strongly unstable linear
-    # Hopfield model: the state overflows inside the horizon.
+    # Hopfield model: the state overflows inside the horizon.  The model's
+    # diagonal floor is -1, so the l1 certificate runs the euler scheme at
+    # step 1e-2, and the l2 one the rk4 scheme, which `integrate` shares.
     cert = optimal_certificate(
         Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
     )
@@ -478,11 +586,15 @@ def test_verify_contraction_reports_divergence():
     act = Activation("linear", k=1.0)
     x0 = np.array([1.0, -0.5])
     X0, Y0 = x0[:, None], 0.5 * x0[:, None]
-    with pytest.raises(DivergenceError) as info:
-        verify_contraction(m, act, cert, horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
-    first_bad = _reference_verify(m, act, cert, X0, Y0, 5.0, 1e-2, 100)
-    assert isinstance(first_bad, float) and 0.0 < first_bad < 5.0
-    assert info.value.time == first_bad
+    times = {}
+    for claim, scheme in ((cert, "euler"), (dataclasses.replace(cert, family=L2), "rk4")):
+        with pytest.raises(DivergenceError) as info:
+            verify_contraction(m, act, claim, horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
+        first_bad = _reference_verify(m, act, claim, X0, Y0, 5.0, 1e-2, 100, scheme)
+        assert isinstance(first_bad, float) and 0.0 < first_bad < 5.0
+        assert info.value.time == first_bad
+        times[scheme] = first_bad
+    assert times["euler"] != times["rk4"]
     with pytest.raises(DivergenceError) as single:
         integrate(m, act, x0, horizon=5.0, step=1e-2)
-    assert single.value.time == info.value.time
+    assert single.value.time == times["rk4"]
