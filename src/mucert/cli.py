@@ -31,9 +31,9 @@ from .lognorm import (
     worst_case_mu,
 )
 from .networks import (
-    CONTRACTION_MARGIN,
     MODELS,
     ContractionCertificate,
+    _certificate,
     certify,
     fixed_weight_osl,
     osl_multilure_linf,
@@ -304,17 +304,9 @@ def cmd_certify(args) -> dict:
             raise ValueError("--eta requires --family")
         w = parse_weights_arg(args.eta, model.n)
         osl, tight = fixed_weight_osl(model, args.family, w)
-        contracting = osl <= -CONTRACTION_MARGIN
-        return {
-            "model": tag,
-            "theorem": "fixed-weight",
-            "family": args.family,
-            "weights": w.tolist(),
-            "osl": osl,
-            "rate": -osl if contracting else 0.0,
-            "contracting": contracting,
-            "tight": tight,
-        }
+        cert = certificate_to_dict(_certificate(osl, args.family, w, "fixed-weight", tight))
+        keys = ("theorem", "family", "weights", "osl", "rate", "contracting", "tight")
+        return {"model": tag, **{k: cert[k] for k in keys}}
     cert = certify(model, args.family)
     out = certificate_to_dict(cert)
     out["model"] = tag

@@ -2,17 +2,17 @@
 and their contraction certificates.
 
 Each model class owns its behaviour: `tag` names it in model files, `field`
-and `jacobian` evaluate its vector field, `fixed_weight_osl` bounds its
-one-sided Lipschitz constant at a given weight, and `certificate` returns its
-contraction certificate.  The module-level functions (`certify`,
-`fixed_weight_osl`, `certify_persidskii`, ...) delegate to these methods, and
-`MODELS` maps each tag to its class.
+and `jacobian` evaluate its vector field, `witnesses(family)` lists the few
+matrices whose largest weighted log norm bounds its one-sided Lipschitz
+constant, and `certificate` returns its contraction certificate.  The
+module-level functions (`certify`, `fixed_weight_osl`, `certify_persidskii`,
+...) delegate to these methods, and `MODELS` maps each tag to its class.
 
 Every certificate reports the one-sided Lipschitz bound actually certified at
-the weight vector it carries (`osl`), so the guarantee
-``||x(t) - y(t)|| <= exp(-rate * t) ||x(0) - y(0)||`` in the carried weighted
-norm is checkable by evaluation.  A model is declared contracting only when
-the certified bound clears a strict margin below zero.
+the weight vector it carries (`osl`), the fixed-weight bound there, so the
+guarantee ``||x(t) - y(t)|| <= exp(-rate * t) ||x(0) - y(0)||`` in the carried
+weighted norm is checkable by evaluation.  `_certificate` declares a model
+contracting only when that bound clears a strict margin below zero.
 
 Weight conventions follow :mod:`mucert.lognorm`: an ``l1`` certificate with
 weights w refers to the norm sum_i w_i |x_i|; an ``linf`` certificate refers
@@ -27,6 +27,7 @@ import numpy as np
 from .matrices import (
     as_matrix,
     as_vector,
+    as_weights,
     check_diagonal,
     metzler_majorant,
 )
@@ -39,9 +40,6 @@ from .lognorm import (
     SlopeInterval,
     envelope_matrices,
     log_norm,
-    mu1,
-    muinf,
-    worst_case_mu,
 )
 from .optimize import bisect_min_mu
 from .spectral import (
@@ -106,6 +104,12 @@ def _certificate(osl, family, weights, theorem, tight, alt_family=None,
     )
 
 
+def _witness_osl(mats, family, weights) -> float:
+    """The largest weighted log norm of the witness matrices `mats`: every
+    fixed-weight bound and every certificate's `osl` is this number."""
+    return max(log_norm(M, family, weights) for M in mats)
+
+
 def _perron_weight_pair(M):
     """(Perron pair, spectral abscissa) of a Metzler matrix: both from one
     pair if it is irreducible, else the pair of its DEFAULT_DELTA perturbation
@@ -117,12 +121,21 @@ def _perron_weight_pair(M):
     return pair, pair.alpha
 
 
-def _coupling_certificate(B, theorem, alpha_key) -> ContractionCertificate:
-    """Certificate from a matrix B whose Metzler majorant dominates every
-    Jacobian majorant: one rate in the weighted l1 and linf norms at the
-    majorant's left and right dominant eigenvectors, never claimed exact."""
-    pair, alpha = _perron_weight_pair(metzler_majorant(B))
-    osl = max(mu1(B, pair.left), muinf(B, pair.right))
+def _perron_certificate(model, metzler, theorem, alpha_key) -> ContractionCertificate:
+    """Certificate in the weighted l1 norm at the left dominant eigenvector of
+    the Metzler matrix `metzler`."""
+    pair, alpha = _perron_weight_pair(metzler)
+    osl = _witness_osl(model.witnesses(L1), L1, pair.left)
+    return _certificate(osl, L1, pair.left, theorem, pair.irreducible, **{alpha_key: alpha})
+
+
+def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
+    """Certificate from the one witness, the same in both norms, whose Metzler
+    majorant dominates every Jacobian majorant: one rate in the weighted l1 and
+    linf norms at its left and right dominant eigenvectors, never exact."""
+    mats = model.witnesses(L1)
+    pair, alpha = _perron_weight_pair(metzler_majorant(mats[0]))
+    osl = max(_witness_osl(mats, L1, pair.left), _witness_osl(mats, LINF, pair.right))
     return _certificate(
         osl, L1, pair.left, theorem, False,
         alt_family=LINF, alt_weights=pair.right,
@@ -136,18 +149,29 @@ class _Model:
     A subclass sets the class attribute `tag` and defines `field(act)` (the
     right-hand side over column-stacked states (n, k)), `jacobian(act, x)`,
     `diagonal_floor()` (the least Jacobian diagonal over the slope box, -inf
-    where it is unbounded below) and `fixed_weight_osl(family, weights)` (a
-    (value, exact) pair).  Models whose analysis fixes its own norm define
-    `_certify()`; the others override `certificate`.
+    where it is unbounded below) and `witnesses(family)`: matrices whose
+    largest `family` log norm at any weights is the fixed-weight bound there
+    (`exact` if minimal; MultiLure's is its exact linf solver instead) and
+    every certificate's `osl`.  Models whose analysis fixes its own norm
+    define `_certify()`; the others call `optimal_certificate` in `certificate`.
     """
+
+    exact = True
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def kind(self) -> str:
+        return self.tag.replace("_", "-")
+
     def _require_bounded(self):
         if not self.slopes.bounded:
             raise ValueError(f"{type(self).__name__} requires a finite upper slope bound")
+
+    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+        return _witness_osl(self.witnesses(family), family, weights), self.exact
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         cert = self._certify()
@@ -157,6 +181,34 @@ class _Model:
                 f"({cert.family}{' and ' + cert.alt_family if cert.alt_family else ''})"
             )
         return cert
+
+    def optimal_certificate(self, family: str) -> ContractionCertificate:
+        """Certificate at the weights minimizing the largest witness log norm,
+        or at closed-form optimal weights where `_closed_form` gives them."""
+        mats = self.witnesses(family)
+        res = bisect_min_mu(mats, family)
+        weights, theorem, tight = res.eta_star, f"{self.kind}/{family}/weight-lp", self.exact
+        details = {"b_star": res.b_star}
+
+        pair, closed_value = self._closed_form(family)
+        if pair is not None:
+            weights = pair.left if family == L1 else pair.right
+            if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
+                raise NumericalError(
+                    f"closed-form optimum {closed_value} disagrees with the optimized "
+                    f"level {res.b_star}"
+                )
+            theorem = f"{self.kind}/{family}/perron"
+            tight = tight and pair.irreducible
+            details.update(closed_form=closed_value, delta=pair.delta_used)
+
+        return _certificate(
+            _witness_osl(mats, family, weights), family, weights, theorem, tight, **details
+        )
+
+    def _closed_form(self, family):
+        """(Perron pair, optimal level) where the optimum has a closed form."""
+        return None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,29 +241,23 @@ class _Leaky(_Model):
         object.__setattr__(self, "u", u)
 
     @property
-    def kind(self) -> str:
-        return self.tag.replace("_", "-")
-
-    @property
     def exact(self) -> bool:
         """Whether the fixed-weight bound is the minimal one-sided Lipschitz
         constant: the Jacobian sweeps a right-side polytope in full, and a
         left-side one (slopes taken at A x + u) iff A is invertible."""
         return self.side == RIGHT or int(np.linalg.matrix_rank(self.A)) == self.n
 
-    def polytope(self) -> PolytopeSpec:
-        """Polytope swept by the model Jacobian as the activation slopes vary."""
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        """The envelope pair of the slope polytope the Jacobian sweeps."""
         if not self.slopes.bounded:
             raise ValueError(
                 "fixed-weight and optimized bounds need a finite upper slope bound d2"
             )
-        return PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
+        spec = PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
+        return list(envelope_matrices(spec, family))
 
     def diagonal_floor(self) -> np.ndarray:
         return -np.diag(self.C) + self.slopes.least_product(np.diag(self.A))
-
-    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
-        return worst_case_mu(self.polytope(), family, weights), self.exact
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         fam = self.family if family is None else family
@@ -223,39 +269,19 @@ class _Leaky(_Model):
             )
         return self._unbounded_certificate()
 
-    def optimal_certificate(self, family: str) -> ContractionCertificate:
-        spec = self.polytope()
-        M1, M2 = envelope_matrices(spec, family)
-        res = bisect_min_mu([M1, M2], family)
-        weights = res.eta_star
-        theorem = f"{self.kind}/{family}/weight-lp"
-        tight = self.exact
-        details = {"b_star": res.b_star}
-
-        if family == self.family:
-            d1, d2 = self.slopes.d1, self.slopes.d2
-            cdiag = np.diag(self.C)
-            Mzr = metzler_majorant(self.A)
-            closed_value = None
-            if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
-                pair, a_t = _perron_weight_pair(-self.C + d2 * Mzr)
-                closed_value = max(float(np.max(-cdiag)), a_t)
-            elif d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-                pair, a_m = _perron_weight_pair(Mzr)
-                closed_value = -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
-            if closed_value is not None:
-                weights = pair.left if family == L1 else pair.right
-                if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
-                    raise NumericalError(
-                        f"closed-form optimum {closed_value} disagrees with the optimized "
-                        f"level {res.b_star}"
-                    )
-                theorem = f"{self.kind}/{family}/perron"
-                tight = tight and pair.irreducible
-                details.update(closed_form=closed_value, delta=pair.delta_used)
-
-        osl = max(log_norm(M1, family, weights), log_norm(M2, family, weights))
-        return _certificate(osl, family, weights, theorem, tight, **details)
+    def _closed_form(self, family):
+        if family != self.family:
+            return None, None
+        d1, d2 = self.slopes.d1, self.slopes.d2
+        cdiag = np.diag(self.C)
+        Mzr = metzler_majorant(self.A)
+        if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
+            pair, a_t = _perron_weight_pair(-self.C + d2 * Mzr)
+            return pair, max(float(np.max(-cdiag)), a_t)
+        if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
+            pair, a_m = _perron_weight_pair(Mzr)
+            return pair, -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
+        return None, None
 
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
@@ -270,7 +296,7 @@ class _Leaky(_Model):
         # The bound holds with the majorant's log norm at the carried weights.
         # It equals a_m only for an irreducible majorant; a reducible one gets
         # weights from its delta-perturbed pair, which can miss a_m by O(sqrt(delta)).
-        m_w = (mu1 if family == L1 else muinf)(Mzr, weights)
+        m_w = _witness_osl([Mzr], family, weights)
         majorant_hurwitz = m_w < -CONTRACTION_MARGIN
         rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
         statement_rate = -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag
@@ -352,18 +378,14 @@ class Persidskii(_Model):
     def diagonal_floor(self) -> np.ndarray:
         return self.slopes.least_product(np.diag(self.A))
 
-    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        """The envelope pair of the polytope {A diag(d)}: d1 A and d2 A in l1."""
         spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, RIGHT)
-        return worst_case_mu(spec, family, weights), True
+        return list(envelope_matrices(spec, family))
 
     def _certify(self) -> ContractionCertificate:
-        pair, alpha = _perron_weight_pair(metzler_majorant(self.A))
-        w = pair.left
-        m = mu1(self.A, w)
-        osl = max(self.slopes.d1 * m, self.slopes.d2 * m)
-        return _certificate(
-            osl, L1, w, "persidskii/l1/perron", pair.irreducible,
-            alpha_majorant=alpha,
+        return _perron_certificate(
+            self, metzler_majorant(self.A), "persidskii/l1/perron", "alpha_majorant"
         )
 
 
@@ -400,17 +422,13 @@ class AxMinusCPhi(_Model):
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
 
-    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
-        return log_norm(self.A - self.slopes.d1 * self.C, family, weights), True
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        return [self.A - self.slopes.d1 * self.C]
 
     def _certify(self) -> ContractionCertificate:
-        d1 = self.slopes.d1
-        pair, alpha = _perron_weight_pair(metzler_majorant(self.A) - d1 * self.C)
-        w = pair.left
-        osl = mu1(self.A - d1 * self.C, w)
-        return _certificate(
-            osl, L1, w, "ax-minus-cphi/l1/perron", pair.irreducible,
-            alpha_shifted_majorant=alpha,
+        return _perron_certificate(
+            self, metzler_majorant(self.A) - self.slopes.d1 * self.C,
+            "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
         )
 
 
@@ -426,6 +444,7 @@ class Entrywise(_Model):
     entrywise-domination upper bound, never claimed exact."""
 
     tag = "entrywise"
+    exact = False
 
     A: np.ndarray
     slopes: SlopeInterval
@@ -441,13 +460,11 @@ class Entrywise(_Model):
         d1, d2 = self.slopes.d1, self.slopes.d2
         return d2 * self.A - (d2 - d1) * np.diag(np.diag(self.A))
 
-    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
-        return log_norm(self.envelope(), family, weights), False
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        return [self.envelope()]
 
     def _certify(self) -> ContractionCertificate:
-        return _coupling_certificate(
-            self.envelope(), "entrywise/coupling-bound", "alpha_envelope"
-        )
+        return _coupling_certificate(self, "entrywise/coupling-bound", "alpha_envelope")
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,22 +502,13 @@ class Lure(_Model):
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) + self.slopes.least_product(self.b * self.c)
 
-    def endpoints(self) -> list[np.ndarray]:
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        """The loop matrices at the two slope endpoints."""
         rank_one = np.outer(self.b, self.c)
         return [self.A + d * rank_one for d in (self.slopes.d1, self.slopes.d2)]
 
-    def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
-        return max(log_norm(M, family, weights) for M in self.endpoints()), True
-
     def certificate(self, family: str | None = None) -> ContractionCertificate:
-        family = L1 if family is None else family
-        mats = self.endpoints()
-        res = bisect_min_mu(mats, family)
-        w = res.eta_star
-        osl = max(log_norm(M, family, w) for M in mats)
-        return _certificate(
-            osl, family, w, f"lure/{family}/weight-lp", True, b_star=res.b_star
-        )
+        return self.optimal_certificate(L1 if family is None else family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,15 +558,17 @@ class MultiLure(_Model):
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) + self.slopes.least_product(self.B * self.C.T).sum(axis=1)
 
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        """The coupling bound matrix, the certificate's witness in both norms."""
+        return [multilure_coupling_bound(self)]
+
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
         if family != LINF:
             raise ValueError("multivariable loop bounds are linf-only")
         return osl_multilure_linf(self, weights)
 
     def _certify(self) -> ContractionCertificate:
-        return _coupling_certificate(
-            multilure_coupling_bound(self), "multilure/coupling-bound", "alpha_coupling"
-        )
+        return _coupling_certificate(self, "multilure/coupling-bound", "alpha_coupling")
 
 
 # A new model is one class above plus its member here.
@@ -647,12 +657,9 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     if not (np.isfinite(d2) and d2 >= 0.0):
         raise ValueError("d2 must be finite and nonnegative")
 
-    pair, alpha = _perron_weight_pair(-C + d2 * metzler_majorant(A))
-    w = pair.left
-    osl = max(mu1(-C, w), mu1(-C + d2 * A, w))
-    return _certificate(
-        osl, L1, w, "hopfield-mh/l1/perron", pair.irreducible,
-        alpha_shifted_majorant=alpha,
+    return _perron_certificate(
+        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * metzler_majorant(A),
+        "hopfield-mh/l1/perron", "alpha_shifted_majorant",
     )
 
 
@@ -711,9 +718,7 @@ def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
     n, m = model.n, model.m
     if n > MULTILURE_MAX_DIM:
         raise ValueError(f"exact solver guarded at n <= {MULTILURE_MAX_DIM}")
-    w = np.ones(n) if weights is None else as_vector(weights, n)
-    if np.any(w <= 0):
-        raise ValueError("weight vector entries must be strictly positive")
+    w = np.ones(n) if weights is None else as_weights(weights, n)
     A, B, C = model.A, model.B, model.C
     d1, d2 = model.slopes.d1, model.slopes.d2
 
@@ -738,11 +743,13 @@ def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
 
 
 def fixed_weight_osl(model, family: str, weights=None) -> tuple[float, bool]:
-    """One-sided Lipschitz bound of any supported model at a fixed weight.
+    """One-sided Lipschitz bound of any supported model at a fixed weight: the
+    largest log norm of its witnesses there.
 
     Returns (value, exact flag).  Exact wherever the slope polytope is fully
-    swept by the Jacobian; entrywise and multivariable-loop models only admit
-    domination bounds (and the latter is linf-only).
+    swept by the Jacobian; entrywise models only admit a domination bound.
+    Multivariable-loop bounds are linf-only and come from
+    :func:`osl_multilure_linf`.
     """
     return check_model(model).fixed_weight_osl(family, weights)
 

@@ -118,6 +118,25 @@ def test_certify_fixed_weight(tmp_path, capsys):
     assert doc["osl"] == pytest.approx(-1.0 + 0.4, abs=1e-9)
 
 
+def test_fixed_weight_bound_at_certificate_weights_reproduces_it(tmp_path, capsys):
+    # A certificate's own weights, fed back through --eta, give the same
+    # bound and verdict to the last printed digit.
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(5, 5)) - 3.0 * np.eye(5)
+    doc = {"schema_version": "1", "model": "persidskii", "A": A.tolist(),
+           "slopes": {"d1": 0.3, "d2": 1.7}}
+    path = write(tmp_path, "pers.json", doc)
+    code, out, _ = run(capsys, "certify", path)
+    cert = json.loads(out)
+    assert code == 0 and cert["family"] == "l1" and cert["contracting"]
+    eta = write(tmp_path, "eta.json", cert["weights"])
+    code, out, _ = run(capsys, "certify", path, "--family", "l1", "--eta", eta)
+    fixed = json.loads(out)
+    assert code == 0 and fixed["theorem"] == "fixed-weight"
+    for key in ("osl", "rate", "contracting"):
+        assert fixed[key] == cert[key], key
+
+
 def test_verify_report_names_its_scheme(tmp_path, capsys):
     poly = dict(HOPFIELD_DOC, A=[[-0.5, 0.3], [0.3, -0.5]], slopes={"d1": 0, "d2": "inf"},
                 activation={"kind": "rect_poly", "r": 2})

@@ -292,6 +292,13 @@ def test_unbounded_slope_routing_from_certify():
         certify(m, LINF)
     with pytest.raises(ValueError):
         osl_hopfield(m, L1)
+    # fixed-weight and optimized bounds need a finite d2 in either norm
+    for model in (m, FiringRate(np.eye(2), m.A, m.slopes)):
+        for fam in (L1, LINF):
+            with pytest.raises(ValueError, match="finite upper slope bound"):
+                fixed_weight_osl(model, fam)
+            with pytest.raises(ValueError, match="finite upper slope bound"):
+                optimal_certificate(model, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +530,48 @@ def test_fixed_weight_osl_dispatch():
 
 
 def test_certificate_invariants():
+    # Every bounded-slope certificate's osl is, to the last bit, the model's
+    # own fixed-weight bound at the certificate's weights (the larger of the
+    # two norms' bounds where a certificate carries two), and the verdict
+    # follows from osl by the one margin rule.
     rng = np.random.default_rng(14)
-    for _ in range(15):
+    for k in range(24):
         n = int(rng.integers(2, 5))
-        A = random_matrix(rng, n)
-        m = Hopfield(np.diag(rng.uniform(0.1, 2.0, size=n)), A, SlopeInterval(0.0, 1.0))
-        cert = optimal_certificate(m, L1)
-        assert cert.contracting == (cert.osl <= -1e-9)
-        if cert.contracting:
-            assert cert.rate == pytest.approx(-cert.osl, abs=0.0)
-        else:
-            assert cert.rate == 0.0
-        assert cert.margin == pytest.approx(-cert.osl, abs=0.0)
+        A = random_matrix(rng, n) - rng.uniform(0.0, 2.0) * np.eye(n)
+        leak = np.diag(rng.uniform(0.1, 2.0, size=n))
+        if k % 4 == 3:
+            leak = float(rng.uniform(0.1, 2.0)) * np.eye(n)
+        signed = SlopeInterval(*random_slope_pair(rng, SLOPE_PATTERNS[k % 3]))
+        if k % 5 == 4:
+            signed = SlopeInterval(0.0, float(rng.uniform(0.2, 2.0)))
+        positive = SlopeInterval(*random_slope_pair(rng, "positive"))
+        optimized = [
+            Hopfield(leak, A, signed),
+            FiringRate(leak, A, signed),
+            Lure(A, rng.normal(size=n), rng.normal(size=n), signed),
+        ]
+        certs = [(m, certify(m, fam)) for m in optimized for fam in (L1, LINF)]
+        certs += [(m, certify(m, L1)) for m in (Persidskii(A, positive),
+                                               AxMinusCPhi(A, leak, signed))]
+        for m in (Entrywise(A, positive),
+                  MultiLure(A, rng.normal(size=(n, 2)), rng.normal(size=(2, n)), positive)):
+            certs += [(m, certify(m, fam)) for fam in (L1, LINF)]
+        d2 = float(rng.uniform(0.0, 2.0))
+        certs.append((Hopfield(leak, A, SlopeInterval(0.0, d2)),
+                      certify_hopfield_mh(leak, A, d2)))
+
+        for m, cert in certs:
+            if isinstance(m, MultiLure):
+                B = multilure_coupling_bound(m)
+                bound = max(log_norm(B, L1, cert.weights), log_norm(B, LINF, cert.alt_weights))
+            else:
+                bound = fixed_weight_osl(m, cert.family, cert.weights)[0]
+                if cert.alt_family is not None:
+                    bound = max(bound, fixed_weight_osl(m, cert.alt_family, cert.alt_weights)[0])
+            assert cert.osl == bound, (m.tag, cert.theorem)
+            assert cert.contracting == (cert.osl <= -1e-9)
+            assert cert.rate == (-cert.osl if cert.contracting else 0.0)
+            assert cert.margin == -cert.osl
 
 
 def test_unsupported_model_types_raise_type_error():
