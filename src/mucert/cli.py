@@ -1,6 +1,16 @@
 """Command-line front end: reads JSON model files, dispatches to the library,
 emits deterministic JSON reports.
 
+The library's dataclasses are the file and report schema.  A network-model
+file holds its class's fields (plus an optional "activation") and a
+"polytope" file holds `PolytopeSpec`'s; only "matrix" files, which hold one
+matrix "A", are not a dataclass.  An activation object holds "kind" plus the
+parameters that `simulate.ACTIVATION_PARAMS` lists for it.  Reports print
+every field of `ContractionCertificate`, `ClassReport` and `SimReport` under
+its own name; `certify` adds "model", `verify` adds "passed", and
+`certify --eta` prints a fixed subset.  `prune` is the one exception: it
+converts its index sets to 1-based positions.
+
 Exit codes: 0 success, 1 numerical failure (solver or simulation), 2
 validation / guard / parse failure.  All numbers are printed with 17
 significant digits and keys are sorted, so reruns with the same inputs and
@@ -22,9 +32,7 @@ from . import classify as classify_mod
 from .lognorm import (
     FAMILIES,
     L1,
-    LEFT,
     LINF,
-    RIGHT,
     PolytopeSpec,
     SlopeInterval,
     log_norm,
@@ -32,15 +40,14 @@ from .lognorm import (
 )
 from .networks import (
     MODELS,
-    ContractionCertificate,
     _certificate,
     certify,
     fixed_weight_osl,
     osl_multilure_linf,
 )
-from .simulate import Activation, DivergenceError, verify_contraction
+from .simulate import ACTIVATION_PARAMS, Activation, DivergenceError, verify_contraction
 from .spectral import NumericalError
-from .matrices import as_matrix, as_vector, as_weights
+from .matrices import as_matrix, as_weights
 
 SCHEMA_VERSION = "1"
 
@@ -106,22 +113,9 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # model files
 
-# (required, optional) keys of the files that hold no network model.  A
-# network model file takes its class's dataclass fields (those without a
-# default are required) plus an optional "activation".
-_MODEL_KEYS = {
-    "matrix": ({"A"}, set()),
-    "polytope": ({"A", "c", "slopes", "side"}, set()),
-}
-
-_ACT_KEYS = {
-    "relu": set(),
-    "leaky_relu": {"a"},
-    "tanh": set(),
-    "sigmoid": set(),
-    "rect_poly": {"r"},
-    "linear": {"k"},
-}
+# Model-file tag -> the dataclass whose fields are the file's keys (those
+# without a default are required).  A "matrix" file holds just "A".
+_FILE_TYPES = {**MODELS, "polytope": PolytopeSpec}
 
 
 def _slope_number(x, name):
@@ -144,15 +138,16 @@ def parse_activation(doc) -> Activation:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError('activation must be an object with a "kind" field')
     kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _ACT_KEYS:
+    if not isinstance(kind, str) or kind not in ACTIVATION_PARAMS:
         raise ValueError(f"unknown activation kind {kind!r}")
-    extra = set(doc) - {"kind"} - _ACT_KEYS[kind]
+    params = set(ACTIVATION_PARAMS[kind])
+    extra = set(doc) - {"kind"} - params
     if extra:
         raise ValueError(f"unknown activation fields: {sorted(extra)}")
-    missing = _ACT_KEYS[kind] - set(doc)
+    missing = params - set(doc)
     if missing:
         raise ValueError(f"activation {kind!r} is missing fields: {sorted(missing)}")
-    return Activation(kind=kind, **{k: doc[k] for k in _ACT_KEYS[kind]})
+    return Activation(kind=kind, **{k: doc[k] for k in params})
 
 
 def parse_model_dict(doc):
@@ -162,14 +157,16 @@ def parse_model_dict(doc):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f'model file must declare "schema_version": "{SCHEMA_VERSION}"')
     tag = doc.get("model")
-    if not isinstance(tag, str) or tag not in MODELS.keys() | _MODEL_KEYS.keys():
+    if not isinstance(tag, str) or tag not in _FILE_TYPES.keys() | {"matrix"}:
         raise ValueError(f"unknown model tag {tag!r}")
-    if tag in MODELS:
-        model_fields = dataclasses.fields(MODELS[tag])
-        required = {f.name for f in model_fields if f.default is dataclasses.MISSING}
-        optional = {f.name for f in model_fields} - required | {"activation"}
+    if tag == "matrix":
+        required, optional = {"A"}, set()
     else:
-        required, optional = _MODEL_KEYS[tag]
+        file_fields = dataclasses.fields(_FILE_TYPES[tag])
+        required = {f.name for f in file_fields if f.default is dataclasses.MISSING}
+        optional = {f.name for f in file_fields} - required
+    if tag in MODELS:
+        optional.add("activation")
     present = set(doc) - {"schema_version", "model"}
     unknown = present - required - optional
     if unknown:
@@ -182,16 +179,8 @@ def parse_model_dict(doc):
 
     if tag == "matrix":
         return tag, as_matrix(doc["A"]), act
-    if tag == "polytope":
-        if doc["side"] not in (LEFT, RIGHT):
-            raise ValueError(f'side must be "{LEFT}" or "{RIGHT}"')
-        spec = PolytopeSpec(
-            as_matrix(doc["A"]), as_vector(doc["c"]), parse_slopes(doc["slopes"]), doc["side"]
-        )
-        return tag, spec, act
-
-    arrays = {k: doc[k] for k in present - {"slopes", "activation"}}
-    return tag, MODELS[tag](**arrays, slopes=parse_slopes(doc["slopes"])), act
+    values = {k: doc[k] for k in present - {"slopes", "activation"}}
+    return tag, _FILE_TYPES[tag](**values, slopes=parse_slopes(doc["slopes"])), act
 
 
 def _read_json(path, name):
@@ -209,6 +198,11 @@ def load_model_file(path):
     return parse_model_dict(_read_json(path, path))
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name: its file or report keys."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _slopes_dict(slopes: SlopeInterval):
     return {"d1": slopes.d1, "d2": "inf" if not slopes.bounded else slopes.d2}
 
@@ -219,18 +213,16 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
     if tag == "matrix":
         doc["A"] = model.tolist()
         return doc
-    for f in dataclasses.fields(model):
-        value = getattr(model, f.name)
+    for name, value in _fields(model).items():
         if isinstance(value, SlopeInterval):
             value = _slopes_dict(value)
         elif isinstance(value, np.ndarray):
             value = value.tolist()
-        doc[f.name] = value
+        doc[name] = value
     if act is not None:
-        a = {"kind": act.kind}
-        for key in _ACT_KEYS[act.kind]:
-            a[key] = getattr(act, key)
-        doc["activation"] = a
+        doc["activation"] = {
+            "kind": act.kind, **{k: getattr(act, k) for k in ACTIVATION_PARAMS[act.kind]}
+        }
     return doc
 
 
@@ -243,22 +235,6 @@ def parse_weights_arg(arg: str, n: int) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"cannot parse weight list {arg!r}") from exc
     return as_weights(values, n)
-
-
-def certificate_to_dict(cert: ContractionCertificate) -> dict:
-    return {
-        "contracting": cert.contracting,
-        "rate": cert.rate,
-        "osl": cert.osl,
-        "margin": cert.margin,
-        "family": cert.family,
-        "weights": None if cert.weights is None else cert.weights.tolist(),
-        "theorem": cert.theorem,
-        "tight": cert.tight,
-        "alt_family": cert.alt_family,
-        "alt_weights": None if cert.alt_weights is None else cert.alt_weights.tolist(),
-        "details": dict(cert.details),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -280,42 +256,27 @@ def cmd_lognorm(args) -> dict:
 def cmd_classify(args) -> dict:
     tag, A, _ = load_model_file(args.file)
     _expect("matrix", tag, "classify")
-    report = classify_mod.classify_matrix(A)
-    return {
-        "hurwitz": report.hurwitz,
-        "totally_hurwitz": report.totally_hurwitz,
-        "m_hurwitz": report.m_hurwitz,
-        "quasidominant": report.quasidominant,
-        "lds_certified_at": None
-        if report.lds_certified_at is None
-        else report.lds_certified_at.tolist(),
-        "alpha": report.alpha,
-        "alpha_majorant": report.alpha_majorant,
-        "marginal": list(report.marginal),
-    }
+    return _fields(classify_mod.classify_matrix(A))
 
 
 def cmd_certify(args) -> dict:
     tag, model, _ = load_model_file(args.file)
-    if tag in ("matrix", "polytope"):
+    if tag not in MODELS:
         raise ValueError(f"certify expects a network model file, got {tag!r}")
     if args.eta is not None:
         if args.family is None:
             raise ValueError("--eta requires --family")
         w = parse_weights_arg(args.eta, model.n)
         osl, tight = fixed_weight_osl(model, args.family, w)
-        cert = certificate_to_dict(_certificate(osl, args.family, w, "fixed-weight", tight))
+        cert = _fields(_certificate(osl, args.family, w, "fixed-weight", tight))
         keys = ("theorem", "family", "weights", "osl", "rate", "contracting", "tight")
         return {"model": tag, **{k: cert[k] for k in keys}}
-    cert = certify(model, args.family)
-    out = certificate_to_dict(cert)
-    out["model"] = tag
-    return out
+    return {"model": tag, **_fields(certify(model, args.family))}
 
 
 def cmd_verify(args):
     tag, model, act = load_model_file(args.file)
-    if tag in ("matrix", "polytope"):
+    if tag not in MODELS:
         raise ValueError(f"verify expects a network model file, got {tag!r}")
     if act is None:
         raise ValueError("verify requires an activation spec in the model file")
@@ -329,19 +290,7 @@ def cmd_verify(args):
         model, act, cert,
         pairs=args.pairs, horizon=args.horizon, step=args.step, seed=args.seed,
     )
-    out = {
-        "certificate": certificate_to_dict(cert),
-        "report": {
-            "worst_decay_ratio": report.worst_decay_ratio,
-            "max_sampled_mu": report.max_sampled_mu,
-            "pairs": report.pairs,
-            "horizon": report.horizon,
-            "step": report.step,
-            "scheme": report.scheme,
-            "seed": report.seed,
-            "passed": report.passed,
-        },
-    }
+    out = {"certificate": _fields(cert), "report": {**_fields(report), "passed": report.passed}}
     return out, (EXIT_OK if report.passed else EXIT_NUMERICAL)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, as_vector, as_weights, metzler_majorant
+from .matrices import _weights_or_ones, as_matrix, as_vector, metzler_majorant
 
 L1 = "l1"
 LINF = "linf"
@@ -92,12 +92,6 @@ class PolytopeSpec:
         return self.A.shape[0]
 
 
-def _check_weights(A: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones(A.shape[0])
-    return as_weights(weights, A.shape[0])
-
-
 def _offdiag_abs(A: np.ndarray) -> np.ndarray:
     off = np.abs(A)
     np.fill_diagonal(off, 0.0)
@@ -152,7 +146,7 @@ def kernels(family: str):
 def mu1(A, weights=None) -> float:
     """Weighted l1 log norm: max over columns of A_ii + sum_{j!=i} (w_j/w_i)|A_ji|."""
     A = as_matrix(A)
-    return _mu1(A, _check_weights(A, weights))
+    return _mu1(A, _weights_or_ones(weights, A.shape[0]))
 
 
 def muinf(A, weights=None) -> float:
@@ -161,20 +155,20 @@ def muinf(A, weights=None) -> float:
     The weight matrix is diag(weights)^-1; see the module docstring.
     """
     A = as_matrix(A)
-    return _muinf(A, _check_weights(A, weights))
+    return _muinf(A, _weights_or_ones(weights, A.shape[0]))
 
 
 def mu2(A, weights=None) -> float:
     """Weighted l2 log norm: largest eigenvalue of the symmetrized similarity
     (1/2)(S + S^T) with S = diag(w)^(1/2) A diag(w)^(-1/2)."""
     A = as_matrix(A)
-    return _mu2(A, _check_weights(A, weights))
+    return _mu2(A, _weights_or_ones(weights, A.shape[0]))
 
 
 def log_norm(A, family: str, weights=None) -> float:
     mu = kernels(family)[0]
     A = as_matrix(A)
-    return mu(A, _check_weights(A, weights))
+    return mu(A, _weights_or_ones(weights, A.shape[0]))
 
 
 def weighted_norm(x, family: str, weights=None):
@@ -184,7 +178,7 @@ def weighted_norm(x, family: str, weights=None):
     per column).
     """
     x = np.asarray(x, dtype=float)
-    w = np.ones(x.shape[0]) if weights is None else as_weights(weights, x.shape[0])
+    w = _weights_or_ones(weights, x.shape[0])
     norm = kernels(family)[1]
     if x.ndim == 1:
         return float(norm(x[:, None], w)[0])
@@ -240,7 +234,7 @@ def brute_force_worst_case(spec: PolytopeSpec, family: str, weights=None) -> flo
     """
     if spec.n > BRUTE_FORCE_MAX_DIM:
         raise ValueError(f"vertex enumeration guarded at n <= {BRUTE_FORCE_MAX_DIM}")
-    w = _check_weights(spec.A, weights)
+    w = _weights_or_ones(weights, spec.n)
     Ms = _vertex_matrices(spec)
     if family == L2:
         r = np.sqrt(w)

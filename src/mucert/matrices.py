@@ -40,6 +40,11 @@ def as_weights(a, n: int | None = None) -> np.ndarray:
     return w
 
 
+def _weights_or_ones(weights, n: int) -> np.ndarray:
+    """`as_weights(weights, n)`, or the all-ones weights when `weights` is None."""
+    return np.ones(n) if weights is None else as_weights(weights, n)
+
+
 def is_metzler(A, tol: float = 0.0) -> bool:
     """True iff all off-diagonal entries are >= -tol."""
     A = np.asarray(A, dtype=float)

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    _weights_or_ones,
     as_matrix,
     as_vector,
-    as_weights,
     check_diagonal,
     metzler_majorant,
 )
@@ -718,7 +718,7 @@ def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
     n, m = model.n, model.m
     if n > MULTILURE_MAX_DIM:
         raise ValueError(f"exact solver guarded at n <= {MULTILURE_MAX_DIM}")
-    w = np.ones(n) if weights is None else as_weights(weights, n)
+    w = _weights_or_ones(weights, n)
     A, B, C = model.A, model.B, model.C
     d1, d2 = model.slopes.d1, model.slopes.d2
 

@@ -38,12 +38,13 @@ validated once per run; the step loop calls the unchecked log-norm kernels.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lognorm import L1, LINF, SlopeInterval, kernels
-from .matrices import as_weights
+from .matrices import _weights_or_ones
 from .networks import ContractionCertificate, check_model
 
 # Headroom on the decay bound: integration error on the rk4 scheme; on the
@@ -54,7 +55,16 @@ KINK_NUDGE = 1e-12
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
 
-_KINDS = ("relu", "leaky_relu", "tanh", "sigmoid", "rect_poly", "linear")
+# Activation kind -> the parameters it takes: the `Activation` fields that
+# its model-file object holds besides "kind".
+ACTIVATION_PARAMS = {
+    "relu": (),
+    "leaky_relu": ("a",),
+    "tanh": (),
+    "sigmoid": (),
+    "rect_poly": ("r",),
+    "linear": ("k",),
+}
 
 
 class DivergenceError(RuntimeError):
@@ -81,13 +91,14 @@ class Activation:
     k: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in ACTIVATION_PARAMS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.kind == "leaky_relu":
             if self.a is None or not (0.0 < self.a < 1.0):
                 raise ValueError("leaky_relu needs a slope parameter a in (0, 1)")
         if self.kind == "rect_poly":
-            if self.r is None or int(self.r) < 2 or int(self.r) != self.r:
+            r = self.r
+            if not (isinstance(r, numbers.Real) and math.isfinite(r) and r == int(r) >= 2):
                 raise ValueError("rect_poly needs an integer exponent r >= 2")
         if self.kind == "linear":
             if self.k is None or not np.isfinite(self.k):
@@ -259,12 +270,13 @@ class SimReport:
 
 def _draw_pairs(model, act, pairs, seed, scale=3.0):
     n = model.n
+    unbounded = not act.slopes().bounded
     cols = []
     for p in range(pairs):
         rng = np.random.default_rng([seed, p])
         x = rng.normal(scale=scale, size=n)
         y = rng.normal(scale=scale, size=n)
-        if act.kind == "rect_poly":
+        if unbounded:
             # Unbounded slopes: keep starts in the unit inf-ball.
             x = x / max(1.0, np.max(np.abs(x)))
             y = y / max(1.0, np.max(np.abs(y)))
@@ -297,7 +309,9 @@ def verify_contraction(
     it.  The report passes iff the worst ratio stays within the allowance of
     1; any other NaN ratio makes the worst ratio NaN, which fails.
     `initial_pairs` optionally supplies the endpoints directly as a pair of
-    (n, pairs) arrays instead of drawing them from the seed.  Raises
+    (n, pairs) arrays instead of drawing them from the seed.  An activation
+    of unbounded slope halves the step and draws its starts in the unit
+    inf-ball; the report carries the halved step.  Raises
     ValueError unless the horizon and step are finite and positive, at least
     one step fits, there is at least one pair, the seed is nonnegative, and
     every pair's entries and start distance are finite.
@@ -305,7 +319,7 @@ def verify_contraction(
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
     _check_act(model, act)
-    if act.kind == "rect_poly":
+    if not act.slopes().bounded:
         step = 0.5 * step
     n_steps = _step_count(horizon, step)
     if seed < 0:
@@ -323,7 +337,7 @@ def verify_contraction(
         X0, Y0 = _draw_pairs(model, act, pairs, seed)
     Z = np.hstack([X0, Y0])  # (n, 2 * pairs)
     f = model.field(act)
-    w = np.ones(model.n) if cert.weights is None else as_weights(cert.weights, model.n)
+    w = _weights_or_ones(cert.weights, model.n)
     mu, norm = kernels(cert.family)
     floor = check_model(model).diagonal_floor()
     euler = cert.family in (L1, LINF) and step * float(np.max(-floor)) < 1.0
@@ -398,7 +412,7 @@ def sample_jacobian_mu(
     """
     _check_act(model, act)
     check_model(model)
-    w = np.ones(model.n) if weights is None else as_weights(weights, model.n)
+    w = _weights_or_ones(weights, model.n)
     mu = kernels(family)[0]
     rng = np.random.default_rng(seed)
     kinks = act.kinks()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import typing
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from mucert import NetworkModel
+from mucert.classify import ClassReport
 from mucert.cli import dumps_canonical, main, model_to_dict, parse_model_dict
-from mucert.networks import MODELS
+from mucert.networks import MODELS, ContractionCertificate
+from mucert.simulate import Activation, SimReport
 
 from helpers import DAMPED_SPIRAL, ROTATION_SHIFT, SKEW_RING
 
@@ -35,6 +38,76 @@ HOPFIELD_DOC = {
     "slopes": {"d1": 0, "d2": 1},
     "activation": {"kind": "tanh"},
 }
+
+
+FILE_DOCS = [
+    HOPFIELD_DOC,
+    {
+        "schema_version": "1",
+        "model": "firing_rate",
+        "A": [[0.3, -0.5], [0.4, 0.2]],
+        "C": [[1.2, 0.0], [0.0, 1.0]],
+        "u": [0.4, -0.2],
+        "slopes": {"d1": 0, "d2": 1},
+        "activation": {"kind": "relu"},
+    },
+    {
+        "schema_version": "1",
+        "model": "persidskii",
+        "A": [[-2.0, 1.0], [1.0, -2.0]],
+        "slopes": {"d1": 0.25, "d2": 1},
+        "activation": {"kind": "leaky_relu", "a": 0.25},
+    },
+    {
+        "schema_version": "1",
+        "model": "ax_minus_cphi",
+        "A": [[-1.0, 0.5], [0.5, -1.0]],
+        "C": [[1.0, 0.0], [0.0, 2.0]],
+        "slopes": {"d1": 0, "d2": 1},
+    },
+    {
+        "schema_version": "1",
+        "model": "entrywise",
+        "A": [[-3.0, 1.0], [1.0, -3.0]],
+        "slopes": {"d1": 0.5, "d2": 1},
+        "activation": {"kind": "linear", "k": 0.75},
+    },
+    matrix_doc([[-1.0, 0.5], [0.2, -2.0]]),
+    {
+        "schema_version": "1",
+        "model": "polytope",
+        "A": [[0.0, 0.4], [0.3, 0.0]],
+        "c": [-1.0, -1.5],
+        "slopes": {"d1": -0.5, "d2": 1},
+        "side": "left",
+    },
+    {
+        "schema_version": "1",
+        "model": "lure",
+        "A": [[-2.0, 1.0], [0.0, -3.0]],
+        "b": [1.0, 0.5],
+        "c": [0.3, -0.2],
+        "slopes": {"d1": 0, "d2": 1},
+    },
+    {
+        "schema_version": "1",
+        "model": "multilure",
+        "A": [[-2.0]],
+        "B": [[1.0, 0.5]],
+        "C": [[0.3], [0.2]],
+        "slopes": {"d1": 0, "d2": 0.5},
+    },
+    {
+        "schema_version": "1",
+        "model": "hopfield",
+        "A": [[-1.0]],
+        "C": [[1.0]],
+        "slopes": {"d1": 0, "d2": "inf"},
+        "activation": {"kind": "rect_poly", "r": 2},
+    },
+]
+
+CERTIFICATE_KEYS = {f.name for f in dataclasses.fields(ContractionCertificate)}
 
 
 def test_lognorm_command(tmp_path, capsys):
@@ -114,6 +187,8 @@ def test_certify_fixed_weight(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", path, "--family", "l1", "--eta", "1,1")
     doc = json.loads(out)
     assert code == 0
+    assert set(doc) == {"model", "theorem", "family", "weights", "osl", "rate",
+                        "contracting", "tight"}
     assert doc["theorem"] == "fixed-weight"
     assert doc["osl"] == pytest.approx(-1.0 + 0.4, abs=1e-9)
 
@@ -214,6 +289,18 @@ def test_worst_case_command(tmp_path, capsys):
         code, out, _ = run(capsys, "worst-case", path, "--family", fam)
         assert code == 0
         assert json.loads(out)["value"] == -1
+
+    # Polytope keys are PolytopeSpec's fields; "activation" belongs to
+    # network-model files only.
+    for change, message in (
+        ({"side": "up"}, "side must be"),
+        ({"extra": 1}, "unknown fields for model 'polytope': ['extra']"),
+        ({"activation": {"kind": "tanh"}}, "unknown fields for model 'polytope': ['activation']"),
+    ):
+        path = write(tmp_path, "bad.json", {**doc, **change})
+        code, out, err = run(capsys, "worst-case", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_multilure_osl_command(tmp_path, capsys):
@@ -318,72 +405,7 @@ def test_json_indent_flag(tmp_path, capsys):
 
 
 def test_round_trip_model_files():
-    docs = [
-        HOPFIELD_DOC,
-        {
-            "schema_version": "1",
-            "model": "firing_rate",
-            "A": [[0.3, -0.5], [0.4, 0.2]],
-            "C": [[1.2, 0.0], [0.0, 1.0]],
-            "u": [0.4, -0.2],
-            "slopes": {"d1": 0, "d2": 1},
-            "activation": {"kind": "relu"},
-        },
-        {
-            "schema_version": "1",
-            "model": "persidskii",
-            "A": [[-2.0, 1.0], [1.0, -2.0]],
-            "slopes": {"d1": 0.25, "d2": 1},
-            "activation": {"kind": "leaky_relu", "a": 0.25},
-        },
-        {
-            "schema_version": "1",
-            "model": "ax_minus_cphi",
-            "A": [[-1.0, 0.5], [0.5, -1.0]],
-            "C": [[1.0, 0.0], [0.0, 2.0]],
-            "slopes": {"d1": 0, "d2": 1},
-        },
-        {
-            "schema_version": "1",
-            "model": "entrywise",
-            "A": [[-3.0, 1.0], [1.0, -3.0]],
-            "slopes": {"d1": 0.5, "d2": 1},
-            "activation": {"kind": "linear", "k": 0.75},
-        },
-        matrix_doc([[-1.0, 0.5], [0.2, -2.0]]),
-        {
-            "schema_version": "1",
-            "model": "polytope",
-            "A": [[0.0, 0.4], [0.3, 0.0]],
-            "c": [-1.0, -1.5],
-            "slopes": {"d1": -0.5, "d2": 1},
-            "side": "left",
-        },
-        {
-            "schema_version": "1",
-            "model": "lure",
-            "A": [[-2.0, 1.0], [0.0, -3.0]],
-            "b": [1.0, 0.5],
-            "c": [0.3, -0.2],
-            "slopes": {"d1": 0, "d2": 1},
-        },
-        {
-            "schema_version": "1",
-            "model": "multilure",
-            "A": [[-2.0]],
-            "B": [[1.0, 0.5]],
-            "C": [[0.3], [0.2]],
-            "slopes": {"d1": 0, "d2": 0.5},
-        },
-        {
-            "schema_version": "1",
-            "model": "hopfield",
-            "A": [[-1.0]],
-            "C": [[1.0]],
-            "slopes": {"d1": 0, "d2": "inf"},
-        },
-    ]
-    for doc in docs:
+    for doc in FILE_DOCS:
         tag, model, act = parse_model_dict(doc)
         emitted = model_to_dict(tag, model, act)
         assert set(doc) <= set(emitted) <= set(doc) | {"u"}  # u defaults to 0
@@ -396,7 +418,50 @@ def test_round_trip_model_files():
     # The tag table holds every network model, and the files above cover it.
     assert set(MODELS.values()) == set(typing.get_args(NetworkModel))
     assert all(MODELS[cls.tag] is cls for cls in MODELS.values())
-    assert set(MODELS) <= {doc["model"] for doc in docs}
+    assert set(MODELS) <= {doc["model"] for doc in FILE_DOCS}
+
+
+def test_reports_print_their_dataclass_fields(tmp_path, capsys):
+    # Every report key is a field of the library's result dataclass; certify
+    # adds "model" and verify adds "passed".
+    for i, doc in enumerate(FILE_DOCS):
+        if doc["model"] not in MODELS:
+            continue
+        path = write(tmp_path, f"{i}.json", doc)
+        code, out, _ = run(capsys, "certify", path)
+        assert code == 0
+        assert set(json.loads(out)) == CERTIFICATE_KEYS | {"model"}, doc["model"]
+
+    report_keys = {f.name for f in dataclasses.fields(SimReport)} | {"passed"}
+    poly = FILE_DOCS[-1]
+    for doc in (HOPFIELD_DOC, poly):
+        path = write(tmp_path, "verify.json", doc)
+        code, out, _ = run(capsys, "verify", path, "--pairs", "2", "--horizon", "0.5")
+        out = json.loads(out)
+        assert code == 0 and set(out) == {"certificate", "report"}
+        assert set(out["certificate"]) == CERTIFICATE_KEYS
+        assert set(out["report"]) == report_keys
+
+    path = write(tmp_path, "m.json", matrix_doc(DAMPED_SPIRAL))
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 0
+    assert set(json.loads(out)) == {f.name for f in dataclasses.fields(ClassReport)}
+
+
+@pytest.mark.parametrize("r", ["1e400", "Infinity", "-Infinity", "NaN", "[2]"])
+def test_bad_rect_poly_exponent_is_a_validation_error(tmp_path, capsys, r):
+    # JSON reads 1e400 and Infinity as inf, which has no integer value.
+    path = tmp_path / "poly.json"
+    path.write_text(
+        '{"schema_version": "1", "model": "hopfield", "A": [[-1.0]], "C": [[1.0]], '
+        '"slopes": {"d1": 0, "d2": "inf"}, "activation": {"kind": "rect_poly", "r": %s}}' % r,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: rect_poly needs an integer exponent r >= 2\n"
+    with pytest.raises(ValueError, match="integer exponent"):
+        Activation("rect_poly", r=json.loads(r))
 
 
 def test_canonical_float_formatting():
