@@ -94,26 +94,30 @@ class PolytopeSpec:
 
 def _offdiag_abs(A: np.ndarray) -> np.ndarray:
     off = np.abs(A)
-    np.fill_diagonal(off, 0.0)
+    i = np.arange(A.shape[-1])
+    off[..., i, i] = 0.0
     return off
 
 
 # Kernels: one formula per family, on an already validated finite square
-# matrix A (or (n, k) array X of column vectors) and weight vector w.
+# matrix A (or (n, k) array X of column vectors) and weight vector w.  The
+# log-norm kernels also take a (k, n, n) stack of matrices and then return
+# the k log norms: they work on the last two axes, and each slice's value is
+# bit-identical to the kernel on that slice alone.
 
 
-def _mu1(A: np.ndarray, w: np.ndarray) -> float:
-    return float((np.diag(A) + (w @ _offdiag_abs(A)) / w).max())
+def _mu1(A: np.ndarray, w: np.ndarray):
+    return (np.diagonal(A, 0, -2, -1) + (w @ _offdiag_abs(A)) / w).max(axis=-1)
 
 
-def _muinf(A: np.ndarray, w: np.ndarray) -> float:
-    return float((np.diag(A) + (_offdiag_abs(A) @ w) / w).max())
+def _muinf(A: np.ndarray, w: np.ndarray):
+    return (np.diagonal(A, 0, -2, -1) + (_offdiag_abs(A) @ w) / w).max(axis=-1)
 
 
-def _mu2(A: np.ndarray, w: np.ndarray) -> float:
+def _mu2(A: np.ndarray, w: np.ndarray):
     r = np.sqrt(w)
     S = (r[:, None] * A) / r[None, :]
-    return float(np.max(np.linalg.eigvalsh(0.5 * (S + S.T))))
+    return np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2))).max(axis=-1)
 
 
 def _norm1(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ def kernels(family: str):
 def mu1(A, weights=None) -> float:
     """Weighted l1 log norm: max over columns of A_ii + sum_{j!=i} (w_j/w_i)|A_ji|."""
     A = as_matrix(A)
-    return _mu1(A, _weights_or_ones(weights, A.shape[0]))
+    return float(_mu1(A, _weights_or_ones(weights, A.shape[0])))
 
 
 def muinf(A, weights=None) -> float:
@@ -155,20 +159,20 @@ def muinf(A, weights=None) -> float:
     The weight matrix is diag(weights)^-1; see the module docstring.
     """
     A = as_matrix(A)
-    return _muinf(A, _weights_or_ones(weights, A.shape[0]))
+    return float(_muinf(A, _weights_or_ones(weights, A.shape[0])))
 
 
 def mu2(A, weights=None) -> float:
     """Weighted l2 log norm: largest eigenvalue of the symmetrized similarity
     (1/2)(S + S^T) with S = diag(w)^(1/2) A diag(w)^(-1/2)."""
     A = as_matrix(A)
-    return _mu2(A, _weights_or_ones(weights, A.shape[0]))
+    return float(_mu2(A, _weights_or_ones(weights, A.shape[0])))
 
 
 def log_norm(A, family: str, weights=None) -> float:
     mu = kernels(family)[0]
     A = as_matrix(A)
-    return mu(A, _weights_or_ones(weights, A.shape[0]))
+    return float(mu(A, _weights_or_ones(weights, A.shape[0])))
 
 
 def weighted_norm(x, family: str, weights=None):

@@ -2,9 +2,10 @@
 and their contraction certificates.
 
 Each model class owns its behaviour: `tag` names it in model files, `field`
-and `jacobian` evaluate its vector field, `witnesses(family)` lists the few
-matrices whose largest weighted log norm bounds its one-sided Lipschitz
-constant, and `certificate` returns its contraction certificate.  The
+and `jacobians` evaluate its vector field and its Jacobians,
+`witnesses(family)` lists the few matrices whose largest weighted log norm
+bounds its one-sided Lipschitz constant, and `certificate` returns its
+contraction certificate.  The
 module-level functions (`certify`, `fixed_weight_osl`, `certify_persidskii`,
 ...) delegate to these methods, and `MODELS` maps each tag to its class.
 
@@ -104,6 +105,14 @@ def _certificate(osl, family, weights, theorem, tight, alt_family=None,
     )
 
 
+def _slope_rows(act, X) -> np.ndarray:
+    """The activation slopes at the columns of X as a C-contiguous (k, 1, n)
+    stack of rows.  A strided one would give a strided Jacobian stack, which
+    sends the log-norm kernels' batched products off BLAS and changes their
+    last bits."""
+    return np.ascontiguousarray(act.deriv(X).T)[:, None, :]
+
+
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
     fixed-weight bound and every certificate's `osl` is this number."""
@@ -147,13 +156,19 @@ class _Model:
     """Behaviour shared by every network model.
 
     A subclass sets the class attribute `tag` and defines `field(act)` (the
-    right-hand side over column-stacked states (n, k)), `jacobian(act, x)`,
-    `diagonal_floor()` (the least Jacobian diagonal over the slope box, -inf
-    where it is unbounded below) and `witnesses(family)`: matrices whose
-    largest `family` log norm at any weights is the fixed-weight bound there
-    (`exact` if minimal; MultiLure's is its exact linf solver instead) and
-    every certificate's `osl`.  Models whose analysis fixes its own norm
-    define `_certify()`; the others call `optimal_certificate` in `certificate`.
+    right-hand side over column-stacked states (n, k), returned as a fresh
+    array and built in place from its first matrix product),
+    `jacobians(act, X)` (the Jacobians at the columns of an (n, k) stack X as
+    one C-contiguous (k, n, n) stack, each slice bit-identical to the
+    Jacobian at its state alone; so pre-activations such as A x + u are taken
+    column by column, because the product A @ X can differ from A @ x in the
+    last bits), `diagonal_floor()` (the least Jacobian diagonal over the
+    slope box, -inf where it is unbounded below) and `witnesses(family)`:
+    matrices whose largest `family` log norm at any weights is the
+    fixed-weight bound there (`exact` if minimal; MultiLure's is its exact
+    linf solver instead) and every certificate's `osl`.  Models whose
+    analysis fixes its own norm define `_certify()`; the others call
+    `optimal_certificate` in `certificate`.
     """
 
     exact = True
@@ -161,6 +176,10 @@ class _Model:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    def jacobian(self, act, x) -> np.ndarray:
+        """The Jacobian at the single state x."""
+        return self.jacobians(act, np.asarray(x, dtype=float)[:, None])[0]
 
     @property
     def kind(self) -> str:
@@ -324,11 +343,18 @@ class Hopfield(_Leaky):
     family = L1
 
     def field(self, act):
-        c, A, u = np.diag(self.C)[:, None], self.A, self.u[:, None]
-        return lambda X: -c * X + A @ act(X) + u
+        nc, A, u = -np.diag(self.C)[:, None], self.A, self.u[:, None]
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return -self.C + self.A * act.deriv(x)[None, :]
+        def f(X):
+            K = A @ act(X)
+            K += nc * X
+            K += u
+            return K
+
+        return f
+
+    def jacobians(self, act, X) -> np.ndarray:
+        return -self.C + self.A * _slope_rows(act, X)
 
 
 class FiringRate(_Leaky):
@@ -340,11 +366,20 @@ class FiringRate(_Leaky):
     family = LINF
 
     def field(self, act):
-        c, A, u = np.diag(self.C)[:, None], self.A, self.u[:, None]
-        return lambda X: -c * X + act(A @ X + u)
+        nc, A, u = -np.diag(self.C)[:, None], self.A, self.u[:, None]
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return -self.C + act.deriv(self.A @ x + self.u)[:, None] * self.A
+        def f(X):
+            P = A @ X
+            P += u
+            K = act(P)
+            K += nc * X
+            return K
+
+        return f
+
+    def jacobians(self, act, X) -> np.ndarray:
+        P = np.stack([self.A @ x for x in X.T]) + self.u
+        return -self.C + act.deriv(P)[:, :, None] * self.A
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,8 +407,8 @@ class Persidskii(_Model):
         A = self.A
         return lambda X: A @ act(X)
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return self.A * act.deriv(x)[None, :]
+    def jacobians(self, act, X) -> np.ndarray:
+        return self.A * _slope_rows(act, X)
 
     def diagonal_floor(self) -> np.ndarray:
         return self.slopes.least_product(np.diag(self.A))
@@ -414,10 +449,16 @@ class AxMinusCPhi(_Model):
 
     def field(self, act):
         A, c = self.A, np.diag(self.C)[:, None]
-        return lambda X: A @ X - c * act(X)
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return self.A - self.C * act.deriv(x)[None, :]
+        def f(X):
+            K = A @ X
+            K -= c * act(X)
+            return K
+
+        return f
+
+    def jacobians(self, act, X) -> np.ndarray:
+        return self.A - self.C * _slope_rows(act, X)
 
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
@@ -451,7 +492,7 @@ class Entrywise(_Model):
 
     __post_init__ = Persidskii.__post_init__
     field = Persidskii.field
-    jacobian = Persidskii.jacobian
+    jacobians = Persidskii.jacobians
     diagonal_floor = Persidskii.diagonal_floor
 
     def envelope(self) -> np.ndarray:
@@ -494,10 +535,17 @@ class Lure(_Model):
 
     def field(self, act):
         A, b, c = self.A, self.b[:, None], self.c
-        return lambda X: A @ X + b * act(c @ X)[None, :]
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return self.A + float(act.deriv(self.c @ x)) * np.outer(self.b, self.c)
+        def f(X):
+            K = A @ X
+            K += b * act(c @ X)[None, :]
+            return K
+
+        return f
+
+    def jacobians(self, act, X) -> np.ndarray:
+        s = act.deriv(np.array([self.c @ x for x in X.T]))
+        return self.A + s[:, None, None] * np.outer(self.b, self.c)
 
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) + self.slopes.least_product(self.b * self.c)
@@ -550,10 +598,17 @@ class MultiLure(_Model):
 
     def field(self, act):
         A, B, C = self.A, self.B, self.C
-        return lambda X: A @ X + B @ act(C @ X)
 
-    def jacobian(self, act, x) -> np.ndarray:
-        return self.A + self.B @ (act.deriv(self.C @ x)[:, None] * self.C)
+        def f(X):
+            K = A @ X
+            K += B @ act(C @ X)
+            return K
+
+        return f
+
+    def jacobians(self, act, X) -> np.ndarray:
+        P = np.stack([self.C @ x for x in X.T])
+        return self.A + self.B @ (act.deriv(P)[:, :, None] * self.C)
 
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) + self.slopes.least_product(self.B * self.C.T).sum(axis=1)

@@ -2,8 +2,9 @@
 empirical verification of contraction certificates.
 
 Each model supplies its own vector field (`field`, built once per integration
-or verification as a closure over column-stacked states) and Jacobian
-(`jacobian`); this module only steps, samples and measures.
+or verification as a closure over column-stacked states) and Jacobians
+(`jacobians`, over a column stack of states); this module only steps,
+samples and measures.
 
 Verification steps random trajectory pairs and checks a decay bound in the
 certificate's weighted norm, by one of two schemes chosen once per run:
@@ -31,10 +32,19 @@ seed-derived substreams, so reports are reproducible at any parallelism.
 
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
 (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
-(euler) or 4 (rk4), and one decay-ratio check, one weighted norm per pair,
-which also detects a non-finite state.  Every `mu_sample_stride` steps one
-Jacobian log norm is taken per trajectory.  The certificate's weights are
-validated once per run; the step loop calls the unchecked log-norm kernels.
+(euler) or 4 (rk4); a field is built in place from its first matrix
+product, so it allocates little beyond its result.  Each step then takes one
+weighted norm per pair into a (DECAY_BLOCK_STEPS, pairs) buffer, and checks
+those norms for a non-finite state.  The logs, the distance floor, the bound
+and the exp are applied once per block of DECAY_BLOCK_STEPS steps, so the
+decay check costs a few numpy calls per block, and the memory does not grow
+with the horizon.  Every `mu_sample_stride` steps the Jacobians of all
+trajectories are taken as (k, n, n) stacks of at most
+JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one stacked
+log norm per stack; `sample_jacobian_mu` draws its states as one block and
+evaluates them the same way.  Every reported value is bit-identical to the
+one-step, one-state evaluation.  The certificate's weights are validated
+once per run; the step loop calls the unchecked log-norm kernels.
 """
 
 import math
@@ -51,6 +61,13 @@ from .networks import ContractionCertificate, check_model
 # euler scheme, whose bound is exact, rounding only.
 DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
+# Jacobians are evaluated in stacks of at most this many matrix entries (one
+# state at n = 128, 16 at n = 32), so their memory does not grow with the
+# number of states; at n >= 128 a stack saves nothing over one state.
+JACOBIAN_BATCH_ENTRIES = 16_384
+# The decay check buffers the pair distances of this many steps and takes
+# their ratios together.
+DECAY_BLOCK_STEPS = 64
 # Distances below the smallest normal float carry no relative precision: the
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
@@ -65,6 +82,11 @@ ACTIVATION_PARAMS = {
     "rect_poly": ("r",),
     "linear": ("k",),
 }
+
+
+def _is_real(v) -> bool:
+    """Whether an activation parameter is a real number (not a bool)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class DivergenceError(RuntimeError):
@@ -93,15 +115,18 @@ class Activation:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in ACTIVATION_PARAMS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        for name in ("a", "r", "k"):
+            if name not in ACTIVATION_PARAMS[self.kind] and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes no parameter {name}")
         if self.kind == "leaky_relu":
-            if self.a is None or not (0.0 < self.a < 1.0):
+            if not (_is_real(self.a) and 0.0 < self.a < 1.0):
                 raise ValueError("leaky_relu needs a slope parameter a in (0, 1)")
         if self.kind == "rect_poly":
             r = self.r
-            if not (isinstance(r, numbers.Real) and math.isfinite(r) and r == int(r) >= 2):
+            if not (_is_real(r) and math.isfinite(r) and r == int(r) >= 2):
                 raise ValueError("rect_poly needs an integer exponent r >= 2")
         if self.kind == "linear":
-            if self.k is None or not np.isfinite(self.k):
+            if not (_is_real(self.k) and math.isfinite(self.k)):
                 raise ValueError("linear needs a finite gain k")
 
     def __call__(self, x):
@@ -170,15 +195,22 @@ def _check_act(model, act: Activation):
 
 def jacobian(model, act: Activation, x) -> np.ndarray:
     """Model Jacobian at a single state."""
-    return check_model(model).jacobian(act, np.asarray(x, dtype=float))
+    return check_model(model).jacobian(act, x)
 
 
-def _jacobian_mu(model, act, x, mu, w) -> float:
-    """Log norm kernel `mu` at weights `w` of the Jacobian at state x."""
-    J = model.jacobian(act, x)
-    if not np.isfinite(J).all():
-        raise ValueError("matrix entries must be finite")
-    return mu(J, w)
+def _max_jacobian_mu(model, act, X, mu, w) -> float:
+    """Largest log norm (kernel `mu` at weights `w`) of the Jacobians at the
+    columns of X, stacked in batches of at most JACOBIAN_BATCH_ENTRIES
+    entries.  Raises ValueError on a non-finite Jacobian entry."""
+    n, k = X.shape
+    width = max(1, JACOBIAN_BATCH_ENTRIES // (n * n))
+    best = -np.inf
+    for a in range(0, k, width):
+        J = model.jacobians(act, X[:, a:a + width])
+        if not np.isfinite(J).all():
+            raise ValueError("matrix entries must be finite")
+        best = max(best, float(mu(J, w).max()))
+    return best
 
 
 def _rk4_step(f, X, h):
@@ -286,6 +318,18 @@ def _draw_pairs(model, act, pairs, seed, scale=3.0):
     return X0, Y0
 
 
+def _worst_ratio(dist, log_d0, log_bound) -> float:
+    """Largest decay ratio exp(log d - log d0 - log bound) over a block of
+    steps: `dist` holds one row of live pair distances per step and
+    `log_bound` one value per step.  A distance below DISTANCE_FLOOR counts
+    as 0, and a step whose distances all count as 0 reads ratio 0: a zero
+    distance meets any bound, even 0.  A NaN bound makes its step's ratio,
+    and so the result, NaN."""
+    logs = np.where(dist < DISTANCE_FLOOR, -np.inf, np.log(dist) - log_d0)
+    top = logs.max(axis=1)
+    return float(np.where(top > -np.inf, np.exp(top - log_bound), 0.0).max())
+
+
 def verify_contraction(
     model,
     act: Activation,
@@ -348,6 +392,7 @@ def verify_contraction(
 
     worst = math.inf if euler and h_rate >= 1.0 else 0.0
     max_mu = -np.inf
+    dist = np.empty((DECAY_BLOCK_STEPS, pairs))
     # Divergence and non-finite start distances are detected and reported, so
     # intermediate overflow is expected; a zero distance has log -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -361,28 +406,22 @@ def verify_contraction(
         for i in range(n_steps + 1):
             if i > 0:
                 Z = advance(f, Z, step)
-            nrm = norm(Z[:, :pairs] - Z[:, pairs:], w)
+            j = i % DECAY_BLOCK_STEPS
+            dist[j] = nrm = norm(Z[:, :pairs] - Z[:, pairs:], w)
             # A non-finite entry of Z makes its pair's norm non-finite.
             if i > 0 and not np.isfinite(nrm).all() and not np.isfinite(Z).all():
                 raise DivergenceError(i * step)
-            if log_d0.size:
+            if log_d0.size and (j == DECAY_BLOCK_STEPS - 1 or i == n_steps):
+                steps = np.arange(i - j, i + 1)
                 if euler:
-                    log_bound = i * log_factor if i else 0.0
+                    log_bound = np.where(steps > 0, steps * log_factor, 0.0)
                 else:
-                    log_bound = -cert.rate * (i * step)
-                dist = nrm[live]
-                logs = np.log(dist) - log_d0
-                ratio = float(np.exp(logs.max() - log_bound))
-                if ratio > worst or math.isnan(ratio):
-                    # The floor only lowers the ratio, so only a new worst
-                    # pays for it.  A zero distance meets any bound, even 0.
-                    top = np.where(dist < DISTANCE_FLOOR, -np.inf, logs).max()
-                    ratio = float(np.exp(top - log_bound)) if top > -np.inf else 0.0
-                    if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
-                        worst = ratio
+                    log_bound = -cert.rate * (steps * step)
+                ratio = _worst_ratio(dist[:j + 1, live], log_d0, log_bound)
+                if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
+                    worst = ratio
             if i % mu_sample_stride == 0:
-                for x in Z.T:
-                    max_mu = max(max_mu, _jacobian_mu(model, act, x, mu, w))
+                max_mu = max(max_mu, _max_jacobian_mu(model, act, Z, mu, w))
     return SimReport(
         worst_decay_ratio=worst,
         max_sampled_mu=max_mu,
@@ -406,26 +445,23 @@ def sample_jacobian_mu(
 ):
     """Max weighted log norm of the model Jacobian over random states.
 
-    States draw normal entries at the given scale.  A coordinate landing
-    exactly on an activation kink is nudged by 1e-12 rather than skipped; the
-    nudge count is available via with_stats=True.  Zero samples return -inf.
+    States draw normal entries at the given scale, as one (samples, n) block
+    from the seed's generator.  A coordinate landing exactly on an activation
+    kink is nudged by 1e-12 rather than skipped; the nudge count is available
+    via with_stats=True.  Zero samples return -inf; a negative count raises
+    ValueError.
     """
     _check_act(model, act)
     check_model(model)
     w = _weights_or_ones(weights, model.n)
     mu = kernels(family)[0]
-    rng = np.random.default_rng(seed)
-    kinks = act.kinks()
+    X = np.random.default_rng(seed).normal(scale=scale, size=(samples, model.n))
     nudged = 0
-    best = -np.inf
-    for _ in range(samples):
-        x = rng.normal(scale=scale, size=model.n)
-        for kink in kinks:
-            hit = x == kink
-            if np.any(hit):
-                nudged += int(np.sum(hit))
-                x = np.where(hit, x + KINK_NUDGE, x)
-        best = max(best, _jacobian_mu(model, act, x, mu, w))
+    for kink in act.kinks():
+        hit = X == kink
+        nudged += int(np.sum(hit))
+        X = np.where(hit, X + KINK_NUDGE, X)
+    best = _max_jacobian_mu(model, act, X.T, mu, w)
     if with_stats:
         return best, nudged
     return best

@@ -464,6 +464,22 @@ def test_bad_rect_poly_exponent_is_a_validation_error(tmp_path, capsys, r):
         Activation("rect_poly", r=json.loads(r))
 
 
+@pytest.mark.parametrize(
+    "activation, message",
+    [
+        ({"kind": "linear", "k": "0.5"}, "linear needs a finite gain k"),
+        ({"kind": "leaky_relu", "a": "0.5"}, "leaky_relu needs a slope parameter a in (0, 1)"),
+    ],
+    ids=["linear-k", "leaky_relu-a"],
+)
+def test_non_numeric_activation_parameter_is_a_validation_error(tmp_path, capsys,
+                                                                activation, message):
+    path = write(tmp_path, "act.json", {**HOPFIELD_DOC, "activation": activation})
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_canonical_float_formatting():
     s = dumps_canonical({"x": 1.0 / 3.0, "inf": np.inf, "neg": -np.inf, "i": 7})
     assert s == '{"i":7,"inf":"inf","neg":"-inf","x":0.33333333333333331}'

@@ -24,6 +24,8 @@ from mucert import (
     worst_case_mu,
 )
 
+from mucert.lognorm import kernels
+
 from helpers import (
     DAMPED_SPIRAL,
     ROTATION_SHIFT,
@@ -61,6 +63,20 @@ def test_mu2_known_values():
     assert mu2(DAMPED_SPIRAL) == pytest.approx(-0.5, abs=1e-12)
     assert mu2(ROTATION_SHIFT) == pytest.approx(1.0, abs=1e-12)
     assert mu2(SKEW_RING) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stacked_kernels_match_per_slice_values_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 8):
+        w = random_weights(rng, n)
+        wide = rng.normal(size=(9, n, n))
+        for stack in (wide, wide[2:7], wide[::2]):
+            for family in (L1, LINF, L2):
+                mu = kernels(family)[0]
+                got = mu(stack, w)
+                assert got.shape == (stack.shape[0],)
+                want = [log_norm(A, family, w) for A in stack]
+                assert got.tolist() == want
 
 
 def test_log_norm_bounds_abscissa_and_is_subadditive():

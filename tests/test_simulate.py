@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from mucert import (
     weighted_norm,
 )
 
+import mucert.simulate as simulate
 from mucert.simulate import _draw_pairs
 
 from helpers import acceptance_fixtures
@@ -69,6 +71,24 @@ def test_activation_validation():
         Activation("rect_poly", r=1)
     with pytest.raises(ValueError):
         Activation("linear")
+
+
+def test_activation_rejects_foreign_and_non_numeric_parameters():
+    for kind, params, message in (
+        ("tanh", {"r": 3, "a": 7.0}, "tanh takes no parameter a"),
+        ("relu", {"k": 1.0}, "relu takes no parameter k"),
+        ("linear", {"k": 1.0, "r": 2}, "linear takes no parameter r"),
+        ("rect_poly", {"r": 2, "a": 0.5}, "rect_poly takes no parameter a"),
+        ("leaky_relu", {"a": "0.5"}, "slope parameter a "),
+        ("leaky_relu", {"a": True}, "slope parameter a "),
+        ("linear", {"k": "0.5"}, "gain k"),
+        ("linear", {"k": [0.5]}, "gain k"),
+        ("rect_poly", {"r": "2"}, "exponent r "),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Activation(kind, **params)
+    assert Activation("linear", k=np.float64(0.5)).k == 0.5
+    assert Activation("rect_poly", r=np.int64(3)).r == 3
 
 
 def test_integrate_linear_decoupled_decay():
@@ -598,3 +618,64 @@ def test_verify_contraction_reports_divergence():
     with pytest.raises(DivergenceError) as single:
         integrate(m, act, x0, horizon=5.0, step=1e-2)
     assert single.value.time == times["rk4"]
+
+
+def test_stacked_jacobians_match_single_states_bit_for_bit():
+    rng = np.random.default_rng(4)
+    tags = set()
+    for model, act in _oracle_cases():
+        wide = rng.normal(scale=3.0, size=(model.n, 12))
+        for X in (wide[:, :5].copy(), wide[:, 2:9], wide[:, ::3]):
+            J = model.jacobians(act, X)
+            assert J.flags.c_contiguous
+            assert np.array_equal(J, np.stack([model.jacobian(act, x) for x in X.T]))
+        tags.add(model.tag)
+    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
+                    "entrywise", "lure", "multilure"}
+
+
+@pytest.mark.parametrize("columns", [1, 5])
+def test_verify_matches_reference_across_block_and_batch_edges(monkeypatch, columns):
+    # The 401 checked instants (400 steps of 1e-3 and the start) are not a
+    # multiple of the 3-step block; 8 trajectories and 7 samples split into
+    # batches of 1 or 5 states.
+    n = 6
+    monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", 3)
+    monkeypatch.setattr(simulate, "JACOBIAN_BATCH_ENTRIES", columns * n * n)
+    for model, act in _oracle_cases():
+        assert model.n == n
+        for cert in _oracle_certificates(model):
+            X0, Y0 = _draw_pairs(model, act, 4, 3)
+            Y0[:, 1] = X0[:, 1]
+            overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
+            for claim in (cert, overclaim):
+                report = verify_contraction(
+                    model, act, claim, horizon=0.4, step=1e-3, mu_sample_stride=50,
+                    initial_pairs=(X0, Y0),
+                )
+                want = _reference_verify(
+                    model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme
+                )
+                assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+            value = sample_jacobian_mu(model, act, 7, cert.family, cert.weights, seed=2)
+            rng = np.random.default_rng(2)
+            states = [rng.normal(scale=3.0, size=n) for _ in range(7)]
+            assert value == max(
+                log_norm(jacobian(model, act, x), cert.family, cert.weights) for x in states
+            )
+
+
+def test_verify_memory_does_not_grow_with_horizon():
+    m = Hopfield(np.eye(4), 0.1 * np.ones((4, 4)), SlopeInterval(0.0, 1.0))
+    cert = certify(m, L1)
+    act = Activation("tanh")
+    verify_contraction(m, act, cert, horizon=1.0, step=1e-2)  # warm caches
+    peaks = []
+    for horizon in (1.0, 20.0):
+        tracemalloc.start()
+        try:
+            verify_contraction(m, act, cert, horizon=horizon, step=1e-2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024, peaks
