@@ -11,10 +11,17 @@ NODA_MAXITER linear solves.  A vector that misses its iteration's budget or
 accuracy test is recomputed by one dense eigensolve under the same residual
 and positivity contract.
 
+The shifted matrix takes one n x n pass, M + delta, and an in-place add to
+its diagonal.  A power step is one product, one sum, one scale, one
+difference and one max; the iterates have unit sum, so no entry exceeds 1
+and the stop test is absolute.  One more product per vector gives both its
+Rayleigh quotient and its residual.
+
 Power iteration stays the Perron pair route because there a solve per step
 costs more than the matrix-vector steps it saves: on twelve irreducible
-n = 256 certify-perron-style inputs (one BLAS thread), Noda took 9.6 to
-15.6 ms per right-and-left pair against 0.55 to 0.62 ms for power iteration.
+n = 256 certify-perron-style inputs (one BLAS thread), Noda took 6.7 to
+15.3 ms per right-and-left pair against 0.18 to 0.36 ms for the two power
+iterations.
 
 At those eigenvectors the weighted l1/linf log norms attain the spectral
 abscissa, so a certificate reads both its weights and its abscissa off one
@@ -29,7 +36,8 @@ from numpy.linalg import solve
 
 from .matrices import as_matrix, is_metzler, reachability
 
-# Power iteration: relative vector change below POWER_TOL, or give up after
+# Power iteration: vector change below POWER_TOL in every entry (an absolute
+# bound: the iterates have unit sum, so no entry exceeds 1), or give up after
 # POWER_MAXITER steps and fall back to the dense solver.  The perfbench
 # certify inputs (n = 16 to 256, reducible or not) converge within 75 steps;
 # a near-tied dominant eigenvalue never does, so the budget is what such an
@@ -110,6 +118,14 @@ def _power_vector(N: np.ndarray) -> tuple[np.ndarray, bool]:
     """At most POWER_MAXITER steps of power iteration for the dominant
     eigenvector of a nonnegative matrix with positive diagonal.
 
+    Each step makes six numpy calls: one product, one sum, one scale, one
+    difference, one in-place absolute value and one max.  POWER_TOL bounds
+    the change absolutely: N is nonnegative and x positive, and a rounded sum
+    of nonnegative numbers is at least each of its terms, so every entry of
+    the unit-sum iterate y is at most 1.  A test relative to max(1, max|y|)
+    would therefore scale by exactly 1, on a NaN too, since Python's
+    max(1.0, nan) is 1.0.
+
     Returns (vector normalized to unit sum, converged flag).
     """
     n = N.shape[0]
@@ -117,7 +133,9 @@ def _power_vector(N: np.ndarray) -> tuple[np.ndarray, bool]:
     for _ in range(POWER_MAXITER):
         y = N @ x
         y /= y.sum()
-        if np.max(np.abs(y - x)) < POWER_TOL * max(1.0, np.max(np.abs(y))):
+        d = y - x
+        np.abs(d, out=d)
+        if d.max() < POWER_TOL:
             return y, True
         x = y
     return x, False
@@ -172,14 +190,18 @@ def _dense_dominant_vector(N: np.ndarray) -> tuple[np.ndarray, float]:
     lam, V = np.linalg.eig(N)
     v = V[:, int(np.argmax(lam.real))].real
     v = v / v.sum()
-    lam = float(v @ (N @ v) / (v @ v))
-    if _residual(N, v, lam) > RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(N)))):
+    lam, residual = _rayleigh(N, v)
+    if residual > RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(N)))):
         raise NumericalError("Perron eigenvector residual check failed")
     return v, lam
 
 
-def _residual(N: np.ndarray, v: np.ndarray, lam: float) -> float:
-    return float(np.max(np.abs(N @ v - lam * v)))
+def _rayleigh(N: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient lam of v under N and the residual max|N v - lam v|,
+    both from one product N v."""
+    Nv = N @ v
+    lam = float(v @ Nv / (v @ v))
+    return lam, float(np.max(np.abs(Nv - lam * v)))
 
 
 def perron_pair(M, delta: float = 0.0) -> PerronPair:
@@ -187,33 +209,43 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     of the Metzler matrix M + delta * ones.
 
     With delta=0 the input must be irreducible; for reducible input pass a
-    small delta > 0.  The returned `alpha` is then the abscissa of the
+    small finite delta > 0.  The returned `alpha` is then the abscissa of the
     perturbed matrix, which is not O(delta) close to the unperturbed one in
     general: on two nearly tied diagonal blocks coupled one way, delta = 1e-8
     moved it by 1.6e-3 at n = 256.  Take the unperturbed abscissa from
     :func:`spectral_abscissa`.
+
+    Raises ValueError for a non-Metzler M or a negative or non-finite delta,
+    and NumericalError, before any iteration, if the shifted matrix overflows.
     """
     M = as_matrix(M)
     if not is_metzler(M):
         raise ValueError("perron_pair requires a Metzler matrix")
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
+    if not delta < math.inf:  # also true for NaN
+        raise ValueError(f"delta must be finite, got {delta!r}")
     irreducible = is_irreducible(M)
     if delta == 0.0 and not irreducible:
         raise ReducibleMatrixError(
             "matrix is reducible; pass delta > 0 to perturb it into irreducibility"
         )
-    n = M.shape[0]
-    P = M + delta * np.ones((n, n))
-    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
-    N = P + shift * np.eye(n)
+    # M + delta in one pass, C-ordered whatever the layout of M (so the steps
+    # round alike for M and a Fortran-ordered copy) and with every -0.0 made
+    # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
+    with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
+        N = np.add(M, delta + 0.0, order="C")
+        shift = 1.0 + float(np.max(np.abs(np.diag(N))))
+        N.flat[:: N.shape[0] + 1] += shift
     scale = 1.0 + float(np.max(np.abs(N)))
+    if not scale < math.inf:
+        raise NumericalError("shifted matrix overflows float64; rescale the input")
 
     vectors = []
     for B in (N, N.T):
         x, ok = _power_vector(B)
-        lam = float(x @ (B @ x) / (x @ x))
-        if not ok or _residual(B, x, lam) > RESIDUAL_RTOL * scale:
+        lam, residual = _rayleigh(B, x)
+        if not ok or residual > RESIDUAL_RTOL * scale:
             x, lam = _dense_dominant_vector(B)
         vectors.append((x, lam))
 
@@ -238,9 +270,7 @@ def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:
     weight matrix diag(1/v) realizes the norm max_i |x_i| / v_i, so pass the
     reciprocal of this vector to :func:`mucert.lognorm.muinf`.
     """
+    if p != 1 and p not in (math.inf, "inf"):
+        raise ValueError(f"p must be 1 or inf, got {p!r}")
     pair = perron_pair(M, delta)
-    if p == 1:
-        return pair.left
-    if p in (np.inf, math.inf, "inf"):
-        return 1.0 / pair.right
-    raise ValueError(f"p must be 1 or inf, got {p!r}")
+    return pair.left if p == 1 else 1.0 / pair.right

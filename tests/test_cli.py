@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,22 @@ def test_validation_exit_codes(tmp_path, capsys):
         code, out, err = run(capsys, "certify", hop, "--family", "l1", "--eta", str(eta))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"--eta file {eta}" in err
+
+
+def test_overflowing_shift_is_a_numerical_error(tmp_path, capsys):
+    # The Perron route's diagonal shift overflows float64 on this matrix.
+    doc = {
+        "schema_version": "1",
+        "model": "persidskii",
+        "A": [[1e308, 1.0], [1.0, -1.0]],
+        "slopes": {"d1": 0.5, "d2": 1.0},
+    }
+    path = write(tmp_path, "big.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "certify", path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: shifted matrix overflows float64; rescale the input"]
 
 
 def test_unbounded_hopfield_via_cli(tmp_path, capsys):

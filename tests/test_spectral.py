@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from helpers import (
     near_tie_metzler,
     random_irreducible_metzler,
     random_matrix,
+    random_metzler,
 )
 
 
@@ -270,3 +273,102 @@ def test_abscissa_never_exceeds_majorant_abscissa():
         n = int(rng.integers(1, 9))
         A = random_matrix(rng, n, scale=rng.uniform(0.5, 3.0))
         assert spectral_abscissa(A) <= spectral_abscissa(metzler_majorant(A)) + 1e-9
+
+
+def test_non_finite_inputs_fail_before_iterating(monkeypatch):
+    # A NaN or infinite delta, a shifted matrix that overflows and an unknown
+    # norm all raise before the first power step, and without a warning.
+    calls = []
+    power = spectral._power_vector
+    monkeypatch.setattr(spectral, "_power_vector", lambda N: calls.append(N) or power(N))
+    M = [[-1.0, 1.0], [1.0, -1.0]]
+    big = [[1e308, 1.0], [1.0, -1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                perron_pair(M, delta)
+        with pytest.raises(spectral.NumericalError, match="overflows"):
+            perron_pair(big)
+        with pytest.raises(spectral.NumericalError, match="overflows"):
+            certify(Persidskii(big, SlopeInterval(0.5, 1.0)))
+        with pytest.raises(ValueError, match="p must be 1 or inf"):
+            perron_weights(M, 2)
+        assert calls == []
+        perron_pair(M)
+    assert len(calls) == 2
+
+
+def _reference_perron_pair(M, delta=0.0):
+    """perron_pair before the lean power step: M + delta * ones, then
+    P + shift * eye, a stop test scaled by max(1, max|y|), and separate B @ x
+    products for the Rayleigh quotient and the residual.  Returns (alpha,
+    right, left, max|y| of every power iterate, dense eigensolves taken)."""
+    M = np.array(M, dtype=float)
+    n = M.shape[0]
+    P = M + delta * np.ones((n, n))
+    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
+    N = P + shift * np.eye(n)
+    scale = 1.0 + float(np.max(np.abs(N)))
+    tops, dense = [], 0
+
+    def residual(B, v, lam):
+        return float(np.max(np.abs(B @ v - lam * v)))
+
+    def power(B):
+        x = np.full(n, 1.0 / n)
+        for _ in range(spectral.POWER_MAXITER):
+            y = B @ x
+            y /= y.sum()
+            tops.append(np.max(np.abs(y)))
+            if np.max(np.abs(y - x)) < spectral.POWER_TOL * max(1.0, tops[-1]):
+                return y, True
+            x = y
+        return x, False
+
+    vectors = []
+    for B in (N, N.T):
+        x, ok = power(B)
+        lam = float(x @ (B @ x) / (x @ x))
+        if not ok or residual(B, x, lam) > spectral.RESIDUAL_RTOL * scale:
+            lams, V = np.linalg.eig(B)
+            x = V[:, int(np.argmax(lams.real))].real
+            x = x / x.sum()
+            lam = float(x @ (B @ x) / (x @ x))
+            assert residual(B, x, lam) <= spectral.RESIDUAL_RTOL * scale
+            dense += 1
+        vectors.append((x, lam))
+    (v, lam_r), (w, lam_l) = vectors
+    return 0.5 * (lam_r + lam_l) - shift, v, w, tops, dense
+
+
+def test_perron_pair_is_bit_identical_to_reference():
+    rng = np.random.default_rng(11)
+    cases = [(random_irreducible_metzler(rng, n), 0.0) for n in (1, 2, 16, 64, 256)]
+    for n in (16, 64):
+        # Sparse, with -0.0 off the diagonal: perturbed, and (made
+        # irreducible by a positive ring) unperturbed.
+        M = random_metzler(rng, n, density=0.2)
+        M[M == 0.0] = -0.0
+        cases += [(M, spectral.DEFAULT_DELTA), (M, 0.3)]
+        M = M.copy()
+        M[np.arange(n), np.roll(np.arange(n), 1)] = 0.5
+        cases += [(M, 0.0), (M, -0.0), (np.asfortranarray(M), 0.0)]
+    reducible = random_irreducible_metzler(rng, 16)
+    reducible[8:, :8] = 0.0
+    reducible[8:, 8:] *= 0.5  # well separated blocks: power iteration converges
+    assert not is_irreducible(reducible)
+    cases.append((reducible, spectral.DEFAULT_DELTA))
+    near_tie = near_tie_metzler(rng, 4)
+    cases.append((near_tie, 0.0))
+
+    for M, delta in cases:
+        before = M.tobytes()
+        alpha, v, w, tops, dense = _reference_perron_pair(M, delta)
+        pair = perron_pair(M, delta)
+        assert M.tobytes() == before
+        assert pair.alpha == alpha
+        assert np.array_equal(pair.right, v) and np.array_equal(pair.left, w)
+        # Iterates have unit sum, so the reference's stop scale was 1.
+        assert max(tops) <= 1.0
+        assert dense == (2 if M is near_tie else 0)
