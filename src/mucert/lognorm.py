@@ -12,9 +12,13 @@ Weight conventions, used consistently across the package:
 
 All the network results in :mod:`mucert.networks` are phrased with the vector
 `w` appearing inside these formulas, which keeps weight handling uniform.
+
+A log norm is convex, so its maximum over a box of slope scalings sits at a
+vertex.  :func:`brute_force_worst_case` and the multivariable-loop solver in
+:mod:`mucert.networks` both take it from one enumerator over blocks of
+vertices, read by the stacked log-norm kernels under one work budget.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +33,12 @@ FAMILIES = (L1, LINF, L2)
 LEFT = "left"    # polytope of matrices diag(c) + diag(d) A
 RIGHT = "right"  # polytope of matrices diag(c) + A diag(d)
 
-BRUTE_FORCE_MAX_DIM = 20
+# Vertex enumeration budget: at most VERTEX_MAX_DIM slopes, and no more
+# matrix entries in all than 2^20 vertices of 20 x 20 matrices.
+VERTEX_MAX_DIM = 20
+# Matrix entries per block of vertices: 1 MB per block array, where one stack
+# of all 2^16 vertex matrices at n = 16 holds 134 MB.
+VERTEX_BATCH = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -220,41 +229,37 @@ def worst_case_mu(spec: PolytopeSpec, family: str, weights=None) -> float:
     return max(log_norm(M1, family, weights), log_norm(M2, family, weights))
 
 
-def _vertex_matrices(spec: PolytopeSpec) -> np.ndarray:
-    n = spec.n
-    d1, d2 = spec.slopes.d1, spec.slopes.d2
-    bits = np.array(list(itertools.product((d1, d2), repeat=n)))  # (2^n, n)
-    if spec.side == LEFT:
-        Ms = bits[:, :, None] * spec.A[None, :, :]
-    else:
-        Ms = spec.A[None, :, :] * bits[:, None, :]
-    return Ms + np.diag(spec.c)[None, :, :]
+def _vertex_max(stack, count: int, slopes: SlopeInterval, family: str, w: np.ndarray) -> float:
+    """Max of the `family` log norm at weights w over the matrices stack(D),
+    D running over {d1, d2}^count in itertools.product order as (k, count)
+    blocks of at most VERTEX_BATCH entries; stack(D) is a (k, n, n) stack.
+    Raises ValueError unless count <= 20 and 2^count * n^2 <= 2^20 * 20^2."""
+    mu = kernels(family)[0]
+    n = w.size
+    if count > VERTEX_MAX_DIM or (n * n) << count > VERTEX_MAX_DIM**2 << VERTEX_MAX_DIM:
+        raise ValueError(f"vertex enumeration over 2^{count} vertices of {n}x{n} matrices "
+                         "exceeds its budget of 20 slopes and 2^20 * 20^2 entries")
+    shifts = np.arange(count - 1, -1, -1)
+    block = max(1, VERTEX_BATCH // max(n * n, count))
+    best = -np.inf
+    for start in range(0, 1 << count, block):
+        bits = (np.arange(start, min(start + block, 1 << count))[:, None] >> shifts) & 1
+        best = np.maximum(best, mu(stack(np.where(bits, slopes.d2, slopes.d1)), w).max())
+    return float(best)
 
 
 def brute_force_worst_case(spec: PolytopeSpec, family: str, weights=None) -> float:
     """Max of the fixed-weight log norm over all 2^n vertex scalings.
 
-    Independent of :func:`worst_case_mu` by construction; guarded at n <= 20.
+    Independent of :func:`worst_case_mu` by construction; guarded at
+    n <= VERTEX_MAX_DIM by the vertex budget.
     """
-    if spec.n > BRUTE_FORCE_MAX_DIM:
-        raise ValueError(f"vertex enumeration guarded at n <= {BRUTE_FORCE_MAX_DIM}")
-    w = _weights_or_ones(weights, spec.n)
-    Ms = _vertex_matrices(spec)
-    if family == L2:
-        r = np.sqrt(w)
-        S = (r[None, :, None] * Ms) / r[None, None, :]
-        H = 0.5 * (S + np.transpose(S, (0, 2, 1)))
-        return float(np.max(np.linalg.eigvalsh(H)))
-    if family == L1:
-        Ms = np.transpose(Ms, (0, 2, 1))
-    elif family != LINF:
-        raise ValueError(f"unknown norm family {family!r}")
-    off = np.abs(Ms)
-    diag = np.einsum("kii->ki", Ms)
-    idx = np.arange(spec.n)
-    off[:, idx, idx] = 0.0
-    rowvals = diag + (off @ w) / w[None, :]
-    return float(np.max(rowvals))
+    A, C = spec.A, np.diag(spec.c)
+    if spec.side == LEFT:
+        stack = lambda D: C + D[:, :, None] * A
+    else:
+        stack = lambda D: C + A * D[:, None, :]
+    return _vertex_max(stack, spec.n, spec.slopes, family, _weights_or_ones(weights, spec.n))
 
 
 def scaled_majorant_identity(gamma: float, A) -> tuple[np.ndarray, np.ndarray]:

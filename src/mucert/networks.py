@@ -20,7 +20,6 @@ weights w refers to the norm sum_i w_i |x_i|; an ``linf`` certificate refers
 to max_i |x_i| / w_i.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ from .lognorm import (
     RIGHT,
     PolytopeSpec,
     SlopeInterval,
+    _vertex_max,
     envelope_matrices,
     log_norm,
 )
@@ -58,8 +58,6 @@ CONTRACTION_MARGIN = 1e-9
 
 # The optimized level and a matching closed form must agree this tightly.
 CLOSED_FORM_TOL = 1e-6
-
-MULTILURE_MAX_DIM = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,7 +564,8 @@ class MultiLure(_Model):
 
     Certified via the coupling bound matrix: contracting iff that matrix is
     M-Hurwitz, with the rate holding in both the weighted l1 and linf norms
-    at its dominant eigenvectors.  Fixed-weight bounds are linf-only."""
+    at its dominant eigenvectors.  Fixed-weight bounds are linf-only, by
+    enumeration of the 2^m slope vertices (:func:`osl_multilure_linf`)."""
 
     tag = "multilure"
 
@@ -762,39 +761,21 @@ def certify_multilure(model: MultiLure) -> ContractionCertificate:
 
 def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
     """Exact maximum over the slope box of the weighted linf log norm of
-    A + B diag(d) C, by enumerating the active row and the off-diagonal sign
-    pattern; for each fixed pattern the objective is linear in d, so every
-    slope sits at an interval endpoint.
+    A + B diag(d) C.  The log norm is convex in d, so the maximum sits at a
+    vertex; the 2^m vertex matrices A + sum_k d_k B[:, k] C[k] are formed one
+    block (one matrix product) at a time and read by the stacked linf kernel.
 
     The value equals the model's minimal one-sided Lipschitz constant iff C is
     full-rank with m >= n (second return value); otherwise it is an upper
-    bound.  Guarded at n <= 16 (n * 2^(n-1) patterns).
+    bound.  Guarded at m <= 20 and 2^m * n^2 <= 2^20 * 20^2.
     """
     n, m = model.n, model.m
-    if n > MULTILURE_MAX_DIM:
-        raise ValueError(f"exact solver guarded at n <= {MULTILURE_MAX_DIM}")
     w = _weights_or_ones(weights, n)
-    A, B, C = model.A, model.B, model.C
-    d1, d2 = model.slopes.d1, model.slopes.d2
-
-    best = -np.inf
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        ratio = w[others] / w[i]
-        if others:
-            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
-            const = A[i, i] + signs @ (A[i, others] * ratio)
-            # coef[p, k] = B[i, k] * (C[k, i] + sum_j signs[p, j] C[k, j] w_j / w_i)
-            coef = B[i, :] * (C[:, i] + (signs @ (C[:, others] * ratio).T))
-        else:
-            const = np.array([A[i, i]])
-            coef = (B[i, :] * C[:, i])[None, :]
-        vals = const + d2 * np.clip(coef, 0.0, None).sum(axis=1) \
-            + d1 * np.clip(coef, None, 0.0).sum(axis=1)
-        best = max(best, float(np.max(vals)))
-
-    tight = m >= n and int(np.linalg.matrix_rank(C)) == n
-    return best, tight
+    A = model.A
+    T = (model.B.T[:, :, None] * model.C[:, None, :]).reshape(m, n * n)  # outer(B[:, k], C[k])
+    value = _vertex_max(lambda D: A + (D @ T).reshape(-1, n, n), m, model.slopes, LINF, w)
+    tight = m >= n and int(np.linalg.matrix_rank(model.C)) == n
+    return value, tight
 
 
 def fixed_weight_osl(model, family: str, weights=None) -> tuple[float, bool]:
@@ -804,7 +785,7 @@ def fixed_weight_osl(model, family: str, weights=None) -> tuple[float, bool]:
     Returns (value, exact flag).  Exact wherever the slope polytope is fully
     swept by the Jacobian; entrywise models only admit a domination bound.
     Multivariable-loop bounds are linf-only and come from
-    :func:`osl_multilure_linf`.
+    :func:`osl_multilure_linf`, by slope-vertex enumeration.
     """
     return check_model(model).fixed_weight_osl(family, weights)
 

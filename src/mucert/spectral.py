@@ -216,7 +216,8 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     :func:`spectral_abscissa`.
 
     Raises ValueError for a non-Metzler M or a negative or non-finite delta,
-    and NumericalError, before any iteration, if the shifted matrix overflows.
+    and NumericalError, before any iteration, if the shifted matrix or a
+    power step's sum (at most n times its largest entry) would overflow.
     """
     M = as_matrix(M)
     if not is_metzler(M):
@@ -238,7 +239,8 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
         shift = 1.0 + float(np.max(np.abs(np.diag(N))))
         N.flat[:: N.shape[0] + 1] += shift
     scale = 1.0 + float(np.max(np.abs(N)))
-    if not scale < math.inf:
+    # A unit-sum iterate's product sums to at most n * scale.
+    if not N.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")
 
     vectors = []

@@ -1,5 +1,7 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from mucert import (
@@ -87,6 +89,34 @@ def random_slope_pair(rng, pattern):
 
 
 SLOPE_PATTERNS = ("negative", "straddle", "positive")
+
+
+def multilure_linf_by_sign_patterns(model, w):
+    """Oracle for the worst-case weighted linf log norm of A + B diag(d) C
+    over the slope box, by a different algorithm from vertex enumeration:
+    for each active row i and each sign pattern of its off-diagonal entries
+    the objective is linear in d, so every slope sits at the endpoint that
+    its coefficient's sign selects (n * 2^(n-1) patterns)."""
+    n = model.n
+    w = np.asarray(w, dtype=float)
+    A, B, C = model.A, model.B, model.C
+    d1, d2 = model.slopes.d1, model.slopes.d2
+    best = -np.inf
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        ratio = w[others] / w[i]
+        if others:
+            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+            const = A[i, i] + signs @ (A[i, others] * ratio)
+            # coef[p, k] = B[i, k] * (C[k, i] + sum_j signs[p, j] C[k, j] w_j / w_i)
+            coef = B[i, :] * (C[:, i] + (signs @ (C[:, others] * ratio).T))
+        else:
+            const = np.array([A[i, i]])
+            coef = (B[i, :] * C[:, i])[None, :]
+        vals = const + d2 * np.clip(coef, 0.0, None).sum(axis=1) \
+            + d1 * np.clip(coef, None, 0.0).sum(axis=1)
+        best = max(best, float(np.max(vals)))
+    return best
 
 
 def acceptance_fixtures():

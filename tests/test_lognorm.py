@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from mucert import (
     worst_case_mu,
 )
 
+import mucert.lognorm as lognorm_mod
 from mucert.lognorm import kernels
 
 from helpers import (
@@ -151,6 +155,65 @@ def test_worst_case_matches_vertex_enumeration():
                 assert closed == pytest.approx(brute, abs=1e-10)
 
 
+def _reference_brute_force(spec, family, w):
+    """brute_force_worst_case before the blocked enumerator: every vertex
+    matrix in one stack, and the log norms written out by hand."""
+    d1, d2 = spec.slopes.d1, spec.slopes.d2
+    bits = np.array(list(itertools.product((d1, d2), repeat=spec.n)))
+    if spec.side == LEFT:
+        Ms = bits[:, :, None] * spec.A[None, :, :]
+    else:
+        Ms = spec.A[None, :, :] * bits[:, None, :]
+    Ms = Ms + np.diag(spec.c)[None, :, :]
+    if family == L2:
+        r = np.sqrt(w)
+        S = (r[None, :, None] * Ms) / r[None, None, :]
+        H = 0.5 * (S + np.transpose(S, (0, 2, 1)))
+        return float(np.max(np.linalg.eigvalsh(H)))
+    if family == L1:
+        Ms = np.transpose(Ms, (0, 2, 1))
+    off = np.abs(Ms)
+    diag = np.einsum("kii->ki", Ms)
+    idx = np.arange(spec.n)
+    off[:, idx, idx] = 0.0
+    return float(np.max(diag + (off @ w) / w[None, :]))
+
+
+@pytest.mark.parametrize("batch", [None, 1000])
+def test_brute_force_is_bit_identical_to_reference(batch, monkeypatch):
+    # batch = 1000 splits each enumeration into blocks of 6 to 250 vertices.
+    if batch is not None:
+        monkeypatch.setattr(lognorm_mod, "VERTEX_BATCH", batch)
+    rng = np.random.default_rng(6)
+    cases = []
+    for k in range(60):
+        n = int(rng.integers(2, 9))
+        cases.append((random_matrix(rng, n), rng.normal(size=n), random_weights(rng, n),
+                      random_slope_pair(rng, SLOPE_PATTERNS[k % 3])))
+    for k in range(3):
+        cases.append((random_matrix(rng, 12), rng.normal(size=12), random_weights(rng, 12),
+                      random_slope_pair(rng, SLOPE_PATTERNS[k])))
+    for A, c, w, (d1, d2) in cases:
+        for side in (LEFT, RIGHT):
+            spec = PolytopeSpec(A, c, SlopeInterval(d1, d2), side)
+            for fam in (L1, LINF, L2):
+                assert brute_force_worst_case(spec, fam, w) == _reference_brute_force(spec, fam, w)
+
+
+def test_brute_force_memory_is_bounded():
+    # One stack of all 2^16 vertex matrices of a 16 x 16 input is 134 MB.
+    rng = np.random.default_rng(8)
+    spec = PolytopeSpec(random_matrix(rng, 16), rng.normal(size=16),
+                        SlopeInterval(-0.5, 1.5), LEFT)
+    tracemalloc.start()
+    try:
+        brute_force_worst_case(spec, L1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_brute_force_scalar_and_guard():
     spec = PolytopeSpec(np.array([[2.0]]), np.array([-1.0]), SlopeInterval(-2.0, 3.0), LEFT)
     assert brute_force_worst_case(spec, L1) == pytest.approx(-1.0 + 3.0 * 2.0, abs=1e-12)
@@ -176,8 +239,6 @@ def test_brute_force_l2_vertex_max():
     spec = PolytopeSpec(A, c, SlopeInterval(-0.5, 1.5), LEFT)
     got = brute_force_worst_case(spec, L2, w)
     best = -np.inf
-    import itertools
-
     for bits in itertools.product((-0.5, 1.5), repeat=3):
         M = np.diag(c) + np.diag(bits) @ A
         best = max(best, mu2(M, w))

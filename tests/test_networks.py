@@ -43,10 +43,13 @@ from mucert import (
     spectral_abscissa,
 )
 
+import mucert.lognorm as lognorm_mod
+
 from helpers import (
     DAMPED_SPIRAL,
     ROTATION_SHIFT,
     SLOPE_PATTERNS,
+    multilure_linf_by_sign_patterns,
     random_matrix,
     random_mh_matrix,
     random_slope_pair,
@@ -475,12 +478,45 @@ def test_osl_multilure_matches_vertex_enumeration():
         assert value == pytest.approx(brute, abs=1e-9)
 
 
+@pytest.mark.parametrize("batch", [None, 50])
+def test_osl_multilure_matches_sign_pattern_oracle(batch, monkeypatch):
+    # Vertex enumeration against the row-and-sign-pattern algorithm, on
+    # m > n, m = 0 (B of shape (n, 0)) and every slope pattern; batch = 50
+    # splits the vertices into blocks of a few.
+    if batch is not None:
+        monkeypatch.setattr(lognorm_mod, "VERTEX_BATCH", batch)
+    rng = np.random.default_rng(31)
+    for n in range(1, 8):
+        for mdim in range(0, 8):
+            for pattern in SLOPE_PATTERNS:
+                A = random_matrix(rng, n)
+                B = rng.normal(size=(n, mdim))
+                Cout = rng.normal(size=(mdim, n))
+                model = MultiLure(A, B, Cout, SlopeInterval(*random_slope_pair(rng, pattern)))
+                w = random_weights(rng, n)
+                value, tight = osl_multilure_linf(model, w)
+                oracle = multilure_linf_by_sign_patterns(model, w)
+                assert abs(value - oracle) <= 1e-12 * (1.0 + abs(value))
+                assert tight == (mdim >= n and np.linalg.matrix_rank(Cout) == n)
+
+
 def test_osl_multilure_guard_and_l1_rejection():
-    model = MultiLure(
-        np.eye(17), np.zeros((17, 1)), np.zeros((1, 17)), SlopeInterval(0.0, 1.0)
-    )
-    with pytest.raises(ValueError):
-        osl_multilure_linf(model)
+    # The vertex budget counts slopes and matrix entries: n = 17, m = 1 is within it.
+    rng = np.random.default_rng(32)
+    A = random_matrix(rng, 17)
+    B = rng.normal(size=(17, 1))
+    Cout = rng.normal(size=(1, 17))
+    w = random_weights(rng, 17)
+    model = MultiLure(A, B, Cout, SlopeInterval(0.2, 1.3))
+    value, tight = osl_multilure_linf(model, w)
+    assert value == max(muinf(A + d * B @ Cout, w) for d in (0.2, 1.3))
+    assert not tight
+    # m = 21 slopes, and 2^20 vertices of 32 x 32 matrices, are over budget.
+    for n, mdim in ((2, 21), (32, 20)):
+        model = MultiLure(np.eye(n), np.zeros((n, mdim)), np.zeros((mdim, n)),
+                          SlopeInterval(0.0, 1.0))
+        with pytest.raises(ValueError, match="vertex enumeration"):
+            osl_multilure_linf(model)
     small = MultiLure(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), SlopeInterval(0.0, 1.0))
     with pytest.raises(ValueError):
         fixed_weight_osl(small, L1)

@@ -276,20 +276,25 @@ def test_abscissa_never_exceeds_majorant_abscissa():
 
 
 def test_non_finite_inputs_fail_before_iterating(monkeypatch):
-    # A NaN or infinite delta, a shifted matrix that overflows and an unknown
-    # norm all raise before the first power step, and without a warning.
+    # A NaN or infinite delta, a shifted matrix that overflows or whose
+    # products would, and an unknown norm all raise before the first power
+    # step, and without a warning.
     calls = []
     power = spectral._power_vector
     monkeypatch.setattr(spectral, "_power_vector", lambda N: calls.append(N) or power(N))
     M = [[-1.0, 1.0], [1.0, -1.0]]
     big = [[1e308, 1.0], [1.0, -1.0]]
+    # Finite shifted matrix, but the sum of a power step's product overflows.
+    wide = np.full((3, 3), 1.5e308)
+    np.fill_diagonal(wide, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for delta in (np.nan, np.inf):
             with pytest.raises(ValueError, match="delta must be finite"):
                 perron_pair(M, delta)
-        with pytest.raises(spectral.NumericalError, match="overflows"):
-            perron_pair(big)
+        for overflowing in (big, wide):
+            with pytest.raises(spectral.NumericalError, match="overflows"):
+                perron_pair(overflowing)
         with pytest.raises(spectral.NumericalError, match="overflows"):
             certify(Persidskii(big, SlopeInterval(0.5, 1.0)))
         with pytest.raises(ValueError, match="p must be 1 or inf"):
