@@ -33,8 +33,9 @@ FAMILIES = (L1, LINF, L2)
 LEFT = "left"    # polytope of matrices diag(c) + diag(d) A
 RIGHT = "right"  # polytope of matrices diag(c) + A diag(d)
 
-# Vertex enumeration budget: at most VERTEX_MAX_DIM slopes, and no more
-# matrix entries in all than 2^20 vertices of 20 x 20 matrices.
+# Vertex enumeration budget: at most VERTEX_MAX_DIM slopes, and no more work
+# in all than 2^20 vertices of 20 x 20 matrices, counting n^2 per vertex on
+# l1 and linf and n^3 on l2.
 VERTEX_MAX_DIM = 20
 # Matrix entries per block of vertices: 1 MB per block array, where one stack
 # of all 2^16 vertex matrices at n = 16 holds 134 MB.
@@ -109,10 +110,12 @@ def _offdiag_abs(A: np.ndarray) -> np.ndarray:
 
 
 # Kernels: one formula per family, on an already validated finite square
-# matrix A (or (n, k) array X of column vectors) and weight vector w.  The
-# log-norm kernels also take a (k, n, n) stack of matrices and then return
-# the k log norms: they work on the last two axes, and each slice's value is
-# bit-identical to the kernel on that slice alone.
+# matrix A (or (n, p) array X of column vectors) and weight vector w.  They
+# also take stacks and work on the last two axes: a (k, n, n) stack of
+# matrices gives the k log norms, and a (k, n, p) stack of column vectors,
+# such as the pair differences of a verification state block, gives (k, p)
+# norms.  Each slice's value is bit-identical to the kernel on that slice
+# alone, provided each slice is C-contiguous.
 
 
 def _mu1(A: np.ndarray, w: np.ndarray):
@@ -134,7 +137,7 @@ def _norm1(X: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _norminf(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (np.abs(X) / w[:, None]).max(axis=0)
+    return (np.abs(X) / w[:, None]).max(axis=-2)
 
 
 def _norm2(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -233,12 +236,15 @@ def _vertex_max(stack, count: int, slopes: SlopeInterval, family: str, w: np.nda
     """Max of the `family` log norm at weights w over the matrices stack(D),
     D running over {d1, d2}^count in itertools.product order as (k, count)
     blocks of at most VERTEX_BATCH entries; stack(D) is a (k, n, n) stack.
-    Raises ValueError unless count <= 20 and 2^count * n^2 <= 2^20 * 20^2."""
+    Raises ValueError unless count <= 20 and 2^count vertices of n^2 work each
+    (n^3 on l2, one eigenvalue solve per vertex) stay within 2^20 * 20^2."""
     mu = kernels(family)[0]
     n = w.size
-    if count > VERTEX_MAX_DIM or (n * n) << count > VERTEX_MAX_DIM**2 << VERTEX_MAX_DIM:
+    work = n**3 if family == L2 else n * n
+    if count > VERTEX_MAX_DIM or work << count > VERTEX_MAX_DIM**2 << VERTEX_MAX_DIM:
         raise ValueError(f"vertex enumeration over 2^{count} vertices of {n}x{n} matrices "
-                         "exceeds its budget of 20 slopes and 2^20 * 20^2 entries")
+                         "exceeds its budget of 20 slopes and 2^20 * 20^2 work units "
+                         "(n^2 per vertex, n^3 on l2)")
     shifts = np.arange(count - 1, -1, -1)
     block = max(1, VERTEX_BATCH // max(n * n, count))
     best = -np.inf
@@ -251,8 +257,9 @@ def _vertex_max(stack, count: int, slopes: SlopeInterval, family: str, w: np.nda
 def brute_force_worst_case(spec: PolytopeSpec, family: str, weights=None) -> float:
     """Max of the fixed-weight log norm over all 2^n vertex scalings.
 
-    Independent of :func:`worst_case_mu` by construction; guarded at
-    n <= VERTEX_MAX_DIM by the vertex budget.
+    Independent of :func:`worst_case_mu` by construction; guarded by the
+    vertex budget at n <= VERTEX_MAX_DIM on l1 and linf, and at n <= 16 on
+    l2, whose n^3 eigenvalue work per vertex counts against the same budget.
     """
     A, C = spec.A, np.diag(spec.c)
     if spec.side == LEFT:

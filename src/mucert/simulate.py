@@ -33,18 +33,24 @@ seed-derived substreams, so reports are reproducible at any parallelism.
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
 (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
 (euler) or 4 (rk4); a field is built in place from its first matrix
-product, so it allocates little beyond its result.  Each step then takes one
-weighted norm per pair into a (DECAY_BLOCK_STEPS, pairs) buffer, and checks
-those norms for a non-finite state.  The logs, the distance floor, the bound
-and the exp are applied once per block of DECAY_BLOCK_STEPS steps, so the
-decay check costs a few numpy calls per block, and the memory does not grow
-with the horizon.  Every `mu_sample_stride` steps the Jacobians of all
-trajectories are taken as (k, n, n) stacks of at most
-JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one stacked
-log norm per stack; `sample_jacobian_mu` draws its states as one block and
-evaluates them the same way.  Every reported value is bit-identical to the
-one-step, one-state evaluation.  The certificate's weights are validated
-once per run; the step loop calls the unchecked log-norm kernels.
+product, and the step's last in-place add writes straight into the next slot
+of a (block + 1, n, 2 * pairs) state buffer allocated once per run.  The
+block is DECAY_BLOCK_STEPS steps, or fewer where the buffer would exceed
+STATE_BLOCK_ENTRIES entries (or two states, where one is larger), so memory
+is fixed in the horizon.  Each block, not each step, is checked once: one
+subtraction forms every pair difference, one stacked norm takes all their
+distances, and one finiteness check covers them; when it fails, the first
+non-finite state in the buffer gives the first divergent instant.  The logs,
+the distance floor, the bound and the exp of the decay check then take a few
+numpy calls per block.  `integrate` steps one trajectory through the same
+state block and the same first-divergence rule.  Every `mu_sample_stride`
+steps the Jacobians of all trajectories are taken, after their block's
+checks and only at states before a divergence, as (k, n, n) stacks of at
+most JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one
+stacked log norm per stack; `sample_jacobian_mu` draws its states as one
+block and evaluates them the same way.  Every reported value is bit-identical
+to the one-step, one-state evaluation.  The certificate's weights are
+validated once per run; the step loop calls the unchecked log-norm kernels.
 """
 
 import math
@@ -65,9 +71,12 @@ KINK_NUDGE = 1e-12
 # state at n = 128, 16 at n = 32), so their memory does not grow with the
 # number of states; at n >= 128 a stack saves nothing over one state.
 JACOBIAN_BATCH_ENTRIES = 16_384
-# The decay check buffers the pair distances of this many steps and takes
-# their ratios together.
+# Verification and integration step their state stack into a buffer of at
+# most DECAY_BLOCK_STEPS steps and STATE_BLOCK_ENTRIES state entries (256 KB;
+# at least one step), so memory is fixed in the horizon, and check each block
+# once: its pair distances, finiteness and decay ratios.
 DECAY_BLOCK_STEPS = 64
+STATE_BLOCK_ENTRIES = 1 << 15
 # Distances below the smallest normal float carry no relative precision: the
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
@@ -213,9 +222,10 @@ def _max_jacobian_mu(model, act, X, mu, w) -> float:
     return best
 
 
-def _rk4_step(f, X, h):
-    """X + (h/6)(k1 + 2 k2 + 2 k3 + k4), combined in place in that order;
-    `f` must return a fresh array."""
+def _rk4_step(f, X, h, out=None):
+    """X + (h/6)(k1 + 2 k2 + 2 k3 + k4), combined in place in that order and
+    written to `out` (a fresh array by default); `f` must return a fresh
+    array."""
     k1 = f(X)
     k2 = f(X + 0.5 * h * k1)
     k3 = f(X + 0.5 * h * k2)
@@ -226,16 +236,45 @@ def _rk4_step(f, X, h):
     k1 += k3
     k1 += k4
     k1 *= h / 6.0
-    k1 += X
-    return k1
+    return np.add(k1, X, out=k1 if out is None else out)
 
 
-def _euler_step(f, X, h):
-    """X + h f(X), combined in place; `f` must return a fresh array."""
+def _euler_step(f, X, h, out=None):
+    """X + h f(X), combined in place and written to `out` (a fresh array by
+    default); `f` must return a fresh array."""
     K = f(X)
     K *= h
-    K += X
-    return K
+    return np.add(K, X, out=K if out is None else out)
+
+
+def _block_steps(entries: int) -> int:
+    """Steps per state block of a stack of `entries` state entries."""
+    return max(1, min(DECAY_BLOCK_STEPS, STATE_BLOCK_ENTRIES // entries))
+
+
+def _state_blocks(f, advance, Z, n_steps: int, step: float, block: int):
+    """Advance the (n, k) stack Z by `n_steps` steps of `advance`, `block`
+    steps at a time, into one (block + 1, n, k) buffer allocated once.
+
+    Yields (i, S) per block: slot j of S holds the states at instant i + j,
+    slot 0 the last states of the previous block (Z for the first).  The
+    next block overwrites S.
+    """
+    S = np.empty((block + 1,) + Z.shape)
+    S[0] = Z
+    for i in range(0, n_steps, block):
+        m = min(block, n_steps - i)
+        for j in range(m):
+            advance(f, S[j], step, out=S[j + 1])
+        yield i, S[:m + 1]
+        S[0] = S[m]
+
+
+def _first_nonfinite(S):
+    """The first slot j >= 1 of a state block whose states hold a non-finite
+    entry, or None: the block's first divergent instant."""
+    finite = np.isfinite(S[1:]).reshape(len(S) - 1, -1).all(axis=1)
+    return None if finite.all() else 1 + int(np.argmin(finite))
 
 
 def _step_count(horizon: float, step: float) -> int:
@@ -261,18 +300,17 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     """
     n_steps = _step_count(horizon, step)
     _check_act(model, act)
-    x0 = np.asarray(x0, dtype=float)
-    f = model.field(act)
-    X = x0.reshape(-1, 1).astype(float)
-    out = np.empty((n_steps + 1, x0.size))
+    X = np.asarray(x0, dtype=float).reshape(-1, 1)
+    out = np.empty((n_steps + 1, X.shape[0]))
     out[0] = X[:, 0]
+    blocks = _state_blocks(model.field(act), _rk4_step, X, n_steps, step, _block_steps(X.size))
     # Divergence is detected and reported, so intermediate overflow is expected.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            X = _rk4_step(f, X, step)
-            if not np.all(np.isfinite(X)):
-                raise DivergenceError(i * step)
-            out[i] = X[:, 0]
+        for i, S in blocks:
+            bad = _first_nonfinite(S)
+            if bad is not None:
+                raise DivergenceError((i + bad) * step)
+            out[i + 1:i + len(S)] = S[1:, :, 0]
     return np.arange(n_steps + 1) * step, out
 
 
@@ -392,7 +430,8 @@ def verify_contraction(
 
     worst = math.inf if euler and h_rate >= 1.0 else 0.0
     max_mu = -np.inf
-    dist = np.empty((DECAY_BLOCK_STEPS, pairs))
+    block = _block_steps(Z.size)
+    D = np.empty((block + 1, model.n, pairs))
     # Divergence and non-finite start distances are detected and reported, so
     # intermediate overflow is expected; a zero distance has log -inf.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -403,25 +442,29 @@ def verify_contraction(
             raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
         live = d0 >= DISTANCE_FLOOR
         log_d0 = np.log(d0[live])
-        for i in range(n_steps + 1):
-            if i > 0:
-                Z = advance(f, Z, step)
-            j = i % DECAY_BLOCK_STEPS
-            dist[j] = nrm = norm(Z[:, :pairs] - Z[:, pairs:], w)
-            # A non-finite entry of Z makes its pair's norm non-finite.
-            if i > 0 and not np.isfinite(nrm).all() and not np.isfinite(Z).all():
-                raise DivergenceError(i * step)
-            if log_d0.size and (j == DECAY_BLOCK_STEPS - 1 or i == n_steps):
-                steps = np.arange(i - j, i + 1)
+        for i, S in _state_blocks(f, advance, Z, n_steps, step, block):
+            lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
+            dist = norm(np.subtract(S[lo:, :, :pairs], S[lo:, :, pairs:], out=D[:len(S) - lo]), w)
+            # A non-finite entry of a state makes its pair's distance non-finite.
+            diverged = None if np.isfinite(dist).all() else _first_nonfinite(S)
+            if diverged is None and log_d0.size:
+                t = np.arange(i + lo, i + len(S))
                 if euler:
-                    log_bound = np.where(steps > 0, steps * log_factor, 0.0)
+                    log_bound = np.where(t > 0, t * log_factor, 0.0)
                 else:
-                    log_bound = -cert.rate * (steps * step)
-                ratio = _worst_ratio(dist[:j + 1, live], log_d0, log_bound)
+                    log_bound = -cert.rate * (t * step)
+                ratio = _worst_ratio(dist[:, live], log_d0, log_bound)
+                del t, log_bound
                 if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
                     worst = ratio
-            if i % mu_sample_stride == 0:
-                max_mu = max(max_mu, _max_jacobian_mu(model, act, Z, mu, w))
+            # Samples run with no block temporaries alive, and only before a
+            # divergence, so a non-finite Jacobian there raises first.
+            del dist
+            for j in range(lo, len(S) if diverged is None else diverged):
+                if (i + j) % mu_sample_stride == 0:
+                    max_mu = max(max_mu, _max_jacobian_mu(model, act, S[j], mu, w))
+            if diverged is not None:
+                raise DivergenceError((i + diverged) * step)
     return SimReport(
         worst_decay_ratio=worst,
         max_sampled_mu=max_mu,

@@ -81,6 +81,16 @@ def test_stacked_kernels_match_per_slice_values_bit_for_bit():
                 assert got.shape == (stack.shape[0],)
                 want = [log_norm(A, family, w) for A in stack]
                 assert got.tolist() == want
+        # (k, n, p) stacks of column vectors, as a verification state block
+        # gives its pair differences: whole, a leading run of rows, and 1 row.
+        vectors = rng.normal(size=(9, n, 5)) * 10.0 ** rng.integers(-3, 4, size=(9, 1, 1))
+        for stack in (vectors, vectors[:4], vectors[:1]):
+            for family in (L1, LINF, L2):
+                norm = kernels(family)[1]
+                got = norm(stack, w)
+                assert got.shape == (stack.shape[0], 5)
+                want = [weighted_norm(X, family, w) for X in stack]
+                assert np.array_equal(got, want)
 
 
 def test_log_norm_bounds_abscissa_and_is_subadditive():
@@ -229,6 +239,22 @@ def test_brute_force_scalar_and_guard():
     big = PolytopeSpec(np.eye(21), np.zeros(21), SlopeInterval(0.0, 1.0), LEFT)
     with pytest.raises(ValueError):
         brute_force_worst_case(big, L1)
+
+
+def test_brute_force_l2_budget_counts_eigenvalue_work(monkeypatch):
+    # An l2 vertex costs an n^3 eigenvalue solve: 2^17 * 17^3 exceeds the
+    # 2^20 * 20^2 budget, so n = 17 raises before any solve, where counting
+    # n^2 per vertex let it run (n = 20 took 38.5 s).
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    rng = np.random.default_rng(9)
+    for n in (17, 20):
+        spec = PolytopeSpec(random_matrix(rng, n), rng.normal(size=n),
+                            SlopeInterval(0.0, 1.0), RIGHT)
+        with pytest.raises(ValueError, match=r"budget of 20 slopes and 2\^20 \* 20\^2"):
+            brute_force_worst_case(spec, L2)
 
 
 def test_brute_force_l2_vertex_max():

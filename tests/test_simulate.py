@@ -679,3 +679,83 @@ def test_verify_memory_does_not_grow_with_horizon():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 1024, peaks
+
+
+def _divergent_linear_hopfield():
+    """An l1 certificate of a stable model, and a strongly unstable linear
+    Hopfield model whose states overflow inside a horizon of 5."""
+    cert = optimal_certificate(
+        Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
+    )
+    m = Hopfield(np.eye(2), [[200.0, 200.0], [200.0, 200.0]], SlopeInterval(0.0, 1.0))
+    return m, Activation("linear", k=1.0), cert
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_divergence_on_a_block_edge_matches_reference(monkeypatch, position):
+    # Blocks hold instants 0..b, then b+1..2b and so on: a block of d - 1
+    # steps puts the first divergent instant d first in the second block, one
+    # of d steps puts it last in the first.  integrate shares the blocks.
+    m, act, cert = _divergent_linear_hopfield()
+    x0 = np.array([1.0, -0.5])
+    X0, Y0 = x0[:, None], 0.5 * x0[:, None]
+    for claim, scheme in ((cert, "euler"), (dataclasses.replace(cert, family=L2), "rk4")):
+        first_bad = _reference_verify(m, act, claim, X0, Y0, 5.0, 1e-2, 7, scheme)
+        d = round(first_bad / 1e-2)
+        assert d * 1e-2 == first_bad and d > 2
+        monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", d - 1 if position == "first" else d)
+        with pytest.raises(DivergenceError) as info:
+            verify_contraction(m, act, claim, horizon=5.0, step=1e-2, mu_sample_stride=7,
+                               initial_pairs=(X0, Y0))
+        assert info.value.time == first_bad
+        if scheme == "rk4":
+            with pytest.raises(DivergenceError) as single:
+                integrate(m, act, x0, horizon=5.0, step=1e-2)
+            assert single.value.time == first_bad
+
+
+def test_verify_matches_reference_when_the_entry_cap_sets_the_block(monkeypatch):
+    # 8 trajectories of n = 6 make 48 entries per state; a cap of 7 states
+    # makes 7-step blocks, well below DECAY_BLOCK_STEPS, and 400 steps are
+    # not a multiple of 7.
+    n = 6
+    monkeypatch.setattr(simulate, "STATE_BLOCK_ENTRIES", 7 * 48 + 47)
+    assert simulate._block_steps(48) == 7 < simulate.DECAY_BLOCK_STEPS
+    assert simulate._block_steps(n) == 63
+    for model, act in _oracle_cases():
+        assert model.n == n
+        cert = _oracle_certificates(model)[0]
+        X0, Y0 = _draw_pairs(model, act, 4, 3)
+        overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
+        for claim in (cert, overclaim):
+            report = verify_contraction(model, act, claim, horizon=0.4, step=1e-3,
+                                        mu_sample_stride=50, initial_pairs=(X0, Y0))
+            want = _reference_verify(model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme)
+            assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+        # integrate's one trajectory takes 63-step blocks under this cap.
+        _, xs = integrate(model, act, X0[:, 0], horizon=0.4, step=1e-3)
+        f, want = _reference_field(model, act), [X0[:, :1]]
+        for _ in range(400):
+            want.append(_reference_rk4(f, want[-1], 1e-3))
+        assert np.array_equal(xs, np.hstack(want).T)
+
+
+def test_sampled_jacobian_overflow_before_a_divergence_in_its_block():
+    # x' = 1e305 x^2 per coordinate: from x = 1, one Euler step of the halved
+    # step 5e-3 reaches 5e302, where the Jacobian 2e305 x overflows while the
+    # state is finite, and the next step overflows the state.  Sampled at
+    # instant 1, the Jacobian raises ValueError before the divergence at
+    # instant 2 in the same block; sampled every 2 steps, the divergence wins.
+    _, _, cert = _divergent_linear_hopfield()
+    m = Hopfield(np.zeros((2, 2)), 1e305 * np.eye(2), SlopeInterval(0.0, np.inf))
+    act = Activation("rect_poly", r=2)
+    X0, Y0 = np.ones((2, 1)), np.full((2, 1), 0.5)
+    kwargs = dict(horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
+    with pytest.raises(ValueError, match="finite"):
+        _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 1, "euler")
+    with pytest.raises(ValueError, match="finite"):
+        verify_contraction(m, act, cert, mu_sample_stride=1, **kwargs)
+    assert _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 2, "euler") == 2 * 5e-3
+    with pytest.raises(DivergenceError) as info:
+        verify_contraction(m, act, cert, mu_sample_stride=2, **kwargs)
+    assert info.value.time == 2 * 5e-3
