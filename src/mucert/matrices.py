@@ -55,11 +55,17 @@ def is_metzler(A, tol: float = 0.0) -> bool:
 
 def reachability(A) -> np.ndarray:
     """Boolean matrix R with R[i, j] true iff i == j or a chain of nonzero
-    entries A[i, k1], A[k1, k2], ..., A[km, j] leads from i to j."""
+    entries A[i, k1], A[k1, k2], ..., A[km, j] leads from i to j.
+
+    When every off-diagonal entry is nonzero, R is all true and is returned
+    at once; otherwise it is the boolean transitive closure of the nonzero
+    pattern, by repeated squaring."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    reach = (A != 0.0) | np.eye(n, dtype=bool)
-    # Boolean transitive closure by repeated squaring.
+    reach = A != 0.0
+    np.fill_diagonal(reach, True)
+    if reach.all():
+        return reach
     for _ in range(int(math.ceil(math.log2(n))) + 1):
         new = reach @ reach
         if np.array_equal(new, reach):

@@ -40,6 +40,7 @@ from .lognorm import (
     SlopeInterval,
     _vertex_max,
     envelope_matrices,
+    kernels,
     log_norm,
 )
 from .optimize import bisect_min_mu
@@ -113,8 +114,19 @@ def _slope_rows(act, X) -> np.ndarray:
 
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
-    fixed-weight bound and every certificate's `osl` is this number."""
-    return max(log_norm(M, family, weights) for M in mats)
+    fixed-weight bound and every certificate's `osl` is this number.
+
+    It equals `max(log_norm(M, family, weights) for M in mats)` bit for bit,
+    errors included, from one stacked kernel call.  A Fortran-ordered witness
+    keeps that loop: the kernels' products round by memory layout, and a
+    stack is C-ordered."""
+    if not all(M.flags.c_contiguous for M in mats):
+        return max(log_norm(M, family, weights) for M in mats)
+    mu = kernels(family)[0]
+    stack = np.stack(mats)
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
+    return float(max(mu(stack, _weights_or_ones(weights, stack.shape[-1]))))
 
 
 def _perron_weight_pair(M):
@@ -291,12 +303,11 @@ class _Leaky(_Model):
             return None, None
         d1, d2 = self.slopes.d1, self.slopes.d2
         cdiag = np.diag(self.C)
-        Mzr = metzler_majorant(self.A)
         if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
-            pair, a_t = _perron_weight_pair(-self.C + d2 * Mzr)
+            pair, a_t = _perron_weight_pair(-self.C + d2 * metzler_majorant(self.A))
             return pair, max(float(np.max(-cdiag)), a_t)
         if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            pair, a_m = _perron_weight_pair(Mzr)
+            pair, a_m = _perron_weight_pair(metzler_majorant(self.A))
             return pair, -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
         return None, None
 

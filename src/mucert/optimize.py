@@ -11,14 +11,18 @@ product family with row uncertainty.  For such families the least level is
 the largest spectral abscissa over the K^n row selections, attained at the
 right Perron vector of a maximizing selection (Blondel & Nesterov, SIAM J.
 Matrix Anal. Appl. 31(3), 2009; Protasov, "Spectral simplex method", Math.
-Program., 2016).  The solver starts with every row taken from the first
-matrix and repeats: compute the right Perron vector v of the selection, move
-each row i to the lowest-index matrix that strictly increases (M_k v)_i, and
-stop when no row moves.  The Perron vector of an irreducible selection comes
-from Noda's inverse iteration, one LU solve per step within a budget of
-NODA_MAXITER solves, with one dense eigensolve as its fallback (see
-`spectral._noda_vector`; T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
-Algebra Appl. 15, 1976).
+Program., 2016).  The solver starts at the greedy selection for uniform
+weights, each row i taken from the lowest-index matrix with the largest row
+sum (M_k 1)_i, and repeats: compute the right Perron vector v of the
+selection, move each row i to the lowest-index matrix that strictly increases
+(M_k v)_i, and stop when no row moves.  That start is the row moves' own
+choice at w = 1.  On the envelope pairs of the network models it is usually
+optimal already, so one Perron vector settles the optimization.
+
+The Perron vector of an irreducible selection comes from Noda's inverse
+iteration, one LU solve per step within a budget of NODA_MAXITER solves,
+with one dense eigensolve as its fallback (see `spectral._noda_vector`;
+T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976).
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, solved
@@ -121,7 +125,7 @@ def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:
     n = stack.shape[1]
     rows = np.arange(n)
     magnitude = np.abs(stack)
-    selection = np.zeros(n, dtype=int)
+    selection = np.argmax(stack @ np.ones(n), axis=0)
     best_level, best_w = np.inf, None
     status = STATUS_TOLERANCE
     for it in range(1, max_iter + 1):
@@ -170,10 +174,15 @@ def bisect_min_mu(
     least b with majorant(A)^T w <= b w).  `tol` is the resolvent shift used
     on reducible selections and `max_iter` bounds the selections visited;
     status "tolerance-reached" means the budget ran out before no row moved.
-    Either way b_star is the level evaluated at eta_star.
+    Either way b_star is the level evaluated at eta_star.  Raises ValueError
+    unless `tol` is finite and positive and `max_iter` is at least 1.
     """
     if family not in (L1, LINF):
         raise ValueError("weight optimization is defined for l1/linf only")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     mats = [metzler_majorant(M) for M in matrices]
     if family == L1:
         mats = [M.T for M in mats]
@@ -182,6 +191,4 @@ def bisect_min_mu(
     n = mats[0].shape[0]
     if any(M.shape[0] != n for M in mats):
         raise ValueError("matrices must share one dimension")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     return _policy_iteration(mats, tol, max_iter)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mucert import (
     pad,
     principal_submatrix,
 )
-from mucert.matrices import as_matrix, as_weights, check_diagonal, is_metzler
+from mucert.matrices import as_matrix, as_weights, check_diagonal, is_metzler, reachability
 
 from helpers import DAMPED_SPIRAL, SKEW_RING
 
@@ -93,3 +95,45 @@ def test_validation_errors():
         check_diagonal([[1.0, 1e-15], [0.0, 1.0]])
     with pytest.raises(ValueError):
         check_diagonal([[-1.0, 0.0], [0.0, 1.0]])
+
+
+def _closure_reference(A):
+    """Reachability by repeated boolean squaring on every input, as before
+    the all-nonzero short-circuit."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    reach = (A != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(int(math.ceil(math.log2(n))) + 1):
+        new = reach @ reach
+        if np.array_equal(new, reach):
+            break
+        reach = new
+    return reach
+
+
+def test_reachability_matches_closure_reference():
+    rng = np.random.default_rng(15)
+    dense = rng.uniform(0.1, 1.0, size=(6, 6))
+    one_zero = dense.copy()
+    one_zero[2, 4] = 0.0
+    triangular = np.triu(dense)  # reducible: block-triangular with 1x1 blocks
+    blocks = dense.copy()
+    blocks[3:, :3] = 0.0  # two irreducible 3x3 blocks, the first fed by the second
+    cases = [
+        np.array([[0.0]]),
+        np.array([[-2.5]]),
+        dense,
+        -dense,
+        np.diag(rng.normal(size=5)),
+        np.zeros((4, 4)),
+        one_zero,
+        triangular,
+        blocks,
+        blocks.T,
+        np.asfortranarray(blocks),
+    ]
+    for A in cases:
+        got, want = reachability(A), _closure_reference(A)
+        assert got.dtype == want.dtype == bool
+        np.testing.assert_array_equal(got, want)
+    assert reachability(dense).all() and not reachability(blocks).all()

@@ -208,9 +208,11 @@ def test_defective_block_reaches_optimum():
 
 
 def test_iteration_budget_reports_tolerance():
-    rng = np.random.default_rng(9)
-    n = 6
-    mats = [-np.eye(n), -np.eye(n) + random_matrix(rng, n)]
+    # The greedy start takes row 0 from the first matrix (row sum 4 > 3.5).
+    # That selection's Perron vector (2, 1) makes row 0 of the second matrix
+    # larger (6.5 > 4), so row 0 moves: the optimum, abscissa
+    # (3 + sqrt(11)) / 2 of the second matrix, takes a second selection.
+    mats = [np.array([[0.0, 4.0], [1.0, 0.0]]), np.array([[3.0, 0.5], [1.0, 0.0]])]
     full = bisect_min_mu(mats, LINF)
     assert full.status == "optimal" and full.iterations >= 2
     cut = bisect_min_mu(mats, LINF, max_iter=1)
@@ -221,6 +223,70 @@ def test_iteration_budget_reports_tolerance():
     assert cut.b_star > full.b_star + 1e-6
     with pytest.raises(ValueError):
         bisect_min_mu(mats, LINF, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_bisect_rejects_bad_resolvent_shift_up_front(tol):
+    # Irreducible inputs never reach the resolvent; reducible ones did, and
+    # failed there with a misleading NumericalError.
+    irreducible = [np.array([[-1.0, 0.5], [0.5, -1.0]])]
+    reducible = [np.array([[-1.0, 0.5], [0.0, -2.0]])]
+    for mats in (irreducible, reducible):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            bisect_min_mu(mats, L1, tol=tol)
+
+
+def _zero_start_policy_iteration(mats, tol, max_iter):
+    """The solver as it was before the greedy start: every row taken from the
+    first matrix at the start, otherwise the same steps."""
+    stack = np.stack(mats)
+    n = stack.shape[1]
+    rows = np.arange(n)
+    magnitude = np.abs(stack)
+    selection = np.zeros(n, dtype=int)
+    best_level, best_w = np.inf, None
+    status = optimize.STATUS_TOLERANCE
+    for it in range(1, max_iter + 1):
+        w = optimize._selection_weights(stack[selection, rows], tol)
+        values = stack @ w
+        top = np.max(values, axis=0)
+        level = float(np.max(top / w))
+        if level < best_level:
+            best_level, best_w = level, w
+        gain = top - values[selection, rows]
+        moves = gain > optimize.ROUNDING_RTOL * np.max(magnitude @ w, axis=0)
+        if not moves.any():
+            status = optimize.STATUS_OPTIMAL
+            break
+        selection = np.where(moves, np.argmax(values, axis=0), selection)
+    eta = best_w / np.min(best_w)
+    b_star = float(np.max(np.max(stack @ eta, axis=0) / eta))
+    return BisectResult(b_star, eta, it, status)
+
+
+def test_greedy_start_is_bit_identical_to_reference(monkeypatch):
+    # Envelope pairs of d1 < 0 Hopfield (l1) and firing-rate (linf) models
+    # with coupling scaled to a majorant abscissa of 0.4 to 1.1: the greedy
+    # start is the optimal selection, so one Perron vector gives the very
+    # weights that the zero start reached on its second selection.
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in (16, 32, 64):
+        for side, fam in ((RIGHT, L1), (LEFT, LINF)):
+            for _ in range(3):
+                G = rng.normal(size=(n, n))
+                A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
+                slopes = SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
+                spec = PolytopeSpec(A, -rng.uniform(0.8, 1.2, size=n), slopes, side)
+                cases.append((list(envelope_matrices(spec, fam)), fam))
+    got = [bisect_min_mu(mats, fam) for mats, fam in cases]
+    monkeypatch.setattr(optimize, "_policy_iteration", _zero_start_policy_iteration)
+    for (mats, fam), res in zip(cases, got):
+        want = bisect_min_mu(mats, fam)
+        assert res.iterations == 1 < want.iterations
+        assert res.b_star == want.b_star
+        assert res.eta_star.tobytes() == want.eta_star.tobytes()
+        assert res.status == want.status == "optimal"
 
 
 # ---------------------------------------------------------------------------

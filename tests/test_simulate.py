@@ -182,6 +182,21 @@ def test_verify_and_integrate_reject_runs_that_simulate_nothing(kwargs):
             integrate(m, act, [1.0, 1.0], **{"horizon": 1.0, "step": 1e-3, **span})
 
 
+@pytest.mark.parametrize("stride", [0, -7, 1.5, True])
+def test_verify_rejects_bad_mu_sample_stride_before_any_work(stride, monkeypatch):
+    # Stride 0 used to raise ZeroDivisionError mid-run, and a negative stride
+    # sampled at its multiples.  The check precedes every other one.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    cert = dataclasses.replace(optimal_certificate(m, L1), contracting=False)
+
+    def no_work(*args):
+        raise AssertionError("verify drew its pairs")
+
+    monkeypatch.setattr(simulate, "_draw_pairs", no_work)
+    with pytest.raises(ValueError, match="mu_sample_stride must be an integer >= 1"):
+        verify_contraction(m, Activation("tanh"), cert, mu_sample_stride=stride)
+
+
 def test_verify_contraction_identical_pair_convention():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)
