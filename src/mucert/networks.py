@@ -40,7 +40,6 @@ from .lognorm import (
     SlopeInterval,
     _vertex_max,
     envelope_matrices,
-    kernels,
     log_norm,
 )
 from .optimize import bisect_min_mu
@@ -114,19 +113,8 @@ def _slope_rows(act, X) -> np.ndarray:
 
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
-    fixed-weight bound and every certificate's `osl` is this number.
-
-    It equals `max(log_norm(M, family, weights) for M in mats)` bit for bit,
-    errors included, from one stacked kernel call.  A Fortran-ordered witness
-    keeps that loop: the kernels' products round by memory layout, and a
-    stack is C-ordered."""
-    if not all(M.flags.c_contiguous for M in mats):
-        return max(log_norm(M, family, weights) for M in mats)
-    mu = kernels(family)[0]
-    stack = np.stack(mats)
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix entries must be finite")
-    return float(max(mu(stack, _weights_or_ones(weights, stack.shape[-1]))))
+    fixed-weight bound and every certificate's `osl` is this number."""
+    return max(log_norm(M, family, weights) for M in mats)
 
 
 def _perron_weight_pair(M):

@@ -399,9 +399,10 @@ def verify_contraction(
     positive, at least one step fits, there is at least one pair, the seed
     is nonnegative, and every pair's entries and start distance are finite.
     """
-    stride = mu_sample_stride
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"mu_sample_stride must be an integer >= 1, got {stride!r}")
+    if (isinstance(mu_sample_stride, bool)
+            or not isinstance(mu_sample_stride, numbers.Integral) or mu_sample_stride < 1):
+        raise ValueError(
+            f"mu_sample_stride must be an integer >= 1, got {mu_sample_stride!r}")
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
     _check_act(model, act)
@@ -465,7 +466,7 @@ def verify_contraction(
             # divergence, so a non-finite Jacobian there raises first.
             del dist
             for j in range(lo, len(S) if diverged is None else diverged):
-                if (i + j) % stride == 0:
+                if (i + j) % mu_sample_stride == 0:
                     max_mu = max(max_mu, _max_jacobian_mu(model, act, S[j], mu, w))
             if diverged is not None:
                 raise DivergenceError((i + diverged) * step)
