@@ -11,8 +11,10 @@ import numpy as np
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return a finite square float matrix (always a copy)."""
-    A = np.array(a, dtype=float)
+    """Validate and return a finite square float matrix: always a C-ordered
+    copy, so that results do not depend on the layout of the input (the
+    l1 and linf kernels round differently on a Fortran-ordered matrix)."""
+    A = np.array(a, dtype=float, order="C")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):

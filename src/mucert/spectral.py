@@ -2,8 +2,9 @@
 
 Each quantity has one route.  The spectral abscissa of any matrix comes from
 the dense eigensolver.  The dominant left and right eigenvectors of a Metzler
-matrix (its Perron pair) come from power iteration on a diagonal shift that
-makes the matrix nonnegative, within a budget of POWER_MAXITER steps.  The
+matrix (its Perron pair) come from one power iteration loop on a diagonal
+shift that makes the matrix nonnegative, within a budget of POWER_MAXITER
+steps and under a stagnation test over POWER_WINDOW steps.  The
 right Perron vector of an irreducible Metzler row selection in the weight
 optimizer comes from Noda's inverse iteration (T. Noda, Numer. Math. 17,
 1971; L. Elsner, Linear Algebra Appl. 15, 1976), within a budget of
@@ -11,11 +12,31 @@ NODA_MAXITER linear solves.  A vector that misses its iteration's budget or
 accuracy test is recomputed by one dense eigensolve under the same residual
 and positivity contract.
 
-The shifted matrix takes one n x n pass, M + delta, and an in-place add to
-its diagonal.  A power step is one product, one sum, one scale, one
-difference and one max; the iterates have unit sum, so no entry exceeds 1
-and the stop test is absolute.  One more product per vector gives both its
-Rayleigh quotient and its residual.
+The shifted matrix N takes one n x n pass, M + delta, and an in-place add
+to its diagonal.  The right iterate (on N) and the left one (on N.T) share
+one (2, n) block and one loop: a turn is one product per row and one
+row-wise sum, scale, difference, absolute value and max over both rows, so
+a pair costs as many turns as its slower vector needs, not the sum of both.
+Each row rounds as a lone iteration would, so its iterates and stopping step
+are those of a loop of its own.  The iterates have unit sum, so no entry
+exceeds 1 and the stop test is absolute.  One more product per vector gives
+both its Rayleigh quotient and its residual.
+
+A vector whose steps have gone flat is sent to the dense solver before the
+budget runs out.  Two blocks coupled by 1e-9 have dominant eigenvalues about
+1e-9 apart; their steps fall to a plateau of 1e-12 to 1e-11 by about step
+20 and stay there, so the rest of the 300-step budget bought nothing but the
+fallback.  From step 2 * POWER_WINDOW on, every POWER_WINDOW / 2 steps, the
+largest step of the newer half of the last POWER_WINDOW steps is compared
+with the largest of the older half: shrunk by less than 10 %, at a rate that
+cannot reach POWER_TOL within the budget, and the vector goes to the dense
+solver, which gives the result the budget would have ended in.  The first
+check comes after the early plateaus of inputs that do converge (a sparse
+n = 16 input sits near 3e-2 for 18 steps, then converges at step 154); a
+window of 16 with a threshold of 1/2 misjudged that input.  The test is a
+heuristic: a vector whose steps stay flat over a window and then fall again
+would now take the dense route and differ in its last bits.  None of the
+inputs the tests and the benchmarks draw does.
 
 Power iteration stays the Perron pair route because there a solve per step
 costs more than the matrix-vector steps it saves: on twelve irreducible
@@ -38,13 +59,15 @@ from .matrices import as_matrix, is_metzler, reachability
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1), or give up after
-# POWER_MAXITER steps and fall back to the dense solver.  The perfbench
-# certify inputs (n = 16 to 256, reducible or not) converge within 75 steps;
-# a near-tied dominant eigenvalue never does, so the budget is what such an
-# input costs before the fallback.  The residual bound is the contract either
-# way.
+# POWER_MAXITER steps, or once the stagnation test over the last POWER_WINDOW
+# steps finds the steps flat, and fall back to the dense solver.  The
+# perfbench certify inputs (n = 16 to 256, reducible or not) converge within
+# 75 steps; a near-tied dominant eigenvalue never does, and the stagnation
+# test sends it to the dense solver at step 2 * POWER_WINDOW.  The residual
+# bound is the contract either way.
 POWER_TOL = 1e-13
 POWER_MAXITER = 300
+POWER_WINDOW = 32
 RESIDUAL_RTOL = 1e-11
 
 # Noda iteration: stop once the Collatz-Wielandt bracket at the iterate is
@@ -104,7 +127,9 @@ class PerronPair:
 
     Both eigenvectors are normalized to unit sum.  `alpha` is the spectral
     abscissa of the (possibly delta-perturbed) Metzler input; `delta_used`
-    records the rank-one perturbation actually applied.
+    records the rank-one perturbation actually applied.  `steps` holds the
+    power steps taken for the (right, left) vectors and `dense` which of the
+    two came from the dense eigensolver instead.
     """
 
     alpha: float
@@ -112,33 +137,82 @@ class PerronPair:
     left: np.ndarray
     delta_used: float
     irreducible: bool
+    steps: tuple[int, int]
+    dense: tuple[bool, bool]
 
 
-def _power_vector(N: np.ndarray) -> tuple[np.ndarray, bool]:
-    """At most POWER_MAXITER steps of power iteration for the dominant
-    eigenvector of a nonnegative matrix with positive diagonal.
+def _power_vector(N: np.ndarray) -> tuple[list, list[int]]:
+    """Power iteration for the dominant right eigenvector of N (on N) and
+    the dominant left one (on N.T), for a nonnegative N with positive
+    diagonal, both in one loop (see the module docstring).
 
-    Each step makes six numpy calls: one product, one sum, one scale, one
-    difference, one in-place absolute value and one max.  POWER_TOL bounds
-    the change absolutely: N is nonnegative and x positive, and a rounded sum
-    of nonnegative numbers is at least each of its terms, so every entry of
-    the unit-sum iterate y is at most 1.  A test relative to max(1, max|y|)
-    would therefore scale by exactly 1, on a NaN too, since Python's
-    max(1.0, nan) is 1.0.
+    A turn is one `np.matmul(..., out=row)` per row, then one row-wise sum,
+    scale, difference, absolute value and max over the rows still
+    iterating: eight numpy calls for both vectors.  Each row rounds as a
+    lone iteration would.  POWER_TOL bounds the change absolutely: N is
+    nonnegative and x positive, and a rounded sum of nonnegative numbers is
+    at least each of its terms, so every entry of a unit-sum iterate is at
+    most 1.
 
-    Returns (vector normalized to unit sum, converged flag).
+    A row stops when its step max|y - x| falls below POWER_TOL, when
+    :func:`_stalled` finds its steps flat over the last POWER_WINDOW steps,
+    or after POWER_MAXITER steps; the other row goes on alone.  A near tie's
+    steps sit on a plateau from about step 20, so both rows stop at the
+    first stagnation test, step 2 * POWER_WINDOW.
+
+    Returns ([right, left], [steps of each]): a unit-sum vector for a row
+    that converged, None for one that goes to the dense solver.
     """
     n = N.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAXITER):
-        y = N @ x
-        y /= y.sum()
-        d = y - x
-        np.abs(d, out=d)
-        if d.max() < POWER_TOL:
-            return y, True
-        x = y
-    return x, False
+    mats = (N, N.T)
+    X, Y = np.full((2, n), 1.0 / n), np.empty((2, n))
+    xs, ys = tuple(X), tuple(Y)  # row views
+    x, y = X, Y  # rows lo:hi, the rows still iterating
+    lo, hi = 0, 2
+    vectors = [None, None]
+    steps = [POWER_MAXITER, POWER_MAXITER]
+    history = ([], [])
+    for step in range(1, POWER_MAXITER + 1):
+        for i in range(lo, hi):
+            np.matmul(mats[i], xs[i], out=ys[i])
+        y /= y.sum(axis=1, keepdims=True)
+        x -= y  # the step y - x up to its sign, which rounds alike
+        np.abs(x, out=x)
+        rows = lo, hi
+        for i, change in enumerate(x.max(axis=1).tolist(), lo):
+            history[i].append(change)
+            if change < POWER_TOL:
+                vectors[i] = ys[i].copy()
+            elif not _stalled(history[i]):
+                continue
+            steps[i] = step
+            if i == lo:
+                lo += 1
+            else:
+                hi -= 1
+        if lo >= hi:
+            break
+        X, Y, xs, ys, x, y = Y, X, ys, xs, y, x
+        if rows != (lo, hi):
+            x, y = X[lo:hi], Y[lo:hi]
+    return vectors, steps
+
+
+def _stalled(history: list[float]) -> bool:
+    """Stagnation test on a power iterate's steps, made from step
+    2 * POWER_WINDOW on at every POWER_WINDOW // 2 steps: the largest step
+    `a` of the newer half of the last POWER_WINDOW steps against the largest
+    `b` of the older half.  The iterate is stalled when `a` has shrunk by
+    less than 10 % (a > 0.9 b) and shrinking at the rate a / b per
+    half window cannot take it below POWER_TOL within the budget.
+    """
+    k = len(history)
+    half = POWER_WINDOW // 2
+    if k < 2 * POWER_WINDOW or k % half:
+        return False
+    a = max(history[k - half:])
+    b = max(history[k - 2 * half:k - half])
+    return a > 0.9 * b and a * (a / b) ** ((POWER_MAXITER - k) / half) >= POWER_TOL
 
 
 def _noda_vector(S: np.ndarray) -> np.ndarray:
@@ -231,11 +305,11 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
         raise ReducibleMatrixError(
             "matrix is reducible; pass delta > 0 to perturb it into irreducibility"
         )
-    # M + delta in one pass, C-ordered whatever the layout of M (so the steps
-    # round alike for M and a Fortran-ordered copy) and with every -0.0 made
-    # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
+    # M + delta in one pass (C-ordered, as as_matrix makes M), with every
+    # -0.0 made +0.0, also for delta = -0.0; then the shift goes onto the
+    # diagonal.
     with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
-        N = np.add(M, delta + 0.0, order="C")
+        N = np.add(M, delta + 0.0)
         shift = 1.0 + float(np.max(np.abs(np.diag(N))))
         N.flat[:: N.shape[0] + 1] += shift
     scale = 1.0 + float(np.max(np.abs(N)))
@@ -243,22 +317,26 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     if not N.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")
 
-    vectors = []
-    for B in (N, N.T):
-        x, ok = _power_vector(B)
-        lam, residual = _rayleigh(B, x)
-        if not ok or residual > RESIDUAL_RTOL * scale:
+    vectors, steps = _power_vector(N)
+    found = []
+    for B, x in zip((N, N.T), vectors):
+        dense = x is None
+        if not dense:
+            lam, residual = _rayleigh(B, x)
+            dense = residual > RESIDUAL_RTOL * scale
+        if dense:
             x, lam = _dense_dominant_vector(B)
-        vectors.append((x, lam))
+        found.append((x, lam, dense))
 
-    (v, lam_r), (w, lam_l) = vectors
+    (v, lam_r, dense_r), (w, lam_l, dense_l) = found
     alpha = 0.5 * (lam_r + lam_l) - shift
     if np.any(v <= 0.0) or np.any(w <= 0.0):
         raise NumericalError(
             "Perron eigenvector has nonpositive entries; the matrix is too close "
             "to reducible, retry with a larger delta"
         )
-    return PerronPair(alpha=alpha, right=v, left=w, delta_used=delta, irreducible=irreducible)
+    return PerronPair(alpha=alpha, right=v, left=w, delta_used=delta, irreducible=irreducible,
+                      steps=tuple(steps), dense=(dense_r, dense_l))
 
 
 def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:

@@ -681,3 +681,39 @@ def test_diagonal_floor_is_least_jacobian_diagonal():
         assert floor.tolist() == [-np.inf, -2.0, -3.0]
         floor = FiringRate(leak, A, SlopeInterval(-0.5, np.inf)).diagonal_floor()
         assert floor.tolist() == [-np.inf, -2.0, -4.0]
+
+
+def _certificate_fields(cert):
+    """Every field of a certificate, arrays as bytes, for exact comparison."""
+    fields = dict(vars(cert))
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray):
+            fields[key] = (value.shape, value.tobytes())
+    return fields
+
+
+def test_certificates_do_not_depend_on_memory_layout():
+    # as_matrix copies to C order, so a model built from Fortran-ordered
+    # arrays gets the certificate of its C-ordered twin bit for bit.  Before,
+    # the l1 and linf kernels rounded differently on Fortran-ordered witnesses
+    # (25 of these 50 AxMinusCPhi certificates had another osl).
+    rng = np.random.default_rng(0)
+    F = np.asfortranarray
+    for _ in range(50):
+        n = int(rng.integers(8, 60))
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        C = np.diag(rng.uniform(0.5, 1.5, n))
+        shifted = A - 2.0 * np.eye(n)
+        pairs = [
+            (Hopfield(C, A, SlopeInterval(0.0, 1.0)), Hopfield(F(C), F(A), SlopeInterval(0.0, 1.0)),
+             (L1, LINF)),
+            (AxMinusCPhi(shifted, C, SlopeInterval(0.3, 1.0)),
+             AxMinusCPhi(F(shifted), F(C), SlopeInterval(0.3, 1.0)), (None,)),
+            (Persidskii(shifted, SlopeInterval(0.3, 1.0)),
+             Persidskii(F(shifted), SlopeInterval(0.3, 1.0)), (None,)),
+        ]
+        for c_model, f_model, families in pairs:
+            assert f_model.A.flags.c_contiguous
+            for family in families:
+                want = _certificate_fields(certify(c_model, family))
+                assert _certificate_fields(certify(f_model, family)) == want, c_model.tag

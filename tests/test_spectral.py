@@ -34,6 +34,7 @@ from helpers import (
     random_irreducible_metzler,
     random_matrix,
     random_metzler,
+    random_mh_matrix,
 )
 
 
@@ -123,51 +124,31 @@ def test_metzler_route_matches_dense_route():
                 assert cert.details[key] == pytest.approx(dense, abs=1e-9 * scale)
 
 
-class _CountingMatrix(np.ndarray):
-    steps = 0
-
-    def __matmul__(self, other):
-        _CountingMatrix.steps += 1
-        return np.asarray(self) @ other
-
-
 def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
     assert spectral.POWER_MAXITER <= 1000
-    # Record each eigenvector route perron_pair takes: ("power", steps,
-    # converged) per power iteration and ("dense",) per dense eigensolve.
-    routes = []
-    power, dense = spectral._power_vector, spectral._dense_dominant_vector
-
-    def spy_power(N):
-        _CountingMatrix.steps = 0
-        x, ok = power(N.view(_CountingMatrix))
-        routes.append(("power", _CountingMatrix.steps, ok))
-        return x, ok
-
-    def spy_dense(N):
-        routes.append(("dense",))
-        return dense(N)
-
-    monkeypatch.setattr(spectral, "_power_vector", spy_power)
-    monkeypatch.setattr(spectral, "_dense_dominant_vector", spy_dense)
+    # A near tie's steps sit on a plateau from about step 20, so the
+    # stagnation test sends both vectors to the dense solver at its first
+    # check, long before the budget runs out.
+    dense_calls = []
+    dense = spectral._dense_dominant_vector
+    monkeypatch.setattr(spectral, "_dense_dominant_vector",
+                        lambda N: dense_calls.append(1) or dense(N))
     rng = np.random.default_rng(8)
     for k in (4, 8):
         M = near_tie_metzler(rng, k)
-        routes.clear()
+        dense_calls.clear()
         pair = perron_pair(M)
-        # Right then left vector: each spends the whole budget, then one
-        # dense eigensolve.
-        budget = ("power", spectral.POWER_MAXITER, False)
-        assert routes == [budget, ("dense",), budget, ("dense",)]
+        assert pair.dense == (True, True) and len(dense_calls) == 2
+        assert all(steps <= 2 * spectral.POWER_WINDOW + 1 for steps in pair.steps)
         want = float(np.max(np.linalg.eigvals(M).real))
         assert pair.alpha == pytest.approx(want, abs=1e-9)
         assert np.all(pair.right > 0) and np.all(pair.left > 0)
 
     # A well-separated input converges by power iteration alone.
-    routes.clear()
-    perron_pair(random_irreducible_metzler(rng, 16))
-    assert [r[0] for r in routes] == ["power", "power"]
-    assert all(ok and steps < spectral.POWER_MAXITER for _, steps, ok in routes)
+    dense_calls.clear()
+    pair = perron_pair(random_irreducible_metzler(rng, 16))
+    assert pair.dense == (False, False) and dense_calls == []
+    assert all(0 < steps < spectral.POWER_MAXITER for steps in pair.steps)
 
 
 def _strongly_connected_bruteforce(A):
@@ -301,7 +282,7 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
             perron_weights(M, 2)
         assert calls == []
         perron_pair(M)
-    assert len(calls) == 2
+    assert len(calls) == 1  # one loop steps both vectors
 
 
 def _reference_perron_pair(M, delta=0.0):
@@ -377,3 +358,89 @@ def test_perron_pair_is_bit_identical_to_reference():
         # Iterates have unit sum, so the reference's stop scale was 1.
         assert max(tops) <= 1.0
         assert dense == (2 if M is near_tie else 0)
+
+
+def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties():
+    # Seeded sweep of the Metzler inputs that certify and classify hand to
+    # perron_pair, n from 2 to 64: dense, M-Hurwitz majorants, sparse with
+    # and without delta, block-reducible and near-tied.  Every input matches
+    # the reference bit for bit.  Where the reference converges, perron_pair
+    # converges too, at the same steps (the reference keeps one max|y| per
+    # step of either vector).  Near ties of two blocks of at least 4, as the
+    # benchmark draws them, fall back at the stagnation test's first check;
+    # blocks of 2 or 3 may need a few more checks to reach their plateau.  A
+    # near tie whose start has next to no weight on the second eigenvector
+    # converges, as it does in the reference.
+    rng = np.random.default_rng(23)
+    cases = []  # (M, delta, block size of a near tie or 0)
+    for _ in range(40):
+        n = int(rng.integers(2, 65))
+        cases.append((random_irreducible_metzler(rng, n), 0.0, 0))
+        cases.append((metzler_majorant(random_mh_matrix(rng, n)), 0.0, 0))
+        M = random_metzler(rng, n, density=rng.uniform(0.1, 0.4))
+        cases.append((M, spectral.DEFAULT_DELTA, 0))
+        M = M.copy()
+        M[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.1, 1.0)
+        cases.append((M, 0.0, 0))
+        M = random_irreducible_metzler(rng, n)
+        M[n // 2:, : n // 2] = 0.0
+        M[n // 2:, n // 2:] *= 0.5
+        cases.append((M, spectral.DEFAULT_DELTA, 0))
+        k = int(rng.integers(2, 33))
+        cases.append((near_tie_metzler(rng, k), 0.0, k))
+    # The two slowest convergent inputs of the reference test: a sparse ring
+    # at about 0.9 per step, and a perturbed sparse input whose steps stay
+    # near 3e-2 for 18 steps before it converges at 154.
+    hard = np.random.default_rng(11)
+    for n in (1, 2, 16, 64, 256):
+        random_irreducible_metzler(hard, n)
+    M = random_metzler(hard, 16, density=0.2)
+    M[M == 0.0] = -0.0
+    ring = M.copy()
+    ring[np.arange(16), np.roll(np.arange(16), 1)] = 0.5
+    assert perron_pair(ring).steps == (254, 257)
+    assert perron_pair(M, spectral.DEFAULT_DELTA).steps == (154, 154)
+    cases += [(M, spectral.DEFAULT_DELTA, 0), (ring, 0.0, 0)]
+
+    fallbacks = 0
+    for M, delta, k in cases:
+        alpha, v, w, tops, dense = _reference_perron_pair(M, delta)
+        pair = perron_pair(M, delta)
+        assert pair.alpha == alpha
+        assert np.array_equal(pair.right, v) and np.array_equal(pair.left, w)
+        if dense == 0:
+            assert pair.dense == (False, False)
+            assert sum(pair.steps) == len(tops)
+        elif k:
+            assert dense == 2 and pair.dense == (True, True)
+            limit = 2 * spectral.POWER_WINDOW + 1 if k >= 4 else spectral.POWER_MAXITER - 1
+            assert max(pair.steps) <= limit
+            fallbacks += 1
+        else:  # slow, not stalled: the whole budget, as in the reference
+            assert dense == sum(pair.dense) and spectral.POWER_MAXITER in pair.steps
+    assert len(cases) >= 200 and fallbacks >= 35
+
+
+def test_stalled_rule_on_synthetic_step_histories():
+    # Steps q**k: the largest step of a half window is its first, so the
+    # newer half's largest is q**half times the older half's.
+    window, tol = spectral.POWER_WINDOW, spectral.POWER_TOL
+    half = window // 2
+
+    def geometric(first, rate, steps):
+        return [first * rate ** (k / half) for k in range(steps)]
+
+    flat = [1e-11] * (2 * window)
+    assert spectral._stalled(flat)
+    assert not spectral._stalled(flat[:-1])  # before the first check
+    assert not spectral._stalled(flat + [1e-11])  # between checks
+    assert spectral._stalled(flat + [1e-11] * half)
+    # Shrinking by 10 % or more per half window is progress.
+    assert not spectral._stalled(geometric(1e-2, 0.89, 2 * window))
+    # Shrinking by less than 10 %: stalled unless that rate reaches
+    # POWER_TOL within the budget.
+    left = (spectral.POWER_MAXITER - 2 * window) / half
+    slow = geometric(1.0, 0.95, 2 * window)
+    reach = tol / 0.95**left  # the last step that still reaches POWER_TOL
+    assert spectral._stalled([s * 1.01 * reach / slow[-half] for s in slow])
+    assert not spectral._stalled([s * 0.99 * reach / slow[-half] for s in slow])
