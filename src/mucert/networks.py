@@ -43,21 +43,12 @@ from .lognorm import (
     log_norm,
 )
 from .optimize import bisect_min_mu
-from .spectral import (
-    DEFAULT_DELTA,
-    NumericalError,
-    ReducibleMatrixError,
-    perron_pair,
-    spectral_abscissa,
-)
+from .spectral import DEFAULT_DELTA, ReducibleMatrixError, perron_pair, spectral_abscissa
 
 # A model is declared contracting only if the certified bound is at or below
 # minus this margin; the underlying strict inequalities must survive floating
 # point.
 CONTRACTION_MARGIN = 1e-9
-
-# The optimized level and a matching closed form must agree this tightly.
-CLOSED_FORM_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +119,18 @@ def _perron_weight_pair(M):
     return pair, pair.alpha
 
 
-def _perron_certificate(model, metzler, theorem, alpha_key) -> ContractionCertificate:
-    """Certificate in the weighted l1 norm at the left dominant eigenvector of
-    the Metzler matrix `metzler`."""
+def _perron_certificate(model, metzler, family, theorem, key,
+                        level=lambda alpha: alpha) -> ContractionCertificate:
+    """Certificate in the weighted `family` norm at the dominant eigenvector
+    of the Metzler matrix `metzler`, left for l1 and right for linf.
+    `details[key]` is `level` of its abscissa; `details.delta` > 0 marks a
+    reducible matrix, whose bound is then not tight."""
     pair, alpha = _perron_weight_pair(metzler)
-    osl = _witness_osl(model.witnesses(L1), L1, pair.left)
-    return _certificate(osl, L1, pair.left, theorem, pair.irreducible, **{alpha_key: alpha})
+    weights = pair.left if family == L1 else pair.right
+    return _certificate(
+        _witness_osl(model.witnesses(family), family, weights), family, weights, theorem,
+        model.exact and pair.irreducible, **{key: level(alpha)}, delta=pair.delta_used,
+    )
 
 
 def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
@@ -166,7 +163,8 @@ class _Model:
     fixed-weight bound there (`exact` if minimal; MultiLure's is its exact
     linf solver instead) and every certificate's `osl`.  Models whose
     analysis fixes its own norm define `_certify()`; the others call
-    `optimal_certificate` in `certificate`.
+    `optimal_certificate` in `certificate`, which takes `_closed_form` where
+    it applies and the optimizer only where it does not.
     """
 
     exact = True
@@ -200,32 +198,26 @@ class _Model:
         return cert
 
     def optimal_certificate(self, family: str) -> ContractionCertificate:
-        """Certificate at the weights minimizing the largest witness log norm,
-        or at closed-form optimal weights where `_closed_form` gives them."""
+        """Certificate at the weights minimizing the largest witness log norm:
+        the closed-form ones where `_closed_form` gives them, else the
+        optimizer's.  Only one of the two runs."""
+        closed = self._closed_form(family)
+        if closed is not None:
+            metzler, level = closed
+            return _perron_certificate(
+                self, metzler, family, f"{self.kind}/{family}/perron", "closed_form", level
+            )
         mats = self.witnesses(family)
         res = bisect_min_mu(mats, family)
-        weights, theorem, tight = res.eta_star, f"{self.kind}/{family}/weight-lp", self.exact
-        details = {"b_star": res.b_star}
-
-        pair, closed_value = self._closed_form(family)
-        if pair is not None:
-            weights = pair.left if family == L1 else pair.right
-            if abs(res.b_star - closed_value) > CLOSED_FORM_TOL:
-                raise NumericalError(
-                    f"closed-form optimum {closed_value} disagrees with the optimized "
-                    f"level {res.b_star}"
-                )
-            theorem = f"{self.kind}/{family}/perron"
-            tight = tight and pair.irreducible
-            details.update(closed_form=closed_value, delta=pair.delta_used)
-
         return _certificate(
-            _witness_osl(mats, family, weights), family, weights, theorem, tight, **details
+            _witness_osl(mats, family, res.eta_star), family, res.eta_star,
+            f"{self.kind}/{family}/weight-lp", self.exact, b_star=res.b_star,
         )
 
     def _closed_form(self, family):
-        """(Perron pair, optimal level) where the optimum has a closed form."""
-        return None, None
+        """(Metzler matrix, rule from its abscissa to the optimal level) where
+        the optimal weight is that matrix's dominant eigenvector; else None."""
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,17 +279,19 @@ class _Leaky(_Model):
         return self._unbounded_certificate()
 
     def _closed_form(self, family):
-        if family != self.family:
-            return None, None
+        """In the model's norm with bounded slopes: -C + d2 maj(A) at level
+        max(alpha(-C), a) for d1 = 0 and positive leak, else maj(A) at level
+        -c + max(d1 a, d2 a) for scalar leak c I and d1 >= 0 (a: abscissa)."""
+        if family != self.family or not self.slopes.bounded:
+            return None
         d1, d2 = self.slopes.d1, self.slopes.d2
         cdiag = np.diag(self.C)
         if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
-            pair, a_t = _perron_weight_pair(-self.C + d2 * metzler_majorant(self.A))
-            return pair, max(float(np.max(-cdiag)), a_t)
+            floor = float(np.max(-cdiag))
+            return -self.C + d2 * metzler_majorant(self.A), lambda a: max(floor, a)
         if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            pair, a_m = _perron_weight_pair(metzler_majorant(self.A))
-            return pair, -float(cdiag[0]) + max(d1 * a_m, d2 * a_m)
-        return None, None
+            return metzler_majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
+        return None
 
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
@@ -320,6 +314,7 @@ class _Leaky(_Model):
             "statement_rate": statement_rate,
             "mh_sufficient": d1 >= 0.0,
             "alpha_majorant": a_m,
+            "delta": pair.delta_used,
         }
         if not majorant_hurwitz:
             details["violated"] = "majorant-not-hurwitz"
@@ -417,7 +412,7 @@ class Persidskii(_Model):
 
     def _certify(self) -> ContractionCertificate:
         return _perron_certificate(
-            self, metzler_majorant(self.A), "persidskii/l1/perron", "alpha_majorant"
+            self, metzler_majorant(self.A), L1, "persidskii/l1/perron", "alpha_majorant"
         )
 
 
@@ -465,7 +460,7 @@ class AxMinusCPhi(_Model):
 
     def _certify(self) -> ContractionCertificate:
         return _perron_certificate(
-            self, metzler_majorant(self.A) - self.slopes.d1 * self.C,
+            self, metzler_majorant(self.A) - self.slopes.d1 * self.C, L1,
             "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
         )
 
@@ -660,12 +655,13 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     """Weight-optimized contraction certificate for a Hopfield or firing-rate
     model with bounded slopes.
 
-    The optimum is found by :func:`mucert.optimize.bisect_min_mu` over the two
-    envelope matrices of the Jacobian polytope.  When the leak matrix is
-    scalar with d1 >= 0, or d1 = 0 with strictly positive leak, the optimal
-    weight has a dominant-eigenvector closed form; that weight is used and
-    cross-checked against the optimized level.  Reducible majorants take a
-    perturbed dominant eigenvector and the certificate is marked non-tight.
+    When the leak matrix is scalar with d1 >= 0, or d1 = 0 with strictly
+    positive leak, the optimal weight is a dominant eigenvector in closed form
+    (``.../perron``, ``details.closed_form``) and no optimizer runs; elsewhere
+    :func:`mucert.optimize.bisect_min_mu` finds it over the two envelope
+    matrices of the Jacobian polytope (``.../weight-lp``, ``details.b_star``).
+    Reducible majorants take a perturbed dominant eigenvector
+    (``details.delta``) and the certificate is marked non-tight.
     """
     if not isinstance(model, _Leaky):
         raise TypeError("optimal_certificate expects a Hopfield or FiringRate model")
@@ -711,7 +707,7 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
         raise ValueError("d2 must be finite and nonnegative")
 
     return _perron_certificate(
-        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * metzler_majorant(A),
+        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * metzler_majorant(A), L1,
         "hopfield-mh/l1/perron", "alpha_shifted_majorant",
     )
 

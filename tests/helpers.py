@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 
 from mucert import (
+    L1,
+    LINF,
     Activation,
     FiringRate,
     Hopfield,
@@ -60,6 +62,27 @@ def near_tie_metzler(rng, k):
     M[k:, k:] = (d[:, None] * B) / d[None, :]
     np.fill_diagonal(M, -1.0)
     return M
+
+
+def closed_form_models(rng, count, sizes):
+    """(model, family) pairs on which a closed form applies: Hopfield l1 and
+    FiringRate linf, with d1 = 0 and a positive diagonal leak or with a
+    scalar leak and d1 >= 0; every third coupling is made reducible."""
+    models = []
+    for k in range(count):
+        n = int(rng.choice(sizes))
+        A = random_matrix(rng, n)
+        if k % 3 == 2:
+            A[n // 2:, : n // 2] = 0.0
+        if k % 2:
+            C = float(rng.uniform(0.2, 2.0)) * np.eye(n)
+            d1 = float(rng.uniform(0.0, 0.5))
+            slopes = SlopeInterval(d1, d1 + float(rng.uniform(0.1, 1.5)))
+        else:
+            C = np.diag(rng.uniform(0.2, 2.0, size=n))
+            slopes = SlopeInterval(0.0, float(rng.uniform(0.2, 1.5)))
+        models += [(Hopfield(C, A, slopes), L1), (FiringRate(C, A, slopes), LINF)]
+    return models
 
 
 def random_metzler(rng, n, density=0.6):

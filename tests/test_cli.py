@@ -168,7 +168,7 @@ def test_certify_command(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", path, "--family", "l1")
     cert = json.loads(out)
     assert code == 0 and cert["contracting"] is False
-    assert cert["details"]["b_star"] == pytest.approx(1.0, abs=1e-6)
+    assert cert["details"]["closed_form"] == pytest.approx(1.0, abs=1e-6)
 
     doc = {
         "schema_version": "1",

@@ -18,6 +18,7 @@ from mucert import (
     Persidskii,
     PolytopeSpec,
     SlopeInterval,
+    bisect_min_mu,
     brute_force_worst_case,
     certify,
     certify_ax_minus_cphi,
@@ -44,11 +45,13 @@ from mucert import (
 )
 
 import mucert.lognorm as lognorm_mod
+from mucert import networks
 
 from helpers import (
     DAMPED_SPIRAL,
     ROTATION_SHIFT,
     SLOPE_PATTERNS,
+    closed_form_models,
     multilure_linf_by_sign_patterns,
     random_matrix,
     random_mh_matrix,
@@ -132,7 +135,8 @@ def test_optimal_certificate_zero_lower_slope_closed_form():
         m = Hopfield(np.eye(n), A, SlopeInterval(0.0, 1.0))
         cert = optimal_certificate(m, L1)
         expected = max(-1.0, spectral_abscissa(-np.eye(n) + metzler_majorant(A)))
-        assert cert.details["b_star"] == pytest.approx(expected, abs=1e-6)
+        b_star = bisect_min_mu(m.witnesses(L1), L1).b_star
+        assert b_star == pytest.approx(expected, abs=1e-6)
         if cert.contracting:
             assert cert.rate == pytest.approx(-expected, abs=1e-6)
 
@@ -189,9 +193,36 @@ def test_optimal_certificate_closed_forms_match_lp():
                 )
                 cert = optimal_certificate(model, fam)
                 assert cert.theorem.endswith("perron")
-                assert cert.details["b_star"] == pytest.approx(
-                    cert.details["closed_form"], abs=1e-6
-                )
+                b_star = bisect_min_mu(model.witnesses(fam), fam).b_star
+                assert b_star == pytest.approx(cert.details["closed_form"], abs=1e-6)
+
+
+def test_closed_form_never_runs_the_optimizer(monkeypatch):
+    def refuse(mats, family, **kwargs):
+        raise AssertionError("the optimizer ran on a closed-form input")
+
+    monkeypatch.setattr(networks, "bisect_min_mu", refuse)
+    for model, fam in closed_form_models(np.random.default_rng(11), 12, (2, 3, 5, 16)):
+        assert certify(model).theorem.endswith("/perron")
+        assert optimal_certificate(model, fam).theorem.endswith("/perron")
+    # The patch is live: a negative lower slope has no closed form.
+    with pytest.raises(AssertionError, match="optimizer ran"):
+        certify(Hopfield(np.eye(2), ROTATION_SHIFT, SlopeInterval(-0.5, 1.0)))
+
+
+def test_certify_hopfield_mh_is_the_l1_closed_form():
+    rng = np.random.default_rng(12)
+    for k in range(20):
+        n = int(rng.integers(2, 12))
+        A = random_matrix(rng, n)
+        if k % 2:
+            A[n // 2:, : n // 2] = 0.0
+        C = np.diag(rng.uniform(0.2, 2.0, size=n))
+        d2 = float(rng.uniform(0.1, 1.5))
+        mh = certify_hopfield_mh(C, A, d2)
+        closed = certify(Hopfield(C, A, SlopeInterval(0.0, d2)), L1)
+        assert closed.weights.tobytes() == mh.weights.tobytes()
+        assert closed.osl == mh.osl
 
 
 def test_optimal_certificate_reducible_majorant_marked_nontight():

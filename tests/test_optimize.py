@@ -29,7 +29,7 @@ from mucert import optimize, spectral
 from mucert.optimize import RESOLVENT_SHIFT
 from mucert.spectral import RESIDUAL_RTOL
 
-from helpers import near_tie_metzler, random_matrix, random_metzler
+from helpers import closed_form_models, near_tie_metzler, random_matrix, random_metzler
 
 
 def test_feasibility_known_cases():
@@ -202,8 +202,9 @@ def test_defective_block_reaches_optimum():
     res = bisect_min_mu([-np.eye(2), -np.eye(2) + A], L1)
     assert res.status == "optimal"
     assert res.b_star == pytest.approx(-1.0, abs=1e-6)
-    cert = certify(Hopfield(np.eye(2), A, SlopeInterval(0.0, 1.0)), L1)
-    assert cert.details["b_star"] == pytest.approx(-1.0, abs=1e-6)
+    model = Hopfield(np.eye(2), A, SlopeInterval(0.0, 1.0))
+    cert = certify(model, L1)
+    assert bisect_min_mu(model.witnesses(L1), L1).b_star == pytest.approx(-1.0, abs=1e-6)
     assert cert.details["closed_form"] == -1.0
 
 
@@ -311,26 +312,44 @@ def _lure_model(rng, n, normalize):
     return Lure(A, b, c, slopes)
 
 
+def _linprog_status(mats, family, level):
+    """scipy's status for some w >= 1 with majorant(M_k) w <= level w
+    (transposed for l1) for every k: 0 found, 2 infeasible."""
+    n = mats[0].shape[0]
+    maj = [metzler_majorant(M) for M in mats]
+    if family == L1:
+        maj = [M.T for M in maj]
+    G = np.vstack([M - level * np.eye(n) for M in maj])
+    return scipy.optimize.linprog(
+        c=np.zeros(n),
+        A_ub=G,
+        b_ub=np.zeros(G.shape[0]),
+        bounds=[(1.0, None)] * n,
+        method="highs",
+    ).status
+
+
 def _check_optimized_certificate(model, family, mats):
     """The certified osl is the optimizer's b_star, and scipy finds no
     w >= 1 with majorant(M_k) w <= level w (transposed for l1) just below it."""
     cert = certify(model, family)
     scale = 1.0 + max(float(np.max(np.abs(M))) for M in mats)
     assert cert.osl == pytest.approx(cert.details["b_star"], abs=1e-9 * scale)
-    level = cert.osl - 1e-5 * scale
-    n = model.n
-    maj = [metzler_majorant(M) for M in mats]
-    if family == L1:
-        maj = [M.T for M in maj]
-    G = np.vstack([M - level * np.eye(n) for M in maj])
-    res = scipy.optimize.linprog(
-        c=np.zeros(n),
-        A_ub=G,
-        b_ub=np.zeros(G.shape[0]),
-        bounds=[(1.0, None)] * n,
-        method="highs",
-    )
-    assert res.status == 2
+    assert _linprog_status(mats, family, cert.osl - 1e-5 * scale) == 2
+
+
+def test_closed_forms_match_optimizer_and_linprog():
+    # Three independent routes to one optimal level: the closed form the
+    # certificate carries, the optimizer, and scipy's LP, which finds weights
+    # just above that level and none just below it.
+    for model, fam in closed_form_models(np.random.default_rng(13), 30, (2, 4, 7, 12)):
+        cert = certify(model, fam)
+        mats = model.witnesses(fam)
+        closed = cert.details["closed_form"]
+        assert bisect_min_mu(mats, fam).b_star == pytest.approx(closed, abs=1e-6)
+        scale = 1.0 + max(float(np.max(np.abs(M))) for M in mats)
+        assert _linprog_status(mats, fam, closed - 1e-5 * scale) == 2
+        assert _linprog_status(mats, fam, closed + 1e-5 * scale) == 0
 
 
 def _check_lure_certificate(model):

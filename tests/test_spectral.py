@@ -102,8 +102,8 @@ def _perron_certificates(rng, M):
 def test_metzler_route_matches_dense_route():
     # Each Perron certificate reports the abscissa of its Metzler matrix T.
     # Irreducible T: read off its Perron pair, within the dense residual
-    # contract.  Reducible T: the pair is delta-perturbed, and the detail is
-    # the unperturbed dense value.
+    # contract.  Reducible T: the pair is delta-perturbed, the certificate
+    # says so in `delta`, and the detail is the unperturbed dense value.
     rng = np.random.default_rng(3)
     for trial in range(16):
         n = int(rng.integers(2, 9))
@@ -113,6 +113,7 @@ def test_metzler_route_matches_dense_route():
             M[n // 2:, : n // 2] = 0.0
         for cert, key, T in _perron_certificates(rng, M):
             assert is_irreducible(T) != reducible
+            assert cert.details["delta"] == (spectral.DEFAULT_DELTA if reducible else 0.0)
             dense = float(np.max(np.linalg.eigvals(T).real))
             scale = 1.0 + float(np.max(np.abs(T)))
             if key == "closed_form":
