@@ -10,6 +10,11 @@ submatrices of one size together: one stacked dense eigensolve per at most
 SUBSET_BATCH submatrices, the same LAPACK routine that spectral_abscissa runs
 on each of them alone, so every abscissa is bit-identical to the per-subset
 value.
+
+The diagonal Lyapunov witness of an M-Hurwitz matrix is y/x from two linear
+solves on its Metzler majorant M, x = -M^-1 1 and y = -M^-T 1 (see
+mh_lds_witness): no eigenvector, perturbation or irreducibility is needed,
+and a construction that fails gives no witness rather than an error.
 """
 
 import itertools
@@ -17,15 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import as_matrix, as_weights, metzler_majorant
-from .lognorm import mu2
-from .spectral import (
-    DEFAULT_DELTA,
-    NumericalError,
-    ReducibleMatrixError,
-    perron_pair,
-    spectral_abscissa,
+from .matrices import (
+    as_matrix,
+    as_weights,
+    block_resolvent,
+    metzler_majorant,
+    reachability,
+    strong_blocks,
 )
+from .lognorm import mu2
+from .spectral import NumericalError, spectral_abscissa
 
 STRICT_TOL = 1e-12
 
@@ -113,24 +119,55 @@ def lds_certificate(A, weights) -> bool:
     weighted l2 log norm of A at the supplied diagonal weight is negative.
 
     This checks a single candidate weight, it is not a full membership test.
+    A weight of None (what :func:`mh_lds_witness` gives when it finds none)
+    raises ValueError rather than checking the unit weight.
     """
+    if weights is None:
+        raise ValueError("lds_certificate needs a weight vector, got None")
     return _strictly_negative(mu2(A, weights))
 
 
-def mh_lds_witness(A, delta: float = DEFAULT_DELTA) -> np.ndarray:
-    """A diagonal Lyapunov weight that certifies any M-Hurwitz matrix.
+def mh_lds_witness(A) -> np.ndarray | None:
+    """A diagonal Lyapunov weight that certifies any M-Hurwitz matrix, or
+    None when the construction gives no positive weight.
 
-    Built as w/v from the dominant left and right eigenvectors of the Metzler
-    majorant: with that weight, diag(w/v) M + M^T diag(w/v) is a symmetric
-    Metzler matrix whose product with v is 2*alpha*w < 0, hence negative
-    definite, and the weighted l2 log norm of A is bounded by the majorant's.
+    With M the Metzler majorant of A, x = -M^-1 1 and y = -M^-T 1, the
+    weight is y/x.  For a Hurwitz M, -M is a nonsingular M-matrix, so x and y
+    are positive; P = diag(y/x) makes Q = P M + M^T P a symmetric Metzler
+    matrix with Q x = -y/x - 1 < 0, hence negative definite, and the
+    weighted l2 log norm of A is bounded by the majorant's (Rantzer,
+    "Scalable control of positive systems", Eur. J. Control 2015).  No
+    irreducibility is needed; see :func:`_mh_witness` for the solves.
+    Conversely a positive x with M x = -1 proves M Hurwitz, so None means
+    that M is not Hurwitz, up to rounding.
     """
-    M = metzler_majorant(A)
+    return _mh_witness(metzler_majorant(A))
+
+
+def _mh_witness(M: np.ndarray) -> np.ndarray | None:
+    """:func:`mh_lds_witness` of a majorant M.  An irreducible M takes one
+    batched solve for x and y.  A reducible one is solved one strongly
+    connected block at a time (`matrices.block_resolvent` at b = 0), M's
+    blocks in dependency order and M^T's in the reverse order, so that each
+    block's right-hand side is at least 1; one solve over all of M can give
+    nonpositive entries on blocks coupled one way.  A singular solve, or a
+    weight that is not finite and positive, gives None."""
+    n = M.shape[0]
+    reach = reachability(M)
     try:
-        pair = perron_pair(M)
-    except ReducibleMatrixError:
-        pair = perron_pair(M, delta)
-    return as_weights(pair.left / pair.right)
+        if reach.all():
+            x, y = np.linalg.solve(np.stack((-M, -M.T)), np.ones((2, n, 1)))[..., 0]
+        else:
+            blocks = strong_blocks(reach)
+            x = block_resolvent(M, blocks, 0.0)
+            y = block_resolvent(M.T, blocks[::-1], 0.0)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):  # also false on NaN
+        return None
+    with np.errstate(over="ignore", under="ignore"):
+        w = y / x
+    return w if np.all((w > 0.0) & np.isfinite(w)) else None
 
 
 @dataclass(frozen=True)
@@ -148,22 +185,28 @@ class ClassReport:
 def classify_matrix(A, lds_weights=None) -> ClassReport:
     """Full class report for A.
 
-    If `lds_weights` is given, it is checked as the diagonal Lyapunov witness;
-    otherwise, for M-Hurwitz input the constructive witness from
-    :func:`mh_lds_witness` is tried.  `lds_certified_at` carries the weight
-    only when the witness check passes.
+    The Metzler majorant M is formed once: its abscissa decides M-Hurwitz,
+    M with its diagonal negated is the majorant of -A, whose abscissa decides
+    quasidominance, and for M-Hurwitz input M goes to the witness of
+    :func:`mh_lds_witness`.  If `lds_weights` is given, it is checked as the
+    diagonal Lyapunov witness instead.  `lds_certified_at` carries the
+    weight only when the witness check :func:`lds_certificate` passes, and
+    is None otherwise, also when the construction gives no weight.
     """
     A = as_matrix(A)
+    M = metzler_majorant(A)
     alpha = spectral_abscissa(A)
-    alpha_maj = spectral_abscissa(metzler_majorant(A))
+    alpha_maj = spectral_abscissa(M)
     mh = _strictly_negative(alpha_maj)
+    neg = M.copy()  # maj(-A): the same off-diagonal entries, bit for bit
+    np.fill_diagonal(neg, -np.diag(M))
 
     witness = None
     candidate = None
     if lds_weights is not None:
         candidate = as_weights(lds_weights, A.shape[0])
     elif mh:
-        candidate = mh_lds_witness(A)
+        candidate = _mh_witness(M)
     if candidate is not None and lds_certificate(A, candidate):
         witness = candidate
 
@@ -177,7 +220,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
         hurwitz=_strictly_negative(alpha),
         totally_hurwitz=_totally_hurwitz(A, mh),
         m_hurwitz=mh,
-        quasidominant=is_quasidominant(A),
+        quasidominant=_strictly_negative(spectral_abscissa(neg)),
         lds_certified_at=witness,
         alpha=alpha,
         alpha_majorant=alpha_maj,

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, is_metzler, metzler_majorant, reachability
+from .matrices import (
+    as_matrix,
+    block_resolvent,
+    is_metzler,
+    metzler_majorant,
+    reachability,
+    strong_blocks,
+)
 from .lognorm import L1, LINF
 from .spectral import NumericalError, _noda_vector
 
@@ -90,30 +97,15 @@ class BisectResult:
 
 def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
     """Right Perron vector of an irreducible Metzler S, or resolvent weights
-    (bI - S)^-1 1 at b = alpha(S) + shift for a reducible one."""
+    (bI - S)^-1 1 at b = alpha(S) + shift for a reducible one, solved by
+    `matrices.block_resolvent` with b above every block's abscissa, so the
+    weights are positive."""
     reach = reachability(S)
-    if not reach.all():
-        return _resolvent_weights(S, reach, shift)
-    return _noda_vector(S)
-
-
-def _resolvent_weights(S: np.ndarray, reach: np.ndarray, shift: float) -> np.ndarray:
-    """(bI - S)^-1 1 at b = alpha(S) + shift, solved one strongly connected
-    block at a time, the blocks a row depends on first.
-
-    One dense solve would square the condition number on tied blocks coupled
-    one way (b - alpha is tiny against both); block by block, each solve is an
-    irreducible M-matrix with a right-hand side of at least 1, so the weights
-    stay positive.  Ordering blocks by how many indices they reach puts every
-    block after the blocks it depends on.
-    """
-    label = np.argmax(reach & reach.T, axis=1)  # least index of the block
-    heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
-    blocks = [np.flatnonzero(label == h) for h in heads]
+    if reach.all():
+        return _noda_vector(S)
+    blocks = strong_blocks(reach)
     b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks) + shift
-    w = np.zeros(S.shape[0])
-    for B in blocks:
-        w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+    w = block_resolvent(S, blocks, b)
     if not np.all((w > 0.0) & np.isfinite(w)):
         raise NumericalError("resolvent weights have nonpositive entries")
     return w

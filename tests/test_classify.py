@@ -16,12 +16,11 @@ from mucert import (
     metzler_majorant,
     mh_lds_witness,
     mu2,
-    perron_pair,
     principal_submatrix,
     pruning_robustness,
     spectral_abscissa,
 )
-from mucert.spectral import DEFAULT_DELTA, is_irreducible
+from mucert.spectral import is_irreducible
 
 from helpers import (
     DAMPED_SPIRAL,
@@ -318,35 +317,91 @@ def test_subset_batches_respect_the_batch_cap(monkeypatch):
     assert sum(sizes) == 2**7 - 1 - 7
 
 
-def test_mh_lds_witness_makes_one_irreducibility_pass(monkeypatch):
-    calls = []
-    check = spectral_mod.is_irreducible
-    monkeypatch.setattr(spectral_mod, "is_irreducible", lambda M: calls.append(1) or check(M))
-    rng = np.random.default_rng(15)
-    for _ in range(5):
-        A = random_mh_matrix(rng, 6)
-        calls.clear()
-        w = mh_lds_witness(A)
-        assert len(calls) == 1
-        pair = perron_pair(metzler_majorant(A))
-        assert np.array_equal(w, pair.left / pair.right)
+def _mh_sweep_inputs(rng, count):
+    """M-Hurwitz matrices: dense, sparse (density 0.2 to 0.5) and
+    reducible (block upper triangular, dense or sparse blocks) couplings, n 2
+    to 12, shifted so that the majorant abscissa is -margin with margins
+    log-uniform in 1e-10 to 1."""
+    kinds = ("dense", "sparse", "reducible")
+    for k in range(count):
+        kind = kinds[k % 3]
+        n = int(rng.integers(2, 13))
+        A = rng.normal(size=(n, n))
+        if kind != "dense":
+            A *= rng.random(size=(n, n)) < rng.uniform(0.2, 0.5 if kind == "sparse" else 1.0)
+        if kind == "reducible":
+            split = int(rng.integers(1, n))
+            A[split:, :split] = 0.0
+        margin = 10.0 ** rng.uniform(-10.0, 0.0)
+        yield A - (spectral_abscissa(metzler_majorant(A)) + margin) * np.eye(n)
 
-    A = np.diag([-1.0, -2.0, -3.0])  # reducible: weights of the delta-perturbed pair
-    A[0, 1] = 0.5
-    pair = perron_pair(metzler_majorant(A), DEFAULT_DELTA)
-    assert not is_irreducible(metzler_majorant(A))
-    assert np.array_equal(mh_lds_witness(A), pair.left / pair.right)
+
+def test_mh_lds_witness_oracle_sweep():
+    rng = np.random.default_rng(15)
+    seen = {"irreducible": 0, "reducible": 0, "margin_below_1e-8": 0}
+    for A in _mh_sweep_inputs(rng, 450):
+        M = metzler_majorant(A)
+        w = mh_lds_witness(A)
+        assert w is not None and np.all(np.isfinite(w)) and np.all(w > 0.0)
+        assert lds_certificate(A, w)
+        # P M + M^T P is negative definite iff its unit-diagonal congruent
+        # form D Q D is (Sylvester's law of inertia).  eigvalsh's error is
+        # absolute, and the weights of a reducible input with a tiny margin
+        # span up to 1e-41 .. 1e23, so Q itself hides the sign in rounding.
+        Q = w[:, None] * M + M.T * w[None, :]
+        d = 1.0 / np.sqrt(-np.diag(Q))
+        assert np.max(np.linalg.eigvalsh(d[:, None] * Q * d[None, :])) < 0.0
+        report = classify_matrix(A)
+        assert report.m_hurwitz and np.array_equal(report.lds_certified_at, w)
+        seen["irreducible" if is_irreducible(M) else "reducible"] += 1
+        seen["margin_below_1e-8"] += spectral_abscissa(M) > -1e-8
+    assert min(seen.values()) >= 50, seen
+
+
+def test_mh_lds_witness_certifies_a_one_way_coupled_pair():
+    # Two equal 1x1 blocks coupled one way, margin 1e-6: the weights of the
+    # delta-perturbed Perron pair failed lds_certificate here.
+    A = np.array([[-1e-6, 1.0], [0.0, -1e-6]])
+    report = classify_matrix(A)
+    w = report.lds_certified_at
+    assert report.m_hurwitz and w is not None
+    assert np.all(w > 0.0) and lds_certificate(A, w)
+    np.testing.assert_allclose(w, [1e-6, 1e6], rtol=1e-5)
+
+
+def test_mh_lds_witness_gives_none_without_a_positive_weight():
+    assert mh_lds_witness(DAMPED_SPIRAL) is None  # majorant not Hurwitz
+    assert mh_lds_witness(np.zeros((2, 2))) is None  # singular
+    assert mh_lds_witness([[1.0, 0.0], [0.0, -1.0]]) is None  # reducible, one block unstable
+    # A missing witness is not read as the unit weight, which certifies
+    # DAMPED_SPIRAL.
+    with pytest.raises(ValueError, match="needs a weight vector"):
+        lds_certificate(DAMPED_SPIRAL, mh_lds_witness(DAMPED_SPIRAL))
+
+
+def test_m_hurwitz_classify_takes_no_power_step(monkeypatch):
+    def no_power_step(N):
+        raise AssertionError("power iteration ran")
+
+    monkeypatch.setattr(spectral_mod, "_power_vector", no_power_step)
+    rng = np.random.default_rng(17)
+    for A in _mh_sweep_inputs(rng, 30):
+        report = classify_matrix(A)
+        assert report.m_hurwitz and report.lds_certified_at is not None
 
 
 def test_classify_matrix_takes_each_abscissa_once(monkeypatch):
     # alpha(A), alpha(maj(A)) and the quasidominance abscissa: the
-    # totally-Hurwitz shortcut reuses the M-Hurwitz flag.
+    # totally-Hurwitz shortcut reuses the M-Hurwitz flag.  The last one is
+    # taken on maj(A) with its diagonal negated, which is maj(-A) bit for bit.
     calls = []
     solve = classify_mod.spectral_abscissa
-    monkeypatch.setattr(classify_mod, "spectral_abscissa", lambda M: calls.append(1) or solve(M))
+    monkeypatch.setattr(classify_mod, "spectral_abscissa", lambda M: calls.append(M) or solve(M))
     rng = np.random.default_rng(16)
     for A, mh in ((random_mh_matrix(rng, 8), True), (_spiral_blocks(rng, 8), False)):
         calls.clear()
         report = classify_matrix(A)
         assert len(calls) == 3
         assert report.m_hurwitz == mh and report.totally_hurwitz
+        assert calls[2].tobytes() == metzler_majorant(-A).tobytes()
+        assert report.quasidominant == is_quasidominant(A)

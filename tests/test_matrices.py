@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 from mucert import (
     metzler_majorant,
@@ -9,7 +10,15 @@ from mucert import (
     pad,
     principal_submatrix,
 )
-from mucert.matrices import as_matrix, as_weights, check_diagonal, is_metzler, reachability
+from mucert.matrices import (
+    as_matrix,
+    as_weights,
+    block_resolvent,
+    check_diagonal,
+    is_metzler,
+    reachability,
+    strong_blocks,
+)
 
 from helpers import DAMPED_SPIRAL, SKEW_RING
 
@@ -137,3 +146,39 @@ def test_reachability_matches_closure_reference():
         assert got.dtype == want.dtype == bool
         np.testing.assert_array_equal(got, want)
     assert reachability(dense).all() and not reachability(blocks).all()
+
+
+def test_strong_blocks_match_csgraph_in_dependency_order():
+    rng = np.random.default_rng(16)
+    for trial in range(80):
+        n = int(rng.integers(1, 25))
+        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.02, 0.4))
+        reach = reachability(A)
+        blocks = strong_blocks(reach)
+        _, label = scipy.sparse.csgraph.connected_components(A != 0.0, connection="strong")
+        assert sorted(sorted(B.tolist()) for B in blocks) == sorted(
+            np.flatnonzero(label == k).tolist() for k in np.unique(label))
+        # Each row of a block reads only its own block and blocks before it;
+        # in the transposed pattern the reverse order has that property.
+        for order, M in ((blocks, A), (blocks[::-1], A.T)):
+            done = np.zeros(n, dtype=bool)
+            for B in order:
+                done[B] = True
+                assert not np.any(M[B][:, ~done])
+
+
+def test_block_resolvent_solves_the_whole_system():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n = int(rng.integers(2, 16))
+        M = np.abs(rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.3)
+        np.fill_diagonal(M, rng.normal(size=n))
+        b = float(np.max(np.linalg.eigvals(M).real)) + rng.uniform(0.1, 1.0)
+        blocks = strong_blocks(reachability(M))
+        w = block_resolvent(M, blocks, b)
+        assert np.all(w > 0.0)
+        np.testing.assert_allclose((b * np.eye(n) - M) @ w, 1.0, rtol=1e-9, atol=0.0)
+        wt = block_resolvent(M.T, blocks[::-1], b)
+        np.testing.assert_allclose((b * np.eye(n) - M.T) @ wt, 1.0, rtol=1e-9, atol=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        block_resolvent(np.zeros((2, 2)), strong_blocks(reachability(np.zeros((2, 2)))), 0.0)

@@ -26,6 +26,7 @@ from mucert import (
     spectral_abscissa,
 )
 from mucert import optimize, spectral
+from mucert.matrices import reachability
 from mucert.optimize import RESOLVENT_SHIFT
 from mucert.spectral import RESIDUAL_RTOL
 
@@ -206,6 +207,62 @@ def test_defective_block_reaches_optimum():
     cert = certify(model, L1)
     assert bisect_min_mu(model.witnesses(L1), L1).b_star == pytest.approx(-1.0, abs=1e-6)
     assert cert.details["closed_form"] == -1.0
+
+
+def _reference_resolvent_weights(S, reach, shift):
+    """The optimizer's resolvent weights as they were before the block-wise
+    solve became `matrices.block_resolvent`, kept as the reference."""
+    label = np.argmax(reach & reach.T, axis=1)
+    heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
+    blocks = [np.flatnonzero(label == h) for h in heads]
+    b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks) + shift
+    w = np.zeros(S.shape[0])
+    for B in blocks:
+        w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise spectral.NumericalError("resolvent weights have nonpositive entries")
+    return w
+
+
+def _reference_selection_weights(S, shift):
+    reach = reachability(S)
+    if not reach.all():
+        return _reference_resolvent_weights(S, reach, shift)
+    return spectral._noda_vector(S)
+
+
+def test_block_resolvent_is_bit_identical_to_reference(monkeypatch):
+    # Every matrix of a case shares one reducible pattern (block upper
+    # triangular, sparse blocks), so every row selection is reducible.
+    rng = np.random.default_rng(37)
+    cases = []
+    for trial in range(60):
+        n = int(rng.integers(2, 33))
+        split = int(rng.integers(1, n))
+        mask = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+        mask[split:, :split] = False
+        mats = [random_matrix(rng, n) * mask for _ in range(2 + trial % 2)]
+        cases.append((mats, (L1, LINF)[(trial // 2) % 2]))
+
+    reducible = []
+    selection_weights = optimize._selection_weights
+
+    def spy(S, shift):
+        w = selection_weights(S, shift)
+        if not reachability(S).all():
+            reducible.append(1)
+            assert w.tobytes() == _reference_selection_weights(S, shift).tobytes()
+        return w
+
+    monkeypatch.setattr(optimize, "_selection_weights", spy)
+    got = [bisect_min_mu(mats, fam) for mats, fam in cases]
+    monkeypatch.setattr(optimize, "_selection_weights", _reference_selection_weights)
+    for (mats, fam), res in zip(cases, got):
+        want = bisect_min_mu(mats, fam)
+        assert res.b_star.hex() == want.b_star.hex()
+        assert res.eta_star.tobytes() == want.eta_star.tobytes()
+        assert (res.iterations, res.status) == (want.iterations, want.status)
+    assert len(reducible) >= len(cases)
 
 
 def test_iteration_budget_reports_tolerance():
