@@ -145,22 +145,17 @@ def mh_lds_witness(A) -> np.ndarray | None:
 
 
 def _mh_witness(M: np.ndarray) -> np.ndarray | None:
-    """:func:`mh_lds_witness` of a majorant M.  An irreducible M takes one
-    batched solve for x and y.  A reducible one is solved one strongly
-    connected block at a time (`matrices.block_resolvent` at b = 0), M's
-    blocks in dependency order and M^T's in the reverse order, so that each
-    block's right-hand side is at least 1; one solve over all of M can give
-    nonpositive entries on blocks coupled one way.  A singular solve, or a
-    weight that is not finite and positive, gives None."""
-    n = M.shape[0]
-    reach = reachability(M)
+    """:func:`mh_lds_witness` of a majorant M, solved one strongly connected
+    block at a time (`matrices.block_resolvent` at b = 0): M's blocks in
+    dependency order and M^T's in the reverse order, so that each block's
+    right-hand side is at least 1.  One solve over all of a reducible M can
+    give nonpositive entries on blocks coupled one way; an irreducible M is
+    one block.  A singular solve, or a weight that is not finite and
+    positive, gives None."""
+    blocks = strong_blocks(reachability(M))
     try:
-        if reach.all():
-            x, y = np.linalg.solve(np.stack((-M, -M.T)), np.ones((2, n, 1)))[..., 0]
-        else:
-            blocks = strong_blocks(reach)
-            x = block_resolvent(M, blocks, 0.0)
-            y = block_resolvent(M.T, blocks[::-1], 0.0)
+        x = block_resolvent(M, blocks, 0.0)
+        y = block_resolvent(M.T, blocks[::-1], 0.0)
     except np.linalg.LinAlgError:
         return None
     if not (np.all(x > 0.0) and np.all(y > 0.0)):  # also false on NaN
@@ -186,10 +181,9 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
     """Full class report for A.
 
     The Metzler majorant M is formed once: its abscissa decides M-Hurwitz,
-    M with its diagonal negated is the majorant of -A, whose abscissa decides
-    quasidominance, and for M-Hurwitz input M goes to the witness of
-    :func:`mh_lds_witness`.  If `lds_weights` is given, it is checked as the
-    diagonal Lyapunov witness instead.  `lds_certified_at` carries the
+    and for M-Hurwitz input M goes to the witness of :func:`mh_lds_witness`.
+    If `lds_weights` is given, it is checked as the diagonal Lyapunov
+    witness instead.  `lds_certified_at` carries the
     weight only when the witness check :func:`lds_certificate` passes, and
     is None otherwise, also when the construction gives no weight.
     """
@@ -198,8 +192,6 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
     alpha = spectral_abscissa(A)
     alpha_maj = spectral_abscissa(M)
     mh = _strictly_negative(alpha_maj)
-    neg = M.copy()  # maj(-A): the same off-diagonal entries, bit for bit
-    np.fill_diagonal(neg, -np.diag(M))
 
     witness = None
     candidate = None
@@ -220,7 +212,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
         hurwitz=_strictly_negative(alpha),
         totally_hurwitz=_totally_hurwitz(A, mh),
         m_hurwitz=mh,
-        quasidominant=_strictly_negative(spectral_abscissa(neg)),
+        quasidominant=is_quasidominant(A),
         lds_certified_at=witness,
         alpha=alpha,
         alpha_majorant=alpha_maj,
