@@ -14,10 +14,14 @@ def as_matrix(a) -> np.ndarray:
     """Validate and return a finite square float matrix: always a C-ordered
     copy, so that results do not depend on the layout of the input (the
     l1 and linf kernels round differently on a Fortran-ordered matrix)."""
-    A = np.array(a, dtype=float, order="C")
+    return _checked_square(np.array(a, dtype=float, order="C"))
+
+
+def _checked_square(A: np.ndarray) -> np.ndarray:
+    """A itself, once it is checked to be a finite square matrix."""
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -49,10 +53,9 @@ def _weights_or_ones(weights, n: int) -> np.ndarray:
 
 def is_metzler(A, tol: float = 0.0) -> bool:
     """True iff all off-diagonal entries are >= -tol."""
-    A = np.asarray(A, dtype=float)
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return bool(np.all(off >= -tol))
+    ok = np.asarray(A, dtype=float) >= -tol
+    np.fill_diagonal(ok, True)
+    return bool(ok.all())
 
 
 def reachability(A) -> np.ndarray:
@@ -125,7 +128,12 @@ def check_diagonal(C, nonneg: bool = True) -> np.ndarray:
 
 def metzler_majorant(A) -> np.ndarray:
     """Keep the diagonal of A, replace off-diagonal entries by absolute values."""
-    A = as_matrix(A)
+    return _majorant(as_matrix(A))
+
+
+def _majorant(A: np.ndarray) -> np.ndarray:
+    """:func:`metzler_majorant` of an already validated matrix, C-ordered
+    if A is."""
     M = np.abs(A)
     np.fill_diagonal(M, np.diag(A))
     return M

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    _checked_square,
+    _majorant,
     _weights_or_ones,
     as_matrix,
     as_vector,
     check_diagonal,
-    metzler_majorant,
 )
 from .lognorm import (
     L1,
@@ -40,10 +41,10 @@ from .lognorm import (
     SlopeInterval,
     _vertex_max,
     envelope_matrices,
-    log_norm,
+    kernels,
 )
 from .optimize import bisect_min_mu
-from .spectral import DEFAULT_DELTA, ReducibleMatrixError, perron_pair, spectral_abscissa
+from .spectral import DEFAULT_DELTA, _perron, is_irreducible, spectral_abscissa
 
 # A model is declared contracting only if the certified bound is at or below
 # minus this margin; the underlying strict inequalities must survive floating
@@ -104,28 +105,47 @@ def _slope_rows(act, X) -> np.ndarray:
 
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
-    fixed-weight bound and every certificate's `osl` is this number."""
-    return max(log_norm(M, family, weights) for M in mats)
+    fixed-weight bound and every certificate's `osl` is this number.
+
+    The weights are validated once.  The witnesses are built C-ordered from
+    the model's validated matrices, so each is only checked to be finite
+    before the `family` kernel reads it: a witness that overflowed raises
+    ValueError, as :func:`mucert.lognorm.log_norm` would.
+    """
+    mu = kernels(family)[0]
+    w = _weights_or_ones(weights, mats[0].shape[0])
+    return max(float(mu(_checked_square(M), w)) for M in mats)
 
 
-def _perron_weight_pair(M):
-    """(Perron pair, spectral abscissa) of a Metzler matrix: both from one
-    pair if it is irreducible, else the pair of its DEFAULT_DELTA perturbation
-    and the unperturbed abscissa, which the perturbation can move far more."""
-    try:
-        pair = perron_pair(M)
-    except ReducibleMatrixError:
-        return perron_pair(M, DEFAULT_DELTA), spectral_abscissa(M)
-    return pair, pair.alpha
+# Rows of the Perron pair that a certificate in each norm carries: (lo, hi)
+# of spectral._perron, the left vector for l1 and the right one for linf.
+_PERRON_ROWS = {L1: (1, 2), LINF: (0, 1), None: (0, 2)}
+
+
+def _perron_weights(M, family=None):
+    """(Perron pair, spectral abscissa) of a Metzler matrix M, stepping only
+    the vector that a `family` certificate carries (both for None): the pair
+    of M and its `alpha` if M is irreducible, else the pair of its
+    DEFAULT_DELTA perturbation and the unperturbed abscissa, which the
+    perturbation can move far more.  The irreducibility check raises
+    ValueError on an M that overflowed when it was built."""
+    rows = _PERRON_ROWS[family]
+    if is_irreducible(M):
+        pair = _perron(M, 0.0, True, *rows)
+        return pair, pair.alpha
+    return _perron(M, DEFAULT_DELTA, False, *rows), spectral_abscissa(M)
 
 
 def _perron_certificate(model, metzler, family, theorem, key,
                         level=lambda alpha: alpha) -> ContractionCertificate:
     """Certificate in the weighted `family` norm at the dominant eigenvector
-    of the Metzler matrix `metzler`, left for l1 and right for linf.
-    `details[key]` is `level` of its abscissa; `details.delta` > 0 marks a
+    of the Metzler matrix `metzler`, left for l1 and right for linf.  Only
+    that vector is power-iterated, and `details[key]` is `level` of its
+    Rayleigh quotient (of the unperturbed abscissa if `metzler` is
+    reducible).  `metzler` and the witnesses come from the model's validated
+    matrices and are not validated again.  `details.delta` > 0 marks a
     reducible matrix, whose bound is then not tight."""
-    pair, alpha = _perron_weight_pair(metzler)
+    pair, alpha = _perron_weights(metzler, family)
     weights = pair.left if family == L1 else pair.right
     return _certificate(
         _witness_osl(model.witnesses(family), family, weights), family, weights, theorem,
@@ -138,7 +158,7 @@ def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
     majorant dominates every Jacobian majorant: one rate in the weighted l1 and
     linf norms at its left and right dominant eigenvectors, never exact."""
     mats = model.witnesses(L1)
-    pair, alpha = _perron_weight_pair(metzler_majorant(mats[0]))
+    pair, alpha = _perron_weights(_majorant(mats[0]))
     osl = max(_witness_osl(mats, L1, pair.left), _witness_osl(mats, LINF, pair.right))
     return _certificate(
         osl, L1, pair.left, theorem, False,
@@ -288,15 +308,15 @@ class _Leaky(_Model):
         cdiag = np.diag(self.C)
         if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
             floor = float(np.max(-cdiag))
-            return -self.C + d2 * metzler_majorant(self.A), lambda a: max(floor, a)
+            return -self.C + d2 * _majorant(self.A), lambda a: max(floor, a)
         if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            return metzler_majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
+            return _majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
         return None
 
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
-        Mzr = metzler_majorant(self.A)
-        pair, a_m = _perron_weight_pair(Mzr)
+        Mzr = _majorant(self.A)
+        pair, a_m = _perron_weights(Mzr, family)
         a_mc = float(np.max(-np.diag(self.C)))
         min_diag = float(np.min(np.diag(self.A)))
 
@@ -407,12 +427,14 @@ class Persidskii(_Model):
 
     def witnesses(self, family: str) -> list[np.ndarray]:
         """The envelope pair of the polytope {A diag(d)}: d1 A and d2 A in l1."""
+        if family == L1:
+            return [self.slopes.d1 * self.A, self.slopes.d2 * self.A]
         spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, RIGHT)
         return list(envelope_matrices(spec, family))
 
     def _certify(self) -> ContractionCertificate:
         return _perron_certificate(
-            self, metzler_majorant(self.A), L1, "persidskii/l1/perron", "alpha_majorant"
+            self, _majorant(self.A), L1, "persidskii/l1/perron", "alpha_majorant"
         )
 
 
@@ -460,7 +482,7 @@ class AxMinusCPhi(_Model):
 
     def _certify(self) -> ContractionCertificate:
         return _perron_certificate(
-            self, metzler_majorant(self.A) - self.slopes.d1 * self.C, L1,
+            self, _majorant(self.A) - self.slopes.d1 * self.C, L1,
             "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
         )
 
@@ -707,7 +729,7 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
         raise ValueError("d2 must be finite and nonnegative")
 
     return _perron_certificate(
-        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * metzler_majorant(A), L1,
+        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * _majorant(A), L1,
         "hopfield-mh/l1/perron", "alpha_shifted_majorant",
     )
 
@@ -738,10 +760,17 @@ def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
     d1, d2 = model.slopes.d1, model.slopes.d2
     if d1 < 0.0:
         raise ValueError("coupling bound requires d1 >= 0")
-    # T[i, k, j] = B[i, k] * C[k, j]
-    T = model.B[:, :, None] * model.C[None, :, :]
-    pos = np.clip(T, 0.0, None).sum(axis=1)
-    neg = np.clip(T, None, 0.0).sum(axis=1)
+    # One loop gain B[:, k] C[k] at a time, in k order from the first term:
+    # the sums of the middle-axis sum over the (n, m, n) tensor of all m
+    # gains, without the tensor.  With m = 0 both sums are zero.
+    pos = neg = np.zeros((model.n, model.n))
+    for k in range(model.m):
+        T = np.outer(model.B[:, k], model.C[k])
+        if k == 0:
+            pos, neg = np.maximum(T, 0.0), np.minimum(T, 0.0)
+        else:
+            pos += np.maximum(T, 0.0)
+            neg += np.minimum(T, 0.0)
     hi = d2 * pos + d1 * neg
     lo = d1 * pos + d2 * neg
     F = np.abs(model.A) + np.maximum(hi, -lo)

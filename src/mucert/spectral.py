@@ -46,7 +46,17 @@ iterations.
 
 At those eigenvectors the weighted l1/linf log norms attain the spectral
 abscissa, so a certificate reads both its weights and its abscissa off one
-Perron pair.
+Perron pair.  It computes only what it carries.  :func:`perron_pair`
+validates its input (square, finite, Metzler, delta) and then hands it to
+the private `_perron`, which takes an already validated C-ordered Metzler
+matrix and steps only the rows asked for: both for `perron_pair`.  The
+certificates in :mod:`mucert.networks` build their Metzler matrix from the
+model's validated arrays and call `_perron` directly.  A one-norm
+certificate steps one vector, the left one for l1 and the right one for
+linf, and its abscissa detail is that vector's Rayleigh quotient less the
+shift; a certificate in both norms steps both, and its abscissa is the mean
+of their two quotients, as in `perron_pair`.  Each row rounds as a lone
+iteration would, so the weights are those of `perron_pair`.
 """
 
 import math
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import solve
 
-from .matrices import as_matrix, is_metzler, reachability
+from .matrices import _checked_square, as_matrix, is_metzler, reachability
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1), or give up after
@@ -118,7 +128,7 @@ def spectral_abscissa(A) -> float:
 def is_irreducible(A) -> bool:
     """True iff the digraph with an edge j -> i whenever i != j and A[i, j] != 0
     is strongly connected."""
-    return bool(reachability(as_matrix(A)).all())
+    return bool(reachability(_checked_square(np.asarray(A, dtype=float))).all())
 
 
 @dataclass(frozen=True)
@@ -129,7 +139,10 @@ class PerronPair:
     abscissa of the (possibly delta-perturbed) Metzler input; `delta_used`
     records the rank-one perturbation actually applied.  `steps` holds the
     power steps taken for the (right, left) vectors and `dense` which of the
-    two came from the dense eigensolver instead.
+    two came from the dense eigensolver instead.  The package's one-norm
+    certificates ask the private `_perron` for one vector only: the other is
+    then None with 0 steps, and `alpha` is the Rayleigh quotient of the one
+    vector, less the shift.
     """
 
     alpha: float
@@ -141,10 +154,11 @@ class PerronPair:
     dense: tuple[bool, bool]
 
 
-def _power_vector(N: np.ndarray) -> tuple[list, list[int]]:
-    """Power iteration for the dominant right eigenvector of N (on N) and
-    the dominant left one (on N.T), for a nonnegative N with positive
-    diagonal, both in one loop (see the module docstring).
+def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
+    """Power iteration for the dominant right eigenvector of N (row 0, on N)
+    and the dominant left one (row 1, on N.T), for a nonnegative N with
+    positive diagonal: rows lo to hi - 1 of the two, in one loop (see the
+    module docstring).
 
     A turn is one `np.matmul(..., out=row)` per row, then one row-wise sum,
     scale, difference, absolute value and max over the rows still
@@ -161,16 +175,16 @@ def _power_vector(N: np.ndarray) -> tuple[list, list[int]]:
     first stagnation test, step 2 * POWER_WINDOW.
 
     Returns ([right, left], [steps of each]): a unit-sum vector for a row
-    that converged, None for one that goes to the dense solver.
+    that converged, None for one that goes to the dense solver or was not
+    asked for; a row not asked for takes 0 steps.
     """
     n = N.shape[0]
     mats = (N, N.T)
     X, Y = np.full((2, n), 1.0 / n), np.empty((2, n))
     xs, ys = tuple(X), tuple(Y)  # row views
-    x, y = X, Y  # rows lo:hi, the rows still iterating
-    lo, hi = 0, 2
+    x, y = X[lo:hi], Y[lo:hi]  # the rows still iterating
     vectors = [None, None]
-    steps = [POWER_MAXITER, POWER_MAXITER]
+    steps = [POWER_MAXITER if lo <= i < hi else 0 for i in range(2)]
     history = ([], [])
     for step in range(1, POWER_MAXITER + 1):
         for i in range(lo, hi):
@@ -278,6 +292,48 @@ def _rayleigh(N: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return lam, float(np.max(np.abs(Nv - lam * v)))
 
 
+def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) -> PerronPair:
+    """Perron vectors of M + delta * ones for a Metzler M that is already
+    validated, finite and C-ordered, and a finite delta >= 0: the right one
+    (row 0) and the left one (row 1), rows lo to hi - 1 of the two.  Only
+    the rows asked for are power-iterated; a row not asked for is None in
+    the pair, with 0 steps.  `alpha` is the mean of the asked rows' Rayleigh
+    quotients, less the shift: one vector's own quotient when one is asked.
+
+    Raises NumericalError, before any iteration, if the shifted matrix or a
+    power step's sum (at most n times its largest entry) would overflow.
+    """
+    # M + delta in one pass (C-ordered, as M is), with every -0.0 made
+    # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
+    with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
+        N = np.add(M, delta + 0.0)
+        shift = 1.0 + float(np.max(np.abs(np.diag(N))))
+        N.flat[:: N.shape[0] + 1] += shift
+    scale = 1.0 + float(np.max(np.abs(N)))
+    # A unit-sum iterate's product sums to at most n * scale.
+    if not N.shape[0] * scale < math.inf:
+        raise NumericalError("shifted matrix overflows float64; rescale the input")
+
+    vectors, steps = _power_vector(N, lo, hi)
+    dense, lams = [False, False], []
+    for i in range(lo, hi):
+        B, x = (N, N.T)[i], vectors[i]
+        if x is not None:
+            lam, residual = _rayleigh(B, x)
+        dense[i] = x is None or residual > RESIDUAL_RTOL * scale
+        if dense[i]:
+            vectors[i], lam = _dense_dominant_vector(B)
+        lams.append(lam)
+    if any(np.any(vectors[i] <= 0.0) for i in range(lo, hi)):
+        raise NumericalError(
+            "Perron eigenvector has nonpositive entries; the matrix is too close "
+            "to reducible, retry with a larger delta"
+        )
+    lam = 0.5 * (lams[0] + lams[1]) if len(lams) == 2 else lams[0]
+    return PerronPair(alpha=lam - shift, right=vectors[0], left=vectors[1], delta_used=delta,
+                      irreducible=irreducible, steps=tuple(steps), dense=tuple(dense))
+
+
 def perron_pair(M, delta: float = 0.0) -> PerronPair:
     """Dominant eigenvalue with strictly positive right and left eigenvectors
     of the Metzler matrix M + delta * ones.
@@ -305,38 +361,7 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
         raise ReducibleMatrixError(
             "matrix is reducible; pass delta > 0 to perturb it into irreducibility"
         )
-    # M + delta in one pass (C-ordered, as as_matrix makes M), with every
-    # -0.0 made +0.0, also for delta = -0.0; then the shift goes onto the
-    # diagonal.
-    with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
-        N = np.add(M, delta + 0.0)
-        shift = 1.0 + float(np.max(np.abs(np.diag(N))))
-        N.flat[:: N.shape[0] + 1] += shift
-    scale = 1.0 + float(np.max(np.abs(N)))
-    # A unit-sum iterate's product sums to at most n * scale.
-    if not N.shape[0] * scale < math.inf:
-        raise NumericalError("shifted matrix overflows float64; rescale the input")
-
-    vectors, steps = _power_vector(N)
-    found = []
-    for B, x in zip((N, N.T), vectors):
-        dense = x is None
-        if not dense:
-            lam, residual = _rayleigh(B, x)
-            dense = residual > RESIDUAL_RTOL * scale
-        if dense:
-            x, lam = _dense_dominant_vector(B)
-        found.append((x, lam, dense))
-
-    (v, lam_r, dense_r), (w, lam_l, dense_l) = found
-    alpha = 0.5 * (lam_r + lam_l) - shift
-    if np.any(v <= 0.0) or np.any(w <= 0.0):
-        raise NumericalError(
-            "Perron eigenvector has nonpositive entries; the matrix is too close "
-            "to reducible, retry with a larger delta"
-        )
-    return PerronPair(alpha=alpha, right=v, left=w, delta_used=delta, irreducible=irreducible,
-                      steps=tuple(steps), dense=(dense_r, dense_l))
+    return _perron(M, delta, irreducible, 0, 2)
 
 
 def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:

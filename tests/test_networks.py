@@ -40,12 +40,14 @@ from mucert import (
     osl_firing_rate,
     osl_hopfield,
     osl_multilure_linf,
+    perron_pair,
     principal_submatrix,
     spectral_abscissa,
 )
+from mucert.spectral import DEFAULT_DELTA, ReducibleMatrixError
 
 import mucert.lognorm as lognorm_mod
-from mucert import networks
+from mucert import networks, spectral
 
 from helpers import (
     DAMPED_SPIRAL,
@@ -53,6 +55,7 @@ from helpers import (
     SLOPE_PATTERNS,
     closed_form_models,
     multilure_linf_by_sign_patterns,
+    near_tie_metzler,
     random_matrix,
     random_mh_matrix,
     random_slope_pair,
@@ -727,7 +730,8 @@ def test_certificates_do_not_depend_on_memory_layout():
     # as_matrix copies to C order, so a model built from Fortran-ordered
     # arrays gets the certificate of its C-ordered twin bit for bit.  Before,
     # the l1 and linf kernels rounded differently on Fortran-ordered witnesses
-    # (25 of these 50 AxMinusCPhi certificates had another osl).
+    # (25 of these 50 AxMinusCPhi certificates had another osl).  MultiLure
+    # keeps B and C as given, and its coupling bound is still C-ordered.
     rng = np.random.default_rng(0)
     F = np.asfortranarray
     for _ in range(50):
@@ -742,9 +746,292 @@ def test_certificates_do_not_depend_on_memory_layout():
              AxMinusCPhi(F(shifted), F(C), SlopeInterval(0.3, 1.0)), (None,)),
             (Persidskii(shifted, SlopeInterval(0.3, 1.0)),
              Persidskii(F(shifted), SlopeInterval(0.3, 1.0)), (None,)),
+            (Entrywise(shifted, SlopeInterval(0.3, 1.0)),
+             Entrywise(F(shifted), SlopeInterval(0.3, 1.0)), (None,)),
+            (MultiLure(shifted, A[:, :3], A[:3], SlopeInterval(0.0, 0.5)),
+             MultiLure(F(shifted), F(A[:, :3]), F(A[:3]), SlopeInterval(0.0, 0.5)), (None,)),
         ]
         for c_model, f_model, families in pairs:
             assert f_model.A.flags.c_contiguous
             for family in families:
                 want = _certificate_fields(certify(c_model, family))
                 assert _certificate_fields(certify(f_model, family)) == want, c_model.tag
+
+
+# ---------------------------------------------------------------------------
+# Perron-route certificates against references built from public functions
+
+
+def _tensor_coupling_bound(model):
+    """multilure_coupling_bound as it was first written: all m loop gains in
+    one (n, m, n) tensor, summed over its middle axis."""
+    d1, d2 = model.slopes.d1, model.slopes.d2
+    T = model.B[:, :, None] * model.C[None, :, :]
+    pos = np.clip(T, 0.0, None).sum(axis=1)
+    neg = np.clip(T, None, 0.0).sum(axis=1)
+    hi = d2 * pos + d1 * neg
+    lo = d1 * pos + d2 * neg
+    F = np.abs(model.A) + np.maximum(hi, -lo)
+    np.fill_diagonal(F, np.diag(model.A) + np.diag(hi))
+    return F
+
+
+def test_multilure_coupling_bound_is_bit_identical_to_tensor_sum():
+    # Summing one loop gain at a time, in k order, adds the same terms in the
+    # same order as the tensor's middle-axis sum, -0.0 and zero gains included.
+    rng = np.random.default_rng(31)
+    for k in range(300):
+        n, m = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+        A = rng.normal(size=(n, n))
+        B, C = rng.normal(size=(n, m)), rng.normal(size=(m, n))
+        B[rng.random(size=B.shape) < 0.3] = 0.0
+        C[rng.random(size=C.shape) < 0.3] = -0.0
+        A[rng.random(size=A.shape) < 0.2] = -0.0
+        if k % 7 == 0:
+            B, C = np.asfortranarray(B), np.asfortranarray(C)
+        d1 = 0.0 if k % 3 == 0 else float(rng.uniform(0.0, 1.0))
+        model = MultiLure(A, B, C, SlopeInterval(d1, d1 + float(rng.uniform(0.0, 2.0))))
+        got = multilure_coupling_bound(model)
+        assert got.tobytes() == _tensor_coupling_bound(model).tobytes()
+        assert got.flags.c_contiguous
+
+
+def _base_metzler(rng, n, shape):
+    """Metzler matrix with abscissa near zero: dense, sparse with -0.0 off
+    the diagonal, block upper triangular (reducible), or two near-tied
+    blocks coupled by 1e-9."""
+    if shape == "near_tie":
+        M = near_tie_metzler(rng, max(2, n // 2))
+    else:
+        M = rng.uniform(0.0, 1.0, size=(n, n))
+        if shape == "sparse":
+            M[rng.random(size=(n, n)) < 0.7] = -0.0
+        if shape == "reducible":
+            M[n // 2:, : n // 2] = 0.0
+    np.fill_diagonal(M, 0.0)
+    return M - (spectral_abscissa(M) + rng.uniform(-0.2, 0.5)) * np.eye(M.shape[0])
+
+
+def _signed(rng, M):
+    """A matrix with Metzler majorant M: random signs off the diagonal."""
+    S = M * rng.choice((-1.0, 1.0), size=M.shape)
+    np.fill_diagonal(S, np.diag(M))
+    return S
+
+
+def _reference_pair(M):
+    """The Perron pair and abscissa from the public functions: the pair of
+    M, or for a reducible M the pair of M + DEFAULT_DELTA * ones and the
+    dense abscissa of M."""
+    try:
+        pair = perron_pair(M)
+    except ReducibleMatrixError:
+        return perron_pair(M, DEFAULT_DELTA), spectral_abscissa(M)
+    return pair, pair.alpha
+
+
+def _reference_fields(osl, weights, theorem, tight, delta, alt_weights=None):
+    """`_cert_fields` of the certificate that the margin rule gives at osl."""
+    contracting = osl <= -networks.CONTRACTION_MARGIN
+    return _cert_fields(networks.ContractionCertificate(
+        contracting, -osl if contracting else 0.0, None, weights, theorem, tight,
+        float(osl), float(-osl), alt_weights=alt_weights, details={"delta": delta}))
+
+
+def _cert_fields(cert):
+    """The certificate's fields that the Perron route must keep, as bytes."""
+    return {
+        "contracting": cert.contracting, "rate": cert.rate.hex(), "osl": cert.osl.hex(),
+        "margin": cert.margin.hex(), "theorem": cert.theorem, "tight": cert.tight,
+        "delta": float(cert.details["delta"]).hex(),
+        "weights": None if cert.weights is None else cert.weights.tobytes(),
+        "alt_weights": None if cert.alt_weights is None else cert.alt_weights.tobytes(),
+    }
+
+
+def _one_norm_reference(metzler, witnesses, family, theorem, exact, key, level=lambda a: a):
+    pair, alpha = _reference_pair(metzler)
+    w = pair.left if family == L1 else pair.right
+    osl = max(log_norm(W, family, w) for W in witnesses)
+    return (_reference_fields(osl, w, theorem, exact and pair.irreducible, pair.delta_used),
+            {key: level(alpha)})
+
+
+def _coupling_reference(W, theorem, key):
+    pair, alpha = _reference_pair(metzler_majorant(W))
+    osl = max(log_norm(W, L1, pair.left), log_norm(W, LINF, pair.right))
+    return (_reference_fields(osl, pair.left, theorem, False, pair.delta_used, pair.right),
+            {key: alpha})
+
+
+def _unbounded_reference(model):
+    family, d1 = model.family, model.slopes.d1
+    M = metzler_majorant(model.A)
+    pair, a_m = _reference_pair(M)
+    w = pair.left if family == L1 else pair.right
+    a_mc = float(np.max(-np.diag(model.C)))
+    min_diag = float(np.min(np.diag(model.A)))
+    m_w = log_norm(M, family, w)
+    rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
+    theorem = f"{model.kind}/{family}/unbounded-slope"
+    if m_w < -networks.CONTRACTION_MARGIN and rate > networks.CONTRACTION_MARGIN:
+        fields = _reference_fields(-rate, w, theorem, pair.irreducible, pair.delta_used)
+    else:
+        fields = _reference_fields(np.inf, None, theorem, False, pair.delta_used)
+    statement = -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag
+    return fields, {"alpha_majorant": a_m, "statement_rate": statement}
+
+
+def _closed_form_reference(model, family):
+    d1, d2 = model.slopes.d1, model.slopes.d2
+    c = np.diag(model.C)
+    if d1 == 0.0 and np.all(c > 0.0):
+        metzler, floor = -model.C + d2 * metzler_majorant(model.A), float(np.max(-c))
+        level = lambda a: max(floor, a)
+    else:
+        metzler = metzler_majorant(model.A)
+        level = lambda a: -float(c[0]) + max(d1 * a, d2 * a)
+    spec = PolytopeSpec(model.A, -c, model.slopes, model.side)
+    exact = model.side == RIGHT or np.linalg.matrix_rank(model.A) == model.n
+    return _one_norm_reference(metzler, envelope_matrices(spec, family), family,
+                               f"{model.kind}/{family}/perron", exact, "closed_form", level)
+
+
+def _perron_route_cases(rng):
+    """(certificate, reference fields, reference abscissa details) over every
+    model whose certificate takes a Perron vector."""
+    cases = []
+    for k in range(96):
+        n = int(rng.integers(2, 25))
+        shape = ("dense", "sparse", "reducible", "near_tie")[k % 4]
+        M = _base_metzler(rng, n, shape)
+        n = M.shape[0]
+        A = _signed(rng, M)
+        d1 = float(rng.uniform(0.1, 0.8))
+        slopes = SlopeInterval(d1, d1 + float(rng.uniform(0.0, 1.0)))
+        leak = np.diag(rng.uniform(0.5, 1.5, size=n))
+        kind = k % 6
+        if kind == 0:
+            model = Persidskii(A, slopes)
+            ref = _one_norm_reference(
+                M, envelope_matrices(PolytopeSpec(A, np.zeros(n), slopes, RIGHT), L1), L1,
+                "persidskii/l1/perron", True, "alpha_majorant")
+        elif kind == 1:
+            model = AxMinusCPhi(A + d1 * leak, leak, slopes)
+            ref = _one_norm_reference(
+                metzler_majorant(model.A) - d1 * leak, [model.A - d1 * leak], L1,
+                "ax-minus-cphi/l1/perron", True, "alpha_shifted_majorant")
+        elif kind == 2:
+            model = Entrywise(A, slopes)
+            W = slopes.d2 * A - (slopes.d2 - d1) * np.diag(np.diag(A))
+            ref = _coupling_reference(W, "entrywise/coupling-bound", "alpha_envelope")
+        elif kind == 3:
+            m = int(rng.integers(1, 5))
+            B = rng.normal(scale=0.3, size=(n, m))
+            B[0] = -0.0
+            model = MultiLure(A, B, rng.normal(scale=0.3, size=(m, n)), SlopeInterval(0.0, 1.0))
+            ref = _coupling_reference(_tensor_coupling_bound(model),
+                                      "multilure/coupling-bound", "alpha_coupling")
+        else:
+            cls = Hopfield if kind == 4 else FiringRate
+            model = cls(leak, A, SlopeInterval(float(rng.uniform(-0.3, 0.6)), np.inf))
+            ref = _unbounded_reference(model)
+        cases.append((certify(model), *ref))
+
+        d2 = float(rng.uniform(0.2, 1.5))
+        cases.append((certify_hopfield_mh(leak, A, d2), *_one_norm_reference(
+            -leak + d2 * metzler_majorant(A),
+            envelope_matrices(PolytopeSpec(A, -np.diag(leak), SlopeInterval(0.0, d2), RIGHT), L1),
+            L1, "hopfield-mh/l1/perron", True, "alpha_shifted_majorant")))
+    for model, family in closed_form_models(rng, 24, (2, 3, 8, 17)):
+        cases.append((certify(model, family), *_closed_form_reference(model, family)))
+    return cases
+
+
+def test_perron_route_certificates_match_public_pair_reference():
+    # Every Perron-route certificate trusts the model's validated matrices and
+    # a one-norm certificate steps only the vector it carries.  Against the
+    # public perron_pair + log_norm: weights, osl, rate, margin, tight,
+    # theorem and delta are equal as bytes; the abscissa details (one
+    # vector's Rayleigh quotient instead of the mean of two) agree to 1e-10
+    # relative, reducible and near-tied majorants included.
+    cases = _perron_route_cases(np.random.default_rng(47))
+    theorems = set()
+    for cert, fields, details in cases:
+        assert _cert_fields(cert) == fields, cert.theorem
+        for key, want in details.items():
+            got = cert.details[key]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (cert.theorem, key)
+        theorems.add(cert.theorem.split("/")[0] + ("" if cert.tight else "-loose"))
+    assert len(cases) >= 200
+    assert {"persidskii", "persidskii-loose", "ax-minus-cphi", "ax-minus-cphi-loose",
+            "hopfield-mh", "hopfield-mh-loose", "entrywise-loose", "multilure-loose",
+            "hopfield", "firing-rate"} <= theorems
+
+
+def test_one_norm_certificate_makes_one_product_per_power_step(monkeypatch):
+    # A one-norm certificate power-iterates only the vector it carries, the
+    # left one (on N.T) for l1 and the right one (on N) for linf: one matmul
+    # per step.  A certificate in both norms steps both.
+    products, runs = [], []
+    matmul, power = np.matmul, spectral._power_vector
+    monkeypatch.setattr(np, "matmul", lambda a, *args, **kw: products.append(a) or
+                        matmul(a, *args, **kw))
+
+    def spy(N, *rows):
+        runs.append(power(N, *rows))
+        return runs[-1]
+
+    monkeypatch.setattr(spectral, "_power_vector", spy)
+    rng = np.random.default_rng(5)
+    n = 12
+    M = _base_metzler(rng, n, "dense")
+    A = _signed(rng, M)
+    leak = np.diag(rng.uniform(0.5, 1.5, size=n))
+    unbounded = SlopeInterval(0.2, np.inf)
+    for model, row in [
+        (Persidskii(A, SlopeInterval(0.5, 1.0)), 1),
+        (AxMinusCPhi(A, leak, SlopeInterval(0.5, 1.0)), 1),
+        (Hopfield(leak, A, unbounded), 1),
+        (FiringRate(leak, A, unbounded), 0),
+        (Hopfield(leak, A, SlopeInterval(0.0, 1.0)), 1),
+        (FiringRate(leak, A, SlopeInterval(0.0, 1.0)), 0),
+        (Entrywise(A, SlopeInterval(0.5, 1.0)), None),
+    ]:
+        products.clear()
+        runs.clear()
+        cert = certify(model)
+        assert len(runs) == 1, model.tag
+        vectors, steps = runs[0]
+        if row is None:
+            assert len(products) == sum(steps) and min(steps) > 0
+            continue
+        assert steps[1 - row] == 0 and vectors[1 - row] is None
+        assert len(products) == steps[row] > 0, model.tag
+        # The left vector steps on the transposed (Fortran-ordered) view.
+        assert all(p.flags.c_contiguous == (row == 0) for p in products)
+        assert cert.weights.tobytes() == vectors[row].tobytes()
+
+
+def test_overflowing_perron_matrix_is_a_validation_error():
+    # The Perron route does not validate its Metzler matrix again, but one
+    # that overflowed when it was built still raises the ValueError that
+    # validation gave, before any power step; a finite matrix whose shift
+    # overflows stays a NumericalError.
+    huge = [[0.0, 1e308], [1e308, 0.0]]
+    slopes = SlopeInterval(0.0, 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (
+            lambda: certify(Hopfield(np.eye(2), huge, slopes)),
+            lambda: certify(FiringRate(np.eye(2), huge, slopes)),
+            lambda: certify_hopfield_mh(np.eye(2), huge, 10.0),
+            lambda: certify(AxMinusCPhi([[0.0, 1.0], [1.0, 0.0]], 1e308 * np.eye(2),
+                                        SlopeInterval(10.0, 20.0))),
+            lambda: certify(Entrywise([[1e308, 1.0], [1.0, -1.0]], SlopeInterval(0.5, 10.0))),
+            lambda: certify(MultiLure(-np.eye(2), [[1e200], [1.0]], [[1e200, 1.0]],
+                                      SlopeInterval(0.0, 1.0))),
+        ):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                call()
+    with pytest.raises(spectral.NumericalError, match="overflows"):
+        certify(Persidskii([[1e308, 1.0], [1.0, -1.0]], SlopeInterval(0.5, 10.0)))

@@ -263,7 +263,8 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
     # step, and without a warning.
     calls = []
     power = spectral._power_vector
-    monkeypatch.setattr(spectral, "_power_vector", lambda N: calls.append(N) or power(N))
+    monkeypatch.setattr(spectral, "_power_vector",
+                        lambda N, *rows: calls.append(N) or power(N, *rows))
     M = [[-1.0, 1.0], [1.0, -1.0]]
     big = [[1e308, 1.0], [1.0, -1.0]]
     # Finite shifted matrix, but the sum of a power step's product overflows.
