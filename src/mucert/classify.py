@@ -11,6 +11,17 @@ SUBSET_BATCH submatrices, the same LAPACK routine that spectral_abscissa runs
 on each of them alone, so every abscissa is bit-identical to the per-subset
 value.
 
+classify_matrix takes alpha(A) and alpha(maj(A)) from one stacked eigensolve
+on the (2, n, n) stack of A and its majorant, bit-identical to
+spectral_abscissa of each, the sign of a zero included.  They decide Hurwitz
+and M-Hurwitz, and the M-Hurwitz flag decides totally Hurwitz on M-Hurwitz
+input.  Quasidominance (-A M-Hurwitz) needs no eigensolve when A has a
+diagonal entry <= 1e-12: a Metzler M has alpha(M) >= max M_ii (Berman and
+Plemmons, Nonnegative Matrices in the Mathematical Sciences), so
+max M_ii >= -1e-12 already decides "not Hurwitz" (see _metzler_hurwitz).
+Only an input whose diagonal is above 1e-12 throughout takes a second
+eigensolve.
+
 The diagonal Lyapunov witness of an M-Hurwitz matrix is y/x from two linear
 solves on its Metzler majorant M, x = -M^-1 1 and y = -M^-T 1 (see
 mh_lds_witness): no eigenvector, perturbation or irreducibility is needed,
@@ -23,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    _majorant,
     as_matrix,
     as_weights,
     block_resolvent,
@@ -30,7 +42,7 @@ from .matrices import (
     reachability,
     strong_blocks,
 )
-from .lognorm import mu2
+from .lognorm import _mu2, mu2
 from .spectral import NumericalError, spectral_abscissa
 
 STRICT_TOL = 1e-12
@@ -53,17 +65,38 @@ def is_hurwitz(A) -> bool:
 
 
 def is_m_hurwitz(A) -> bool:
-    """True iff the Metzler majorant of A is Hurwitz."""
-    return _strictly_negative(spectral_abscissa(metzler_majorant(A)))
+    """True iff the Metzler majorant of A is Hurwitz, by
+    :func:`_metzler_hurwitz`.  A diagonal entry of A at or above -1e-12
+    answers False without an eigensolve, since alpha(maj(A)) >= max A_ii;
+    otherwise the dense abscissa of the majorant decides.  Where dense
+    rounding puts that abscissa below -1e-12 although max A_ii >= -1e-12,
+    the diagonal answer is the true one.  :func:`classify_matrix` reads its
+    M-Hurwitz flag off the reported `alpha_majorant` instead."""
+    return _metzler_hurwitz(metzler_majorant(A))
+
+
+def _metzler_hurwitz(M: np.ndarray) -> bool:
+    """True iff the validated Metzler matrix M is Hurwitz: False at once
+    when max M_ii >= -STRICT_TOL, since alpha(M) >= max M_ii; otherwise
+    alpha(M) from the dense eigensolver.  The one rule of is_m_hurwitz,
+    is_quasidominant and classify_matrix's quasidominance."""
+    if np.any(np.diag(M) >= -STRICT_TOL):
+        return False
+    return _strictly_negative(spectral_abscissa(M))
+
+
+def _stacked_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix in a (k, r, r) stack, by the LAPACK routine
+    that spectral.eigenvalues runs on one matrix."""
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
 
 
 def _stacked_abscissae(stack: np.ndarray) -> np.ndarray:
     """Spectral abscissa of each matrix in a (k, r, r) stack."""
-    try:
-        lam = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return lam.real.max(axis=-1)
+    return _stacked_eigvals(stack).real.max(axis=-1)
 
 
 def _subset_abscissae(A: np.ndarray):
@@ -103,15 +136,21 @@ def _totally_hurwitz(A: np.ndarray, m_hurwitz: bool | None) -> bool:
     if np.any(np.diag(A) >= -STRICT_TOL):
         return False  # a 1x1 submatrix already fails
     if m_hurwitz is None:
-        m_hurwitz = is_m_hurwitz(A)
-    if m_hurwitz or _strictly_negative(mu2(A)):
+        m_hurwitz = _metzler_hurwitz(_majorant(A))
+    if m_hurwitz or _strictly_negative(_mu2(A, np.ones(n))):
         return True
     return all(np.all(alphas < -STRICT_TOL) for _, alphas in _subset_abscissae(A))
 
 
 def is_quasidominant(A) -> bool:
-    """Row dominance with positive weights; equivalent to -A being M-Hurwitz."""
-    return is_m_hurwitz(-as_matrix(A))
+    """Row dominance with positive weights; equivalent to -A being M-Hurwitz,
+    decided by :func:`_metzler_hurwitz` on the majorant of -A, as
+    :func:`classify_matrix` decides it.  A diagonal entry of A at or below
+    1e-12 answers False without an eigensolve, since alpha(maj(-A)) >=
+    max(-A_ii); only a diagonal above 1e-12 throughout takes the dense
+    abscissa.  Where dense rounding puts that abscissa below -1e-12 although
+    some A_ii <= 1e-12, the diagonal answer is the true one."""
+    return _metzler_hurwitz(_majorant(-as_matrix(A)))
 
 
 def lds_certificate(A, weights) -> bool:
@@ -158,11 +197,11 @@ def _mh_witness(M: np.ndarray) -> np.ndarray | None:
         y = block_resolvent(M.T, blocks[::-1], 0.0)
     except np.linalg.LinAlgError:
         return None
-    if not (np.all(x > 0.0) and np.all(y > 0.0)):  # also false on NaN
+    if not (x.min() > 0.0 and y.min() > 0.0):  # also false on NaN
         return None
     with np.errstate(over="ignore", under="ignore"):
         w = y / x
-    return w if np.all((w > 0.0) & np.isfinite(w)) else None
+    return w if w.min() > 0.0 and w.max() < np.inf else None
 
 
 @dataclass(frozen=True)
@@ -180,17 +219,26 @@ class ClassReport:
 def classify_matrix(A, lds_weights=None) -> ClassReport:
     """Full class report for A.
 
-    The Metzler majorant M is formed once: its abscissa decides M-Hurwitz,
-    and for M-Hurwitz input M goes to the witness of :func:`mh_lds_witness`.
+    A is validated and its Metzler majorant M formed once.  One stacked
+    eigensolve on (A, M) gives alpha and alpha_majorant, which decide
+    Hurwitz and M-Hurwitz; the M-Hurwitz flag is passed on to the
+    totally-Hurwitz test.  Quasidominance takes a second eigensolve only
+    when every diagonal entry of A exceeds 1e-12 (see
+    :func:`is_quasidominant`).
+    For M-Hurwitz input M goes to the witness of :func:`mh_lds_witness`.
     If `lds_weights` is given, it is checked as the diagonal Lyapunov
     witness instead.  `lds_certified_at` carries the
     weight only when the witness check :func:`lds_certificate` passes, and
     is None otherwise, also when the construction gives no weight.
     """
     A = as_matrix(A)
-    M = metzler_majorant(A)
-    alpha = spectral_abscissa(A)
-    alpha_maj = spectral_abscissa(M)
+    M = _majorant(A)
+    # The first eigenvalue in spectral.eigenvalues order (real part, then
+    # imaginary part, descending): a plain max can differ from
+    # spectral_abscissa in the sign of a zero abscissa.
+    lam = _stacked_eigvals(np.stack((A, M)))
+    first = np.lexsort((-lam.imag, -lam.real))[:, 0]
+    alpha, alpha_maj = lam.real[(0, 1), first].tolist()
     mh = _strictly_negative(alpha_maj)
 
     witness = None
@@ -199,7 +247,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
         candidate = as_weights(lds_weights, A.shape[0])
     elif mh:
         candidate = _mh_witness(M)
-    if candidate is not None and lds_certificate(A, candidate):
+    if candidate is not None and _strictly_negative(_mu2(A, candidate)):
         witness = candidate
 
     marginal = []
@@ -212,7 +260,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
         hurwitz=_strictly_negative(alpha),
         totally_hurwitz=_totally_hurwitz(A, mh),
         m_hurwitz=mh,
-        quasidominant=is_quasidominant(A),
+        quasidominant=_metzler_hurwitz(_majorant(-A)),
         lds_certified_at=witness,
         alpha=alpha,
         alpha_majorant=alpha_maj,
@@ -248,7 +296,7 @@ def pruning_robustness(A) -> PruningReport:
     n = A.shape[0]
     if n > PRUNING_MAX_DIM:
         raise ValueError(f"pruning report guarded at n <= {PRUNING_MAX_DIM}")
-    M = metzler_majorant(A)
+    M = _majorant(A)
     found = [((i,), a) for i, a in enumerate(np.diag(M).tolist())]
     for subsets, alphas in _subset_abscissae(M):
         found += zip(subsets, alphas.tolist())

@@ -84,7 +84,9 @@ def strong_blocks(reach: np.ndarray) -> list[np.ndarray]:
     :func:`reachability` matrix, each block after every block it reaches: a
     block that reaches another reaches more indices, so ordering by reach
     count is a dependency order.  The transposed pattern has the same blocks,
-    in the reverse of this order."""
+    in the reverse of this order.  An all-true `reach` is one block."""
+    if reach.all():
+        return [np.arange(reach.shape[0])]
     label = np.argmax(reach & reach.T, axis=1)  # least index of the block
     heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
     return [np.flatnonzero(label == h) for h in heads]
@@ -102,8 +104,14 @@ def block_resolvent(S: np.ndarray, blocks, b: float) -> np.ndarray:
     the abscissa of every block, bI - S_BB is a nonsingular M-matrix and w
     is positive.  The caller checks that.  A singular block raises
     numpy.linalg.LinAlgError.
+
+    A single block is solved as (bI - S) w = 1, without the block copies:
+    those are the loop's own operands, since 1 + S w = 1 exactly at w = 0.
     """
-    w = np.zeros(S.shape[0])
+    n = S.shape[0]
+    if len(blocks) == 1:
+        return np.linalg.solve(b * np.eye(n) - S, np.ones(n))
+    w = np.zeros(n)
     for B in blocks:
         w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
     return w

@@ -169,7 +169,8 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
     most 1.
 
     A row stops when its step max|y - x| falls below POWER_TOL, when
-    :func:`_stalled` finds its steps flat over the last POWER_WINDOW steps,
+    :func:`_stalled` finds its steps flat over the last POWER_WINDOW steps
+    (called only on the steps where it tests, :func:`_stall_check_due`),
     or after POWER_MAXITER steps; the other row goes on alone.  A near tie's
     steps sit on a plateau from about step 20, so both rows stop at the
     first stagnation test, step 2 * POWER_WINDOW.
@@ -187,6 +188,7 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
     steps = [POWER_MAXITER if lo <= i < hi else 0 for i in range(2)]
     history = ([], [])
     for step in range(1, POWER_MAXITER + 1):
+        check = _stall_check_due(step)
         for i in range(lo, hi):
             np.matmul(mats[i], xs[i], out=ys[i])
         y /= y.sum(axis=1, keepdims=True)
@@ -197,7 +199,7 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
             history[i].append(change)
             if change < POWER_TOL:
                 vectors[i] = ys[i].copy()
-            elif not _stalled(history[i]):
+            elif not (check and _stalled(history[i])):
                 continue
             steps[i] = step
             if i == lo:
@@ -212,6 +214,13 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
     return vectors, steps
 
 
+def _stall_check_due(step: int) -> bool:
+    """True on the steps where :func:`_stalled` makes its test: from step
+    2 * POWER_WINDOW on, every POWER_WINDOW // 2 steps.  The power loop calls
+    `_stalled` on these steps only."""
+    return step >= 2 * POWER_WINDOW and step % (POWER_WINDOW // 2) == 0
+
+
 def _stalled(history: list[float]) -> bool:
     """Stagnation test on a power iterate's steps, made from step
     2 * POWER_WINDOW on at every POWER_WINDOW // 2 steps: the largest step
@@ -222,7 +231,7 @@ def _stalled(history: list[float]) -> bool:
     """
     k = len(history)
     half = POWER_WINDOW // 2
-    if k < 2 * POWER_WINDOW or k % half:
+    if not _stall_check_due(k):
         return False
     a = max(history[k - half:])
     b = max(history[k - 2 * half:k - half])

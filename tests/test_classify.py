@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mucert import (
     pruning_robustness,
     spectral_abscissa,
 )
+from mucert.matrices import reachability
 from mucert.spectral import is_irreducible
 
 from helpers import (
@@ -391,14 +394,172 @@ def test_m_hurwitz_classify_takes_no_power_step(monkeypatch):
 
 
 def test_classify_matrix_takes_each_abscissa_once(monkeypatch):
-    # alpha(A), alpha(maj(A)) and the quasidominance abscissa: the
-    # totally-Hurwitz shortcut reuses the M-Hurwitz flag.
-    calls = []
-    solve = classify_mod.spectral_abscissa
-    monkeypatch.setattr(classify_mod, "spectral_abscissa", lambda M: calls.append(1) or solve(M))
+    # alpha(A) and alpha(maj(A)) in one stacked eigensolve; the
+    # totally-Hurwitz shortcut reuses the M-Hurwitz flag, and quasidominance
+    # takes no solve when A has a diagonal entry <= 1e-12.  The spy sees every
+    # eigensolve, also the subset enumeration's batches.
+    shapes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
     rng = np.random.default_rng(16)
-    for A, mh in ((random_mh_matrix(rng, 8), True), (_spiral_blocks(rng, 8), False)):
-        calls.clear()
+    enumeration = [(comb(8, r), r, r) for r in range(2, 9)]
+    for A, mh, rest in ((random_mh_matrix(rng, 8), True, []),
+                        (_spiral_blocks(rng, 8), False, enumeration)):
+        shapes.clear()
         report = classify_matrix(A)
-        assert len(calls) == 3
+        assert shapes == [(2, 8, 8)] + rest
         assert report.m_hurwitz == mh and report.totally_hurwitz
+        assert not report.quasidominant
+    # A positive diagonal: quasidominance takes one more solve, on maj(-A).
+    shapes.clear()
+    report = classify_matrix([[2.0, -1.0], [-1.0, 2.0]])
+    assert shapes == [(2, 2, 2), (2, 2)] and report.quasidominant
+
+
+def test_diagonal_rule_decides_without_an_eigensolve(monkeypatch):
+    # alpha(M) >= max M_ii for a Metzler M: a diagonal entry at or above
+    # -1e-12 decides "not M-Hurwitz" (and, on -A, "not quasidominant").
+    shapes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+    rng = np.random.default_rng(20)
+    for value in (-1e-12, -0.0, 0.0, 1e-12, 0.5):
+        A = random_mh_matrix(rng, 5)
+        A[2, 2] = value
+        assert spectral_abscissa(metzler_majorant(A)) >= -classify_mod.STRICT_TOL
+        shapes.clear()
+        assert not is_m_hurwitz(A) and not is_quasidominant(-A)
+        assert shapes == []
+    # Below the threshold the dense eigensolver decides, once per call.
+    A = random_mh_matrix(rng, 5)
+    shapes.clear()
+    assert is_m_hurwitz(A) and is_quasidominant(-A)
+    assert shapes == [(5, 5), (5, 5)]
+    A[2, 2] = -2e-12
+    shapes.clear()
+    assert not is_m_hurwitz(A) and shapes == [(5, 5)]
+
+
+def _reference_mh_witness(M):
+    """mh_lds_witness before the one-block path: blocks from the closure's
+    mutual reach, every block solved on its np.ix_ copy."""
+    reach = reachability(M)
+    label = np.argmax(reach & reach.T, axis=1)
+    heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
+    blocks = [np.flatnonzero(label == h) for h in heads]
+
+    def resolvent(S, order):
+        w = np.zeros(S.shape[0])
+        for B in order:
+            w[B] = np.linalg.solve(0.0 * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+        return w
+
+    try:
+        x, y = resolvent(M, blocks), resolvent(M.T, blocks[::-1])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
+        return None
+    with np.errstate(over="ignore", under="ignore"):
+        w = y / x
+    return w if np.all((w > 0.0) & np.isfinite(w)) else None
+
+
+def _reference_classify(A, lds_weights=None):
+    """classify_matrix before the stacked solve: three spectral_abscissa
+    calls (A, maj(A) and maj(-A)), the block-loop witness and the
+    per-subset totally-Hurwitz enumeration."""
+    tol = classify_mod.STRICT_TOL
+    A = np.array(A, dtype=float)
+    M = metzler_majorant(A)
+    alpha, alpha_maj = spectral_abscissa(A), spectral_abscissa(M)
+    mh = alpha_maj < -tol
+    if lds_weights is not None:
+        candidate = np.array(lds_weights, dtype=float)
+    else:
+        candidate = _reference_mh_witness(M) if mh else None
+    witness = candidate if candidate is not None and mu2(A, candidate) < -tol else None
+    if np.any(np.diag(A) >= -tol):
+        th = False
+    else:
+        th = mh or mu2(A) < -tol or _reference_totally_hurwitz(A)
+    marginal = tuple(name for name, a in (("hurwitz", alpha), ("m_hurwitz", alpha_maj))
+                     if abs(a) <= tol)
+    return classify_mod.ClassReport(
+        hurwitz=alpha < -tol, totally_hurwitz=th, m_hurwitz=mh,
+        quasidominant=spectral_abscissa(metzler_majorant(-A)) < -tol,
+        lds_certified_at=witness, alpha=alpha, alpha_majorant=alpha_maj, marginal=marginal,
+    )
+
+
+def _report_bytes(report):
+    """Every ClassReport field as (type name, bytes)."""
+    out = []
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, np.ndarray):
+            out.append(("ndarray", value.dtype.str, value.shape, value.tobytes()))
+        else:
+            out.append((type(value).__name__, repr(value),
+                        np.float64(value).tobytes() if isinstance(value, float) else None))
+    return out
+
+
+def _classify_sweep_inputs(rng):
+    """(A, lds_weights) pairs over the routes and edges of classify_matrix."""
+    yield np.zeros((1, 1)), None
+    yield np.array([[-0.0]]), None
+    yield np.array([[-1e-6, 1.0], [0.0, -1e-6]]), None  # one-way coupled
+    yield np.array([[2.0, -1.0], [-1.0, 2.0]]), None  # positive diagonal
+    # alpha is a zero whose sign spectral_abscissa takes from the eigenvalue
+    # with the larger imaginary part
+    yield np.array([[-0.0, 0.9], [-1.1, 0.0]]), None
+    yield np.array([[0.0, 0.9], [-1.1, -0.0]]), None
+    yield np.array([[-0.0, 1.0], [0.0, 0.0]]), None
+    yield np.array([[-1.0, 2.0, 0.5], [0.0, -2.0, 1.0], [0.0, 0.0, -3.0]]), None
+    yield from ((A, None) for A in _mh_sweep_inputs(rng, 60))
+    for n in range(1, 13):
+        for _ in range(3):
+            mh = random_mh_matrix(rng, n)
+            yield mh, None
+            yield -mh, None  # quasidominant, positive diagonal
+            yield _hurwitz_negative_diagonal(rng, n), None
+            if n >= 2:
+                yield _spiral_blocks(rng, n), None
+                yield _negdef_not_mh(rng, n), None
+            # reducible: block upper triangular, and a one-way chain
+            A = random_mh_matrix(rng, n)
+            A[n // 2 + 1:, : n // 2 + 1] = 0.0
+            yield A, None
+            chain = np.diag(rng.uniform(-2.0, -0.1, size=n)) + np.diag(rng.normal(size=n - 1), 1)
+            yield chain, None
+            # zero, -0.0 and +/-1e-12 diagonal entries, on M-Hurwitz and
+            # quasidominant inputs; on the triangular -chain such an entry is
+            # an eigenvalue of maj(-A), at the diagonal rule's threshold
+            for value in (0.0, -0.0, 1e-12, -1e-12):
+                for B in (random_mh_matrix(rng, n), -random_mh_matrix(rng, n), -chain):
+                    B[int(rng.integers(n)), int(rng.integers(n))] = 0.0
+                    i = int(rng.integers(n))
+                    B[i, i] = value
+                    yield B, None
+            yield rng.normal(size=(n, n)), rng.uniform(0.2, 3.0, size=n)
+
+
+def test_classify_matrix_matches_parent_route_bit_for_bit():
+    rng = np.random.default_rng(18)
+    seen = {"m_hurwitz": 0, "hurwitz_not_mh": 0, "reducible": 0, "quasidominant": 0,
+            "zero_diagonal": 0, "tol_diagonal": 0, "witness": 0}
+    count = 0
+    for A, weights in _classify_sweep_inputs(rng):
+        got = classify_matrix(A, lds_weights=weights)
+        assert _report_bytes(got) == _report_bytes(_reference_classify(A, weights)), A
+        count += 1
+        diag = np.diag(A)
+        seen["m_hurwitz"] += got.m_hurwitz
+        seen["hurwitz_not_mh"] += got.hurwitz and not got.m_hurwitz
+        seen["reducible"] += not is_irreducible(A)
+        seen["quasidominant"] += got.quasidominant
+        seen["zero_diagonal"] += bool(np.any(diag == 0.0))
+        seen["tol_diagonal"] += bool(np.any(np.abs(diag) == 1e-12))
+        seen["witness"] += got.lds_certified_at is not None
+    assert count >= 300 and min(seen.values()) >= 20, (count, seen)

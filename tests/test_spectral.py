@@ -446,3 +446,38 @@ def test_stalled_rule_on_synthetic_step_histories():
     reach = tol / 0.95**left  # the last step that still reaches POWER_TOL
     assert spectral._stalled([s * 1.01 * reach / slow[-half] for s in slow])
     assert not spectral._stalled([s * 0.99 * reach / slow[-half] for s in slow])
+
+
+def test_stagnation_test_is_called_only_on_its_schedule(monkeypatch):
+    # _stalled can fire only from step 2 * POWER_WINDOW on, every
+    # POWER_WINDOW // 2 steps, so the power loop calls it on those steps
+    # alone: once per scheduled step and iterating row.
+    window, half = spectral.POWER_WINDOW, spectral.POWER_WINDOW // 2
+    calls = []
+    stalled = spectral._stalled
+    monkeypatch.setattr(spectral, "_stalled", lambda h: calls.append(len(h)) or stalled(h))
+
+    rng = np.random.default_rng(19)
+    pair = perron_pair(random_irreducible_metzler(rng, 16))
+    assert pair.dense == (False, False) and max(pair.steps) < 2 * window
+    assert calls == []
+    for k in (4, 8):  # both rows stall at the first scheduled step
+        calls.clear()
+        pair = perron_pair(near_tie_metzler(rng, k))
+        assert pair.dense == (True, True) and pair.steps == (2 * window, 2 * window)
+        assert calls == [2 * window, 2 * window]
+
+    # The slow sparse ring of the reference test converges at steps 254 and
+    # 257, and so passes 12 and 13 scheduled steps.
+    hard = np.random.default_rng(11)
+    for n in (1, 2, 16, 64, 256):
+        random_irreducible_metzler(hard, n)
+    ring = random_metzler(hard, 16, density=0.2)
+    ring[ring == 0.0] = -0.0
+    ring[np.arange(16), np.roll(np.arange(16), 1)] = 0.5
+    calls.clear()
+    pair = perron_pair(ring)
+    assert pair.steps == (254, 257) and pair.dense == (False, False)
+    right, left = range(2 * window, 255, half), range(2 * window, 258, half)
+    assert (len(right), len(left)) == (12, 13)
+    assert sorted(calls) == sorted([*right, *left])
