@@ -85,18 +85,22 @@ def _metzler_hurwitz(M: np.ndarray) -> bool:
     return _strictly_negative(spectral_abscissa(M))
 
 
-def _stacked_eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix in a (k, r, r) stack, by the LAPACK routine
-    that spectral.eigenvalues runs on one matrix."""
+def _stacked_abscissae(stack: np.ndarray) -> np.ndarray:
+    """Spectral abscissa of each matrix in a (k, r, r) stack, by the LAPACK
+    routine that spectral.eigenvalues runs on one matrix.  A zero one takes
+    its sign from the first eigenvalue in spectral.eigenvalues order (real
+    part, then imaginary part, descending), as spectral_abscissa does; a
+    plain max can differ from it in the sign of that zero."""
     try:
-        return np.linalg.eigvals(stack)
+        lam = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-
-
-def _stacked_abscissae(stack: np.ndarray) -> np.ndarray:
-    """Spectral abscissa of each matrix in a (k, r, r) stack."""
-    return _stacked_eigvals(stack).real.max(axis=-1)
+    alpha = lam.real.max(axis=-1)
+    zero = alpha == 0.0
+    if zero.any():
+        z = lam[zero]
+        alpha[zero] = z.real[np.arange(len(z)), np.lexsort((-z.imag, -z.real))[:, 0]]
+    return alpha
 
 
 def _subset_abscissae(A: np.ndarray):
@@ -233,12 +237,7 @@ def classify_matrix(A, lds_weights=None) -> ClassReport:
     """
     A = as_matrix(A)
     M = _majorant(A)
-    # The first eigenvalue in spectral.eigenvalues order (real part, then
-    # imaginary part, descending): a plain max can differ from
-    # spectral_abscissa in the sign of a zero abscissa.
-    lam = _stacked_eigvals(np.stack((A, M)))
-    first = np.lexsort((-lam.imag, -lam.real))[:, 0]
-    alpha, alpha_maj = lam.real[(0, 1), first].tolist()
+    alpha, alpha_maj = _stacked_abscissae(np.stack((A, M))).tolist()
     mh = _strictly_negative(alpha_maj)
 
     witness = None

@@ -103,6 +103,22 @@ def _slope_rows(act, X) -> np.ndarray:
     return np.ascontiguousarray(act.deriv(X).T)[:, None, :]
 
 
+def _full_columns(*cols):
+    """A function of a stack shape (n, k) that returns the (n, 1) columns
+    `cols` repeated to that shape, C-ordered and made once per shape.  A
+    field that combines a column with its (n, k) stack through these copies
+    computes each entry by the same single IEEE operation as through
+    broadcasting, at the cost of an operation on equal shapes."""
+    made = {}
+
+    def full(shape):
+        if shape not in made:
+            made[shape] = tuple(np.repeat(c, shape[1], axis=1) for c in cols)
+        return made[shape]
+
+    return full
+
+
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
     fixed-weight bound and every certificate's `osl` is this number.
@@ -181,7 +197,10 @@ class _Model:
     slope box, -inf where it is unbounded below) and `witnesses(family)`:
     matrices whose largest `family` log norm at any weights is the
     fixed-weight bound there (`exact` if minimal; MultiLure's is its exact
-    linf solver instead) and every certificate's `osl`.  Models whose
+    linf solver instead) and every certificate's `osl`.  A model whose
+    Jacobian is a diagonal plus the off-diagonal part of A scaled by the
+    activation slopes also defines `_slope_form(act, X)`, from which the
+    sampled l1 and linf log norms take O(n) work per state.  Models whose
     analysis fixes its own norm define `_certify()`; the others call
     `optimal_certificate` in `certificate`, which takes `_closed_form` where
     it applies and the optimizer only where it does not.
@@ -196,6 +215,16 @@ class _Model:
     def jacobian(self, act, x) -> np.ndarray:
         """The Jacobian at the single state x."""
         return self.jacobians(act, np.asarray(x, dtype=float)[:, None])[0]
+
+    def _slope_form(self, act, X):
+        """The Jacobians at the columns of the (n, k) stack X in slope form,
+        or None where they have none: (side, s, d) with the slopes s and the
+        Jacobian diagonals d as (n, k) stacks, column j for state j.  Off the
+        diagonal, the Jacobian at state j is A's entries scaled by that
+        state's slopes on `side`: column l by s[l, j] (RIGHT), row i by
+        s[i, j] (LEFT), or not at all (None).  Each d is the diagonal that
+        `jacobians` computes, bit for bit."""
+        return None
 
     @property
     def kind(self) -> str:
@@ -355,9 +384,10 @@ class Hopfield(_Leaky):
     family = L1
 
     def field(self, act):
-        nc, A, u = -np.diag(self.C)[:, None], self.A, self.u[:, None]
+        A, full = self.A, _full_columns(-np.diag(self.C)[:, None], self.u[:, None])
 
         def f(X):
+            nc, u = full(X.shape)
             K = A @ act(X)
             K += nc * X
             K += u
@@ -367,6 +397,10 @@ class Hopfield(_Leaky):
 
     def jacobians(self, act, X) -> np.ndarray:
         return -self.C + self.A * _slope_rows(act, X)
+
+    def _slope_form(self, act, X):
+        s = act.deriv(X)
+        return RIGHT, s, -np.diag(self.C)[:, None] + np.diag(self.A)[:, None] * s
 
 
 class FiringRate(_Leaky):
@@ -378,9 +412,10 @@ class FiringRate(_Leaky):
     family = LINF
 
     def field(self, act):
-        nc, A, u = -np.diag(self.C)[:, None], self.A, self.u[:, None]
+        A, full = self.A, _full_columns(-np.diag(self.C)[:, None], self.u[:, None])
 
         def f(X):
+            nc, u = full(X.shape)
             P = A @ X
             P += u
             K = act(P)
@@ -389,9 +424,17 @@ class FiringRate(_Leaky):
 
         return f
 
+    def _preactivation_slopes(self, act, X) -> np.ndarray:
+        """The slopes at A x + u for the columns x of X, as a (k, n) stack.
+        One batched product takes A x column by column, as A @ x would."""
+        return act.deriv(np.matmul(self.A, X.T[:, :, None])[:, :, 0] + self.u)
+
     def jacobians(self, act, X) -> np.ndarray:
-        P = np.stack([self.A @ x for x in X.T]) + self.u
-        return -self.C + act.deriv(P)[:, :, None] * self.A
+        return -self.C + self._preactivation_slopes(act, X)[:, :, None] * self.A
+
+    def _slope_form(self, act, X):
+        s = self._preactivation_slopes(act, X).T
+        return LEFT, s, -np.diag(self.C)[:, None] + s * np.diag(self.A)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,6 +464,10 @@ class Persidskii(_Model):
 
     def jacobians(self, act, X) -> np.ndarray:
         return self.A * _slope_rows(act, X)
+
+    def _slope_form(self, act, X):
+        s = act.deriv(X)
+        return RIGHT, s, np.diag(self.A)[:, None] * s
 
     def diagonal_floor(self) -> np.ndarray:
         return self.slopes.least_product(np.diag(self.A))
@@ -462,9 +509,10 @@ class AxMinusCPhi(_Model):
         object.__setattr__(self, "C", C)
 
     def field(self, act):
-        A, c = self.A, np.diag(self.C)[:, None]
+        A, full = self.A, _full_columns(np.diag(self.C)[:, None])
 
         def f(X):
+            c, = full(X.shape)
             K = A @ X
             K -= c * act(X)
             return K
@@ -473,6 +521,10 @@ class AxMinusCPhi(_Model):
 
     def jacobians(self, act, X) -> np.ndarray:
         return self.A - self.C * _slope_rows(act, X)
+
+    def _slope_form(self, act, X):
+        s = act.deriv(X)
+        return None, s, np.diag(self.A)[:, None] - np.diag(self.C)[:, None] * s
 
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
@@ -507,6 +559,7 @@ class Entrywise(_Model):
     __post_init__ = Persidskii.__post_init__
     field = Persidskii.field
     jacobians = Persidskii.jacobians
+    _slope_form = Persidskii._slope_form
     diagonal_floor = Persidskii.diagonal_floor
 
     def envelope(self) -> np.ndarray:

@@ -33,7 +33,10 @@ seed-derived substreams, so reports are reproducible at any parallelism.
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
 (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
 (euler) or 4 (rk4); a field is built in place from its first matrix
-product, and the step's last in-place add writes straight into the next slot
+product, combines its (n, 1) leak or input columns with the stack through
+copies of the stack's shape made once per shape (the same IEEE operation
+per entry, without the cost of a broadcast), and the step's last in-place
+add writes straight into the next slot
 of a (block + 1, n, 2 * pairs) state buffer allocated once per run.  The
 block is DECAY_BLOCK_STEPS steps, or fewer where the buffer would exceed
 STATE_BLOCK_ENTRIES entries (or two states, where one is larger), so memory
@@ -44,13 +47,20 @@ non-finite state in the buffer gives the first divergent instant.  The logs,
 the distance floor, the bound and the exp of the decay check then take a few
 numpy calls per block.  `integrate` steps one trajectory through the same
 state block and the same first-divergence rule.  Every `mu_sample_stride`
-steps the Jacobians of all trajectories are taken, after their block's
-checks and only at states before a divergence, as (k, n, n) stacks of at
-most JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one
-stacked log norm per stack; `sample_jacobian_mu` draws its states as one
-block and evaluates them the same way.  Every reported value is bit-identical
-to the one-step, one-state evaluation.  The certificate's weights are
-validated once per run; the step loop calls the unchecked log-norm kernels.
+steps the Jacobian log norms of all trajectories are taken, after their
+block's checks and only at states before a divergence; `sample_jacobian_mu`
+draws its states as one block and evaluates them the same way
+(`_max_jacobian_mu`).  A model with a slope form (Hopfield, FiringRate,
+Persidskii, Entrywise, AxMinusCPhi) takes l1 and linf log norms from its
+slopes: O(n) per sampled state where its scaled side matches the norm or
+nothing is scaled, one (n x n)(n x k) product per sampled instant
+otherwise.  Only l2 certificates and Lure and MultiLure build dense Jacobians,
+as (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries, with one
+finiteness check and one stacked log norm per stack.  Every reported value is
+bit-identical to the one-step, one-state evaluation, except that the slope
+form's `max_sampled_mu` sums in another order than the dense log norm and can
+differ from it in its last bits.  The certificate's weights are validated
+once per run; the step loop calls the unchecked log-norm kernels.
 """
 
 import math
@@ -59,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lognorm import L1, LINF, SlopeInterval, kernels
+from .lognorm import L1, L2, LEFT, LINF, RIGHT, SlopeInterval, _offdiag_abs, kernels
 from .matrices import _weights_or_ones
 from .networks import ContractionCertificate, check_model
 
@@ -67,8 +77,9 @@ from .networks import ContractionCertificate, check_model
 # euler scheme, whose bound is exact, rounding only.
 DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
-# Jacobians are evaluated in stacks of at most this many matrix entries (one
-# state at n = 128, 16 at n = 32), so their memory does not grow with the
+# The dense route of the sampled log norms (l2 certificates, Lure and
+# MultiLure) evaluates Jacobians in stacks of at most this many matrix entries
+# (one state at n = 128, 16 at n = 32), so their memory does not grow with the
 # number of states; at n >= 128 a stack saves nothing over one state.
 JACOBIAN_BATCH_ENTRIES = 16_384
 # Verification and integration step their state stack into a buffer of at
@@ -207,19 +218,60 @@ def jacobian(model, act: Activation, x) -> np.ndarray:
     return check_model(model).jacobian(act, x)
 
 
-def _max_jacobian_mu(model, act, X, mu, w) -> float:
-    """Largest log norm (kernel `mu` at weights `w`) of the Jacobians at the
-    columns of X, stacked in batches of at most JACOBIAN_BATCH_ENTRIES
-    entries.  Raises ValueError on a non-finite Jacobian entry."""
-    n, k = X.shape
-    width = max(1, JACOBIAN_BATCH_ENTRIES // (n * n))
-    best = -np.inf
-    for a in range(0, k, width):
-        J = model.jacobians(act, X[:, a:a + width])
-        if not np.isfinite(J).all():
-            raise ValueError("matrix entries must be finite")
-        best = max(best, float(mu(J, w).max()))
-    return best
+def _max_jacobian_mu(model, act, family, w):
+    """A function of an (n, k) state stack: the largest log norm (`family`,
+    at weights `w`) of the model's Jacobians at its columns.  Raises
+    ValueError on a non-finite Jacobian entry.
+
+    On l1 and linf, a model's `_slope_form` gives each log norm as d_i plus
+    an off-diagonal sum: |s_i| R_i where the slopes scale the lines that the
+    norm sums (columns on l1, rows on linf), R_i where they scale nothing,
+    with R = (w @ |A_off|) / w on l1 and (|A_off| @ w) / w on linf computed
+    once; otherwise one product of |A_off| (transposed on l1) with w |s|,
+    divided by w.  A stack takes the dense route instead unless
+    fl(max |A_off| * max |s|) is finite (so are the slopes and, rounding
+    being monotone, every off-diagonal product) and so is every value (so
+    is every diagonal): the dense route then raises exactly where a Jacobian
+    entry is not finite.  The dense route takes the Jacobians in stacks of
+    at most JACOBIAN_BATCH_ENTRIES entries."""
+    mu = kernels(family)[0]
+
+    def dense(X):
+        n, k = X.shape
+        width = max(1, JACOBIAN_BATCH_ENTRIES // (n * n))
+        best = -np.inf
+        for a in range(0, k, width):
+            J = model.jacobians(act, X[:, a:a + width])
+            if not np.isfinite(J).all():
+                raise ValueError("matrix entries must be finite")
+            best = max(best, float(mu(J, w).max()))
+        return best
+
+    if family == L2:
+        return dense
+    B = _offdiag_abs(model.A)
+    top = float(B.max())
+    matched, sums = (RIGHT, B.T) if family == L1 else (LEFT, B)
+    wc = w[:, None]
+    R = (sums @ w)[:, None] / wc
+
+    def sampled(X):
+        form = model._slope_form(act, X) if X.shape[1] else None
+        if form is None:
+            return dense(X)
+        side, s, d = form
+        a = np.abs(s)
+        if side is None:
+            V = d + R
+        elif side == matched:
+            V = d + a * R
+        else:
+            V = d + (sums @ (wc * a)) / wc
+        if math.isfinite(top * float(a.max())) and np.isfinite(V).all():
+            return float(V.max())
+        return dense(X)
+
+    return sampled
 
 
 def _rk4_step(f, X, h, out=None):
@@ -425,7 +477,8 @@ def verify_contraction(
     Z = np.hstack([X0, Y0])  # (n, 2 * pairs)
     f = model.field(act)
     w = _weights_or_ones(cert.weights, model.n)
-    mu, norm = kernels(cert.family)
+    norm = kernels(cert.family)[1]
+    max_jacobian_mu = _max_jacobian_mu(model, act, cert.family, w)
     floor = check_model(model).diagonal_floor()
     euler = cert.family in (L1, LINF) and step * float(np.max(-floor)) < 1.0
     advance = _euler_step if euler else _rk4_step
@@ -467,7 +520,7 @@ def verify_contraction(
             del dist
             for j in range(lo, len(S) if diverged is None else diverged):
                 if (i + j) % mu_sample_stride == 0:
-                    max_mu = max(max_mu, _max_jacobian_mu(model, act, S[j], mu, w))
+                    max_mu = max(max_mu, max_jacobian_mu(S[j]))
             if diverged is not None:
                 raise DivergenceError((i + diverged) * step)
     return SimReport(
@@ -502,14 +555,14 @@ def sample_jacobian_mu(
     _check_act(model, act)
     check_model(model)
     w = _weights_or_ones(weights, model.n)
-    mu = kernels(family)[0]
+    max_jacobian_mu = _max_jacobian_mu(model, act, family, w)
     X = np.random.default_rng(seed).normal(scale=scale, size=(samples, model.n))
     nudged = 0
     for kink in act.kinks():
         hit = X == kink
         nudged += int(np.sum(hit))
         X = np.where(hit, X + KINK_NUDGE, X)
-    best = _max_jacobian_mu(model, act, X.T, mu, w)
+    best = max_jacobian_mu(X.T)
     if with_stats:
         return best, nudged
     return best

@@ -250,7 +250,10 @@ def test_totally_hurwitz_matches_per_subset_reference():
 
 def test_pruning_entries_match_per_subset_abscissae_exactly():
     rng = np.random.default_rng(12)
-    inputs = [SPIRAL_TH, DAMPED_SPIRAL, np.array([[-0.0]])]
+    # Zero abscissae of both signs, where a plain max of the real parts can
+    # take the wrong one.
+    inputs = [SPIRAL_TH, DAMPED_SPIRAL, np.array([[-0.0]]),
+              np.array([[-0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, -0.0]])]
     for n in range(2, 9):
         inputs += [random_mh_matrix(rng, n), rng.normal(size=(n, n)), _negdef_not_mh(rng, n)]
     for A in inputs:
@@ -260,6 +263,9 @@ def test_pruning_entries_match_per_subset_abscissae_exactly():
             for idx in _subsets(A.shape[0])
         ]
         assert [(e.indices, e.alpha_majorant) for e in report.entries] == want
+        assert [np.signbit(e.alpha_majorant) for e in report.entries] == [
+            np.signbit(a) for _, a in want
+        ]
         assert all(e.m_hurwitz == (e.alpha_majorant < -classify_mod.STRICT_TOL)
                    for e in report.entries)
 

@@ -468,9 +468,11 @@ def _reference_euler(f, X, h):
     return X + h * f(X)
 
 
-def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="rk4"):
+def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="rk4",
+                      abs_sums=None):
     """(worst decay ratio, max sampled mu), or DivergenceError's time, on the
-    "euler" or "rk4" scheme."""
+    "euler" or "rk4" scheme.  A list `abs_sums` collects the largest weighted
+    absolute column (l1) or row (linf) sum of each sampled Jacobian."""
     if act.kind == "rect_poly":
         step = 0.5 * step
     n_steps = int(np.floor(horizon / step))
@@ -500,8 +502,39 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="r
                     worst = max(worst, float(np.exp(np.log(d) - np.log(start) - log_bound)))
             if i % stride == 0:
                 for col in range(Z.shape[1]):
-                    max_mu = max(max_mu, log_norm(jacobian(model, act, Z[:, col]), fam, w))
+                    J = jacobian(model, act, Z[:, col])
+                    max_mu = max(max_mu, log_norm(J, fam, w))
+                    if abs_sums is not None:
+                        abs_sums.append(log_norm(np.abs(J), fam, w))
     return worst, max_mu
+
+
+# Models whose sampled l1 and linf log norms come from their slopes.
+SLOPE_FORM_TAGS = {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise"}
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u) at the unit roundoff u."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+def _assert_sampled_mu(model, family, got, want, abs_sums):
+    """`got` is the dense reference `want` exactly where the dense route runs
+    (l2, Lure, MultiLure).  On the slope form each log norm d_i + t_i sums
+    its off-diagonal term t_i in another order; with the products, the
+    division by w_i and the final add, either route is within
+    gamma_{n+3} (|d_i| + t_i) of the exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1), so they differ by at
+    most 2 gamma_{n+3} times the largest weighted absolute column (row) sum
+    W of the sampled Jacobians, here computed with relative error at most
+    gamma_{n+2}."""
+    if family == L2 or model.tag not in SLOPE_FORM_TAGS:
+        assert got == want
+        return
+    n = model.n
+    bound = 2 * _gamma(n + 3) * max(abs_sums) / (1 - _gamma(n + 2))
+    assert abs(got - want) <= bound, (got, want, bound)
 
 
 def _oracle_cases():
@@ -549,6 +582,13 @@ def _oracle_certificates(model):
     return certs
 
 
+def _reference_sampled_mu(model, act, cert, states):
+    """(max log norm, weighted absolute sums) of the Jacobians at `states`."""
+    Js = [jacobian(model, act, x) for x in states]
+    return (max(log_norm(J, cert.family, cert.weights) for J in Js),
+            [log_norm(np.abs(J), cert.family, cert.weights) for J in Js])
+
+
 def test_verify_and_sampled_mu_match_reference_loop_exactly():
     tags = {"euler": set(), "rk4": set()}
     families = {"euler": set(), "rk4": set()}
@@ -574,17 +614,21 @@ def test_verify_and_sampled_mu_match_reference_loop_exactly():
                 tags[report.scheme].add(model.tag)
                 families[report.scheme].add(cert.family)
                 X0s, Y0s = _draw_pairs(model, act, 4, 3) if starts is None else starts
+                sums = []
                 worst, max_mu = _reference_verify(
-                    model, act, claim, X0s, Y0s, max(0.4, 4 * step), step, 50, report.scheme
+                    model, act, claim, X0s, Y0s, max(0.4, 4 * step), step, 50, report.scheme,
+                    abs_sums=sums,
                 )
                 assert report.worst_decay_ratio == worst
-                assert report.max_sampled_mu == max_mu
+                _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
                 if claim is overclaim:
                     assert report.worst_decay_ratio > 1.0
             rng = np.random.default_rng(2)
             states = [rng.normal(scale=3.0, size=model.n) for _ in range(5)]
-            assert sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=2) == max(
-                log_norm(jacobian(model, act, x), cert.family, cert.weights) for x in states
+            _assert_sampled_mu(
+                model, cert.family,
+                sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=2),
+                *_reference_sampled_mu(model, act, cert, states),
             )
     assert tags["euler"] == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
                              "entrywise", "lure", "multilure"}
@@ -668,16 +712,17 @@ def test_verify_matches_reference_across_block_and_batch_edges(monkeypatch, colu
                     model, act, claim, horizon=0.4, step=1e-3, mu_sample_stride=50,
                     initial_pairs=(X0, Y0),
                 )
-                want = _reference_verify(
-                    model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme
+                sums = []
+                worst, max_mu = _reference_verify(
+                    model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme, abs_sums=sums
                 )
-                assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+                assert report.worst_decay_ratio == worst
+                _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
             value = sample_jacobian_mu(model, act, 7, cert.family, cert.weights, seed=2)
             rng = np.random.default_rng(2)
             states = [rng.normal(scale=3.0, size=n) for _ in range(7)]
-            assert value == max(
-                log_norm(jacobian(model, act, x), cert.family, cert.weights) for x in states
-            )
+            _assert_sampled_mu(model, cert.family, value,
+                               *_reference_sampled_mu(model, act, cert, states))
 
 
 def test_verify_memory_does_not_grow_with_horizon():
@@ -745,8 +790,11 @@ def test_verify_matches_reference_when_the_entry_cap_sets_the_block(monkeypatch)
         for claim in (cert, overclaim):
             report = verify_contraction(model, act, claim, horizon=0.4, step=1e-3,
                                         mu_sample_stride=50, initial_pairs=(X0, Y0))
-            want = _reference_verify(model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme)
-            assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+            sums = []
+            worst, max_mu = _reference_verify(model, act, claim, X0, Y0, 0.4, 1e-3, 50,
+                                              report.scheme, abs_sums=sums)
+            assert report.worst_decay_ratio == worst
+            _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
         # integrate's one trajectory takes 63-step blocks under this cap.
         _, xs = integrate(model, act, X0[:, 0], horizon=0.4, step=1e-3)
         f, want = _reference_field(model, act), [X0[:, :1]]
@@ -774,3 +822,117 @@ def test_sampled_jacobian_overflow_before_a_divergence_in_its_block():
     with pytest.raises(DivergenceError) as info:
         verify_contraction(m, act, cert, mu_sample_stride=2, **kwargs)
     assert info.value.time == 2 * 5e-3
+
+
+def test_sampled_jacobian_overflow_hidden_by_the_weights_still_raises():
+    # With w0 / w1 = 1e-10, the weighted off-diagonal term of column 1 is
+    # s1 * 1e305 * w0 / w1 = 2e299, finite, while the Jacobian entry
+    # A01 * s1 = 1e305 * 2e4 overflows: the slope form must not hide it.
+    m = Hopfield(np.eye(2), [[0.0, 1e305], [0.0, 0.0]], SlopeInterval(0.0, np.inf))
+    act = Activation("rect_poly", r=2)
+    w = np.array([1e-10, 1.0])
+    _, _, cert = _divergent_linear_hopfield()
+    cert = dataclasses.replace(cert, weights=w)
+    X0, Y0 = np.array([[0.0], [1e4]]), np.array([[0.0], [5e3]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            log_norm(jacobian(m, act, [0.0, 1e4]), L1, w)
+        # Three of the four seeded states have x1 > 0 at scale 1e4.
+        with pytest.raises(ValueError, match="finite"):
+            sample_jacobian_mu(m, act, 4, L1, w, seed=0, scale=1e4)
+        for X in (X0, Y0):
+            with pytest.raises(ValueError, match="finite"):
+                simulate._max_jacobian_mu(m, act, L1, w)(X)
+    with pytest.raises(ValueError, match="finite"):
+        _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 1, "euler")
+    with pytest.raises(ValueError, match="finite"):
+        verify_contraction(m, act, cert, horizon=1.0, step=1e-2, mu_sample_stride=1,
+                           initial_pairs=(X0, Y0))
+
+
+def _spy_jacobians(monkeypatch, model):
+    """Count the calls of the model class's dense `jacobians`."""
+    calls = []
+    dense = type(model).jacobians
+
+    def spy(self, act, X):
+        calls.append(X.shape)
+        return dense(self, act, X)
+
+    monkeypatch.setattr(type(model), "jacobians", spy)
+    return calls
+
+
+def test_slope_form_models_sample_without_dense_jacobians(monkeypatch):
+    seen = set()
+    for model, act in _oracle_cases():
+        for cert in _oracle_certificates(model):
+            with monkeypatch.context() as patch:
+                calls = _spy_jacobians(patch, model)
+                verify_contraction(model, act, cert, pairs=2, horizon=0.1, step=1e-2,
+                                   mu_sample_stride=3)
+                sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=1)
+            dense = cert.family == L2 or model.tag not in SLOPE_FORM_TAGS
+            assert bool(calls) == dense, (model.tag, cert.family, calls)
+            seen.add((model.tag, cert.family, dense))
+    assert {tag for tag, _, dense in seen if not dense} == SLOPE_FORM_TAGS
+    assert {(tag, family) for tag, family, dense in seen if dense} == {
+        ("hopfield", L2), ("lure", L1), ("multilure", L1), ("multilure", LINF)}
+
+
+def _parent_field(model, act):
+    """Each model's field with its (n, 1) columns broadcast over the stack."""
+    if isinstance(model, Hopfield):
+        nc, A, u = -np.diag(model.C)[:, None], model.A, model.u[:, None]
+
+        def f(X):
+            K = A @ act(X)
+            K += nc * X
+            K += u
+            return K
+    elif isinstance(model, FiringRate):
+        nc, A, u = -np.diag(model.C)[:, None], model.A, model.u[:, None]
+
+        def f(X):
+            P = A @ X
+            P += u
+            K = act(P)
+            K += nc * X
+            return K
+    elif isinstance(model, AxMinusCPhi):
+        A, c = model.A, np.diag(model.C)[:, None]
+
+        def f(X):
+            K = A @ X
+            K -= c * act(X)
+            return K
+    elif isinstance(model, Lure):
+        A, b, c = model.A, model.b[:, None], model.c
+
+        def f(X):
+            K = A @ X
+            K += b * act(c @ X)[None, :]
+            return K
+    elif isinstance(model, MultiLure):
+        A, B, C = model.A, model.B, model.C
+
+        def f(X):
+            K = A @ X
+            K += B @ act(C @ X)
+            return K
+    else:  # Persidskii, Entrywise
+        f = lambda X: model.A @ act(X)
+    return f
+
+
+def test_fields_match_broadcast_columns_bit_for_bit():
+    rng = np.random.default_rng(9)
+    tags = set()
+    for model, act in _oracle_cases():
+        f, want = model.field(act), _parent_field(model, act)
+        # One closure, alternating between stack shapes.
+        for k in (1, 8, 40, 8, 1, 40, 40):
+            X = rng.normal(scale=3.0, size=(model.n, k))
+            assert np.array_equal(f(X), want(X))
+        tags.add(model.tag)
+    assert tags == SLOPE_FORM_TAGS | {"lure", "multilure"}
