@@ -201,6 +201,12 @@ def weighted_norm(x, family: str, weights=None):
     return norm(x, w)
 
 
+def _scales_summed_lines(side, family: str) -> bool:
+    """Whether slopes on `side` scale the lines that the `family` log norm
+    sums: the columns (right side) on l1, the rows (left side) on linf."""
+    return (family == L1 and side == RIGHT) or (family == LINF and side == LEFT)
+
+
 def envelope_matrices(spec: PolytopeSpec, family: str) -> tuple[np.ndarray, np.ndarray]:
     """The two matrices whose fixed-weight log norms majorize the whole polytope.
 
@@ -214,8 +220,7 @@ def envelope_matrices(spec: PolytopeSpec, family: str) -> tuple[np.ndarray, np.n
     A, c = spec.A, spec.c
     d1, d2 = spec.slopes.d1, spec.slopes.d2
     C = np.diag(c)
-    endpoint = (family == LINF and spec.side == LEFT) or (family == L1 and spec.side == RIGHT)
-    if endpoint:
+    if _scales_summed_lines(spec.side, family):
         return C + d1 * A, C + d2 * A
     dbar = max(abs(d1), abs(d2))
     diag_A = np.diag(np.diag(A))

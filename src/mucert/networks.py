@@ -192,15 +192,17 @@ class _Model:
     `jacobians(act, X)` (the Jacobians at the columns of an (n, k) stack X as
     one C-contiguous (k, n, n) stack, each slice bit-identical to the
     Jacobian at its state alone; so pre-activations such as A x + u are taken
-    column by column, because the product A @ X can differ from A @ x in the
-    last bits), `diagonal_floor()` (the least Jacobian diagonal over the
+    by the batched product np.matmul(A, X.T[:, :, None]), which keeps each
+    column's bits of A @ x where A @ X can differ from them in the last bits),
+    `diagonal_floor()` (the least Jacobian diagonal over the
     slope box, -inf where it is unbounded below) and `witnesses(family)`:
     matrices whose largest `family` log norm at any weights is the
     fixed-weight bound there (`exact` if minimal; MultiLure's is its exact
     linf solver instead) and every certificate's `osl`.  A model whose
-    Jacobian is a diagonal plus the off-diagonal part of A scaled by the
-    activation slopes also defines `_slope_form(act, X)`, from which the
-    sampled l1 and linf log norms take O(n) work per state.  Models whose
+    Jacobian is a diagonal plus the off-diagonal part of A, scaled by the
+    activation slopes on one `side` or not at all (`side` None), also defines
+    `_slope_form(act, X)`, from which the sampled log norm whose sums run
+    along the scaled lines takes O(n) work per state.  Models whose
     analysis fixes its own norm define `_certify()`; the others call
     `optimal_certificate` in `certificate`, which takes `_closed_form` where
     it applies and the optimizer only where it does not.
@@ -216,15 +218,14 @@ class _Model:
         """The Jacobian at the single state x."""
         return self.jacobians(act, np.asarray(x, dtype=float)[:, None])[0]
 
-    def _slope_form(self, act, X):
-        """The Jacobians at the columns of the (n, k) stack X in slope form,
-        or None where they have none: (side, s, d) with the slopes s and the
-        Jacobian diagonals d as (n, k) stacks, column j for state j.  Off the
-        diagonal, the Jacobian at state j is A's entries scaled by that
-        state's slopes on `side`: column l by s[l, j] (RIGHT), row i by
-        s[i, j] (LEFT), or not at all (None).  Each d is the diagonal that
-        `jacobians` computes, bit for bit."""
-        return None
+    # `_slope_form(act, X)`, where a model defines it, gives the Jacobians at
+    # the columns of the (n, k) stack X as (s, d): the slopes s and the
+    # Jacobian diagonals d as (n, k) stacks, column j for state j.  Off the
+    # diagonal, the Jacobian at state j is A's entries scaled by that state's
+    # slopes on the model's `side`: column l by s[l, j] (RIGHT), row i by
+    # s[i, j] (LEFT), or not at all (None).  Each d is the diagonal that
+    # `jacobians` computes, bit for bit.
+    _slope_form = None
 
     @property
     def kind(self) -> str:
@@ -400,7 +401,7 @@ class Hopfield(_Leaky):
 
     def _slope_form(self, act, X):
         s = act.deriv(X)
-        return RIGHT, s, -np.diag(self.C)[:, None] + np.diag(self.A)[:, None] * s
+        return s, -np.diag(self.C)[:, None] + np.diag(self.A)[:, None] * s
 
 
 class FiringRate(_Leaky):
@@ -434,7 +435,7 @@ class FiringRate(_Leaky):
 
     def _slope_form(self, act, X):
         s = self._preactivation_slopes(act, X).T
-        return LEFT, s, -np.diag(self.C)[:, None] + s * np.diag(self.A)[:, None]
+        return s, -np.diag(self.C)[:, None] + s * np.diag(self.A)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,6 +448,7 @@ class Persidskii(_Model):
     dominant eigenvector."""
 
     tag = "persidskii"
+    side = RIGHT
 
     A: np.ndarray
     slopes: SlopeInterval
@@ -467,7 +469,7 @@ class Persidskii(_Model):
 
     def _slope_form(self, act, X):
         s = act.deriv(X)
-        return RIGHT, s, np.diag(self.A)[:, None] * s
+        return s, np.diag(self.A)[:, None] * s
 
     def diagonal_floor(self) -> np.ndarray:
         return self.slopes.least_product(np.diag(self.A))
@@ -476,7 +478,7 @@ class Persidskii(_Model):
         """The envelope pair of the polytope {A diag(d)}: d1 A and d2 A in l1."""
         if family == L1:
             return [self.slopes.d1 * self.A, self.slopes.d2 * self.A]
-        spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, RIGHT)
+        spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, self.side)
         return list(envelope_matrices(spec, family))
 
     def _certify(self) -> ContractionCertificate:
@@ -494,6 +496,7 @@ class AxMinusCPhi(_Model):
     dominant eigenvector."""
 
     tag = "ax_minus_cphi"
+    side = None
 
     A: np.ndarray
     C: np.ndarray
@@ -524,7 +527,7 @@ class AxMinusCPhi(_Model):
 
     def _slope_form(self, act, X):
         s = act.deriv(X)
-        return None, s, np.diag(self.A)[:, None] - np.diag(self.C)[:, None] * s
+        return s, np.diag(self.A)[:, None] - np.diag(self.C)[:, None] * s
 
     def diagonal_floor(self) -> np.ndarray:
         return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
@@ -551,6 +554,7 @@ class Entrywise(_Model):
     entrywise-domination upper bound, never claimed exact."""
 
     tag = "entrywise"
+    side = RIGHT
     exact = False
 
     A: np.ndarray

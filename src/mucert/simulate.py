@@ -51,16 +51,18 @@ steps the Jacobian log norms of all trajectories are taken, after their
 block's checks and only at states before a divergence; `sample_jacobian_mu`
 draws its states as one block and evaluates them the same way
 (`_max_jacobian_mu`).  A model with a slope form (Hopfield, FiringRate,
-Persidskii, Entrywise, AxMinusCPhi) takes l1 and linf log norms from its
-slopes: O(n) per sampled state where its scaled side matches the norm or
-nothing is scaled, one (n x n)(n x k) product per sampled instant
-otherwise.  Only l2 certificates and Lure and MultiLure build dense Jacobians,
-as (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries, with one
-finiteness check and one stacked log norm per stack.  Every reported value is
-bit-identical to the one-step, one-state evaluation, except that the slope
-form's `max_sampled_mu` sums in another order than the dense log norm and can
-differ from it in its last bits.  The certificate's weights are validated
-once per run; the step loop calls the unchecked log-norm kernels.
+Persidskii, Entrywise, AxMinusCPhi) takes its log norms from its slopes, at
+O(n) per sampled state, in the norm whose sums run along the lines its
+slopes scale (l1 for Hopfield, Persidskii and Entrywise, linf for
+FiringRate) and in both l1 and linf for AxMinusCPhi, whose slopes scale
+only the diagonal.  Every other case (the other norm, l2 certificates, Lure
+and MultiLure) builds dense Jacobians, as (k, n, n) stacks of at most
+JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one stacked
+log norm per stack.  Every reported value is bit-identical to the one-step,
+one-state evaluation, except that the slope form's `max_sampled_mu` sums in
+another order than the dense log norm and can differ from it in its last
+bits.  The certificate's weights are validated once per run; the step loop
+calls the unchecked log-norm kernels.
 """
 
 import math
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lognorm import L1, L2, LEFT, LINF, RIGHT, SlopeInterval, _offdiag_abs, kernels
+from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_lines, kernels
 from .matrices import _weights_or_ones
 from .networks import ContractionCertificate, check_model
 
@@ -77,10 +79,11 @@ from .networks import ContractionCertificate, check_model
 # euler scheme, whose bound is exact, rounding only.
 DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
-# The dense route of the sampled log norms (l2 certificates, Lure and
-# MultiLure) evaluates Jacobians in stacks of at most this many matrix entries
-# (one state at n = 128, 16 at n = 32), so their memory does not grow with the
-# number of states; at n >= 128 a stack saves nothing over one state.
+# The dense route of the sampled log norms (l2 certificates, Lure, MultiLure
+# and a slope-form model in the norm its slopes do not match) evaluates
+# Jacobians in stacks of at most this many matrix entries (one state at
+# n = 128, 16 at n = 32), so their memory does not grow with the number of
+# states; at n >= 128 a stack saves nothing over one state.
 JACOBIAN_BATCH_ENTRIES = 16_384
 # Verification and integration step their state stack into a buffer of at
 # most DECAY_BLOCK_STEPS steps and STATE_BLOCK_ENTRIES state entries (256 KB;
@@ -223,17 +226,16 @@ def _max_jacobian_mu(model, act, family, w):
     at weights `w`) of the model's Jacobians at its columns.  Raises
     ValueError on a non-finite Jacobian entry.
 
-    On l1 and linf, a model's `_slope_form` gives each log norm as d_i plus
-    an off-diagonal sum: |s_i| R_i where the slopes scale the lines that the
-    norm sums (columns on l1, rows on linf), R_i where they scale nothing,
-    with R = (w @ |A_off|) / w on l1 and (|A_off| @ w) / w on linf computed
-    once; otherwise one product of |A_off| (transposed on l1) with w |s|,
-    divided by w.  A stack takes the dense route instead unless
-    fl(max |A_off| * max |s|) is finite (so are the slopes and, rounding
-    being monotone, every off-diagonal product) and so is every value (so
-    is every diagonal): the dense route then raises exactly where a Jacobian
-    entry is not finite.  The dense route takes the Jacobians in stacks of
-    at most JACOBIAN_BATCH_ENTRIES entries."""
+    Where a model has a `_slope_form` whose `side` scales the lines that the
+    norm sums (columns on l1, rows on linf) or nothing, each log norm is d_i
+    plus an off-diagonal sum, |s_i| R_i or R_i, with R = (w @ |A_off|) / w
+    on l1 and (|A_off| @ w) / w on linf computed once.  A stack takes the
+    dense route instead unless fl(max |A_off| * max |s|) is finite (so are
+    the slopes and, rounding being monotone, every off-diagonal product) and
+    so is every value (so is every diagonal): the dense route then raises
+    exactly where a Jacobian entry is not finite.  Every other case takes
+    the dense route, which evaluates the Jacobians in stacks of at most
+    JACOBIAN_BATCH_ENTRIES entries."""
     mu = kernels(family)[0]
 
     def dense(X):
@@ -247,26 +249,21 @@ def _max_jacobian_mu(model, act, family, w):
             best = max(best, float(mu(J, w).max()))
         return best
 
-    if family == L2:
+    form = model._slope_form
+    if family == L2 or form is None or not (
+        model.side is None or _scales_summed_lines(model.side, family)
+    ):
         return dense
     B = _offdiag_abs(model.A)
     top = float(B.max())
-    matched, sums = (RIGHT, B.T) if family == L1 else (LEFT, B)
-    wc = w[:, None]
-    R = (sums @ w)[:, None] / wc
+    R = ((B.T if family == L1 else B) @ w)[:, None] / w[:, None]
 
     def sampled(X):
-        form = model._slope_form(act, X) if X.shape[1] else None
-        if form is None:
+        if not X.shape[1]:
             return dense(X)
-        side, s, d = form
+        s, d = form(act, X)
         a = np.abs(s)
-        if side is None:
-            V = d + R
-        elif side == matched:
-            V = d + a * R
-        else:
-            V = d + (sums @ (wc * a)) / wc
+        V = d + R if model.side is None else d + a * R
         if math.isfinite(top * float(a.max())) and np.isfinite(V).all():
             return float(V.max())
         return dense(X)

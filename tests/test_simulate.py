@@ -509,8 +509,11 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="r
     return worst, max_mu
 
 
-# Models whose sampled l1 and linf log norms come from their slopes.
-SLOPE_FORM_TAGS = {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise"}
+# The (model, norm) pairs whose sampled log norms come from the slopes: the
+# slopes scale the lines that the norm sums (columns on l1, rows on linf), or
+# only the diagonal (AxMinusCPhi).
+SLOPE_ROUTES = {("hopfield", L1), ("persidskii", L1), ("entrywise", L1),
+                ("firing_rate", LINF), ("ax_minus_cphi", L1), ("ax_minus_cphi", LINF)}
 
 
 def _gamma(m):
@@ -521,7 +524,7 @@ def _gamma(m):
 
 def _assert_sampled_mu(model, family, got, want, abs_sums):
     """`got` is the dense reference `want` exactly where the dense route runs
-    (l2, Lure, MultiLure).  On the slope form each log norm d_i + t_i sums
+    (outside SLOPE_ROUTES).  On the slope form each log norm d_i + t_i sums
     its off-diagonal term t_i in another order; with the products, the
     division by w_i and the final add, either route is within
     gamma_{n+3} (|d_i| + t_i) of the exact value (Higham, Accuracy and
@@ -529,7 +532,7 @@ def _assert_sampled_mu(model, family, got, want, abs_sums):
     most 2 gamma_{n+3} times the largest weighted absolute column (row) sum
     W of the sampled Jacobians, here computed with relative error at most
     gamma_{n+2}."""
-    if family == L2 or model.tag not in SLOPE_FORM_TAGS:
+    if (model.tag, family) not in SLOPE_ROUTES:
         assert got == want
         return
     n = model.n
@@ -866,21 +869,25 @@ def _spy_jacobians(monkeypatch, model):
 def test_slope_form_models_sample_without_dense_jacobians(monkeypatch):
     seen = set()
     for model, act in _oracle_cases():
-        for cert in _oracle_certificates(model):
+        runs = [(cert.family, lambda cert=cert: verify_contraction(
+            model, act, cert, pairs=2, horizon=0.1, step=1e-2, mu_sample_stride=3))
+            for cert in _oracle_certificates(model)]
+        runs += [(family, lambda family=family: sample_jacobian_mu(
+            model, act, 5, family, np.linspace(0.5, 2.0, model.n), seed=1))
+            for family in (L1, LINF, L2)]
+        for family, run in runs:
             with monkeypatch.context() as patch:
                 calls = _spy_jacobians(patch, model)
-                verify_contraction(model, act, cert, pairs=2, horizon=0.1, step=1e-2,
-                                   mu_sample_stride=3)
-                sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=1)
-            dense = cert.family == L2 or model.tag not in SLOPE_FORM_TAGS
-            assert bool(calls) == dense, (model.tag, cert.family, calls)
-            seen.add((model.tag, cert.family, dense))
-    assert {tag for tag, _, dense in seen if not dense} == SLOPE_FORM_TAGS
-    assert {(tag, family) for tag, family, dense in seen if dense} == {
-        ("hopfield", L2), ("lure", L1), ("multilure", L1), ("multilure", LINF)}
+                run()
+            dense = (model.tag, family) not in SLOPE_ROUTES
+            assert bool(calls) == dense, (model.tag, family, calls)
+            seen.add((model.tag, family))
+    assert SLOPE_ROUTES < seen
+    assert {("hopfield", LINF), ("hopfield", L2), ("firing_rate", L1), ("lure", L1),
+            ("multilure", LINF)} < seen - SLOPE_ROUTES
 
 
-def _parent_field(model, act):
+def _broadcast_field(model, act):
     """Each model's field with its (n, 1) columns broadcast over the stack."""
     if isinstance(model, Hopfield):
         nc, A, u = -np.diag(model.C)[:, None], model.A, model.u[:, None]
@@ -929,10 +936,32 @@ def test_fields_match_broadcast_columns_bit_for_bit():
     rng = np.random.default_rng(9)
     tags = set()
     for model, act in _oracle_cases():
-        f, want = model.field(act), _parent_field(model, act)
+        f, want = model.field(act), _broadcast_field(model, act)
         # One closure, alternating between stack shapes.
         for k in (1, 8, 40, 8, 1, 40, 40):
             X = rng.normal(scale=3.0, size=(model.n, k))
             assert np.array_equal(f(X), want(X))
         tags.add(model.tag)
-    assert tags == SLOPE_FORM_TAGS | {"lure", "multilure"}
+    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
+                    "lure", "multilure"}
+
+
+class _Identity:
+    """An activation stand-in whose slope at p is p, so slopes read back as
+    the pre-activations themselves."""
+
+    @staticmethod
+    def deriv(P):
+        return P
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 128])
+def test_firing_rate_preactivations_match_per_column_products_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    model = FiringRate(np.eye(n), rng.normal(size=(n, n)), SlopeInterval(0.0, 1.0),
+                       u=rng.normal(size=n))
+    for k in (1, 7, 40):
+        Z = rng.normal(scale=3.0, size=(n, 2 * k))
+        for X in (np.ascontiguousarray(Z[:, :k]), Z[:, ::2], np.asfortranarray(Z[:, :k])):
+            want = np.stack([model.A @ x + model.u for x in X.T])
+            assert np.array_equal(model._preactivation_slopes(_Identity, X), want)
