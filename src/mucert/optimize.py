@@ -20,9 +20,11 @@ choice at w = 1.  On the envelope pairs of the network models it is usually
 optimal already, so one Perron vector settles the optimization.
 
 The Perron vector of an irreducible selection comes from Noda's inverse
-iteration, one LU solve per step within a budget of NODA_MAXITER solves,
-with one dense eigensolve as its fallback (see `spectral._noda_vector`;
-T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976).
+iteration from the ones vector, one LU solve per step within a budget of
+NODA_MAXITER solves (see `spectral._noda_vector`; T. Noda, Numer. Math. 17,
+1971; L. Elsner, Linear Algebra Appl. 15, 1976).  It is the same routine
+that finishes the Perron vectors power iteration leaves unconverged, and
+its one last resort is a dense eigensolve.
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, solved

@@ -443,23 +443,22 @@ def verify_contraction(
     (n, pairs) arrays instead of drawing them from the seed.  An activation
     of unbounded slope halves the step and draws its starts in the unit
     inf-ball; the report carries the halved step.  Raises
-    ValueError, before any work if `mu_sample_stride` is not an integer of
-    at least 1, and otherwise unless the horizon and step are finite and
-    positive, at least one step fits, there is at least one pair, the seed
-    is nonnegative, and every pair's entries and start distance are finite.
+    ValueError, before any work if `mu_sample_stride` or `pairs` is not an
+    integer of at least 1, or `seed` not an integer of at least 0 (a bool is
+    not an integer here), and otherwise unless the horizon and step are finite and
+    positive, at least one step fits, there is at least one pair, and every
+    pair's entries and start distance are finite.
     """
-    if (isinstance(mu_sample_stride, bool)
-            or not isinstance(mu_sample_stride, numbers.Integral) or mu_sample_stride < 1):
-        raise ValueError(
-            f"mu_sample_stride must be an integer >= 1, got {mu_sample_stride!r}")
+    for name, value, least in (("mu_sample_stride", mu_sample_stride, 1),
+                               ("pairs", pairs, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
     _check_act(model, act)
     if not act.slopes().bounded:
         step = 0.5 * step
     n_steps = _step_count(horizon, step)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     if initial_pairs is not None:
         X0 = np.asarray(initial_pairs[0], dtype=float).reshape(model.n, -1)

@@ -3,14 +3,16 @@
 Each quantity has one route.  The spectral abscissa of any matrix comes from
 the dense eigensolver.  The dominant left and right eigenvectors of a Metzler
 matrix (its Perron pair) come from one power iteration loop on a diagonal
-shift that makes the matrix nonnegative, within a budget of POWER_MAXITER
-steps and under a stagnation test over POWER_WINDOW steps.  The
-right Perron vector of an irreducible Metzler row selection in the weight
-optimizer comes from Noda's inverse iteration (T. Noda, Numer. Math. 17,
-1971; L. Elsner, Linear Algebra Appl. 15, 1976), within a budget of
-NODA_MAXITER linear solves.  A vector that misses its iteration's budget or
-accuracy test is recomputed by one dense eigensolve under the same residual
-and positivity contract.
+shift N that makes the matrix nonnegative, within POWER_MAXITER steps.  A
+vector that has not converged by then, or that misses the residual bound, is
+finished from its last power iterate by Noda's inverse iteration (T. Noda,
+Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for
+the right vector or N.T for the left one, within NODA_MAXITER solves.  The
+weight optimizer takes the right Perron vector of an irreducible row
+selection from the same iteration, started at the ones vector.  Its last
+resort is one dense eigensolve under the same residual and positivity
+contract, the one place a Perron vector comes from the dense solver; on the
+seeded test inputs only delta-perturbed reducible matrices still reach it.
 
 The shifted matrix N takes one n x n pass, M + delta, and an in-place add
 to its diagonal.  The right iterate (on N) and the left one (on N.T) share
@@ -22,24 +24,18 @@ are those of a loop of its own.  The iterates have unit sum, so no entry
 exceeds 1 and the stop test is absolute.  One more product per vector gives
 both its Rayleigh quotient and its residual.
 
-A vector whose steps have gone flat is sent to the dense solver before the
-budget runs out.  Two blocks coupled by 1e-9 have dominant eigenvalues about
-1e-9 apart; their steps fall to a plateau of 1e-12 to 1e-11 by about step
-20 and stay there, so the rest of the 300-step budget bought nothing but the
-fallback.  From step 2 * POWER_WINDOW on, every POWER_WINDOW / 2 steps, the
-largest step of the newer half of the last POWER_WINDOW steps is compared
-with the largest of the older half: shrunk by less than 10 %, at a rate that
-cannot reach POWER_TOL within the budget, and the vector goes to the dense
-solver, which gives the result the budget would have ended in.  The first
-check comes after the early plateaus of inputs that do converge (a sparse
-n = 16 input sits near 3e-2 for 18 steps, then converges at step 154); a
-window of 16 with a threshold of 1/2 misjudged that input.  The test is a
-heuristic: a vector whose steps stay flat over a window and then fall again
-would now take the dense route and differ in its last bits.  None of the
-inputs the tests and the benchmarks draw does.
+Every row gets the same budget, and no heuristic guesses early which rows
+will not converge.  Two blocks coupled by 1e-9 have dominant eigenvalues
+about 1e-9 apart; their power steps fall to a plateau of 1e-12 to 1e-11 by
+about step 20 and never converge, and a sparse ring whose steps shrink by
+about 0.9 each would need some 250.  Noda's shifted solves converge
+quadratically to the dominant eigenvalue, so they separate such a pair in a
+few solves where power steps cannot.  Its stop test is scaled by |hi| as
+well as by max|S|, because the rounding floor of the bracket grows with the
+Perron root, which can sit far above the largest entry.
 
-Power iteration stays the Perron pair route because there a solve per step
-costs more than the matrix-vector steps it saves: on twelve irreducible
+Power iteration stays the first stage because on inputs that converge a
+solve per step costs more than the steps it saves: on twelve irreducible
 n = 256 certify-perron-style inputs (one BLAS thread), Noda took 6.7 to
 15.3 ms per right-and-left pair against 0.18 to 0.36 ms for the two power
 iterations.
@@ -60,6 +56,7 @@ iteration would, so the weights are those of `perron_pair`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +65,22 @@ from numpy.linalg import solve
 from .matrices import _checked_square, as_matrix, is_metzler, reachability
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
-# bound: the iterates have unit sum, so no entry exceeds 1), or give up after
-# POWER_MAXITER steps, or once the stagnation test over the last POWER_WINDOW
-# steps finds the steps flat, and fall back to the dense solver.  The
-# perfbench certify inputs (n = 16 to 256, reducible or not) converge within
-# 75 steps; a near-tied dominant eigenvalue never does, and the stagnation
-# test sends it to the dense solver at step 2 * POWER_WINDOW.  The residual
-# bound is the contract either way.
+# bound: the iterates have unit sum, so no entry exceeds 1) within
+# POWER_MAXITER steps.  A row that has not converged by then, or whose
+# vector's residual exceeds RESIDUAL_RTOL * (1 + max|N|), is finished by
+# Noda's iteration from its last iterate.  The perfbench certify-perron
+# inputs with n >= 64 converged within 44 steps on seeds 1 to 3; a
+# near-tied dominant eigenvalue never converges.  The residual bound is the
+# contract either way.
 POWER_TOL = 1e-13
-POWER_MAXITER = 300
-POWER_WINDOW = 32
+POWER_MAXITER = 64
 RESIDUAL_RTOL = 1e-11
 
-# Noda iteration: stop once the Collatz-Wielandt bracket at the iterate is
-# narrower than NODA_RTOL * (1 + max|S|), which implies the RESIDUAL_RTOL
-# bound; else fall back to the dense solver after NODA_MAXITER solves or as
-# soon as the bracket stops shrinking.  The perfbench certify-lp selections
-# (n = 16 to 128) take 5 to 8 solves.
+# Noda iteration: stop once the Collatz-Wielandt bracket [lo, hi] at the
+# iterate is no wider than NODA_RTOL * (1 + max|S| + |hi|); else take the
+# dense eigensolve after NODA_MAXITER solves or as soon as the bracket stops
+# shrinking.  The perfbench certify-lp selections (n = 16 to 128) take 5 to
+# 8 solves.
 NODA_RTOL = 1e-14
 NODA_MAXITER = 20
 
@@ -138,11 +134,13 @@ class PerronPair:
     Both eigenvectors are normalized to unit sum.  `alpha` is the spectral
     abscissa of the (possibly delta-perturbed) Metzler input; `delta_used`
     records the rank-one perturbation actually applied.  `steps` holds the
-    power steps taken for the (right, left) vectors and `dense` which of the
-    two came from the dense eigensolver instead.  The package's one-norm
-    certificates ask the private `_perron` for one vector only: the other is
-    then None with 0 steps, and `alpha` is the Rayleigh quotient of the one
-    vector, less the shift.
+    power steps taken for the (right, left) vectors, at most POWER_MAXITER
+    each; a vector that did not converge within them, or missed the residual
+    bound, was finished by Noda's iteration.  `dense` says which of the two
+    Noda's iteration handed to the dense eigensolve, its last resort.  The
+    package's one-norm certificates ask the private `_perron` for one vector
+    only: the other is then None with 0 steps, and `alpha` is the Rayleigh
+    quotient of the one vector, less the shift.
     """
 
     alpha: float
@@ -154,7 +152,7 @@ class PerronPair:
     dense: tuple[bool, bool]
 
 
-def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
+def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int], list[bool]]:
     """Power iteration for the dominant right eigenvector of N (row 0, on N)
     and the dominant left one (row 1, on N.T), for a nonnegative N with
     positive diagonal: rows lo to hi - 1 of the two, in one loop (see the
@@ -168,16 +166,13 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
     at least each of its terms, so every entry of a unit-sum iterate is at
     most 1.
 
-    A row stops when its step max|y - x| falls below POWER_TOL, when
-    :func:`_stalled` finds its steps flat over the last POWER_WINDOW steps
-    (called only on the steps where it tests, :func:`_stall_check_due`),
-    or after POWER_MAXITER steps; the other row goes on alone.  A near tie's
-    steps sit on a plateau from about step 20, so both rows stop at the
-    first stagnation test, step 2 * POWER_WINDOW.
+    A row stops when its step max|y - x| falls below POWER_TOL, or after
+    POWER_MAXITER steps; the other row goes on alone.
 
-    Returns ([right, left], [steps of each]): a unit-sum vector for a row
-    that converged, None for one that goes to the dense solver or was not
-    asked for; a row not asked for takes 0 steps.
+    Returns ([right, left], [steps of each], [converged, for each]): the
+    converged vector of a row that stopped below POWER_TOL, the last
+    iterate (unit sum and positive) of one that ran out of steps, and None
+    with 0 steps for a row not asked for.
     """
     n = N.shape[0]
     mats = (N, N.T)
@@ -186,9 +181,7 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
     x, y = X[lo:hi], Y[lo:hi]  # the rows still iterating
     vectors = [None, None]
     steps = [POWER_MAXITER if lo <= i < hi else 0 for i in range(2)]
-    history = ([], [])
     for step in range(1, POWER_MAXITER + 1):
-        check = _stall_check_due(step)
         for i in range(lo, hi):
             np.matmul(mats[i], xs[i], out=ys[i])
         y /= y.sum(axis=1, keepdims=True)
@@ -196,72 +189,62 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int]]:
         np.abs(x, out=x)
         rows = lo, hi
         for i, change in enumerate(x.max(axis=1).tolist(), lo):
-            history[i].append(change)
             if change < POWER_TOL:
                 vectors[i] = ys[i].copy()
-            elif not (check and _stalled(history[i])):
-                continue
-            steps[i] = step
-            if i == lo:
-                lo += 1
-            else:
-                hi -= 1
+                steps[i] = step
+                if i == lo:
+                    lo += 1
+                else:
+                    hi -= 1
         if lo >= hi:
             break
         X, Y, xs, ys, x, y = Y, X, ys, xs, y, x
         if rows != (lo, hi):
             x, y = X[lo:hi], Y[lo:hi]
-    return vectors, steps
-
-
-def _stall_check_due(step: int) -> bool:
-    """True on the steps where :func:`_stalled` makes its test: from step
-    2 * POWER_WINDOW on, every POWER_WINDOW // 2 steps.  The power loop calls
-    `_stalled` on these steps only."""
-    return step >= 2 * POWER_WINDOW and step % (POWER_WINDOW // 2) == 0
-
-
-def _stalled(history: list[float]) -> bool:
-    """Stagnation test on a power iterate's steps, made from step
-    2 * POWER_WINDOW on at every POWER_WINDOW // 2 steps: the largest step
-    `a` of the newer half of the last POWER_WINDOW steps against the largest
-    `b` of the older half.  The iterate is stalled when `a` has shrunk by
-    less than 10 % (a > 0.9 b) and shrinking at the rate a / b per
-    half window cannot take it below POWER_TOL within the budget.
-    """
-    k = len(history)
-    half = POWER_WINDOW // 2
-    if not _stall_check_due(k):
-        return False
-    a = max(history[k - half:])
-    b = max(history[k - 2 * half:k - half])
-    return a > 0.9 * b and a * (a / b) ** ((POWER_MAXITER - k) / half) >= POWER_TOL
+    converged = [v is not None for v in vectors]
+    for i in range(lo, hi):  # out of steps: the last iterate, swapped into X
+        vectors[i] = xs[i]
+    return vectors, steps, converged
 
 
 def _noda_vector(S: np.ndarray) -> np.ndarray:
     """Right Perron vector of an irreducible Metzler matrix S, strictly
-    positive with largest entry 1, by Noda's inverse iteration.
+    positive with largest entry 1, by :func:`_noda` from the ones vector."""
+    return _noda(S)[0]
 
-    From x = 1 each step takes the Collatz-Wielandt bounds lo = min q and
-    hi = max q of q = (S x) / x, which bracket alpha(S), and stops once the
-    bracket is narrower than NODA_RTOL * (1 + max|S|); then
-    |(S x)_i - hi x_i| <= (hi - lo) x_i for every i.  Otherwise it solves
+
+def _noda(S: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Right Perron vector of an irreducible Metzler matrix S, strictly
+    positive with largest entry 1, by Noda's inverse iteration; and whether
+    the dense eigensolve was taken.
+
+    From x = 1, or from a given positive start rescaled to largest entry 1,
+    each step takes the Collatz-Wielandt bounds lo = min q and hi = max q of
+    q = (S x) / x, which bracket alpha(S), and stops once
+    hi - lo <= NODA_RTOL * (1 + max|S| + |hi|).  Otherwise it solves
     (hi I - S) z = x, a nonsingular M-matrix system with a positive solution,
     and rescales z to largest entry 1.  The shift converges quadratically to
     alpha(S).  An iterate that is not finite and positive, a bracket that
     stops shrinking, or NODA_MAXITER solves without convergence hands the
     vector to one dense eigensolve.
+
+    At the stop every |(S x)_i - lam x_i| <= (hi - lo) x_i <= hi - lo for the
+    Rayleigh quotient lam, which lies in [lo, hi].  As RESIDUAL_RTOL is
+    1000 * NODA_RTOL, that meets RESIDUAL_RTOL * (1 + max|S|) whenever
+    |hi| <= 999 * (1 + max|S|).  The bracket holds alpha(S), which is at
+    most n * max|S| in modulus, so this covers every n below 999; `_perron`
+    checks the residual of what it returns either way.
     """
     n = S.shape[0]
-    tol = NODA_RTOL * (1.0 + float(np.max(np.abs(S))))
+    size = 1.0 + float(np.max(np.abs(S)))
     eye = np.eye(n)
-    x = np.ones(n)
+    x = np.ones(n) if x is None else x / np.max(x)
     width = np.inf
     for solves in range(NODA_MAXITER + 1):
         q = (S @ x) / x
         lo, hi = float(q.min()), float(q.max())
-        if hi - lo <= tol:
-            return x
+        if hi - lo <= NODA_RTOL * (size + abs(hi)):
+            return x, False
         if solves == NODA_MAXITER or not hi - lo < width:
             break
         width = hi - lo
@@ -277,7 +260,7 @@ def _noda_vector(S: np.ndarray) -> np.ndarray:
     x = v / np.max(v)
     if not np.all(x > 0.0):
         raise NumericalError("Perron eigenvector has nonpositive entries")
-    return x
+    return x, True
 
 
 def _dense_dominant_vector(N: np.ndarray) -> tuple[np.ndarray, float]:
@@ -305,12 +288,16 @@ def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) ->
     """Perron vectors of M + delta * ones for a Metzler M that is already
     validated, finite and C-ordered, and a finite delta >= 0: the right one
     (row 0) and the left one (row 1), rows lo to hi - 1 of the two.  Only
-    the rows asked for are power-iterated; a row not asked for is None in
-    the pair, with 0 steps.  `alpha` is the mean of the asked rows' Rayleigh
-    quotients, less the shift: one vector's own quotient when one is asked.
+    the rows asked for are computed; a row not asked for is None in the
+    pair, with 0 steps.  Each asked row is power-iterated, and one that did
+    not converge within POWER_MAXITER steps or misses the residual bound is
+    finished by :func:`_noda` from its last iterate, and rescaled to
+    unit sum.  `alpha` is the mean of the asked rows' Rayleigh quotients,
+    less the shift: one vector's own quotient when one is asked.
 
     Raises NumericalError, before any iteration, if the shifted matrix or a
-    power step's sum (at most n times its largest entry) would overflow.
+    power step's sum (at most n times its largest entry) would overflow, and
+    after it if a vector misses the residual bound or is not positive.
     """
     # M + delta in one pass (C-ordered, as M is), with every -0.0 made
     # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
@@ -323,15 +310,19 @@ def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) ->
     if not N.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")
 
-    vectors, steps = _power_vector(N, lo, hi)
+    vectors, steps, converged = _power_vector(N, lo, hi)
+    bound = RESIDUAL_RTOL * scale
     dense, lams = [False, False], []
     for i in range(lo, hi):
         B, x = (N, N.T)[i], vectors[i]
-        if x is not None:
+        if converged[i]:
             lam, residual = _rayleigh(B, x)
-        dense[i] = x is None or residual > RESIDUAL_RTOL * scale
-        if dense[i]:
-            vectors[i], lam = _dense_dominant_vector(B)
+        if not converged[i] or residual > bound:
+            x, dense[i] = _noda(B, x)
+            vectors[i] = x = x / x.sum()
+            lam, residual = _rayleigh(B, x)
+            if residual > bound:
+                raise NumericalError("Perron eigenvector residual check failed")
         lams.append(lam)
     if any(np.any(vectors[i] <= 0.0) for i in range(lo, hi)):
         raise NumericalError(
@@ -354,13 +345,16 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     moved it by 1.6e-3 at n = 256.  Take the unperturbed abscissa from
     :func:`spectral_abscissa`.
 
-    Raises ValueError for a non-Metzler M or a negative or non-finite delta,
-    and NumericalError, before any iteration, if the shifted matrix or a
-    power step's sum (at most n times its largest entry) would overflow.
+    Raises ValueError for a non-Metzler M or a delta that is not a real
+    number (a bool included), negative or not finite, and NumericalError,
+    before any iteration, if the shifted matrix or a power step's sum (at
+    most n times its largest entry) would overflow.
     """
     M = as_matrix(M)
     if not is_metzler(M):
         raise ValueError("perron_pair requires a Metzler matrix")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a real number, got {delta!r}")
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if not delta < math.inf:  # also true for NaN
@@ -382,9 +376,10 @@ def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:
     For p=1 this is the left dominant eigenvector w, and the weight matrix is
     diag(w).  For p=inf it is 1/v with v the right dominant eigenvector; the
     weight matrix diag(1/v) realizes the norm max_i |x_i| / v_i, so pass the
-    reciprocal of this vector to :func:`mucert.lognorm.muinf`.
+    reciprocal of this vector to :func:`mucert.lognorm.muinf`.  Raises
+    ValueError for any other p, True included.
     """
-    if p != 1 and p not in (math.inf, "inf"):
+    if isinstance(p, (bool, np.bool_)) or p != 1 and p not in (math.inf, "inf"):
         raise ValueError(f"p must be 1 or inf, got {p!r}")
     pair = perron_pair(M, delta)
     return pair.left if p == 1 else 1.0 / pair.right

@@ -1002,7 +1002,7 @@ def test_one_norm_certificate_makes_one_product_per_power_step(monkeypatch):
         runs.clear()
         cert = certify(model)
         assert len(runs) == 1, model.tag
-        vectors, steps = runs[0]
+        vectors, steps, _ = runs[0]
         if row is None:
             assert len(products) == sum(steps) and min(steps) > 0
             continue

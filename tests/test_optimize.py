@@ -555,12 +555,17 @@ def test_noda_solves_stay_within_budget(monkeypatch):
     assert max(per_call) <= spectral.NODA_MAXITER
 
 
-def test_noda_stalled_bracket_falls_back_to_dense(monkeypatch):
+def test_noda_stop_test_scales_with_the_perron_root(monkeypatch):
     # Dense positive coupling puts the Perron root (about 70) far above
     # max|S| (about 5), so rounding in q = (S x) / x keeps the bracket above
-    # NODA_RTOL (1 + max|S|): it stops shrinking long before the budget runs
-    # out.
+    # NODA_RTOL (1 + max|S|).  The stop test scales with |hi| too, so the
+    # iteration stops within its budget and takes no dense eigensolve.
     per_call = _count_solves(monkeypatch)
+
+    def no_fallback(N):
+        raise AssertionError("Noda iteration fell back to the dense solver")
+
+    monkeypatch.setattr(spectral, "_dense_dominant_vector", no_fallback)
     rng = np.random.default_rng(35)
     S = rng.uniform(0.1, 1.0, size=(128, 128))
     np.fill_diagonal(S, rng.normal(scale=2.0, size=128))
@@ -568,7 +573,9 @@ def test_noda_stalled_bracket_falls_back_to_dense(monkeypatch):
     np.testing.assert_allclose(x, _dense_selection_weights(S), rtol=1e-12, atol=0.0)
     assert 1 <= per_call[0] < spectral.NODA_MAXITER // 2
     q = (S @ x) / x
-    assert np.max(q) - np.min(q) > spectral.NODA_RTOL * (1.0 + np.max(np.abs(S)))
+    size = 1.0 + np.max(np.abs(S))
+    assert spectral.NODA_RTOL * size < np.max(q) - np.min(q)
+    assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (size + np.max(q))
 
 
 def test_noda_budget_exhausted_falls_back_to_dense(monkeypatch):

@@ -197,6 +197,22 @@ def test_verify_rejects_bad_mu_sample_stride_before_any_work(stride, monkeypatch
         verify_contraction(m, Activation("tanh"), cert, mu_sample_stride=stride)
 
 
+@pytest.mark.parametrize("name, value", [("pairs", 2.5), ("pairs", True), ("pairs", 0),
+                                         ("seed", True), ("seed", 1.0), ("seed", -1)])
+def test_verify_rejects_bad_pairs_and_seed_before_any_work(name, value, monkeypatch):
+    # pairs=2.5 used to raise TypeError inside numpy, and seed=True ran as
+    # seed 1.  Both now take the mu_sample_stride rule, checked up front.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    cert = dataclasses.replace(optimal_certificate(m, L1), contracting=False)
+
+    def no_work(*args):
+        raise AssertionError("verify drew its pairs")
+
+    monkeypatch.setattr(simulate, "_draw_pairs", no_work)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {int(name == 'pairs')}"):
+        verify_contraction(m, Activation("tanh"), cert, **{name: value})
+
+
 def test_verify_contraction_identical_pair_convention():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)

@@ -127,9 +127,11 @@ def test_metzler_route_matches_dense_route():
 
 def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
     assert spectral.POWER_MAXITER <= 1000
-    # A near tie's steps sit on a plateau from about step 20, so the
-    # stagnation test sends both vectors to the dense solver at its first
-    # check, long before the budget runs out.
+    # A near tie's power steps sit on a plateau from about step 20, so both
+    # vectors run the whole power budget and go to Noda's iteration.  Its
+    # last resort is the dense eigensolve: with no solve left in Noda's
+    # budget, both vectors reach it, and `dense` says so.
+    monkeypatch.setattr(spectral, "NODA_MAXITER", 0)
     dense_calls = []
     dense = spectral._dense_dominant_vector
     monkeypatch.setattr(spectral, "_dense_dominant_vector",
@@ -140,7 +142,7 @@ def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
         dense_calls.clear()
         pair = perron_pair(M)
         assert pair.dense == (True, True) and len(dense_calls) == 2
-        assert all(steps <= 2 * spectral.POWER_WINDOW + 1 for steps in pair.steps)
+        assert pair.steps == (spectral.POWER_MAXITER, spectral.POWER_MAXITER)
         want = float(np.max(np.linalg.eigvals(M).real))
         assert pair.alpha == pytest.approx(want, abs=1e-9)
         assert np.all(pair.right > 0) and np.all(pair.left > 0)
@@ -150,6 +152,104 @@ def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
     pair = perron_pair(random_irreducible_metzler(rng, 16))
     assert pair.dense == (False, False) and dense_calls == []
     assert all(0 < steps < spectral.POWER_MAXITER for steps in pair.steps)
+
+
+def _slow_sparse_inputs():
+    """Two slow convergers among the bit-identity test's inputs, both beyond
+    the power budget: a sparse ring at about 0.9 per step, whose power steps
+    would converge at 254 and 257, and a perturbed sparse n = 16 input whose
+    steps stay near 3e-2 for 18 steps and would converge at 154.  Returns
+    [(M, delta)] for both."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 16, 64, 256):
+        random_irreducible_metzler(rng, n)
+    M = random_metzler(rng, 16, density=0.2)
+    M[M == 0.0] = -0.0
+    ring = M.copy()
+    ring[np.arange(16), np.roll(np.arange(16), 1)] = 0.5
+    return [(ring, 0.0), (M, spectral.DEFAULT_DELTA)]
+
+
+def _near_tie_persidskii_coupling():
+    """The coupling of the near-tied Persidskii model in the CI smoke test:
+    two diagonally similar 4 x 4 blocks, diagonal -3, coupled by 1e-9."""
+    B = np.array([[0.0, 0.6, 0.3, 0.8], [0.5, 0.0, 0.9, 0.2],
+                  [0.7, 0.4, 0.0, 0.6], [0.3, 0.8, 0.5, 0.0]])
+    d = np.array([1.0, 1.5, 0.6, 1.2])
+    A = np.full((8, 8), 1e-9)
+    A[:4, :4] = B
+    A[4:, 4:] = d[:, None] * B / d[None, :]
+    np.fill_diagonal(A, -3.0)
+    return A
+
+
+def test_near_ties_and_slow_convergers_take_no_dense_eigensolve(monkeypatch):
+    # Inputs that do not converge within the power budget are finished by
+    # Noda's iteration, which separates a near tie in a few solves: no dense
+    # eigensolve, and the abscissa within 1e-12 of the dense oracle's.
+    eig_calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda A: eig_calls.append(A.shape) or eig(A))
+    rng = np.random.default_rng(29)
+    inputs = [(near_tie_metzler(rng, k), 0.0) for k in (4, 8, 32, 128)]
+    for M, delta in inputs + _slow_sparse_inputs():
+        pair = perron_pair(M, delta)
+        assert pair.steps == (spectral.POWER_MAXITER, spectral.POWER_MAXITER)
+        assert pair.dense == (False, False)
+        assert np.all(pair.right > 0) and np.all(pair.left > 0)
+        P = M + delta
+        want = float(np.max(np.linalg.eigvals(P).real))
+        assert pair.alpha == pytest.approx(want, abs=1e-12 * (1.0 + np.max(np.abs(P))))
+
+    A = _near_tie_persidskii_coupling()
+    cert = certify(Persidskii(A, SlopeInterval(0.5, 1.0)))
+    want = float(np.max(np.linalg.eigvals(A).real))
+    assert cert.details["alpha_majorant"] == pytest.approx(want, abs=1e-12 * (1.0 + np.max(np.abs(A))))
+    assert eig_calls == []
+
+
+def test_noda_finishes_from_the_last_power_iterate(monkeypatch):
+    # A vector that runs out of power steps, or converges at a vector that
+    # misses the residual bound, is finished by Noda's iteration started from
+    # its last power iterate, and must then meet the bound itself.
+    starts = []
+    noda = spectral._noda
+    monkeypatch.setattr(spectral, "_noda",
+                        lambda B, x=None: starts.append(x.copy()) or noda(B, x))
+
+    def last_power_iterate(B, tol):
+        x = np.full(B.shape[0], 1.0 / B.shape[0])
+        for _ in range(spectral.POWER_MAXITER):
+            y = B @ x
+            y /= y.sum()
+            if np.max(np.abs(y - x)) < tol:
+                return y
+            x = y
+        return x
+
+    rng = np.random.default_rng(31)
+    near_tie = near_tie_metzler(rng, 4)
+    well_separated = random_irreducible_metzler(rng, 16)
+    for M, tol in ((near_tie, spectral.POWER_TOL), (well_separated, 1e-4)):
+        monkeypatch.setattr(spectral, "POWER_TOL", tol)
+        starts.clear()
+        pair = perron_pair(M)
+        # The near tie runs out of steps; the loose stop test converges early.
+        assert (max(pair.steps) == spectral.POWER_MAXITER) == (M is near_tie)
+        N = M + (1.0 + np.max(np.abs(np.diag(M)))) * np.eye(M.shape[0])
+        assert len(starts) == 2
+        assert all(np.array_equal(x, last_power_iterate(B, tol)) for x, B in zip(starts, (N, N.T)))
+        scale = 1.0 + np.max(np.abs(M))
+        want = float(np.max(np.linalg.eigvals(M).real))
+        assert pair.alpha == pytest.approx(want, abs=1e-12 * scale)
+        for B, v in ((M, pair.right), (M.T, pair.left)):
+            lam = float(v @ (B @ v) / (v @ v))
+            assert np.max(np.abs(B @ v - lam * v)) <= spectral.RESIDUAL_RTOL * scale
+
+    # No bound is met at RESIDUAL_RTOL = 0, so the Noda vectors are refused.
+    monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(spectral.NumericalError, match="residual check failed"):
+        perron_pair(near_tie)
 
 
 def _strongly_connected_bruteforce(A):
@@ -215,6 +315,13 @@ def test_perron_pair_guards():
         perron_pair([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         perron_pair([[0.0, 1.0], [1.0, 0.0]], delta=-1.0)
+    # A bool or non-real delta, and p=True, are not read as numbers.
+    for delta in (True, np.True_, "0.1", 1e-8j, None):
+        with pytest.raises(ValueError, match="delta must be a real number"):
+            perron_pair([[0.0, 1.0], [1.0, 0.0]], delta)
+    for p in (True, np.True_):
+        with pytest.raises(ValueError, match="p must be 1 or inf"):
+            perron_weights([[0.0, 1.0], [1.0, 0.0]], p)
     # reducible input works once perturbed
     pair = perron_pair(np.diag([-1.0, -2.0]), delta=1e-8)
     assert pair.alpha == pytest.approx(-1.0, abs=1e-6)
@@ -288,17 +395,18 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
 
 
 def _reference_perron_pair(M, delta=0.0):
-    """perron_pair before the lean power step: M + delta * ones, then
-    P + shift * eye, a stop test scaled by max(1, max|y|), and separate B @ x
-    products for the Rayleigh quotient and the residual.  Returns (alpha,
-    right, left, max|y| of every power iterate, dense eigensolves taken)."""
+    """perron_pair before the lean power step, with a dense eigensolve in
+    place of Noda's iteration: M + delta * ones, then P + shift * eye, a
+    stop test scaled by max(1, max|y|), and separate B @ x products for the
+    Rayleigh quotient and the residual.  Returns (alpha, right, left, max|y|
+    of every power iterate, which vectors took the dense eigensolve)."""
     M = np.array(M, dtype=float)
     n = M.shape[0]
     P = M + delta * np.ones((n, n))
     shift = 1.0 + float(np.max(np.abs(np.diag(P))))
     N = P + shift * np.eye(n)
     scale = 1.0 + float(np.max(np.abs(N)))
-    tops, dense = [], 0
+    tops, dense = [], []
 
     def residual(B, v, lam):
         return float(np.max(np.abs(B @ v - lam * v)))
@@ -318,16 +426,45 @@ def _reference_perron_pair(M, delta=0.0):
     for B in (N, N.T):
         x, ok = power(B)
         lam = float(x @ (B @ x) / (x @ x))
-        if not ok or residual(B, x, lam) > spectral.RESIDUAL_RTOL * scale:
+        dense.append(not ok or residual(B, x, lam) > spectral.RESIDUAL_RTOL * scale)
+        if dense[-1]:
             lams, V = np.linalg.eig(B)
             x = V[:, int(np.argmax(lams.real))].real
             x = x / x.sum()
             lam = float(x @ (B @ x) / (x @ x))
             assert residual(B, x, lam) <= spectral.RESIDUAL_RTOL * scale
-            dense += 1
         vectors.append((x, lam))
     (v, lam_r), (w, lam_l) = vectors
-    return 0.5 * (lam_r + lam_l) - shift, v, w, tops, dense
+    return 0.5 * (lam_r + lam_l) - shift, v, w, tops, tuple(dense)
+
+
+def _check_against_reference(M, delta, pair):
+    """Every vector the reference's power steps converge on matches it bit
+    for bit, and so does the whole pair when both do.  Every other vector
+    was finished by Noda's iteration: it must be strictly positive, meet
+    RESIDUAL_RTOL * (1 + max|N|), and have a Rayleigh quotient, less the
+    shift, within 1e-12 (1 + max|N|) of the dense eigvals abscissa.  Returns
+    which vectors were handed over."""
+    alpha, v, w, tops, handed = _reference_perron_pair(M, delta)
+    assert max(tops) <= 1.0  # unit-sum iterates: the reference's stop scale was 1
+    if not any(handed):
+        assert pair.alpha == alpha and pair.dense == (False, False)
+        assert sum(pair.steps) == len(tops)
+    P = M + delta * np.ones(M.shape)
+    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
+    N = P + shift * np.eye(M.shape[0])
+    scale = 1.0 + float(np.max(np.abs(N)))
+    want = float(np.max(np.linalg.eigvals(P).real))
+    for x, ref, B, to_noda in zip((pair.right, pair.left), (v, w), (N, N.T), handed):
+        if not to_noda:
+            assert np.array_equal(x, ref)
+            continue
+        Bx = B @ x
+        lam = float(x @ Bx / (x @ x))
+        assert np.all(x > 0.0) and x.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(Bx - lam * x)) <= spectral.RESIDUAL_RTOL * scale
+        assert abs(lam - shift - want) <= 1e-12 * scale
+    return handed
 
 
 def test_perron_pair_is_bit_identical_to_reference():
@@ -350,29 +487,33 @@ def test_perron_pair_is_bit_identical_to_reference():
     near_tie = near_tie_metzler(rng, 4)
     cases.append((near_tie, 0.0))
 
+    handed = []
     for M, delta in cases:
         before = M.tobytes()
-        alpha, v, w, tops, dense = _reference_perron_pair(M, delta)
         pair = perron_pair(M, delta)
         assert M.tobytes() == before
-        assert pair.alpha == alpha
-        assert np.array_equal(pair.right, v) and np.array_equal(pair.left, w)
-        # Iterates have unit sum, so the reference's stop scale was 1.
-        assert max(tops) <= 1.0
-        assert dense == (2 if M is near_tie else 0)
+        if any(_check_against_reference(M, delta, pair)):
+            handed.append(M)
+    # The slow sparse n = 16 inputs (see _slow_sparse_inputs), the near tie
+    # (n = 8) and the n = 2 input, whose eigenvalue ratio after the shift is
+    # 0.67, go to Noda's iteration; every input with n >= 64 converges.
+    slow = [M for M, _ in _slow_sparse_inputs()]
+    assert all(any(np.array_equal(M, H) for H in handed) for M in slow + [near_tie])
+    assert {M.shape[0] for M in handed} == {2, 8, 16}
 
 
-def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties():
+def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch):
     # Seeded sweep of the Metzler inputs that certify and classify hand to
     # perron_pair, n from 2 to 64: dense, M-Hurwitz majorants, sparse with
-    # and without delta, block-reducible and near-tied.  Every input matches
-    # the reference bit for bit.  Where the reference converges, perron_pair
-    # converges too, at the same steps (the reference keeps one max|y| per
-    # step of either vector).  Near ties of two blocks of at least 4, as the
-    # benchmark draws them, fall back at the stagnation test's first check;
-    # blocks of 2 or 3 may need a few more checks to reach their plateau.  A
-    # near tie whose start has next to no weight on the second eigenvector
-    # converges, as it does in the reference.
+    # and without delta, block-reducible and near-tied.  No stagnation test
+    # decides any more: every vector gets the same POWER_MAXITER steps.
+    # Where the reference's power steps converge, perron_pair's do too, at
+    # the same steps and bit for bit.  Near ties, as the benchmark draws
+    # them, never converge and are handed to Noda's iteration (but one
+    # whose start has next to no weight on the second eigenvector, which
+    # converges, as in the reference), and so are the slow sparse inputs; _check_against_reference holds every
+    # handed-over vector to the dense oracle.  The dense eigensolve, Noda's
+    # last resort, is taken only on delta-perturbed reducible inputs.
     rng = np.random.default_rng(23)
     cases = []  # (M, delta, block size of a near tie or 0)
     for _ in range(40):
@@ -390,94 +531,20 @@ def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties():
         cases.append((M, spectral.DEFAULT_DELTA, 0))
         k = int(rng.integers(2, 33))
         cases.append((near_tie_metzler(rng, k), 0.0, k))
-    # The two slowest convergent inputs of the reference test: a sparse ring
-    # at about 0.9 per step, and a perturbed sparse input whose steps stay
-    # near 3e-2 for 18 steps before it converges at 154.
-    hard = np.random.default_rng(11)
-    for n in (1, 2, 16, 64, 256):
-        random_irreducible_metzler(hard, n)
-    M = random_metzler(hard, 16, density=0.2)
-    M[M == 0.0] = -0.0
-    ring = M.copy()
-    ring[np.arange(16), np.roll(np.arange(16), 1)] = 0.5
-    assert perron_pair(ring).steps == (254, 257)
-    assert perron_pair(M, spectral.DEFAULT_DELTA).steps == (154, 154)
-    cases += [(M, spectral.DEFAULT_DELTA, 0), (ring, 0.0, 0)]
+    cases += [(M, delta, 0) for M, delta in _slow_sparse_inputs()]
 
-    fallbacks = 0
+    noda_calls = []
+    noda = spectral._noda
+    monkeypatch.setattr(spectral, "_noda",
+                        lambda B, x=None: noda_calls.append(1) or noda(B, x))
+    tie_handovers = 0
     for M, delta, k in cases:
-        alpha, v, w, tops, dense = _reference_perron_pair(M, delta)
+        noda_calls.clear()
         pair = perron_pair(M, delta)
-        assert pair.alpha == alpha
-        assert np.array_equal(pair.right, v) and np.array_equal(pair.left, w)
-        if dense == 0:
-            assert pair.dense == (False, False)
-            assert sum(pair.steps) == len(tops)
-        elif k:
-            assert dense == 2 and pair.dense == (True, True)
-            limit = 2 * spectral.POWER_WINDOW + 1 if k >= 4 else spectral.POWER_MAXITER - 1
-            assert max(pair.steps) <= limit
-            fallbacks += 1
-        else:  # slow, not stalled: the whole budget, as in the reference
-            assert dense == sum(pair.dense) and spectral.POWER_MAXITER in pair.steps
-    assert len(cases) >= 200 and fallbacks >= 35
-
-
-def test_stalled_rule_on_synthetic_step_histories():
-    # Steps q**k: the largest step of a half window is its first, so the
-    # newer half's largest is q**half times the older half's.
-    window, tol = spectral.POWER_WINDOW, spectral.POWER_TOL
-    half = window // 2
-
-    def geometric(first, rate, steps):
-        return [first * rate ** (k / half) for k in range(steps)]
-
-    flat = [1e-11] * (2 * window)
-    assert spectral._stalled(flat)
-    assert not spectral._stalled(flat[:-1])  # before the first check
-    assert not spectral._stalled(flat + [1e-11])  # between checks
-    assert spectral._stalled(flat + [1e-11] * half)
-    # Shrinking by 10 % or more per half window is progress.
-    assert not spectral._stalled(geometric(1e-2, 0.89, 2 * window))
-    # Shrinking by less than 10 %: stalled unless that rate reaches
-    # POWER_TOL within the budget.
-    left = (spectral.POWER_MAXITER - 2 * window) / half
-    slow = geometric(1.0, 0.95, 2 * window)
-    reach = tol / 0.95**left  # the last step that still reaches POWER_TOL
-    assert spectral._stalled([s * 1.01 * reach / slow[-half] for s in slow])
-    assert not spectral._stalled([s * 0.99 * reach / slow[-half] for s in slow])
-
-
-def test_stagnation_test_is_called_only_on_its_schedule(monkeypatch):
-    # _stalled can fire only from step 2 * POWER_WINDOW on, every
-    # POWER_WINDOW // 2 steps, so the power loop calls it on those steps
-    # alone: once per scheduled step and iterating row.
-    window, half = spectral.POWER_WINDOW, spectral.POWER_WINDOW // 2
-    calls = []
-    stalled = spectral._stalled
-    monkeypatch.setattr(spectral, "_stalled", lambda h: calls.append(len(h)) or stalled(h))
-
-    rng = np.random.default_rng(19)
-    pair = perron_pair(random_irreducible_metzler(rng, 16))
-    assert pair.dense == (False, False) and max(pair.steps) < 2 * window
-    assert calls == []
-    for k in (4, 8):  # both rows stall at the first scheduled step
-        calls.clear()
-        pair = perron_pair(near_tie_metzler(rng, k))
-        assert pair.dense == (True, True) and pair.steps == (2 * window, 2 * window)
-        assert calls == [2 * window, 2 * window]
-
-    # The slow sparse ring of the reference test converges at steps 254 and
-    # 257, and so passes 12 and 13 scheduled steps.
-    hard = np.random.default_rng(11)
-    for n in (1, 2, 16, 64, 256):
-        random_irreducible_metzler(hard, n)
-    ring = random_metzler(hard, 16, density=0.2)
-    ring[ring == 0.0] = -0.0
-    ring[np.arange(16), np.roll(np.arange(16), 1)] = 0.5
-    calls.clear()
-    pair = perron_pair(ring)
-    assert pair.steps == (254, 257) and pair.dense == (False, False)
-    right, left = range(2 * window, 255, half), range(2 * window, 258, half)
-    assert (len(right), len(left)) == (12, 13)
-    assert sorted(calls) == sorted([*right, *left])
+        handed = _check_against_reference(M, delta, pair)
+        assert len(noda_calls) == sum(handed)
+        if any(pair.dense):
+            assert delta > 0.0 and not is_irreducible(M)
+        if k:
+            tie_handovers += sum(handed)
+    assert len(cases) >= 240 and tie_handovers >= 70
