@@ -39,7 +39,6 @@ from .matrices import (
     as_weights,
     block_resolvent,
     metzler_majorant,
-    reachability,
     strong_blocks,
 )
 from .lognorm import _mu2, mu2
@@ -195,7 +194,7 @@ def _mh_witness(M: np.ndarray) -> np.ndarray | None:
     give nonpositive entries on blocks coupled one way; an irreducible M is
     one block.  A singular solve, or a weight that is not finite and
     positive, gives None."""
-    blocks = strong_blocks(reachability(M))
+    blocks = strong_blocks(M)
     try:
         x = block_resolvent(M, blocks, 0.0)
         y = block_resolvent(M.T, blocks[::-1], 0.0)

@@ -31,6 +31,7 @@ from .matrices import (
     as_matrix,
     as_vector,
     check_diagonal,
+    strong_blocks,
 )
 from .lognorm import (
     L1,
@@ -43,8 +44,8 @@ from .lognorm import (
     envelope_matrices,
     kernels,
 )
-from .optimize import bisect_min_mu
-from .spectral import DEFAULT_DELTA, _perron, is_irreducible, spectral_abscissa
+from .optimize import RESOLVENT_SHIFT, bisect_min_mu
+from .spectral import _perron, _resolvent_weights
 
 # A model is declared contracting only if the certified bound is at or below
 # minus this margin; the underlying strict inequalities must survive floating
@@ -139,47 +140,58 @@ _PERRON_ROWS = {L1: (1, 2), LINF: (0, 1), None: (0, 2)}
 
 
 def _perron_weights(M, family=None):
-    """(Perron pair, spectral abscissa) of a Metzler matrix M, stepping only
-    the vector that a `family` certificate carries (both for None): the pair
-    of M and its `alpha` if M is irreducible, else the pair of its
-    DEFAULT_DELTA perturbation and the unperturbed abscissa, which the
-    perturbation can move far more.  The irreducibility check raises
-    ValueError on an M that overflowed when it was built."""
-    rows = _PERRON_ROWS[family]
-    if is_irreducible(M):
-        pair = _perron(M, 0.0, True, *rows)
-        return pair, pair.alpha
-    return _perron(M, DEFAULT_DELTA, False, *rows), spectral_abscissa(M)
+    """(right, left, alpha, shift) for a Metzler matrix M: only the weight
+    vector that a `family` certificate carries (both for None; the other is
+    None), the abscissa alpha of M and the shift above it.  An irreducible M
+    gives its Perron vectors, the `alpha` of their pair and shift 0.  A
+    reducible M gives the resolvent weights of
+    `spectral._resolvent_weights` at alpha + RESOLVENT_SHIFT, on M for the
+    right vector and on M.T for the left one, each scaled to unit sum, and
+    shift RESOLVENT_SHIFT: the weighted log norm of M at either is at most
+    alpha + shift.  M is checked to be finite before its blocks are
+    searched, so an M that overflowed when it was built raises ValueError."""
+    lo, hi = _PERRON_ROWS[family]
+    blocks = strong_blocks(_checked_square(M))
+    if len(blocks) == 1:
+        pair = _perron(M, 0.0, True, lo, hi)
+        return pair.right, pair.left, pair.alpha, 0.0
+    vectors = [None, None]
+    for i in range(lo, hi):
+        w, alpha = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], RESOLVENT_SHIFT)
+        vectors[i] = w / w.sum()
+    return *vectors, alpha, RESOLVENT_SHIFT
 
 
 def _perron_certificate(model, metzler, family, theorem, key,
                         level=lambda alpha: alpha) -> ContractionCertificate:
     """Certificate in the weighted `family` norm at the dominant eigenvector
-    of the Metzler matrix `metzler`, left for l1 and right for linf.  Only
-    that vector is power-iterated, and `details[key]` is `level` of its
-    Rayleigh quotient (of the unperturbed abscissa if `metzler` is
-    reducible).  `metzler` and the witnesses come from the model's validated
-    matrices and are not validated again.  `details.delta` > 0 marks a
-    reducible matrix, whose bound is then not tight."""
-    pair, alpha = _perron_weights(metzler, family)
-    weights = pair.left if family == L1 else pair.right
+    of the Metzler matrix `metzler`, left for l1 and right for linf, or at
+    its resolvent weights if `metzler` is reducible (see `_perron_weights`).
+    Only that vector is computed, and `details[key]` is `level` of the
+    abscissa of `metzler`.  `metzler` and the witnesses come from the
+    model's validated matrices and are not validated again.
+    `details.delta` > 0 marks a reducible matrix and holds the resolvent
+    shift; the bound is then not tight."""
+    right, left, alpha, shift = _perron_weights(metzler, family)
+    weights = left if family == L1 else right
     return _certificate(
         _witness_osl(model.witnesses(family), family, weights), family, weights, theorem,
-        model.exact and pair.irreducible, **{key: level(alpha)}, delta=pair.delta_used,
+        model.exact and shift == 0.0, **{key: level(alpha)}, delta=shift,
     )
 
 
 def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
     """Certificate from the one witness, the same in both norms, whose Metzler
     majorant dominates every Jacobian majorant: one rate in the weighted l1 and
-    linf norms at its left and right dominant eigenvectors, never exact."""
+    linf norms at its left and right dominant eigenvectors (resolvent
+    weights if it is reducible), never exact."""
     mats = model.witnesses(L1)
-    pair, alpha = _perron_weights(_majorant(mats[0]))
-    osl = max(_witness_osl(mats, L1, pair.left), _witness_osl(mats, LINF, pair.right))
+    right, left, alpha, shift = _perron_weights(_majorant(mats[0]))
+    osl = max(_witness_osl(mats, L1, left), _witness_osl(mats, LINF, right))
     return _certificate(
-        osl, L1, pair.left, theorem, False,
-        alt_family=LINF, alt_weights=pair.right,
-        delta=pair.delta_used, **{alpha_key: alpha},
+        osl, L1, left, theorem, False,
+        alt_family=LINF, alt_weights=right,
+        delta=shift, **{alpha_key: alpha},
     )
 
 
@@ -346,16 +358,16 @@ class _Leaky(_Model):
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
         Mzr = _majorant(self.A)
-        pair, a_m = _perron_weights(Mzr, family)
+        right, left, a_m, shift = _perron_weights(Mzr, family)
         a_mc = float(np.max(-np.diag(self.C)))
         min_diag = float(np.min(np.diag(self.A)))
 
-        weights = pair.left if family == L1 else pair.right
+        weights = left if family == L1 else right
         theorem = f"{self.kind}/{family}/unbounded-slope"
 
         # The bound holds with the majorant's log norm at the carried weights.
-        # It equals a_m only for an irreducible majorant; a reducible one gets
-        # weights from its delta-perturbed pair, which can miss a_m by O(sqrt(delta)).
+        # It equals a_m only for an irreducible majorant; at a reducible one's
+        # resolvent weights it lies between a_m and a_m + shift.
         m_w = _witness_osl([Mzr], family, weights)
         majorant_hurwitz = m_w < -CONTRACTION_MARGIN
         rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
@@ -364,7 +376,7 @@ class _Leaky(_Model):
             "statement_rate": statement_rate,
             "mh_sufficient": d1 >= 0.0,
             "alpha_majorant": a_m,
-            "delta": pair.delta_used,
+            "delta": shift,
         }
         if not majorant_hurwitz:
             details["violated"] = "majorant-not-hurwitz"
@@ -372,7 +384,7 @@ class _Leaky(_Model):
         if rate <= CONTRACTION_MARGIN:
             details["violated"] = "decay-bound-not-positive"
             return _certificate(np.inf, family, None, theorem, False, **details)
-        return _certificate(-rate, family, weights, theorem, pair.irreducible, **details)
+        return _certificate(-rate, family, weights, theorem, shift == 0.0, **details)
 
 
 class Hopfield(_Leaky):
@@ -739,8 +751,9 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     (``.../perron``, ``details.closed_form``) and no optimizer runs; elsewhere
     :func:`mucert.optimize.bisect_min_mu` finds it over the two envelope
     matrices of the Jacobian polytope (``.../weight-lp``, ``details.b_star``).
-    Reducible majorants take a perturbed dominant eigenvector
-    (``details.delta``) and the certificate is marked non-tight.
+    A reducible majorant takes its resolvent weights at the shift
+    ``details.delta`` above its abscissa, and the certificate is marked
+    non-tight.
     """
     if not isinstance(model, _Leaky):
         raise TypeError("optimal_certificate expects a Hopfield or FiringRate model")

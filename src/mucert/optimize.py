@@ -27,9 +27,12 @@ that finishes the Perron vectors power iteration leaves unconverged, and
 its one last resort is a dense eigensolve.
 
 A reducible selection may have a Perron vector with zero entries.  It takes
-the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, solved
-one strongly connected block at a time: then S w = b w - 1 < b w, and the row
-switching runs at w.
+the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, from
+`spectral._resolvent_weights`, solved one strongly connected block of
+`matrices.strong_blocks` at a time: then S w = b w - 1 < b w, and the row
+switching runs at w.  The certificates of :mod:`mucert.networks` take their
+weights for a reducible Metzler majorant from the same routine, at shift
+RESOLVENT_SHIFT.
 
 The returned level `b_star` is evaluated at the returned weights, so it is
 attained there, up to rounding, by construction.
@@ -39,18 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (
-    as_matrix,
-    block_resolvent,
-    is_metzler,
-    metzler_majorant,
-    reachability,
-    strong_blocks,
-)
+from .matrices import as_matrix, is_metzler, metzler_majorant, strong_blocks
 from .lognorm import L1, LINF
-from .spectral import NumericalError, _noda_vector
+from .spectral import NumericalError, _noda_vector, _resolvent_weights
 
-# Resolvent shift above the abscissa of a reducible selection.  b_star then
+# Resolvent shift above the abscissa of a reducible selection, or of a
+# certificate's reducible majorant.  b_star, or the certified bound, then
 # exceeds the optimum by at most about this much.
 RESOLVENT_SHIFT = 1e-8
 # Work budget: the number of row selections whose weights are computed.
@@ -98,19 +95,12 @@ class BisectResult:
 
 
 def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
-    """Right Perron vector of an irreducible Metzler S, or resolvent weights
-    (bI - S)^-1 1 at b = alpha(S) + shift for a reducible one, solved by
-    `matrices.block_resolvent` with b above every block's abscissa, so the
-    weights are positive."""
-    reach = reachability(S)
-    if reach.all():
+    """Right Perron vector of an irreducible Metzler S, or the resolvent
+    weights of `spectral._resolvent_weights` for a reducible one."""
+    blocks = strong_blocks(S)
+    if len(blocks) == 1:
         return _noda_vector(S)
-    blocks = strong_blocks(reach)
-    b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks) + shift
-    w = block_resolvent(S, blocks, b)
-    if not np.all((w > 0.0) & np.isfinite(w)):
-        raise NumericalError("resolvent weights have nonpositive entries")
-    return w
+    return _resolvent_weights(S, blocks, shift)[0]
 
 
 def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:

@@ -417,6 +417,14 @@ def _worst_ratio(dist, log_d0, log_bound) -> float:
     return float(np.where(top > -np.inf, np.exp(top - log_bound), 0.0).max())
 
 
+def _check_integers(*checks):
+    """Raise ValueError unless the value of each (name, value, least) is an
+    integer (a bool is not one here) of at least `least`."""
+    for name, value, least in checks:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def verify_contraction(
     model,
     act: Activation,
@@ -449,10 +457,8 @@ def verify_contraction(
     positive, at least one step fits, there is at least one pair, and every
     pair's entries and start distance are finite.
     """
-    for name, value, least in (("mu_sample_stride", mu_sample_stride, 1),
-                               ("pairs", pairs, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_integers(("mu_sample_stride", mu_sample_stride, 1), ("pairs", pairs, 1),
+                    ("seed", seed, 0))
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
     _check_act(model, act)
@@ -545,9 +551,11 @@ def sample_jacobian_mu(
     States draw normal entries at the given scale, as one (samples, n) block
     from the seed's generator.  A coordinate landing exactly on an activation
     kink is nudged by 1e-12 rather than skipped; the nudge count is available
-    via with_stats=True.  Zero samples return -inf; a negative count raises
-    ValueError.
+    via with_stats=True.  Zero samples return -inf.  Raises ValueError,
+    before any work, if `samples` or `seed` is not an integer of at least 0
+    (a bool is not an integer here).
     """
+    _check_integers(("samples", samples, 0), ("seed", seed, 0))
     _check_act(model, act)
     check_model(model)
     w = _weights_or_ones(weights, model.n)

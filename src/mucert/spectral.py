@@ -12,7 +12,15 @@ weight optimizer takes the right Perron vector of an irreducible row
 selection from the same iteration, started at the ones vector.  Its last
 resort is one dense eigensolve under the same residual and positivity
 contract, the one place a Perron vector comes from the dense solver; on the
-seeded test inputs only delta-perturbed reducible matrices still reach it.
+seeded test inputs only the public `perron_pair` on a delta-perturbed
+reducible matrix still reaches it.
+
+A reducible Metzler matrix takes no Perron vector on the package's own
+routes.  The weight optimizer's reducible row selections and the
+certificates' reducible majorants both take the resolvent weights of
+`_resolvent_weights`, solved on the strongly connected blocks of
+:func:`mucert.matrices.strong_blocks`; the same search decides
+:func:`is_irreducible`.
 
 The shifted matrix N takes one n x n pass, M + delta, and an in-place add
 to its diagonal.  The right iterate (on N) and the left one (on N.T) share
@@ -62,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import solve
 
-from .matrices import _checked_square, as_matrix, is_metzler, reachability
+from .matrices import _checked_square, as_matrix, block_resolvent, is_metzler, strong_blocks
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1) within
@@ -84,9 +92,10 @@ RESIDUAL_RTOL = 1e-11
 NODA_RTOL = 1e-14
 NODA_MAXITER = 20
 
-# Default rank-one perturbation used to make a reducible Metzler matrix
-# irreducible.  It can move the abscissa by far more than itself (see
-# perron_pair), so callers report the unperturbed abscissa.
+# A rank-one perturbation that makes a reducible Metzler matrix irreducible,
+# for callers of perron_pair.  It can move the abscissa by far more than
+# itself (see perron_pair); the package's certificates take resolvent
+# weights instead.
 DEFAULT_DELTA = 1e-8
 
 
@@ -124,7 +133,27 @@ def spectral_abscissa(A) -> float:
 def is_irreducible(A) -> bool:
     """True iff the digraph with an edge j -> i whenever i != j and A[i, j] != 0
     is strongly connected."""
-    return bool(reachability(_checked_square(np.asarray(A, dtype=float))).all())
+    return len(strong_blocks(_checked_square(np.asarray(A, dtype=float)))) == 1
+
+
+def _resolvent_weights(S: np.ndarray, blocks, shift: float) -> tuple[np.ndarray, float]:
+    """Weights w = (bI - S)^-1 1 of a reducible Metzler S and the abscissa
+    alpha of S, the largest over its strongly connected `blocks` (in the
+    order of :func:`mucert.matrices.strong_blocks`) of each block's dense
+    abscissa.  At b = alpha + shift, above every block's abscissa,
+    `block_resolvent` solves a nonsingular M-matrix system per block, so w
+    is positive and S w = b w - 1 < b w: the weighted linf log norm of S at
+    w is below b.  For the left weights pass S.T and the blocks reversed.
+    Raises NumericalError if an eigensolve or a block solve fails or w is
+    not finite and positive."""
+    try:
+        alpha = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks)
+        w = block_resolvent(S, blocks, alpha + shift)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"resolvent weights failed: {exc}") from exc
+    if not np.all((w > 0.0) & np.isfinite(w)):
+        raise NumericalError("resolvent weights have nonpositive entries")
+    return w, alpha
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared fixtures and random-instance generators for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -34,6 +35,22 @@ ROTATION_SHIFT = np.array([[1.0, 1.0], [-1.0, 1.0]])
 # edge destabilizes the -I-shifted matrix.
 SKEW_RING = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, 15.0], [-1.0, -15.0, 0.0]])
 SKEW_RING_EDGE = (2, 1)  # 0-based position of the strong edge to remove
+
+
+def closure_reference(A):
+    """Boolean matrix R with R[i, j] true iff i == j or a chain of nonzero
+    entries A[i, k1], ..., A[km, j] leads from i to j: the transitive closure
+    of the nonzero pattern by repeated boolean squaring, as a test-only
+    oracle for strongly connected blocks."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    reach = (A != 0.0) | np.eye(n, dtype=bool)
+    for _ in range(int(math.ceil(math.log2(n))) + 1):
+        new = reach @ reach
+        if np.array_equal(new, reach):
+            break
+        reach = new
+    return reach
 
 
 def random_matrix(rng, n, scale=1.0):

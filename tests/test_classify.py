@@ -22,7 +22,6 @@ from mucert import (
     pruning_robustness,
     spectral_abscissa,
 )
-from mucert.matrices import reachability
 from mucert.spectral import is_irreducible
 
 from helpers import (
@@ -30,6 +29,7 @@ from helpers import (
     SKEW_RING,
     SKEW_RING_EDGE,
     STABLE_POS_DIAG,
+    closure_reference,
     random_metzler,
     random_mh_matrix,
 )
@@ -449,7 +449,7 @@ def test_diagonal_rule_decides_without_an_eigensolve(monkeypatch):
 def _reference_mh_witness(M):
     """mh_lds_witness before the one-block path: blocks from the closure's
     mutual reach, every block solved on its np.ix_ copy."""
-    reach = reachability(M)
+    reach = closure_reference(M)
     label = np.argmax(reach & reach.T, axis=1)
     heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
     blocks = [np.flatnonzero(label == h) for h in heads]

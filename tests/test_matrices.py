@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -16,11 +15,11 @@ from mucert.matrices import (
     block_resolvent,
     check_diagonal,
     is_metzler,
-    reachability,
     strong_blocks,
 )
+from mucert.spectral import is_irreducible
 
-from helpers import DAMPED_SPIRAL, SKEW_RING
+from helpers import DAMPED_SPIRAL, SKEW_RING, closure_reference
 
 ATOL = 1e-12
 
@@ -106,21 +105,9 @@ def test_validation_errors():
         check_diagonal([[-1.0, 0.0], [0.0, 1.0]])
 
 
-def _closure_reference(A):
-    """Reachability by repeated boolean squaring on every input, as before
-    the all-nonzero short-circuit."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    reach = (A != 0.0) | np.eye(n, dtype=bool)
-    for _ in range(int(math.ceil(math.log2(n))) + 1):
-        new = reach @ reach
-        if np.array_equal(new, reach):
-            break
-        reach = new
-    return reach
-
-
-def test_reachability_matches_closure_reference():
+def test_is_irreducible_matches_closure_reference():
+    # One strongly connected block iff the closure of the nonzero pattern is
+    # all true.
     rng = np.random.default_rng(15)
     dense = rng.uniform(0.1, 1.0, size=(6, 6))
     one_zero = dense.copy()
@@ -142,22 +129,40 @@ def test_reachability_matches_closure_reference():
         np.asfortranarray(blocks),
     ]
     for A in cases:
-        got, want = reachability(A), _closure_reference(A)
-        assert got.dtype == want.dtype == bool
-        np.testing.assert_array_equal(got, want)
-    assert reachability(dense).all() and not reachability(blocks).all()
+        assert is_irreducible(A) == closure_reference(A).all()
+    assert is_irreducible(dense) and not is_irreducible(blocks)
+    assert len(strong_blocks(one_zero)) == 1 and len(strong_blocks(triangular)) == 6
+
+
+def _layered(rng, widths, density):
+    """A feed-forward pattern: dense layers, each fed by every later layer
+    at the given density and by none before it."""
+    n = sum(widths)
+    bounds = np.cumsum([0] + widths)
+    A = np.zeros((n, n))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        A[a:b, a:] = rng.normal(size=(b - a, n - a)) * (rng.random((b - a, n - a)) < density)
+        A[a:b, a:b] = rng.uniform(0.1, 1.0, size=(b - a, b - a))
+    return A
 
 
 def test_strong_blocks_match_csgraph_in_dependency_order():
     rng = np.random.default_rng(16)
+    cases = []
     for trial in range(80):
         n = int(rng.integers(1, 25))
-        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.02, 0.4))
-        reach = reachability(A)
-        blocks = strong_blocks(reach)
+        cases.append(rng.normal(size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.02, 0.4)))
+    chain = np.diag(np.ones(599), 1)  # i feeds i + 1 only: 600 single-index blocks
+    layered = _layered(rng, [5, 1, 12, 3, 7], 0.3)
+    cases += [chain, chain.T, layered]
+    cases.append(rng.normal(size=(1024, 1024)) * (rng.random((1024, 1024)) < 0.01))
+    for A in cases:
+        n = A.shape[0]
+        blocks = strong_blocks(A)
         _, label = scipy.sparse.csgraph.connected_components(A != 0.0, connection="strong")
-        assert sorted(sorted(B.tolist()) for B in blocks) == sorted(
+        assert sorted(B.tolist() for B in blocks) == sorted(
             np.flatnonzero(label == k).tolist() for k in np.unique(label))
+        assert all(np.all(np.diff(B) > 0) for B in blocks)  # each ascending
         # Each row of a block reads only its own block and blocks before it;
         # in the transposed pattern the reverse order has that property.
         for order, M in ((blocks, A), (blocks[::-1], A.T)):
@@ -165,6 +170,8 @@ def test_strong_blocks_match_csgraph_in_dependency_order():
             for B in order:
                 done[B] = True
                 assert not np.any(M[B][:, ~done])
+    assert len(strong_blocks(chain)) == 600
+    assert [B.size for B in strong_blocks(layered)] == [7, 3, 12, 1, 5]
 
 
 def test_block_resolvent_solves_the_whole_system():
@@ -174,11 +181,11 @@ def test_block_resolvent_solves_the_whole_system():
         M = np.abs(rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.3)
         np.fill_diagonal(M, rng.normal(size=n))
         b = float(np.max(np.linalg.eigvals(M).real)) + rng.uniform(0.1, 1.0)
-        blocks = strong_blocks(reachability(M))
+        blocks = strong_blocks(M)
         w = block_resolvent(M, blocks, b)
         assert np.all(w > 0.0)
         np.testing.assert_allclose((b * np.eye(n) - M) @ w, 1.0, rtol=1e-9, atol=0.0)
         wt = block_resolvent(M.T, blocks[::-1], b)
         np.testing.assert_allclose((b * np.eye(n) - M.T) @ wt, 1.0, rtol=1e-9, atol=0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        block_resolvent(np.zeros((2, 2)), strong_blocks(reachability(np.zeros((2, 2)))), 0.0)
+        block_resolvent(np.zeros((2, 2)), strong_blocks(np.zeros((2, 2))), 0.0)

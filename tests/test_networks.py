@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ from mucert import (
     principal_submatrix,
     spectral_abscissa,
 )
-from mucert.spectral import DEFAULT_DELTA, ReducibleMatrixError
+from mucert.optimize import RESOLVENT_SHIFT
+from mucert.spectral import ReducibleMatrixError
 
 import mucert.lognorm as lognorm_mod
 from mucert import networks, spectral
@@ -54,6 +56,7 @@ from helpers import (
     ROTATION_SHIFT,
     SLOPE_PATTERNS,
     closed_form_models,
+    closure_reference,
     multilure_linf_by_sign_patterns,
     near_tie_metzler,
     random_matrix,
@@ -820,13 +823,32 @@ def _signed(rng, M):
 
 
 def _reference_pair(M):
-    """The Perron pair and abscissa from the public functions: the pair of
-    M, or for a reducible M the pair of M + DEFAULT_DELTA * ones and the
-    dense abscissa of M."""
+    """The Perron pair and abscissa of an irreducible M from the public
+    functions.  For a reducible M, a test-only block-resolvent reference and
+    the dense abscissa of M: blocks from the closure's mutual reach, ordered
+    by reach count, and on M for the right weights and M.T (blocks reversed)
+    for the left ones, w = (bI - S)^-1 1 at b = the largest block abscissa
+    of S plus RESOLVENT_SHIFT, solved block by block and scaled to unit sum."""
     try:
         pair = perron_pair(M)
     except ReducibleMatrixError:
-        return perron_pair(M, DEFAULT_DELTA), spectral_abscissa(M)
+        reach = closure_reference(M)
+        label = np.argmax(reach & reach.T, axis=1)
+        heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
+        blocks = [np.flatnonzero(label == h) for h in heads]
+
+        def resolvent(S, order):
+            b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in order)
+            b += RESOLVENT_SHIFT
+            w = np.zeros(S.shape[0])
+            for B in order:
+                w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+            assert np.all(w > 0.0)
+            return w / w.sum()
+
+        pair = SimpleNamespace(right=resolvent(M, blocks), left=resolvent(M.T, blocks[::-1]),
+                               irreducible=False, delta_used=RESOLVENT_SHIFT)
+        return pair, spectral_abscissa(M)
     return pair, pair.alpha
 
 
@@ -951,10 +973,11 @@ def _perron_route_cases(rng):
 def test_perron_route_certificates_match_public_pair_reference():
     # Every Perron-route certificate trusts the model's validated matrices and
     # a one-norm certificate steps only the vector it carries.  Against the
-    # public perron_pair + log_norm: weights, osl, rate, margin, tight,
-    # theorem and delta are equal as bytes; the abscissa details (one
-    # vector's Rayleigh quotient instead of the mean of two) agree to 1e-10
-    # relative, reducible and near-tied majorants included.
+    # public perron_pair + log_norm, or for a reducible majorant the
+    # block-resolvent reference: weights, osl, rate, margin, tight, theorem
+    # and delta are equal as bytes; the abscissa details (one vector's
+    # Rayleigh quotient instead of the mean of two, or the dense abscissa)
+    # agree to 1e-10 relative, reducible and near-tied majorants included.
     cases = _perron_route_cases(np.random.default_rng(47))
     theorems = set()
     for cert, fields, details in cases:

@@ -26,11 +26,16 @@ from mucert import (
     spectral_abscissa,
 )
 from mucert import optimize, spectral
-from mucert.matrices import reachability
 from mucert.optimize import RESOLVENT_SHIFT
 from mucert.spectral import RESIDUAL_RTOL
 
-from helpers import closed_form_models, near_tie_metzler, random_matrix, random_metzler
+from helpers import (
+    closed_form_models,
+    closure_reference,
+    near_tie_metzler,
+    random_matrix,
+    random_metzler,
+)
 
 
 def test_feasibility_known_cases():
@@ -225,7 +230,7 @@ def _reference_resolvent_weights(S, reach, shift):
 
 
 def _reference_selection_weights(S, shift):
-    reach = reachability(S)
+    reach = closure_reference(S)
     if not reach.all():
         return _reference_resolvent_weights(S, reach, shift)
     return spectral._noda_vector(S)
@@ -249,7 +254,7 @@ def test_block_resolvent_is_bit_identical_to_reference(monkeypatch):
 
     def spy(S, shift):
         w = selection_weights(S, shift)
-        if not reachability(S).all():
+        if not closure_reference(S).all():
             reducible.append(1)
             assert w.tobytes() == _reference_selection_weights(S, shift).tobytes()
         return w

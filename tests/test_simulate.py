@@ -213,6 +213,23 @@ def test_verify_rejects_bad_pairs_and_seed_before_any_work(name, value, monkeypa
         verify_contraction(m, Activation("tanh"), cert, **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("samples", 2.5), ("samples", True), ("samples", -1),
+                                         ("seed", True), ("seed", -1)])
+def test_sample_jacobian_mu_rejects_bad_samples_and_seed_before_any_work(name, value,
+                                                                         monkeypatch):
+    # samples=2.5 and samples=True used to raise numpy's TypeError, and
+    # seed=True ran as seed 1.  They take verify's integer rule, up front.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sample_jacobian_mu drew its states")
+
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    kwargs = {"samples": 3, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+        sample_jacobian_mu(m, Activation("tanh"), family=L1, **kwargs)
+
+
 def test_verify_contraction_identical_pair_convention():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)

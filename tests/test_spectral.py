@@ -25,6 +25,7 @@ from mucert import (
     spectral_abscissa,
 )
 from mucert import spectral
+from mucert.optimize import RESOLVENT_SHIFT
 
 from helpers import (
     SKEW_RING,
@@ -74,9 +75,11 @@ def test_spectral_abscissa_known_values():
 
 
 def _perron_certificates(rng, M):
-    """(certificate, its abscissa detail, the Metzler matrix behind it) for
-    every Perron-route certificate, each built so that its matrix has the
-    zero pattern of the Metzler matrix M."""
+    """(certificate, its abscissa detail, the Metzler matrix T behind it, f)
+    for every Perron-route certificate, each built so that T has the zero
+    pattern of the Metzler matrix M.  f is the certified bound as an
+    increasing function of the weighted log norm of T at the carried
+    weights (for an unbounded-slope certificate, while it contracts)."""
     n = M.shape[0]
     A = M * np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
     np.fill_diagonal(A, np.diag(M))
@@ -84,26 +87,32 @@ def _perron_certificates(rng, M):
     entrywise = Entrywise(A, SlopeInterval(0.5, 1.5))
     multilure = MultiLure(A, 0.3 * np.eye(n), 0.5 * np.eye(n), SlopeInterval(0.0, 1.0))
     unbounded = SlopeInterval(0.5, np.inf)
+    leak = float(np.max(-np.diag(C)))
+    identity = lambda m: m
     return [
-        (certify(Persidskii(A, SlopeInterval(0.5, 1.0))), "alpha_majorant", M),
+        (certify(Persidskii(A, SlopeInterval(0.5, 1.0))), "alpha_majorant", M,
+         lambda m: max(0.5 * m, 1.0 * m)),
         (certify(AxMinusCPhi(A, C, SlopeInterval(0.4, 1.0))),
-         "alpha_shifted_majorant", M - 0.4 * C),
-        (certify(entrywise), "alpha_envelope", metzler_majorant(entrywise.envelope())),
+         "alpha_shifted_majorant", M - 0.4 * C, identity),
+        (certify(entrywise), "alpha_envelope", metzler_majorant(entrywise.envelope()),
+         identity),
         (certify(multilure), "alpha_coupling",
-         metzler_majorant(multilure_coupling_bound(multilure))),
-        (certify(Hopfield(C, A, unbounded)), "alpha_majorant", M),
-        (certify(FiringRate(C, A, unbounded)), "alpha_majorant", M),
-        (certify_hopfield_mh(C, A, 0.7), "alpha_shifted_majorant", -C + 0.7 * M),
+         metzler_majorant(multilure_coupling_bound(multilure)), identity),
+        (certify(Hopfield(C, A, unbounded)), "alpha_majorant", M, lambda m: leak + 0.5 * m),
+        (certify(FiringRate(C, A, unbounded)), "alpha_majorant", M, lambda m: leak + 0.5 * m),
+        (certify_hopfield_mh(C, A, 0.7), "alpha_shifted_majorant", -C + 0.7 * M,
+         lambda m: max(leak, m)),
         (certify(Hopfield(np.eye(n), A, SlopeInterval(0.0, 1.0)), "l1"), "closed_form",
-         -np.eye(n) + M),
+         -np.eye(n) + M, lambda m: max(-1.0, m)),
     ]
 
 
 def test_metzler_route_matches_dense_route():
     # Each Perron certificate reports the abscissa of its Metzler matrix T.
     # Irreducible T: read off its Perron pair, within the dense residual
-    # contract.  Reducible T: the pair is delta-perturbed, the certificate
-    # says so in `delta`, and the detail is the unperturbed dense value.
+    # contract.  Reducible T: the weights are resolvent weights at the shift
+    # above the abscissa, the certificate says so in `delta`, and the detail
+    # is the largest of the blocks' dense abscissae.
     rng = np.random.default_rng(3)
     for trial in range(16):
         n = int(rng.integers(2, 9))
@@ -111,9 +120,9 @@ def test_metzler_route_matches_dense_route():
         reducible = trial % 2 == 1
         if reducible:
             M[n // 2:, : n // 2] = 0.0
-        for cert, key, T in _perron_certificates(rng, M):
+        for cert, key, T, _ in _perron_certificates(rng, M):
             assert is_irreducible(T) != reducible
-            assert cert.details["delta"] == (spectral.DEFAULT_DELTA if reducible else 0.0)
+            assert cert.details["delta"] == (RESOLVENT_SHIFT if reducible else 0.0)
             dense = float(np.max(np.linalg.eigvals(T).real))
             scale = 1.0 + float(np.max(np.abs(T)))
             if key == "closed_form":
@@ -123,6 +132,50 @@ def test_metzler_route_matches_dense_route():
                 assert not cert.tight
             else:
                 assert cert.details[key] == pytest.approx(dense, abs=1e-9 * scale)
+
+
+def test_reducible_certificates_bound_between_abscissa_and_shift():
+    # On a reducible T the carried weights w solve (bI - T) w = 1 at
+    # b = alpha(T) + RESOLVENT_SHIFT, so T w < b w: the weighted log norm m
+    # of T at w lies in [alpha(T), alpha(T) + shift], and every Perron
+    # tag's osl = f(m) lies in [f(alpha), f(alpha + shift)].
+    rng = np.random.default_rng(43)
+    checked = set()
+    for trial in range(12):
+        n = int(rng.integers(2, 20))
+        M = random_irreducible_metzler(rng, n)
+        M[n // 2:, : n // 2] = 0.0
+        M -= (spectral_abscissa(M) + rng.uniform(0.05, 0.5)) * np.eye(n)
+        for cert, _, T, f in _perron_certificates(rng, M):
+            assert cert.details["delta"] == RESOLVENT_SHIFT and not cert.tight
+            alpha = float(np.max(np.linalg.eigvals(T).real))
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(T))))
+            assert f(alpha) - tol <= cert.osl <= f(alpha + RESOLVENT_SHIFT) + tol, cert.theorem
+            checked.add(cert.theorem)
+    assert len(checked) == 8
+
+
+def test_reducible_hopfield_closed_form_stays_within_the_shift():
+    # Two nearly tied 128 x 128 blocks coupled one way, the Hopfield closed
+    # form with d1 = 0 and C = I: at the resolvent weights the bound exceeds
+    # the closed-form level by at most the shift.  A perturbation of the
+    # majorant would move its dominant eigenvalue by far more than itself.
+    rng = np.random.default_rng(59)
+    k = 128
+    for trial in range(3):
+        B = rng.uniform(0.1, 1.0, size=(k, k))
+        np.fill_diagonal(B, 0.0)
+        B /= spectral_abscissa(B)
+        d = rng.uniform(0.5, 2.0, size=k)
+        M = np.zeros((2 * k, 2 * k))
+        M[:k, :k] = B
+        M[k:, k:] = (1.0 - 1e-9) * (d[:, None] * B) / d[None, :]
+        M[:k, k:] = rng.uniform(0.0, 1e-3, size=(k, k))
+        A = 0.8 * M * np.where(rng.random(M.shape) < 0.5, -1.0, 1.0)
+        cert = certify(Hopfield(np.eye(2 * k), A, SlopeInterval(0.0, 1.0)), "l1")
+        assert cert.theorem == "hopfield/l1/perron" and cert.details["delta"] == RESOLVENT_SHIFT
+        gap = cert.osl - cert.details["closed_form"]
+        assert gap <= RESOLVENT_SHIFT * (1.0 + np.max(np.abs(A))), gap
 
 
 def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
@@ -205,6 +258,24 @@ def test_near_ties_and_slow_convergers_take_no_dense_eigensolve(monkeypatch):
     cert = certify(Persidskii(A, SlopeInterval(0.5, 1.0)))
     want = float(np.max(np.linalg.eigvals(A).real))
     assert cert.details["alpha_majorant"] == pytest.approx(want, abs=1e-12 * (1.0 + np.max(np.abs(A))))
+    assert eig_calls == []
+
+
+def test_reducible_certificates_take_no_dense_eigensolve(monkeypatch):
+    # A reducible Metzler matrix takes resolvent weights, solved block by
+    # block, and no Perron vector of a delta perturbation: no certificate of
+    # a Perron tag reaches the dense eigensolve on one.  The inputs are the
+    # sweep's delta-perturbed reducible matrices, among them the five (n = 4
+    # to 15) whose perturbed Perron vectors Noda's iteration cannot finish.
+    eig_calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda A: eig_calls.append(A.shape) or eig(A))
+    reducible = [M for M, delta, _ in _sweep_cases() if delta > 0.0 and not is_irreducible(M)]
+    assert len(reducible) >= 40
+    rng = np.random.default_rng(41)
+    for M in reducible:
+        for cert, *_ in _perron_certificates(rng, M):
+            assert cert.details["delta"] == RESOLVENT_SHIFT, cert.theorem
     assert eig_calls == []
 
 
@@ -502,20 +573,11 @@ def test_perron_pair_is_bit_identical_to_reference():
     assert {M.shape[0] for M in handed} == {2, 8, 16}
 
 
-def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch):
-    # Seeded sweep of the Metzler inputs that certify and classify hand to
-    # perron_pair, n from 2 to 64: dense, M-Hurwitz majorants, sparse with
-    # and without delta, block-reducible and near-tied.  No stagnation test
-    # decides any more: every vector gets the same POWER_MAXITER steps.
-    # Where the reference's power steps converge, perron_pair's do too, at
-    # the same steps and bit for bit.  Near ties, as the benchmark draws
-    # them, never converge and are handed to Noda's iteration (but one
-    # whose start has next to no weight on the second eigenvector, which
-    # converges, as in the reference), and so are the slow sparse inputs; _check_against_reference holds every
-    # handed-over vector to the dense oracle.  The dense eigensolve, Noda's
-    # last resort, is taken only on delta-perturbed reducible inputs.
+def _sweep_cases():
+    """The seeded sweep's inputs, n from 2 to 64, as (M, delta, block size of
+    a near tie or 0)."""
     rng = np.random.default_rng(23)
-    cases = []  # (M, delta, block size of a near tie or 0)
+    cases = []
     for _ in range(40):
         n = int(rng.integers(2, 65))
         cases.append((random_irreducible_metzler(rng, n), 0.0, 0))
@@ -531,8 +593,22 @@ def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch
         cases.append((M, spectral.DEFAULT_DELTA, 0))
         k = int(rng.integers(2, 33))
         cases.append((near_tie_metzler(rng, k), 0.0, k))
-    cases += [(M, delta, 0) for M, delta in _slow_sparse_inputs()]
+    return cases + [(M, delta, 0) for M, delta in _slow_sparse_inputs()]
 
+
+def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch):
+    # Seeded sweep of the Metzler inputs that certify and classify hand to
+    # perron_pair, n from 2 to 64: dense, M-Hurwitz majorants, sparse with
+    # and without delta, block-reducible and near-tied.  No stagnation test
+    # decides any more: every vector gets the same POWER_MAXITER steps.
+    # Where the reference's power steps converge, perron_pair's do too, at
+    # the same steps and bit for bit.  Near ties, as the benchmark draws
+    # them, never converge and are handed to Noda's iteration (but one
+    # whose start has next to no weight on the second eigenvector, which
+    # converges, as in the reference), and so are the slow sparse inputs; _check_against_reference holds every
+    # handed-over vector to the dense oracle.  The dense eigensolve, Noda's
+    # last resort, is taken only on delta-perturbed reducible inputs.
+    cases = _sweep_cases()
     noda_calls = []
     noda = spectral._noda
     monkeypatch.setattr(spectral, "_noda",
