@@ -148,16 +148,19 @@ def _perron_weights(M, family=None):
     `spectral._resolvent_weights` at alpha + RESOLVENT_SHIFT, on M for the
     right vector and on M.T for the left one, each scaled to unit sum, and
     shift RESOLVENT_SHIFT: the weighted log norm of M at either is at most
-    alpha + shift.  M is checked to be finite before its blocks are
-    searched, so an M that overflowed when it was built raises ValueError."""
+    alpha + shift.  Where both vectors are wanted, alpha is taken once, from
+    M's blocks, and the left weights reuse it.  M is checked to be finite
+    before its blocks are searched, so an M that overflowed when it was
+    built raises ValueError."""
     lo, hi = _PERRON_ROWS[family]
     blocks = strong_blocks(_checked_square(M))
     if len(blocks) == 1:
         pair = _perron(M, 0.0, True, lo, hi)
         return pair.right, pair.left, pair.alpha, 0.0
-    vectors = [None, None]
+    vectors, alpha = [None, None], None
     for i in range(lo, hi):
-        w, alpha = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], RESOLVENT_SHIFT)
+        w, alpha = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], RESOLVENT_SHIFT,
+                                      alpha)
         vectors[i] = w / w.sum()
     return *vectors, alpha, RESOLVENT_SHIFT
 
@@ -289,8 +292,11 @@ class _Leaky(_Model):
 
     A subclass sets `side`, the side of the slope polytope that its Jacobian
     sweeps, and `family`, its default norm and the one in which its optimal
-    weight has a dominant-eigenvector closed form.  Unbounded slopes are
-    certified by :func:`certify_unbounded_slope` only.
+    weight has a dominant-eigenvector closed form.  It defines
+    `_input_max(S)`, the largest activation input of each coordinate over an
+    (m, n, k) stack of states; at the slopes there, `diagonal_floor(cap)` is
+    the floor that verification checks its Euler steps against.  Unbounded
+    slopes are certified by :func:`certify_unbounded_slope` only.
 
     The fields scale rows by the diagonal of C, which for finite states is
     C @ X entry for entry, without the n x n product.
@@ -327,8 +333,13 @@ class _Leaky(_Model):
         spec = PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
         return list(envelope_matrices(spec, family))
 
-    def diagonal_floor(self) -> np.ndarray:
-        return -np.diag(self.C) + self.slopes.least_product(np.diag(self.A))
+    def diagonal_floor(self, cap=None) -> np.ndarray:
+        """The least Jacobian diagonal -c_i + s a_ii over the slope box, or,
+        given `cap`, over slopes s in [d1, cap_i] for each coordinate i;
+        0 * inf counts as 0, as in `SlopeInterval.least_product`."""
+        a = np.diag(self.A)
+        top = self.slopes.d2 if cap is None else cap
+        return -np.diag(self.C) + np.where(a < 0.0, top, self.slopes.d1) * a
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         fam = self.family if family is None else family
@@ -415,6 +426,11 @@ class Hopfield(_Leaky):
         s = act.deriv(X)
         return s, -np.diag(self.C)[:, None] + np.diag(self.A)[:, None] * s
 
+    def _input_max(self, S) -> np.ndarray:
+        """The largest activation input of each coordinate over the states of
+        an (m, n, k) stack: the states themselves."""
+        return S.max(axis=0).max(axis=1)
+
 
 class FiringRate(_Leaky):
     """Firing-rate model  dx/dt = -C x + act(A x + u)  with diagonal C >= 0.
@@ -448,6 +464,13 @@ class FiringRate(_Leaky):
     def _slope_form(self, act, X):
         s = self._preactivation_slopes(act, X).T
         return s, -np.diag(self.C)[:, None] + s * np.diag(self.A)[:, None]
+
+    def _input_max(self, S) -> np.ndarray:
+        """The largest activation input of each coordinate over the states of
+        an (m, n, k) stack: the pre-activations A x + u, by one batched
+        product.  Rounding is monotone, so adding u after the max gives the
+        max of A x + u."""
+        return np.matmul(self.A, S).max(axis=0).max(axis=1) + self.u
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,7 +650,7 @@ class Lure(_Model):
         return f
 
     def jacobians(self, act, X) -> np.ndarray:
-        s = act.deriv(np.array([self.c @ x for x in X.T]))
+        s = act.deriv(np.matmul(self.c[None, :], X.T[:, :, None])[:, 0, 0])
         return self.A + s[:, None, None] * np.outer(self.b, self.c)
 
     def diagonal_floor(self) -> np.ndarray:
@@ -691,7 +714,7 @@ class MultiLure(_Model):
         return f
 
     def jacobians(self, act, X) -> np.ndarray:
-        P = np.stack([self.C @ x for x in X.T])
+        P = np.matmul(self.C, X.T[:, :, None])[:, :, 0]
         return self.A + self.B @ (act.deriv(P)[:, :, None] * self.C)
 
     def diagonal_floor(self) -> np.ndarray:

@@ -20,11 +20,24 @@ certificate's weighted norm, by one of two schemes chosen once per run:
   Davydov, Jafarpour, Proskurnikov and Bullo, "Non-Euclidean monotone
   operator theory with applications to recurrent neural networks", CDC 2022).
   This scheme runs whenever the certificate family is l1 or linf and that
-  step condition holds; it needs a finite floor.
+  step condition holds.  The condition is only needed on the secant
+  Jacobians a step meets.  So where the floor is -inf (a Hopfield or
+  FiringRate model with unbounded slopes and some a_ii < 0, run with the
+  unbounded rect_poly activation), each state block checks it at the floor
+  ``-c_i + min(d1 a_ii, cap_i a_ii)``, where cap_i is the activation slope at
+  the largest input of coordinate i over the block's "from" states (all but
+  its last slot): the state (Hopfield) or A x + u (FiringRate), taken by one
+  batched product per block.  rect_poly's derivative is nondecreasing, so
+  every secant slope between two inputs at most m is at most its slope at
+  m.  If a block breaks the condition (a NaN or inf floor included),
+  diverges or samples a non-finite Jacobian, the attempt is discarded and
+  the ``rk4`` run starts from the beginning, so its report or error is the
+  one that run gives alone.
 * ``rk4``: classical RK4 trajectories, checked against
   ``||x(t) - y(t)|| <= exp(-rate t) ||x(0) - y(0)||``.  It runs for l2
-  weights, for unbounded slopes with a negative a_ii (a floor of -inf), and
-  for steps at or above 1 / max_i(-floor_i).
+  weights, for bounded activations on a floor of -inf, for steps at or
+  above 1 / max_i(-floor_i) on a finite floor, and after a discarded euler
+  attempt.
 
 Ratios are taken in log space, exp(log d_k - log d_0 - log bound_k), so a
 bound far below the smallest float does not underflow.  Pairs draw from
@@ -32,12 +45,15 @@ seed-derived substreams, so reports are reproducible at any parallelism.
 
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
 (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
-(euler) or 4 (rk4); a field is built in place from its first matrix
-product, combines its (n, 1) leak or input columns with the stack through
-copies of the stack's shape made once per shape (the same IEEE operation
-per entry, without the cost of a broadcast), and the step's last in-place
-add writes straight into the next slot
-of a (block + 1, n, 2 * pairs) state buffer allocated once per run.  The
+(euler) or 4 (rk4).  A floor of -inf adds, per block, one maximum over the
+block's inputs (and for FiringRate one batched product) and one floor of n
+entries; at worst a discarded euler attempt (a quarter of rk4's field
+evaluations) runs before the rk4 run.  A field is built in place from its
+first matrix product, combines its (n, 1) leak or input columns with the
+stack through copies of the stack's shape made once per shape (the same
+IEEE operation per entry, without the cost of a broadcast), and the step's
+last in-place add writes straight into the next slot of a
+(block + 1, n, 2 * pairs) state buffer allocated once per run.  The
 block is DECAY_BLOCK_STEPS steps, or fewer where the buffer would exceed
 STATE_BLOCK_ENTRIES entries (or two states, where one is larger), so memory
 is fixed in the horizon.  Each block, not each step, is checked once: one
@@ -371,7 +387,10 @@ class SimReport:
     ||difference_k|| / (bound_k ||difference_0||) in the certified weighted
     norm, where bound_k is (1 - step rate)^k on the ``euler`` scheme and
     exp(-rate k step) on the ``rk4`` scheme (`scheme`); `max_sampled_mu` is
-    the largest weighted Jacobian log norm seen along the trajectories.
+    the largest weighted Jacobian log norm seen along the trajectories.  On
+    a floor of -inf, ``euler`` means that every block met the step condition
+    at the floor of the slopes it visited; ``rk4`` there reports the rk4 run
+    alone, with nothing of the discarded attempt.
     """
 
     worst_decay_ratio: float
@@ -446,7 +465,12 @@ def verify_contraction(
     1 - step * rate <= 0 reads ratio inf: the Euler map's factor is at least
     1 + step * min(floor) > 0 there, so no certificate of the model can claim
     it.  The report passes iff the worst ratio stays within the allowance of
-    1; any other NaN ratio makes the worst ratio NaN, which fails.
+    1; any other NaN ratio makes the worst ratio NaN, which fails.  A model
+    whose slope-box floor is -inf, run with an unbounded activation in an l1
+    or linf certificate, first tries the ``euler`` scheme under the floor of
+    the slopes each block visits, and falls back to ``rk4`` from the start
+    (see the module docstring): at most one euler attempt on top of the rk4
+    run.
     `initial_pairs` optionally supplies the endpoints directly as a pair of
     (n, pairs) arrays instead of drawing them from the seed.  An activation
     of unbounded slope halves the step and draws its starts in the unit
@@ -481,28 +505,34 @@ def verify_contraction(
     w = _weights_or_ones(cert.weights, model.n)
     norm = kernels(cert.family)[1]
     max_jacobian_mu = _max_jacobian_mu(model, act, cert.family, w)
-    floor = check_model(model).diagonal_floor()
-    euler = cert.family in (L1, LINF) and step * float(np.max(-floor)) < 1.0
-    advance = _euler_step if euler else _rk4_step
+    stiffness = float(np.max(-check_model(model).diagonal_floor()))
+    euler = cert.family in (L1, LINF) and step * stiffness < 1.0
+    # A floor of -inf (unbounded slopes, some a_ii < 0) first tries the euler
+    # scheme under the floor of the slopes that each block visits.
+    attempt = (cert.family in (L1, LINF) and stiffness == math.inf
+               and not act.slopes().bounded)
     # Log of the claimed per-step factor 1 - step * rate of the euler scheme.
     h_rate = step * cert.rate
     log_factor = -math.inf if h_rate >= 1.0 else math.log1p(-h_rate)
-
-    worst = math.inf if euler and h_rate >= 1.0 else 0.0
-    max_mu = -np.inf
     block = _block_steps(Z.size)
     D = np.empty((block + 1, model.n, pairs))
-    # Divergence and non-finite start distances are detected and reported, so
-    # intermediate overflow is expected; a zero distance has log -inf.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # A non-finite entry makes its pair's start distance non-finite too.
-        d0 = norm(X0 - Y0, w)
-        bad = np.flatnonzero(~np.isfinite(d0))
-        if bad.size:
-            raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
-        live = d0 >= DISTANCE_FLOOR
-        log_d0 = np.log(d0[live])
+
+    def visited(F):
+        """Whether step * max_i(-floor_i) < 1 at the floor over the slopes
+        up to those at the largest activation input of the "from" states F,
+        (m, n, k).  A NaN or inf floor fails."""
+        cap = act.deriv(model._input_max(F))
+        return step * float(np.max(-model.diagonal_floor(cap))) < 1.0
+
+    def run(euler, checked=False):
+        """(worst ratio, max sampled mu) on one scheme.  A `checked` run
+        returns None at the first block whose "from" states fail `visited`."""
+        worst = math.inf if euler and h_rate >= 1.0 else 0.0
+        max_mu = -np.inf
+        advance = _euler_step if euler else _rk4_step
         for i, S in _state_blocks(f, advance, Z, n_steps, step, block):
+            if checked and not visited(S[:-1]):
+                return None
             lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
             dist = norm(np.subtract(S[lo:, :, :pairs], S[lo:, :, pairs:], out=D[:len(S) - lo]), w)
             # A non-finite entry of a state makes its pair's distance non-finite.
@@ -525,9 +555,32 @@ def verify_contraction(
                     max_mu = max(max_mu, max_jacobian_mu(S[j]))
             if diverged is not None:
                 raise DivergenceError((i + diverged) * step)
+        return worst, max_mu
+
+    # Divergence and non-finite start distances are detected and reported, so
+    # intermediate overflow is expected; a zero distance has log -inf.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # A non-finite entry makes its pair's start distance non-finite too.
+        d0 = norm(X0 - Y0, w)
+        bad = np.flatnonzero(~np.isfinite(d0))
+        if bad.size:
+            raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
+        live = d0 >= DISTANCE_FLOOR
+        log_d0 = np.log(d0[live])
+        result = None
+        if attempt:
+            # A divergence or a non-finite sampled Jacobian discards the
+            # attempt too; the rk4 run then raises as it would alone.
+            try:
+                result = run(True, checked=True)
+            except (DivergenceError, ValueError):
+                pass
+            euler = result is not None
+        if result is None:
+            result = run(euler)
     return SimReport(
-        worst_decay_ratio=worst,
-        max_sampled_mu=max_mu,
+        worst_decay_ratio=result[0],
+        max_sampled_mu=result[1],
         pairs=pairs,
         horizon=horizon,
         step=step,

@@ -136,18 +136,22 @@ def is_irreducible(A) -> bool:
     return len(strong_blocks(_checked_square(np.asarray(A, dtype=float)))) == 1
 
 
-def _resolvent_weights(S: np.ndarray, blocks, shift: float) -> tuple[np.ndarray, float]:
+def _resolvent_weights(S: np.ndarray, blocks, shift: float,
+                       alpha: float | None = None) -> tuple[np.ndarray, float]:
     """Weights w = (bI - S)^-1 1 of a reducible Metzler S and the abscissa
     alpha of S, the largest over its strongly connected `blocks` (in the
     order of :func:`mucert.matrices.strong_blocks`) of each block's dense
-    abscissa.  At b = alpha + shift, above every block's abscissa,
-    `block_resolvent` solves a nonsingular M-matrix system per block, so w
-    is positive and S w = b w - 1 < b w: the weighted linf log norm of S at
-    w is below b.  For the left weights pass S.T and the blocks reversed.
-    Raises NumericalError if an eigensolve or a block solve fails or w is
-    not finite and positive."""
+    abscissa, unless `alpha` is given.  At b = alpha + shift, above every
+    block's abscissa, `block_resolvent` solves a nonsingular M-matrix system
+    per block, so w is positive and S w = b w - 1 < b w: the weighted linf
+    log norm of S at w is below b.  For the left weights pass S.T and the
+    blocks reversed; S and S.T have one spectrum, so a caller that needs
+    both passes the first call's alpha to the second.  Raises NumericalError
+    if an eigensolve or a block solve fails or w is not finite and
+    positive."""
     try:
-        alpha = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks)
+        if alpha is None:
+            alpha = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks)
         w = block_resolvent(S, blocks, alpha + shift)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"resolvent weights failed: {exc}") from exc

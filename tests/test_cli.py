@@ -214,11 +214,15 @@ def test_fixed_weight_bound_at_certificate_weights_reproduces_it(tmp_path, capsy
 
 
 def test_verify_report_names_its_scheme(tmp_path, capsys):
+    # The rect_poly model runs euler at the default step.  At step 1.2 (halved
+    # to 0.6) a start with x_i >= 2/3 visits slope 2 x_i, where the floor
+    # -1 - 0.5 * 2 x_i breaks 0.6 * (1 + x_i) < 1, so it runs rk4.
     poly = dict(HOPFIELD_DOC, A=[[-0.5, 0.3], [0.3, -0.5]], slopes={"d1": 0, "d2": "inf"},
                 activation={"kind": "rect_poly", "r": 2})
-    for doc, scheme in ((HOPFIELD_DOC, "euler"), (poly, "rk4")):
-        path = write(tmp_path, f"{scheme}.json", doc)
-        code, out, _ = run(capsys, "verify", path, "--pairs", "5", "--horizon", "1")
+    for doc, step, scheme in ((HOPFIELD_DOC, [], "euler"), (poly, [], "euler"),
+                              (poly, ["--step", "1.2"], "rk4")):
+        path = write(tmp_path, "model.json", doc)
+        code, out, _ = run(capsys, "verify", path, "--pairs", "5", "--horizon", "1", *step)
         assert code == 0
         assert json.loads(out)["report"]["scheme"] == scheme
         assert f'"scheme":"{scheme}"' in out

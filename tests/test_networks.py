@@ -822,13 +822,15 @@ def _signed(rng, M):
     return S
 
 
-def _reference_pair(M):
+def _reference_pair(M, both=False):
     """The Perron pair and abscissa of an irreducible M from the public
     functions.  For a reducible M, a test-only block-resolvent reference and
     the dense abscissa of M: blocks from the closure's mutual reach, ordered
     by reach count, and on M for the right weights and M.T (blocks reversed)
     for the left ones, w = (bI - S)^-1 1 at b = the largest block abscissa
-    of S plus RESOLVENT_SHIFT, solved block by block and scaled to unit sum."""
+    of S plus RESOLVENT_SHIFT, solved block by block and scaled to unit sum.
+    With `both` (a certificate that carries both vectors), b is taken once,
+    from M's blocks, for both weights."""
     try:
         pair = perron_pair(M)
     except ReducibleMatrixError:
@@ -837,16 +839,20 @@ def _reference_pair(M):
         heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
         blocks = [np.flatnonzero(label == h) for h in heads]
 
-        def resolvent(S, order):
-            b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in order)
-            b += RESOLVENT_SHIFT
+        def abscissa(S, order):
+            return max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in order)
+
+        def resolvent(S, order, a):
+            b = a + RESOLVENT_SHIFT
             w = np.zeros(S.shape[0])
             for B in order:
                 w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
             assert np.all(w > 0.0)
             return w / w.sum()
 
-        pair = SimpleNamespace(right=resolvent(M, blocks), left=resolvent(M.T, blocks[::-1]),
+        a_left = abscissa(M, blocks) if both else abscissa(M.T, blocks[::-1])
+        pair = SimpleNamespace(right=resolvent(M, blocks, abscissa(M, blocks)),
+                               left=resolvent(M.T, blocks[::-1], a_left),
                                irreducible=False, delta_used=RESOLVENT_SHIFT)
         return pair, spectral_abscissa(M)
     return pair, pair.alpha
@@ -880,7 +886,7 @@ def _one_norm_reference(metzler, witnesses, family, theorem, exact, key, level=l
 
 
 def _coupling_reference(W, theorem, key):
-    pair, alpha = _reference_pair(metzler_majorant(W))
+    pair, alpha = _reference_pair(metzler_majorant(W), both=True)
     osl = max(log_norm(W, L1, pair.left), log_norm(W, LINF, pair.right))
     return (_reference_fields(osl, pair.left, theorem, False, pair.delta_used, pair.right),
             {key: alpha})

@@ -303,12 +303,23 @@ def test_verify_scheme_follows_family_floor_and_step():
 
     assert [scheme(m, act, c, 0.8) for c in (l1, linf, l2)] == ["euler", "euler", "rk4"]
     assert scheme(m, act, l1, 0.85) == "rk4"  # 0.85 * 1.2 >= 1
-    # Unbounded slopes: a negative a_ii has floor -inf, so its certificate
-    # (which needs a_ii < 0 throughout) runs rk4 at any step.
+    # Unbounded slopes: a negative a_ii has box floor -inf, so the euler
+    # scheme runs under the floor of the slopes each block visits, -c_i +
+    # a_ii * 2 max(x_i, 0) for rect_poly(2).  Starts in the unit inf-ball meet
+    # it at the default step.  Starts at x <= 0 stay there (the field is
+    # -C x) and visit slope 0: the halved step 0.45 gives 0.45 * 2 < 1.  A
+    # start at x_2 = 0.5 visits slope 1: 0.45 * (2 + 0.5) >= 1, so rk4 runs.
     poly = Activation("rect_poly", r=2)
     unbounded = SlopeInterval(0.0, np.inf)
     model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]], unbounded)
-    assert scheme(model, poly, certify(model), 1e-6) == "rk4"
+    cert = certify(model)
+    assert verify_contraction(model, poly, cert, pairs=2).scheme == "euler"
+    Y0 = np.array([[-0.5], [-0.5]])
+    for x2, want in ((-1.0, "euler"), (0.5, "rk4")):
+        X0 = np.array([[-1.0], [x2]])
+        report = verify_contraction(model, poly, cert, horizon=3.6, step=0.9,
+                                    initial_pairs=(X0, Y0))
+        assert report.scheme == want
     # A zero a_ii has floor -c_i (0 * inf = 0).  rect_poly halves the step,
     # and the halved step decides: 0.9 / 2 * 2 < 1 <= 1.0 / 2 * 2.
     model = Hopfield(np.diag([1.0, 2.0]), [[0.0, 0.3], [0.3, 0.0]], unbounded)
@@ -998,3 +1009,195 @@ def test_firing_rate_preactivations_match_per_column_products_bit_for_bit(n):
         for X in (np.ascontiguousarray(Z[:, :k]), Z[:, ::2], np.asfortranarray(Z[:, :k])):
             want = np.stack([model.A @ x + model.u for x in X.T])
             assert np.array_equal(model._preactivation_slopes(_Identity, X), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 32, 33, 64, 128, 200])
+def test_loop_preactivations_match_per_column_products_bit_for_bit(n):
+    # Lure and MultiLure take c x and C x by one batched product; each slice
+    # keeps the bits of c @ x and C @ x, where X.T @ c or c @ X need not.
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    lure = Lure(A, rng.normal(size=n), rng.normal(size=n), SlopeInterval(0.0, 1.0))
+    multi = MultiLure(A, rng.normal(size=(n, 3)), rng.normal(size=(3, n)),
+                      SlopeInterval(0.0, 1.0))
+    for k in (1, 3, 16, 40):
+        Z = rng.normal(scale=3.0, size=(n, 2 * k))
+        for X in (np.ascontiguousarray(Z[:, :k]), Z[:, ::2], np.asfortranarray(Z[:, :k])):
+            want = np.stack([lure.A + (lure.c @ x) * np.outer(lure.b, lure.c) for x in X.T])
+            assert np.array_equal(lure.jacobians(_Identity, X), want)
+            want = np.stack([multi.A + multi.B @ ((multi.C @ x)[:, None] * multi.C)
+                             for x in X.T])
+            assert np.array_equal(multi.jacobians(_Identity, X), want)
+
+
+POLY = Activation("rect_poly", r=2)
+
+
+def _unbounded_models():
+    """Contracting Hopfield and FiringRate models with unbounded slopes and
+    every a_ii < 0, so their slope-box floor is -inf in every coordinate."""
+    rng = np.random.default_rng(31)
+    models = []
+    for cls in (Hopfield, FiringRate):
+        for n in (2, 5):
+            A = 0.15 * rng.normal(size=(n, n)) / np.sqrt(n)
+            np.fill_diagonal(A, -rng.uniform(0.3, 0.8, size=n))
+            model = cls(np.diag(rng.uniform(0.5, 1.5, size=n)), A, SlopeInterval(0.0, np.inf),
+                        u=0.3 * rng.normal(size=n))
+            assert np.all(model.diagonal_floor() == -np.inf)
+            models.append(model)
+    return models
+
+
+def test_leaky_input_max_and_capped_floor():
+    # The visited-slope floor reads each side's activation inputs: the state
+    # (Hopfield) or A x + u (FiringRate), the largest per coordinate over an
+    # (m, n, k) stack; the batched product may round A x differently from
+    # A @ x, within n ulps of sum |A_ij x_j|.
+    rng = np.random.default_rng(12)
+    n = 5
+    A, C, u = rng.normal(size=(n, n)), np.diag(rng.uniform(0.5, 1.5, size=n)), rng.normal(size=n)
+    S = rng.normal(scale=3.0, size=(4, n, 6))
+    states = [x for slot in S for x in slot.T]
+    hopfield = Hopfield(C, A, SlopeInterval(0.0, np.inf), u=u)
+    assert np.array_equal(hopfield._input_max(S), np.max(states, axis=0))
+    firing = FiringRate(C, A, SlopeInterval(0.0, np.inf), u=u)
+    want = np.max([A @ x + u for x in states], axis=0)
+    scale = np.max([np.abs(A) @ np.abs(x) for x in states], axis=0)
+    assert np.all(np.abs(firing._input_max(S) - want) <= n * np.finfo(float).eps * scale)
+    # The floor -c_i + min(d1 a_ii, cap_i a_ii), with 0 * inf as 0; with no
+    # cap it is the slope-box floor, and a NaN cap on a_ii < 0 gives NaN.
+    model = Hopfield(np.diag([1.0, 2.0, 3.0]), np.diag([-0.5, 0.0, 0.5]),
+                     SlopeInterval(-0.1, np.inf))
+    assert np.array_equal(model.diagonal_floor([2.0, np.inf, np.inf]), [-2.0, -2.0, -3.05])
+    assert np.array_equal(model.diagonal_floor(), [-np.inf, -2.0, -3.05])
+    assert np.isnan(model.diagonal_floor([np.nan, 1.0, 1.0])[0])
+
+
+def test_unbounded_slopes_run_euler_under_their_visited_floor():
+    # Each block checks step * max(-floor) < 1 at the floor over the slopes
+    # its states reach; the seeded starts in the unit inf-ball pass it
+    # throughout, so the report is the exact euler reference's.
+    for model in _unbounded_models():
+        cert = certify(model)
+        assert cert.contracting
+        X0, Y0 = _draw_pairs(model, POLY, 4, 3)
+        overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
+        for starts, claim in ((None, cert), ((X0, Y0), cert), ((X0, Y0), overclaim)):
+            report = verify_contraction(model, POLY, claim, pairs=4, horizon=1.0, step=1e-2,
+                                        seed=3, mu_sample_stride=7, initial_pairs=starts)
+            assert report.scheme == "euler"
+            assert report.passed == (claim is cert)
+            worst, max_mu = _reference_verify(model, POLY, claim, X0, Y0, 1.0, 1e-2, 7, "euler")
+            assert (report.worst_decay_ratio, report.max_sampled_mu) == (worst, max_mu)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_unbounded_slopes_fall_back_to_rk4_where_visited_slopes_break_the_step(
+        monkeypatch, block):
+    # Starts at x <= 0 visit slope 0, where the halved step 0.45 meets
+    # 0.45 * 2 < 1; the input u = 2 drives both trajectories to x > 0 in one
+    # step, where 0.45 * (2 + 0.5 * 2 x_2) >= 1.  With 1-step blocks the first
+    # block passes and the second fails.  Either way the euler attempt is
+    # discarded and the report is the rk4 reference's, run from the start.
+    model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
+                     SlopeInterval(0.0, np.inf), u=[2.0, 2.0])
+    cert = certify(model)
+    X0, Y0 = np.array([[-1.0], [-1.0]]), np.array([[-0.5], [-0.8]])
+    monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", block)
+    checked = []
+    floor = Hopfield.diagonal_floor
+    monkeypatch.setattr(Hopfield, "diagonal_floor",
+                        lambda self, cap=None: checked.append(cap) or floor(self, cap))
+    report = verify_contraction(model, POLY, cert, horizon=9.0, step=0.9, mu_sample_stride=3,
+                                initial_pairs=(X0, Y0))
+    assert report.scheme == "rk4"
+    assert len(checked) == (3 if block == 1 else 2)  # the box floor, then each block's
+    want = _reference_verify(model, POLY, cert, X0, Y0, 9.0, 0.9, 3, "rk4")
+    assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+
+
+def test_unbounded_slopes_euler_bound_is_tight_below_zero():
+    # At x, y <= 0 the slopes are 0 and the field is -C x, so a difference
+    # along e_i, i = argmin c_i, shrinks by exactly 1 - step c_i per step,
+    # and c_i is the certified rate: the true rate passes with ratio 1 up to
+    # rounding, and a 1e-3 relative overclaim fails.
+    model = Hopfield(np.diag([1.5, 0.8, 1.2]),
+                     [[-0.5, 0.1, -0.2], [0.2, -0.4, 0.1], [-0.1, 0.3, -0.6]],
+                     SlopeInterval(0.0, np.inf))
+    cert = certify(model)
+    i = int(np.argmin(np.diag(model.C)))
+    assert cert.rate == model.C[i, i]
+    X0, Y0 = np.zeros((3, 2)), np.zeros((3, 2))
+    X0[i], Y0[i] = [-1.0, -0.3], [-0.5, -0.1]
+    kwargs = dict(horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
+    report = verify_contraction(model, POLY, cert, **kwargs)
+    assert report.scheme == "euler" and report.passed
+    assert abs(report.worst_decay_ratio - 1.0) <= 1e-12
+    over = verify_contraction(model, POLY, dataclasses.replace(cert, rate=1.001 * cert.rate),
+                              **kwargs)
+    assert over.scheme == "euler" and not over.passed
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_unbounded_divergence_raises_at_the_rk4_instant(monkeypatch, block):
+    # x_2' = -x_2 + 200 x_2^2 overflows; a_22 > 0 keeps its visited floor at
+    # -1, and x_1 <= 0 visits slope 0, so every block of the euler attempt
+    # passes its check until the divergence, which discards the attempt: the
+    # rk4 run raises at its own first divergent instant, not euler's.
+    model = Hopfield(np.eye(2), [[-0.5, 0.0], [0.0, 200.0]], SlopeInterval(0.0, np.inf))
+    cert = certify(Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
+                            SlopeInterval(0.0, np.inf)))
+    X0, Y0 = np.array([[-1.0], [1.0]]), np.array([[-0.5], [0.5]])
+    times = {scheme: _reference_verify(model, POLY, cert, X0, Y0, 1.0, 1e-2, 1000, scheme)
+             for scheme in ("euler", "rk4")}
+    assert 0.0 < times["rk4"] < times["euler"] < 1.0
+    monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", block)
+    with pytest.raises(DivergenceError) as info:
+        verify_contraction(model, POLY, cert, horizon=1.0, step=1e-2, mu_sample_stride=1000,
+                           initial_pairs=(X0, Y0))
+    assert info.value.time == times["rk4"]
+
+
+def test_verify_scheme_off_the_visited_floor_route_follows_the_box_floor():
+    # Every tag, family and fitting activation other than an unbounded kind on
+    # a floor of -inf: the scheme is the slope-box rule (euler iff the family
+    # is l1 or linf and step * max(-floor) < 1), and the report is that
+    # scheme's reference.  Bounded activations on an unbounded-slope model
+    # with a_ii < 0 stay on rk4; rect_poly on a finite floor takes the box rule.
+    acts = [Activation("relu"), Activation("tanh"), Activation("sigmoid"),
+            Activation("leaky_relu", a=0.3), Activation("linear", k=0.5), POLY]
+    unbounded = _unbounded_models()
+    # A zero diagonal has a finite floor but no certificate of its own (its
+    # majorant is not Hurwitz): it is checked against a borrowed one.
+    zero_diag = Hopfield(np.eye(2), [[0.0, 0.2], [0.1, 0.0]], SlopeInterval(0.0, np.inf))
+    cases = [(model, _oracle_certificates(model)) for model, _ in _oracle_cases()]
+    cases += [(model, _oracle_certificates(model)) for model in unbounded[:3:2]]
+    cases.append((zero_diag, [certify(unbounded[0])]))
+    seen = set()
+    for model, certs in cases:
+        box = np.max(-model.diagonal_floor())
+        for act in acts:
+            if not model.slopes.contains(act.slopes()):
+                continue
+            if box == np.inf and not act.slopes().bounded:
+                continue  # the visited-floor route
+            step = 1e-3 if act.slopes().bounded else 2e-3
+            for cert in certs:
+                X0, Y0 = _draw_pairs(model, act, 3, 5)
+                report = verify_contraction(model, act, cert, horizon=0.2, step=step,
+                                            mu_sample_stride=40, initial_pairs=(X0, Y0))
+                h = report.step
+                want = "euler" if cert.family in (L1, LINF) and h * box < 1.0 else "rk4"
+                assert report.scheme == want, (model.tag, act.kind, cert.family)
+                sums = []
+                worst, max_mu = _reference_verify(model, act, cert, X0, Y0, 0.2, step, 40,
+                                                  want, abs_sums=sums)
+                assert report.worst_decay_ratio == worst
+                _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
+                seen.add((model.tag, act.kind, report.scheme))
+    assert {tag for tag, _, _ in seen} == {"hopfield", "firing_rate", "persidskii",
+                                           "ax_minus_cphi", "entrywise", "lure", "multilure"}
+    assert {kind for _, kind, _ in seen} == {act.kind for act in acts}
+    assert ("hopfield", "tanh", "rk4") in seen and ("firing_rate", "relu", "rk4") in seen
+    assert ("hopfield", "rect_poly", "euler") in seen
