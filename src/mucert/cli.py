@@ -377,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="certify, then check the decay bound by simulation")
     p.add_argument("--pairs", type=int, default=20)
     p.add_argument("--horizon", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="forward-Euler step; halved where the model needs a smaller "
+                        "one, and the report gives the step that ran")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("prune", cmd_prune, help="principal-submatrix stability report")

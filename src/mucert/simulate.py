@@ -6,73 +6,67 @@ or verification as a closure over column-stacked states) and Jacobians
 (`jacobians`, over a column stack of states); this module only steps,
 samples and measures.
 
-Verification steps random trajectory pairs and checks a decay bound in the
-certificate's weighted norm, by one of two schemes chosen once per run:
-
-* ``euler``: the forward-Euler map E(x) = x + h F(x) at the step h, checked
-  against the exact discrete bound ``||E^k(x) - E^k(y)|| <= (1 - h rate)^k
-  ||x - y||``.  In a weighted l1 or linf norm, ``||I + h J|| = 1 + h mu(J)``
-  whenever ``1 + h J_ii >= 0`` for every i, and F(x) - F(y) is a secant
-  matrix of the Jacobian polytope times x - y.  So the bound holds for every
-  pair of a certified model once h * max_i(-floor_i) < 1, where floor is the
-  model's `diagonal_floor` (Jafarpour, Davydov, Proskurnikov and Bullo,
-  "Robust implicit networks via non-Euclidean contractions", NeurIPS 2021;
-  Davydov, Jafarpour, Proskurnikov and Bullo, "Non-Euclidean monotone
-  operator theory with applications to recurrent neural networks", CDC 2022).
-  This scheme runs whenever the certificate family is l1 or linf and that
-  step condition holds.  The condition is only needed on the secant
-  Jacobians a step meets.  So where the floor is -inf (a Hopfield or
-  FiringRate model with unbounded slopes and some a_ii < 0, run with the
-  unbounded rect_poly activation), each state block checks it at the floor
-  ``-c_i + min(d1 a_ii, cap_i a_ii)``, where cap_i is the activation slope at
-  the largest input of coordinate i over the block's "from" states (all but
-  its last slot): the state (Hopfield) or A x + u (FiringRate), taken by one
-  batched product per block.  rect_poly's derivative is nondecreasing, so
-  every secant slope between two inputs at most m is at most its slope at
-  m.  If a block breaks the condition (a NaN or inf floor included),
-  diverges or samples a non-finite Jacobian, the attempt is discarded and
-  the ``rk4`` run starts from the beginning, so its report or error is the
-  one that run gives alone.
-* ``rk4``: classical RK4 trajectories, checked against
-  ``||x(t) - y(t)|| <= exp(-rate t) ||x(0) - y(0)||``.  It runs for l2
-  weights, for bounded activations on a floor of -inf, for steps at or
-  above 1 / max_i(-floor_i) on a finite floor, and after a discarded euler
-  attempt.
+Verification steps random trajectory pairs by the forward-Euler map
+E(x) = x + h F(x) and checks the exact discrete bound ``||E^k(x) - E^k(y)||
+<= (1 - h rate)^k ||x - y||`` in the certificate's weighted l1 or linf norm.
+There ``||I + h J|| = 1 + h mu(J)`` whenever ``1 + h J_ii >= 0`` for every i,
+and F(x) - F(y) is a secant matrix of the Jacobian polytope times x - y.  So
+the bound holds for every pair of a certified model once h * max_i(-floor_i)
+< 1, where floor is the model's `diagonal_floor` (Jafarpour, Davydov,
+Proskurnikov and Bullo, "Robust implicit networks via non-Euclidean
+contractions", NeurIPS 2021; Davydov, Jafarpour, Proskurnikov and Bullo,
+"Non-Euclidean monotone operator theory with applications to recurrent
+neural networks", CDC 2022).  A step that breaks this condition is halved
+until it meets it; where the slope-box floor is -inf but the activation's
+slopes are bounded, the floor is taken over the activation's own slope
+interval.  The condition is only needed on the secant Jacobians a step
+meets.  So where the floor is -inf under an unbounded activation (a Hopfield
+or FiringRate model with unbounded slopes and some a_ii < 0, run with
+rect_poly), each state block checks it at the floor ``-c_i + min(d1 a_ii,
+cap_i a_ii)``, where cap_i is the activation slope at the largest input of
+coordinate i over the block's "from" states before any divergence: the
+state (Hopfield) or A x + u (FiringRate), taken by one batched product per
+block.  rect_poly's derivative is nondecreasing, so every secant slope
+between two inputs at most m is at most its slope at m.  A block that
+breaks the condition (a NaN or inf floor included) restarts the run from
+the beginning at half the step.  A halving raises ValueError where the
+runs started so far and the halved one would hold more than
+VERIFY_STEP_BUDGET steps in total.  l2 certificates have no such exact
+bound, and no route issues them: verification refuses them.
 
 Ratios are taken in log space, exp(log d_k - log d_0 - log bound_k), so a
 bound far below the smallest float does not underflow.  Pairs draw from
 seed-derived substreams, so reports are reproducible at any parallelism.
 
-Cost model of `verify_contraction`: the 2 * pairs trajectories advance as one
-(n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack
-(euler) or 4 (rk4).  A floor of -inf adds, per block, one maximum over the
-block's inputs (and for FiringRate one batched product) and one floor of n
-entries; at worst a discarded euler attempt (a quarter of rk4's field
-evaluations) runs before the rk4 run.  A field is built in place from its
-first matrix product, combines its (n, 1) leak or input columns with the
-stack through copies of the stack's shape made once per shape (the same
-IEEE operation per entry, without the cost of a broadcast), and the step's
-last in-place add writes straight into the next slot of a
-(block + 1, n, 2 * pairs) state buffer allocated once per run.  The
-block is DECAY_BLOCK_STEPS steps, or fewer where the buffer would exceed
-STATE_BLOCK_ENTRIES entries (or two states, where one is larger), so memory
-is fixed in the horizon.  Each block, not each step, is checked once: one
-subtraction forms every pair difference, one stacked norm takes all their
-distances, and one finiteness check covers them; when it fails, the first
-non-finite state in the buffer gives the first divergent instant.  The logs,
-the distance floor, the bound and the exp of the decay check then take a few
-numpy calls per block.  `integrate` steps one trajectory through the same
-state block and the same first-divergence rule.  Every `mu_sample_stride`
-steps the Jacobian log norms of all trajectories are taken, after their
-block's checks and only at states before a divergence; `sample_jacobian_mu`
-draws its states as one block and evaluates them the same way
-(`_max_jacobian_mu`).  A model with a slope form (Hopfield, FiringRate,
-Persidskii, Entrywise, AxMinusCPhi) takes its log norms from its slopes, at
-O(n) per sampled state, in the norm whose sums run along the lines its
-slopes scale (l1 for Hopfield, Persidskii and Entrywise, linf for
-FiringRate) and in both l1 and linf for AxMinusCPhi, whose slopes scale
-only the diagonal.  Every other case (the other norm, l2 certificates, Lure
-and MultiLure) builds dense Jacobians, as (k, n, n) stacks of at most
+Cost model of `verify_contraction`: the 2 * pairs trajectories advance as
+one (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack.
+A floor of -inf under an unbounded activation adds, per block, one maximum
+over the block's inputs (and for FiringRate one batched product) and one
+floor of n entries, and each restart runs again from the start at twice the
+steps.  A field is built in place from its first matrix product, combines
+its (n, 1) leak or input columns with the stack through copies of the
+stack's shape made once per shape (the same IEEE operation per entry,
+without the cost of a broadcast), and the step's last in-place add writes
+straight into the next slot of a (block + 1, n, 2 * pairs) state buffer
+allocated once per run.  The block is DECAY_BLOCK_STEPS steps, or fewer
+where the buffer would exceed STATE_BLOCK_ENTRIES entries (or two states,
+where one is larger), so memory is fixed in the horizon.  Each block, not
+each step, is checked once: one subtraction forms every pair difference, one
+stacked norm takes all their distances, and one finiteness check covers
+them; when it fails, the first non-finite state in the buffer gives the
+first divergent instant.  The logs, the distance floor, the bound and the
+exp of the decay check then take a few numpy calls per block.  `integrate`
+steps one trajectory by classical RK4 through the same state block and the
+same first-divergence rule.  Every `mu_sample_stride` steps the Jacobian log
+norms of all trajectories are taken, after their block's checks and only at
+states before a divergence; `sample_jacobian_mu` draws its states as one
+block and evaluates them the same way (`_max_jacobian_mu`).  A model with a
+slope form (Hopfield, FiringRate, Persidskii, Entrywise, AxMinusCPhi) takes
+its log norms from its slopes, at O(n) per sampled state, in the norm whose
+sums run along the lines its slopes scale (l1 for Hopfield, Persidskii and
+Entrywise, linf for FiringRate) and in both l1 and linf for AxMinusCPhi,
+whose slopes scale only the diagonal.  Every other case (the other norm, l2,
+Lure and MultiLure) builds dense Jacobians, as (k, n, n) stacks of at most
 JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one stacked
 log norm per stack.  Every reported value is bit-identical to the one-step,
 one-state evaluation, except that the slope form's `max_sampled_mu` sums in
@@ -88,15 +82,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_lines, kernels
-from .matrices import _weights_or_ones
+from .matrices import _weights_or_ones, as_vector
 from .networks import ContractionCertificate, check_model
 
-# Headroom on the decay bound: integration error on the rk4 scheme; on the
-# euler scheme, whose bound is exact, rounding only.
+# Headroom on the decay bound for rounding only: the Euler bound is exact.
 DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
-# The dense route of the sampled log norms (l2 certificates, Lure, MultiLure
-# and a slope-form model in the norm its slopes do not match) evaluates
+# The dense route of the sampled log norms (l2, Lure, MultiLure and a
+# slope-form model in the norm its slopes do not match) evaluates
 # Jacobians in stacks of at most this many matrix entries (one state at
 # n = 128, 16 at n = 32), so their memory does not grow with the number of
 # states; at n >= 128 a stack saves nothing over one state.
@@ -107,6 +100,11 @@ JACOBIAN_BATCH_ENTRIES = 16_384
 # once: its pair distances, finiteness and decay ratios.
 DECAY_BLOCK_STEPS = 64
 STATE_BLOCK_ENTRIES = 1 << 15
+# A verification that halves its step may start runs of at most this many
+# steps in total (13 times the default run of 5000 steps); a halving beyond it
+# raises ValueError.  At n <= 8 and 20 pairs that many steps took 0.6-1.0 s
+# on a 2-core x86 VM.
+VERIFY_STEP_BUDGET = 1 << 16
 # Distances below the smallest normal float carry no relative precision: the
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
@@ -361,11 +359,11 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     Returns (times, states) with states of shape (steps + 1, n).  Divergence
     (a non-finite state) raises :class:`DivergenceError` carrying the first
     bad time.  The horizon and step must be finite and positive, with at least
-    one step in the horizon.
+    one step in the horizon, and x0 a finite vector of length n.
     """
     n_steps = _step_count(horizon, step)
     _check_act(model, act)
-    X = np.asarray(x0, dtype=float).reshape(-1, 1)
+    X = as_vector(x0, model.n)[:, None]
     out = np.empty((n_steps + 1, X.shape[0]))
     out[0] = X[:, 0]
     blocks = _state_blocks(model.field(act), _rk4_step, X, n_steps, step, _block_steps(X.size))
@@ -384,13 +382,10 @@ class SimReport:
     """Empirical check of a decay bound over sampled trajectory pairs.
 
     `worst_decay_ratio` is the max over pairs and steps k of
-    ||difference_k|| / (bound_k ||difference_0||) in the certified weighted
-    norm, where bound_k is (1 - step rate)^k on the ``euler`` scheme and
-    exp(-rate k step) on the ``rk4`` scheme (`scheme`); `max_sampled_mu` is
-    the largest weighted Jacobian log norm seen along the trajectories.  On
-    a floor of -inf, ``euler`` means that every block met the step condition
-    at the floor of the slopes it visited; ``rk4`` there reports the rk4 run
-    alone, with nothing of the discarded attempt.
+    ||difference_k|| / ((1 - step rate)^k ||difference_0||) in the certified
+    weighted norm, on forward-Euler trajectories at `step`, the step that
+    ran (`scheme` is always ``euler``); `max_sampled_mu` is the largest
+    weighted Jacobian log norm seen along the trajectories.
     """
 
     worst_decay_ratio: float
@@ -455,49 +450,60 @@ def verify_contraction(
     mu_sample_stride: int = 100,
     initial_pairs=None,
 ) -> SimReport:
-    """Step random trajectory pairs and measure the worst decay ratio against
-    the certificate's rate, in the certificate's weighted norm, on the
-    ``euler`` or ``rk4`` scheme that the module docstring describes.
+    """Step random trajectory pairs by forward Euler and measure the worst
+    decay ratio against the certificate's rate, in the certificate's weighted
+    l1 or linf norm, as the module docstring describes.
 
     A distance below `DISTANCE_FLOOR` counts as 0.  Pairs that start that
     close contribute ratio 0 by convention, and so does a zero distance
-    against a zero bound.  On the ``euler`` scheme a claimed per-step factor
-    1 - step * rate <= 0 reads ratio inf: the Euler map's factor is at least
-    1 + step * min(floor) > 0 there, so no certificate of the model can claim
-    it.  The report passes iff the worst ratio stays within the allowance of
-    1; any other NaN ratio makes the worst ratio NaN, which fails.  A model
-    whose slope-box floor is -inf, run with an unbounded activation in an l1
-    or linf certificate, first tries the ``euler`` scheme under the floor of
-    the slopes each block visits, and falls back to ``rk4`` from the start
-    (see the module docstring): at most one euler attempt on top of the rk4
-    run.
-    `initial_pairs` optionally supplies the endpoints directly as a pair of
-    (n, pairs) arrays instead of drawing them from the seed.  An activation
-    of unbounded slope halves the step and draws its starts in the unit
-    inf-ball; the report carries the halved step.  Raises
-    ValueError, before any work if `mu_sample_stride` or `pairs` is not an
-    integer of at least 1, or `seed` not an integer of at least 0 (a bool is
-    not an integer here), and otherwise unless the horizon and step are finite and
-    positive, at least one step fits, there is at least one pair, and every
-    pair's entries and start distance are finite.
+    against a zero bound.  A claimed per-step factor 1 - step * rate <= 0
+    reads ratio inf: the Euler map's factor is at least 1 + step * min(floor)
+    > 0 there, so no certificate of the model can claim it.  The report
+    passes iff the worst ratio stays within the allowance of 1; any other NaN
+    ratio makes the worst ratio NaN, which fails.  An activation of unbounded
+    slope halves the step and draws its starts in the unit inf-ball.  A step
+    that breaks the Euler step condition is halved (before the run on a
+    finite floor, by a restart where the slopes a block visits break it); the
+    report carries the step that ran.  `initial_pairs` optionally supplies
+    the endpoints directly, as two arrays of one shape, (n,) or (n, pairs),
+    instead of drawing them from the seed.  A divergence raises
+    DivergenceError at its first non-finite instant, and a non-finite
+    sampled Jacobian ValueError.  Raises ValueError, before any work if
+    `mu_sample_stride` or `pairs` is not an integer of at least 1, or `seed`
+    not an integer of at least 0 (a bool is not an integer here), and
+    otherwise for an l2 certificate, initial pair arrays of other shapes, a
+    halving past VERIFY_STEP_BUDGET, and unless the horizon and step are
+    finite and positive, at least one step fits, there is at least one pair,
+    and every pair's entries and start distance are finite.
     """
     _check_integers(("mu_sample_stride", mu_sample_stride, 1), ("pairs", pairs, 1),
                     ("seed", seed, 0))
     if not cert.contracting:
         raise ValueError("certificate does not assert contraction")
+    if cert.family not in (L1, LINF):
+        raise ValueError(f"verification checks l1 and linf certificates, not {cert.family}")
     _check_act(model, act)
     if not act.slopes().bounded:
         step = 0.5 * step
     n_steps = _step_count(horizon, step)
 
     if initial_pairs is not None:
-        X0 = np.asarray(initial_pairs[0], dtype=float).reshape(model.n, -1)
-        Y0 = np.asarray(initial_pairs[1], dtype=float).reshape(model.n, -1)
-        if X0.shape != Y0.shape:
-            raise ValueError("initial pair arrays must have matching shapes")
+        X0, Y0 = (np.asarray(a, dtype=float) for a in initial_pairs)
+        if X0.shape != Y0.shape or X0.ndim not in (1, 2) or X0.shape[0] != model.n:
+            raise ValueError(
+                f"initial pair arrays must both have shape ({model.n},) or "
+                f"({model.n}, pairs), got {X0.shape} and {Y0.shape}"
+            )
+        X0, Y0 = X0.reshape(model.n, -1), Y0.reshape(model.n, -1)
         pairs = X0.shape[1]
     if pairs < 1:
         raise ValueError(f"need at least one trajectory pair, got {pairs}")
+    floor = check_model(model).diagonal_floor()
+    if np.isneginf(floor).any() and act.slopes().bounded:
+        floor = model.diagonal_floor(act.slopes().d2)
+    stiffness = float(np.max(-floor))
+    # A floor of -inf under an unbounded activation is checked block by block.
+    checked = stiffness == math.inf
     if initial_pairs is None:
         X0, Y0 = _draw_pairs(model, act, pairs, seed)
     Z = np.hstack([X0, Y0])  # (n, 2 * pairs)
@@ -505,44 +511,33 @@ def verify_contraction(
     w = _weights_or_ones(cert.weights, model.n)
     norm = kernels(cert.family)[1]
     max_jacobian_mu = _max_jacobian_mu(model, act, cert.family, w)
-    stiffness = float(np.max(-check_model(model).diagonal_floor()))
-    euler = cert.family in (L1, LINF) and step * stiffness < 1.0
-    # A floor of -inf (unbounded slopes, some a_ii < 0) first tries the euler
-    # scheme under the floor of the slopes that each block visits.
-    attempt = (cert.family in (L1, LINF) and stiffness == math.inf
-               and not act.slopes().bounded)
-    # Log of the claimed per-step factor 1 - step * rate of the euler scheme.
-    h_rate = step * cert.rate
-    log_factor = -math.inf if h_rate >= 1.0 else math.log1p(-h_rate)
     block = _block_steps(Z.size)
     D = np.empty((block + 1, model.n, pairs))
 
-    def visited(F):
-        """Whether step * max_i(-floor_i) < 1 at the floor over the slopes
-        up to those at the largest activation input of the "from" states F,
-        (m, n, k).  A NaN or inf floor fails."""
-        cap = act.deriv(model._input_max(F))
-        return step * float(np.max(-model.diagonal_floor(cap))) < 1.0
-
-    def run(euler, checked=False):
-        """(worst ratio, max sampled mu) on one scheme.  A `checked` run
-        returns None at the first block whose "from" states fail `visited`."""
-        worst = math.inf if euler and h_rate >= 1.0 else 0.0
+    def run(step, n_steps):
+        """(worst ratio, max sampled mu) of the Euler run at `step`; on a
+        `checked` run, None at the first block whose "from" states before any
+        divergence break the step condition at the floor of the slopes they
+        visit."""
+        h_rate = step * cert.rate
+        # Log of the claimed per-step factor 1 - step * rate.
+        log_factor = -math.inf if h_rate >= 1.0 else math.log1p(-h_rate)
+        worst = math.inf if h_rate >= 1.0 else 0.0
         max_mu = -np.inf
-        advance = _euler_step if euler else _rk4_step
-        for i, S in _state_blocks(f, advance, Z, n_steps, step, block):
-            if checked and not visited(S[:-1]):
-                return None
+        for i, S in _state_blocks(f, _euler_step, Z, n_steps, step, block):
             lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
             dist = norm(np.subtract(S[lo:, :, :pairs], S[lo:, :, pairs:], out=D[:len(S) - lo]), w)
             # A non-finite entry of a state makes its pair's distance non-finite.
             diverged = None if np.isfinite(dist).all() else _first_nonfinite(S)
+            if checked:
+                # The slopes up to those at the largest activation input of
+                # the "from" states; a NaN or inf floor fails.
+                cap = act.deriv(model._input_max(S[:-1 if diverged is None else diverged]))
+                if not step * float(np.max(-model.diagonal_floor(cap))) < 1.0:
+                    return None
             if diverged is None and log_d0.size:
                 t = np.arange(i + lo, i + len(S))
-                if euler:
-                    log_bound = np.where(t > 0, t * log_factor, 0.0)
-                else:
-                    log_bound = -cert.rate * (t * step)
+                log_bound = np.where(t > 0, t * log_factor, 0.0)
                 ratio = _worst_ratio(dist[:, live], log_d0, log_bound)
                 del t, log_bound
                 if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
@@ -567,17 +562,20 @@ def verify_contraction(
             raise ValueError(f"pair {bad[0]} has a non-finite entry or start distance")
         live = d0 >= DISTANCE_FLOOR
         log_d0 = np.log(d0[live])
-        result = None
-        if attempt:
-            # A divergence or a non-finite sampled Jacobian discards the
-            # attempt too; the rk4 run then raises as it would alone.
-            try:
-                result = run(True, checked=True)
-            except (DivergenceError, ValueError):
-                pass
-            euler = result is not None
-        if result is None:
-            result = run(euler)
+        started = 0  # steps of the runs started so far
+        while True:
+            if checked or step * stiffness < 1.0:
+                started += n_steps
+                result = run(step, n_steps)
+                if result is not None:
+                    break
+            step *= 0.5
+            n_steps = _step_count(horizon, step)
+            if started + n_steps > VERIFY_STEP_BUDGET:
+                raise ValueError(
+                    f"halving the step to {step} would take verification past its "
+                    f"budget of {VERIFY_STEP_BUDGET} steps; shorten the horizon"
+                )
     return SimReport(
         worst_decay_ratio=result[0],
         max_sampled_mu=result[1],
@@ -585,7 +583,7 @@ def verify_contraction(
         horizon=horizon,
         step=step,
         seed=seed,
-        scheme="euler" if euler else "rk4",
+        scheme="euler",
     )
 
 

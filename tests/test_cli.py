@@ -213,19 +213,49 @@ def test_fixed_weight_bound_at_certificate_weights_reproduces_it(tmp_path, capsy
         assert fixed[key] == cert[key], key
 
 
-def test_verify_report_names_its_scheme(tmp_path, capsys):
-    # The rect_poly model runs euler at the default step.  At step 1.2 (halved
-    # to 0.6) a start with x_i >= 2/3 visits slope 2 x_i, where the floor
-    # -1 - 0.5 * 2 x_i breaks 0.6 * (1 + x_i) < 1, so it runs rk4.
-    poly = dict(HOPFIELD_DOC, A=[[-0.5, 0.3], [0.3, -0.5]], slopes={"d1": 0, "d2": "inf"},
+# x' = -x (Hopfield with A = 0, C = I and tanh) has the exact certificate
+# hopfield/l1/perron at rate 1 and floor -1, so a step h >= 1 is halved to the
+# largest h / 2^k < 1.  The rect_poly model's run restarts at half the step
+# where its starts visit slopes that break the step condition.  Each true
+# certificate passes at the step that ran.  RK4 trajectories checked against
+# exp(-rate t) refute them at these steps, with worst ratios of 1.10 to 62.4
+# on x' = -x and 1.004 to 1.018 on rect_poly.
+DECAY_DOC = dict(HOPFIELD_DOC, A=[[0.0]], C=[[1.0]])
+POLY_DOC = dict(HOPFIELD_DOC, A=[[-0.5, 0.3], [0.3, -0.5]], slopes={"d1": 0, "d2": "inf"},
                 activation={"kind": "rect_poly", "r": 2})
-    for doc, step, scheme in ((HOPFIELD_DOC, [], "euler"), (poly, [], "euler"),
-                              (poly, ["--step", "1.2"], "rk4")):
+
+
+def test_verify_report_names_its_scheme(tmp_path, capsys):
+    # Every report runs the Euler scheme and gives the step that ran: the
+    # requested one, halved once for rect_poly's unbounded slopes.  At step
+    # 1.2 (halved to 0.6) a start with x_i >= 2/3 visits slope 2 x_i, where
+    # the floor -1 - 0.5 * 2 x_i breaks 0.6 * (1 + x_i) < 1, so the run
+    # restarts at 0.3.
+    for doc, step, ran in ((HOPFIELD_DOC, [], 1e-3), (POLY_DOC, [], 5e-4),
+                           (POLY_DOC, ["--step", "1.2"], 0.3)):
         path = write(tmp_path, "model.json", doc)
         code, out, _ = run(capsys, "verify", path, "--pairs", "5", "--horizon", "1", *step)
         assert code == 0
-        assert json.loads(out)["report"]["scheme"] == scheme
-        assert f'"scheme":"{scheme}"' in out
+        report = json.loads(out)["report"]
+        assert (report["scheme"], report["step"], report["passed"]) == ("euler", ran, True)
+        assert '"scheme":"euler"' in out
+
+
+@pytest.mark.parametrize("doc, argv, ran", [
+    (DECAY_DOC, ["--step", "1.0", "--horizon", "5"], 0.5),
+    (DECAY_DOC, ["--step", "1.5", "--horizon", "5"], 0.75),
+    (DECAY_DOC, ["--step", "2.0", "--horizon", "5"], 0.5),
+    (DECAY_DOC, ["--step", "2.5", "--horizon", "5"], 0.625),
+    (POLY_DOC, ["--step", "1.6", "--pairs", "5", "--horizon", "1"], 0.4),
+    (POLY_DOC, ["--step", "2.0", "--pairs", "5", "--horizon", "1"], 0.25),
+])
+def test_verify_passes_exact_certificates_at_the_halved_step(tmp_path, capsys, doc, argv, ran):
+    path = write(tmp_path, "model.json", doc)
+    code, out, _ = run(capsys, "verify", path, *argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert (report["scheme"], report["step"], report["passed"]) == ("euler", ran, True)
+    assert abs(report["worst_decay_ratio"] - 1.0) <= 1e-12
 
 
 def test_verify_command(tmp_path, capsys):

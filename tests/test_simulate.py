@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 import warnings
 
@@ -230,6 +231,51 @@ def test_sample_jacobian_mu_rejects_bad_samples_and_seed_before_any_work(name, v
         sample_jacobian_mu(m, Activation("tanh"), family=L1, **kwargs)
 
 
+@pytest.mark.parametrize("shape", [(6, 4), (4, 2, 3), (), (3,), (5, 2)])
+def test_verify_rejects_misshapen_initial_pairs_before_any_work(shape, monkeypatch):
+    # At n = 4 a pairs-major (6, 4) array, or a (4, 2, 3) one, holds 24
+    # entries that a reshape to (4, -1) would scramble into 6 pairs.  Only
+    # (n,) and (n, pairs) arrays are start states.
+    n = 4
+    m = Hopfield(np.eye(n), 0.1 * np.ones((n, n)), SlopeInterval(0.0, 1.0))
+    cert = certify(m, L1)
+    act = Activation("tanh")
+    X = np.arange(n, dtype=float)
+    one = verify_contraction(m, act, cert, horizon=0.1, initial_pairs=(X, 0.5 * X))
+    assert one == verify_contraction(m, act, cert, horizon=0.1,
+                                     initial_pairs=(X[:, None], 0.5 * X[:, None]))
+
+    def no_work(*args):
+        raise AssertionError("verify stepped")
+
+    monkeypatch.setattr(simulate, "_state_blocks", no_work)
+    bad = np.ones(shape)
+    for pair in ((bad, bad), (X, bad), (bad, X)):
+        with pytest.raises(ValueError, match=r"initial pair arrays must both have shape \(4,\)"):
+            verify_contraction(m, act, cert, initial_pairs=pair)
+
+
+def test_integrate_rejects_a_start_that_is_not_a_finite_vector_of_length_n():
+    # A NaN start is refused up front, not reported as a divergence at
+    # t = step, and a wrong length by name, not by numpy's matmul message.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    for x0, match in (([np.nan, 1.0], "finite"), ([1.0, 2.0, 3.0], "length 2"),
+                      (np.ones((2, 1)), "expected a vector")):
+        with pytest.raises(ValueError, match=match):
+            integrate(m, Activation("tanh"), x0, horizon=1.0, step=1e-2)
+
+
+def test_integrate_matches_the_rk4_reference_bit_for_bit():
+    for model, act in _oracle_cases():
+        x0 = _draw_pairs(model, act, 1, 4)[0][:, 0]
+        times, xs = integrate(model, act, x0, horizon=0.3, step=1e-3)
+        f, want = _reference_field(model, act), [x0[:, None]]
+        for _ in range(300):
+            want.append(_reference_rk4(f, want[-1], 1e-3))
+        assert np.array_equal(times, np.arange(301) * 1e-3)
+        assert np.array_equal(xs, np.hstack(want).T)
+
+
 def test_verify_contraction_identical_pair_convention():
     m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = optimal_certificate(m, L1)
@@ -270,14 +316,18 @@ def test_verify_contraction_non_finite_pair_cannot_hide_a_failure():
 
 
 def test_verify_contraction_zero_distance_meets_an_underflowed_bound():
-    # Both starts reach the equilibrium u / 200 bit for bit near t = 0.2; from
-    # t = 7.45 on, exp(-100 t) d0 underflows to 0, and 0 / 0 is NaN.  A zero
-    # distance meets any bound, so the report passes with its t = 0 ratio.
+    # At step 4e-3 the Euler map x -> x + 4e-3 (1 - 200 x) takes both starts
+    # to the equilibrium u / 200 bit for bit by step 27, while the bound
+    # (1 - 0.4)^k d0 falls below the smallest normal float from k = 1387 on.
+    # A zero distance meets any bound, so the report passes with its t = 0
+    # ratio.  (At steps 1e-3 and 2.5e-3 the two trajectories stall one ulp
+    # apart instead, and the report fails: a rounding floor that the exact
+    # Euler bound does not allow for.)
     m = Hopfield(200.0 * np.eye(2), np.zeros((2, 2)), SlopeInterval(0.0, 1.0), u=[1.0, 1.0])
     cert = dataclasses.replace(optimal_certificate(m, L1), rate=100.0)
     X0, Y0 = np.array([[1.0], [0.5]]), np.zeros((2, 1))
     report = verify_contraction(
-        m, Activation("tanh"), cert, horizon=10.0, step=1e-2, initial_pairs=(X0, Y0)
+        m, Activation("tanh"), cert, horizon=10.0, step=4e-3, initial_pairs=(X0, Y0)
     )
     assert report.worst_decay_ratio == 1.0  # at t = 0
     assert report.passed
@@ -292,55 +342,67 @@ def test_verify_contraction_negative_control():
 
 
 def test_verify_scheme_follows_family_floor_and_step():
-    # The diagonal floor of this model is -1 - 0.2 = -1.2, so alpha* = 1 / 1.2.
+    # Every report runs the Euler scheme at a step that meets the floor
+    # condition.  The diagonal floor of this model is -1 - 0.2 = -1.2, so
+    # alpha* = 1 / 1.2: step 0.8 runs as asked in l1 and linf, and 0.85
+    # (0.85 * 1.2 >= 1) is halved to 0.425.  An l2 certificate has no exact
+    # Euler bound and is refused before any work.
     m = Hopfield(np.eye(2), [[-0.2, 0.4], [0.3, 0.1]], SlopeInterval(0.0, 1.0))
     act = Activation("tanh")
     l1, linf = certify(m, L1), certify(m, LINF)
     l2 = dataclasses.replace(l1, family=L2, weights=np.ones(2))
 
-    def scheme(model, act, cert, step):
-        return verify_contraction(model, act, cert, pairs=2, horizon=4.0 * step, step=step).scheme
+    def run(model, act, cert, step):
+        report = verify_contraction(model, act, cert, pairs=2, horizon=4.0 * step, step=step)
+        assert report.scheme == "euler"
+        return report
 
-    assert [scheme(m, act, c, 0.8) for c in (l1, linf, l2)] == ["euler", "euler", "rk4"]
-    assert scheme(m, act, l1, 0.85) == "rk4"  # 0.85 * 1.2 >= 1
-    # Unbounded slopes: a negative a_ii has box floor -inf, so the euler
-    # scheme runs under the floor of the slopes each block visits, -c_i +
-    # a_ii * 2 max(x_i, 0) for rect_poly(2).  Starts in the unit inf-ball meet
-    # it at the default step.  Starts at x <= 0 stay there (the field is
-    # -C x) and visit slope 0: the halved step 0.45 gives 0.45 * 2 < 1.  A
-    # start at x_2 = 0.5 visits slope 1: 0.45 * (2 + 0.5) >= 1, so rk4 runs.
+    for cert, step, ran in ((l1, 0.8, 0.8), (linf, 0.8, 0.8), (l1, 0.85, 0.425)):
+        report = run(m, act, cert, step)
+        assert report.step == ran and report.passed
+    with pytest.raises(ValueError, match="l1 and linf"):
+        run(m, act, l2, 0.8)
+    # Unbounded slopes: a negative a_ii has box floor -inf, so each block
+    # checks the floor of the slopes it visits, -c_i + a_ii * 2 max(x_i, 0)
+    # for rect_poly(2).  Starts in the unit inf-ball meet it at the default
+    # step.  Starts at x <= 0 stay there (the field is -C x) and visit slope
+    # 0: the halved step 0.45 gives 0.45 * 2 < 1.  A start at x_2 = 0.5
+    # visits slope 1: 0.45 * (2 + 0.5) >= 1, so the run restarts at 0.225.
     poly = Activation("rect_poly", r=2)
     unbounded = SlopeInterval(0.0, np.inf)
     model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]], unbounded)
     cert = certify(model)
-    assert verify_contraction(model, poly, cert, pairs=2).scheme == "euler"
+    assert verify_contraction(model, poly, cert, pairs=2).step == 5e-4
     Y0 = np.array([[-0.5], [-0.5]])
-    for x2, want in ((-1.0, "euler"), (0.5, "rk4")):
+    for x2, ran in ((-1.0, 0.45), (0.5, 0.225)):
         X0 = np.array([[-1.0], [x2]])
         report = verify_contraction(model, poly, cert, horizon=3.6, step=0.9,
                                     initial_pairs=(X0, Y0))
-        assert report.scheme == want
+        assert (report.scheme, report.step) == ("euler", ran) and report.passed
     # A zero a_ii has floor -c_i (0 * inf = 0).  rect_poly halves the step,
-    # and the halved step decides: 0.9 / 2 * 2 < 1 <= 1.0 / 2 * 2.
+    # and the floor rule takes the halved step from there: 0.9 / 2 * 2 < 1,
+    # and 1.0 / 2 * 2 >= 1 runs at 0.25.
     model = Hopfield(np.diag([1.0, 2.0]), [[0.0, 0.3], [0.3, 0.0]], unbounded)
-    assert scheme(model, poly, l1, 0.9) == "euler"
-    assert scheme(model, poly, l1, 1.0) == "rk4"
+    assert run(model, poly, l1, 0.9).step == 0.45
+    assert run(model, poly, l1, 1.0).step == 0.25
 
 
 def test_verify_euler_scheme_passes_a_stiff_certificate():
-    # Perron l1 certificate of rate 199.65.  The rk4 scheme read ratio 1.0026
-    # at horizon 1 (truncation error at h c = 0.2), and at horizon 5 the bound
-    # exp(-rate t) d0 underflowed to 0: the report read inf, with a divide by
-    # zero warning.  Distances below the smallest normal float count as 0.
+    # Perron l1 certificate of rate 199.65 on a floor of -200.  At step 1e-3
+    # the claimed factor is 1 - 0.19965 per step, and by horizon 5 the bound
+    # (1 - h rate)^k d0 lies far below the smallest float; distances below the
+    # smallest normal float count as 0.  Step 1e-2 breaks 200 h < 1 and runs
+    # at 2.5e-3.
     m = Hopfield(200.0 * np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
     cert = certify(m, L1)
     assert cert.rate == pytest.approx(199.65, abs=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for horizon in (1.0, 5.0):
-            report = verify_contraction(m, Activation("tanh"), cert, horizon=horizon, step=1e-3)
-            assert report.scheme == "euler"
-            assert report.passed, horizon
+        for horizon, step, ran in ((1.0, 1e-3, 1e-3), (5.0, 1e-3, 1e-3), (5.0, 1e-2, 2.5e-3)):
+            report = verify_contraction(m, Activation("tanh"), cert, horizon=horizon,
+                                        step=step)
+            assert (report.scheme, report.step) == ("euler", ran)
+            assert report.passed, (horizon, step)
 
 
 def test_verify_euler_scheme_fails_a_small_overclaim():
@@ -481,12 +543,12 @@ def test_jacobian_matches_finite_differences():
             np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
 
 
-# Reference verification loops: the straightforward form, through the public
-# validating norm, log-norm and Jacobian functions, with the diagonal leak
-# applied as a dense matrix product.  The decay ratio is taken in log space,
-# exp(log d_k - log d_0 - log bound_k), with bound_k = (1 - h rate)^k on the
-# euler scheme and exp(-rate k h) on the rk4 scheme; a distance below the
-# smallest normal float counts as 0.
+# Reference loops: the straightforward form, through the public validating
+# norm, log-norm and Jacobian functions, with the diagonal leak applied as a
+# dense matrix product.  The verification reference steps forward Euler and
+# takes the decay ratio in log space, exp(log d_k - log d_0 - log bound_k),
+# with bound_k = (1 - h rate)^k; a distance below the smallest normal float
+# counts as 0.  The RK4 reference is `integrate`'s.
 def _reference_field(model, act):
     if isinstance(model, Hopfield):
         C, A, u = model.C, model.A, model.u[:, None]
@@ -508,22 +570,26 @@ def _reference_rk4(f, X, h):
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _reference_euler(f, X, h):
-    return X + h * f(X)
+def _reference_rk4_divergence(model, act, x0, horizon, step):
+    """The first instant at which the RK4 reference trajectory is not finite."""
+    f, X = _reference_field(model, act), np.asarray(x0, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, int(np.floor(horizon / step)) + 1):
+            X = _reference_rk4(f, X, step)
+            if not np.all(np.isfinite(X)):
+                return i * step
+    return None
 
 
-def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="rk4",
-                      abs_sums=None):
-    """(worst decay ratio, max sampled mu), or DivergenceError's time, on the
-    "euler" or "rk4" scheme.  A list `abs_sums` collects the largest weighted
-    absolute column (l1) or row (linf) sum of each sampled Jacobian."""
-    if act.kind == "rect_poly":
-        step = 0.5 * step
+def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, abs_sums=None):
+    """(worst decay ratio, max sampled mu), or DivergenceError's time, of the
+    Euler run at `step` (the step that runs, after any halving).  A list
+    `abs_sums` collects the largest weighted absolute column (l1) or row
+    (linf) sum of each sampled Jacobian."""
     n_steps = int(np.floor(horizon / step))
     pairs = X0.shape[1]
     Z = np.hstack([X0, Y0])
     f = _reference_field(model, act)
-    advance = {"euler": _reference_euler, "rk4": _reference_rk4}[scheme]
     fam, w = cert.family, cert.weights
     tiny = np.finfo(float).tiny
     d0 = weighted_norm(X0 - Y0, fam, w)
@@ -533,13 +599,10 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, scheme="r
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n_steps + 1):
             if i > 0:
-                Z = advance(f, Z, step)
+                Z = Z + step * f(Z)
                 if not np.all(np.isfinite(Z)):
                     return i * step
-            if scheme == "euler":
-                log_bound = i * np.log1p(-step * cert.rate) if i > 0 else 0.0
-            else:
-                log_bound = -cert.rate * (i * step)
+            log_bound = i * np.log1p(-step * cert.rate) if i > 0 else 0.0
             nrm = weighted_norm(Z[:, :pairs] - Z[:, pairs:], fam, w)
             for d, start in zip(nrm[live], d0[live]):
                 if d >= tiny:
@@ -614,13 +677,9 @@ def _oracle_cases():
 
 def _oracle_certificates(model):
     """The model's certificates in every family they carry; leaky models in
-    l1 and linf, and the first of them also at a made-up l2 weight."""
+    l1 and linf."""
     if isinstance(model, (Hopfield, FiringRate)) and model.slopes.bounded:
-        certs = [certify(model, L1), certify(model, LINF)]
-        if isinstance(model, Hopfield):
-            certs.append(dataclasses.replace(certs[0], family=L2,
-                                             weights=np.linspace(0.5, 2.0, model.n)))
-        return certs
+        return [certify(model, L1), certify(model, LINF)]
     cert = certify(model)
     certs = [cert]
     if cert.alt_family is not None:
@@ -637,8 +696,7 @@ def _reference_sampled_mu(model, act, cert, states):
 
 
 def test_verify_and_sampled_mu_match_reference_loop_exactly():
-    tags = {"euler": set(), "rk4": set()}
-    families = {"euler": set(), "rk4": set()}
+    tags = set()
     for model, act in _oracle_cases():
         stiffness = np.max(-model.diagonal_floor())  # 1 / alpha*
         for cert in _oracle_certificates(model):
@@ -649,27 +707,29 @@ def test_verify_and_sampled_mu_match_reference_loop_exactly():
             # an overclaimed rate puts the worst ratio at a late step, where
             # it depends on every bit of the states
             overclaim = dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)
-            runs = [(None, cert, 1e-3), ((X0, Y0), cert, 1e-3), ((X0, Y0), overclaim, 1e-3)]
+            # (starts, claim, step, the step that runs): rect_poly halves it
+            ran = 1e-3 if act.slopes().bounded else 5e-4
+            runs = [(None, cert, 1e-3, ran), ((X0, Y0), cert, 1e-3, ran),
+                    ((X0, Y0), overclaim, 1e-3, ran)]
             if 0.0 < stiffness < np.inf:
-                # above the Euler step bound alpha* the rk4 scheme runs
-                runs.append(((X0, Y0), overclaim, 1.25 / stiffness))
-            for starts, claim, step in runs:
+                # 1.25 alpha* breaks the step condition; 0.625 alpha* runs
+                runs.append(((X0, Y0), cert, 1.25 / stiffness, 0.625 / stiffness))
+            for starts, claim, step, ran in runs:
                 report = verify_contraction(
                     model, act, claim, pairs=4, horizon=max(0.4, 4 * step), step=step,
                     seed=3, mu_sample_stride=50, initial_pairs=starts,
                 )
-                tags[report.scheme].add(model.tag)
-                families[report.scheme].add(cert.family)
+                assert (report.scheme, report.step) == ("euler", ran)
+                tags.add(model.tag)
                 X0s, Y0s = _draw_pairs(model, act, 4, 3) if starts is None else starts
                 sums = []
                 worst, max_mu = _reference_verify(
-                    model, act, claim, X0s, Y0s, max(0.4, 4 * step), step, 50, report.scheme,
+                    model, act, claim, X0s, Y0s, max(0.4, 4 * step), report.step, 50,
                     abs_sums=sums,
                 )
                 assert report.worst_decay_ratio == worst
                 _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
-                if claim is overclaim:
-                    assert report.worst_decay_ratio > 1.0
+                assert report.passed == (claim is cert)
             rng = np.random.default_rng(2)
             states = [rng.normal(scale=3.0, size=model.n) for _ in range(5)]
             _assert_sampled_mu(
@@ -677,23 +737,23 @@ def test_verify_and_sampled_mu_match_reference_loop_exactly():
                 sample_jacobian_mu(model, act, 5, cert.family, cert.weights, seed=2),
                 *_reference_sampled_mu(model, act, cert, states),
             )
-    assert tags["euler"] == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi",
-                             "entrywise", "lure", "multilure"}
-    assert families == {"euler": {L1, LINF}, "rk4": {L1, LINF, L2}}
+    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
+                    "lure", "multilure"}
 
 
 def test_verify_contraction_states_finite_while_difference_overflows():
-    # The states grow by e^(10 t) to about 2e154 and stay finite, while the
-    # sum of squares in their l2 distance overflows to inf: the report fails
-    # without a divergence.
+    # x' = -x / 2 + 3 x / 2 = x: 100 Euler steps of 1e-2 grow the states by
+    # 1.01^100 = 2.7, from 3.6e307 to 9.7e307, finite (and so is 1.5 x), while
+    # the unit-weight l1 distance from 0, the sum of two such coordinates,
+    # overflows to inf: the report fails without a divergence.
     cert = optimal_certificate(
         Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
     )
-    cert = dataclasses.replace(cert, family=L2, weights=np.ones(2))
-    m = Hopfield(np.eye(2), 11.0 * np.eye(2), SlopeInterval(0.0, 1.0))
+    cert = dataclasses.replace(cert, weights=np.ones(2))
+    m = Hopfield(0.5 * np.eye(2), 1.5 * np.eye(2), SlopeInterval(0.0, 1.0))
     act = Activation("linear", k=1.0)
-    X0 = np.array([[1e150, 1.0], [0.0, 1.0]])
-    Y0 = np.array([[-1e150, 0.0], [0.0, 1.0]])
+    X0 = np.array([[3.6e307, 1.0], [3.6e307, 1.0]])
+    Y0 = np.array([[0.0, 0.0], [0.0, 1.0]])
     report = verify_contraction(m, act, cert, horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
     want = _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 100)
     assert (report.worst_decay_ratio, report.max_sampled_mu) == want
@@ -703,8 +763,9 @@ def test_verify_contraction_states_finite_while_difference_overflows():
 def test_verify_contraction_reports_divergence():
     # A contracting certificate checked against a strongly unstable linear
     # Hopfield model: the state overflows inside the horizon.  The model's
-    # diagonal floor is -1, so the l1 certificate runs the euler scheme at
-    # step 1e-2, and the l2 one the rk4 scheme, which `integrate` shares.
+    # diagonal floor is -1, so verify steps Euler at 1e-2 and raises at the
+    # Euler reference's first divergent instant; `integrate` raises at the
+    # RK4 reference's.
     cert = optimal_certificate(
         Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0)), L1
     )
@@ -712,18 +773,15 @@ def test_verify_contraction_reports_divergence():
     act = Activation("linear", k=1.0)
     x0 = np.array([1.0, -0.5])
     X0, Y0 = x0[:, None], 0.5 * x0[:, None]
-    times = {}
-    for claim, scheme in ((cert, "euler"), (dataclasses.replace(cert, family=L2), "rk4")):
-        with pytest.raises(DivergenceError) as info:
-            verify_contraction(m, act, claim, horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
-        first_bad = _reference_verify(m, act, claim, X0, Y0, 5.0, 1e-2, 100, scheme)
-        assert isinstance(first_bad, float) and 0.0 < first_bad < 5.0
-        assert info.value.time == first_bad
-        times[scheme] = first_bad
-    assert times["euler"] != times["rk4"]
+    with pytest.raises(DivergenceError) as info:
+        verify_contraction(m, act, cert, horizon=5.0, step=1e-2, initial_pairs=(X0, Y0))
+    euler = _reference_verify(m, act, cert, X0, Y0, 5.0, 1e-2, 100)
+    assert isinstance(euler, float) and 0.0 < euler < 5.0
+    assert info.value.time == euler
     with pytest.raises(DivergenceError) as single:
         integrate(m, act, x0, horizon=5.0, step=1e-2)
-    assert single.value.time == times["rk4"]
+    rk4 = _reference_rk4_divergence(m, act, x0, 5.0, 1e-2)
+    assert single.value.time == rk4 != euler
 
 
 def test_stacked_jacobians_match_single_states_bit_for_bit():
@@ -761,7 +819,7 @@ def test_verify_matches_reference_across_block_and_batch_edges(monkeypatch, colu
                 )
                 sums = []
                 worst, max_mu = _reference_verify(
-                    model, act, claim, X0, Y0, 0.4, 1e-3, 50, report.scheme, abs_sums=sums
+                    model, act, claim, X0, Y0, 0.4, report.step, 50, abs_sums=sums
                 )
                 assert report.worst_decay_ratio == worst
                 _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
@@ -806,19 +864,20 @@ def test_divergence_on_a_block_edge_matches_reference(monkeypatch, position):
     m, act, cert = _divergent_linear_hopfield()
     x0 = np.array([1.0, -0.5])
     X0, Y0 = x0[:, None], 0.5 * x0[:, None]
-    for claim, scheme in ((cert, "euler"), (dataclasses.replace(cert, family=L2), "rk4")):
-        first_bad = _reference_verify(m, act, claim, X0, Y0, 5.0, 1e-2, 7, scheme)
+    runs = [
+        (_reference_verify(m, act, cert, X0, Y0, 5.0, 1e-2, 7),
+         lambda: verify_contraction(m, act, cert, horizon=5.0, step=1e-2, mu_sample_stride=7,
+                                    initial_pairs=(X0, Y0))),
+        (_reference_rk4_divergence(m, act, x0, 5.0, 1e-2),
+         lambda: integrate(m, act, x0, horizon=5.0, step=1e-2)),
+    ]
+    for first_bad, call in runs:
         d = round(first_bad / 1e-2)
         assert d * 1e-2 == first_bad and d > 2
         monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", d - 1 if position == "first" else d)
         with pytest.raises(DivergenceError) as info:
-            verify_contraction(m, act, claim, horizon=5.0, step=1e-2, mu_sample_stride=7,
-                               initial_pairs=(X0, Y0))
+            call()
         assert info.value.time == first_bad
-        if scheme == "rk4":
-            with pytest.raises(DivergenceError) as single:
-                integrate(m, act, x0, horizon=5.0, step=1e-2)
-            assert single.value.time == first_bad
 
 
 def test_verify_matches_reference_when_the_entry_cap_sets_the_block(monkeypatch):
@@ -838,8 +897,8 @@ def test_verify_matches_reference_when_the_entry_cap_sets_the_block(monkeypatch)
             report = verify_contraction(model, act, claim, horizon=0.4, step=1e-3,
                                         mu_sample_stride=50, initial_pairs=(X0, Y0))
             sums = []
-            worst, max_mu = _reference_verify(model, act, claim, X0, Y0, 0.4, 1e-3, 50,
-                                              report.scheme, abs_sums=sums)
+            worst, max_mu = _reference_verify(model, act, claim, X0, Y0, 0.4, report.step, 50,
+                                              abs_sums=sums)
             assert report.worst_decay_ratio == worst
             _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
         # integrate's one trajectory takes 63-step blocks under this cap.
@@ -862,10 +921,10 @@ def test_sampled_jacobian_overflow_before_a_divergence_in_its_block():
     X0, Y0 = np.ones((2, 1)), np.full((2, 1), 0.5)
     kwargs = dict(horizon=1.0, step=1e-2, initial_pairs=(X0, Y0))
     with pytest.raises(ValueError, match="finite"):
-        _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 1, "euler")
+        _reference_verify(m, act, cert, X0, Y0, 1.0, 5e-3, 1)
     with pytest.raises(ValueError, match="finite"):
         verify_contraction(m, act, cert, mu_sample_stride=1, **kwargs)
-    assert _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 2, "euler") == 2 * 5e-3
+    assert _reference_verify(m, act, cert, X0, Y0, 1.0, 5e-3, 2) == 2 * 5e-3
     with pytest.raises(DivergenceError) as info:
         verify_contraction(m, act, cert, mu_sample_stride=2, **kwargs)
     assert info.value.time == 2 * 5e-3
@@ -891,7 +950,7 @@ def test_sampled_jacobian_overflow_hidden_by_the_weights_still_raises():
             with pytest.raises(ValueError, match="finite"):
                 simulate._max_jacobian_mu(m, act, L1, w)(X)
     with pytest.raises(ValueError, match="finite"):
-        _reference_verify(m, act, cert, X0, Y0, 1.0, 1e-2, 1, "euler")
+        _reference_verify(m, act, cert, X0, Y0, 1.0, 5e-3, 1)
     with pytest.raises(ValueError, match="finite"):
         verify_contraction(m, act, cert, horizon=1.0, step=1e-2, mu_sample_stride=1,
                            initial_pairs=(X0, Y0))
@@ -1086,20 +1145,21 @@ def test_unbounded_slopes_run_euler_under_their_visited_floor():
         for starts, claim in ((None, cert), ((X0, Y0), cert), ((X0, Y0), overclaim)):
             report = verify_contraction(model, POLY, claim, pairs=4, horizon=1.0, step=1e-2,
                                         seed=3, mu_sample_stride=7, initial_pairs=starts)
-            assert report.scheme == "euler"
+            assert (report.scheme, report.step) == ("euler", 5e-3)
             assert report.passed == (claim is cert)
-            worst, max_mu = _reference_verify(model, POLY, claim, X0, Y0, 1.0, 1e-2, 7, "euler")
+            worst, max_mu = _reference_verify(model, POLY, claim, X0, Y0, 1.0, 5e-3, 7)
             assert (report.worst_decay_ratio, report.max_sampled_mu) == (worst, max_mu)
 
 
 @pytest.mark.parametrize("block", [1, 64])
-def test_unbounded_slopes_fall_back_to_rk4_where_visited_slopes_break_the_step(
+def test_unbounded_slopes_restart_at_half_the_step_where_visited_slopes_break_it(
         monkeypatch, block):
     # Starts at x <= 0 visit slope 0, where the halved step 0.45 meets
     # 0.45 * 2 < 1; the input u = 2 drives both trajectories to x > 0 in one
     # step, where 0.45 * (2 + 0.5 * 2 x_2) >= 1.  With 1-step blocks the first
-    # block passes and the second fails.  Either way the euler attempt is
-    # discarded and the report is the rk4 reference's, run from the start.
+    # block passes and the second fails.  Either way the run restarts from
+    # the start at 0.225, which every block meets, and the report is the
+    # Euler reference's at that step.
     model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
                      SlopeInterval(0.0, np.inf), u=[2.0, 2.0])
     cert = certify(model)
@@ -1111,10 +1171,45 @@ def test_unbounded_slopes_fall_back_to_rk4_where_visited_slopes_break_the_step(
                         lambda self, cap=None: checked.append(cap) or floor(self, cap))
     report = verify_contraction(model, POLY, cert, horizon=9.0, step=0.9, mu_sample_stride=3,
                                 initial_pairs=(X0, Y0))
-    assert report.scheme == "rk4"
-    assert len(checked) == (3 if block == 1 else 2)  # the box floor, then each block's
-    want = _reference_verify(model, POLY, cert, X0, Y0, 9.0, 0.9, 3, "rk4")
+    assert (report.scheme, report.step, report.passed) == ("euler", 0.225, True)
+    # the box floor, the failing run's blocks, then each block of the 40-step run
+    assert len(checked) == (1 + 2 + 40 if block == 1 else 1 + 1 + 1)
+    want = _reference_verify(model, POLY, cert, X0, Y0, 9.0, 0.225, 3)
     assert (report.worst_decay_ratio, report.max_sampled_mu) == want
+
+
+@pytest.mark.parametrize("budget, raises", [(59, True), (60, False)])
+def test_restarts_count_against_the_step_budget(monkeypatch, budget, raises):
+    # The restart case above starts a 20-step run at 0.45 and a 40-step run
+    # at 0.225: 60 steps in all.
+    monkeypatch.setattr(simulate, "VERIFY_STEP_BUDGET", budget)
+    model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
+                     SlopeInterval(0.0, np.inf), u=[2.0, 2.0])
+    kwargs = dict(horizon=9.0, step=0.9, initial_pairs=(np.full((2, 1), -1.0),
+                                                        np.array([[-0.5], [-0.8]])))
+    if raises:
+        with pytest.raises(ValueError, match="budget of 59 steps"):
+            verify_contraction(model, POLY, certify(model), **kwargs)
+    else:
+        assert verify_contraction(model, POLY, certify(model), **kwargs).step == 0.225
+
+
+def test_a_spent_step_budget_raises_within_a_second():
+    # Starts at x = 1e8 visit rect_poly slopes near 2e8, which need a step
+    # near 1e-8: each run fails its first block and restarts at half the
+    # step, until the halved run would take the runs past the budget.  A
+    # finite floor of -1e5 needs a step below 1e-5, and the halving that
+    # would take its one run past the budget raises before any run.
+    model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]], SlopeInterval(0.0, np.inf))
+    X0 = np.full((2, 1), 1e8)
+    stiff = Hopfield(1e5 * np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    runs = [(model, POLY, certify(model), (X0, 0.5 * X0)),
+            (stiff, Activation("tanh"), certify(stiff, L1), None)]
+    for model, act, cert, starts in runs:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"budget of {simulate.VERIFY_STEP_BUDGET} steps"):
+            verify_contraction(model, act, cert, initial_pairs=starts)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_unbounded_slopes_euler_bound_is_tight_below_zero():
@@ -1140,31 +1235,32 @@ def test_unbounded_slopes_euler_bound_is_tight_below_zero():
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
-def test_unbounded_divergence_raises_at_the_rk4_instant(monkeypatch, block):
+def test_unbounded_divergence_raises_at_the_euler_instant(monkeypatch, block):
     # x_2' = -x_2 + 200 x_2^2 overflows; a_22 > 0 keeps its visited floor at
-    # -1, and x_1 <= 0 visits slope 0, so every block of the euler attempt
-    # passes its check until the divergence, which discards the attempt: the
-    # rk4 run raises at its own first divergent instant, not euler's.
+    # -1, and x_1 <= 0 visits slope 0, so every block's "from" states before
+    # the divergence meet the step condition: the run raises at the Euler
+    # reference's first divergent instant, at the step halved once for
+    # rect_poly, and restarts nothing.
     model = Hopfield(np.eye(2), [[-0.5, 0.0], [0.0, 200.0]], SlopeInterval(0.0, np.inf))
     cert = certify(Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
                             SlopeInterval(0.0, np.inf)))
     X0, Y0 = np.array([[-1.0], [1.0]]), np.array([[-0.5], [0.5]])
-    times = {scheme: _reference_verify(model, POLY, cert, X0, Y0, 1.0, 1e-2, 1000, scheme)
-             for scheme in ("euler", "rk4")}
-    assert 0.0 < times["rk4"] < times["euler"] < 1.0
+    first_bad = _reference_verify(model, POLY, cert, X0, Y0, 1.0, 5e-3, 1000)
+    assert 0.0 < first_bad < 1.0
     monkeypatch.setattr(simulate, "DECAY_BLOCK_STEPS", block)
     with pytest.raises(DivergenceError) as info:
         verify_contraction(model, POLY, cert, horizon=1.0, step=1e-2, mu_sample_stride=1000,
                            initial_pairs=(X0, Y0))
-    assert info.value.time == times["rk4"]
+    assert info.value.time == first_bad
 
 
 def test_verify_scheme_off_the_visited_floor_route_follows_the_box_floor():
     # Every tag, family and fitting activation other than an unbounded kind on
-    # a floor of -inf: the scheme is the slope-box rule (euler iff the family
-    # is l1 or linf and step * max(-floor) < 1), and the report is that
-    # scheme's reference.  Bounded activations on an unbounded-slope model
-    # with a_ii < 0 stay on rk4; rect_poly on a finite floor takes the box rule.
+    # a floor of -inf: the step runs under the slope-box floor or, for a
+    # bounded activation on a floor of -inf, under the floor over the
+    # activation's own slopes.  A step with step * max(-floor) >= 1 is halved
+    # until it meets the condition, and the report is the Euler reference's
+    # at the step that ran; a true certificate passes there.
     acts = [Activation("relu"), Activation("tanh"), Activation("sigmoid"),
             Activation("leaky_relu", a=0.3), Activation("linear", k=0.5), POLY]
     unbounded = _unbounded_models()
@@ -1174,7 +1270,7 @@ def test_verify_scheme_off_the_visited_floor_route_follows_the_box_floor():
     cases = [(model, _oracle_certificates(model)) for model, _ in _oracle_cases()]
     cases += [(model, _oracle_certificates(model)) for model in unbounded[:3:2]]
     cases.append((zero_diag, [certify(unbounded[0])]))
-    seen = set()
+    seen, capped = set(), set()
     for model, certs in cases:
         box = np.max(-model.diagonal_floor())
         for act in acts:
@@ -1182,22 +1278,31 @@ def test_verify_scheme_off_the_visited_floor_route_follows_the_box_floor():
                 continue
             if box == np.inf and not act.slopes().bounded:
                 continue  # the visited-floor route
-            step = 1e-3 if act.slopes().bounded else 2e-3
-            for cert in certs:
-                X0, Y0 = _draw_pairs(model, act, 3, 5)
-                report = verify_contraction(model, act, cert, horizon=0.2, step=step,
-                                            mu_sample_stride=40, initial_pairs=(X0, Y0))
-                h = report.step
-                want = "euler" if cert.family in (L1, LINF) and h * box < 1.0 else "rk4"
-                assert report.scheme == want, (model.tag, act.kind, cert.family)
-                sums = []
-                worst, max_mu = _reference_verify(model, act, cert, X0, Y0, 0.2, step, 40,
-                                                  want, abs_sums=sums)
-                assert report.worst_decay_ratio == worst
-                _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
-                seen.add((model.tag, act.kind, report.scheme))
-    assert {tag for tag, _, _ in seen} == {"hopfield", "firing_rate", "persidskii",
-                                           "ax_minus_cphi", "entrywise", "lure", "multilure"}
-    assert {kind for _, kind, _ in seen} == {act.kind for act in acts}
-    assert ("hopfield", "tanh", "rk4") in seen and ("firing_rate", "relu", "rk4") in seen
-    assert ("hopfield", "rect_poly", "euler") in seen
+            stiffness = box
+            if box == np.inf:
+                stiffness = np.max(-model.diagonal_floor(act.slopes().d2))
+                capped.add((model.tag, act.kind))
+            assert 0.0 < stiffness < 1e3
+            # (requested step, the step that runs): rect_poly halves the
+            # request once, and the floor rule halves 1.5 / stiffness once if
+            # rect_poly has not
+            small = (1e-3, 1e-3) if act.slopes().bounded else (2e-3, 1e-3)
+            for step, ran in (small, (1.5 / stiffness, 0.75 / stiffness)):
+                horizon = max(0.2, 4 * step)
+                for cert in certs:
+                    X0, Y0 = _draw_pairs(model, act, 3, 5)
+                    report = verify_contraction(model, act, cert, horizon=horizon, step=step,
+                                                mu_sample_stride=40, initial_pairs=(X0, Y0))
+                    assert (report.scheme, report.step) == ("euler", ran), (model.tag, act.kind)
+                    assert report.passed
+                    sums = []
+                    worst, max_mu = _reference_verify(model, act, cert, X0, Y0, horizon, ran,
+                                                      40, abs_sums=sums)
+                    assert report.worst_decay_ratio == worst
+                    _assert_sampled_mu(model, cert.family, report.max_sampled_mu, max_mu, sums)
+                    seen.add((model.tag, act.kind))
+    assert {tag for tag, _ in seen} == {"hopfield", "firing_rate", "persidskii",
+                                        "ax_minus_cphi", "entrywise", "lure", "multilure"}
+    assert {kind for _, kind in seen} == {act.kind for act in acts}
+    assert {("hopfield", "tanh"), ("firing_rate", "relu")} < capped
+    assert ("hopfield", "rect_poly") in seen
