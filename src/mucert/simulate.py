@@ -8,71 +8,56 @@ samples and measures.
 
 Verification steps random trajectory pairs by the forward-Euler map
 E(x) = x + h F(x) and checks the exact discrete bound ``||E^k(x) - E^k(y)||
-<= (1 - h rate)^k ||x - y||`` in the certificate's weighted l1 or linf norm.
-There ``||I + h J|| = 1 + h mu(J)`` whenever ``1 + h J_ii >= 0`` for every i,
-and F(x) - F(y) is a secant matrix of the Jacobian polytope times x - y.  So
-the bound holds for every pair of a certified model once h * max_i(-floor_i)
-< 1, where floor is the model's `diagonal_floor` (Jafarpour, Davydov,
-Proskurnikov and Bullo, "Robust implicit networks via non-Euclidean
-contractions", NeurIPS 2021; Davydov, Jafarpour, Proskurnikov and Bullo,
-"Non-Euclidean monotone operator theory with applications to recurrent
-neural networks", CDC 2022).  A step that breaks this condition is halved
-until it meets it; where the slope-box floor is -inf but the activation's
-slopes are bounded, the floor is taken over the activation's own slope
-interval.  The condition is only needed on the secant Jacobians a step
-meets.  So where the floor is -inf under an unbounded activation (a Hopfield
-or FiringRate model with unbounded slopes and some a_ii < 0, run with
-rect_poly), each state block checks it at the floor ``-c_i + min(d1 a_ii,
-cap_i a_ii)``, where cap_i is the activation slope at the largest input of
-coordinate i over the block's "from" states before any divergence: the
-state (Hopfield) or A x + u (FiringRate), taken by one batched product per
-block.  rect_poly's derivative is nondecreasing, so every secant slope
-between two inputs at most m is at most its slope at m.  A block that
-breaks the condition (a NaN or inf floor included) restarts the run from
-the beginning at half the step.  A halving raises ValueError where the
-runs started so far and the halved one would hold more than
-VERIFY_STEP_BUDGET steps in total.  l2 certificates have no such exact
-bound, and no route issues them: verification refuses them.
+<= (1 - h rate)^k ||x - y||`` in the certificate's weighted l1 or linf norm,
+which holds for every pair of a certified model once h * max_i(-floor_i) < 1,
+floor being the model's `diagonal_floor` (Jafarpour, Davydov, Proskurnikov
+and Bullo, NeurIPS 2021; Davydov, Jafarpour, Proskurnikov and Bullo, CDC
+2022): there ``||I + h J|| = 1 + h mu(J)`` whenever every ``1 + h J_ii >=
+0``.  A step that breaks the condition is halved until it meets it; a -inf
+slope-box floor under a bounded activation is taken over the activation's
+own slopes.  Under rect_poly (unbounded, with a nondecreasing derivative)
+each state block checks the condition at ``-c_i + min(d1 a_ii, cap_i
+a_ii)``, cap_i being the slope at the largest input of coordinate i (the
+state, or A x + u for FiringRate) over the block's "from" states before any
+divergence, and a block that breaks it restarts the run at half the step.
+A halving raises ValueError where the runs would hold more than
+VERIFY_STEP_BUDGET steps or VERIFY_ENTRY_BUDGET stepped state entries: so a
+divergence raises DivergenceError at its first non-finite instant where its
+states overflow before the slopes they visit break the condition, and
+ValueError once the restarts spend the budget where the slopes break it
+first.  l2 certificates have no exact Euler bound and are refused.
 
-Ratios are taken in log space, exp(log d_k - log d_0 - log bound_k), so a
-bound far below the smallest float does not underflow.  Pairs draw from
-seed-derived substreams, so reports are reproducible at any parallelism.
+The computed map rounds each step, so two trajectories at a nonzero
+equilibrium stall some ulps apart while the bound keeps falling.  A
+distance d_k that fails the bound is checked again net of the rounding
+allowance min(k, 1 / (h rate)) * 2 (n + 3) eps ||1|| (max |x_k| + max
+|y_k|): about 4 gamma_{n+3} of the pair's largest entries per step (the
+final add and the field's n-term sums, whose terms the step condition
+keeps near the states' scale), summed under the claimed factor.  It is an
+estimate, not a bound: a field term far larger than the states (a large
+input at a state near 0) rounds beyond it.  A report that passes without
+it is unchanged.  Ratios are taken in log space, so a bound below the
+smallest float does not underflow.  Pairs draw from seed-derived
+substreams.
 
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as
-one (n, 2 * pairs) stack.  Each step makes 1 field evaluation on the stack.
-A floor of -inf under an unbounded activation adds, per block, one maximum
-over the block's inputs (and for FiringRate one batched product) and one
-floor of n entries, and each restart runs again from the start at twice the
-steps.  A field is built in place from its first matrix product, combines
-its (n, 1) leak or input columns with the stack through copies of the
-stack's shape made once per shape (the same IEEE operation per entry,
-without the cost of a broadcast), and the step's last in-place add writes
-straight into the next slot of a (block + 1, n, 2 * pairs) state buffer
-allocated once per run.  The block is DECAY_BLOCK_STEPS steps, or fewer
-where the buffer would exceed STATE_BLOCK_ENTRIES entries (or two states,
-where one is larger), so memory is fixed in the horizon.  Each block, not
-each step, is checked once: one subtraction forms every pair difference, one
-stacked norm takes all their distances, and one finiteness check covers
-them; when it fails, the first non-finite state in the buffer gives the
-first divergent instant.  The logs, the distance floor, the bound and the
-exp of the decay check then take a few numpy calls per block.  `integrate`
-steps one trajectory by classical RK4 through the same state block and the
-same first-divergence rule.  Every `mu_sample_stride` steps the Jacobian log
-norms of all trajectories are taken, after their block's checks and only at
-states before a divergence; `sample_jacobian_mu` draws its states as one
-block and evaluates them the same way (`_max_jacobian_mu`).  A model with a
-slope form (Hopfield, FiringRate, Persidskii, Entrywise, AxMinusCPhi) takes
-its log norms from its slopes, at O(n) per sampled state, in the norm whose
-sums run along the lines its slopes scale (l1 for Hopfield, Persidskii and
-Entrywise, linf for FiringRate) and in both l1 and linf for AxMinusCPhi,
-whose slopes scale only the diagonal.  Every other case (the other norm, l2,
-Lure and MultiLure) builds dense Jacobians, as (k, n, n) stacks of at most
-JACOBIAN_BATCH_ENTRIES entries, with one finiteness check and one stacked
-log norm per stack.  Every reported value is bit-identical to the one-step,
-one-state evaluation, except that the slope form's `max_sampled_mu` sums in
-another order than the dense log norm and can differ from it in its last
-bits.  The certificate's weights are validated once per run; the step loop
-calls the unchecked log-norm kernels.
+one (n, 2 * pairs) stack by 1 field evaluation per step, whose last
+in-place add writes into the next slot of a (block + 1, n, 2 * pairs)
+buffer allocated once per run; a block is DECAY_BLOCK_STEPS steps, or fewer
+where it would exceed STATE_BLOCK_ENTRIES entries.  Each block is checked
+once: one subtraction, one stacked norm and one finiteness check, then a
+few numpy calls for the decay ratios (and, in a block whose ratios fail, a
+maximum and a minimum over its states for the allowance).  A rect_poly
+floor of -inf adds one maximum over the block's inputs (and for FiringRate
+one batched product) per block, and each restart runs again at twice the
+steps.  `integrate` steps one trajectory by classical RK4 through
+the same buffer.  Every `mu_sample_stride` steps the Jacobian log norms of
+all trajectories are taken (`_max_jacobian_mu`): from the slopes at O(n)
+per state where a model's slope form scales the lines its norm sums, else
+from dense (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries.
+Every reported value is bit-identical to the one-step, one-state
+evaluation, except that the slope form's `max_sampled_mu` sums in another
+order than the dense log norm and can differ from it in its last bits.
 """
 
 import math
@@ -85,7 +70,8 @@ from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_l
 from .matrices import _weights_or_ones, as_vector
 from .networks import ContractionCertificate, check_model
 
-# Headroom on the decay bound for rounding only: the Euler bound is exact.
+# Relative headroom on the decay ratio, for rounding only: the Euler bound is
+# exact, and distances are checked net of a per-step rounding allowance.
 DECAY_RATIO_ALLOWANCE = 1e-3
 KINK_NUDGE = 1e-12
 # The dense route of the sampled log norms (l2, Lure, MultiLure and a
@@ -101,10 +87,11 @@ JACOBIAN_BATCH_ENTRIES = 16_384
 DECAY_BLOCK_STEPS = 64
 STATE_BLOCK_ENTRIES = 1 << 15
 # A verification that halves its step may start runs of at most this many
-# steps in total (13 times the default run of 5000 steps); a halving beyond it
-# raises ValueError.  At n <= 8 and 20 pairs that many steps took 0.6-1.0 s
-# on a 2-core x86 VM.
-VERIFY_STEP_BUDGET = 1 << 16
+# steps (the per-step cost of small models) and stepped state entries, steps
+# * n * 2 * pairs (the array work of large ones), in total; the README gives
+# their measured cost.
+VERIFY_STEP_BUDGET = 1 << 15
+VERIFY_ENTRY_BUDGET = 1 << 24
 # Distances below the smallest normal float carry no relative precision: the
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
@@ -451,30 +438,27 @@ def verify_contraction(
     initial_pairs=None,
 ) -> SimReport:
     """Step random trajectory pairs by forward Euler and measure the worst
-    decay ratio against the certificate's rate, in the certificate's weighted
-    l1 or linf norm, as the module docstring describes.
+    decay ratio against the certificate's rate in its weighted l1 or linf
+    norm, with the halving, budget and rounding allowance of the module
+    docstring; the report carries the step that ran.
 
-    A distance below `DISTANCE_FLOOR` counts as 0.  Pairs that start that
-    close contribute ratio 0 by convention, and so does a zero distance
-    against a zero bound.  A claimed per-step factor 1 - step * rate <= 0
-    reads ratio inf: the Euler map's factor is at least 1 + step * min(floor)
-    > 0 there, so no certificate of the model can claim it.  The report
-    passes iff the worst ratio stays within the allowance of 1; any other NaN
-    ratio makes the worst ratio NaN, which fails.  An activation of unbounded
-    slope halves the step and draws its starts in the unit inf-ball.  A step
-    that breaks the Euler step condition is halved (before the run on a
-    finite floor, by a restart where the slopes a block visits break it); the
-    report carries the step that ran.  `initial_pairs` optionally supplies
-    the endpoints directly, as two arrays of one shape, (n,) or (n, pairs),
-    instead of drawing them from the seed.  A divergence raises
-    DivergenceError at its first non-finite instant, and a non-finite
-    sampled Jacobian ValueError.  Raises ValueError, before any work if
-    `mu_sample_stride` or `pairs` is not an integer of at least 1, or `seed`
-    not an integer of at least 0 (a bool is not an integer here), and
+    A distance below `DISTANCE_FLOOR` counts as 0, so pairs that start
+    that close contribute ratio 0, and so does a zero distance against a zero
+    bound.  A claimed per-step factor 1 - step * rate <= 0 reads ratio inf:
+    the Euler map's factor is at least 1 + step * min(floor) > 0 there.  The
+    report passes iff the worst ratio stays within the allowance of 1; any
+    other NaN ratio makes it NaN, which fails.  An activation of unbounded
+    slope halves the step and draws its starts in the unit inf-ball.
+    `initial_pairs` optionally supplies the endpoints, as two arrays of one
+    shape, (n,) or (n, pairs).  A non-finite sampled Jacobian raises
+    ValueError, and a divergence DivergenceError (or ValueError, where the
+    slopes it visits spend the budget first).  Raises ValueError, before any
+    work if `mu_sample_stride` or `pairs` is not an integer of at least 1, or
+    `seed` not an integer of at least 0 (a bool is not an integer here), and
     otherwise for an l2 certificate, initial pair arrays of other shapes, a
-    halving past VERIFY_STEP_BUDGET, and unless the horizon and step are
-    finite and positive, at least one step fits, there is at least one pair,
-    and every pair's entries and start distance are finite.
+    halving past the budget, and unless the horizon and step are finite and
+    positive, at least one step fits, there is at least one pair, and every
+    pair's entries and start distance are finite.
     """
     _check_integers(("mu_sample_stride", mu_sample_stride, 1), ("pairs", pairs, 1),
                     ("seed", seed, 0))
@@ -511,6 +495,9 @@ def verify_contraction(
     w = _weights_or_ones(cert.weights, model.n)
     norm = kernels(cert.family)[1]
     max_jacobian_mu = _max_jacobian_mu(model, act, cert.family, w)
+    ratio_limit = 1.0 + DECAY_RATIO_ALLOWANCE
+    # The rounding allowance per step and per unit of a pair's largest entries.
+    rounding = 2 * (model.n + 3) * np.finfo(float).eps * float(norm(np.ones((model.n, 1)), w)[0])
     block = _block_steps(Z.size)
     D = np.empty((block + 1, model.n, pairs))
 
@@ -523,6 +510,8 @@ def verify_contraction(
         # Log of the claimed per-step factor 1 - step * rate.
         log_factor = -math.inf if h_rate >= 1.0 else math.log1p(-h_rate)
         worst = math.inf if h_rate >= 1.0 else 0.0
+        # The claimed factor's powers sum to at most min(k, span) over k steps.
+        span = 1.0 / h_rate if h_rate > 0.0 else math.inf
         max_mu = -np.inf
         for i, S in _state_blocks(f, _euler_step, Z, n_steps, step, block):
             lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
@@ -539,6 +528,16 @@ def verify_contraction(
                 t = np.arange(i + lo, i + len(S))
                 log_bound = np.where(t > 0, t * log_factor, 0.0)
                 ratio = _worst_ratio(dist[:, live], log_d0, log_bound)
+                if ratio > ratio_limit:
+                    # Each failing distance is checked again net of the
+                    # rounding allowance.
+                    d = dist[:, live]
+                    fails = np.exp(np.log(d) - log_d0 - log_bound[:, None]) > ratio_limit
+                    size = np.maximum(S[lo:].max(axis=1), -S[lo:].min(axis=1))
+                    noise = (rounding * np.minimum(t, span))[:, None] * (
+                        size[:, :pairs] + size[:, pairs:])
+                    ratio = _worst_ratio(np.where(fails, d - noise[:, live], d), log_d0, log_bound)
+                    del d, fails, size, noise
                 del t, log_bound
                 if ratio > worst or math.isnan(ratio):  # NaN sticks and fails
                     worst = ratio
@@ -571,11 +570,13 @@ def verify_contraction(
                     break
             step *= 0.5
             n_steps = _step_count(horizon, step)
-            if started + n_steps > VERIFY_STEP_BUDGET:
+            total = started + n_steps
+            if total > VERIFY_STEP_BUDGET or total * Z.size > VERIFY_ENTRY_BUDGET:
                 raise ValueError(
                     f"halving the step to {step} would take verification past its "
-                    f"budget of {VERIFY_STEP_BUDGET} steps; shorten the horizon"
-                )
+                    f"budget of {VERIFY_STEP_BUDGET} steps and {VERIFY_ENTRY_BUDGET} "
+                    "state entries; " + ("the slopes the trajectories visit broke the "
+                    "step condition at every step tried" if checked else "shorten the horizon"))
     return SimReport(
         worst_decay_ratio=result[0],
         max_sampled_mu=result[1],

@@ -316,21 +316,22 @@ def test_verify_contraction_non_finite_pair_cannot_hide_a_failure():
 
 
 def test_verify_contraction_zero_distance_meets_an_underflowed_bound():
-    # At step 4e-3 the Euler map x -> x + 4e-3 (1 - 200 x) takes both starts
-    # to the equilibrium u / 200 bit for bit by step 27, while the bound
-    # (1 - 0.4)^k d0 falls below the smallest normal float from k = 1387 on.
-    # A zero distance meets any bound, so the report passes with its t = 0
-    # ratio.  (At steps 1e-3 and 2.5e-3 the two trajectories stall one ulp
-    # apart instead, and the report fails: a rounding floor that the exact
-    # Euler bound does not allow for.)
+    # Step 1e-2 breaks 200 h < 1 and runs at 2.5e-3, where the bound
+    # (1 - 0.25)^k d0 falls below the smallest normal float from k = 2462 on.
+    # The two trajectories stall one ulp apart at the equilibrium u / 200,
+    # within the rounding allowance, so that distance counts as 0.  At step
+    # 4e-3 they merge bit for bit by step 27.  A zero distance meets any
+    # bound, so either report passes with its t = 0 ratio.
     m = Hopfield(200.0 * np.eye(2), np.zeros((2, 2)), SlopeInterval(0.0, 1.0), u=[1.0, 1.0])
     cert = dataclasses.replace(optimal_certificate(m, L1), rate=100.0)
     X0, Y0 = np.array([[1.0], [0.5]]), np.zeros((2, 1))
-    report = verify_contraction(
-        m, Activation("tanh"), cert, horizon=10.0, step=4e-3, initial_pairs=(X0, Y0)
-    )
-    assert report.worst_decay_ratio == 1.0  # at t = 0
-    assert report.passed
+    for step, ran in ((1e-2, 2.5e-3), (4e-3, 4e-3)):
+        report = verify_contraction(
+            m, Activation("tanh"), cert, horizon=10.0, step=step, initial_pairs=(X0, Y0)
+        )
+        assert report.step == ran
+        assert report.worst_decay_ratio == 1.0  # at t = 0
+        assert report.passed
 
 
 def test_verify_contraction_negative_control():
@@ -403,6 +404,27 @@ def test_verify_euler_scheme_passes_a_stiff_certificate():
                                         step=step)
             assert (report.scheme, report.step) == ("euler", ran)
             assert report.passed, (horizon, step)
+
+
+def test_verify_rounding_allowance_passes_a_stiff_certificate_at_a_nonzero_equilibrium():
+    # With u = [1, 1] the states settle at an equilibrium near u / 200, where
+    # each step rounds at the scale of the states, and the pair distances
+    # stop following (1 - h rate)^k d0 within about 170 steps: without the
+    # rounding allowance the true certificate read worst ratio 31.0 at
+    # horizon 0.2 and step 1e-3.
+    # A distance that fails the bound is checked again net of the allowance;
+    # then every report passes (at step 1e-3 the worst ratio, 1.00078, is a
+    # distance within the relative headroom), and overclaims by 1e-2 and 1e-3
+    # of the rate still fail, on distances far above the allowance.
+    m = Hopfield(200.0 * np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0),
+                 u=[1.0, 1.0])
+    cert = certify(m, L1)
+    act = Activation("tanh")
+    for horizon, step in ((0.2, 1e-3), (0.5, 1e-3), (5.0, 1e-2)):
+        assert verify_contraction(m, act, cert, horizon=horizon, step=step).passed
+        for factor in (1.01, 1.001):
+            overclaim = dataclasses.replace(cert, rate=factor * cert.rate)
+            assert not verify_contraction(m, act, overclaim, horizon=horizon, step=step).passed
 
 
 def test_verify_euler_scheme_fails_a_small_overclaim():
@@ -594,6 +616,8 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, abs_sums=
     tiny = np.finfo(float).tiny
     d0 = weighted_norm(X0 - Y0, fam, w)
     live = d0 >= tiny
+    n = model.n
+    rounding = 2 * (n + 3) * np.finfo(float).eps * weighted_norm(np.ones(n), fam, w)
     worst = 0.0
     max_mu = -np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -603,8 +627,15 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, abs_sums=
                 if not np.all(np.isfinite(Z)):
                     return i * step
             log_bound = i * np.log1p(-step * cert.rate) if i > 0 else 0.0
+            # A distance that fails the bound is taken net of the rounding
+            # allowance of the steps behind it.
+            size = np.max(np.abs(Z[:, :pairs]), axis=0) + np.max(np.abs(Z[:, pairs:]), axis=0)
+            h_rate = step * cert.rate
+            noise = rounding * (min(i, 1.0 / h_rate) if h_rate > 0.0 else i) * size
             nrm = weighted_norm(Z[:, :pairs] - Z[:, pairs:], fam, w)
-            for d, start in zip(nrm[live], d0[live]):
+            for d, start, e in zip(nrm[live], d0[live], noise[live]):
+                if np.exp(np.log(d) - np.log(start) - log_bound) > 1.0 + simulate.DECAY_RATIO_ALLOWANCE:
+                    d = d - e
                 if d >= tiny:
                     worst = max(worst, float(np.exp(np.log(d) - np.log(start) - log_bound)))
             if i % stride == 0:
@@ -1178,17 +1209,19 @@ def test_unbounded_slopes_restart_at_half_the_step_where_visited_slopes_break_it
     assert (report.worst_decay_ratio, report.max_sampled_mu) == want
 
 
-@pytest.mark.parametrize("budget, raises", [(59, True), (60, False)])
-def test_restarts_count_against_the_step_budget(monkeypatch, budget, raises):
+@pytest.mark.parametrize("name, budget, raises", [
+    ("VERIFY_STEP_BUDGET", 59, True), ("VERIFY_STEP_BUDGET", 60, False),
+    ("VERIFY_ENTRY_BUDGET", 239, True), ("VERIFY_ENTRY_BUDGET", 240, False)])
+def test_restarts_count_against_the_budgets(monkeypatch, name, budget, raises):
     # The restart case above starts a 20-step run at 0.45 and a 40-step run
-    # at 0.225: 60 steps in all.
-    monkeypatch.setattr(simulate, "VERIFY_STEP_BUDGET", budget)
+    # at 0.225: 60 steps in all, of a stack of 2 * 2 entries, 240 entries.
+    monkeypatch.setattr(simulate, name, budget)
     model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]],
                      SlopeInterval(0.0, np.inf), u=[2.0, 2.0])
     kwargs = dict(horizon=9.0, step=0.9, initial_pairs=(np.full((2, 1), -1.0),
                                                         np.array([[-0.5], [-0.8]])))
     if raises:
-        with pytest.raises(ValueError, match="budget of 59 steps"):
+        with pytest.raises(ValueError, match=rf"\b{budget} (steps|state entries)"):
             verify_contraction(model, POLY, certify(model), **kwargs)
     else:
         assert verify_contraction(model, POLY, certify(model), **kwargs).step == 0.225
@@ -1197,19 +1230,29 @@ def test_restarts_count_against_the_step_budget(monkeypatch, budget, raises):
 def test_a_spent_step_budget_raises_within_a_second():
     # Starts at x = 1e8 visit rect_poly slopes near 2e8, which need a step
     # near 1e-8: each run fails its first block and restarts at half the
-    # step, until the halved run would take the runs past the budget.  A
-    # finite floor of -1e5 needs a step below 1e-5, and the halving that
-    # would take its one run past the budget raises before any run.
+    # step, until the halved run would take the runs past the budget.  In
+    # the diverging model x_1' = -x_1 + 200 x_1^2 blows up and drives x_2
+    # upward through x_2' = -x_2 + x_1^2 - 0.5 x_2^2, where a_22 < 0: x_2's
+    # slope 2 x_2 breaks step * (1 + x_2) < 1 before any state overflows, at
+    # every step, and the error names the visited-slope check, not a
+    # divergence.  A finite floor of -1e5 needs a step below 1e-5, and the
+    # halving that would take its one run past the budget raises before any
+    # run.
     model = Hopfield(np.diag([1.0, 2.0]), [[-0.5, 0.3], [0.3, -0.5]], SlopeInterval(0.0, np.inf))
     X0 = np.full((2, 1), 1e8)
+    diverging = Hopfield(np.eye(2), [[200.0, 0.0], [1.0, -0.5]], SlopeInterval(0.0, np.inf))
     stiff = Hopfield(1e5 * np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
-    runs = [(model, POLY, certify(model), (X0, 0.5 * X0)),
-            (stiff, Activation("tanh"), certify(stiff, L1), None)]
-    for model, act, cert, starts in runs:
+    runs = [(model, POLY, certify(model), (X0, 0.5 * X0), True),
+            (diverging, POLY, certify(model), (np.array([[1.0], [0.0]]),
+                                               np.array([[0.5], [0.0]])), True),
+            (stiff, Activation("tanh"), certify(stiff, L1), None, False)]
+    for model, act, cert, starts, checked in runs:
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"budget of {simulate.VERIFY_STEP_BUDGET} steps"):
+        with pytest.raises(ValueError,
+                           match=f"budget of {simulate.VERIFY_STEP_BUDGET} steps") as info:
             verify_contraction(model, act, cert, initial_pairs=starts)
         assert time.perf_counter() - start < 1.0
+        assert ("slopes the trajectories visit broke the step" in str(info.value)) == checked
 
 
 def test_unbounded_slopes_euler_bound_is_tight_below_zero():
