@@ -162,7 +162,7 @@ def parse_model_dict(doc):
     if tag == "matrix":
         required, optional = {"A"}, set()
     else:
-        file_fields = dataclasses.fields(_FILE_TYPES[tag])
+        file_fields = [f for f in dataclasses.fields(_FILE_TYPES[tag]) if f.init]
         required = {f.name for f in file_fields if f.default is dataclasses.MISSING}
         optional = {f.name for f in file_fields} - required
     if tag in MODELS:
@@ -199,8 +199,9 @@ def load_model_file(path):
 
 
 def _fields(obj) -> dict:
-    """A dataclass instance's fields by name: its file or report keys."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    """A dataclass instance's constructor fields by name: its file or report
+    keys."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
 
 
 def _slopes_dict(slopes: SlopeInterval):

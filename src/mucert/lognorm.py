@@ -215,19 +215,27 @@ def envelope_matrices(spec: PolytopeSpec, family: str) -> tuple[np.ndarray, np.n
     diag(c) + dbar A - (dbar - d_k) (I o A)  with  dbar = max(|d1|, |d2|),
     which absorbs the sign of the scaling into the diagonal.
     """
+    return _envelope(spec.A, spec.c, spec.slopes, spec.side, family)
+
+
+def _envelope(A, c, slopes, side, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`envelope_matrices` of the polytope of an already validated
+    finite square A, vector c and bounded slopes, without a `PolytopeSpec`.
+    c and the diagonal correction are added to the diagonals in place: each
+    diagonal entry is the same IEEE expression as through diag(c) and I o A,
+    and an off-diagonal entry can differ from it only in the sign of a zero."""
     if family not in (L1, LINF):
         raise ValueError("worst-case polytope values are defined for l1/linf only")
-    A, c = spec.A, spec.c
-    d1, d2 = spec.slopes.d1, spec.slopes.d2
-    C = np.diag(c)
-    if _scales_summed_lines(spec.side, family):
-        return C + d1 * A, C + d2 * A
+    d1, d2 = slopes.d1, slopes.d2
+    endpoints = _scales_summed_lines(side, family)
     dbar = max(abs(d1), abs(d2))
-    diag_A = np.diag(np.diag(A))
-    return (
-        C + dbar * A - (dbar - d1) * diag_A,
-        C + dbar * A - (dbar - d2) * diag_A,
-    )
+    pair = (d1 * A, d2 * A) if endpoints else (dbar * A, dbar * A)
+    for M, d in zip(pair, (d1, d2)):
+        diag = np.einsum("ii->i", M)  # a writable view
+        diag += c
+        if not endpoints:
+            diag -= (dbar - d) * np.diag(A)
+    return pair
 
 
 def worst_case_mu(spec: PolytopeSpec, family: str, weights=None) -> float:

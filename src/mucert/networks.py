@@ -5,9 +5,12 @@ Each model class owns its behaviour: `tag` names it in model files, `field`
 and `jacobians` evaluate its vector field and its Jacobians,
 `witnesses(family)` lists the few matrices whose largest weighted log norm
 bounds its one-sided Lipschitz constant, and `certificate` returns its
-contraction certificate.  The
-module-level functions (`certify`, `fixed_weight_osl`, `certify_persidskii`,
-...) delegate to these methods, and `MODELS` maps each tag to its class.
+contraction certificate.  The leaky models share one code path, `_Leaky`:
+Hopfield, FiringRate, and Persidskii, which is Hopfield with C = 0 and u = 0.
+Entrywise is a Persidskii model with its own witness and certificate.  The
+module-level functions (`certify`, `fixed_weight_osl`, ...) delegate to these
+methods; `certify_persidskii` and the other per-model certify names are
+aliases of `certify`.  `MODELS` maps each tag to its class.
 
 Every certificate reports the one-sided Lipschitz bound actually certified at
 the weight vector it carries (`osl`), the fixed-weight bound there, so the
@@ -38,10 +41,9 @@ from .lognorm import (
     LEFT,
     LINF,
     RIGHT,
-    PolytopeSpec,
     SlopeInterval,
+    _envelope,
     _vertex_max,
-    envelope_matrices,
     kernels,
 )
 from .optimize import RESOLVENT_SHIFT, bisect_min_mu
@@ -218,9 +220,11 @@ class _Model:
     activation slopes on one `side` or not at all (`side` None), also defines
     `_slope_form(act, X)`, from which the sampled log norm whose sums run
     along the scaled lines takes O(n) work per state.  Models whose
-    analysis fixes its own norm define `_certify()`; the others call
-    `optimal_certificate` in `certificate`, which takes `_closed_form` where
-    it applies and the optimizer only where it does not.
+    analysis fixes its own norm define `_certify()`, which `certificate`
+    calls; the others (the leaky models and Lure) override `certificate` to
+    call `optimal_certificate`, which takes `_closed_form` where it applies,
+    reporting its level under `_closed_form_key`, and the optimizer only
+    where it does not.
     """
 
     exact = True
@@ -269,9 +273,8 @@ class _Model:
         closed = self._closed_form(family)
         if closed is not None:
             metzler, level = closed
-            return _perron_certificate(
-                self, metzler, family, f"{self.kind}/{family}/perron", "closed_form", level
-            )
+            return _perron_certificate(self, metzler, family, f"{self.kind}/{family}/perron",
+                                       self._closed_form_key, level)
         mats = self.witnesses(family)
         res = bisect_min_mu(mats, family)
         return _certificate(
@@ -284,11 +287,15 @@ class _Model:
         the optimal weight is that matrix's dominant eigenvector; else None."""
         return None
 
+    # The details key under which a closed-form certificate reports its level.
+    _closed_form_key = "closed_form"
+
 
 @dataclass(frozen=True, eq=False)
 class _Leaky(_Model):
     """Leaky network  dx/dt = -C x + ...  with diagonal C >= 0, coupling A and
-    input u (zero when omitted); the base of Hopfield and FiringRate.
+    input u (zero when omitted); the base of Hopfield, FiringRate and
+    Persidskii (C = 0, u = 0).
 
     A subclass sets `side`, the side of the slope polytope that its Jacobian
     sweeps, and `family`, its default norm and the one in which its optimal
@@ -330,8 +337,7 @@ class _Leaky(_Model):
             raise ValueError(
                 "fixed-weight and optimized bounds need a finite upper slope bound d2"
             )
-        spec = PolytopeSpec(self.A, -np.diag(self.C), self.slopes, self.side)
-        return list(envelope_matrices(spec, family))
+        return list(_envelope(self.A, -np.diag(self.C), self.slopes, self.side, family))
 
     def diagonal_floor(self, cap=None) -> np.ndarray:
         """The least Jacobian diagonal -c_i + s a_ii over the slope box, or,
@@ -474,19 +480,31 @@ class FiringRate(_Leaky):
 
 
 @dataclass(frozen=True, eq=False)
-class Persidskii(_Model):
+class Persidskii(_Leaky):
     """Activation-only model  dx/dt = A act(x)  with strictly positive lower
-    slope bound.
+    slope bound: the leaky model with C = 0 and u = 0.  The constructor takes
+    A and the slopes only; C and u hold those zeros, and model files carry
+    neither.
 
     Contracting iff the Metzler majorant of A is Hurwitz, with rate
     d1 * |alpha(majorant)| in the weighted l1 norm at the majorant's left
-    dominant eigenvector."""
+    dominant eigenvector: Hopfield's scalar-leak closed form at leak 0, whose
+    abscissa the certificate reports as `alpha_majorant`.  In the weighted
+    linf norm the optimizer finds its weights, as for Hopfield."""
 
     tag = "persidskii"
     side = RIGHT
+    family = L1
+    _closed_form_key = "alpha_majorant"
 
-    A: np.ndarray
-    slopes: SlopeInterval
+    C: np.ndarray = field(init=False)
+    u: np.ndarray = field(init=False)
+
+    # Hopfield's at C = 0 and u = 0.  These rebind the name `field` in the
+    # class body, so they come after the dataclass fields above.
+    field = Hopfield.field
+    jacobians = Hopfield.jacobians
+    _slope_form = Hopfield._slope_form
 
     def __post_init__(self):
         A = as_matrix(self.A)
@@ -494,32 +512,13 @@ class Persidskii(_Model):
         if self.slopes.d1 <= 0:
             raise ValueError(f"{type(self).__name__} model requires d1 > 0")
         object.__setattr__(self, "A", A)
+        # A read-only zero matrix that holds no n x n buffer.
+        object.__setattr__(self, "C", np.broadcast_to(0.0, A.shape))
+        object.__setattr__(self, "u", np.zeros(A.shape[0]))
 
-    def field(self, act):
-        A = self.A
-        return lambda X: A @ act(X)
-
-    def jacobians(self, act, X) -> np.ndarray:
-        return self.A * _slope_rows(act, X)
-
-    def _slope_form(self, act, X):
-        s = act.deriv(X)
-        return s, np.diag(self.A)[:, None] * s
-
-    def diagonal_floor(self) -> np.ndarray:
-        return self.slopes.least_product(np.diag(self.A))
-
-    def witnesses(self, family: str) -> list[np.ndarray]:
-        """The envelope pair of the polytope {A diag(d)}: d1 A and d2 A in l1."""
-        if family == L1:
-            return [self.slopes.d1 * self.A, self.slopes.d2 * self.A]
-        spec = PolytopeSpec(self.A, np.zeros(self.n), self.slopes, self.side)
-        return list(envelope_matrices(spec, family))
-
-    def _certify(self) -> ContractionCertificate:
-        return _perron_certificate(
-            self, _majorant(self.A), L1, "persidskii/l1/perron", "alpha_majorant"
-        )
+    def _closed_form(self, family):
+        """The majorant of A, whose abscissa is the reported level, in l1."""
+        return (_majorant(self.A), lambda a: a) if family == L1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,11 +576,11 @@ class AxMinusCPhi(_Model):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Entrywise(_Model):
+class Entrywise(Persidskii):
     """Entrywise-coupled model  dx_i/dt = sum_j A_ij act_ij(x_j)  where every
     scalar activation shares the slope interval (d1 > 0).  Simulation uses
-    one activation for every entry.
+    one activation for every entry, which makes it a Persidskii model; only
+    its certificate differs.
 
     Contracting iff the envelope matrix is M-Hurwitz; the rate holds
     simultaneously in the weighted l1 and linf norms at the envelope
@@ -589,17 +588,8 @@ class Entrywise(_Model):
     entrywise-domination upper bound, never claimed exact."""
 
     tag = "entrywise"
-    side = RIGHT
     exact = False
-
-    A: np.ndarray
-    slopes: SlopeInterval
-
-    __post_init__ = Persidskii.__post_init__
-    field = Persidskii.field
-    jacobians = Persidskii.jacobians
-    _slope_form = Persidskii._slope_form
-    diagonal_floor = Persidskii.diagonal_floor
+    certificate = _Model.certificate
 
     def envelope(self) -> np.ndarray:
         """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
@@ -778,7 +768,7 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     ``details.delta`` above its abscissa, and the certificate is marked
     non-tight.
     """
-    if not isinstance(model, _Leaky):
+    if not isinstance(model, (Hopfield, FiringRate)):
         raise TypeError("optimal_certificate expects a Hopfield or FiringRate model")
     return model.optimal_certificate(family)
 
@@ -802,39 +792,20 @@ def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificat
     return MODELS[kind](C, A, SlopeInterval(d1, np.inf)).certificate()
 
 
-def certify_persidskii(model: Persidskii) -> ContractionCertificate:
-    """Certificate of a Persidskii model; the class docstring states it."""
-    return model.certificate()
-
-
 def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     """Certificate for the Hopfield model with d1 = 0 and strictly positive
     diagonal leak: contracting iff -C + d2 A has a Hurwitz Metzler majorant,
     with rate -max(alpha(-C), alpha(-C + d2 majorant(A)))."""
-    C = check_diagonal(C)
-    if np.any(np.diag(C) <= 0.0):
-        raise ValueError("leak matrix must have strictly positive diagonal")
-    A = as_matrix(A)
-    if A.shape != C.shape:
-        raise ValueError("C and A must share one dimension")
     d2 = float(d2)
     if not (np.isfinite(d2) and d2 >= 0.0):
         raise ValueError("d2 must be finite and nonnegative")
-
+    model = Hopfield(C, A, SlopeInterval(0.0, d2))
+    if np.any(np.diag(model.C) <= 0.0):
+        raise ValueError("leak matrix must have strictly positive diagonal")
     return _perron_certificate(
-        Hopfield(C, A, SlopeInterval(0.0, d2)), -C + d2 * _majorant(A), L1,
+        model, -model.C + d2 * _majorant(model.A), L1,
         "hopfield-mh/l1/perron", "alpha_shifted_majorant",
     )
-
-
-def certify_ax_minus_cphi(model: AxMinusCPhi) -> ContractionCertificate:
-    """Certificate of an AxMinusCPhi model; the class docstring states it."""
-    return model.certificate()
-
-
-def certify_entrywise(model: Entrywise) -> ContractionCertificate:
-    """Certificate of an Entrywise model; the class docstring states it."""
-    return model.certificate()
 
 
 def certify_lure(model: Lure, family: str) -> ContractionCertificate:
@@ -869,11 +840,6 @@ def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
     F = np.abs(model.A) + np.maximum(hi, -lo)
     np.fill_diagonal(F, np.diag(model.A) + np.diag(hi))
     return F
-
-
-def certify_multilure(model: MultiLure) -> ContractionCertificate:
-    """Certificate of a MultiLure model; the class docstring states it."""
-    return model.certificate()
 
 
 def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
@@ -911,8 +877,12 @@ def certify(model, family: str | None = None) -> ContractionCertificate:
     """The model's contraction certificate.
 
     `family` selects the norm for Hopfield (default l1), firing-rate (default
-    linf) and scalar-loop (default l1) models; the remaining analyses fix
-    their own norms.  Unbounded slopes route Hopfield / firing-rate models to
-    the unbounded-slope certificate.
+    linf), Persidskii (default l1) and scalar-loop (default l1) models; the
+    remaining analyses fix their own norms.  Unbounded slopes route Hopfield /
+    firing-rate models to the unbounded-slope certificate.
     """
     return check_model(model).certificate(family)
+
+
+# Per-model names of `certify`.
+certify_persidskii = certify_ax_minus_cphi = certify_entrywise = certify_multilure = certify

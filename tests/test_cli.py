@@ -183,6 +183,43 @@ def test_certify_command(tmp_path, capsys):
     assert cert["family"] == "l1" and len(cert["weights"]) == 2
 
 
+PERSIDSKII_DOC = {
+    "schema_version": "1",
+    "model": "persidskii",
+    "A": [[-3.0, 1.0], [0.5, -2.0]],
+    "slopes": {"d1": 0.5, "d2": 1.0},
+}
+
+
+def test_persidskii_certifies_linf(tmp_path, capsys):
+    # The linf certificate of a Persidskii file is the optimizer's, as for the
+    # Hopfield file with C = 0: the same output apart from the model and the
+    # theorem, and the same on a rerun.
+    path = write(tmp_path, "pers.json", PERSIDSKII_DOC)
+    code, out, _ = run(capsys, "certify", path, "--family", "linf")
+    assert code == 0 and run(capsys, "certify", path, "--family", "linf") == (code, out, "")
+    cert = json.loads(out)
+    assert cert["theorem"] == "persidskii/linf/weight-lp" and cert["contracting"] is True
+    hop = write(tmp_path, "hop.json", {**PERSIDSKII_DOC, "model": "hopfield",
+                                       "C": [[0.0, 0.0], [0.0, 0.0]]})
+    code, hop_out, _ = run(capsys, "certify", hop, "--family", "linf")
+    assert code == 0
+    assert out.replace("persidskii", "hopfield") == hop_out
+
+
+@pytest.mark.parametrize("tag", ["persidskii", "entrywise"])
+@pytest.mark.parametrize("key, value", [("C", [[0.0, 0.0], [0.0, 0.0]]), ("u", [0.0, 0.0])])
+def test_zero_leak_files_take_no_leak_or_input(tmp_path, capsys, tag, key, value):
+    # Persidskii and Entrywise hold C = 0 and u = 0, but their files carry
+    # only A and the slopes, as before.
+    path = write(tmp_path, "m.json", {**PERSIDSKII_DOC, "model": tag, key: value})
+    code, out, err = run(capsys, "certify", path)
+    assert code == 2 and out == ""
+    assert f"unknown fields for model {tag!r}: [{key!r}]" in err
+    doc = {**PERSIDSKII_DOC, "model": tag}
+    assert model_to_dict(*parse_model_dict(doc)) == doc
+
+
 def test_certify_fixed_weight(tmp_path, capsys):
     path = write(tmp_path, "h.json", HOPFIELD_DOC)
     code, out, _ = run(capsys, "certify", path, "--family", "l1", "--eta", "1,1")

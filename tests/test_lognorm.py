@@ -332,6 +332,35 @@ def test_envelope_simplified_forms_match_general():
         assert got == pytest.approx(simplified, abs=1e-12)
 
 
+def test_envelope_adds_the_diagonal_in_place_bit_for_bit():
+    # The envelope kernel adds c and the diagonal correction to the diagonals
+    # in place: each diagonal entry is the dense formula's bit for bit, and an
+    # off-diagonal entry equals it, differing at most in the sign of a zero.
+    # A Fortran-ordered A gets its diagonal updated all the same.
+    rng = np.random.default_rng(27)
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+        c = rng.normal(size=n) * (rng.random(n) < 0.7)
+        d1 = float(rng.uniform(-1.0, 1.0))
+        slopes = SlopeInterval(d1, d1 + float(rng.uniform(0.0, 2.0)))
+        dbar = max(abs(slopes.d1), abs(slopes.d2))
+        for side, family in itertools.product((LEFT, RIGHT), (L1, LINF)):
+            C = np.diag(c)
+            if (side, family) in ((RIGHT, L1), (LEFT, LINF)):
+                want = [C + d * A for d in (slopes.d1, slopes.d2)]
+            else:
+                want = [C + dbar * A - (dbar - d) * np.diag(np.diag(A))
+                        for d in (slopes.d1, slopes.d2)]
+            got = envelope_matrices(PolytopeSpec(A, c, slopes, side), family)
+            kernel = lognorm_mod._envelope(np.asfortranarray(A), c, slopes, side, family)
+            for G, K, W in zip(got, kernel, want):
+                assert np.diagonal(G).tobytes() == np.diagonal(W).tobytes()
+                assert np.diagonal(K).tobytes() == np.diagonal(W).tobytes()
+                np.testing.assert_array_equal(G, W)
+                np.testing.assert_array_equal(K, W)
+
+
 def test_weighted_norm_conventions():
     w = np.array([2.0, 0.5])
     x = np.array([1.0, -4.0])

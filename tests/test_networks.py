@@ -375,6 +375,110 @@ def test_certify_hopfield_mh():
     assert not c.contracting
 
 
+def test_certify_hopfield_mh_validates_its_leak_and_slope_bound():
+    zeros = np.zeros((2, 2))
+    for C, A, d2, message in (
+        (np.diag([1.0, 0.0]), zeros, 1.0, "strictly positive diagonal"),
+        (np.eye(2), zeros, -1.0, "finite and nonnegative"),
+        (np.eye(2), zeros, np.inf, "finite and nonnegative"),
+        (np.eye(2), zeros, np.nan, "finite and nonnegative"),
+        (np.eye(2), np.zeros((3, 3)), 1.0, "share one dimension"),
+        (np.eye(2), [[0.0, np.nan], [0.0, 0.0]], 1.0, "matrix entries must be finite"),
+        ([[1.0, 0.5], [0.0, 1.0]], zeros, 1.0, "must be diagonal"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            certify_hopfield_mh(C, A, d2)
+
+
+def _zero_leak_cases():
+    """Seeded (A, slopes) with 0 < d1 <= d2: dense, sparse and reducible A
+    (block upper triangular), n 2-23."""
+    rng = np.random.default_rng(27)
+    for i in range(60):
+        n = int(rng.integers(2, 24))
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        if i % 3 == 1:
+            A *= rng.random((n, n)) < 0.2
+        elif i % 3 == 2:
+            A[n // 2:, :n // 2] = 0.0
+        np.fill_diagonal(A, -np.abs(np.diag(A)) - rng.uniform(0.2, 2.0))
+        d1 = float(rng.uniform(0.05, 1.0))
+        yield A, SlopeInterval(d1, d1 + float(rng.uniform(0.0, 2.0)))
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _certificate_bits(cert):
+    """A certificate's fields other than its theorem, numbers as bytes."""
+    return {k: {dk: _bits(dv) for dk, dv in v.items()} if isinstance(v, dict)
+            else _bits(v) if isinstance(v, (float, np.ndarray)) else v
+            for k, v in vars(cert).items() if k != "theorem"}
+
+
+def test_persidskii_is_the_zero_leak_hopfield():
+    # Persidskii is Hopfield at C = 0 and u = 0: the same verdicts, weights
+    # and bounds in both norms, and Jacobians, slope forms and floors that
+    # are A scaled by the slopes bit for bit.  Entrywise shares all of these
+    # model methods with Persidskii; only its certificate differs.
+    act = Activation("leaky_relu", a=0.3)
+    rng = np.random.default_rng(8)
+    reducible = 0
+    for A, slopes in _zero_leak_cases():
+        n = A.shape[0]
+        pers, entry = Persidskii(A, slopes), Entrywise(A, slopes)
+        hop = Hopfield(np.zeros((n, n)), A, slopes)
+        assert not isinstance(pers, Hopfield)
+        for family, route in ((L1, "perron"), (LINF, "weight-lp")):
+            p, h = certify(pers, family), certify(hop, family)
+            assert p.theorem == f"persidskii/{family}/{route}"
+            assert h.theorem == f"hopfield/{family}/{route}"
+            assert p.contracting == h.contracting and p.tight == h.tight
+            assert _bits(p.osl) == _bits(h.osl) and _bits(p.weights) == _bits(h.weights)
+        p, h = certify(pers), certify(hop)
+        alpha = p.details["alpha_majorant"]
+        assert h.details == {"closed_form": max(slopes.d1 * alpha, slopes.d2 * alpha),
+                             "delta": p.details["delta"]}
+        reducible += p.details["delta"] > 0.0
+        # The l1 witnesses are the slope-endpoint matrices d1 A and d2 A.
+        assert [_bits(W) for W in pers.witnesses(L1)] == [_bits(slopes.d1 * A),
+                                                         _bits(slopes.d2 * A)]
+
+        X = rng.normal(size=(n, 6))
+        s = act.deriv(X)
+        for model in (pers, entry):
+            assert _bits(model.jacobians(act, X)) == _bits(A * s.T[:, None, :])
+            assert _bits(model.jacobians(act, X)) == _bits(hop.jacobians(act, X))
+            form = model._slope_form(act, X)
+            assert [_bits(v) for v in form] == [_bits(s), _bits(np.diag(A)[:, None] * s)]
+            assert [_bits(v) for v in form] == [_bits(v) for v in hop._slope_form(act, X)]
+            floor = model.diagonal_floor()
+            assert _bits(floor) == _bits(slopes.least_product(np.diag(A)))
+            assert _bits(floor) == _bits(hop.diagonal_floor())
+            F = model.field(act)(X)
+            assert np.array_equal(F, A @ act(X)) and np.array_equal(F, hop.field(act)(X))
+        assert _bits(entry.field(act)(X)) == _bits(pers.field(act)(X))
+    assert reducible >= 10
+
+
+def test_persidskii_certifies_linf_by_the_optimizer():
+    # The linf certificate is Hopfield's at C = 0 in every field apart from
+    # the theorem; l2 is still refused.  Entrywise keeps its coupling bound,
+    # which carries linf as its second norm.
+    for A, slopes in itertools.islice(_zero_leak_cases(), 12):
+        p = certify(Persidskii(A, slopes), LINF)
+        h = certify(Hopfield(np.zeros(A.shape), A, slopes), LINF)
+        assert p.theorem == "persidskii/linf/weight-lp"
+        assert _certificate_bits(p) == _certificate_bits(h)
+        with pytest.raises(ValueError, match="l1/linf only"):
+            certify(Persidskii(A, slopes), "l2")
+        e = certify(Entrywise(A, slopes), LINF)
+        assert e.theorem == "entrywise/coupling-bound" and e.alt_family == LINF
+        with pytest.raises(ValueError, match="fix their norm family"):
+            certify(Entrywise(A, slopes), "l2")
+
+
 def test_certify_ax_minus_cphi():
     m = AxMinusCPhi([[-1.0, 0.5], [0.5, -1.0]], np.eye(2), SlopeInterval(1.0, 2.0))
     c = certify_ax_minus_cphi(m)
