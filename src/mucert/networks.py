@@ -47,7 +47,7 @@ from .lognorm import (
     kernels,
 )
 from .optimize import RESOLVENT_SHIFT, bisect_min_mu
-from .spectral import _perron, _resolvent_weights
+from .spectral import _block_abscissa, _perron, _resolvent_weights
 
 # A model is declared contracting only if the certified bound is at or below
 # minus this margin; the underlying strict inequalities must survive floating
@@ -150,19 +150,18 @@ def _perron_weights(M, family=None):
     `spectral._resolvent_weights` at alpha + RESOLVENT_SHIFT, on M for the
     right vector and on M.T for the left one, each scaled to unit sum, and
     shift RESOLVENT_SHIFT: the weighted log norm of M at either is at most
-    alpha + shift.  Where both vectors are wanted, alpha is taken once, from
-    M's blocks, and the left weights reuse it.  M is checked to be finite
-    before its blocks are searched, so an M that overflowed when it was
-    built raises ValueError."""
+    alpha + shift.  alpha is taken once, from M's blocks, whichever vectors
+    are wanted, so each weight vector is the same bits in every family.  M
+    is checked to be finite before its blocks are searched, so an M that
+    overflowed when it was built raises ValueError."""
     lo, hi = _PERRON_ROWS[family]
     blocks = strong_blocks(_checked_square(M))
     if len(blocks) == 1:
-        pair = _perron(M, 0.0, True, lo, hi)
+        pair = _perron(M, 0.0, lo, hi)
         return pair.right, pair.left, pair.alpha, 0.0
-    vectors, alpha = [None, None], None
+    vectors, alpha = [None, None], _block_abscissa(M, blocks)
     for i in range(lo, hi):
-        w, alpha = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], RESOLVENT_SHIFT,
-                                      alpha)
+        w = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], alpha + RESOLVENT_SHIFT)
         vectors[i] = w / w.sum()
     return *vectors, alpha, RESOLVENT_SHIFT
 

@@ -21,15 +21,16 @@ optimal already, so one Perron vector settles the optimization.
 
 The Perron vector of an irreducible selection comes from Noda's inverse
 iteration from the ones vector, one LU solve per step within a budget of
-NODA_MAXITER solves (see `spectral._noda_vector`; T. Noda, Numer. Math. 17,
-1971; L. Elsner, Linear Algebra Appl. 15, 1976).  It is the same routine
-that finishes the Perron vectors power iteration leaves unconverged, and
-its one last resort is a dense eigensolve.
+NODA_MAXITER solves (see `spectral._noda`; T. Noda, Numer. Math. 17, 1971;
+L. Elsner, Linear Algebra Appl. 15, 1976).  It is the same routine that
+finishes the Perron vectors power iteration leaves unconverged; if it
+fails, NumericalError is raised.
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, from
 `spectral._resolvent_weights`, solved one strongly connected block of
-`matrices.strong_blocks` at a time: then S w = b w - 1 < b w, and the row
+`matrices.strong_blocks` at a time, with alpha(S) the largest of the blocks'
+Perron abscissae: then S w = b w - 1 < b w, and the row
 switching runs at w.  The certificates of :mod:`mucert.networks` take their
 weights for a reducible Metzler majorant from the same routine, at shift
 RESOLVENT_SHIFT.
@@ -44,7 +45,7 @@ import numpy as np
 
 from .matrices import as_matrix, is_metzler, metzler_majorant, strong_blocks
 from .lognorm import L1, LINF
-from .spectral import NumericalError, _noda_vector, _resolvent_weights
+from .spectral import NumericalError, _block_abscissa, _noda, _resolvent_weights
 
 # Resolvent shift above the abscissa of a reducible selection, or of a
 # certificate's reducible majorant.  b_star, or the certified bound, then
@@ -99,8 +100,8 @@ def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
     weights of `spectral._resolvent_weights` for a reducible one."""
     blocks = strong_blocks(S)
     if len(blocks) == 1:
-        return _noda_vector(S)
-    return _resolvent_weights(S, blocks, shift)[0]
+        return _noda(S)
+    return _resolvent_weights(S, blocks, _block_abscissa(S, blocks) + shift)
 
 
 def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:

@@ -1,26 +1,37 @@
 """Eigenvalue machinery: spectral abscissa, irreducibility, Perron vectors.
 
-Each quantity has one route.  The spectral abscissa of any matrix comes from
-the dense eigensolver.  The dominant left and right eigenvectors of a Metzler
-matrix (its Perron pair) come from one power iteration loop on a diagonal
-shift N that makes the matrix nonnegative, within POWER_MAXITER steps.  A
-vector that has not converged by then, or that misses the residual bound, is
-finished from its last power iterate by Noda's inverse iteration (T. Noda,
-Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for
-the right vector or N.T for the left one, within NODA_MAXITER solves.  The
-weight optimizer takes the right Perron vector of an irreducible row
-selection from the same iteration, started at the ones vector.  Its last
-resort is one dense eigensolve under the same residual and positivity
-contract, the one place a Perron vector comes from the dense solver; on the
-seeded test inputs only the public `perron_pair` on a delta-perturbed
-reducible matrix still reaches it.
+Each quantity has one route, and the Perron route takes no dense
+eigensolve.  The spectral abscissa of a general matrix comes from the dense
+eigensolver (:func:`spectral_abscissa`, which classify reads).  The dominant
+left and right eigenvectors of an irreducible Metzler matrix (its Perron
+pair) come from one power iteration loop on a diagonal shift N that makes
+the matrix nonnegative, within POWER_MAXITER steps.  A vector that has not
+converged by then, or that misses the residual bound, is finished from its
+last power iterate by Noda's inverse iteration (T. Noda, Numer. Math. 17,
+1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for the right vector or
+N.T for the left one, within NODA_MAXITER solves; if Noda's iteration fails,
+NumericalError is raised.  The weight optimizer takes the right Perron vector
+of an irreducible row selection from the same iteration, started at the ones
+vector.
 
-A reducible Metzler matrix takes no Perron vector on the package's own
-routes.  The weight optimizer's reducible row selections and the
-certificates' reducible majorants both take the resolvent weights of
-`_resolvent_weights`, solved on the strongly connected blocks of
-:func:`mucert.matrices.strong_blocks`; the same search decides
-:func:`is_irreducible`.
+A reducible Metzler matrix has more than one strongly connected block
+(:func:`mucert.matrices.strong_blocks`; the same search decides
+:func:`is_irreducible`).  Its abscissa is the largest of its blocks'
+abscissae, each the alpha of the block's own right Perron vector (the
+diagonal entry of a 1 x 1 block): `_block_abscissa`.  The weight
+optimizer's reducible row selections and the certificates' reducible
+majorants take the resolvent weights of `_resolvent_weights` above that
+abscissa, solved block by block.  The public `perron_pair(M, delta > 0)` on
+a reducible M takes the pair of M + delta * ones from its secular equation
+(`_secular_pair`): (M + delta 11^T) x = rho x with x > 0 exactly when
+x is proportional to (rho I - M)^-1 1 and delta 1^T (rho I - M)^-1 1 = 1
+with rho > alpha(M), and the left vector is (rho I - M^T)^-1 1.  This is the
+secular equation of a rank-one modification (G. H. Golub, "Some modified
+matrix eigenvalue problems", SIAM Review 15, 1973; J. R. Bunch, C. P.
+Nielsen and D. C. Sorensen, Numer. Math. 31, 1978).  Noda's iteration
+cannot finish that pair itself: its vectors have entries of the order of
+delta, where rounding in q = (S x) / x keeps the bracket above its stop
+test.
 
 The shifted matrix N takes one n x n pass, M + delta, and an in-place add
 to its diagonal.  The right iterate (on N) and the left one (on N.T) share
@@ -51,9 +62,10 @@ iterations.
 At those eigenvectors the weighted l1/linf log norms attain the spectral
 abscissa, so a certificate reads both its weights and its abscissa off one
 Perron pair.  It computes only what it carries.  :func:`perron_pair`
-validates its input (square, finite, Metzler, delta) and then hands it to
-the private `_perron`, which takes an already validated C-ordered Metzler
-matrix and steps only the rows asked for: both for `perron_pair`.  The
+validates its input (square, finite, Metzler, delta), hands a reducible
+one to `_secular_pair` and an irreducible one to the private `_perron`,
+which takes an already validated C-ordered irreducible Metzler matrix and
+steps only the rows asked for: both for `perron_pair`.  The
 certificates in :mod:`mucert.networks` build their Metzler matrix from the
 model's validated arrays and call `_perron` directly.  A one-norm
 certificate steps one vector, the left one for l1 and the right one for
@@ -85,10 +97,10 @@ POWER_MAXITER = 64
 RESIDUAL_RTOL = 1e-11
 
 # Noda iteration: stop once the Collatz-Wielandt bracket [lo, hi] at the
-# iterate is no wider than NODA_RTOL * (1 + max|S| + |hi|); else take the
-# dense eigensolve after NODA_MAXITER solves or as soon as the bracket stops
+# iterate is no wider than NODA_RTOL * (1 + max|S| + |hi|); raise
+# NumericalError after NODA_MAXITER solves or as soon as the bracket stops
 # shrinking.  The perfbench certify-lp selections (n = 16 to 128) take 5 to
-# 8 solves.
+# 8 solves.  NODA_MAXITER also budgets the Newton steps of `_secular_pair`.
 NODA_RTOL = 1e-14
 NODA_MAXITER = 20
 
@@ -136,28 +148,34 @@ def is_irreducible(A) -> bool:
     return len(strong_blocks(_checked_square(np.asarray(A, dtype=float)))) == 1
 
 
-def _resolvent_weights(S: np.ndarray, blocks, shift: float,
-                       alpha: float | None = None) -> tuple[np.ndarray, float]:
-    """Weights w = (bI - S)^-1 1 of a reducible Metzler S and the abscissa
-    alpha of S, the largest over its strongly connected `blocks` (in the
-    order of :func:`mucert.matrices.strong_blocks`) of each block's dense
-    abscissa, unless `alpha` is given.  At b = alpha + shift, above every
-    block's abscissa, `block_resolvent` solves a nonsingular M-matrix system
-    per block, so w is positive and S w = b w - 1 < b w: the weighted linf
-    log norm of S at w is below b.  For the left weights pass S.T and the
-    blocks reversed; S and S.T have one spectrum, so a caller that needs
-    both passes the first call's alpha to the second.  Raises NumericalError
-    if an eigensolve or a block solve fails or w is not finite and
-    positive."""
+def _block_abscissa(S: np.ndarray, blocks) -> float:
+    """Abscissa of a Metzler S that is already validated and C-ordered: the
+    largest over its strongly connected `blocks` of each block's own, the
+    diagonal entry of a 1 x 1 block and the `_perron` alpha of the right
+    Perron vector of a larger one (irreducible, as its block is strongly
+    connected).  Raises NumericalError as `_perron` does."""
+    return max(float(S[B[0], B[0]]) if B.size == 1 else _perron(S[np.ix_(B, B)], 0.0, 0, 1).alpha
+               for B in blocks)
+
+
+def _resolvent_weights(S: np.ndarray, blocks, b: float) -> np.ndarray:
+    """Weights w = (bI - S)^-1 1 of a reducible Metzler S, solved by
+    `block_resolvent` on its strongly connected `blocks` (in the order of
+    :func:`mucert.matrices.strong_blocks`).  At b = alpha + shift, with alpha
+    from `_block_abscissa`, b is above every block's abscissa: each block is
+    a nonsingular M-matrix system, so w is positive and S w = b w - 1 < b w,
+    and the weighted linf log norm of S at w is below b.  For the left
+    weights pass S.T and the blocks reversed, at the same b: S and S.T have
+    one spectrum, and one b for both keeps each weight vector independent of
+    whether the other was asked for.  Raises NumericalError if a block solve
+    fails or w is not finite and positive."""
     try:
-        if alpha is None:
-            alpha = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks)
-        w = block_resolvent(S, blocks, alpha + shift)
+        w = block_resolvent(S, blocks, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"resolvent weights failed: {exc}") from exc
     if not np.all((w > 0.0) & np.isfinite(w)):
         raise NumericalError("resolvent weights have nonpositive entries")
-    return w, alpha
+    return w
 
 
 @dataclass(frozen=True)
@@ -169,11 +187,12 @@ class PerronPair:
     records the rank-one perturbation actually applied.  `steps` holds the
     power steps taken for the (right, left) vectors, at most POWER_MAXITER
     each; a vector that did not converge within them, or missed the residual
-    bound, was finished by Noda's iteration.  `dense` says which of the two
-    Noda's iteration handed to the dense eigensolve, its last resort.  The
-    package's one-norm certificates ask the private `_perron` for one vector
-    only: the other is then None with 0 steps, and `alpha` is the Rayleigh
-    quotient of the one vector, less the shift.
+    bound, was finished by Noda's iteration.  The secular route of a
+    delta-perturbed reducible matrix takes no power steps: (0, 0).  `dense`
+    is always (False, False), as no vector comes from a dense eigensolve; it
+    stays for the API.  The package's one-norm certificates ask the private
+    `_perron` for one vector only: the other is then None with 0 steps, and
+    `alpha` is the Rayleigh quotient of the one vector, less the shift.
     """
 
     alpha: float
@@ -240,16 +259,9 @@ def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int], lis
     return vectors, steps, converged
 
 
-def _noda_vector(S: np.ndarray) -> np.ndarray:
+def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """Right Perron vector of an irreducible Metzler matrix S, strictly
-    positive with largest entry 1, by :func:`_noda` from the ones vector."""
-    return _noda(S)[0]
-
-
-def _noda(S: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Right Perron vector of an irreducible Metzler matrix S, strictly
-    positive with largest entry 1, by Noda's inverse iteration; and whether
-    the dense eigensolve was taken.
+    positive with largest entry 1, by Noda's inverse iteration.
 
     From x = 1, or from a given positive start rescaled to largest entry 1,
     each step takes the Collatz-Wielandt bounds lo = min q and hi = max q of
@@ -257,9 +269,13 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, bool]
     hi - lo <= NODA_RTOL * (1 + max|S| + |hi|).  Otherwise it solves
     (hi I - S) z = x, a nonsingular M-matrix system with a positive solution,
     and rescales z to largest entry 1.  The shift converges quadratically to
-    alpha(S).  An iterate that is not finite and positive, a bracket that
-    stops shrinking, or NODA_MAXITER solves without convergence hands the
-    vector to one dense eigensolve.
+    alpha(S).  Once hi is alpha(S) to rounding, the system can be singular
+    in floating point, and is then solved at hi + NODA_RTOL * (1 + max|S| +
+    |hi|); and its solution can have every entry negative, and is then
+    rescaled to largest entry 1 in modulus, like inverse iteration.  A
+    singular solve there, an iterate that is not finite and positive, a
+    bracket that stops shrinking, or NODA_MAXITER solves without
+    convergence raise NumericalError.
 
     At the stop every |(S x)_i - lam x_i| <= (hi - lo) x_i <= hi - lo for the
     Rayleigh quotient lam, which lies in [lo, hi].  As RESIDUAL_RTOL is
@@ -277,36 +293,26 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> tuple[np.ndarray, bool]
         q = (S @ x) / x
         lo, hi = float(q.min()), float(q.max())
         if hi - lo <= NODA_RTOL * (size + abs(hi)):
-            return x, False
+            return x
         if solves == NODA_MAXITER or not hi - lo < width:
             break
         width = hi - lo
-        try:
-            z = solve(hi * eye - S, x)
-        except np.linalg.LinAlgError:
+        for b in (hi, hi + NODA_RTOL * (size + abs(hi))):
+            try:
+                z = solve(b * eye - S, x)
+                break
+            except np.linalg.LinAlgError:
+                z = None
+        if z is None:
             break
-        top = z.max()
-        if not (z.min() > 0.0 and top < np.inf):  # also false on NaN
+        top = z[np.argmax(np.abs(z))]
+        if not abs(top) < np.inf:  # also true on NaN
             break
         x = z / top
-    v, _ = _dense_dominant_vector(S)
-    x = v / np.max(v)
-    if not np.all(x > 0.0):
-        raise NumericalError("Perron eigenvector has nonpositive entries")
-    return x, True
-
-
-def _dense_dominant_vector(N: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dominant eigenvector of N from one dense eigensolve, normalized to unit
-    sum, and its Rayleigh quotient.  Raises NumericalError if the residual
-    exceeds RESIDUAL_RTOL * (1 + max|N|)."""
-    lam, V = np.linalg.eig(N)
-    v = V[:, int(np.argmax(lam.real))].real
-    v = v / v.sum()
-    lam, residual = _rayleigh(N, v)
-    if residual > RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(N)))):
-        raise NumericalError("Perron eigenvector residual check failed")
-    return v, lam
+        if not x.min() > 0.0:
+            break
+    raise NumericalError(f"Noda iteration failed after {solves} solves, "
+                         f"bracket width {hi - lo:.3g}")
 
 
 def _rayleigh(N: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -317,21 +323,11 @@ def _rayleigh(N: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return lam, float(np.max(np.abs(Nv - lam * v)))
 
 
-def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) -> PerronPair:
-    """Perron vectors of M + delta * ones for a Metzler M that is already
-    validated, finite and C-ordered, and a finite delta >= 0: the right one
-    (row 0) and the left one (row 1), rows lo to hi - 1 of the two.  Only
-    the rows asked for are computed; a row not asked for is None in the
-    pair, with 0 steps.  Each asked row is power-iterated, and one that did
-    not converge within POWER_MAXITER steps or misses the residual bound is
-    finished by :func:`_noda` from its last iterate, and rescaled to
-    unit sum.  `alpha` is the mean of the asked rows' Rayleigh quotients,
-    less the shift: one vector's own quotient when one is asked.
-
-    Raises NumericalError, before any iteration, if the shifted matrix or a
-    power step's sum (at most n times its largest entry) would overflow, and
-    after it if a vector misses the residual bound or is not positive.
-    """
+def _shifted(M: np.ndarray, delta: float) -> tuple[np.ndarray, float, float]:
+    """(N, shift, scale): N = M + delta * ones + shift * I, nonnegative for a
+    Metzler M, at shift = 1 + max|diag(M + delta * ones)|, and
+    scale = 1 + max|N|.  Raises NumericalError if N or a power step's sum
+    (at most n times its largest entry) would overflow."""
     # M + delta in one pass (C-ordered, as M is), with every -0.0 made
     # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
     with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
@@ -342,16 +338,36 @@ def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) ->
     # A unit-sum iterate's product sums to at most n * scale.
     if not N.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")
+    return N, shift, scale
 
+
+def _perron(M: np.ndarray, delta: float, lo: int, hi: int) -> PerronPair:
+    """Perron vectors of M + delta * ones for an irreducible Metzler M that
+    is already validated, finite and C-ordered, and a finite delta >= 0: the
+    right one (row 0) and the left one (row 1), rows lo to hi - 1 of the
+    two.  Only
+    the rows asked for are computed; a row not asked for is None in the
+    pair, with 0 steps.  Each asked row is power-iterated, and one that did
+    not converge within POWER_MAXITER steps or misses the residual bound is
+    finished by :func:`_noda` from its last iterate, and rescaled to
+    unit sum.  `alpha` is the mean of the asked rows' Rayleigh quotients,
+    less the shift: one vector's own quotient when one is asked.
+
+    Raises NumericalError, before any iteration, if the shifted matrix or a
+    power step's sum (at most n times its largest entry) would overflow, and
+    after it if Noda's iteration fails or a vector misses the residual bound
+    or is not positive.
+    """
+    N, shift, scale = _shifted(M, delta)
     vectors, steps, converged = _power_vector(N, lo, hi)
     bound = RESIDUAL_RTOL * scale
-    dense, lams = [False, False], []
+    lams = []
     for i in range(lo, hi):
         B, x = (N, N.T)[i], vectors[i]
         if converged[i]:
             lam, residual = _rayleigh(B, x)
         if not converged[i] or residual > bound:
-            x, dense[i] = _noda(B, x)
+            x = _noda(B, x)
             vectors[i] = x = x / x.sum()
             lam, residual = _rayleigh(B, x)
             if residual > bound:
@@ -364,7 +380,60 @@ def _perron(M: np.ndarray, delta: float, irreducible: bool, lo: int, hi: int) ->
         )
     lam = 0.5 * (lams[0] + lams[1]) if len(lams) == 2 else lams[0]
     return PerronPair(alpha=lam - shift, right=vectors[0], left=vectors[1], delta_used=delta,
-                      irreducible=irreducible, steps=tuple(steps), dense=tuple(dense))
+                      irreducible=True, steps=tuple(steps), dense=(False, False))
+
+
+def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
+    """Perron pair of M + delta * ones for a reducible Metzler M that is
+    already validated, finite and C-ordered, with strongly connected
+    `blocks` (in the order of :func:`mucert.matrices.strong_blocks`), and a
+    finite delta > 0, from its secular equation delta 1^T x = 1 with
+    x = (rho I - S)^-1 1 (see the module docstring), solved on the diagonal
+    shift S = M + shift * I of `_shifted`: on M itself, rho could not
+    resolve a root within delta of a large abscissa.
+
+    With rho = alpha + t over alpha = `_block_abscissa` of S, Newton's method
+    runs on g = log(delta 1^T x) against log t, from t = delta * n, the root
+    for S = 0.  Both solves are `block_resolvent` calls, x on S and
+    y = (rho I - S^T)^-1 1 on S.T with the blocks reversed, and they give
+    the slope dg/d(log t) = -t y^T x / 1^T x, since dx/drho = -(rho I - S)^-1 x.
+    Each step multiplies t by a positive factor, so rho stays above alpha.
+    The iteration stops at a step no larger than 4 ulp(rho), or at one that
+    does not shrink, within NODA_MAXITER steps, and returns rho - shift and
+    the vectors x and y of its last solves, scaled to unit sum.
+
+    Raises NumericalError, before any solve, if the shifted matrix of
+    `_shifted` would overflow, and after it if a solve is singular or has a
+    nonpositive entry, or a vector misses the residual bound
+    RESIDUAL_RTOL * (1 + max|N|) under S + delta * ones (also when it is not
+    finite).
+    """
+    _, shift, scale = _shifted(M, delta)
+    S = M.copy()
+    S.flat[:: S.shape[0] + 1] += shift
+    alpha = _block_abscissa(S, blocks)
+    t, last = delta * S.shape[0], math.inf
+    for _ in range(NODA_MAXITER):
+        rho = alpha + t
+        try:
+            x = block_resolvent(S, blocks, rho)
+            y = block_resolvent(S.T, blocks[::-1], rho)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"secular equation solve failed: {exc}") from exc
+        if not (x.min() > 0.0 and y.min() > 0.0):
+            raise NumericalError("secular equation solve has nonpositive entries; retry with "
+                                 "a larger delta")
+        total = float(x.sum())
+        step = t * math.expm1(math.log(delta * total) * total / (t * float(y @ x)))
+        if not abs(step) > 4.0 * math.ulp(rho) or not abs(step) < last:  # also stops on NaN
+            break
+        t, last = t + step, abs(step)
+    right, left = x / total, y / y.sum()
+    for B, v in ((S, right), (S.T, left)):  # the residual under S + delta * ones
+        if not np.max(np.abs(B @ v + delta * v.sum() - rho * v)) <= RESIDUAL_RTOL * scale:
+            raise NumericalError("Perron eigenvector residual check failed")
+    return PerronPair(alpha=rho - shift, right=right, left=left, delta_used=delta,
+                      irreducible=False, steps=(0, 0), dense=(False, False))
 
 
 def perron_pair(M, delta: float = 0.0) -> PerronPair:
@@ -378,10 +447,15 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     moved it by 1.6e-3 at n = 256.  Take the unperturbed abscissa from
     :func:`spectral_abscissa`.
 
+    For reducible input the pair comes from the secular equation of the
+    rank-one perturbation (see the module docstring), and `alpha` is its
+    root rho.
+
     Raises ValueError for a non-Metzler M or a delta that is not a real
     number (a bool included), negative or not finite, and NumericalError,
     before any iteration, if the shifted matrix or a power step's sum (at
-    most n times its largest entry) would overflow.
+    most n times its largest entry) would overflow, and after it if an
+    iteration fails or a vector misses the residual bound.
     """
     M = as_matrix(M)
     if not is_metzler(M):
@@ -392,12 +466,14 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
         raise ValueError("delta must be nonnegative")
     if not delta < math.inf:  # also true for NaN
         raise ValueError(f"delta must be finite, got {delta!r}")
-    irreducible = is_irreducible(M)
-    if delta == 0.0 and not irreducible:
+    blocks = strong_blocks(M)
+    if len(blocks) == 1:
+        return _perron(M, delta, 0, 2)
+    if delta == 0.0:
         raise ReducibleMatrixError(
             "matrix is reducible; pass delta > 0 to perturb it into irreducibility"
         )
-    return _perron(M, delta, irreducible, 0, 2)
+    return _secular_pair(M, delta, blocks)
 
 
 def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:

@@ -46,7 +46,7 @@ from mucert import (
     spectral_abscissa,
 )
 from mucert.optimize import RESOLVENT_SHIFT
-from mucert.spectral import ReducibleMatrixError
+from mucert.spectral import ReducibleMatrixError, is_irreducible
 
 import mucert.lognorm as lognorm_mod
 from mucert import networks, spectral
@@ -926,15 +926,15 @@ def _signed(rng, M):
     return S
 
 
-def _reference_pair(M, both=False):
+def _reference_pair(M):
     """The Perron pair and abscissa of an irreducible M from the public
     functions.  For a reducible M, a test-only block-resolvent reference and
     the dense abscissa of M: blocks from the closure's mutual reach, ordered
-    by reach count, and on M for the right weights and M.T (blocks reversed)
-    for the left ones, w = (bI - S)^-1 1 at b = the largest block abscissa
-    of S plus RESOLVENT_SHIFT, solved block by block and scaled to unit sum.
-    With `both` (a certificate that carries both vectors), b is taken once,
-    from M's blocks, for both weights."""
+    by reach count; b = the largest block abscissa of M plus
+    RESOLVENT_SHIFT, each block's abscissa from its own right Perron vector
+    (its entry for a 1 x 1 block); and on M for the right weights and M.T
+    (blocks reversed) for the left ones, w = (bI - S)^-1 1 solved block by
+    block and scaled to unit sum."""
     try:
         pair = perron_pair(M)
     except ReducibleMatrixError:
@@ -942,21 +942,17 @@ def _reference_pair(M, both=False):
         label = np.argmax(reach & reach.T, axis=1)
         heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
         blocks = [np.flatnonzero(label == h) for h in heads]
+        b = max(M[B[0], B[0]] if B.size == 1 else spectral._perron(M[np.ix_(B, B)], 0.0, 0, 1).alpha
+                for B in blocks) + RESOLVENT_SHIFT
 
-        def abscissa(S, order):
-            return max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in order)
-
-        def resolvent(S, order, a):
-            b = a + RESOLVENT_SHIFT
+        def resolvent(S, order):
             w = np.zeros(S.shape[0])
             for B in order:
                 w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
             assert np.all(w > 0.0)
             return w / w.sum()
 
-        a_left = abscissa(M, blocks) if both else abscissa(M.T, blocks[::-1])
-        pair = SimpleNamespace(right=resolvent(M, blocks, abscissa(M, blocks)),
-                               left=resolvent(M.T, blocks[::-1], a_left),
+        pair = SimpleNamespace(right=resolvent(M, blocks), left=resolvent(M.T, blocks[::-1]),
                                irreducible=False, delta_used=RESOLVENT_SHIFT)
         return pair, spectral_abscissa(M)
     return pair, pair.alpha
@@ -990,7 +986,7 @@ def _one_norm_reference(metzler, witnesses, family, theorem, exact, key, level=l
 
 
 def _coupling_reference(W, theorem, key):
-    pair, alpha = _reference_pair(metzler_majorant(W), both=True)
+    pair, alpha = _reference_pair(metzler_majorant(W))
     osl = max(log_norm(W, L1, pair.left), log_norm(W, LINF, pair.right))
     return (_reference_fields(osl, pair.left, theorem, False, pair.delta_used, pair.right),
             {key: alpha})
@@ -1100,6 +1096,28 @@ def test_perron_route_certificates_match_public_pair_reference():
     assert {"persidskii", "persidskii-loose", "ax-minus-cphi", "ax-minus-cphi-loose",
             "hopfield-mh", "hopfield-mh-loose", "entrywise-loose", "multilure-loose",
             "hopfield", "firing-rate"} <= theorems
+
+
+def test_reducible_weights_are_the_same_bits_in_every_family():
+    # A reducible majorant's abscissa is taken once, from M's blocks,
+    # whichever vectors a certificate carries: the weights of an l1 or a
+    # linf certificate are those of a certificate in both norms, bit for
+    # bit, and so is the abscissa.
+    rng = np.random.default_rng(53)
+    for trial in range(120):
+        n = int(rng.integers(4, 41))
+        M = _base_metzler(rng, n, "reducible")
+        if trial % 2:
+            M[rng.random(size=M.shape) < 0.5] = 0.0
+            np.fill_diagonal(M, rng.normal(size=n))
+        assert not is_irreducible(M)
+        right, left, alpha, shift = networks._perron_weights(M)
+        assert shift == RESOLVENT_SHIFT
+        r, no_left, a_r, _ = networks._perron_weights(M, LINF)
+        no_right, l, a_l, _ = networks._perron_weights(M, L1)
+        assert no_left is None and no_right is None
+        assert r.tobytes() == right.tobytes() and l.tobytes() == left.tobytes()
+        assert a_r == alpha == a_l
 
 
 def test_one_norm_certificate_makes_one_product_per_power_step(monkeypatch):

@@ -216,11 +216,14 @@ def test_defective_block_reaches_optimum():
 
 def _reference_resolvent_weights(S, reach, shift):
     """The optimizer's resolvent weights as they were before the block-wise
-    solve became `matrices.block_resolvent`, kept as the reference."""
+    solve became `matrices.block_resolvent`, kept as the reference, with
+    each block's abscissa from its own right Perron vector (its entry for a
+    1 x 1 block)."""
     label = np.argmax(reach & reach.T, axis=1)
     heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
     blocks = [np.flatnonzero(label == h) for h in heads]
-    b = max(float(np.max(np.linalg.eigvals(S[np.ix_(B, B)]).real)) for B in blocks) + shift
+    b = max(S[B[0], B[0]] if B.size == 1 else spectral._perron(S[np.ix_(B, B)], 0.0, 0, 1).alpha
+            for B in blocks) + shift
     w = np.zeros(S.shape[0])
     for B in blocks:
         w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
@@ -233,7 +236,7 @@ def _reference_selection_weights(S, shift):
     reach = closure_reference(S)
     if not reach.all():
         return _reference_resolvent_weights(S, reach, shift)
-    return spectral._noda_vector(S)
+    return spectral._noda(S)
 
 
 def test_block_resolvent_is_bit_identical_to_reference(monkeypatch):
@@ -480,9 +483,9 @@ def _irreducible_selection(rng, n, scale):
 
 
 def _count_solves(monkeypatch):
-    """Spy on the solves `_noda_vector` makes; returns the per-call counts."""
+    """Spy on the solves `_noda` makes; returns the per-call counts."""
     per_call = []
-    solve, noda = spectral.solve, spectral._noda_vector
+    solve, noda = spectral.solve, spectral._noda
 
     def counting_solve(A, b):
         per_call[-1] += 1
@@ -493,7 +496,7 @@ def _count_solves(monkeypatch):
         return noda(S)
 
     monkeypatch.setattr(spectral, "solve", counting_solve)
-    monkeypatch.setattr(optimize, "_noda_vector", counting_noda)
+    monkeypatch.setattr(optimize, "_noda", counting_noda)
     return per_call
 
 
@@ -502,15 +505,11 @@ SCALES = (1e-4, 1.0, 1e4)
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_noda_vector_matches_dense_reference(scale, monkeypatch):
-    def no_fallback(N):
-        raise AssertionError("Noda iteration fell back to the dense solver")
-
-    monkeypatch.setattr(spectral, "_dense_dominant_vector", no_fallback)
+def test_noda_vector_matches_dense_reference(scale):
     rng = np.random.default_rng([31, int(np.log10(scale)) + 4])
     for n in SIZES:
         S = _irreducible_selection(rng, n, scale)
-        x = spectral._noda_vector(S)
+        x = spectral._noda(S)
         want = _dense_selection_weights(S)
         assert np.all(x > 0.0) and np.max(x) == 1.0
         np.testing.assert_allclose(x, want, rtol=1e-10, atol=0.0)
@@ -536,7 +535,7 @@ def test_policy_iteration_matches_dense_route(scale, monkeypatch):
             spec = PolytopeSpec(scale * A, -scale * C, slopes, side)
             cases.append((list(envelope_matrices(spec, fam)), fam))
     got = [bisect_min_mu(mats, fam) for mats, fam in cases]
-    monkeypatch.setattr(optimize, "_noda_vector", _dense_selection_weights)
+    monkeypatch.setattr(optimize, "_noda", _dense_selection_weights)
     for (mats, fam), res in zip(cases, got):
         want = bisect_min_mu(mats, fam)
         tol = 1e-12 * (1.0 + max(float(np.max(np.abs(M))) for M in mats))
@@ -564,13 +563,8 @@ def test_noda_stop_test_scales_with_the_perron_root(monkeypatch):
     # Dense positive coupling puts the Perron root (about 70) far above
     # max|S| (about 5), so rounding in q = (S x) / x keeps the bracket above
     # NODA_RTOL (1 + max|S|).  The stop test scales with |hi| too, so the
-    # iteration stops within its budget and takes no dense eigensolve.
+    # iteration stops within its budget instead of raising.
     per_call = _count_solves(monkeypatch)
-
-    def no_fallback(N):
-        raise AssertionError("Noda iteration fell back to the dense solver")
-
-    monkeypatch.setattr(spectral, "_dense_dominant_vector", no_fallback)
     rng = np.random.default_rng(35)
     S = rng.uniform(0.1, 1.0, size=(128, 128))
     np.fill_diagonal(S, rng.normal(scale=2.0, size=128))
@@ -583,22 +577,17 @@ def test_noda_stop_test_scales_with_the_perron_root(monkeypatch):
     assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (size + np.max(q))
 
 
-def test_noda_budget_exhausted_falls_back_to_dense(monkeypatch):
+def test_noda_budget_exhausted_raises_numerical_error(monkeypatch):
+    # No dense eigensolve backs Noda's iteration: a vector that does not
+    # converge within NODA_MAXITER solves raises NumericalError, and so does
+    # the optimizer that asked for it.
     monkeypatch.setattr(spectral, "NODA_MAXITER", 1)
     per_call = _count_solves(monkeypatch)
-    dense_calls = []
-    dense = spectral._dense_dominant_vector
-
-    def counting_dense(N):
-        dense_calls.append(N.shape[0])
-        return dense(N)
-
-    monkeypatch.setattr(spectral, "_dense_dominant_vector", counting_dense)
     rng = np.random.default_rng(34)
     for n in SIZES[1:]:
         S = _irreducible_selection(rng, n, 1.0)
-        x = optimize._selection_weights(S, RESOLVENT_SHIFT)
-        assert np.all(x > 0.0) and np.max(x) == 1.0
-        np.testing.assert_allclose(x, _dense_selection_weights(S), rtol=1e-12, atol=0.0)
+        with pytest.raises(spectral.NumericalError, match="Noda iteration failed after 1 solves"):
+            optimize._selection_weights(S, RESOLVENT_SHIFT)
     assert per_call == [1] * len(SIZES[1:])
-    assert dense_calls == list(SIZES[1:])
+    with pytest.raises(spectral.NumericalError, match="Noda iteration failed"):
+        bisect_min_mu([S, 0.5 * S], LINF)

@@ -8,6 +8,7 @@ from mucert import (
     Entrywise,
     FiringRate,
     Hopfield,
+    Lure,
     MultiLure,
     Persidskii,
     ReducibleMatrixError,
@@ -24,7 +25,7 @@ from mucert import (
     perron_weights,
     spectral_abscissa,
 )
-from mucert import spectral
+from mucert import networks, optimize, spectral
 from mucert.optimize import RESOLVENT_SHIFT
 
 from helpers import (
@@ -178,32 +179,28 @@ def test_reducible_hopfield_closed_form_stays_within_the_shift():
         assert gap <= RESOLVENT_SHIFT * (1.0 + np.max(np.abs(A))), gap
 
 
-def test_near_tie_reaches_dense_fallback_within_power_budget(monkeypatch):
+def test_near_tie_noda_failure_raises_within_power_budget(monkeypatch):
     assert spectral.POWER_MAXITER <= 1000
     # A near tie's power steps sit on a plateau from about step 20, so both
-    # vectors run the whole power budget and go to Noda's iteration.  Its
-    # last resort is the dense eigensolve: with no solve left in Noda's
-    # budget, both vectors reach it, and `dense` says so.
+    # vectors run the whole power budget and go to Noda's iteration.  No
+    # dense eigensolve backs it: with no solve left in Noda's budget, the
+    # pair raises NumericalError.
     monkeypatch.setattr(spectral, "NODA_MAXITER", 0)
-    dense_calls = []
-    dense = spectral._dense_dominant_vector
-    monkeypatch.setattr(spectral, "_dense_dominant_vector",
-                        lambda N: dense_calls.append(1) or dense(N))
+    runs = []
+    power = spectral._power_vector
+    monkeypatch.setattr(spectral, "_power_vector",
+                        lambda N, *rows: runs.append(power(N, *rows)) or runs[-1])
     rng = np.random.default_rng(8)
     for k in (4, 8):
-        M = near_tie_metzler(rng, k)
-        dense_calls.clear()
-        pair = perron_pair(M)
-        assert pair.dense == (True, True) and len(dense_calls) == 2
-        assert pair.steps == (spectral.POWER_MAXITER, spectral.POWER_MAXITER)
-        want = float(np.max(np.linalg.eigvals(M).real))
-        assert pair.alpha == pytest.approx(want, abs=1e-9)
-        assert np.all(pair.right > 0) and np.all(pair.left > 0)
+        runs.clear()
+        with pytest.raises(spectral.NumericalError, match="Noda iteration failed after 0 solves"):
+            perron_pair(near_tie_metzler(rng, k))
+        (_, steps, converged), = runs
+        assert steps == [spectral.POWER_MAXITER] * 2 and converged == [False, False]
 
     # A well-separated input converges by power iteration alone.
-    dense_calls.clear()
     pair = perron_pair(random_irreducible_metzler(rng, 16))
-    assert pair.dense == (False, False) and dense_calls == []
+    assert pair.dense == (False, False)
     assert all(0 < steps < spectral.POWER_MAXITER for steps in pair.steps)
 
 
@@ -211,8 +208,9 @@ def _slow_sparse_inputs():
     """Two slow convergers among the bit-identity test's inputs, both beyond
     the power budget: a sparse ring at about 0.9 per step, whose power steps
     would converge at 254 and 257, and a perturbed sparse n = 16 input whose
-    steps stay near 3e-2 for 18 steps and would converge at 154.  Returns
-    [(M, delta)] for both."""
+    steps stay near 3e-2 for 18 steps and would converge at 154; it is
+    reducible, so it now takes the secular pair.  Returns [(M, delta)] for
+    both."""
     rng = np.random.default_rng(11)
     for n in (1, 2, 16, 64, 256):
         random_irreducible_metzler(rng, n)
@@ -238,8 +236,9 @@ def _near_tie_persidskii_coupling():
 
 def test_near_ties_and_slow_convergers_take_no_dense_eigensolve(monkeypatch):
     # Inputs that do not converge within the power budget are finished by
-    # Noda's iteration, which separates a near tie in a few solves: no dense
-    # eigensolve, and the abscissa within 1e-12 of the dense oracle's.
+    # Noda's iteration, which separates a near tie in a few solves, and the
+    # perturbed reducible input takes the secular pair: no dense eigensolve,
+    # and the abscissa within 1e-12 of the dense oracle's.
     eig_calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda A: eig_calls.append(A.shape) or eig(A))
@@ -247,7 +246,8 @@ def test_near_ties_and_slow_convergers_take_no_dense_eigensolve(monkeypatch):
     inputs = [(near_tie_metzler(rng, k), 0.0) for k in (4, 8, 32, 128)]
     for M, delta in inputs + _slow_sparse_inputs():
         pair = perron_pair(M, delta)
-        assert pair.steps == (spectral.POWER_MAXITER, spectral.POWER_MAXITER)
+        budget = spectral.POWER_MAXITER if pair.irreducible else 0
+        assert pair.steps == (budget, budget) and pair.irreducible == (delta == 0.0)
         assert pair.dense == (False, False)
         assert np.all(pair.right > 0) and np.all(pair.left > 0)
         P = M + delta
@@ -263,20 +263,121 @@ def test_near_ties_and_slow_convergers_take_no_dense_eigensolve(monkeypatch):
 
 def test_reducible_certificates_take_no_dense_eigensolve(monkeypatch):
     # A reducible Metzler matrix takes resolvent weights, solved block by
-    # block, and no Perron vector of a delta perturbation: no certificate of
-    # a Perron tag reaches the dense eigensolve on one.  The inputs are the
-    # sweep's delta-perturbed reducible matrices, among them the five (n = 4
-    # to 15) whose perturbed Perron vectors Noda's iteration cannot finish.
-    eig_calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda A: eig_calls.append(A.shape) or eig(A))
+    # block above the largest of its blocks' Perron abscissae, and no Perron
+    # vector of a delta perturbation: no certificate of a Perron tag calls
+    # the dense eigensolver on one.  The inputs are the sweep's
+    # delta-perturbed reducible matrices, among them the five (n = 4 to 15)
+    # whose perturbed Perron vectors Noda's iteration cannot finish.
     reducible = [M for M, delta, _ in _sweep_cases() if delta > 0.0 and not is_irreducible(M)]
     assert len(reducible) >= 40
+    eig_calls = []
+    for name in ("eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, solver=solver: eig_calls.append(A.shape) or solver(A))
     rng = np.random.default_rng(41)
     for M in reducible:
         for cert, *_ in _perron_certificates(rng, M):
             assert cert.details["delta"] == RESOLVENT_SHIFT, cert.theorem
     assert eig_calls == []
+
+
+def _spy_couplings(rng, n):
+    """Signed couplings at n: dense, sparse (5 % nonzeros) and reducible
+    (block upper triangular), each with a Metzler majorant of dense
+    abscissa -0.2."""
+    dense = rng.uniform(0.0, 1.0, size=(n, n))
+    sparse = dense * (rng.random((n, n)) < 0.05)
+    reducible = dense.copy()
+    reducible[n // 2:, : n // 2] = 0.0
+    couplings = []
+    for G in (dense, sparse, reducible):
+        G = G * np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+        np.fill_diagonal(G, -rng.uniform(0.0, 0.5, size=n))
+        couplings.append(G - (spectral_abscissa(metzler_majorant(G)) + 0.2) * np.eye(n))
+    return couplings
+
+
+def test_certify_routes_take_no_dense_eigensolve(monkeypatch):
+    # Every model tag at n = 64 on dense, sparse and reducible couplings,
+    # a d1 < 0 model on a reducible coupling (the weight-lp route through
+    # reducible selections), and perron_pair on delta-perturbed reducible
+    # input: none calls the dense eigensolver.
+    n = 64
+    rng = np.random.default_rng(61)
+    C = np.diag(rng.uniform(0.8, 1.2, size=n))
+    couplings = _spy_couplings(rng, n)
+    b, c = rng.normal(scale=0.1, size=n), rng.normal(scale=0.1, size=n)
+    B, Cm = rng.normal(scale=0.1, size=(n, 2)), rng.normal(scale=0.1, size=(2, n))
+    M = metzler_majorant(couplings[2])
+    dense_calls, reducible_selections = [], []
+    for name in ("eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, solver=solver: dense_calls.append(A.shape) or solver(A))
+    resolvent = optimize._resolvent_weights
+    monkeypatch.setattr(optimize, "_resolvent_weights",
+                        lambda *args: reducible_selections.append(1) or resolvent(*args))
+    bounded, unbounded = SlopeInterval(0.0, 1.0), SlopeInterval(0.2, np.inf)
+    tags = set()
+    for A in couplings:
+        for model in (
+            Hopfield(C, A, bounded), FiringRate(C, A, bounded),
+            Hopfield(C, A, unbounded), FiringRate(C, A, unbounded),
+            Persidskii(A, SlopeInterval(0.5, 1.0)), AxMinusCPhi(A, C, SlopeInterval(0.5, 1.0)),
+            Entrywise(A, SlopeInterval(0.5, 1.0)), Lure(A, b, c, bounded),
+            MultiLure(A, B, Cm, bounded),
+        ):
+            cert = certify(model)
+            assert cert.weights is not None, cert.theorem
+            tags.add(model.tag)
+        certify_hopfield_mh(C, A, 1.0)
+    assert tags == set(networks.MODELS)
+    cert = certify(Hopfield(C, couplings[2], SlopeInterval(-0.3, 1.0)))
+    assert cert.theorem == "hopfield/l1/weight-lp" and reducible_selections
+    pair = perron_pair(M, spectral.DEFAULT_DELTA)
+    assert not pair.irreducible and pair.dense == (False, False)
+    assert dense_calls == []
+
+
+def test_noda_finishes_weakly_coupled_blocks_at_a_rounded_shift(monkeypatch):
+    # Two positive blocks with distinct Perron roots, coupled by 1e-11 to
+    # 1e-8 both ways: the Perron vectors have entries of the order of the
+    # coupling, and Noda's shift hi reaches alpha to rounding while the
+    # bracket is still open.  There hi I - N can be singular in floating
+    # point, or its solution can come out negative; Noda's iteration solves
+    # just above hi, or scales by the entry of largest modulus, and finishes
+    # the vector.
+    outcomes = []
+    solve = spectral.solve
+
+    def spy(A, b):
+        try:
+            z = solve(A, b)
+        except np.linalg.LinAlgError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("negative" if z.max() < 0.0 else "positive")
+        return z
+
+    monkeypatch.setattr(spectral, "solve", spy)
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        M = np.full((2 * k, 2 * k), 10.0 ** rng.uniform(-11, -8))
+        M[:k, :k] = rng.uniform(0.05, 0.4, size=(k, k))
+        M[k:, k:] = rng.uniform(0.05, 0.4, size=(k, k))
+        np.fill_diagonal(M, rng.uniform(1.0, 1.6, size=2 * k))
+        pair = perron_pair(M)
+        scale = 1.0 + float(np.max(np.abs(M)))
+        assert pair.dense == (False, False)
+        assert np.all(pair.right > 0.0) and np.all(pair.left > 0.0)
+        for B, v in ((M, pair.right), (M.T, pair.left)):
+            lam = float(v @ (B @ v) / (v @ v))
+            assert np.max(np.abs(B @ v - lam * v)) <= spectral.RESIDUAL_RTOL * scale
+        want = float(np.max(np.linalg.eigvals(M).real))
+        assert abs(pair.alpha - want) <= 1e-12 * scale
+    assert outcomes.count("singular") >= 1 and outcomes.count("negative") >= 10
 
 
 def test_noda_finishes_from_the_last_power_iterate(monkeypatch):
@@ -399,6 +500,24 @@ def test_perron_pair_guards():
     assert not pair.irreducible
 
 
+def test_secular_pair_resolves_a_root_near_a_large_abscissa():
+    # diag(a, a - 5) + delta * ones at a = -1e8: the root rho = a + t,
+    # t = delta (1 + delta / 5 + ...), lies below ulp(1e8) above a, so it is
+    # solved on the diagonal shift of M (diagonal 6 and 1), where it is
+    # resolved to ulp(6), a relative 1e-7 of t.  The right and left vectors
+    # are both (1, t / (5 + t)) up to scale, t solving
+    # delta (1 / t + 1 / (5 + t)) = 1.
+    a, delta = -1e8, 1e-8
+    pair = perron_pair(np.diag([a, a - 5.0]), delta)
+    t = delta
+    for _ in range(5):
+        t = delta * (1.0 + t / (5.0 + t))
+    r = t / (5.0 + t)
+    for v in (pair.right, pair.left):
+        np.testing.assert_allclose(v, [1.0 / (1.0 + r), r / (1.0 + r)], rtol=0.0, atol=1e-15)
+    assert abs(pair.alpha - a) <= 2.0 * np.spacing(1e8)
+
+
 def test_perron_weights_meet_abscissa():
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -509,13 +628,35 @@ def _reference_perron_pair(M, delta=0.0):
     return 0.5 * (lam_r + lam_l) - shift, v, w, tops, tuple(dense)
 
 
+def _check_secular_pair(M, delta, pair):
+    """The pair of a delta-perturbed reducible M comes from its secular
+    equation, with no power step, and is held to the dense oracle by
+    residual, not by bits: both vectors strictly positive with unit sum and
+    within RESIDUAL_RTOL * (1 + max|N|) of eigenvectors at rho = alpha, and
+    rho within 1e-12 (1 + max|N|) of the dense eigvals abscissa of
+    M + delta * ones."""
+    P = M + delta * np.ones(M.shape)
+    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
+    scale = 1.0 + float(np.max(np.abs(P + shift * np.eye(M.shape[0]))))
+    assert not pair.irreducible and pair.steps == (0, 0) and pair.dense == (False, False)
+    for B, v in ((P, pair.right), (P.T, pair.left)):
+        assert np.all(v > 0.0) and v.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(B @ v - pair.alpha * v)) <= spectral.RESIDUAL_RTOL * scale
+    assert abs(pair.alpha - float(np.max(np.linalg.eigvals(P).real))) <= 1e-12 * scale
+
+
 def _check_against_reference(M, delta, pair):
     """Every vector the reference's power steps converge on matches it bit
     for bit, and so does the whole pair when both do.  Every other vector
     was finished by Noda's iteration: it must be strictly positive, meet
     RESIDUAL_RTOL * (1 + max|N|), and have a Rayleigh quotient, less the
-    shift, within 1e-12 (1 + max|N|) of the dense eigvals abscissa.  Returns
-    which vectors were handed over."""
+    shift, within 1e-12 (1 + max|N|) of the dense eigvals abscissa.  A
+    delta-perturbed reducible M takes the secular pair instead, checked by
+    `_check_secular_pair`.  Returns which vectors were handed over to Noda's
+    iteration."""
+    if delta > 0.0 and not is_irreducible(M):
+        _check_secular_pair(M, delta, pair)
+        return (False, False)
     alpha, v, w, tops, handed = _reference_perron_pair(M, delta)
     assert max(tops) <= 1.0  # unit-sum iterates: the reference's stop scale was 1
     if not any(handed):
@@ -565,10 +706,11 @@ def test_perron_pair_is_bit_identical_to_reference():
         assert M.tobytes() == before
         if any(_check_against_reference(M, delta, pair)):
             handed.append(M)
-    # The slow sparse n = 16 inputs (see _slow_sparse_inputs), the near tie
+    # The slow sparse ring (n = 16, see _slow_sparse_inputs), the near tie
     # (n = 8) and the n = 2 input, whose eigenvalue ratio after the shift is
-    # 0.67, go to Noda's iteration; every input with n >= 64 converges.
-    slow = [M for M, _ in _slow_sparse_inputs()]
+    # 0.67, go to Noda's iteration; every input with n >= 64 converges.  The
+    # slow perturbed sparse input is reducible and takes the secular pair.
+    slow = [M for M, delta in _slow_sparse_inputs() if delta == 0.0]
     assert all(any(np.array_equal(M, H) for H in handed) for M in slow + [near_tie])
     assert {M.shape[0] for M in handed} == {2, 8, 16}
 
@@ -605,22 +747,30 @@ def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch
     # the same steps and bit for bit.  Near ties, as the benchmark draws
     # them, never converge and are handed to Noda's iteration (but one
     # whose start has next to no weight on the second eigenvector, which
-    # converges, as in the reference), and so are the slow sparse inputs; _check_against_reference holds every
-    # handed-over vector to the dense oracle.  The dense eigensolve, Noda's
-    # last resort, is taken only on delta-perturbed reducible inputs.
+    # converges, as in the reference), and so are the slow sparse inputs;
+    # _check_against_reference holds every handed-over vector to the dense
+    # oracle.  A delta-perturbed reducible input takes the secular pair,
+    # whose Newton steps (two block solves each) stay within NODA_MAXITER;
+    # none of the inputs takes a dense eigensolve.
     cases = _sweep_cases()
-    noda_calls = []
-    noda = spectral._noda
+    noda_calls, solves = [], []
+    noda, resolvent = spectral._noda, spectral.block_resolvent
     monkeypatch.setattr(spectral, "_noda",
-                        lambda B, x=None: noda_calls.append(1) or noda(B, x))
-    tie_handovers = 0
+                        lambda B, x=None: noda_calls.append(B.shape[0]) or noda(B, x))
+    monkeypatch.setattr(spectral, "block_resolvent",
+                        lambda *args: solves.append(1) or resolvent(*args))
+    tie_handovers, newton = 0, []
     for M, delta, k in cases:
         noda_calls.clear()
+        solves.clear()
         pair = perron_pair(M, delta)
         handed = _check_against_reference(M, delta, pair)
-        assert len(noda_calls) == sum(handed)
-        if any(pair.dense):
-            assert delta > 0.0 and not is_irreducible(M)
+        # Noda calls on smaller matrices finish a block's abscissa.
+        assert noda_calls.count(M.shape[0]) == sum(handed)
+        assert pair.dense == (False, False)
+        if not pair.irreducible:
+            newton.append(len(solves) // 2)
         if k:
             tie_handovers += sum(handed)
     assert len(cases) >= 240 and tie_handovers >= 70
+    assert len(newton) >= 40 and max(newton) <= spectral.NODA_MAXITER
