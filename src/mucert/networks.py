@@ -2,7 +2,8 @@
 and their contraction certificates.
 
 Each model class owns its behaviour: `tag` names it in model files, `field`
-and `jacobians` evaluate its vector field and its Jacobians,
+and `jacobians` evaluate its vector field and its Jacobians, `euler_map`
+builds the fused forward-Euler step that verification runs,
 `witnesses(family)` lists the few matrices whose largest weighted log norm
 bounds its one-sided Lipschitz constant, and `certificate` returns its
 contraction certificate.  The leaky models share one code path, `_Leaky`:
@@ -106,22 +107,6 @@ def _slope_rows(act, X) -> np.ndarray:
     return np.ascontiguousarray(act.deriv(X).T)[:, None, :]
 
 
-def _full_columns(*cols):
-    """A function of a stack shape (n, k) that returns the (n, 1) columns
-    `cols` repeated to that shape, C-ordered and made once per shape.  A
-    field that combines a column with its (n, k) stack through these copies
-    computes each entry by the same single IEEE operation as through
-    broadcasting, at the cost of an operation on equal shapes."""
-    made = {}
-
-    def full(shape):
-        if shape not in made:
-            made[shape] = tuple(np.repeat(c, shape[1], axis=1) for c in cols)
-        return made[shape]
-
-    return full
-
-
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
     fixed-weight bound and every certificate's `osl` is this number.
@@ -205,6 +190,15 @@ class _Model:
     A subclass sets the class attribute `tag` and defines `field(act)` (the
     right-hand side over column-stacked states (n, k), returned as a fresh
     array and built in place from its first matrix product),
+    `euler_map(act, h, k)` (the forward-Euler map x + h F(x) of (n, k)
+    stacks at step h, built once per step: a pair (step, summands).
+    `step(X, out)` writes the map of the C-ordered stack X into `out`, a
+    C-ordered (n, k) array other than X, in the order its docstring gives,
+    from matrices with h folded in and (n, 1) columns repeated to (n, k)
+    once, through scratch buffers allocated with it and no other temporary.
+    `summands(S)` returns, for an (m, n, k) stack S, the magnitudes of the
+    terms that step adds into each entry of its result, entry by entry, from
+    which verification estimates the rounding of the step),
     `jacobians(act, X)` (the Jacobians at the columns of an (n, k) stack X as
     one C-contiguous (k, n, n) stack, each slice bit-identical to the
     Jacobian at its state alone; so pre-activations such as A x + u are taken
@@ -413,16 +407,38 @@ class Hopfield(_Leaky):
     family = L1
 
     def field(self, act):
-        A, full = self.A, _full_columns(-np.diag(self.C)[:, None], self.u[:, None])
+        A, nc, u = self.A, -np.diag(self.C)[:, None], self.u[:, None]
 
         def f(X):
-            nc, u = full(X.shape)
             K = A @ act(X)
             K += nc * X
             K += u
             return K
 
         return f
+
+    def euler_map(self, act, h, k):
+        """The Euler map (hA) act(X) + (1 - hc) X + hu; the leak is added as X
+        itself where C is zero, and the input left out where u is zero."""
+        c, u = np.diag(self.C)[:, None], self.u[:, None]
+        hA, leak, hu = h * self.A, 1.0 - h * c, h * u
+        L, U = np.repeat(leak, k, axis=1), np.repeat(hu, k, axis=1)
+        leaky, driven = bool(c.any()), bool(u.any())
+        Sg, T = np.empty((self.n, k)), np.empty((self.n, k))
+
+        def step(X, out):
+            np.matmul(hA, act(X, out=Sg), out=out)
+            out += np.multiply(L, X, out=T) if leaky else X
+            if driven:
+                out += U
+
+        def summands(S):
+            M = np.matmul(np.abs(hA), np.abs(act(S)))
+            M += np.abs(leak) * np.abs(S)
+            M += np.abs(hu)
+            return M
+
+        return step, summands
 
     def jacobians(self, act, X) -> np.ndarray:
         return -self.C + self.A * _slope_rows(act, X)
@@ -446,10 +462,9 @@ class FiringRate(_Leaky):
     family = LINF
 
     def field(self, act):
-        A, full = self.A, _full_columns(-np.diag(self.C)[:, None], self.u[:, None])
+        A, nc, u = self.A, -np.diag(self.C)[:, None], self.u[:, None]
 
         def f(X):
-            nc, u = full(X.shape)
             P = A @ X
             P += u
             K = act(P)
@@ -457,6 +472,27 @@ class FiringRate(_Leaky):
             return K
 
         return f
+
+    def euler_map(self, act, h, k):
+        """The Euler map (1 - hc) X + h act(AX + u)."""
+        c, u = np.diag(self.C)[:, None], self.u[:, None]
+        A, leak = self.A, 1.0 - h * c
+        L, U = np.repeat(leak, k, axis=1), np.repeat(u, k, axis=1)
+        P, Q = np.empty((self.n, k)), np.empty((self.n, k))
+
+        def step(X, out):
+            np.matmul(A, X, out=P)
+            np.add(P, U, out=P)
+            np.multiply(act(P, out=Q), h, out=Q)
+            np.add(np.multiply(L, X, out=out), Q, out=out)
+
+        def summands(S):
+            M = np.abs(act(np.matmul(A, S) + u))
+            M *= h
+            M += np.abs(leak) * np.abs(S)
+            return M
+
+        return step, summands
 
     def _preactivation_slopes(self, act, X) -> np.ndarray:
         """The slopes at A x + u for the columns x of X, as a (k, n) stack.
@@ -502,6 +538,7 @@ class Persidskii(_Leaky):
     # Hopfield's at C = 0 and u = 0.  These rebind the name `field` in the
     # class body, so they come after the dataclass fields above.
     field = Hopfield.field
+    euler_map = Hopfield.euler_map
     jacobians = Hopfield.jacobians
     _slope_form = Hopfield._slope_form
 
@@ -545,15 +582,30 @@ class AxMinusCPhi(_Model):
         object.__setattr__(self, "C", C)
 
     def field(self, act):
-        A, full = self.A, _full_columns(np.diag(self.C)[:, None])
+        A, c = self.A, np.diag(self.C)[:, None]
 
         def f(X):
-            c, = full(X.shape)
             K = A @ X
             K -= c * act(X)
             return K
 
         return f
+
+    def euler_map(self, act, h, k):
+        """The Euler map (I + hA) X - (hc) act(X)."""
+        M, hc = np.eye(self.n) + h * self.A, h * np.diag(self.C)[:, None]
+        HC, Sg = np.repeat(hc, k, axis=1), np.empty((self.n, k))
+
+        def step(X, out):
+            np.matmul(M, X, out=out)
+            out -= np.multiply(act(X, out=Sg), HC, out=Sg)
+
+        def summands(S):
+            T = np.matmul(np.abs(M), np.abs(S))
+            T += np.abs(hc) * np.abs(act(S))
+            return T
+
+        return step, summands
 
     def jacobians(self, act, X) -> np.ndarray:
         return self.A - self.C * _slope_rows(act, X)
@@ -638,6 +690,25 @@ class Lure(_Model):
 
         return f
 
+    def euler_map(self, act, h, k):
+        """The Euler map (I + hA) X + (hb) act(c^T X)."""
+        M, hb, c = np.eye(self.n) + h * self.A, h * self.b[:, None], self.c
+        HB, p, s, T = np.repeat(hb, k, axis=1), np.empty(k), np.empty(k), np.empty((self.n, k))
+
+        def step(X, out):
+            np.matmul(M, X, out=out)
+            # Each row of T holds act(c^T X); a broadcast product would take
+            # numpy's buffered loop, which allocates.
+            np.copyto(T, act(np.matmul(c, X, out=p), out=s))
+            out += np.multiply(T, HB, out=T)
+
+        def summands(S):
+            T = np.matmul(np.abs(M), np.abs(S))
+            T += np.abs(hb) * np.abs(act(np.matmul(c, S)))[..., None, :]
+            return T
+
+        return step, summands
+
     def jacobians(self, act, X) -> np.ndarray:
         s = act.deriv(np.matmul(self.c[None, :], X.T[:, :, None])[:, 0, 0])
         return self.A + s[:, None, None] * np.outer(self.b, self.c)
@@ -701,6 +772,22 @@ class MultiLure(_Model):
             return K
 
         return f
+
+    def euler_map(self, act, h, k):
+        """The Euler map (I + hA) X + (hB) act(CX)."""
+        M, hB, C = np.eye(self.n) + h * self.A, h * self.B, self.C
+        P, Q, T = np.empty((self.m, k)), np.empty((self.m, k)), np.empty((self.n, k))
+
+        def step(X, out):
+            np.matmul(M, X, out=out)
+            out += np.matmul(hB, act(np.matmul(C, X, out=P), out=Q), out=T)
+
+        def summands(S):
+            T = np.matmul(np.abs(M), np.abs(S))
+            T += np.matmul(np.abs(hB), np.abs(act(np.matmul(C, S))))
+            return T
+
+        return step, summands
 
     def jacobians(self, act, X) -> np.ndarray:
         P = np.matmul(self.C, X.T[:, :, None])[:, :, 0]

@@ -1,8 +1,9 @@
 """Activation functions, fixed-step integration of the network models, and
 empirical verification of contraction certificates.
 
-Each model supplies its own vector field (`field`, built once per integration
-or verification as a closure over column-stacked states) and Jacobians
+Each model supplies its own vector field (`field`, built once per
+integration as a closure over column-stacked states), its fused Euler step
+(`euler_map`, built once per verification run and step size) and Jacobians
 (`jacobians`, over a column stack of states); this module only steps,
 samples and measures.
 
@@ -27,34 +28,49 @@ states overflow before the slopes they visit break the condition, and
 ValueError once the restarts spend the budget where the slopes break it
 first.  l2 certificates have no exact Euler bound and are refused.
 
-The computed map rounds each step, so two trajectories at a nonzero
-equilibrium stall some ulps apart while the bound keeps falling.  A
-distance d_k that fails the bound is checked again net of the rounding
-allowance min(k, 1 / (h rate)) * 2 (n + 3) eps ||1|| (max |x_k| + max
-|y_k|): about 4 gamma_{n+3} of the pair's largest entries per step (the
-final add and the field's n-term sums, whose terms the step condition
-keeps near the states' scale), summed under the claimed factor.  It is an
-estimate, not a bound: a field term far larger than the states (a large
-input at a state near 0) rounds beyond it.  A report that passes without
+The map that runs is each model's fused form, with h folded into its
+matrices: (hA) act(x) + (1 - hc) x + hu for Hopfield (and so Persidskii and
+Entrywise), (1 - hc) x + h act(Ax + u) for FiringRate, (I + hA) x - (hc)
+act(x) for AxMinusCPhi, (I + hA) x + (hb) act(c^T x) for Lure and (I + hA) x
++ (hB) act(Cx) for MultiLure, summed in that order; in Hopfield's map a zero
+leak adds x itself and a zero input is left out, which can change only the
+sign of a zero.  It rounds each step, so two trajectories at a nonzero
+equilibrium stall some ulps apart while the bound keeps falling.  A distance
+d_k that fails the bound is checked again net of the rounding allowance
+min(k, 1 / (h rate)) * 2 (n + 3) eps (||s(x_{k-1})|| + ||s(y_{k-1})||), s
+being the entrywise magnitudes of the summands of the step into instant k
+(for Hopfield |hA| |act(x)| + |1 - hc| |x| + |hu|): about 4 gamma_{n+3} of
+them per step, as a sum of n + 3 terms rounds by at most gamma_{n+3} of
+their magnitudes, summed under the claimed factor.  It is still an estimate,
+not a bound: it leaves out the rounding of the activation and of
+FiringRate's Ax + u, which no slope bound scales here (rect_poly has none),
+and an allowance that overflows nets nothing.  A report that passes without
 it is unchanged.  Ratios are taken in log space, so a bound below the
-smallest float does not underflow.  Pairs draw from seed-derived
-substreams.
+smallest float does not underflow.  Pairs draw from seed-derived substreams.
 
 Cost model of `verify_contraction`: the 2 * pairs trajectories advance as
-one (n, 2 * pairs) stack by 1 field evaluation per step, whose last
-in-place add writes into the next slot of a (block + 1, n, 2 * pairs)
-buffer allocated once per run; a block is DECAY_BLOCK_STEPS steps, or fewer
-where it would exceed STATE_BLOCK_ENTRIES entries.  Each block is checked
-once: one subtraction, one stacked norm and one finiteness check, then a
-few numpy calls for the decay ratios (and, in a block whose ratios fail, a
-maximum and a minimum over its states for the allowance).  A rect_poly
-floor of -inf adds one maximum over the block's inputs (and for FiringRate
-one batched product) per block, and each restart runs again at twice the
-steps.  `integrate` steps one trajectory by classical RK4 through
-the same buffer.  Every `mu_sample_stride` steps the Jacobian log norms of
-all trajectories are taken (`_max_jacobian_mu`): from the slopes at O(n)
-per state where a model's slope form scales the lines its norm sums, else
-from dense (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries.
+one (n, 2 * pairs) stack, each step written by the model's fused map
+straight into the next slot of a (block + 1, n, 2 * pairs) buffer allocated
+once per run, through scratch buffers made with the map and no other
+temporary.  A step takes the activation's kernels (1 for relu, tanh and
+linear, 2 for leaky_relu and rect_poly, 4 for sigmoid) plus: Hopfield 4 (a
+product, the leak's product and add, the input's add), 1 less at a zero leak
+and 1 less at a zero input, so Persidskii and Entrywise take 2; FiringRate 5
+(two products, the input's add, the leak's product and the add); AxMinusCPhi
+3 (two products and the subtraction); Lure 5 (two products, the copy of
+act(c^T x) into each row, its product and the add); MultiLure 4 (three
+products and the add).  A block is DECAY_BLOCK_STEPS steps, or fewer where
+it would exceed STATE_BLOCK_ENTRIES entries.  Each block is checked once:
+one subtraction, one stacked norm and one finiteness check, then a few numpy
+calls for the decay ratios (and, in a block whose ratios fail, the summands
+of its steps and their norms for the allowance).  A rect_poly floor of -inf
+adds one maximum over the block's inputs (and for FiringRate one batched
+product) per block, and each restart runs again at twice the steps.
+`integrate` steps one trajectory by classical RK4 on the model's `field`
+through the same buffer.  Every `mu_sample_stride` steps the Jacobian log
+norms of all trajectories are taken (`_max_jacobian_mu`): from the slopes at
+O(n) per state where a model's slope form scales the lines its norm sums,
+else from dense (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries.
 Every reported value is bit-identical to the one-step, one-state
 evaluation, except that the slope form's `max_sampled_mu` sums in another
 order than the dense log norm and can differ from it in its last bits.
@@ -153,19 +169,29 @@ class Activation:
             if not (_is_real(self.k) and math.isfinite(self.k)):
                 raise ValueError("linear needs a finite gain k")
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """The activation at every entry of x, written into `out` (a float
+        array of x's shape other than x itself) or a fresh array, by one to
+        four in-place kernels and no temporary: relu max(x, 0), leaky_relu
+        max(x, a x) (x where x >= 0 and a x below it, as 0 < a < 1), tanh,
+        sigmoid 1 / (1 + exp(-x)), rect_poly max(x, 0)^r and linear k x."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x >= 0.0, x, self.a * x)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        if self.kind == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-x))
-        if self.kind == "rect_poly":
-            return np.maximum(x, 0.0) ** int(self.r)
-        return self.k * x
+        out = np.empty(x.shape) if out is None else out
+        if self.kind in ("relu", "rect_poly"):
+            np.maximum(x, 0.0, out=out)
+            if self.kind == "rect_poly":  # ** r, which squares for r = 2
+                r = int(self.r)
+                np.square(out, out=out) if r == 2 else np.power(out, r, out=out)
+        elif self.kind == "leaky_relu":
+            np.maximum(x, np.multiply(x, self.a, out=out), out=out)
+        elif self.kind == "tanh":
+            np.tanh(x, out=out)
+        elif self.kind == "sigmoid":
+            np.exp(np.negative(x, out=out), out=out)
+            np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+        else:
+            np.multiply(x, self.k, out=out)
+        return out
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -289,22 +315,15 @@ def _rk4_step(f, X, h, out=None):
     return np.add(k1, X, out=k1 if out is None else out)
 
 
-def _euler_step(f, X, h, out=None):
-    """X + h f(X), combined in place and written to `out` (a fresh array by
-    default); `f` must return a fresh array."""
-    K = f(X)
-    K *= h
-    return np.add(K, X, out=K if out is None else out)
-
-
 def _block_steps(entries: int) -> int:
     """Steps per state block of a stack of `entries` state entries."""
     return max(1, min(DECAY_BLOCK_STEPS, STATE_BLOCK_ENTRIES // entries))
 
 
-def _state_blocks(f, advance, Z, n_steps: int, step: float, block: int):
-    """Advance the (n, k) stack Z by `n_steps` steps of `advance`, `block`
-    steps at a time, into one (block + 1, n, k) buffer allocated once.
+def _state_blocks(advance, Z, n_steps: int, block: int):
+    """Advance the (n, k) stack Z by `n_steps` calls of `advance(X, out)`,
+    which writes the states one step after X into `out`, `block` steps at a
+    time, into one (block + 1, n, k) buffer allocated once.
 
     Yields (i, S) per block: slot j of S holds the states at instant i + j,
     slot 0 the last states of the previous block (Z for the first).  The
@@ -312,10 +331,11 @@ def _state_blocks(f, advance, Z, n_steps: int, step: float, block: int):
     """
     S = np.empty((block + 1,) + Z.shape)
     S[0] = Z
+    slots = list(zip(S[:-1], S[1:]))  # (from, to) views, made once
     for i in range(0, n_steps, block):
         m = min(block, n_steps - i)
-        for j in range(m):
-            advance(f, S[j], step, out=S[j + 1])
+        for X, out in slots[:m]:
+            advance(X, out)
         yield i, S[:m + 1]
         S[0] = S[m]
 
@@ -353,7 +373,9 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     X = as_vector(x0, model.n)[:, None]
     out = np.empty((n_steps + 1, X.shape[0]))
     out[0] = X[:, 0]
-    blocks = _state_blocks(model.field(act), _rk4_step, X, n_steps, step, _block_steps(X.size))
+    f = model.field(act)
+    blocks = _state_blocks(lambda X, out: _rk4_step(f, X, step, out), X, n_steps,
+                           _block_steps(X.size))
     # Divergence is detected and reported, so intermediate overflow is expected.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, S in blocks:
@@ -491,13 +513,12 @@ def verify_contraction(
     if initial_pairs is None:
         X0, Y0 = _draw_pairs(model, act, pairs, seed)
     Z = np.hstack([X0, Y0])  # (n, 2 * pairs)
-    f = model.field(act)
     w = _weights_or_ones(cert.weights, model.n)
     norm = kernels(cert.family)[1]
     max_jacobian_mu = _max_jacobian_mu(model, act, cert.family, w)
     ratio_limit = 1.0 + DECAY_RATIO_ALLOWANCE
-    # The rounding allowance per step and per unit of a pair's largest entries.
-    rounding = 2 * (model.n + 3) * np.finfo(float).eps * float(norm(np.ones((model.n, 1)), w)[0])
+    # The rounding allowance per step and per unit of the norms of the summands.
+    rounding = 2 * (model.n + 3) * np.finfo(float).eps
     block = _block_steps(Z.size)
     D = np.empty((block + 1, model.n, pairs))
 
@@ -513,7 +534,8 @@ def verify_contraction(
         # The claimed factor's powers sum to at most min(k, span) over k steps.
         span = 1.0 / h_rate if h_rate > 0.0 else math.inf
         max_mu = -np.inf
-        for i, S in _state_blocks(f, _euler_step, Z, n_steps, step, block):
+        advance, summands = model.euler_map(act, step, Z.shape[1])
+        for i, S in _state_blocks(advance, Z, n_steps, block):
             lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
             dist = norm(np.subtract(S[lo:, :, :pairs], S[lo:, :, pairs:], out=D[:len(S) - lo]), w)
             # A non-finite entry of a state makes its pair's distance non-finite.
@@ -530,13 +552,16 @@ def verify_contraction(
                 ratio = _worst_ratio(dist[:, live], log_d0, log_bound)
                 if ratio > ratio_limit:
                     # Each failing distance is checked again net of the
-                    # rounding allowance.
+                    # rounding allowance, sized by the summands of the step
+                    # into its instant (none into instant 0).
                     d = dist[:, live]
                     fails = np.exp(np.log(d) - log_d0 - log_bound[:, None]) > ratio_limit
-                    size = np.maximum(S[lo:].max(axis=1), -S[lo:].min(axis=1))
+                    size = np.pad(norm(summands(S[:-1]), w), ((1 - lo, 0), (0, 0)))
                     noise = (rounding * np.minimum(t, span))[:, None] * (
-                        size[:, :pairs] + size[:, pairs:])
-                    ratio = _worst_ratio(np.where(fails, d - noise[:, live], d), log_d0, log_bound)
+                        size[:, :pairs] + size[:, pairs:])[:, live]
+                    # An allowance that overflowed nets nothing.
+                    fails &= np.isfinite(noise)
+                    ratio = _worst_ratio(np.where(fails, d - noise, d), log_d0, log_bound)
                     del d, fails, size, noise
                 del t, log_bound
                 if ratio > worst or math.isnan(ratio):  # NaN sticks and fails

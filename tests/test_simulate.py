@@ -92,6 +92,45 @@ def test_activation_rejects_foreign_and_non_numeric_parameters():
     assert Activation("rect_poly", r=np.int64(3)).r == 3
 
 
+def _textbook_activation(act, x):
+    """Each kind's activation as the plain expression, allocating as it goes."""
+    if act.kind == "relu":
+        return np.maximum(x, 0.0)
+    if act.kind == "leaky_relu":
+        return np.where(x >= 0.0, x, act.a * x)
+    if act.kind == "tanh":
+        return np.tanh(x)
+    if act.kind == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-x))
+    if act.kind == "rect_poly":
+        return np.maximum(x, 0.0) ** int(act.r)
+    return act.k * x
+
+
+def test_activation_kernels_match_the_textbook_expressions_bit_for_bit():
+    # The in-place kernels against the plain expressions, sign bits and NaN
+    # payloads included (int64 views), on the kinks, signed zeros,
+    # subnormals, exp's overflow edge, the largest floats, infinities and
+    # NaNs.  leaky_relu is max(x, a x), which is exact for 0 < a < 1.
+    tiny = np.finfo(float).tiny
+    specials = [0.0, -0.0, 5e-324, -5e-324, 3e-320, -3e-320, tiny, -tiny, 0.5, -0.5, 1.0, -1.0,
+                2.0, -2.0, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308, np.finfo(float).max,
+                -np.finfo(float).max, np.inf, -np.inf, np.nan, -np.nan]
+    grid = np.concatenate([specials, np.random.default_rng(3).normal(scale=4.0, size=100)])
+    acts = [Activation("relu"), Activation("tanh"), Activation("sigmoid")]
+    acts += [Activation("leaky_relu", a=a) for a in (0.01, 0.3, 0.99)]
+    acts += [Activation("rect_poly", r=r) for r in (2, 3, 5)]
+    acts += [Activation("linear", k=k) for k in (-2.0, 0.0, 0.5)]
+    with np.errstate(all="ignore"):
+        for act in acts:
+            for x in (grid, grid.reshape(2, 3, -1)):
+                want = _textbook_activation(act, x).view(np.int64)
+                out = np.full(x.shape, 7.0)
+                assert act(x, out=out) is out
+                assert np.array_equal(out.view(np.int64), want), act
+                assert np.array_equal(act(x).view(np.int64), want), act
+
+
 def test_integrate_linear_decoupled_decay():
     m = Hopfield(np.eye(2), np.zeros((2, 2)), SlopeInterval(0.0, 1.0))
     x0 = np.array([1.0, -2.0])
@@ -451,6 +490,23 @@ def test_verify_euler_scheme_fails_a_small_overclaim():
     assert report.scheme == "euler" and not report.passed
 
 
+def test_rounding_allowance_follows_the_summands_of_each_step():
+    # The inputs u = -A act(0) 1 cancel at the equilibrium 0, where each step
+    # adds summands of size h 300 = 0.3 to states near 0.  An allowance that
+    # scaled with max |x_k| read worst ratio 5.1e7 at horizon 1 and 6.6e96 at
+    # horizon 5 on this true certificate; one sized by the summands passes
+    # both, and a 1.01x overclaim still fails, on distances far above it.
+    m = Hopfield(200.0 * np.eye(2), [[0.0, 600.0], [600.0, 0.0]], SlopeInterval(0.0, 0.25),
+                 u=[-300.0, -300.0])
+    cert = certify(m, L1)
+    assert cert.rate == 50.0
+    act = Activation("sigmoid")
+    over = dataclasses.replace(cert, rate=1.01 * cert.rate)
+    for horizon in (1.0, 5.0):
+        assert verify_contraction(m, act, cert, pairs=20, horizon=horizon, step=1e-3).passed
+        assert not verify_contraction(m, act, over, pairs=20, horizon=horizon, step=1e-3).passed
+
+
 def test_verify_euler_scheme_fails_a_claimed_factor_at_or_below_zero():
     # Floor -1 and step 1/4: the Euler map is (3/4) I + A / 4, which sends the
     # difference (1, -1) to exactly 0.  A claimed factor 1 - step * rate <= 0
@@ -567,10 +623,11 @@ def test_jacobian_matches_finite_differences():
 
 # Reference loops: the straightforward form, through the public validating
 # norm, log-norm and Jacobian functions, with the diagonal leak applied as a
-# dense matrix product.  The verification reference steps forward Euler and
-# takes the decay ratio in log space, exp(log d_k - log d_0 - log bound_k),
-# with bound_k = (1 - h rate)^k; a distance below the smallest normal float
-# counts as 0.  The RK4 reference is `integrate`'s.
+# dense matrix product.  The verification reference steps each model's fused
+# forward-Euler map in its documented order (`_reference_euler`) and takes
+# the decay ratio in log space, exp(log d_k - log d_0 - log bound_k), with
+# bound_k = (1 - h rate)^k; a distance below the smallest normal float counts
+# as 0.  The RK4 reference is `integrate`'s.
 def _reference_field(model, act):
     if isinstance(model, Hopfield):
         C, A, u = model.C, model.A, model.u[:, None]
@@ -582,6 +639,37 @@ def _reference_field(model, act):
         A, C = model.A, model.C
         return lambda X: A @ X - C @ act(X)
     return model.field(act)
+
+
+def _reference_euler(model, act, h):
+    """(E, T): the fused Euler map of an (n, k) stack in the order each model
+    documents, with h folded into its matrices and broadcast columns, and the
+    magnitudes of the summands it adds."""
+    n = model.n
+    if isinstance(model, (Hopfield, FiringRate, Persidskii)):
+        c, u, A = np.diag(model.C)[:, None], model.u[:, None], model.A
+        leak = 1.0 - h * c
+    if isinstance(model, (Hopfield, Persidskii)):
+        def E(X):  # the leak is X itself where C is zero; a zero u is left out
+            Y = (h * A) @ act(X) + (leak * X if c.any() else X)
+            return Y + h * u if u.any() else Y
+
+        return E, lambda X: np.abs(h * A) @ np.abs(act(X)) + np.abs(leak) * np.abs(X) + np.abs(h * u)
+    if isinstance(model, FiringRate):
+        return (lambda X: leak * X + h * act(A @ X + u),
+                lambda X: h * np.abs(act(A @ X + u)) + np.abs(leak) * np.abs(X))
+    M = np.eye(n) + h * model.A
+    if isinstance(model, AxMinusCPhi):
+        hc = h * np.diag(model.C)[:, None]
+        return (lambda X: M @ X - hc * act(X),
+                lambda X: np.abs(M) @ np.abs(X) + np.abs(hc) * np.abs(act(X)))
+    if isinstance(model, Lure):
+        hb, c = h * model.b[:, None], model.c
+        return (lambda X: M @ X + hb * act(c @ X)[None, :],
+                lambda X: np.abs(M) @ np.abs(X) + np.abs(hb) * np.abs(act(c @ X))[None, :])
+    hB, C = h * model.B, model.C
+    return (lambda X: M @ X + hB @ act(C @ X),
+            lambda X: np.abs(M) @ np.abs(X) + np.abs(hB) @ np.abs(act(C @ X)))
 
 
 def _reference_rk4(f, X, h):
@@ -611,30 +699,34 @@ def _reference_verify(model, act, cert, X0, Y0, horizon, step, stride, abs_sums=
     n_steps = int(np.floor(horizon / step))
     pairs = X0.shape[1]
     Z = np.hstack([X0, Y0])
-    f = _reference_field(model, act)
+    euler, summands = _reference_euler(model, act, step)
     fam, w = cert.family, cert.weights
     tiny = np.finfo(float).tiny
     d0 = weighted_norm(X0 - Y0, fam, w)
     live = d0 >= tiny
     n = model.n
-    rounding = 2 * (n + 3) * np.finfo(float).eps * weighted_norm(np.ones(n), fam, w)
+    rounding = 2 * (n + 3) * np.finfo(float).eps
     worst = 0.0
     max_mu = -np.inf
+    size = np.zeros(pairs)  # no step into instant 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(n_steps + 1):
             if i > 0:
-                Z = Z + step * f(Z)
+                # A distance that fails the bound is taken net of the rounding
+                # allowance of the steps behind it, sized by the norms of the
+                # summands of the step into it.
+                sums = weighted_norm(summands(Z), fam, w)
+                size = sums[:pairs] + sums[pairs:]
+                Z = euler(Z)
                 if not np.all(np.isfinite(Z)):
                     return i * step
             log_bound = i * np.log1p(-step * cert.rate) if i > 0 else 0.0
-            # A distance that fails the bound is taken net of the rounding
-            # allowance of the steps behind it.
-            size = np.max(np.abs(Z[:, :pairs]), axis=0) + np.max(np.abs(Z[:, pairs:]), axis=0)
             h_rate = step * cert.rate
             noise = rounding * (min(i, 1.0 / h_rate) if h_rate > 0.0 else i) * size
             nrm = weighted_norm(Z[:, :pairs] - Z[:, pairs:], fam, w)
             for d, start, e in zip(nrm[live], d0[live], noise[live]):
-                if np.exp(np.log(d) - np.log(start) - log_bound) > 1.0 + simulate.DECAY_RATIO_ALLOWANCE:
+                fails = np.exp(np.log(d) - np.log(start) - log_bound) > 1.0 + simulate.DECAY_RATIO_ALLOWANCE
+                if fails and np.isfinite(e):
                     d = d - e
                 if d >= tiny:
                     worst = max(worst, float(np.exp(np.log(d) - np.log(start) - log_bound)))
@@ -1078,6 +1170,64 @@ def test_fields_match_broadcast_columns_bit_for_bit():
         tags.add(model.tag)
     assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
                     "lure", "multilure"}
+
+
+def test_fused_euler_steps_are_the_reference_maps_and_the_textbook_step_up_to_rounding():
+    # Each model's step is its documented fused map bit for bit, writes every
+    # entry of `out`, and allocates no array of a state's or a column's size
+    # (2 KB here; numpy's matmul takes 512 bytes of its own per call).
+    # Against the textbook X + h f(X) it differs only by rounding: by at most
+    # 2 gamma_{n+3} of the magnitudes of its summands, entry by entry.
+    rng = np.random.default_rng(14)
+    n, k = 6, 256
+    bound = 2 * _gamma(n + 3)  # fixed from the dtype before any step
+    tags = set()
+    for model, act in _oracle_cases():
+        f = model.field(act)
+        for h in (1e-3, 0.1):
+            step, summands = model.euler_map(act, h, k)
+            euler, magnitudes = _reference_euler(model, act, h)
+            X = rng.normal(scale=3.0, size=(n, k))
+            out = np.full((n, k), np.nan)
+            step(X, out)
+            assert np.array_equal(out, euler(X))
+            T = summands(np.stack([X, out]))
+            assert np.array_equal(T, np.stack([magnitudes(X), magnitudes(out)]))
+            assert np.all(np.abs(out - (X + h * f(X))) <= bound * T[0]), model.tag
+            tracemalloc.start()
+            try:
+                step(out, X)
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(5):
+                    step(X, out)
+                    step(out, X)
+                grown = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert grown < 1024, (model.tag, grown)
+        tags.add(model.tag)
+    assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
+                    "lure", "multilure"}
+
+
+def test_zero_leak_models_give_identical_verify_reports():
+    # Persidskii, Entrywise and a Hopfield model with C = 0 and no input step
+    # the same map, with the leak and input summands left out alike, so one
+    # certificate gives identical reports on one A, overclaimed or not.
+    rng = np.random.default_rng(15)
+    n = 5
+    A = -1.5 * np.eye(n) + 0.2 * rng.normal(size=(n, n))
+    slopes = SlopeInterval(0.3, 1.0)
+    models = [Persidskii(A, slopes), Entrywise(A, slopes), Hopfield(np.zeros((n, n)), A, slopes)]
+    cert = certify(models[0], L1)
+    assert cert.contracting
+    act = Activation("leaky_relu", a=0.3)
+    for claim in (cert, dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)):
+        reports = [verify_contraction(m, act, claim, pairs=6, horizon=2.0, step=1e-2, seed=4)
+                   for m in models]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].passed == (claim is cert)
 
 
 class _Identity:
