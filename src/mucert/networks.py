@@ -1,13 +1,15 @@
 """Continuous-time neural network models, their one-sided Lipschitz constants
 and their contraction certificates.
 
-Each model class owns its behaviour: `tag` names it in model files, `field`
-and `jacobians` evaluate its vector field and its Jacobians, `euler_map`
-builds the fused forward-Euler step that verification runs,
-`witnesses(family)` lists the few matrices whose largest weighted log norm
-bounds its one-sided Lipschitz constant, and `certificate` returns its
-contraction certificate.  The leaky models share one code path, `_Leaky`:
-Hopfield, FiringRate, and Persidskii, which is Hopfield with C = 0 and u = 0.
+Each model class owns its behaviour: `tag` names it in model files,
+`euler_map` builds its one statement of the dynamics, the map x X + h F(X)
+with h folded into its matrices (the forward-Euler step that verification
+runs at x = 1, the vector field F that integration runs at h = 1 and
+x = 0), `jacobians` evaluates its Jacobians, `witnesses(family)` lists the
+few matrices whose largest weighted log norm bounds its one-sided Lipschitz
+constant, and `certificate` returns its contraction certificate.  The leaky
+models share one code path, `_Leaky`: Hopfield, FiringRate, and Persidskii,
+which is Hopfield with C = 0 and u = 0.
 Entrywise is a Persidskii model with its own witness and certificate.  The
 module-level functions (`certify`, `fixed_weight_osl`, ...) delegate to these
 methods; `certify_persidskii` and the other per-model certify names are
@@ -184,14 +186,23 @@ def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
     )
 
 
+def _shifted(A, h, x) -> np.ndarray:
+    """h A plus x I, the identity added only where x is nonzero: so the map
+    at h = 1 and x = 0 takes A itself."""
+    M = h * A
+    if x:
+        M += x * np.eye(len(A))
+    return M
+
+
 class _Model:
     """Behaviour shared by every network model.
 
-    A subclass sets the class attribute `tag` and defines `field(act)` (the
-    right-hand side over column-stacked states (n, k), returned as a fresh
-    array and built in place from its first matrix product),
-    `euler_map(act, h, k)` (the forward-Euler map x + h F(x) of (n, k)
-    stacks at step h, built once per step: a pair (step, summands).
+    A subclass sets the class attribute `tag` and defines
+    `euler_map(act, h, k, x)` (the map x X + h F(X) of (n, k) stacks, F being
+    the model's vector field: the forward-Euler step at x = 1, F itself at
+    h = 1 and x = 0, with no 0 I or 0 X term added; built once per run: a
+    pair (step, summands).
     `step(X, out)` writes the map of the C-ordered stack X into `out`, a
     C-ordered (n, k) array other than X, in the order its docstring gives,
     from matrices with h folded in and (n, 1) columns repeated to (n, k)
@@ -298,7 +309,7 @@ class _Leaky(_Model):
     the floor that verification checks its Euler steps against.  Unbounded
     slopes are certified by :func:`certify_unbounded_slope` only.
 
-    The fields scale rows by the diagonal of C, which for finite states is
+    The maps scale rows by the diagonal of C, which for finite states is
     C @ X entry for entry, without the n x n product.
     """
 
@@ -406,29 +417,21 @@ class Hopfield(_Leaky):
     side = RIGHT
     family = L1
 
-    def field(self, act):
-        A, nc, u = self.A, -np.diag(self.C)[:, None], self.u[:, None]
-
-        def f(X):
-            K = A @ act(X)
-            K += nc * X
-            K += u
-            return K
-
-        return f
-
-    def euler_map(self, act, h, k):
-        """The Euler map (hA) act(X) + (1 - hc) X + hu; the leak is added as X
-        itself where C is zero, and the input left out where u is zero."""
+    def euler_map(self, act, h, k, x):
+        """The map (hA) act(X) + (x - hc) X + hu; a leak column of ones adds X
+        itself, and one of zeros, like a zero u, is left out."""
         c, u = np.diag(self.C)[:, None], self.u[:, None]
-        hA, leak, hu = h * self.A, 1.0 - h * c, h * u
+        hA, leak, hu = h * self.A, x - h * c, h * u
         L, U = np.repeat(leak, k, axis=1), np.repeat(hu, k, axis=1)
-        leaky, driven = bool(c.any()), bool(u.any())
+        ones, leaky, driven = bool(np.all(leak == 1.0)), bool(leak.any()), bool(u.any())
         Sg, T = np.empty((self.n, k)), np.empty((self.n, k))
 
         def step(X, out):
             np.matmul(hA, act(X, out=Sg), out=out)
-            out += np.multiply(L, X, out=T) if leaky else X
+            if ones:
+                out += X
+            elif leaky:
+                out += np.multiply(L, X, out=T)
             if driven:
                 out += U
 
@@ -461,22 +464,10 @@ class FiringRate(_Leaky):
     side = LEFT
     family = LINF
 
-    def field(self, act):
-        A, nc, u = self.A, -np.diag(self.C)[:, None], self.u[:, None]
-
-        def f(X):
-            P = A @ X
-            P += u
-            K = act(P)
-            K += nc * X
-            return K
-
-        return f
-
-    def euler_map(self, act, h, k):
-        """The Euler map (1 - hc) X + h act(AX + u)."""
+    def euler_map(self, act, h, k, x):
+        """The map (x - hc) X + h act(AX + u)."""
         c, u = np.diag(self.C)[:, None], self.u[:, None]
-        A, leak = self.A, 1.0 - h * c
+        A, leak = self.A, x - h * c
         L, U = np.repeat(leak, k, axis=1), np.repeat(u, k, axis=1)
         P, Q = np.empty((self.n, k)), np.empty((self.n, k))
 
@@ -535,9 +526,7 @@ class Persidskii(_Leaky):
     C: np.ndarray = field(init=False)
     u: np.ndarray = field(init=False)
 
-    # Hopfield's at C = 0 and u = 0.  These rebind the name `field` in the
-    # class body, so they come after the dataclass fields above.
-    field = Hopfield.field
+    # Hopfield's at C = 0 and u = 0.
     euler_map = Hopfield.euler_map
     jacobians = Hopfield.jacobians
     _slope_form = Hopfield._slope_form
@@ -581,19 +570,9 @@ class AxMinusCPhi(_Model):
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
 
-    def field(self, act):
-        A, c = self.A, np.diag(self.C)[:, None]
-
-        def f(X):
-            K = A @ X
-            K -= c * act(X)
-            return K
-
-        return f
-
-    def euler_map(self, act, h, k):
-        """The Euler map (I + hA) X - (hc) act(X)."""
-        M, hc = np.eye(self.n) + h * self.A, h * np.diag(self.C)[:, None]
+    def euler_map(self, act, h, k, x):
+        """The map (xI + hA) X - (hc) act(X)."""
+        M, hc = _shifted(self.A, h, x), h * np.diag(self.C)[:, None]
         HC, Sg = np.repeat(hc, k, axis=1), np.empty((self.n, k))
 
         def step(X, out):
@@ -680,19 +659,9 @@ class Lure(_Model):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def field(self, act):
-        A, b, c = self.A, self.b[:, None], self.c
-
-        def f(X):
-            K = A @ X
-            K += b * act(c @ X)[None, :]
-            return K
-
-        return f
-
-    def euler_map(self, act, h, k):
-        """The Euler map (I + hA) X + (hb) act(c^T X)."""
-        M, hb, c = np.eye(self.n) + h * self.A, h * self.b[:, None], self.c
+    def euler_map(self, act, h, k, x):
+        """The map (xI + hA) X + (hb) act(c^T X)."""
+        M, hb, c = _shifted(self.A, h, x), h * self.b[:, None], self.c
         HB, p, s, T = np.repeat(hb, k, axis=1), np.empty(k), np.empty(k), np.empty((self.n, k))
 
         def step(X, out):
@@ -763,19 +732,9 @@ class MultiLure(_Model):
     def m(self) -> int:
         return self.B.shape[1]
 
-    def field(self, act):
-        A, B, C = self.A, self.B, self.C
-
-        def f(X):
-            K = A @ X
-            K += B @ act(C @ X)
-            return K
-
-        return f
-
-    def euler_map(self, act, h, k):
-        """The Euler map (I + hA) X + (hB) act(CX)."""
-        M, hB, C = np.eye(self.n) + h * self.A, h * self.B, self.C
+    def euler_map(self, act, h, k, x):
+        """The map (xI + hA) X + (hB) act(CX)."""
+        M, hB, C = _shifted(self.A, h, x), h * self.B, self.C
         P, Q, T = np.empty((self.m, k)), np.empty((self.m, k)), np.empty((self.n, k))
 
         def step(X, out):

@@ -1,11 +1,12 @@
 """Activation functions, fixed-step integration of the network models, and
 empirical verification of contraction certificates.
 
-Each model supplies its own vector field (`field`, built once per
-integration as a closure over column-stacked states), its fused Euler step
-(`euler_map`, built once per verification run and step size) and Jacobians
-(`jacobians`, over a column stack of states); this module only steps,
-samples and measures.
+Each model states its dynamics once, as the map x X + h F(X) of
+column-stacked states with h folded into its matrices (`euler_map`, built
+once per run): verification steps it at x = 1, the forward-Euler map, and
+integration takes the vector field F from it at h = 1 and x = 0.  With the
+model's Jacobians (`jacobians`, over a column stack of states), this module
+only steps, samples and measures.
 
 Verification steps random trajectory pairs by the forward-Euler map
 E(x) = x + h F(x) and checks the exact discrete bound ``||E^k(x) - E^k(y)||
@@ -32,11 +33,12 @@ The map that runs is each model's fused form, with h folded into its
 matrices: (hA) act(x) + (1 - hc) x + hu for Hopfield (and so Persidskii and
 Entrywise), (1 - hc) x + h act(Ax + u) for FiringRate, (I + hA) x - (hc)
 act(x) for AxMinusCPhi, (I + hA) x + (hb) act(c^T x) for Lure and (I + hA) x
-+ (hB) act(Cx) for MultiLure, summed in that order; in Hopfield's map a zero
-leak adds x itself and a zero input is left out, which can change only the
-sign of a zero.  It rounds each step, so two trajectories at a nonzero
-equilibrium stall some ulps apart while the bound keeps falling.  A distance
-d_k that fails the bound is checked again net of the rounding allowance
++ (hB) act(Cx) for MultiLure, summed in that order; in Hopfield's map a
+leak column of ones (a zero C) adds x itself, and one of zeros and a zero
+input are left out, which can change only the sign of a zero.  It rounds
+each step, so two trajectories at a nonzero equilibrium stall some ulps
+apart while the bound keeps falling.  A distance d_k that fails the bound
+is checked again net of the rounding allowance
 min(k, 1 / (h rate)) * 2 (n + 3) eps (||s(x_{k-1})|| + ||s(y_{k-1})||), s
 being the entrywise magnitudes of the summands of the step into instant k
 (for Hopfield |hA| |act(x)| + |1 - hc| |x| + |hu|): about 4 gamma_{n+3} of
@@ -66,11 +68,13 @@ calls for the decay ratios (and, in a block whose ratios fail, the summands
 of its steps and their norms for the allowance).  A rect_poly floor of -inf
 adds one maximum over the block's inputs (and for FiringRate one batched
 product) per block, and each restart runs again at twice the steps.
-`integrate` steps one trajectory by classical RK4 on the model's `field`
-through the same buffer.  Every `mu_sample_stride` steps the Jacobian log
-norms of all trajectories are taken (`_max_jacobian_mu`): from the slopes at
-O(n) per state where a model's slope form scales the lines its norm sums,
-else from dense (k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries.
+`integrate` steps one trajectory by classical RK4 through the same buffer:
+four calls of the model's map at h = 1 and x = 0 (its field), combined in
+place through three stage buffers allocated once per run.  Every
+`mu_sample_stride` steps the Jacobian log norms of all trajectories are
+taken (`_max_jacobian_mu`): from the slopes at O(n) per state where a
+model's slope form scales the lines its norm sums, else from dense
+(k, n, n) stacks of at most JACOBIAN_BATCH_ENTRIES entries.
 Every reported value is bit-identical to the one-step, one-state
 evaluation, except that the slope form's `max_sampled_mu` sums in another
 order than the dense log norm and can differ from it in its last bits.
@@ -298,21 +302,25 @@ def _max_jacobian_mu(model, act, family, w):
     return sampled
 
 
-def _rk4_step(f, X, h, out=None):
-    """X + (h/6)(k1 + 2 k2 + 2 k3 + k4), combined in place in that order and
-    written to `out` (a fresh array by default); `f` must return a fresh
-    array."""
-    k1 = f(X)
-    k2 = f(X + 0.5 * h * k1)
-    k3 = f(X + 0.5 * h * k2)
-    k4 = f(X + h * k3)
-    k2 *= 2.0
-    k1 += k2
-    k3 *= 2.0
-    k1 += k3
-    k1 += k4
-    k1 *= h / 6.0
-    return np.add(k1, X, out=k1 if out is None else out)
+def _rk4_advance(f, h, shape):
+    """advance(X, out): the classical RK4 step X + (h/6)(k1 + 2 k2 + 2 k3 +
+    k4) of a stack of `shape`, combined in place in that order and written
+    to `out`, other than X.  `f(X, out)` writes the vector field at X into
+    `out`; the stages run through three buffers allocated here, once."""
+    K, J, Y = (np.empty(shape) for _ in range(3))
+
+    def advance(X, out):
+        f(X, K)
+        np.add(X, np.multiply(K, 0.5 * h, out=Y), out=Y)
+        for t in (0.5 * h, h):  # k2, then k3: the next stage's state, then 2 k_j
+            f(Y, J)
+            np.add(X, np.multiply(J, t, out=Y), out=Y)
+            np.add(K, np.multiply(J, 2.0, out=J), out=K)
+        f(Y, J)
+        np.add(K, J, out=K)
+        np.add(np.multiply(K, h / 6.0, out=K), X, out=out)
+
+    return advance
 
 
 def _block_steps(entries: int) -> int:
@@ -373,9 +381,9 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     X = as_vector(x0, model.n)[:, None]
     out = np.empty((n_steps + 1, X.shape[0]))
     out[0] = X[:, 0]
-    f = model.field(act)
-    blocks = _state_blocks(lambda X, out: _rk4_step(f, X, step, out), X, n_steps,
-                           _block_steps(X.size))
+    # The model's map at h = 1 and x = 0 is its vector field.
+    field = model.euler_map(act, 1.0, 1, 0.0)[0]
+    blocks = _state_blocks(_rk4_advance(field, step, X.shape), X, n_steps, _block_steps(X.size))
     # Divergence is detected and reported, so intermediate overflow is expected.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, S in blocks:
@@ -534,7 +542,7 @@ def verify_contraction(
         # The claimed factor's powers sum to at most min(k, span) over k steps.
         span = 1.0 / h_rate if h_rate > 0.0 else math.inf
         max_mu = -np.inf
-        advance, summands = model.euler_map(act, step, Z.shape[1])
+        advance, summands = model.euler_map(act, step, Z.shape[1], 1.0)
         for i, S in _state_blocks(advance, Z, n_steps, block):
             lo = 0 if i == 0 else 1  # instant 0 is checked with the first block
             dist = norm(np.subtract(S[lo:, :, :pairs], S[lo:, :, pairs:], out=D[:len(S) - lo]), w)

@@ -37,6 +37,14 @@ SKEW_RING = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, 15.0], [-1.0, -15.0, 0.0]])
 SKEW_RING_EDGE = (2, 1)  # 0-based position of the strong edge to remove
 
 
+def field_at(model, act, X):
+    """The model's vector field at the columns of X, as a fresh array: its
+    map at h = 1 and x = 0, built for X's width."""
+    out = np.empty(X.shape)
+    model.euler_map(act, 1.0, X.shape[1], 0.0)[0](np.ascontiguousarray(X, dtype=float), out)
+    return out
+
+
 def closure_reference(A):
     """Boolean matrix R with R[i, j] true iff i == j or a chain of nonzero
     entries A[i, k1], ..., A[km, j] leads from i to j: the transitive closure

@@ -32,9 +32,9 @@ from mucert import (
 )
 
 import mucert.simulate as simulate
-from mucert.simulate import _draw_pairs
+from mucert.simulate import _draw_pairs, _rk4_advance
 
-from helpers import acceptance_fixtures
+from helpers import acceptance_fixtures, field_at
 
 
 def test_slope_bounds_declared_intervals():
@@ -107,11 +107,27 @@ def _textbook_activation(act, x):
     return act.k * x
 
 
+def _textbook_deriv(act, x):
+    """Each kind's derivative as the plain expression: 1 right of the kink
+    (else 0, or a for leaky_relu, NaN included), 1 - tanh^2, s (1 - s) at the
+    sigmoid s, r max(x, 0)^(r - 1) and the gain k everywhere."""
+    if act.kind == "relu":
+        return np.where(x > 0.0, 1.0, 0.0)
+    if act.kind == "leaky_relu":
+        return np.where(x > 0.0, 1.0, act.a)
+    if act.kind in ("tanh", "sigmoid"):
+        s = _textbook_activation(act, x)
+        return 1.0 - s * s if act.kind == "tanh" else s * (1.0 - s)
+    if act.kind == "rect_poly":
+        return int(act.r) * np.maximum(x, 0.0) ** (int(act.r) - 1)
+    return np.full(x.shape, float(act.k))
+
+
 def test_activation_kernels_match_the_textbook_expressions_bit_for_bit():
-    # The in-place kernels against the plain expressions, sign bits and NaN
-    # payloads included (int64 views), on the kinks, signed zeros,
-    # subnormals, exp's overflow edge, the largest floats, infinities and
-    # NaNs.  leaky_relu is max(x, a x), which is exact for 0 < a < 1.
+    # The in-place kernels and the derivatives against the plain expressions,
+    # sign bits and NaN payloads included (int64 views), on the kinks, signed
+    # zeros, subnormals, exp's overflow edge, the largest floats, infinities
+    # and NaNs.  leaky_relu is max(x, a x), which is exact for 0 < a < 1.
     tiny = np.finfo(float).tiny
     specials = [0.0, -0.0, 5e-324, -5e-324, 3e-320, -3e-320, tiny, -tiny, 0.5, -0.5, 1.0, -1.0,
                 2.0, -2.0, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308, np.finfo(float).max,
@@ -129,6 +145,8 @@ def test_activation_kernels_match_the_textbook_expressions_bit_for_bit():
                 assert act(x, out=out) is out
                 assert np.array_equal(out.view(np.int64), want), act
                 assert np.array_equal(act(x).view(np.int64), want), act
+                slope = _textbook_deriv(act, x).view(np.int64)
+                assert np.array_equal(act.deriv(x).view(np.int64), slope), act
 
 
 def test_integrate_linear_decoupled_decay():
@@ -312,7 +330,7 @@ def test_integrate_matches_the_rk4_reference_bit_for_bit():
         for _ in range(300):
             want.append(_reference_rk4(f, want[-1], 1e-3))
         assert np.array_equal(times, np.arange(301) * 1e-3)
-        assert np.array_equal(xs, np.hstack(want).T)
+        assert np.array_equal(xs.view(np.int64), np.hstack(want).T.view(np.int64))
 
 
 def test_verify_contraction_identical_pair_convention():
@@ -549,14 +567,13 @@ def test_decay_bound_only_guaranteed_in_certified_norm():
     )
     assert report.passed  # certified norm obeys the bound
 
-    from mucert.simulate import _rk4_step
-
-    f = m.field(act)
     Z = np.hstack([X0, Y0])
+    advance, Y = _rk4_advance(m.euler_map(act, 1.0, 2, 0.0)[0], 1e-3, Z.shape), np.empty(Z.shape)
     d0 = weighted_norm((X0 - Y0)[:, 0], L2, None)
     worst_uncert = 0.0
     for i in range(1, 2001):
-        Z = _rk4_step(f, Z, 1e-3)
+        advance(Z, Y)
+        Z, Y = Y, Z
         d = weighted_norm((Z[:, 0] - Z[:, 1]), L2, None)
         worst_uncert = max(worst_uncert, d / (np.exp(-cert.rate * i * 1e-3) * d0))
     assert worst_uncert > 1.0  # the excursion this instance was chosen for
@@ -610,14 +627,14 @@ def test_jacobian_matches_finite_differences():
     for model, act in cases:
         if act.kind in ("relu", "leaky_relu"):
             continue  # nonsmooth
-        f = model.field(act)
+        f = lambda x: field_at(model, act, x[:, None])[:, 0]
         x = rng.normal(size=model.n)
         J = jacobian(model, act, x)
         eps = 1e-6
         for j in range(model.n):
             e = np.zeros(model.n)
             e[j] = eps
-            fd = (f((x + e)[:, None]) - f((x - e)[:, None]))[:, 0] / (2 * eps)
+            fd = (f(x + e) - f(x - e)) / (2 * eps)
             np.testing.assert_allclose(J[:, j], fd, atol=1e-6)
 
 
@@ -627,7 +644,8 @@ def test_jacobian_matches_finite_differences():
 # forward-Euler map in its documented order (`_reference_euler`) and takes
 # the decay ratio in log space, exp(log d_k - log d_0 - log bound_k), with
 # bound_k = (1 - h rate)^k; a distance below the smallest normal float counts
-# as 0.  The RK4 reference is `integrate`'s.
+# as 0.  The RK4 reference is `integrate`'s, on each model's vector field
+# as the plain expression.
 def _reference_field(model, act):
     if isinstance(model, Hopfield):
         C, A, u = model.C, model.A, model.u[:, None]
@@ -638,7 +656,13 @@ def _reference_field(model, act):
     if isinstance(model, AxMinusCPhi):
         A, C = model.A, model.C
         return lambda X: A @ X - C @ act(X)
-    return model.field(act)
+    if isinstance(model, Persidskii):  # and Entrywise
+        return lambda X: model.A @ act(X)
+    if isinstance(model, Lure):
+        A, b, c = model.A, model.b, model.c
+        return lambda X: A @ X + b[:, None] * act(c @ X)[None, :]
+    A, B, C = model.A, model.B, model.C
+    return lambda X: A @ X + B @ act(C @ X)
 
 
 def _reference_euler(model, act, h):
@@ -1029,7 +1053,7 @@ def test_verify_matches_reference_when_the_entry_cap_sets_the_block(monkeypatch)
         f, want = _reference_field(model, act), [X0[:, :1]]
         for _ in range(400):
             want.append(_reference_rk4(f, want[-1], 1e-3))
-        assert np.array_equal(xs, np.hstack(want).T)
+        assert np.array_equal(xs.view(np.int64), np.hstack(want).T.view(np.int64))
 
 
 def test_sampled_jacobian_overflow_before_a_divergence_in_its_block():
@@ -1159,33 +1183,54 @@ def _broadcast_field(model, act):
 
 
 def test_fields_match_broadcast_columns_bit_for_bit():
+    # The map at h = 1 and x = 0 is the field, int64 views compared.  A map is
+    # fixed to its stack width: one per width, each run again after the others.
     rng = np.random.default_rng(9)
     tags = set()
     for model, act in _oracle_cases():
-        f, want = model.field(act), _broadcast_field(model, act)
-        # One closure, alternating between stack shapes.
+        want = _broadcast_field(model, act)
+        fields = {k: model.euler_map(act, 1.0, k, 0.0)[0] for k in (1, 8, 40)}
         for k in (1, 8, 40, 8, 1, 40, 40):
             X = rng.normal(scale=3.0, size=(model.n, k))
-            assert np.array_equal(f(X), want(X))
+            out = np.full(X.shape, np.nan)
+            fields[k](X, out)
+            assert np.array_equal(out.view(np.int64), want(X).view(np.int64)), model.tag
         tags.add(model.tag)
     assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
                     "lure", "multilure"}
 
 
+def _traced_growth(step, X, out):
+    """The traced memory that 10 calls of step(X, out), alternating the two
+    arrays, take at their peak above what one call before them left."""
+    tracemalloc.start()
+    try:
+        step(out, X)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(5):
+            step(X, out)
+            step(out, X)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_fused_euler_steps_are_the_reference_maps_and_the_textbook_step_up_to_rounding():
     # Each model's step is its documented fused map bit for bit, writes every
     # entry of `out`, and allocates no array of a state's or a column's size
-    # (2 KB here; numpy's matmul takes 512 bytes of its own per call).
-    # Against the textbook X + h f(X) it differs only by rounding: by at most
+    # (2 KB here; numpy's matmul takes 512 bytes of its own per call), and
+    # neither does `integrate`'s RK4 advance on the model's field.  Against
+    # the textbook X + h f(X) the step differs only by rounding: by at most
     # 2 gamma_{n+3} of the magnitudes of its summands, entry by entry.
     rng = np.random.default_rng(14)
     n, k = 6, 256
     bound = 2 * _gamma(n + 3)  # fixed from the dtype before any step
     tags = set()
     for model, act in _oracle_cases():
-        f = model.field(act)
+        f = lambda X: field_at(model, act, X)
         for h in (1e-3, 0.1):
-            step, summands = model.euler_map(act, h, k)
+            step, summands = model.euler_map(act, h, k, 1.0)
             euler, magnitudes = _reference_euler(model, act, h)
             X = rng.normal(scale=3.0, size=(n, k))
             out = np.full((n, k), np.nan)
@@ -1194,18 +1239,11 @@ def test_fused_euler_steps_are_the_reference_maps_and_the_textbook_step_up_to_ro
             T = summands(np.stack([X, out]))
             assert np.array_equal(T, np.stack([magnitudes(X), magnitudes(out)]))
             assert np.all(np.abs(out - (X + h * f(X))) <= bound * T[0]), model.tag
-            tracemalloc.start()
-            try:
-                step(out, X)
-                start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                for _ in range(5):
-                    step(X, out)
-                    step(out, X)
-                grown = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+            grown = _traced_growth(step, X, out)
             assert grown < 1024, (model.tag, grown)
+        advance = _rk4_advance(model.euler_map(act, 1.0, k, 0.0)[0], 1e-3, (n, k))
+        grown = _traced_growth(advance, X, out)
+        assert grown < 1024, (model.tag, "rk4", grown)
         tags.add(model.tag)
     assert tags == {"hopfield", "firing_rate", "persidskii", "ax_minus_cphi", "entrywise",
                     "lure", "multilure"}
