@@ -102,8 +102,11 @@ class PolytopeSpec:
         return self.A.shape[0]
 
 
-def _offdiag_abs(A: np.ndarray) -> np.ndarray:
-    off = np.abs(A)
+def _offdiag_abs(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|A| with each matrix's diagonal zeroed: the off-diagonal magnitudes
+    that the l1 and linf log norms sum, written into `out` if given, which
+    may be A itself."""
+    off = np.abs(A, out=out)
     i = np.arange(A.shape[-1])
     off[..., i, i] = 0.0
     return off
@@ -119,11 +122,27 @@ def _offdiag_abs(A: np.ndarray) -> np.ndarray:
 
 
 def _mu1(A: np.ndarray, w: np.ndarray):
-    return (np.diagonal(A, 0, -2, -1) + (w @ _offdiag_abs(A)) / w).max(axis=-1)
+    return _mu1_split(np.diagonal(A, 0, -2, -1), _offdiag_abs(A), w)
 
 
 def _muinf(A: np.ndarray, w: np.ndarray):
-    return (np.diagonal(A, 0, -2, -1) + (_offdiag_abs(A) @ w) / w).max(axis=-1)
+    return _muinf_split(np.diagonal(A, 0, -2, -1), _offdiag_abs(A), w)
+
+
+# The l1 and linf kernels on a matrix split into its diagonal d and its
+# off-diagonal magnitudes `off` (`_offdiag_abs`): both log norms of one
+# matrix read one `off`, which its owner may have written over the matrix.
+
+
+def _mu1_split(d: np.ndarray, off: np.ndarray, w: np.ndarray):
+    return (d + (w @ off) / w).max(axis=-1)
+
+
+def _muinf_split(d: np.ndarray, off: np.ndarray, w: np.ndarray):
+    return (d + (off @ w) / w).max(axis=-1)
+
+
+_SPLIT_KERNELS = {L1: _mu1_split, LINF: _muinf_split}
 
 
 def _mu2(A: np.ndarray, w: np.ndarray):

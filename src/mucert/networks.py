@@ -45,7 +45,11 @@ from .lognorm import (
     LINF,
     RIGHT,
     SlopeInterval,
+    _SPLIT_KERNELS,
     _envelope,
+    _mu1_split,
+    _muinf_split,
+    _offdiag_abs,
     _vertex_max,
     kernels,
 )
@@ -109,18 +113,33 @@ def _slope_rows(act, X) -> np.ndarray:
     return np.ascontiguousarray(act.deriv(X).T)[:, None, :]
 
 
+def _split(M) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal magnitudes) of a witness M built C-ordered
+    from the model's validated matrices, the magnitudes written over M
+    itself.  Only finiteness is checked, on the diagonal and the largest
+    magnitude: a witness that overflowed when it was built raises
+    ValueError, as :func:`mucert.lognorm.log_norm` would."""
+    d = np.diagonal(M).copy()
+    off = _offdiag_abs(M, out=M)
+    if not (np.isfinite(d).all() and np.isfinite(off.max())):
+        raise ValueError("matrix entries must be finite")
+    return d, off
+
+
 def _witness_osl(mats, family, weights) -> float:
     """The largest weighted log norm of the witness matrices `mats`: every
     fixed-weight bound and every certificate's `osl` is this number.
 
-    The weights are validated once.  The witnesses are built C-ordered from
-    the model's validated matrices, so each is only checked to be finite
-    before the `family` kernel reads it: a witness that overflowed raises
-    ValueError, as :func:`mucert.lognorm.log_norm` would.
+    The weights are validated once.  The witnesses are built for this one
+    call: on l1 and linf, each is split by `_split` and so overwritten with
+    its off-diagonal magnitudes, and the log norm takes no n x n temporary.
     """
     mu = kernels(family)[0]
     w = _weights_or_ones(weights, mats[0].shape[0])
-    return max(float(mu(_checked_square(M), w)) for M in mats)
+    split = _SPLIT_KERNELS.get(family)
+    if split is None:  # l2 reads the signs
+        return max(float(mu(_checked_square(M), w)) for M in mats)
+    return max(float(split(*_split(M), w)) for M in mats)
 
 
 # Rows of the Perron pair that a certificate in each norm carries: (lo, hi)
@@ -156,14 +175,19 @@ def _perron_weights(M, family=None):
 def _perron_certificate(model, metzler, family, theorem, key,
                         level=lambda alpha: alpha) -> ContractionCertificate:
     """Certificate in the weighted `family` norm at the dominant eigenvector
-    of the Metzler matrix `metzler`, left for l1 and right for linf, or at
-    its resolvent weights if `metzler` is reducible (see `_perron_weights`).
-    Only that vector is computed, and `details[key]` is `level` of the
-    abscissa of `metzler`.  `metzler` and the witnesses come from the
-    model's validated matrices and are not validated again.
+    of the Metzler matrix that `metzler()` builds, left for l1 and right for
+    linf, or at its resolvent weights if that matrix is reducible (see
+    `_perron_weights`).  Only that vector is computed, and `details[key]` is
+    `level` of the abscissa of the matrix.  The matrix and the witnesses
+    come from the model's validated matrices and are not validated again.
     `details.delta` > 0 marks a reducible matrix and holds the resolvent
-    shift; the bound is then not tight."""
-    right, left, alpha, shift = _perron_weights(metzler, family)
+    shift; the bound is then not tight.
+
+    The matrix lives only while its weights are taken, and `_witness_osl`
+    writes each witness's magnitudes over the witness: so at most the
+    matrix and the shifted copy of `spectral._shifted`, or the witnesses,
+    are live n x n arrays at once."""
+    right, left, alpha, shift = _perron_weights(metzler(), family)
     weights = left if family == L1 else right
     return _certificate(
         _witness_osl(model.witnesses(family), family, weights), family, weights, theorem,
@@ -175,10 +199,17 @@ def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
     """Certificate from the one witness, the same in both norms, whose Metzler
     majorant dominates every Jacobian majorant: one rate in the weighted l1 and
     linf norms at its left and right dominant eigenvectors (resolvent
-    weights if it is reducible), never exact."""
-    mats = model.witnesses(L1)
-    right, left, alpha, shift = _perron_weights(_majorant(mats[0]))
-    osl = max(_witness_osl(mats, L1, left), _witness_osl(mats, LINF, right))
+    weights if it is reducible), never exact.
+
+    The witness W is the one n x n array: it is turned into its majorant in
+    place for the Perron weights, then into its off-diagonal magnitudes, by
+    zeroing that diagonal, for both log norms."""
+    W = model.witnesses(L1)[0]
+    d = np.diagonal(W).copy()
+    np.fill_diagonal(np.abs(W, out=W), d)
+    right, left, alpha, shift = _perron_weights(W)
+    np.fill_diagonal(W, 0.0)
+    osl = max(float(_mu1_split(d, W, left)), float(_muinf_split(d, W, right)))
     return _certificate(
         osl, L1, left, theorem, False,
         alt_family=LINF, alt_weights=right,
@@ -192,6 +223,17 @@ def _shifted(A, h, x) -> np.ndarray:
     M = h * A
     if x:
         M += x * np.eye(len(A))
+    return M
+
+
+def _less_diagonal(M, v) -> np.ndarray:
+    """M - diag(v), written over M: v is subtracted from the diagonal only,
+    since off it the full product subtracts zeros.  Each diagonal entry is
+    the same IEEE expression; each off-diagonal entry is left as it was,
+    where subtracting a signed zero (d C for d < 0 has -0.0 entries) can
+    turn -0.0 into +0.0."""
+    diag = np.einsum("ii->i", M)  # a writable view
+    diag -= v
     return M
 
 
@@ -287,8 +329,10 @@ class _Model:
         )
 
     def _closed_form(self, family):
-        """(Metzler matrix, rule from its abscissa to the optimal level) where
-        the optimal weight is that matrix's dominant eigenvector; else None."""
+        """(builder of a Metzler matrix, rule from its abscissa to the optimal
+        level) where the optimal weight is that matrix's dominant
+        eigenvector; else None.  The builder is called once, by
+        `_perron_certificate`."""
         return None
 
     # The details key under which a closed-form certificate reports its level.
@@ -371,10 +415,18 @@ class _Leaky(_Model):
         cdiag = np.diag(self.C)
         if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
             floor = float(np.max(-cdiag))
-            return -self.C + d2 * _majorant(self.A), lambda a: max(floor, a)
+            return lambda: self._leak_shifted_majorant(d2), lambda a: max(floor, a)
         if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            return _majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
+            return lambda: _majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
         return None
+
+    def _leak_shifted_majorant(self, d2) -> np.ndarray:
+        """-C + d2 maj(A), built in one n x n array, each entry the one that
+        expression gives: off the diagonal -0.0 + x is x, and on it -c + x
+        and x - c round alike."""
+        M = _majorant(self.A)
+        M *= d2
+        return _less_diagonal(M, np.diag(self.C))
 
     def _unbounded_certificate(self) -> ContractionCertificate:
         family, d1 = self.family, self.slopes.d1
@@ -543,7 +595,7 @@ class Persidskii(_Leaky):
 
     def _closed_form(self, family):
         """The majorant of A, whose abscissa is the reported level, in l1."""
-        return (_majorant(self.A), lambda a: a) if family == L1 else None
+        return (lambda: _majorant(self.A), lambda a: a) if family == L1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,12 +649,14 @@ class AxMinusCPhi(_Model):
         return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
 
     def witnesses(self, family: str) -> list[np.ndarray]:
-        return [self.A - self.slopes.d1 * self.C]
+        """A - d1 C, in one n x n array."""
+        return [_less_diagonal(self.A.copy(), self.slopes.d1 * np.diag(self.C))]
 
     def _certify(self) -> ContractionCertificate:
+        # maj(A) - d1 C in one n x n array: maj(A) has no -0.0 to flip.
         return _perron_certificate(
-            self, _majorant(self.A) - self.slopes.d1 * self.C, L1,
-            "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
+            self, lambda: _less_diagonal(_majorant(self.A), self.slopes.d1 * np.diag(self.C)),
+            L1, "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
         )
 
 
@@ -623,9 +677,9 @@ class Entrywise(Persidskii):
 
     def envelope(self) -> np.ndarray:
         """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
-        every Jacobian majorant of the model."""
+        every Jacobian majorant of the model, built in one n x n array."""
         d1, d2 = self.slopes.d1, self.slopes.d2
-        return d2 * self.A - (d2 - d1) * np.diag(np.diag(self.A))
+        return _less_diagonal(d2 * self.A, (d2 - d1) * np.diag(self.A))
 
     def witnesses(self, family: str) -> list[np.ndarray]:
         return [self.envelope()]
@@ -848,7 +902,7 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     if np.any(np.diag(model.C) <= 0.0):
         raise ValueError("leak matrix must have strictly positive diagonal")
     return _perron_certificate(
-        model, -model.C + d2 * _majorant(model.A), L1,
+        model, lambda: model._leak_shifted_majorant(d2), L1,
         "hopfield-mh/l1/perron", "alpha_shifted_majorant",
     )
 
@@ -865,25 +919,37 @@ def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
     Diagonal entries add the best-signed slope extremes of the loop gains
     B_ik C_ki; off-diagonal entries take the larger of the two signed
     combinations, which majorizes |(B diag(d) C)_ij| over the slope box.
+
+    The bound is built in four n x n arrays, each rewritten in place: pos
+    and neg sum the gains' positive and negative parts, T holds each gain
+    and S is scratch.  Then T becomes hi and pos becomes lo (neg scratch),
+    T becomes max(hi, -lo), and S is returned as |A| plus that.  Every
+    entry is the IEEE expression of the plain formula, in its order.
     """
     d1, d2 = model.slopes.d1, model.slopes.d2
     if d1 < 0.0:
         raise ValueError("coupling bound requires d1 >= 0")
+    n = model.n
+    pos, neg, T, S = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n)), np.empty((n, n))
     # One loop gain B[:, k] C[k] at a time, in k order from the first term:
     # the sums of the middle-axis sum over the (n, m, n) tensor of all m
     # gains, without the tensor.  With m = 0 both sums are zero.
-    pos = neg = np.zeros((model.n, model.n))
     for k in range(model.m):
-        T = np.outer(model.B[:, k], model.C[k])
+        np.outer(model.B[:, k], model.C[k], out=T)
         if k == 0:
-            pos, neg = np.maximum(T, 0.0), np.minimum(T, 0.0)
+            np.maximum(T, 0.0, out=pos)
+            np.minimum(T, 0.0, out=neg)
         else:
-            pos += np.maximum(T, 0.0)
-            neg += np.minimum(T, 0.0)
-    hi = d2 * pos + d1 * neg
-    lo = d1 * pos + d2 * neg
-    F = np.abs(model.A) + np.maximum(hi, -lo)
-    np.fill_diagonal(F, np.diag(model.A) + np.diag(hi))
+            pos += np.maximum(T, 0.0, out=S)
+            neg += np.minimum(T, 0.0, out=T)
+    hi = np.multiply(pos, d2, out=T)
+    hi += np.multiply(neg, d1, out=S)
+    lo = np.multiply(pos, d1, out=pos)
+    lo += np.multiply(neg, d2, out=neg)
+    diag = np.diag(model.A) + np.diag(hi)
+    F = np.abs(model.A, out=S)
+    F += np.maximum(hi, np.negative(lo, out=lo), out=T)
+    np.fill_diagonal(F, diag)
     return F
 
 

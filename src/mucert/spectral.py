@@ -327,14 +327,18 @@ def _shifted(M: np.ndarray, delta: float) -> tuple[np.ndarray, float, float]:
     """(N, shift, scale): N = M + delta * ones + shift * I, nonnegative for a
     Metzler M, at shift = 1 + max|diag(M + delta * ones)|, and
     scale = 1 + max|N|.  Raises NumericalError if N or a power step's sum
-    (at most n times its largest entry) would overflow."""
-    # M + delta in one pass (C-ordered, as M is), with every -0.0 made
-    # +0.0, also for delta = -0.0; then the shift goes onto the diagonal.
+    (at most n times its largest entry) would overflow.
+
+    N is the one n x n array written: M + delta in one pass (C-ordered, as
+    M is), then the shift added to its diagonal in place.  max|N| is read as
+    max(max N, -min N), the same number (a NaN propagates to both), without
+    the n x n array |N|."""
+    # Adding delta + 0.0 makes every -0.0 +0.0, also for delta = -0.0.
     with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
         N = np.add(M, delta + 0.0)
         shift = 1.0 + float(np.max(np.abs(np.diag(N))))
         N.flat[:: N.shape[0] + 1] += shift
-    scale = 1.0 + float(np.max(np.abs(N)))
+    scale = 1.0 + max(float(N.max()), -float(N.min()))
     # A unit-sum iterate's product sums to at most n * scale.
     if not N.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")

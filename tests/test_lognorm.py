@@ -93,6 +93,43 @@ def test_stacked_kernels_match_per_slice_values_bit_for_bit():
                 assert np.array_equal(got, want)
 
 
+def _textbook_offdiag_abs(A):
+    """The off-diagonal magnitudes as the kernels took them before they could
+    be written in place: a fresh |A|, its diagonal then zeroed."""
+    off = np.abs(A)
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
+def test_split_kernels_read_magnitudes_written_in_place_bit_for_bit():
+    # The l1 and linf log norms of one matrix share one array of off-diagonal
+    # magnitudes, which a certificate writes over its witness.  Written in
+    # place, the magnitudes are the bytes of a fresh copy, and the split
+    # kernels, the copying kernels and the expressions they replaced give one
+    # float.  -0.0 entries, zero diagonals and Fortran order included.
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        A = rng.normal(size=(n, n)) * 10.0 ** int(rng.integers(-3, 4))
+        A[rng.random(size=(n, n)) < 0.3] = -0.0
+        if trial % 3:
+            np.fill_diagonal(A, (0.0, -0.0)[trial % 3 - 1])
+        if trial % 5 == 0:
+            A = np.asfortranarray(A)
+        w = random_weights(rng, n)
+        off = _textbook_offdiag_abs(A)
+        d = np.diagonal(A).copy()
+        W = A.copy(order="K")
+        assert lognorm_mod._offdiag_abs(W, out=W) is W
+        assert W.tobytes(order="A") == off.tobytes(order="A")
+        assert W.flags.f_contiguous == A.flags.f_contiguous
+        for family, sums in ((L1, w @ off), (LINF, off @ w)):
+            want = float((np.diagonal(A) + sums / w).max())
+            split = lognorm_mod._SPLIT_KERNELS[family]
+            assert float(split(d, W, w)).hex() == want.hex()
+            assert float(kernels(family)[0](A, w)).hex() == want.hex()
+
+
 def test_log_norm_bounds_abscissa_and_is_subadditive():
     rng = np.random.default_rng(2)
     for _ in range(30):

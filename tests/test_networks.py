@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -904,6 +905,103 @@ def test_multilure_coupling_bound_is_bit_identical_to_tensor_sum():
         assert got.flags.c_contiguous
 
 
+def _same_but_off_diagonal_zero_signs(got, want):
+    """Equal bits, except that an off-diagonal zero may differ in sign."""
+    zeros = (got == 0.0) & (want == 0.0)
+    np.fill_diagonal(zeros, False)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64)) | zeros))
+
+
+def test_in_place_builders_are_bit_identical_to_their_expressions(monkeypatch):
+    # Each n x n matrix that the Perron route builds in place is the bytes of
+    # the plain expression it replaced, kept here as the reference: every
+    # Metzler matrix handed to `_perron_weights`, Entrywise's envelope and
+    # AxMinusCPhi's witness A - d1 C, which may differ only in the sign of
+    # an off-diagonal zero, and only for d1 < 0.  Inputs have -0.0 entries,
+    # zero diagonals (+0.0 and -0.0), d1 = 0 and d1 < 0, and m = 0 loops.
+    seen = []
+    weights = networks._perron_weights
+    monkeypatch.setattr(networks, "_perron_weights",
+                        lambda M, *rest: seen.append(M.copy()) or weights(M, *rest))
+
+    def perron_matrix(certificate):
+        seen.clear()
+        certificate()
+        assert len(seen) == 1
+        return seen[0].tobytes()
+
+    rng = np.random.default_rng(61)
+    for trial in range(60):
+        n = int(rng.integers(1, 13))
+        A = rng.normal(size=(n, n))
+        A[rng.random(size=(n, n)) < 0.3] = -0.0
+        if trial % 3:
+            np.fill_diagonal(A, (0.0, -0.0)[trial % 3 - 1])
+        leak = np.diag(rng.uniform(0.5, 1.5, size=n))
+        d1 = (0.0, float(rng.uniform(-0.5, 0.0)), float(rng.uniform(0.0, 0.8)))[trial % 3]
+        spread = float(rng.choice((0.0, rng.uniform(0.0, 1.5))))
+        d2 = d1 + spread
+
+        ax = AxMinusCPhi(A, leak, SlopeInterval(d1, d2))
+        assert perron_matrix(lambda: certify(ax)) == (metzler_majorant(A) - d1 * leak).tobytes()
+        (got,) = ax.witnesses(L1)
+        assert _same_but_off_diagonal_zero_signs(got, A - d1 * leak)
+        if d1 >= 0.0:
+            assert got.tobytes() == (A - d1 * leak).tobytes()
+
+        e1 = abs(d1) + 0.1
+        slopes = SlopeInterval(e1, e1 + spread)
+        envelope = slopes.d2 * A - (slopes.d2 - e1) * np.diag(np.diag(A))
+        entrywise = Entrywise(A, slopes)
+        assert entrywise.envelope().tobytes() == envelope.tobytes()
+        assert perron_matrix(lambda: certify(entrywise)) == metzler_majorant(envelope).tobytes()
+        assert (perron_matrix(lambda: certify(Persidskii(A, slopes)))
+                == metzler_majorant(A).tobytes())
+
+        shifted = (-leak + spread * metzler_majorant(A)).tobytes()
+        assert perron_matrix(lambda: certify_hopfield_mh(leak, A, spread)) == shifted
+        if spread > 0.0:
+            hopfield = Hopfield(leak, A, SlopeInterval(0.0, spread))
+            assert perron_matrix(lambda: certify(hopfield)) == shifted
+
+        m = int(rng.integers(0, 5))
+        B, C = rng.normal(size=(n, m)), rng.normal(size=(m, n))
+        B[rng.random(size=B.shape) < 0.3] = 0.0
+        C[rng.random(size=C.shape) < 0.3] = -0.0
+        loop = MultiLure(A, B, C, SlopeInterval(max(d1, 0.0), max(d2, 0.0)))
+        assert (perron_matrix(lambda: certify(loop))
+                == metzler_majorant(_tensor_coupling_bound(loop)).tobytes())
+
+
+def test_witness_osl_overwrites_its_witnesses_with_the_same_value():
+    # `_witness_osl` writes each witness's off-diagonal magnitudes over the
+    # witness: the bound is the float that log_norm takes on copies, and a
+    # witness that overflowed when it was built still raises ValueError.
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        n = int(rng.integers(1, 10))
+        A = rng.normal(size=(n, n)) * 10.0 ** int(rng.integers(-3, 4))
+        A[rng.random(size=(n, n)) < 0.3] = -0.0
+        if trial % 4 == 0:
+            np.fill_diagonal(A, 0.0)
+        w = random_weights(rng, n)
+        for family in (L1, LINF, "l2"):
+            mats = [A.copy(), -2.0 * A]
+            want = max(log_norm(M, family, w) for M in mats)
+            assert networks._witness_osl(mats, family, w).hex() == want.hex()
+            if family != "l2":
+                assert mats[0].tobytes() == np.abs(A - np.diag(np.diag(A))).tobytes()
+    slopes = SlopeInterval(10.0, 20.0)
+    for model in (
+        AxMinusCPhi([[0.0, 1.0], [1.0, 0.0]], 1e308 * np.eye(2), slopes),  # -inf diagonal
+        Entrywise([[1e308, 1.0], [1.0, -1.0]], slopes),  # inf - inf
+        Hopfield(np.eye(2), [[0.0, 1e308], [1e308, 0.0]], slopes),  # off the diagonal
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                fixed_weight_osl(model, L1)
+
+
 def _base_metzler(rng, n, shape):
     """Metzler matrix with abscissa near zero: dense, sparse with -0.0 off
     the diagonal, block upper triangular (reducible), or two near-tied
@@ -1097,6 +1195,124 @@ def test_perron_route_certificates_match_public_pair_reference():
     assert {"persidskii", "persidskii-loose", "ax-minus-cphi", "ax-minus-cphi-loose",
             "hopfield-mh", "hopfield-mh-loose", "entrywise-loose", "multilure-loose",
             "hopfield", "firing-rate"} <= theorems
+
+
+def _certify_perron_models(rng, n, shape):
+    """(kind, model) for the six kinds that certify-perron certifies, built
+    on a `_base_metzler` of the given shape (multilure on dense ones only),
+    with d1 = 0 for the loops and AxMinusCPhi at times."""
+    M = _base_metzler(rng, n, shape)
+    n = M.shape[0]
+    leak = np.diag(rng.uniform(0.5, 1.5, size=n))
+    d1 = float(rng.uniform(0.2, 0.8))
+    models = [
+        ("persidskii", Persidskii(_signed(rng, M), SlopeInterval(d1, d1 + 0.5))),
+        ("ax_minus_cphi", AxMinusCPhi(_signed(rng, M) + d1 * leak, leak,
+                                      SlopeInterval(d1 * (shape != "dense"), 1.0))),
+        ("entrywise", Entrywise(_signed(rng, M) / (d1 + 0.5), SlopeInterval(d1, d1 + 0.5))),
+        ("hopfield_unbounded", Hopfield(leak, _signed(rng, M), SlopeInterval(d1 - 0.5, np.inf))),
+        ("firing_rate_unbounded", FiringRate(leak, _signed(rng, M), SlopeInterval(d1, np.inf))),
+    ]
+    if shape == "dense":
+        m = max(2, n // 64)
+        B, C = rng.normal(scale=0.2, size=(n, m)), rng.normal(scale=0.2, size=(m, n))
+        models.append(("multilure", MultiLure(_signed(rng, M), B, C, SlopeInterval(0.0, 1.0))))
+    return models
+
+
+def _every_field(cert):
+    """Every field of a certificate as bytes, and its details in order."""
+    def exact(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        return value.hex() if isinstance(value, float) else value
+
+    fields = {name: exact(value) for name, value in vars(cert).items() if name != "details"}
+    fields["details"] = [(key, exact(value)) for key, value in cert.details.items()]
+    return fields
+
+
+def _old_expression_certificate(model):
+    """certify(model) on the Perron route as it was before its n x n matrices
+    were built in place: each Metzler matrix and witness a plain expression,
+    a fresh array, and every log norm read by log_norm from its own copy."""
+    d1, d2 = model.slopes.d1, model.slopes.d2
+    if isinstance(model, (Entrywise, MultiLure)):
+        if isinstance(model, Entrywise):
+            W = d2 * model.A - (d2 - d1) * np.diag(np.diag(model.A))
+            theorem, key = "entrywise/coupling-bound", "alpha_envelope"
+        else:
+            W = _tensor_coupling_bound(model)
+            theorem, key = "multilure/coupling-bound", "alpha_coupling"
+        right, left, alpha, shift = networks._perron_weights(metzler_majorant(W))
+        osl = max(log_norm(W, L1, left), log_norm(W, LINF, right))
+        return networks._certificate(osl, L1, left, theorem, False, alt_family=LINF,
+                                     alt_weights=right, delta=shift, **{key: alpha})
+    if isinstance(model, (Hopfield, FiringRate)):  # unbounded slopes
+        family, M = model.family, metzler_majorant(model.A)
+        right, left, a_m, shift = networks._perron_weights(M, family)
+        weights = left if family == L1 else right
+        a_mc, min_diag = float(np.max(-np.diag(model.C))), float(np.min(np.diag(model.A)))
+        m_w = log_norm(M, family, weights)
+        rate = -(a_mc + max(d1, 0.0) * m_w - (abs(d1) - d1) * min_diag)
+        details = {"statement_rate": -a_mc + max(d1, 0.0) * a_m + (abs(d1) - d1) * min_diag,
+                   "mh_sufficient": d1 >= 0.0, "alpha_majorant": a_m, "delta": shift}
+        theorem = f"{model.kind}/{family}/unbounded-slope"
+        if not m_w < -networks.CONTRACTION_MARGIN:
+            details["violated"] = "majorant-not-hurwitz"
+        elif rate <= networks.CONTRACTION_MARGIN:
+            details["violated"] = "decay-bound-not-positive"
+        else:
+            return networks._certificate(-rate, family, weights, theorem, shift == 0.0, **details)
+        return networks._certificate(np.inf, family, None, theorem, False, **details)
+    if isinstance(model, AxMinusCPhi):
+        metzler, witnesses = metzler_majorant(model.A) - d1 * model.C, [model.A - d1 * model.C]
+        theorem, key = "ax-minus-cphi/l1/perron", "alpha_shifted_majorant"
+    else:
+        metzler = metzler_majorant(model.A)
+        witnesses = envelope_matrices(PolytopeSpec(model.A, -np.diag(model.C), model.slopes,
+                                                   RIGHT), L1)
+        theorem, key = "persidskii/l1/perron", "alpha_majorant"
+    right, left, alpha, shift = networks._perron_weights(metzler, L1)
+    osl = max(log_norm(W, L1, left) for W in witnesses)
+    return networks._certificate(osl, L1, left, theorem, shift == 0.0, **{key: alpha},
+                                 delta=shift)
+
+
+def test_certify_perron_sweep_matches_old_expression_references():
+    # certify-perron's six kinds at its sizes and at n = 3, with dense,
+    # sparse (-0.0 entries) and reducible majorants: every field of each
+    # certificate, details in order, is the bytes of the certificate that
+    # the plain matrix expressions give.
+    rng = np.random.default_rng(71)
+    count = 0
+    for n in (3, 16, 64, 256):
+        for shape in ("dense", "sparse", "reducible"):
+            for kind, model in _certify_perron_models(rng, n, shape):
+                cert = certify(model)
+                assert _every_field(cert) == _every_field(_old_expression_certificate(model)), \
+                    (n, shape, kind)
+                count += cert.details["delta"] > 0.0
+    assert count >= 8  # reducible majorants took the resolvent route
+
+
+def test_perron_certificates_hold_few_n_by_n_arrays():
+    # Peak traced memory of one n = 256 certify, in n x n float arrays:
+    # the Metzler matrix and its shifted copy, or the witnesses, are at most
+    # two live arrays at once (2.03 to 2.04 measured); MultiLure's coupling
+    # bound is built in four (4.26, with numpy's 128 KB iterator buffer for
+    # the broadcast outer product).  One more temporary fails.
+    rng = np.random.default_rng(73)
+    n = 256
+    for kind, model in _certify_perron_models(rng, n, "dense"):
+        certify(model)
+        tracemalloc.start()
+        try:
+            certify(model)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+        assert peak < (4.5 if kind == "multilure" else 2.5), (kind, peak)
 
 
 def test_reducible_weights_are_the_same_bits_in_every_family():

@@ -554,6 +554,31 @@ def test_abscissa_never_exceeds_majorant_abscissa():
         assert spectral_abscissa(A) <= spectral_abscissa(metzler_majorant(A)) + 1e-9
 
 
+def test_shifted_scale_reads_max_magnitude_without_a_copy():
+    # `_shifted` writes one n x n array, N, and reads max|N| as
+    # max(max N, -min N): N and the scale are the bytes that M + delta,
+    # the diagonal shift and 1 + max|N| give, on Metzler inputs with -0.0
+    # entries and zero diagonals, at delta 0, -0.0 and 1e-8.  Entries of
+    # 1e308 still raise NumericalError, in N or in a power step's sum.
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        M = rng.uniform(0.0, 1.0, size=(n, n)) * 10.0 ** int(rng.integers(-3, 4))
+        M[rng.random(size=(n, n)) < 0.3] = -0.0
+        np.fill_diagonal(M, (0.0, -0.0, rng.normal())[trial % 3])
+        for delta in (0.0, -0.0, 1e-8):
+            N, shift, scale = spectral._shifted(M, delta)
+            want = M + (delta + 0.0)
+            want += (1.0 + float(np.max(np.abs(np.diag(want))))) * np.eye(n)
+            assert N.tobytes() == want.tobytes()
+            assert scale.hex() == (1.0 + float(np.max(np.abs(want)))).hex()
+    wide = np.full((3, 3), 1.5e308)
+    np.fill_diagonal(wide, 0.0)
+    for overflowing in (np.array([[1e308, 1.0], [1.0, -1.0]]), wide):
+        with pytest.raises(spectral.NumericalError, match="overflows"):
+            spectral._shifted(overflowing, 0.0)
+
+
 def test_non_finite_inputs_fail_before_iterating(monkeypatch):
     # A NaN or infinite delta, a shifted matrix that overflows or whose
     # products would, and an unknown norm all raise before the first power
