@@ -5,7 +5,7 @@ The library's dataclasses are the file and report schema.  A network-model
 file holds its class's fields (plus an optional "activation") and a
 "polytope" file holds `PolytopeSpec`'s; only "matrix" files, which hold one
 matrix "A", are not a dataclass.  An activation object holds "kind" plus the
-parameters that `simulate.ACTIVATION_PARAMS` lists for it.  Reports print
+parameters that its `simulate.ACTIVATIONS` spec lists.  Reports print
 every field of `ContractionCertificate`, `ClassReport` and `SimReport` under
 its own name; `certify` adds "model", `verify` adds "passed", and
 `certify --eta` prints a fixed subset.  `prune` is the one exception: it
@@ -45,7 +45,7 @@ from .networks import (
     fixed_weight_osl,
     osl_multilure_linf,
 )
-from .simulate import ACTIVATION_PARAMS, Activation, DivergenceError, verify_contraction
+from .simulate import ACTIVATIONS, Activation, DivergenceError, verify_contraction
 from .spectral import NumericalError
 from .matrices import as_matrix, as_weights
 
@@ -138,9 +138,9 @@ def parse_activation(doc) -> Activation:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError('activation must be an object with a "kind" field')
     kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in ACTIVATION_PARAMS:
+    if not isinstance(kind, str) or kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {kind!r}")
-    params = set(ACTIVATION_PARAMS[kind])
+    params = set(ACTIVATIONS[kind].params)
     extra = set(doc) - {"kind"} - params
     if extra:
         raise ValueError(f"unknown activation fields: {sorted(extra)}")
@@ -222,7 +222,7 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
         doc[name] = value
     if act is not None:
         doc["activation"] = {
-            "kind": act.kind, **{k: getattr(act, k) for k in ACTIVATION_PARAMS[act.kind]}
+            "kind": act.kind, **{k: getattr(act, k) for k in ACTIVATIONS[act.kind].params}
         }
     return doc
 

@@ -82,6 +82,7 @@ order than the dense log norm and can differ from it in its last bits.
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +117,6 @@ VERIFY_ENTRY_BUDGET = 1 << 24
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
 
-# Activation kind -> the parameters it takes: the `Activation` fields that
-# its model-file object holds besides "kind".
-ACTIVATION_PARAMS = {
-    "relu": (),
-    "leaky_relu": ("a",),
-    "tanh": (),
-    "sigmoid": (),
-    "rect_poly": ("r",),
-    "linear": ("k",),
-}
-
 
 def _is_real(v) -> bool:
     """Whether an activation parameter is a real number (not a bool)."""
@@ -142,8 +132,92 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class ActivationSpec:
+    """One activation kind, as `Activation` reads it.  Every callable takes
+    the `Activation` first, for its parameters: `valid(act)` says whether
+    they hold (else ValueError with `error`), `value(act, x, out)` writes
+    the activation at the float array x into `out`, by in-place kernels and
+    no temporary, and returns `out`, `deriv(act, x)` returns the derivative
+    at x (at a kink, the slope left of it) and `slopes(act)` the slope
+    interval.  `kinks` are the points where the derivative jumps."""
+
+    value: Callable
+    deriv: Callable
+    slopes: Callable
+    params: tuple = ()  # the `Activation` fields it takes, besides kind
+    valid: Callable = lambda act: True
+    error: str = ""
+    kinks: tuple = ()
+
+
+def _sigmoid(act, x, out):
+    np.exp(np.negative(x, out=out), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+
+
+def _sigmoid_deriv(act, x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s * (1.0 - s)
+
+
+def _rect_poly(act, x, out):
+    np.maximum(x, 0.0, out=out)
+    r = int(act.r)  # ** r, which squares for r = 2
+    return np.square(out, out=out) if r == 2 else np.power(out, r, out=out)
+
+
+# Activation kind -> its spec.  The model-file object of an activation holds
+# "kind" plus the spec's `params`.
+ACTIVATIONS = {
+    "relu": ActivationSpec(
+        value=lambda act, x, out: np.maximum(x, 0.0, out=out),
+        deriv=lambda act, x: np.where(x > 0.0, 1.0, 0.0),
+        slopes=lambda act: SlopeInterval(0.0, 1.0),
+        kinks=(0.0,),
+    ),
+    # max(x, a x) is x where x >= 0 and a x below it, as 0 < a < 1.
+    "leaky_relu": ActivationSpec(
+        value=lambda act, x, out: np.maximum(x, np.multiply(x, act.a, out=out), out=out),
+        deriv=lambda act, x: np.where(x > 0.0, 1.0, act.a),
+        slopes=lambda act: SlopeInterval(act.a, 1.0),
+        params=("a",),
+        valid=lambda act: _is_real(act.a) and 0.0 < act.a < 1.0,
+        error="leaky_relu needs a slope parameter a in (0, 1)",
+        kinks=(0.0,),
+    ),
+    "tanh": ActivationSpec(
+        value=lambda act, x, out: np.tanh(x, out=out),
+        deriv=lambda act, x: 1.0 - np.square(np.tanh(x)),
+        slopes=lambda act: SlopeInterval(0.0, 1.0),
+    ),
+    "sigmoid": ActivationSpec(
+        value=_sigmoid,
+        deriv=_sigmoid_deriv,
+        slopes=lambda act: SlopeInterval(0.0, 0.25),
+    ),
+    # max(x, 0)^r: unbounded slopes and a nondecreasing derivative.
+    "rect_poly": ActivationSpec(
+        value=_rect_poly,
+        deriv=lambda act, x: int(act.r) * np.maximum(x, 0.0) ** (int(act.r) - 1),
+        slopes=lambda act: SlopeInterval(0.0, np.inf),
+        params=("r",),
+        valid=lambda act: _is_real(act.r) and math.isfinite(act.r) and act.r == int(act.r) >= 2,
+        error="rect_poly needs an integer exponent r >= 2",
+    ),
+    "linear": ActivationSpec(
+        value=lambda act, x, out: np.multiply(x, act.k, out=out),
+        deriv=lambda act, x: np.full_like(x, act.k),
+        slopes=lambda act: SlopeInterval(act.k, act.k),
+        params=("k",),
+        valid=lambda act: _is_real(act.k) and math.isfinite(act.k),
+        error="linear needs a finite gain k",
+    ),
+}
+
+
+@dataclass(frozen=True)
 class Activation:
-    """A scalar activation applied coordinatewise.
+    """A scalar activation applied coordinatewise, of a kind in `ACTIVATIONS`.
 
     Kinds and slope intervals:
     relu [0, 1]; leaky_relu(a) [a, 1] with a in (0, 1); tanh [0, 1];
@@ -157,81 +231,31 @@ class Activation:
     k: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in ACTIVATION_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in ACTIVATIONS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        spec = ACTIVATIONS[self.kind]
         for name in ("a", "r", "k"):
-            if name not in ACTIVATION_PARAMS[self.kind] and getattr(self, name) is not None:
+            if name not in spec.params and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} takes no parameter {name}")
-        if self.kind == "leaky_relu":
-            if not (_is_real(self.a) and 0.0 < self.a < 1.0):
-                raise ValueError("leaky_relu needs a slope parameter a in (0, 1)")
-        if self.kind == "rect_poly":
-            r = self.r
-            if not (_is_real(r) and math.isfinite(r) and r == int(r) >= 2):
-                raise ValueError("rect_poly needs an integer exponent r >= 2")
-        if self.kind == "linear":
-            if not (_is_real(self.k) and math.isfinite(self.k)):
-                raise ValueError("linear needs a finite gain k")
+        if not spec.valid(self):
+            raise ValueError(spec.error)
 
     def __call__(self, x, out=None):
         """The activation at every entry of x, written into `out` (a float
-        array of x's shape other than x itself) or a fresh array, by one to
-        four in-place kernels and no temporary: relu max(x, 0), leaky_relu
-        max(x, a x) (x where x >= 0 and a x below it, as 0 < a < 1), tanh,
-        sigmoid 1 / (1 + exp(-x)), rect_poly max(x, 0)^r and linear k x."""
+        array of x's shape other than x itself) or a fresh array by its
+        kind's `value`: one to four in-place kernels and no temporary."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape) if out is None else out
-        if self.kind in ("relu", "rect_poly"):
-            np.maximum(x, 0.0, out=out)
-            if self.kind == "rect_poly":  # ** r, which squares for r = 2
-                r = int(self.r)
-                np.square(out, out=out) if r == 2 else np.power(out, r, out=out)
-        elif self.kind == "leaky_relu":
-            np.maximum(x, np.multiply(x, self.a, out=out), out=out)
-        elif self.kind == "tanh":
-            np.tanh(x, out=out)
-        elif self.kind == "sigmoid":
-            np.exp(np.negative(x, out=out), out=out)
-            np.divide(1.0, np.add(out, 1.0, out=out), out=out)
-        else:
-            np.multiply(x, self.k, out=out)
-        return out
+        return ACTIVATIONS[self.kind].value(self, x, np.empty(x.shape) if out is None else out)
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "relu":
-            return np.where(x > 0.0, 1.0, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x > 0.0, 1.0, self.a)
-        if self.kind == "tanh":
-            t = np.tanh(x)
-            return 1.0 - t * t
-        if self.kind == "sigmoid":
-            s = 1.0 / (1.0 + np.exp(-x))
-            return s * (1.0 - s)
-        if self.kind == "rect_poly":
-            r = int(self.r)
-            return r * np.maximum(x, 0.0) ** (r - 1)
-        return np.full_like(x, self.k)
+        return ACTIVATIONS[self.kind].deriv(self, np.asarray(x, dtype=float))
 
     def slopes(self) -> SlopeInterval:
-        if self.kind == "relu":
-            return SlopeInterval(0.0, 1.0)
-        if self.kind == "leaky_relu":
-            return SlopeInterval(self.a, 1.0)
-        if self.kind == "tanh":
-            return SlopeInterval(0.0, 1.0)
-        if self.kind == "sigmoid":
-            return SlopeInterval(0.0, 0.25)
-        if self.kind == "rect_poly":
-            return SlopeInterval(0.0, np.inf)
-        return SlopeInterval(self.k, self.k)
+        return ACTIVATIONS[self.kind].slopes(self)
 
     def kinks(self) -> tuple:
         """Points where the derivative jumps (empty for smooth kinds)."""
-        if self.kind in ("relu", "leaky_relu"):
-            return (0.0,)
-        return ()
+        return ACTIVATIONS[self.kind].kinks
 
 
 def slope_bounds(act: Activation) -> SlopeInterval:
@@ -419,20 +443,14 @@ class SimReport:
 
 
 def _draw_pairs(model, act, pairs, seed, scale=3.0):
-    n = model.n
-    unbounded = not act.slopes().bounded
-    cols = []
+    """Start states (X0, Y0), each (n, pairs): pair p draws x, then y, from
+    the seed's substream p, normal at the given scale."""
+    X0, Y0 = XY = np.empty((2, model.n, pairs))
     for p in range(pairs):
-        rng = np.random.default_rng([seed, p])
-        x = rng.normal(scale=scale, size=n)
-        y = rng.normal(scale=scale, size=n)
-        if unbounded:
-            # Unbounded slopes: keep starts in the unit inf-ball.
-            x = x / max(1.0, np.max(np.abs(x)))
-            y = y / max(1.0, np.max(np.abs(y)))
-        cols.append((x, y))
-    X0 = np.stack([c[0] for c in cols], axis=1)
-    Y0 = np.stack([c[1] for c in cols], axis=1)
+        XY[:, :, p] = np.random.default_rng([seed, p]).normal(scale=scale, size=(2, model.n))
+    if not act.slopes().bounded:
+        # Unbounded slopes: keep starts in the unit inf-ball.
+        XY /= np.maximum(1.0, np.abs(XY).max(axis=1, keepdims=True))
     return X0, Y0
 
 
@@ -550,7 +568,9 @@ def verify_contraction(
             diverged = None if np.isfinite(dist).all() else _first_nonfinite(S)
             if checked:
                 # The slopes up to those at the largest activation input of
-                # the "from" states; a NaN or inf floor fails.
+                # the "from" states, as every unbounded kind's derivative is
+                # nondecreasing (a test over `ACTIVATIONS` checks it); a NaN
+                # or inf floor fails.
                 cap = act.deriv(model._input_max(S[:-1 if diverged is None else diverged]))
                 if not step * float(np.max(-model.diagonal_floor(cap))) < 1.0:
                     return None

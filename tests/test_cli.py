@@ -10,7 +10,7 @@ from mucert import NetworkModel
 from mucert.classify import ClassReport
 from mucert.cli import dumps_canonical, main, model_to_dict, parse_model_dict
 from mucert.networks import MODELS, ContractionCertificate
-from mucert.simulate import Activation, SimReport
+from mucert.simulate import ACTIVATIONS, Activation, SimReport
 
 from helpers import DAMPED_SPIRAL, ROTATION_SHIFT, SKEW_RING
 
@@ -97,6 +97,15 @@ FILE_DOCS = [
         "B": [[1.0, 0.5]],
         "C": [[0.3], [0.2]],
         "slopes": {"d1": 0, "d2": 0.5},
+    },
+    {
+        "schema_version": "1",
+        "model": "lure",
+        "A": [[-1.0, 0.5], [-0.5, -2.0]],
+        "b": [0.5, 1.0],
+        "c": [1.0, -0.4],
+        "slopes": {"d1": 0, "d2": 0.25},
+        "activation": {"kind": "sigmoid"},
     },
     {
         "schema_version": "1",
@@ -507,6 +516,9 @@ def test_round_trip_model_files():
     assert set(MODELS.values()) == set(typing.get_args(NetworkModel))
     assert all(MODELS[cls.tag] is cls for cls in MODELS.values())
     assert set(MODELS) <= {doc["model"] for doc in FILE_DOCS}
+    # They cover every activation kind too.
+    kinds = {doc["activation"]["kind"] for doc in FILE_DOCS if "activation" in doc}
+    assert set(ACTIVATIONS) <= kinds
 
 
 def test_reports_print_their_dataclass_fields(tmp_path, capsys):

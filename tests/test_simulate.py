@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 import tracemalloc
 import warnings
@@ -32,7 +33,7 @@ from mucert import (
 )
 
 import mucert.simulate as simulate
-from mucert.simulate import _draw_pairs, _rk4_advance
+from mucert.simulate import ACTIVATIONS, _draw_pairs, _rk4_advance
 
 from helpers import acceptance_fixtures, field_at
 
@@ -46,21 +47,61 @@ def test_slope_bounds_declared_intervals():
     assert slope_bounds(Activation("linear", k=-0.7)) == SlopeInterval(-0.7, -0.7)
 
 
+# Sample values of every parameter that a kind in `ACTIVATIONS` takes.
+SAMPLE_PARAMS = {"a": (0.01, 0.3, 0.99), "r": (2, 3, 5), "k": (-2.0, 0.0, 0.5)}
+
+
+def _every_kind():
+    """An `Activation` of every kind in the table at each sample of its parameters."""
+    acts = []
+    for kind, spec in ACTIVATIONS.items():
+        for values in itertools.product(*(SAMPLE_PARAMS[p] for p in spec.params)):
+            acts.append(Activation(kind, **dict(zip(spec.params, values))))
+    return acts
+
+
 def test_slope_bounds_match_difference_quotients():
     xs = np.linspace(-6.0, 6.0, 2001)
-    for act in (
+    acts = (
         Activation("relu"),
         Activation("leaky_relu", a=0.3),
         Activation("tanh"),
         Activation("sigmoid"),
-    ):
+        Activation("rect_poly", r=2),
+        Activation("rect_poly", r=3),
+        Activation("linear", k=-0.7),
+        Activation("linear", k=1.5),
+    )
+    assert {act.kind for act in acts} == set(ACTIVATIONS)
+    for act in acts:
         lo, hi = act.slopes().d1, act.slopes().d2
         vals = act(xs)
         quot = np.diff(vals) / np.diff(xs)
         assert np.all(quot >= lo - 1e-9)
         assert np.all(quot <= hi + 1e-9)
-        # upper bound is approached somewhere on the grid
-        assert np.max(quot) >= hi - 0.05 * max(1.0, hi)
+        if act.slopes().bounded:  # rect_poly's interval bounds its quotients only below
+            # upper bound is approached somewhere on the grid
+            assert np.max(quot) >= hi - 0.05 * max(1.0, hi)
+        if act.kind == "linear":
+            assert np.allclose(quot, act.k, rtol=1e-9, atol=0.0)
+
+
+def test_unbounded_kinds_have_nondecreasing_derivatives():
+    # verify caps the slopes that an unbounded activation visits by its
+    # derivative at the largest input reached: that bounds every slope below
+    # it only where the derivative is nondecreasing, which each such kind in
+    # the table must keep, over signed zeros, subnormals and overflow.
+    tiny = np.finfo(float).tiny
+    specials = [-np.inf, -1e308, -1.0, -tiny, -5e-324, -0.0, 0.0, 5e-324, 3e-320, tiny, 1e-10,
+                1.0, 1e103, 1e154, 1e308, np.finfo(float).max, np.inf]
+    draws = np.random.default_rng(5).normal(scale=4.0, size=200)
+    grid = np.sort(np.concatenate([specials, draws]))
+    unbounded = [act for act in _every_kind() if not act.slopes().bounded]
+    assert unbounded
+    with np.errstate(over="ignore"):
+        for act in unbounded:
+            slope = act.deriv(grid)
+            assert np.all(slope[1:] >= slope[:-1]), act
 
 
 def test_activation_validation():
@@ -137,6 +178,7 @@ def test_activation_kernels_match_the_textbook_expressions_bit_for_bit():
     acts += [Activation("leaky_relu", a=a) for a in (0.01, 0.3, 0.99)]
     acts += [Activation("rect_poly", r=r) for r in (2, 3, 5)]
     acts += [Activation("linear", k=k) for k in (-2.0, 0.0, 0.5)]
+    assert {act.kind for act in acts} == set(ACTIVATIONS)
     with np.errstate(all="ignore"):
         for act in acts:
             for x in (grid, grid.reshape(2, 3, -1)):
@@ -331,6 +373,23 @@ def test_integrate_matches_the_rk4_reference_bit_for_bit():
             want.append(_reference_rk4(f, want[-1], 1e-3))
         assert np.array_equal(times, np.arange(301) * 1e-3)
         assert np.array_equal(xs.view(np.int64), np.hstack(want).T.view(np.int64))
+
+
+def test_drawn_pairs_match_per_pair_draws_bit_for_bit():
+    # Pair p draws x, then y, from substream [seed, p]; under unbounded
+    # slopes each start is divided by max(1, its largest magnitude).
+    for n, pairs, seed in ((1, 1, 0), (3, 4, 2), (17, 20, 9)):
+        model = Hopfield(np.eye(n), np.zeros((n, n)), SlopeInterval(0.0, np.inf))
+        for act in (Activation("tanh"), Activation("rect_poly", r=2)):
+            X0, Y0 = _draw_pairs(model, act, pairs, seed)
+            for p in range(pairs):
+                rng = np.random.default_rng([seed, p])
+                for got in (X0[:, p], Y0[:, p]):
+                    want = rng.normal(scale=3.0, size=n)
+                    if not act.slopes().bounded:
+                        want = want / max(1.0, np.max(np.abs(want)))
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert X0.shape == Y0.shape == (n, pairs)
 
 
 def test_verify_contraction_identical_pair_convention():
