@@ -131,8 +131,9 @@ def block_resolvent(S: np.ndarray, blocks, b: float) -> np.ndarray:
     return w
 
 
-def check_diagonal(C, nonneg: bool = True) -> np.ndarray:
-    """Validate that C is diagonal (off-diagonal entries exactly zero).
+def check_diagonal(C) -> np.ndarray:
+    """Validate that C is diagonal (off-diagonal entries exactly zero) with
+    nonnegative entries.
 
     Certificates for the network models require a genuinely diagonal matrix;
     silently accepting near-diagonal input would invalidate them, so the check
@@ -143,7 +144,7 @@ def check_diagonal(C, nonneg: bool = True) -> np.ndarray:
     np.fill_diagonal(off, 0.0)
     if np.any(off != 0.0):
         raise ValueError("matrix must be diagonal (off-diagonal entries exactly 0)")
-    if nonneg and np.any(np.diag(C) < 0.0):
+    if np.any(np.diag(C) < 0.0):
         raise ValueError("diagonal matrix must have nonnegative entries")
     return C
 

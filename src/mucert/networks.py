@@ -9,8 +9,11 @@ x = 0), `jacobians` evaluates its Jacobians, `witnesses(family)` lists the
 few matrices whose largest weighted log norm bounds its one-sided Lipschitz
 constant, and `certificate` returns its contraction certificate.  The leaky
 models share one code path, `_Leaky`: Hopfield, FiringRate, and Persidskii,
-which is Hopfield with C = 0 and u = 0.
-Entrywise is a Persidskii model with its own witness and certificate.  The
+which is Hopfield with C = 0 and u = 0.  They and AxMinusCPhi state their
+Jacobian once, and `_SlopeScaled` derives their Jacobians, slope form and
+diagonal floor from it.
+Entrywise is a Persidskii model with its own witness and certificate.  Lure
+steps MultiLure's map at m = 1 and takes its floor.  The
 module-level functions (`certify`, `fixed_weight_osl`, ...) delegate to these
 methods; `certify_persidskii` and the other per-model certify names are
 aliases of `certify`.  `MODELS` maps each tag to its class.
@@ -103,14 +106,6 @@ def _certificate(osl, family, weights, theorem, tight, alt_family=None,
         alt_weights=None if alt_weights is None else np.asarray(alt_weights, dtype=float),
         details=details,
     )
-
-
-def _slope_rows(act, X) -> np.ndarray:
-    """The activation slopes at the columns of X as a C-contiguous (k, 1, n)
-    stack of rows.  A strided one would give a strided Jacobian stack, which
-    sends the log-norm kernels' batched products off BLAS and changes their
-    last bits."""
-    return np.ascontiguousarray(act.deriv(X).T)[:, None, :]
 
 
 def _split(M) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +256,10 @@ class _Model:
     slope box, -inf where it is unbounded below) and `witnesses(family)`:
     matrices whose largest `family` log norm at any weights is the
     fixed-weight bound there (`exact` if minimal; MultiLure's is its exact
-    linf solver instead) and every certificate's `osl`.  A model whose
-    Jacobian is a diagonal plus the off-diagonal part of A, scaled by the
-    activation slopes on one `side` or not at all (`side` None), also defines
-    `_slope_form(act, X)`, from which the sampled log norm whose sums run
-    along the scaled lines takes O(n) work per state.  Models whose
+    linf solver instead) and every certificate's `osl`.  The slope-scaled
+    models (`_SlopeScaled`) state their Jacobian once and take `jacobians`,
+    `diagonal_floor` and the `_slope_form` of the sampled log norm from it;
+    Lure takes MultiLure's map and floor.  Models whose
     analysis fixes its own norm define `_certify()`, which `certificate`
     calls; the others (the leaky models and Lure) override `certificate` to
     call `optimal_certificate`, which takes `_closed_form` where it applies,
@@ -274,6 +268,7 @@ class _Model:
     """
 
     exact = True
+    _slope_form = None  # dense Jacobians only; see `_SlopeScaled`
 
     @property
     def n(self) -> int:
@@ -282,15 +277,6 @@ class _Model:
     def jacobian(self, act, x) -> np.ndarray:
         """The Jacobian at the single state x."""
         return self.jacobians(act, np.asarray(x, dtype=float)[:, None])[0]
-
-    # `_slope_form(act, X)`, where a model defines it, gives the Jacobians at
-    # the columns of the (n, k) stack X as (s, d): the slopes s and the
-    # Jacobian diagonals d as (n, k) stacks, column j for state j.  Off the
-    # diagonal, the Jacobian at state j is A's entries scaled by that state's
-    # slopes on the model's `side`: column l by s[l, j] (RIGHT), row i by
-    # s[i, j] (LEFT), or not at all (None).  Each d is the diagonal that
-    # `jacobians` computes, bit for bit.
-    _slope_form = None
 
     @property
     def kind(self) -> str:
@@ -339,15 +325,75 @@ class _Model:
     _closed_form_key = "closed_form"
 
 
+class _SlopeScaled(_Model):
+    """A model whose Jacobian at a state is A - C, C diagonal, with the
+    activation slopes s there scaling one of the two: A's columns (`side`
+    RIGHT, A diag(s)), its rows (LEFT, diag(s) A) or C (None, C diag(s),
+    so the off-diagonal part of A is not scaled at all).  That one
+    statement and the slopes of `_preactivation_slopes` give the Jacobians,
+    their diagonal floor and their slope form: the base of the leaky models
+    and of AxMinusCPhi.
+
+    `_slope_form(act, X)` gives the Jacobians at the columns of an (n, k)
+    stack X as (s, d), the slopes and the Jacobian diagonals as (n, k)
+    stacks, column j for state j, each d the diagonal that `jacobians`
+    computes, bit for bit: the sampled log norm whose sums run along the
+    scaled lines takes O(n) work per state from it.  No method takes an
+    n x n temporary beyond the Jacobians themselves.  Each Jacobian is
+    computed as A diag(s) - C (or diag(s) A - C), which is -C + A diag(s)
+    bit for bit: x - c is x + (-c).
+    """
+
+    def _preactivation_slopes(self, act, X) -> np.ndarray:
+        """The slopes at the activation inputs of the columns of X, as a
+        (k, n) stack: here the states themselves."""
+        return act.deriv(X).T
+
+    def jacobians(self, act, X) -> np.ndarray:
+        # C-contiguous slopes: a strided stack would give a strided Jacobian
+        # stack, which sends the log-norm kernels' batched products off BLAS
+        # and changes their last bits.
+        s = np.ascontiguousarray(self._preactivation_slopes(act, X))
+        if self.side is None:
+            J = self.C * s[:, None, :]
+            return np.subtract(self.A, J, out=J)
+        J = self.A * (s[:, :, None] if self.side == LEFT else s[:, None, :])
+        J -= self.C
+        return J
+
+    def _slope_form(self, act, X):
+        s = self._preactivation_slopes(act, X).T
+        a, c = np.diag(self.A)[:, None], np.diag(self.C)[:, None]
+        if self.side is None:
+            d = c * s
+            return s, np.subtract(a, d, out=d)
+        d = a * s
+        d -= c
+        return s, d
+
+    def diagonal_floor(self, cap=None) -> np.ndarray:
+        """The least Jacobian diagonal over the slope box, or, given `cap`,
+        over slopes s in [d1, cap_i] for each coordinate i.  With the slopes
+        on C it is a_ii - c_i s at the top slope, as C >= 0.  Otherwise it is
+        s a_ii - c_i at the top where a_ii < 0 and at d1 elsewhere, so
+        0 * inf counts as 0, as in `SlopeInterval.least_product`."""
+        a, c = np.diag(self.A), np.diag(self.C)
+        top = self.slopes.d2 if cap is None else cap
+        if self.side is None:
+            return a - c * top
+        return np.where(a < 0.0, top, self.slopes.d1) * a - c
+
+
 @dataclass(frozen=True, eq=False)
-class _Leaky(_Model):
+class _Leaky(_SlopeScaled):
     """Leaky network  dx/dt = -C x + ...  with diagonal C >= 0, coupling A and
     input u (zero when omitted); the base of Hopfield, FiringRate and
     Persidskii (C = 0, u = 0).
 
-    A subclass sets `side`, the side of the slope polytope that its Jacobian
-    sweeps, and `family`, its default norm and the one in which its optimal
-    weight has a dominant-eigenvector closed form.  It defines
+    A subclass sets `side`, the side of A that the slopes scale and so of
+    the slope polytope that its Jacobian sweeps (RIGHT or LEFT; see
+    `_SlopeScaled`), and `family`, its default norm and the one in which its
+    optimal weight has a dominant-eigenvector closed form.  It defines
     `_input_max(S)`, the largest activation input of each coordinate over an
     (m, n, k) stack of states; at the slopes there, `diagonal_floor(cap)` is
     the floor that verification checks its Euler steps against.  Unbounded
@@ -386,14 +432,6 @@ class _Leaky(_Model):
                 "fixed-weight and optimized bounds need a finite upper slope bound d2"
             )
         return list(_envelope(self.A, -np.diag(self.C), self.slopes, self.side, family))
-
-    def diagonal_floor(self, cap=None) -> np.ndarray:
-        """The least Jacobian diagonal -c_i + s a_ii over the slope box, or,
-        given `cap`, over slopes s in [d1, cap_i] for each coordinate i;
-        0 * inf counts as 0, as in `SlopeInterval.least_product`."""
-        a = np.diag(self.A)
-        top = self.slopes.d2 if cap is None else cap
-        return -np.diag(self.C) + np.where(a < 0.0, top, self.slopes.d1) * a
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         fam = self.family if family is None else family
@@ -495,13 +533,6 @@ class Hopfield(_Leaky):
 
         return step, summands
 
-    def jacobians(self, act, X) -> np.ndarray:
-        return -self.C + self.A * _slope_rows(act, X)
-
-    def _slope_form(self, act, X):
-        s = act.deriv(X)
-        return s, -np.diag(self.C)[:, None] + np.diag(self.A)[:, None] * s
-
     def _input_max(self, S) -> np.ndarray:
         """The largest activation input of each coordinate over the states of
         an (m, n, k) stack: the states themselves."""
@@ -542,13 +573,6 @@ class FiringRate(_Leaky):
         One batched product takes A x column by column, as A @ x would."""
         return act.deriv(np.matmul(self.A, X.T[:, :, None])[:, :, 0] + self.u)
 
-    def jacobians(self, act, X) -> np.ndarray:
-        return -self.C + self._preactivation_slopes(act, X)[:, :, None] * self.A
-
-    def _slope_form(self, act, X):
-        s = self._preactivation_slopes(act, X).T
-        return s, -np.diag(self.C)[:, None] + s * np.diag(self.A)[:, None]
-
     def _input_max(self, S) -> np.ndarray:
         """The largest activation input of each coordinate over the states of
         an (m, n, k) stack: the pre-activations A x + u, by one batched
@@ -578,10 +602,7 @@ class Persidskii(_Leaky):
     C: np.ndarray = field(init=False)
     u: np.ndarray = field(init=False)
 
-    # Hopfield's at C = 0 and u = 0.
-    euler_map = Hopfield.euler_map
-    jacobians = Hopfield.jacobians
-    _slope_form = Hopfield._slope_form
+    euler_map = Hopfield.euler_map  # Hopfield's at C = 0 and u = 0
 
     def __post_init__(self):
         A = as_matrix(self.A)
@@ -599,7 +620,7 @@ class Persidskii(_Leaky):
 
 
 @dataclass(frozen=True, eq=False)
-class AxMinusCPhi(_Model):
+class AxMinusCPhi(_SlopeScaled):
     """Model  dx/dt = A x - C act(x)  with diagonal C >= 0.
 
     Contracting iff A - d1 C has a Hurwitz Metzler majorant, with rate
@@ -637,16 +658,6 @@ class AxMinusCPhi(_Model):
             return T
 
         return step, summands
-
-    def jacobians(self, act, X) -> np.ndarray:
-        return self.A - self.C * _slope_rows(act, X)
-
-    def _slope_form(self, act, X):
-        s = act.deriv(X)
-        return s, np.diag(self.A)[:, None] - np.diag(self.C)[:, None] * s
-
-    def diagonal_floor(self) -> np.ndarray:
-        return np.diag(self.A) - np.diag(self.C) * self.slopes.d2
 
     def witnesses(self, family: str) -> list[np.ndarray]:
         """A - d1 C, in one n x n array."""
@@ -686,66 +697,6 @@ class Entrywise(Persidskii):
 
     def _certify(self) -> ContractionCertificate:
         return _coupling_certificate(self, "entrywise/coupling-bound", "alpha_envelope")
-
-
-@dataclass(frozen=True, eq=False)
-class Lure(_Model):
-    """Scalar-feedback loop  dx/dt = A x + b act(c^T x).
-
-    The closed-loop Jacobian is A + s b c^T with the scalar slope s in
-    [d1, d2]; convexity of the log norm in s puts the worst case at an
-    endpoint, so the weight optimization (l1 by default) runs over the two
-    endpoint matrices."""
-
-    tag = "lure"
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    slopes: SlopeInterval
-
-    def __post_init__(self):
-        A = as_matrix(self.A)
-        b = as_vector(self.b, A.shape[0])
-        c = as_vector(self.c, A.shape[0])
-        self._require_bounded()
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def euler_map(self, act, h, k, x):
-        """The map (xI + hA) X + (hb) act(c^T X)."""
-        M, hb, c = _shifted(self.A, h, x), h * self.b[:, None], self.c
-        HB, p, s, T = np.repeat(hb, k, axis=1), np.empty(k), np.empty(k), np.empty((self.n, k))
-
-        def step(X, out):
-            np.matmul(M, X, out=out)
-            # Each row of T holds act(c^T X); a broadcast product would take
-            # numpy's buffered loop, which allocates.
-            np.copyto(T, act(np.matmul(c, X, out=p), out=s))
-            out += np.multiply(T, HB, out=T)
-
-        def summands(S):
-            T = np.matmul(np.abs(M), np.abs(S))
-            T += np.abs(hb) * np.abs(act(np.matmul(c, S)))[..., None, :]
-            return T
-
-        return step, summands
-
-    def jacobians(self, act, X) -> np.ndarray:
-        s = act.deriv(np.matmul(self.c[None, :], X.T[:, :, None])[:, 0, 0])
-        return self.A + s[:, None, None] * np.outer(self.b, self.c)
-
-    def diagonal_floor(self) -> np.ndarray:
-        return np.diag(self.A) + self.slopes.least_product(self.b * self.c)
-
-    def witnesses(self, family: str) -> list[np.ndarray]:
-        """The loop matrices at the two slope endpoints."""
-        rank_one = np.outer(self.b, self.c)
-        return [self.A + d * rank_one for d in (self.slopes.d1, self.slopes.d2)]
-
-    def certificate(self, family: str | None = None) -> ContractionCertificate:
-        return self.optimal_certificate(L1 if family is None else family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -820,6 +771,60 @@ class MultiLure(_Model):
 
     def _certify(self) -> ContractionCertificate:
         return _coupling_certificate(self, "multilure/coupling-bound", "alpha_coupling")
+
+
+@dataclass(frozen=True, eq=False)
+class Lure(_Model):
+    """Scalar-feedback loop  dx/dt = A x + b act(c^T x): the multivariable
+    loop at m = 1, whose map and diagonal floor it takes through the views
+    B = b[:, None] and C = c[None, :].
+
+    The closed-loop Jacobian is A + s b c^T with the scalar slope s in
+    [d1, d2]; convexity of the log norm in s puts the worst case at an
+    endpoint, so the weight optimization (l1 by default) runs over the two
+    endpoint matrices."""
+
+    tag = "lure"
+    m = 1
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    slopes: SlopeInterval
+
+    def __post_init__(self):
+        A = as_matrix(self.A)
+        b = as_vector(self.b, A.shape[0])
+        c = as_vector(self.c, A.shape[0])
+        self._require_bounded()
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.b[:, None]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.c[None, :]
+
+    euler_map = MultiLure.euler_map
+    diagonal_floor = MultiLure.diagonal_floor
+
+    def jacobians(self, act, X) -> np.ndarray:
+        # s (b c^T) rounds differently from MultiLure's B (s C); a test pins
+        # this order bit for bit.
+        s = act.deriv(np.matmul(self.C, X.T[:, :, None])[:, 0, 0])
+        return self.A + s[:, None, None] * np.outer(self.b, self.c)
+
+    def witnesses(self, family: str) -> list[np.ndarray]:
+        """The loop matrices at the two slope endpoints."""
+        rank_one = np.outer(self.b, self.c)
+        return [self.A + d * rank_one for d in (self.slopes.d1, self.slopes.d2)]
+
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        return self.optimal_certificate(L1 if family is None else family)
 
 
 # A new model is one class above plus its member here.
@@ -959,16 +964,19 @@ def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
     vertex; the 2^m vertex matrices A + sum_k d_k B[:, k] C[k] are formed one
     block (one matrix product) at a time and read by the stacked linf kernel.
 
-    The value equals the model's minimal one-sided Lipschitz constant iff C is
-    full-rank with m >= n (second return value); otherwise it is an upper
-    bound.  Guarded at m <= 20 and 2^m * n^2 <= 2^20 * 20^2.
+    The value is claimed equal to the model's minimal one-sided Lipschitz
+    constant (second return value) only for a square invertible C (m = n,
+    rank C = n), whose C x reaches every slope vertex; otherwise it is an
+    upper bound.  For m > n, C x spans at most n of the m dimensions, so
+    some vertices are never reached.  Guarded at m <= 20 and
+    2^m * n^2 <= 2^20 * 20^2.
     """
     n, m = model.n, model.m
     w = _weights_or_ones(weights, n)
     A = model.A
     T = (model.B.T[:, :, None] * model.C[:, None, :]).reshape(m, n * n)  # outer(B[:, k], C[k])
     value = _vertex_max(lambda D: A + (D @ T).reshape(-1, n, n), m, model.slopes, LINF, w)
-    tight = m >= n and int(np.linalg.matrix_rank(model.C)) == n
+    tight = m == n and int(np.linalg.matrix_rank(model.C)) == n
     return value, tight
 
 

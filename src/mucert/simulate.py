@@ -32,8 +32,8 @@ first.  l2 certificates have no exact Euler bound and are refused.
 The map that runs is each model's fused form, with h folded into its
 matrices: (hA) act(x) + (1 - hc) x + hu for Hopfield (and so Persidskii and
 Entrywise), (1 - hc) x + h act(Ax + u) for FiringRate, (I + hA) x - (hc)
-act(x) for AxMinusCPhi, (I + hA) x + (hb) act(c^T x) for Lure and (I + hA) x
-+ (hB) act(Cx) for MultiLure, summed in that order; in Hopfield's map a
+act(x) for AxMinusCPhi and (I + hA) x + (hB) act(Cx) for MultiLure (and so
+for Lure, at B = b and C = c^T), summed in that order; in Hopfield's map a
 leak column of ones (a zero C) adds x itself, and one of zeros and a zero
 input are left out, which can change only the sign of a zero.  It rounds
 each step, so two trajectories at a nonzero equilibrium stall some ulps
@@ -59,9 +59,8 @@ linear, 2 for leaky_relu and rect_poly, 4 for sigmoid) plus: Hopfield 4 (a
 product, the leak's product and add, the input's add), 1 less at a zero leak
 and 1 less at a zero input, so Persidskii and Entrywise take 2; FiringRate 5
 (two products, the input's add, the leak's product and the add); AxMinusCPhi
-3 (two products and the subtraction); Lure 5 (two products, the copy of
-act(c^T x) into each row, its product and the add); MultiLure 4 (three
-products and the add).  A block is DECAY_BLOCK_STEPS steps, or fewer where
+3 (two products and the subtraction); MultiLure 4 (three products and the
+add), and so Lure, whose map is MultiLure's at m = 1.  A block is DECAY_BLOCK_STEPS steps, or fewer where
 it would exceed STATE_BLOCK_ENTRIES entries.  Each block is checked once:
 one subtraction, one stacked norm and one finiteness check, then a few numpy
 calls for the decay ratios (and, in a block whose ratios fail, the summands

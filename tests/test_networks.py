@@ -640,7 +640,17 @@ def test_osl_multilure_matches_sign_pattern_oracle(batch, monkeypatch):
                 value, tight = osl_multilure_linf(model, w)
                 oracle = multilure_linf_by_sign_patterns(model, w)
                 assert abs(value - oracle) <= 1e-12 * (1.0 + abs(value))
-                assert tight == (mdim >= n and np.linalg.matrix_rank(Cout) == n)
+                assert tight == (mdim == n and np.linalg.matrix_rank(Cout) == n)
+
+
+def test_osl_multilure_is_not_tight_where_c_x_misses_slope_vertices():
+    # m = 2 > n = 1: C x = (x, x) puts both slopes at one point, so every
+    # Jacobian is -1 + s - s = -1, while the vertex (1, 0) reads 0.  The
+    # vertex maximum is then an upper bound only.
+    model = MultiLure([[-1.0]], [[1.0, -1.0]], [[1.0], [1.0]], SlopeInterval(0.0, 1.0))
+    assert osl_multilure_linf(model) == (0.0, False)
+    act = Activation("tanh")
+    assert all(jacobian(model, act, [x]).tolist() == [[-1.0]] for x in np.linspace(-3, 3, 13))
 
 
 def test_osl_multilure_guard_and_l1_rejection():
@@ -779,6 +789,56 @@ def test_unsupported_model_types_raise_type_error():
     for model in (fake, Persidskii([[-2.0, 1.0], [1.0, -2.0]], SlopeInterval(0.5, 1.0))):
         with pytest.raises(TypeError):
             optimal_certificate(model, L1)
+
+
+# The textbook Jacobian of each slope-scaled model at state x, from its
+# slopes s there: the state's for every model but FiringRate, whose slopes
+# sit at A x + u.
+SLOPE_JACOBIANS = {
+    "hopfield": lambda m, s: -m.C + m.A @ np.diag(s),
+    "firing_rate": lambda m, s: -m.C + np.diag(s) @ m.A,
+    "persidskii": lambda m, s: -m.C + m.A @ np.diag(s),
+    "entrywise": lambda m, s: -m.C + m.A @ np.diag(s),
+    "ax_minus_cphi": lambda m, s: m.A - m.C @ np.diag(s),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SLOPE_JACOBIANS))
+def test_slope_jacobians_match_their_formulas(tag):
+    # Bit for bit as int64 views, but for the sign of a zero off the
+    # diagonal: the textbook products also add the zeros of diag(s).  A
+    # carries signed zeros off its diagonal, and relu's zero slopes give
+    # zero products.  The slope form's diagonals are the Jacobian diagonals
+    # bit for bit.
+    rng = np.random.default_rng(sorted(SLOPE_JACOBIANS).index(tag))
+    cls = networks.MODELS[tag]
+    acts = [Activation("leaky_relu", a=0.3), Activation("linear", k=0.7)]
+    if tag not in ("persidskii", "entrywise"):
+        acts += [Activation("relu"), Activation("tanh"), Activation("linear", k=-0.5)]
+    for n in (1, 3, 8):
+        A = rng.normal(size=(n, n))
+        off = ~np.eye(n, dtype=bool) & (rng.random(size=(n, n)) < 0.4)
+        A[off] = np.where(rng.random(size=(n, n)) < 0.5, 0.0, -0.0)[off]
+        C = np.diag(rng.uniform(0.5, 1.5, size=n))
+        if tag in ("persidskii", "entrywise"):
+            model = cls(A, SlopeInterval(0.2, 1.0))
+        else:
+            slopes = SlopeInterval(-1.0, 1.0)
+            model = (cls(A, C, slopes) if tag == "ax_minus_cphi"
+                     else cls(C, A, slopes, u=rng.normal(size=n)))
+        for act in acts:
+            X = rng.normal(scale=2.0, size=(n, 9))
+            X[rng.random(size=X.shape) < 0.2] = 0.0
+            J = model.jacobians(act, X)
+            s, d = model._slope_form(act, X)
+            for j, x in enumerate(X.T):
+                p = model.A @ x + model.u if tag == "firing_rate" else x
+                assert np.array_equal(s[:, j], act.deriv(p))
+                want = SLOPE_JACOBIANS[tag](model, act.deriv(p))
+                same = J[j].view(np.int64) == want.view(np.int64)
+                zeros = (J[j] == 0.0) & (want == 0.0) & ~np.eye(n, dtype=bool)
+                assert np.all(same | zeros), (act.kind, n, J[j], want)
+                assert np.diag(J[j]).tobytes() == np.diag(want).tobytes() == d[:, j].tobytes()
 
 
 # ---------------------------------------------------------------------------

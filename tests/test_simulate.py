@@ -1367,6 +1367,47 @@ def test_loop_preactivations_match_per_column_products_bit_for_bit(n):
             assert np.array_equal(multi.jacobians(_Identity, X), want)
 
 
+def _signed_zeros(rng, v):
+    """v with about a third of its entries set to +0.0 or -0.0."""
+    v = v.copy()
+    hit = rng.random(size=v.shape) < 0.35
+    v[hit] = np.where(rng.random(size=v.shape) < 0.5, 0.0, -0.0)[hit]
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_lure_is_multilure_at_one_slope(n):
+    # Lure is MultiLure with B = b[:, None] and C = c[None, :].  The rank-one
+    # product hB act(CX) may give a zero the other sign from a row-by-row
+    # one, so maps, summands and floors agree by value; verify reports (whose
+    # sampled log norms read each model's own Jacobians) agree bit for bit.
+    rng = np.random.default_rng(700 + n)
+    A = -2.0 * np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b, c = (_signed_zeros(rng, rng.normal(scale=0.5, size=n)) for _ in range(2))
+    slopes = SlopeInterval(0.0, 1.0)
+    lure, multi = Lure(A, b, c, slopes), MultiLure(A, b[:, None], c[None, :], slopes)
+    act = Activation("tanh")
+    assert np.array_equal(lure.diagonal_floor(), multi.diagonal_floor())
+    for k in (1, 40):
+        X = rng.normal(scale=2.0, size=(n, k))
+        X[rng.random(size=X.shape) < 0.2] = 0.0
+        S = np.stack([X, -X, np.zeros_like(X)])
+        for h, x in ((1e-2, 1.0), (1.0, 0.0)):
+            maps = [model.euler_map(act, h, k, x) for model in (lure, multi)]
+            outs = [np.empty((n, k)) for _ in maps]
+            for (step, _), out in zip(maps, outs):
+                step(X, out)
+            assert np.array_equal(*outs)
+            assert np.array_equal(*(summands(S) for _, summands in maps))
+    cert = certify(lure, L1)
+    assert cert.contracting
+    for claim in (cert, dataclasses.replace(cert, rate=3.0 * cert.rate + 1.0)):
+        reports = [verify_contraction(model, act, claim, pairs=3, horizon=0.5, step=1e-2,
+                                      seed=n, mu_sample_stride=7) for model in (lure, multi)]
+        assert repr(reports[0]) == repr(reports[1])
+        assert reports[0].passed == (claim is cert)
+
+
 POLY = Activation("rect_poly", r=2)
 
 
