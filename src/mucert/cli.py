@@ -11,6 +11,14 @@ its own name; `certify` adds "model", `verify` adds "passed", and
 `certify --eta` prints a fixed subset.  `prune` is the one exception: it
 converts its index sets to 1-based positions.
 
+Each command is one `add(...)` line in `build_parser`, which names the file
+kind it reads (a tag, or `MODELS` for any network model) and, where it takes
+them, its --family choices and --eta help, plus a `cmd_x(args, payload,
+act, w)` function.  `_run` does the shared work once: it loads the file,
+checks its kind, parses --eta at the payload's dimension (None without it)
+and calls the command.  Matrix and vector entries in files must be numbers:
+JSON strings and booleans are refused, not converted.
+
 Exit codes: 0 success, 1 numerical failure (solver or simulation), 2
 validation / guard / parse failure.  All numbers are printed with 17
 significant digits and keys are sorted, so reruns with the same inputs and
@@ -71,30 +79,25 @@ def _format_float(x: float) -> str:
 def dumps_canonical(obj, indent: int | None = None) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats,
     infinities as the strings "inf" / "-inf"."""
+    sep = ":" if indent is None else ": "
 
     def emit(o, depth):
+        # Each item of a nonempty container starts on its own line at
+        # `pad` when indenting; the closing bracket sits at `endpad`.
         pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
         endpad = "" if indent is None else "\n" + " " * (indent * depth)
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            items = [
-                f"{pad}{json.dumps(str(k))}: {emit(v, depth + 1)}"
-                if indent is not None
-                else f"{json.dumps(str(k))}:{emit(v, depth + 1)}"
-                for k, v in sorted(o.items())
-            ]
+            items = [f"{pad}{json.dumps(str(k))}{sep}{emit(v, depth + 1)}"
+                     for k, v in sorted(o.items())]
             return "{" + ",".join(items) + endpad + "}"
         if isinstance(o, np.ndarray):
             o = o.tolist()
         if isinstance(o, (list, tuple)):
-            if len(o) == 0:
+            if not o:
                 return "[]"
-            items = [
-                f"{pad}{emit(v, depth + 1)}" if indent is not None else emit(v, depth + 1)
-                for v in o
-            ]
-            return "[" + ",".join(items) + endpad + "]"
+            return "[" + ",".join(pad + emit(v, depth + 1) for v in o) + endpad + "]"
         if isinstance(o, (bool, np.bool_)):
             return "true" if o else "false"
         if isinstance(o, (int, np.integer)):
@@ -125,7 +128,20 @@ def _slope_number(x, name):
         raise ValueError(f"slope bound {name} must be a number or \"inf\", got {x!r}")
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"slope bound {name} must be a number, got {x!r}")
-    return float(x)
+    return x
+
+
+def _check_numbers(value, name):
+    """`value`, once no entry of its nested arrays is a string or a boolean,
+    which numpy would read as numbers ("1.5" as 1.5, true as 1)."""
+    rows = [value] if isinstance(value, list) else []
+    for row in rows:  # grows as nested arrays are found
+        for x in row:
+            if isinstance(x, list):
+                rows.append(x)
+            elif isinstance(x, (str, bool)):
+                raise ValueError(f"entries of {name} must be numbers, got {x!r}")
+    return value
 
 
 def parse_slopes(doc) -> SlopeInterval:
@@ -176,7 +192,9 @@ def parse_model_dict(doc):
         raise ValueError(f"model {tag!r} is missing fields: {sorted(missing)}")
 
     act = parse_activation(doc["activation"]) if "activation" in doc else None
-
+    # Every other field is a matrix or a vector.
+    for name in sorted(present - {"slopes", "activation", "side"}):
+        _check_numbers(doc[name], name)
     if tag == "matrix":
         return tag, as_matrix(doc["A"]), act
     values = {k: doc[k] for k in present - {"slopes", "activation"}}
@@ -204,10 +222,6 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
 
 
-def _slopes_dict(slopes: SlopeInterval):
-    return {"d1": slopes.d1, "d2": "inf" if not slopes.bounded else slopes.d2}
-
-
 def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
     """Serialize a model back into the file schema (round-trips exactly)."""
     doc = {"schema_version": SCHEMA_VERSION, "model": tag}
@@ -216,7 +230,7 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
         return doc
     for name, value in _fields(model).items():
         if isinstance(value, SlopeInterval):
-            value = _slopes_dict(value)
+            value = {"d1": value.d1, "d2": value.d2 if value.bounded else "inf"}
         elif isinstance(value, np.ndarray):
             value = value.tolist()
         doc[name] = value
@@ -230,7 +244,8 @@ def model_to_dict(tag: str, model, act: Activation | None = None) -> dict:
 def parse_weights_arg(arg: str, n: int) -> np.ndarray:
     """--eta accepts a comma-separated list or a path to a JSON array."""
     if os.path.exists(arg):
-        return as_weights(_read_json(arg, f"--eta file {arg}"), n)
+        name = f"--eta file {arg}"
+        return as_weights(_check_numbers(_read_json(arg, name), name), n)
     try:
         values = [float(tok) for tok in arg.split(",")]
     except ValueError as exc:
@@ -242,43 +257,41 @@ def parse_weights_arg(arg: str, n: int) -> np.ndarray:
 # commands
 
 
-def _expect(tag, got, command):
-    if got != tag:
-        raise ValueError(f"{command} expects a {tag!r} file, got model {got!r}")
+def _run(args):
+    """Load the command's file, check that it is of the kind the command
+    reads, parse --eta at its dimension and call the command."""
+    tag, payload, act = load_model_file(args.file)
+    if args.reads is MODELS:
+        if tag not in MODELS:
+            raise ValueError(f"{args.command} expects a network model file, got {tag!r}")
+    elif tag != args.reads:
+        raise ValueError(f"{args.command} expects a {args.reads!r} file, got model {tag!r}")
+    # certify's --family is the one that may be unset; multilure-osl has none.
+    if args.eta is not None and "family" in vars(args) and args.family is None:
+        raise ValueError("--eta requires --family")
+    n = len(payload) if tag == "matrix" else payload.n
+    w = None if args.eta is None else parse_weights_arg(args.eta, n)
+    return args.func(args, payload, act, w)
 
 
-def cmd_lognorm(args) -> dict:
-    tag, A, _ = load_model_file(args.file)
-    _expect("matrix", tag, "lognorm")
-    w = None if args.eta is None else parse_weights_arg(args.eta, A.shape[0])
+def cmd_lognorm(args, A, act, w) -> dict:
     return {"value": log_norm(A, args.family, w)}
 
 
-def cmd_classify(args) -> dict:
-    tag, A, _ = load_model_file(args.file)
-    _expect("matrix", tag, "classify")
+def cmd_classify(args, A, act, w) -> dict:
     return _fields(classify_mod.classify_matrix(A))
 
 
-def cmd_certify(args) -> dict:
-    tag, model, _ = load_model_file(args.file)
-    if tag not in MODELS:
-        raise ValueError(f"certify expects a network model file, got {tag!r}")
-    if args.eta is not None:
-        if args.family is None:
-            raise ValueError("--eta requires --family")
-        w = parse_weights_arg(args.eta, model.n)
+def cmd_certify(args, model, act, w) -> dict:
+    if w is not None:
         osl, tight = fixed_weight_osl(model, args.family, w)
         cert = _fields(_certificate(osl, args.family, w, "fixed-weight", tight))
         keys = ("theorem", "family", "weights", "osl", "rate", "contracting", "tight")
-        return {"model": tag, **{k: cert[k] for k in keys}}
-    return {"model": tag, **_fields(certify(model, args.family))}
+        return {"model": model.tag, **{k: cert[k] for k in keys}}
+    return {"model": model.tag, **_fields(certify(model, args.family))}
 
 
-def cmd_verify(args):
-    tag, model, act = load_model_file(args.file)
-    if tag not in MODELS:
-        raise ValueError(f"verify expects a network model file, got {tag!r}")
+def cmd_verify(args, model, act, w):
     if act is None:
         raise ValueError("verify requires an activation spec in the model file")
     cert = certify(model, None)
@@ -305,19 +318,10 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return i - 1, j - 1
 
 
-def cmd_prune(args) -> dict:
-    tag, A, _ = load_model_file(args.file)
-    _expect("matrix", tag, "prune")
+def cmd_prune(args, A, act, w) -> dict:
     report = classify_mod.pruning_robustness(A)
     out = {
-        "subsets": [
-            {
-                "indices": [i + 1 for i in entry.indices],
-                "m_hurwitz": entry.m_hurwitz,
-                "alpha_majorant": entry.alpha_majorant,
-            }
-            for entry in report.entries
-        ],
+        "subsets": [{**_fields(e), "indices": [i + 1 for i in e.indices]} for e in report.entries],
         "all_m_hurwitz": report.all_m_hurwitz,
     }
     if args.remove_edge:
@@ -332,17 +336,11 @@ def cmd_prune(args) -> dict:
     return out
 
 
-def cmd_worst_case(args) -> dict:
-    tag, spec, _ = load_model_file(args.file)
-    _expect("polytope", tag, "worst-case")
-    w = None if args.eta is None else parse_weights_arg(args.eta, spec.n)
+def cmd_worst_case(args, spec, act, w) -> dict:
     return {"value": worst_case_mu(spec, args.family, w)}
 
 
-def cmd_multilure_osl(args) -> dict:
-    tag, model, _ = load_model_file(args.file)
-    _expect("multilure", tag, "multilure-osl")
-    w = None if args.eta is None else parse_weights_arg(args.eta, model.n)
+def cmd_multilure_osl(args, model, act, w) -> dict:
     value, tight = osl_multilure_linf(model, w)
     return {"value": value, "tight": tight}
 
@@ -355,27 +353,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, reads, eta=None, family=None, **kwargs):
+        """One command: it reads a file of model tag `reads` (MODELS: any
+        network model), takes --family with `family`'s (choices, default)
+        and --eta with help text `eta` where given, and is run by `_run`."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="JSON model file")
         p.add_argument(
             "--json-indent", type=int, default=None, metavar="N",
             help="pretty-print output with N-space indentation",
         )
-        p.set_defaults(func=func)
+        if family is not None:
+            p.add_argument("--family", choices=family[0], default=family[1])
+        if eta is not None:
+            p.add_argument("--eta", help=eta)
+        p.set_defaults(func=func, reads=reads, eta=None)
         return p
 
-    p = add("lognorm", cmd_lognorm, help="fixed-weight log norm of a matrix")
-    p.add_argument("--family", choices=list(FAMILIES), default=L1)
-    p.add_argument("--eta", help="weight vector: comma-separated list or JSON file")
+    weights = "weight vector: comma-separated list or JSON file"
+    add("lognorm", cmd_lognorm, "matrix", eta=weights, family=(list(FAMILIES), L1),
+        help="fixed-weight log norm of a matrix")
+    add("classify", cmd_classify, "matrix", help="stability class report for a matrix")
+    add("certify", cmd_certify, MODELS, family=([L1, LINF], None),
+        eta="report the fixed-weight bound instead of optimizing",
+        help="contraction certificate for a model")
 
-    add("classify", cmd_classify, help="stability class report for a matrix")
-
-    p = add("certify", cmd_certify, help="contraction certificate for a model")
-    p.add_argument("--family", choices=[L1, LINF], default=None)
-    p.add_argument("--eta", help="report the fixed-weight bound instead of optimizing")
-
-    p = add("verify", cmd_verify, help="certify, then check the decay bound by simulation")
+    p = add("verify", cmd_verify, MODELS,
+            help="certify, then check the decay bound by simulation")
     p.add_argument("--pairs", type=int, default=20)
     p.add_argument("--horizon", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3,
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one, and the report gives the step that ran")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("prune", cmd_prune, help="principal-submatrix stability report")
+    p = add("prune", cmd_prune, "matrix", help="principal-submatrix stability report")
     p.add_argument(
         "--remove-edge", action="append", metavar="I,J",
         help="also zero the (1-based) off-diagonal entry I,J and compare",
@@ -391,13 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=0.0,
                    help="diagonal shift applied before the edge-removal comparison")
 
-    p = add("worst-case", cmd_worst_case, help="worst-case log norm over a slope polytope")
-    p.add_argument("--family", choices=[L1, LINF], default=L1)
-    p.add_argument("--eta", help="weight vector: comma-separated list or JSON file")
-
-    p = add("multilure-osl", cmd_multilure_osl,
-            help="exact worst-case linf log norm of a multivariable loop")
-    p.add_argument("--eta", help="weight vector: comma-separated list or JSON file")
+    add("worst-case", cmd_worst_case, "polytope", eta=weights, family=([L1, LINF], L1),
+        help="worst-case log norm over a slope polytope")
+    add("multilure-osl", cmd_multilure_osl, "multilure", eta=weights,
+        help="exact worst-case linf log norm of a multivariable loop")
 
     return parser
 
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        result = _run(args)
     except (NumericalError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _weights_or_ones, as_matrix, as_vector, metzler_majorant
+from .matrices import _float_or_nan, _weights_or_ones, as_matrix, as_vector, metzler_majorant
 
 L1 = "l1"
 LINF = "linf"
@@ -53,7 +53,7 @@ class SlopeInterval:
     d2: float
 
     def __post_init__(self):
-        d1, d2 = float(self.d1), float(self.d2)
+        d1, d2 = _float_or_nan(self.d1), _float_or_nan(self.d2)
         if not np.isfinite(d1):
             raise ValueError("lower slope bound must be finite")
         if np.isnan(d2) or d2 == -np.inf:

@@ -1,7 +1,8 @@
 """Dense matrix primitives: Metzler majorants, principal submatrices, zero padding.
 
 All functions accept anything ``np.array`` can turn into a float array and
-validate shape and finiteness up front.  Everything here is pure; inputs are
+validate shape and finiteness up front; an integer beyond the float range
+counts as a non-finite entry.  Everything here is pure; inputs are
 never mutated.
 """
 
@@ -14,7 +15,26 @@ def as_matrix(a) -> np.ndarray:
     """Validate and return a finite square float matrix: always a C-ordered
     copy, so that results do not depend on the layout of the input (the
     l1 and linf kernels round differently on a Fortran-ordered matrix)."""
-    return _checked_square(np.array(a, dtype=float, order="C"))
+    return _checked_square(_floats(a, "matrix"))
+
+
+def _floats(a, kind: str) -> np.ndarray:
+    """``np.array(a, dtype=float, order="C")``.  An integer beyond the float
+    range, for which numpy raises OverflowError, is refused as a non-finite
+    `kind` entry."""
+    try:
+        return np.array(a, dtype=float, order="C")
+    except OverflowError:
+        raise ValueError(f"{kind} entries must be finite") from None
+
+
+def _float_or_nan(x) -> float:
+    """float(x), or NaN for an integer beyond the float range, so that a
+    finiteness check refuses it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return float("nan")
 
 
 def _checked_square(A: np.ndarray) -> np.ndarray:
@@ -28,7 +48,7 @@ def _checked_square(A: np.ndarray) -> np.ndarray:
 
 def as_vector(a, n: int | None = None) -> np.ndarray:
     """Validate and return a finite float vector, optionally of length n."""
-    v = np.array(a, dtype=float)
+    v = _floats(a, "vector")
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if n is not None and v.size != n:

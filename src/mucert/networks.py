@@ -35,6 +35,7 @@ import numpy as np
 
 from .matrices import (
     _checked_square,
+    _floats,
     _majorant,
     _weights_or_ones,
     as_matrix,
@@ -718,8 +719,8 @@ class MultiLure(_Model):
 
     def __post_init__(self):
         A = as_matrix(self.A)
-        B = np.array(self.B, dtype=float)
-        C = np.array(self.C, dtype=float)
+        B = _floats(self.B, "matrix")
+        C = _floats(self.C, "matrix")
         n = A.shape[0]
         if B.ndim != 2 or B.shape[0] != n:
             raise ValueError(f"B must be {n} x m, got shape {B.shape}")

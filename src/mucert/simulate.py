@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_lines, kernels
-from .matrices import _weights_or_ones, as_vector
+from .matrices import _float_or_nan, _weights_or_ones, as_vector
 from .networks import ContractionCertificate, check_model
 
 # Relative headroom on the decay ratio, for rounding only: the Euler bound is
@@ -117,9 +117,11 @@ VERIFY_ENTRY_BUDGET = 1 << 24
 DISTANCE_FLOOR = np.finfo(float).tiny
 
 
-def _is_real(v) -> bool:
-    """Whether an activation parameter is a real number (not a bool)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    """Whether an activation parameter is a finite real number: not a bool,
+    nor an integer beyond the float range."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(_float_or_nan(v)))
 
 
 class DivergenceError(RuntimeError):
@@ -180,7 +182,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: np.where(x > 0.0, 1.0, act.a),
         slopes=lambda act: SlopeInterval(act.a, 1.0),
         params=("a",),
-        valid=lambda act: _is_real(act.a) and 0.0 < act.a < 1.0,
+        valid=lambda act: _is_finite(act.a) and 0.0 < act.a < 1.0,
         error="leaky_relu needs a slope parameter a in (0, 1)",
         kinks=(0.0,),
     ),
@@ -200,7 +202,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: int(act.r) * np.maximum(x, 0.0) ** (int(act.r) - 1),
         slopes=lambda act: SlopeInterval(0.0, np.inf),
         params=("r",),
-        valid=lambda act: _is_real(act.r) and math.isfinite(act.r) and act.r == int(act.r) >= 2,
+        valid=lambda act: _is_finite(act.r) and act.r == int(act.r) >= 2,
         error="rect_poly needs an integer exponent r >= 2",
     ),
     "linear": ActivationSpec(
@@ -208,7 +210,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: np.full_like(x, act.k),
         slopes=lambda act: SlopeInterval(act.k, act.k),
         params=("k",),
-        valid=lambda act: _is_real(act.k) and math.isfinite(act.k),
+        valid=lambda act: _is_finite(act.k),
         error="linear needs a finite gain k",
     ),
 }

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import typing
 import warnings
 
@@ -8,8 +9,9 @@ import pytest
 
 from mucert import NetworkModel
 from mucert.classify import ClassReport
-from mucert.cli import dumps_canonical, main, model_to_dict, parse_model_dict
-from mucert.networks import MODELS, ContractionCertificate
+from mucert.cli import build_parser, dumps_canonical, main, model_to_dict, parse_model_dict
+from mucert.lognorm import log_norm, worst_case_mu
+from mucert.networks import MODELS, ContractionCertificate, fixed_weight_osl, osl_multilure_linf
 from mucert.simulate import ACTIVATIONS, Activation, SimReport
 
 from helpers import DAMPED_SPIRAL, ROTATION_SHIFT, SKEW_RING
@@ -600,3 +602,171 @@ def test_verify_rejects_runs_that_simulate_nothing(tmp_path, capsys, flags):
     code, out, err = run(capsys, "verify", path, *flags)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+# The first file of each tag above.
+DOC = {}
+for _doc in FILE_DOCS:
+    DOC.setdefault(_doc["model"], _doc)
+
+# The file kind each command reads: a file of another kind is refused with
+# the command's own message, before any output.
+WRONG_KIND = {
+    "lognorm": (HOPFIELD_DOC, "lognorm expects a 'matrix' file, got model 'hopfield'"),
+    "classify": (DOC["polytope"], "classify expects a 'matrix' file, got model 'polytope'"),
+    "certify": (DOC["matrix"], "certify expects a network model file, got 'matrix'"),
+    "verify": (DOC["polytope"], "verify expects a network model file, got 'polytope'"),
+    "prune": (DOC["lure"], "prune expects a 'matrix' file, got model 'lure'"),
+    "worst-case": (DOC["matrix"], "worst-case expects a 'polytope' file, got model 'matrix'"),
+    "multilure-osl": (DOC["lure"], "multilure-osl expects a 'multilure' file, got model 'lure'"),
+}
+
+
+def test_wrong_kind_cases_cover_every_command():
+    usage = build_parser().format_usage()  # "usage: mucert [-h] {lognorm,...} ..."
+    assert set(WRONG_KIND) == set(re.search(r"\{(.*)\}", usage).group(1).split(","))
+
+
+@pytest.mark.parametrize("command", sorted(WRONG_KIND))
+def test_command_refuses_a_file_of_the_wrong_kind(tmp_path, capsys, command):
+    doc, message = WRONG_KIND[command]
+    path = write(tmp_path, "wrong.json", doc)
+    code, out, err = run(capsys, command, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# The four commands that take --eta: a file of their kind, its dimension, the
+# flags they need besides, and the library call that the weights reach.
+ETA_COMMANDS = {
+    "lognorm": (DOC["matrix"], 2, ("--family", "linf"),
+                lambda doc, w: log_norm(doc["A"], "linf", w)),
+    "certify": (DOC["persidskii"], 2, ("--family", "l1"),
+                lambda doc, w: fixed_weight_osl(parse_model_dict(doc)[1], "l1", w)[0]),
+    "worst-case": (DOC["polytope"], 2, (),
+                   lambda doc, w: worst_case_mu(parse_model_dict(doc)[1], "l1", w)),
+    "multilure-osl": (DOC["multilure"], 1, (),
+                      lambda doc, w: osl_multilure_linf(parse_model_dict(doc)[1], w)[0]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ETA_COMMANDS))
+def test_eta_is_parsed_at_the_file_dimension(tmp_path, capsys, command):
+    doc, n, flags, library = ETA_COMMANDS[command]
+    path = write(tmp_path, "m.json", doc)
+    w = [1.0 + 0.5 * i for i in range(n)]
+    code, out, err = run(capsys, command, path, *flags, "--eta", ",".join(map(str, w)))
+    key = "osl" if command == "certify" else "value"
+    assert code == 0 and err == ""
+    assert json.loads(out)[key] == library(doc, np.array(w))
+
+    long = ",".join(["1"] * (n + 1))
+    code, out, err = run(capsys, command, path, *flags, "--eta", long)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a vector of length {n}, got {n + 1}\n"
+
+
+def test_eta_requires_family_only_where_family_may_be_unset(tmp_path, capsys):
+    path = write(tmp_path, "m.json", DOC["persidskii"])
+    code, out, err = run(capsys, "certify", path, "--eta", "1,1")
+    assert (code, out, err) == (2, "", "error: --eta requires --family\n")
+    # multilure-osl has no --family at all; its weights are linf ones.
+    path = write(tmp_path, "ml.json", DOC["multilure"])
+    code, out, err = run(capsys, "multilure-osl", path, "--eta", "2")
+    assert code == 0 and err == "" and out
+
+
+BIG = "1" + "0" * 400
+
+
+def _hopfield_text(slopes='{"d1": 0, "d2": 1}', activation='{"kind": "tanh"}'):
+    return ('{"schema_version": "1", "model": "hopfield", "A": [[0.0, 0.4], [0.3, 0.0]], '
+            '"C": [[1.0, 0.0], [0.0, 1.0]], "slopes": %s, "activation": %s}'
+            % (slopes, activation))
+
+
+@pytest.mark.parametrize(
+    "command, text, eta, message",
+    [
+        ("classify", '{"schema_version": "1", "model": "matrix", "A": [[-1.0, %s], [0.0, -1.0]]}'
+         % BIG, None, "matrix entries must be finite"),
+        ("certify", _hopfield_text(slopes='{"d1": 0, "d2": %s}' % BIG), None,
+         "upper slope bound must be a real number or +inf"),
+        ("lognorm", '{"schema_version": "1", "model": "matrix", "A": [[-1.0]]}', "[%s]" % BIG,
+         "vector entries must be finite"),
+        ("verify", _hopfield_text(slopes='{"d1": -0.5, "d2": 1}',
+                                  activation='{"kind": "linear", "k": %s}' % BIG), None,
+         "linear needs a finite gain k"),
+    ],
+    ids=["classify-A", "certify-d2", "lognorm-eta", "verify-k"],
+)
+def test_integers_beyond_the_float_range_are_validation_errors(tmp_path, capsys, command,
+                                                                text, eta, message):
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
+    if eta is not None:
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(eta, encoding="utf-8")
+        argv += ["--eta", str(eta_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("classify", matrix_doc([[0.0]]) | {"A": [["-1.5", True], [False, "-2"]]},
+         "entries of A must be numbers, got '-1.5'"),
+        ("classify", matrix_doc([[0.0]]) | {"A": [[1, True], [0, -2]]},
+         "entries of A must be numbers, got True"),
+        ("certify", {**HOPFIELD_DOC, "u": ["0.1", False]},
+         "entries of u must be numbers, got '0.1'"),
+        ("certify", {**DOC["lure"], "c": [0.3, True]}, "entries of c must be numbers, got True"),
+        ("worst-case", {**DOC["polytope"], "c": ["-1", -1.5]},
+         "entries of c must be numbers, got '-1'"),
+        ("multilure-osl", {**DOC["multilure"], "C": [[0.3], [False]]},
+         "entries of C must be numbers, got False"),
+    ],
+    ids=["strings", "mixed", "hopfield-u", "lure-c", "polytope-c", "multilure-C"],
+)
+def test_strings_and_booleans_in_arrays_are_validation_errors(tmp_path, capsys, command, doc,
+                                                              message):
+    path = write(tmp_path, "m.json", doc)
+    code, out, err = run(capsys, command, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("eta, shown", [(["2"], "'2'"), ([True], "True")])
+def test_strings_and_booleans_in_eta_files_are_validation_errors(tmp_path, capsys, eta, shown):
+    path = write(tmp_path, "m.json", matrix_doc([[-1.0]]))
+    eta_path = write(tmp_path, "eta.json", eta)
+    code, out, err = run(capsys, "lognorm", path, "--eta", eta_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: entries of --eta file {eta_path} must be numbers, got {shown}\n"
+
+
+# dumps_canonical's three layouts, as bytes recorded from the per-layout
+# item formats it replaced.
+CANONICAL_REPORT = {
+    "report": {"b": [1, 2.5, {"x": [], "y": {}}], "a": {}, "c": [[], {}],
+               "d": {"e": [True, None, "s", float("-inf")], "f": np.array([[1.0, -0.0]])},
+               "g": (np.int64(3),)},
+    "empty": [],
+}
+CANONICAL_LAYOUTS = {
+    None: '{"empty":[],"report":{"a":{},"b":[1,2.5,{"x":[],"y":{}}],"c":[[],{}],'
+          '"d":{"e":[true,null,"s","-inf"],"f":[[1,-0]]},"g":[3]}}',
+    0: '{\n"empty": [],\n"report": {\n"a": {},\n"b": [\n1,\n2.5,\n{\n"x": [],\n"y": {}\n}\n],'
+       '\n"c": [\n[],\n{}\n],\n"d": {\n"e": [\ntrue,\nnull,\n"s",\n"-inf"\n],\n"f": [\n[\n1,'
+       '\n-0\n]\n]\n},\n"g": [\n3\n]\n}\n}',
+    2: '{\n  "empty": [],\n  "report": {\n    "a": {},\n    "b": [\n      1,\n      2.5,\n'
+       '      {\n        "x": [],\n        "y": {}\n      }\n    ],\n    "c": [\n      [],\n'
+       '      {}\n    ],\n    "d": {\n      "e": [\n        true,\n        null,\n'
+       '        "s",\n        "-inf"\n      ],\n      "f": [\n        [\n          1,\n'
+       '          -0\n        ]\n      ]\n    },\n    "g": [\n      3\n    ]\n  }\n}',
+}
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2])
+def test_canonical_layouts_are_pinned(indent):
+    assert dumps_canonical(CANONICAL_REPORT, indent=indent) == CANONICAL_LAYOUTS[indent]

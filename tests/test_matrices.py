@@ -1,9 +1,16 @@
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
 
 from mucert import (
+    Activation,
+    Hopfield,
+    MultiLure,
+    PolytopeSpec,
+    SlopeInterval,
     metzler_majorant,
     nonneg_metzler_majorant,
     pad,
@@ -11,6 +18,7 @@ from mucert import (
 )
 from mucert.matrices import (
     as_matrix,
+    as_vector,
     as_weights,
     block_resolvent,
     check_diagonal,
@@ -189,3 +197,29 @@ def test_block_resolvent_solves_the_whole_system():
         np.testing.assert_allclose((b * np.eye(n) - M.T) @ wt, 1.0, rtol=1e-9, atol=0.0)
     with pytest.raises(np.linalg.LinAlgError):
         block_resolvent(np.zeros((2, 2)), strong_blocks(np.zeros((2, 2))), 0.0)
+
+
+def test_integers_beyond_the_float_range_are_not_finite():
+    # numpy and float() raise OverflowError on them; the constructors refuse
+    # them as non-finite values instead.
+    big = 10**400
+    slopes = SlopeInterval(0, 1)
+    cases = [
+        (lambda: as_vector([big]), "vector entries must be finite"),
+        (lambda: as_matrix([[1, -big]]), "matrix entries must be finite"),
+        (lambda: as_weights([1.0, big]), "vector entries must be finite"),
+        (lambda: Hopfield(C=[[1.0]], A=[[big]], slopes=slopes), "matrix entries must be finite"),
+        (lambda: MultiLure([[-1.0]], [[big]], [[1.0]], slopes), "matrix entries must be finite"),
+        (lambda: PolytopeSpec([[0.0]], [big], slopes, "left"), "vector entries must be finite"),
+        (lambda: SlopeInterval(0, big), "upper slope bound"),
+        (lambda: SlopeInterval(-big, 1), "lower slope bound must be finite"),
+        (lambda: Activation("linear", k=big), "linear needs a finite gain k"),
+        (lambda: Activation("rect_poly", r=big), "rect_poly needs an integer exponent"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+    # The largest float and an integer that rounds to it stay valid.
+    top = np.finfo(float).max
+    assert SlopeInterval(0, int(top)).d2 == top
+    assert Activation("linear", k=-int(top)).k == -int(top)
