@@ -24,8 +24,10 @@ eigensolve.
 
 The diagonal Lyapunov witness of an M-Hurwitz matrix is y/x from two linear
 solves on its Metzler majorant M, x = -M^-1 1 and y = -M^-T 1 (see
-mh_lds_witness): no eigenvector, perturbation or irreducibility is needed,
-and a construction that fails gives no witness rather than an error.
+mh_lds_witness), the right and left resolvent weights at b = 0 of
+`spectral._resolvent_weights`: no eigenvector, perturbation or
+irreducibility is needed, and a construction that fails gives no witness
+rather than an error.
 """
 
 import itertools
@@ -37,12 +39,11 @@ from .matrices import (
     _majorant,
     as_matrix,
     as_weights,
-    block_resolvent,
     metzler_majorant,
     strong_blocks,
 )
 from .lognorm import _mu2, mu2
-from .spectral import NumericalError, spectral_abscissa
+from .spectral import NumericalError, _resolvent_weights, spectral_abscissa
 
 STRICT_TOL = 1e-12
 
@@ -187,20 +188,18 @@ def mh_lds_witness(A) -> np.ndarray | None:
 
 
 def _mh_witness(M: np.ndarray) -> np.ndarray | None:
-    """:func:`mh_lds_witness` of a majorant M, solved one strongly connected
-    block at a time (`matrices.block_resolvent` at b = 0): M's blocks in
-    dependency order and M^T's in the reverse order, so that each block's
-    right-hand side is at least 1.  One solve over all of a reducible M can
-    give nonpositive entries on blocks coupled one way; an irreducible M is
-    one block.  A singular solve, or a weight that is not finite and
+    """:func:`mh_lds_witness` of a majorant M: x and y are the right and
+    left `spectral._resolvent_weights` of M at b = 0, solved one strongly
+    connected block at a time, so that each block's right-hand side is at
+    least 1.  One solve over all of a reducible M can give nonpositive
+    entries on blocks coupled one way; an irreducible M is one block.  A
+    solve that fails there, or a weight y/x that is not finite and
     positive, gives None."""
     blocks = strong_blocks(M)
     try:
-        x = block_resolvent(M, blocks, 0.0)
-        y = block_resolvent(M.T, blocks[::-1], 0.0)
-    except np.linalg.LinAlgError:
-        return None
-    if not (x.min() > 0.0 and y.min() > 0.0):  # also false on NaN
+        x = _resolvent_weights(M, blocks, 0.0)
+        y = _resolvent_weights(M, blocks, 0.0, left=True)
+    except NumericalError:
         return None
     with np.errstate(over="ignore", under="ignore"):
         w = y / x

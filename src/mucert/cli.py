@@ -206,7 +206,7 @@ def _read_json(path, name):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"invalid JSON in {name}: {exc}") from exc
     except OSError as exc:
         raise ValueError(f"cannot read {name}: {exc}") from exc
@@ -258,8 +258,11 @@ def parse_weights_arg(arg: str, n: int) -> np.ndarray:
 
 
 def _run(args):
-    """Load the command's file, check that it is of the kind the command
-    reads, parse --eta at its dimension and call the command."""
+    """Check --json-indent, load the command's file, check that it is of
+    the kind the command reads, parse --eta at its dimension and call the
+    command."""
+    if args.json_indent is not None and not 0 <= args.json_indent <= 16:
+        raise ValueError(f"--json-indent must be 0 to 16, got {args.json_indent}")
     tag, payload, act = load_model_file(args.file)
     if args.reads is MODELS:
         if tag not in MODELS:

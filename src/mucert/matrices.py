@@ -136,8 +136,9 @@ def block_resolvent(S: np.ndarray, blocks, b: float) -> np.ndarray:
     one way (b - alpha is tiny against both).  Block by block, each solve is
     an irreducible system with a right-hand side of at least 1: for b above
     the abscissa of every block, bI - S_BB is a nonsingular M-matrix and w
-    is positive.  The caller checks that.  A singular block raises
-    numpy.linalg.LinAlgError.
+    is positive.  A singular block raises numpy.linalg.LinAlgError.  Its one
+    caller is `spectral._resolvent_weights`, which also solves the left
+    weights through it and checks that w is finite and positive.
 
     A single block is solved as (bI - S) w = 1, without the block copies:
     those are the loop's own operands, since 1 + S w = 1 exactly at w = 0.

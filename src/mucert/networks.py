@@ -23,6 +23,9 @@ the weight vector it carries (`osl`), the fixed-weight bound there, so the
 guarantee ``||x(t) - y(t)|| <= exp(-rate * t) ||x(0) - y(0)||`` in the carried
 weighted norm is checkable by evaluation.  `_certificate` declares a model
 contracting only when that bound clears a strict margin below zero.
+Every Perron-route certificate takes its weights from
+`spectral._perron_weights`: the dominant eigenvector of its Metzler matrix,
+or the `spectral._resolvent_weights` of a reducible one.
 
 Weight conventions follow :mod:`mucert.lognorm`: an ``l1`` certificate with
 weights w refers to the norm sum_i w_i |x_i|; an ``linf`` certificate refers
@@ -41,7 +44,6 @@ from .matrices import (
     as_matrix,
     as_vector,
     check_diagonal,
-    strong_blocks,
 )
 from .lognorm import (
     L1,
@@ -57,8 +59,8 @@ from .lognorm import (
     _vertex_max,
     kernels,
 )
-from .optimize import RESOLVENT_SHIFT, bisect_min_mu
-from .spectral import _block_abscissa, _perron, _resolvent_weights
+from .optimize import bisect_min_mu
+from .spectral import _perron_weights
 
 # A model is declared contracting only if the certified bound is at or below
 # minus this margin; the underlying strict inequalities must survive floating
@@ -138,44 +140,15 @@ def _witness_osl(mats, family, weights) -> float:
     return max(float(split(*_split(M), w)) for M in mats)
 
 
-# Rows of the Perron pair that a certificate in each norm carries: (lo, hi)
-# of spectral._perron, the left vector for l1 and the right one for linf.
-_PERRON_ROWS = {L1: (1, 2), LINF: (0, 1), None: (0, 2)}
-
-
-def _perron_weights(M, family=None):
-    """(right, left, alpha, shift) for a Metzler matrix M: only the weight
-    vector that a `family` certificate carries (both for None; the other is
-    None), the abscissa alpha of M and the shift above it.  An irreducible M
-    gives its Perron vectors, the `alpha` of their pair and shift 0.  A
-    reducible M gives the resolvent weights of
-    `spectral._resolvent_weights` at alpha + RESOLVENT_SHIFT, on M for the
-    right vector and on M.T for the left one, each scaled to unit sum, and
-    shift RESOLVENT_SHIFT: the weighted log norm of M at either is at most
-    alpha + shift.  alpha is taken once, from M's blocks, whichever vectors
-    are wanted, so each weight vector is the same bits in every family.  M
-    is checked to be finite before its blocks are searched, so an M that
-    overflowed when it was built raises ValueError."""
-    lo, hi = _PERRON_ROWS[family]
-    blocks = strong_blocks(_checked_square(M))
-    if len(blocks) == 1:
-        pair = _perron(M, 0.0, lo, hi)
-        return pair.right, pair.left, pair.alpha, 0.0
-    vectors, alpha = [None, None], _block_abscissa(M, blocks)
-    for i in range(lo, hi):
-        w = _resolvent_weights((M, M.T)[i], (blocks, blocks[::-1])[i], alpha + RESOLVENT_SHIFT)
-        vectors[i] = w / w.sum()
-    return *vectors, alpha, RESOLVENT_SHIFT
-
-
 def _perron_certificate(model, metzler, family, theorem, key,
                         level=lambda alpha: alpha) -> ContractionCertificate:
     """Certificate in the weighted `family` norm at the dominant eigenvector
     of the Metzler matrix that `metzler()` builds, left for l1 and right for
     linf, or at its resolvent weights if that matrix is reducible (see
-    `_perron_weights`).  Only that vector is computed, and `details[key]` is
-    `level` of the abscissa of the matrix.  The matrix and the witnesses
-    come from the model's validated matrices and are not validated again.
+    `spectral._perron_weights`).  Only that vector is computed, and
+    `details[key]` is `level` of the abscissa of the matrix.  The matrix and
+    the witnesses come from the model's validated matrices and are not
+    validated again.
     `details.delta` > 0 marks a reducible matrix and holds the resolvent
     shift; the bound is then not tight.
 

@@ -28,12 +28,13 @@ fails, NumericalError is raised.
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, from
-`spectral._resolvent_weights`, solved one strongly connected block of
-`matrices.strong_blocks` at a time, with alpha(S) the largest of the blocks'
-Perron abscissae: then S w = b w - 1 < b w, and the row
-switching runs at w.  The certificates of :mod:`mucert.networks` take their
-weights for a reducible Metzler majorant from the same routine, at shift
-RESOLVENT_SHIFT.
+`spectral._resolvent_weights`, the one place a Metzler matrix's resolvent
+weights are solved, with alpha(S) the largest of its strongly connected
+blocks' Perron abscissae: then S w = b w - 1 < b w, and the row switching
+runs at w.  The certificates of :mod:`mucert.networks` take their weights
+from `spectral._perron_weights`, which calls the same routine on a reducible
+majorant at shift RESOLVENT_SHIFT.  Both solvers turn every failed solve
+into NumericalError.
 
 The returned level `b_star` is evaluated at the returned weights, so it is
 attained there, up to rounding, by construction.
@@ -45,12 +46,8 @@ import numpy as np
 
 from .matrices import as_matrix, is_metzler, metzler_majorant, strong_blocks
 from .lognorm import L1, LINF
-from .spectral import NumericalError, _block_abscissa, _noda, _resolvent_weights
+from .spectral import RESOLVENT_SHIFT, _block_abscissa, _noda, _resolvent_weights
 
-# Resolvent shift above the abscissa of a reducible selection, or of a
-# certificate's reducible majorant.  b_star, or the certified bound, then
-# exceeds the optimum by at most about this much.
-RESOLVENT_SHIFT = 1e-8
 # Work budget: the number of row selections whose weights are computed.
 MAX_SELECTIONS = 100
 # Rounding allowance relative to the magnitudes compared: a row moves only if
@@ -114,10 +111,7 @@ def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:
     best_level, best_w = np.inf, None
     status = STATUS_TOLERANCE
     for it in range(1, max_iter + 1):
-        try:
-            w = _selection_weights(stack[selection, rows], tol)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"selection weights failed: {exc}") from exc
+        w = _selection_weights(stack[selection, rows], tol)
         values = stack @ w
         top = np.max(values, axis=0)
         level = float(np.max(top / w))

@@ -18,10 +18,16 @@ A reducible Metzler matrix has more than one strongly connected block
 (:func:`mucert.matrices.strong_blocks`; the same search decides
 :func:`is_irreducible`).  Its abscissa is the largest of its blocks'
 abscissae, each the alpha of the block's own right Perron vector (the
-diagonal entry of a 1 x 1 block): `_block_abscissa`.  The weight
-optimizer's reducible row selections and the certificates' reducible
-majorants take the resolvent weights of `_resolvent_weights` above that
-abscissa, solved block by block.  The public `perron_pair(M, delta > 0)` on
+diagonal entry of a 1 x 1 block): `_block_abscissa`.  Its M-matrix
+resolvent weights w = (bI - S)^-1 1 above that abscissa (Berman and
+Plemmons, Nonnegative Matrices in the Mathematical Sciences) have one entry
+point, `_resolvent_weights`, which solves block by block, right or left, and
+checks that w is finite and positive.  The weight optimizer's reducible row
+selections, the secular pair below and classify's diagonal Lyapunov witness
+call it, and so does `_perron_weights`, which gives the certificates of
+:mod:`mucert.networks` their weights: a Perron vector of an irreducible
+Metzler matrix, or resolvent weights at RESOLVENT_SHIFT above the abscissa
+of a reducible one.  The public `perron_pair(M, delta > 0)` on
 a reducible M takes the pair of M + delta * ones from its secular equation
 (`_secular_pair`): (M + delta 11^T) x = rho x with x > 0 exactly when
 x is proportional to (rho I - M)^-1 1 and delta 1^T (rho I - M)^-1 1 = 1
@@ -67,7 +73,8 @@ one to `_secular_pair` and an irreducible one to the private `_perron`,
 which takes an already validated C-ordered irreducible Metzler matrix and
 steps only the rows asked for: both for `perron_pair`.  The
 certificates in :mod:`mucert.networks` build their Metzler matrix from the
-model's validated arrays and call `_perron` directly.  A one-norm
+model's validated arrays and hand it to `_perron_weights`, which calls
+`_perron` directly on an irreducible one.  A one-norm
 certificate steps one vector, the left one for l1 and the right one for
 linf, and its abscissa detail is that vector's Rayleigh quotient less the
 shift; a certificate in both norms steps both, and its abscissa is the mean
@@ -82,6 +89,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import solve
 
+from .lognorm import L1, LINF
 from .matrices import _checked_square, as_matrix, block_resolvent, is_metzler, strong_blocks
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
@@ -103,6 +111,12 @@ RESIDUAL_RTOL = 1e-11
 # 8 solves.  NODA_MAXITER also budgets the Newton steps of `_secular_pair`.
 NODA_RTOL = 1e-14
 NODA_MAXITER = 20
+
+# Resolvent shift above the abscissa of a reducible Metzler matrix: of a
+# certificate's majorant (`_perron_weights`), or of a weight-optimizer row
+# selection.  The certified bound, or b_star, then exceeds the optimum by at
+# most about this much.
+RESOLVENT_SHIFT = 1e-8
 
 # A rank-one perturbation that makes a reducible Metzler matrix irreducible,
 # for callers of perron_pair.  It can move the abscissa by far more than
@@ -158,22 +172,25 @@ def _block_abscissa(S: np.ndarray, blocks) -> float:
                for B in blocks)
 
 
-def _resolvent_weights(S: np.ndarray, blocks, b: float) -> np.ndarray:
-    """Weights w = (bI - S)^-1 1 of a reducible Metzler S, solved by
+def _resolvent_weights(S: np.ndarray, blocks, b: float, left: bool = False) -> np.ndarray:
+    """Weights w = (bI - S)^-1 1 of a Metzler S, solved by
     `block_resolvent` on its strongly connected `blocks` (in the order of
-    :func:`mucert.matrices.strong_blocks`).  At b = alpha + shift, with alpha
-    from `_block_abscissa`, b is above every block's abscissa: each block is
-    a nonsingular M-matrix system, so w is positive and S w = b w - 1 < b w,
-    and the weighted linf log norm of S at w is below b.  For the left
-    weights pass S.T and the blocks reversed, at the same b: S and S.T have
-    one spectrum, and one b for both keeps each weight vector independent of
-    whether the other was asked for.  Raises NumericalError if a block solve
-    fails or w is not finite and positive."""
+    :func:`mucert.matrices.strong_blocks`); the left weights
+    (bI - S^T)^-1 1 with `left`, solved on S.T with the blocks reversed, so
+    that each block again reads only blocks solved before.  For b above
+    every block's abscissa each block is a nonsingular M-matrix system, so w
+    is positive and S w = b w - 1 < b w.  This is the one caller of
+    `block_resolvent`: the weight optimizer, the certificates
+    (`_perron_weights`), the secular pair and classify's witness all solve
+    through it.  Raises NumericalError if a block solve fails or w is not
+    finite and positive."""
+    if left:
+        S, blocks = S.T, blocks[::-1]
     try:
         w = block_resolvent(S, blocks, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"resolvent weights failed: {exc}") from exc
-    if not np.all((w > 0.0) & np.isfinite(w)):
+    if not (w.min() > 0.0 and w.max() < math.inf):  # also true on NaN
         raise NumericalError("resolvent weights have nonpositive entries")
     return w
 
@@ -387,6 +404,35 @@ def _perron(M: np.ndarray, delta: float, lo: int, hi: int) -> PerronPair:
                       irreducible=True, steps=tuple(steps), dense=(False, False))
 
 
+# Rows of the Perron pair that a certificate in each norm carries: (lo, hi)
+# of `_perron`, the left vector for l1 and the right one for linf.
+_PERRON_ROWS = {L1: (1, 2), LINF: (0, 1), None: (0, 2)}
+
+
+def _perron_weights(M, family=None):
+    """(right, left, alpha, shift) for a Metzler matrix M: only the weight
+    vector that a `family` certificate carries (both for None; the other is
+    None), the abscissa alpha of M and the shift above it.  An irreducible M
+    gives its Perron vectors, the `alpha` of their pair and shift 0.  A
+    reducible M gives the right and left `_resolvent_weights` at
+    alpha + RESOLVENT_SHIFT, each scaled to unit sum, and shift
+    RESOLVENT_SHIFT: the weighted log norm of M at either is at most
+    alpha + shift.  alpha is taken once, from M's blocks, whichever vectors
+    are wanted, so each weight vector is the same bits in every family.  M
+    is checked to be finite before its blocks are searched, so an M that
+    overflowed when it was built raises ValueError."""
+    lo, hi = _PERRON_ROWS[family]
+    blocks = strong_blocks(_checked_square(M))
+    if len(blocks) == 1:
+        pair = _perron(M, 0.0, lo, hi)
+        return pair.right, pair.left, pair.alpha, 0.0
+    vectors, alpha = [None, None], _block_abscissa(M, blocks)
+    for i in range(lo, hi):
+        w = _resolvent_weights(M, blocks, alpha + RESOLVENT_SHIFT, left=i == 1)
+        vectors[i] = w / w.sum()
+    return *vectors, alpha, RESOLVENT_SHIFT
+
+
 def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
     """Perron pair of M + delta * ones for a reducible Metzler M that is
     already validated, finite and C-ordered, with strongly connected
@@ -398,17 +444,17 @@ def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
 
     With rho = alpha + t over alpha = `_block_abscissa` of S, Newton's method
     runs on g = log(delta 1^T x) against log t, from t = delta * n, the root
-    for S = 0.  Both solves are `block_resolvent` calls, x on S and
-    y = (rho I - S^T)^-1 1 on S.T with the blocks reversed, and they give
-    the slope dg/d(log t) = -t y^T x / 1^T x, since dx/drho = -(rho I - S)^-1 x.
+    for S = 0.  Both solves are `_resolvent_weights` calls, x and the left
+    y = (rho I - S^T)^-1 1, and they give the slope
+    dg/d(log t) = -t y^T x / 1^T x, since dx/drho = -(rho I - S)^-1 x.
     Each step multiplies t by a positive factor, so rho stays above alpha.
     The iteration stops at a step no larger than 4 ulp(rho), or at one that
     does not shrink, within NODA_MAXITER steps, and returns rho - shift and
     the vectors x and y of its last solves, scaled to unit sum.
 
     Raises NumericalError, before any solve, if the shifted matrix of
-    `_shifted` would overflow, and after it if a solve is singular or has a
-    nonpositive entry, or a vector misses the residual bound
+    `_shifted` would overflow, and after it if a solve fails as
+    `_resolvent_weights` says, or a vector misses the residual bound
     RESIDUAL_RTOL * (1 + max|N|) under S + delta * ones (also when it is not
     finite).
     """
@@ -419,14 +465,7 @@ def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
     t, last = delta * S.shape[0], math.inf
     for _ in range(NODA_MAXITER):
         rho = alpha + t
-        try:
-            x = block_resolvent(S, blocks, rho)
-            y = block_resolvent(S.T, blocks[::-1], rho)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"secular equation solve failed: {exc}") from exc
-        if not (x.min() > 0.0 and y.min() > 0.0):
-            raise NumericalError("secular equation solve has nonpositive entries; retry with "
-                                 "a larger delta")
+        x, y = _resolvent_weights(S, blocks, rho), _resolvent_weights(S, blocks, rho, left=True)
         total = float(x.sum())
         step = t * math.expm1(math.log(delta * total) * total / (t * float(y @ x)))
         if not abs(step) > 4.0 * math.ulp(rho) or not abs(step) < last:  # also stops on NaN

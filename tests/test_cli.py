@@ -503,6 +503,34 @@ def test_json_indent_flag(tmp_path, capsys):
     assert code == 0 and out.startswith("{\n  ")
 
 
+def test_json_indent_out_of_range_is_a_validation_error(tmp_path, capsys):
+    # Checked before the file is read (a missing file is not reported): a
+    # huge indent would build a pad that wide for every line, or overflow.
+    path = write(tmp_path, "m.json", matrix_doc(np.zeros((2, 2))))
+    for indent in ("-1", "17", "10000000000000000000"):
+        for file in (path, str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "classify", file, "--json-indent", indent)
+            assert code == 2 and out == ""
+            assert err == f"error: --json-indent must be 0 to 16, got {indent}\n"
+    code, compact, _ = run(capsys, "classify", path)
+    for indent in (0, 16):
+        code, out, _ = run(capsys, "classify", path, "--json-indent", str(indent))
+        assert code == 0 and out == dumps_canonical(json.loads(compact), indent=indent) + "\n"
+
+
+def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys):
+    # json.load raises RecursionError on 100 000 nested arrays; the model
+    # file and an --eta file both report it as invalid JSON.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    path = write(tmp_path, "m.json", matrix_doc(np.zeros((2, 2))))
+    for argv, name in ((("classify", str(deep)), str(deep)),
+                       (("lognorm", path, "--eta", str(deep)), f"--eta file {deep}")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: invalid JSON in {name}: ") and err.count("\n") == 1
+
+
 def test_round_trip_model_files():
     for doc in FILE_DOCS:
         tag, model, act = parse_model_dict(doc)

@@ -591,3 +591,19 @@ def test_noda_budget_exhausted_raises_numerical_error(monkeypatch):
     assert per_call == [1] * len(SIZES[1:])
     with pytest.raises(spectral.NumericalError, match="Noda iteration failed"):
         bisect_min_mu([S, 0.5 * S], LINF)
+
+
+def test_a_refused_solve_raises_numerical_error(monkeypatch):
+    # The optimizer never lets numpy's LinAlgError out: Noda's iteration, on
+    # an irreducible selection, and the resolvent weights, on a reducible
+    # one, turn every failed solve into NumericalError themselves.
+    def refuse(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    S = _irreducible_selection(np.random.default_rng(36), 8, 1.0)
+    T = np.array([[-1.0, 0.0], [0.5, -2.0]])  # reducible: two 1 x 1 blocks
+    monkeypatch.setattr(spectral, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for mats in ([S, 0.5 * S], [T]):
+        with pytest.raises(spectral.NumericalError):
+            bisect_min_mu(mats, LINF)

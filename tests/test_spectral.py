@@ -25,7 +25,8 @@ from mucert import (
     perron_weights,
     spectral_abscissa,
 )
-from mucert import networks, optimize, spectral
+from mucert import mh_lds_witness, networks, optimize, spectral
+from mucert.matrices import block_resolvent, strong_blocks
 from mucert.optimize import RESOLVENT_SHIFT
 
 from helpers import (
@@ -516,6 +517,34 @@ def test_secular_pair_resolves_a_root_near_a_large_abscissa():
     for v in (pair.right, pair.left):
         np.testing.assert_allclose(v, [1.0 / (1.0 + r), r / (1.0 + r)], rtol=0.0, atol=1e-15)
     assert abs(pair.alpha - a) <= 2.0 * np.spacing(1e8)
+
+
+def test_resolvent_weights_solve_the_transpose_on_reversed_blocks():
+    # The left weights are `block_resolvent` on S.T with the blocks in the
+    # reverse order, bit for bit, and the right ones on S itself.  A block
+    # that is singular at b, or whose abscissa is above b, raises
+    # NumericalError on either side, and classify's witness reads that as
+    # no witness.
+    rng = np.random.default_rng(91)
+    for _ in range(60):
+        n = int(rng.integers(2, 24))
+        M = random_metzler(rng, n, density=0.25)
+        M[0, 1:] = 0.0  # no edge into vertex 0: reducible
+        blocks = strong_blocks(M)
+        assert len(blocks) > 1
+        b = spectral._block_abscissa(M, blocks) + RESOLVENT_SHIFT
+        left = spectral._resolvent_weights(M, blocks, b, left=True)
+        assert left.tobytes() == block_resolvent(M.T, blocks[::-1], b).tobytes()
+        right = spectral._resolvent_weights(M, blocks, b)
+        assert right.tobytes() == block_resolvent(M, blocks, b).tobytes()
+    singular = np.array([[0.0, 0.0], [1.0, -1.0]])  # block {0} is 0 at b = 0
+    above = np.array([[-1.0, 0.0], [1.0, 0.5]])  # block {1} has abscissa 0.5 > b = 0
+    for M in (singular, above):
+        blocks = strong_blocks(M)
+        for left in (False, True):
+            with pytest.raises(spectral.NumericalError):
+                spectral._resolvent_weights(M, blocks, 0.0, left=left)
+        assert mh_lds_witness(M) is None
 
 
 def test_perron_weights_meet_abscissa():
