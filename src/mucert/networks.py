@@ -39,6 +39,7 @@ import numpy as np
 from .matrices import (
     _checked_square,
     _floats,
+    _invertible,
     _majorant,
     _weights_or_ones,
     as_matrix,
@@ -396,8 +397,13 @@ class _Leaky(_SlopeScaled):
     def exact(self) -> bool:
         """Whether the fixed-weight bound is the minimal one-sided Lipschitz
         constant: the Jacobian sweeps a right-side polytope in full, and a
-        left-side one (slopes taken at A x + u) iff A is invertible."""
-        return self.side == RIGHT or int(np.linalg.matrix_rank(self.A)) == self.n
+        left-side one (slopes taken at A x + u) iff A is invertible.  That is
+        `matrices._invertible`: a Cholesky factorization of A^T A, scaled by
+        a power of two and shifted down by 16 n eps times its largest entry,
+        decides it when it succeeds, and `np.linalg.matrix_rank` (an SVD)
+        when it does not, so the answer is matrix_rank's.  No LU test:
+        numpy exposes no LU pivots, and slogdet gives only their product."""
+        return self.side == RIGHT or _invertible(self.A)
 
     def witnesses(self, family: str) -> list[np.ndarray]:
         """The envelope pair of the slope polytope the Jacobian sweeps."""
@@ -950,7 +956,7 @@ def osl_multilure_linf(model: MultiLure, weights=None) -> tuple[float, bool]:
     A = model.A
     T = (model.B.T[:, :, None] * model.C[:, None, :]).reshape(m, n * n)  # outer(B[:, k], C[k])
     value = _vertex_max(lambda D: A + (D @ T).reshape(-1, n, n), m, model.slopes, LINF, w)
-    tight = m == n and int(np.linalg.matrix_rank(model.C)) == n
+    tight = m == n and _invertible(model.C)
     return value, tight
 
 

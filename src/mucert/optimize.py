@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import as_matrix, is_metzler, metzler_majorant, strong_blocks
+from .matrices import _checked_square, _floats, _majorant, as_matrix, is_metzler, strong_blocks
 from .lognorm import L1, LINF
 from .spectral import RESOLVENT_SHIFT, _block_abscissa, _noda, _resolvent_weights
 
@@ -101,9 +101,10 @@ def _selection_weights(S: np.ndarray, shift: float) -> np.ndarray:
     return _resolvent_weights(S, blocks, _block_abscissa(S, blocks) + shift)
 
 
-def _policy_iteration(mats, tol: float, max_iter: int) -> BisectResult:
-    """Least b with M_k w <= b w for all k over w > 0, for Metzler M_k."""
-    stack = np.stack(mats)
+def _policy_iteration(stack: np.ndarray, tol: float, max_iter: int) -> BisectResult:
+    """Least b with M_k w <= b w for all k over w > 0, for the Metzler
+    matrices M_k of a (k, n, n) stack.  The stack's strides set the order in
+    which its products read it, so they set the last bits of the result."""
     n = stack.shape[1]
     rows = np.arange(n)
     magnitude = np.abs(stack)
@@ -132,7 +133,7 @@ def feasible_weights(problem: FeasibilityProblem) -> np.ndarray | None:
     """Optimal weights w (least entry 1) if they satisfy M w <= b w for every
     constraint matrix up to rounding, else None: the system is infeasible, or
     feasible only within the solver's resolvent shift of its optimum."""
-    res = _policy_iteration(problem.matrices, RESOLVENT_SHIFT, MAX_SELECTIONS)
+    res = _policy_iteration(np.stack(problem.matrices), RESOLVENT_SHIFT, MAX_SELECTIONS)
     scale = max(float(np.max(np.abs(M))) for M in problem.matrices)
     if res.b_star > problem.b + ROUNDING_RTOL * scale:
         return None
@@ -150,10 +151,13 @@ def bisect_min_mu(
 
     The matrices are preprocessed internally: Metzler majorants are taken, and
     transposed for the l1 family (the l1 log norm of A at weight w is the
-    least b with majorant(A)^T w <= b w).  `tol` is the resolvent shift used
-    on reducible selections and `max_iter` bounds the selections visited;
-    status "tolerance-reached" means the budget ran out before no row moved.
-    Either way b_star is the level evaluated at eta_star.  Raises ValueError
+    least b with majorant(A)^T w <= b w).  The inputs are checked in place,
+    not copied, and each majorant is written once into one (k, n, n) stack;
+    the l1 family reads that stack's transposed view, the layout that
+    stacking the transposed majorants would give.  `tol` is the resolvent
+    shift used on reducible selections and `max_iter` bounds the selections
+    visited; status "tolerance-reached" means the budget ran out before no
+    row moved.  Either way b_star is the level evaluated at eta_star.  Raises ValueError
     unless `tol` is finite and positive and `max_iter` is at least 1.
     """
     if family not in (L1, LINF):
@@ -162,12 +166,13 @@ def bisect_min_mu(
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    mats = [metzler_majorant(M) for M in matrices]
-    if family == L1:
-        mats = [M.T for M in mats]
+    mats = [_checked_square(_floats(M, "matrix", copy=False)) for M in matrices]
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
     n = mats[0].shape[0]
     if any(M.shape[0] != n for M in mats):
         raise ValueError("matrices must share one dimension")
-    return _policy_iteration(mats, tol, max_iter)
+    stack = np.empty((len(mats), n, n))
+    for A, M in zip(mats, stack):
+        _majorant(A, out=M)
+    return _policy_iteration(stack.transpose(0, 2, 1) if family == L1 else stack, tol, max_iter)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +121,74 @@ def test_osl_firing_rate_tightness_and_oracle():
             assert value == pytest.approx(
                 brute_force_worst_case(spec, fam, w), abs=1e-10
             )
+
+
+def _rank_cases(rng, n):
+    """Square matrices on both sides of numpy's rank test: prescribed
+    condition numbers 1 to 1e18, rank-deficient matrices plus noise, and an
+    integer matrix with a repeated row."""
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for kappa in (1.0, 1e3, 1e6, 1e9, 1e12, 1e14, 1e16, 1e18):
+        yield (U * np.logspace(0.0, -np.log10(kappa), n)) @ V.T
+    for rank in sorted({0, n // 2, n - 1}):
+        low = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        for noise in (0.0, 1e-17, 1e-15, 1e-13, 1e-8):
+            yield low + noise * rng.normal(size=(n, n))
+    K = rng.integers(-9, 10, size=(n, n)).astype(float)
+    K[-1] = K[0]
+    yield K
+
+
+def test_firing_rate_tight_is_the_rank_test():
+    # `exact` (a certificate's `tight`) is numpy's rank test on A, whichever
+    # of the scaled Cholesky test and the SVD decides it, at every entry
+    # scale from 1e-300 to 1e300, and without a warning.
+    rng = np.random.default_rng(77)
+    decided = {True: 0, False: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3, 5, 8, 16, 64, 128):
+            for A in _rank_cases(rng, n):
+                for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+                    model = FiringRate(np.eye(n), scale * A, SlopeInterval(-0.3, 1.0))
+                    want = bool(np.linalg.matrix_rank(model.A) == n)
+                    assert model.exact == want, (n, scale)
+                    decided[want] += 1
+    assert min(decided.values()) >= 300
+
+
+def test_multilure_tight_is_the_rank_test_on_c():
+    rng = np.random.default_rng(78)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3, 5):
+            for Cout in _rank_cases(rng, n):
+                for mdim, C in ((n, Cout), (n + 1, np.vstack([Cout, Cout[:1]]))):
+                    model = MultiLure(random_matrix(rng, n), rng.normal(size=(n, mdim)), C,
+                                      SlopeInterval(-0.2, 1.0))
+                    tight = osl_multilure_linf(model)[1]
+                    assert tight == (mdim == n and np.linalg.matrix_rank(C) == n)
+
+
+def test_weight_lp_firing_rate_certificates_take_no_svd(monkeypatch):
+    # certify-lp's firing-rate inputs (d1 < 0, n = 16 to 128) are decided
+    # invertible by the Cholesky test alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix_rank ran")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    rng = np.random.default_rng(79)
+    for n in (16, 32, 64, 128):
+        for _ in range(3):
+            G = rng.normal(size=(n, n))
+            A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
+            model = FiringRate(np.diag(rng.uniform(0.8, 1.2, size=n)), A,
+                               SlopeInterval(-rng.uniform(0.1, 0.5), 1.0))
+            cert = certify(model, LINF)
+            assert cert.theorem == "firing-rate/linf/weight-lp" and cert.tight
+    with pytest.raises(AssertionError, match="matrix_rank ran"):
+        FiringRate(np.eye(2), np.zeros((2, 2)), SlopeInterval(-0.3, 1.0)).exact
 
 
 def test_osl_firing_rate_singleton_slope():
@@ -1373,6 +1442,28 @@ def test_perron_certificates_hold_few_n_by_n_arrays():
         finally:
             tracemalloc.stop()
         assert peak < (4.5 if kind == "multilure" else 2.5), (kind, peak)
+
+
+def test_weight_lp_certificates_hold_few_n_by_n_arrays():
+    # Peak traced memory of one n = 128 weight-lp certify, in n x n float
+    # arrays (8.1 measured): the two witnesses, their majorants written once
+    # into one stack, its magnitude, the row selection, Noda's one shifted
+    # matrix and the solve's copy of it.  A copy of the witnesses, or a
+    # fresh identity per Noda step, fails (12.07 before both went).
+    rng = np.random.default_rng(74)
+    n = 128
+    for cls, fam in ((Hopfield, L1), (FiringRate, LINF)):
+        G = rng.normal(size=(n, n))
+        A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
+        model = cls(np.diag(rng.uniform(0.8, 1.2, size=n)), A, SlopeInterval(-0.3, 1.0))
+        assert certify(model, fam).theorem.endswith("/weight-lp")
+        tracemalloc.start()
+        try:
+            certify(model, fam)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5, (cls.__name__, peak)
 
 
 def test_reducible_weights_are_the_same_bits_in_every_family():

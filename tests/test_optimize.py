@@ -607,3 +607,101 @@ def test_a_refused_solve_raises_numerical_error(monkeypatch):
     for mats in ([S, 0.5 * S], [T]):
         with pytest.raises(spectral.NumericalError):
             bisect_min_mu(mats, LINF)
+
+
+def _textbook_noda(S, x=None):
+    """Noda's iteration as `_noda` states it, with a fresh identity, shifted
+    matrix, quotient and iterate at each step; None where `_noda` raises."""
+    n = S.shape[0]
+    size = 1.0 + float(np.max(np.abs(S)))
+    x = np.ones(n) if x is None else x / np.max(x)
+    width = np.inf
+    for solves in range(spectral.NODA_MAXITER + 1):
+        q = (S @ x) / x
+        lo, hi = float(q.min()), float(q.max())
+        if hi - lo <= spectral.NODA_RTOL * (size + abs(hi)):
+            return x
+        if solves == spectral.NODA_MAXITER or not hi - lo < width:
+            return None
+        width = hi - lo
+        z = None
+        for b in (hi, hi + spectral.NODA_RTOL * (size + abs(hi))):
+            try:
+                z = np.linalg.solve(b * np.eye(n) - S, x)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        if z is None:
+            return None
+        top = z[np.argmax(np.abs(z))]
+        if not abs(top) < np.inf:
+            return None
+        x = z / top
+        if not x.min() > 0.0:
+            return None
+
+
+def test_noda_in_place_steps_are_bit_identical_to_textbook_loop():
+    # Sparse Metzler selections whose zero entries carry either sign: the
+    # shifted matrix written into one buffer as -S plus b on the diagonal
+    # has other zero signs than b I - S, and the solves read the same bits.
+    rng = np.random.default_rng(39)
+    converged = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 41))
+        S = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+        np.fill_diagonal(S, rng.normal(size=n) * (rng.random(n) < 0.8))
+        S[(S == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+        x0 = None if trial % 3 else rng.uniform(0.5, 2.0, size=n)
+        want = _textbook_noda(S, x0)
+        if want is None:
+            with pytest.raises(spectral.NumericalError):
+                spectral._noda(S, x0)
+        else:
+            assert spectral._noda(S, x0).tobytes() == want.tobytes(), trial
+            converged += 1
+    assert 300 <= converged < 600
+
+
+def _copying_bisect(matrices, family):
+    """`bisect_min_mu` with a copy of each input: `metzler_majorant`'s
+    C-ordered majorants, transposed for l1 and put together by `np.stack`,
+    whose strides the policy iteration's products follow."""
+    mats = [metzler_majorant(M) for M in matrices]
+    if family == L1:
+        mats = [M.T for M in mats]
+    return optimize._policy_iteration(np.stack(mats), RESOLVENT_SHIFT, optimize.MAX_SELECTIONS)
+
+
+def test_bisect_without_copies_is_bit_identical_to_copying_reference():
+    # Dense and sparse inputs (some with reducible selections), C-ordered,
+    # Fortran-ordered and as nested lists, in both families.
+    rng = np.random.default_rng(40)
+    layouts = (np.ascontiguousarray, np.asfortranarray, np.ndarray.tolist)
+    for n in (1, 2, 5, 16, 64):
+        for k in (1, 2, 3):
+            mask = rng.random((n, n)) < (1.0 if k % 2 else 0.3)
+            mats = [random_matrix(rng, n) * mask for _ in range(k)]
+            for layout, fam in itertools.product(layouts, (L1, LINF)):
+                got = bisect_min_mu([layout(M) for M in mats], fam)
+                want = _copying_bisect(mats, fam)
+                assert got.b_star.hex() == want.b_star.hex(), (n, k, fam)
+                assert got.eta_star.tobytes() == want.eta_star.tobytes()
+                assert (got.iterations, got.status) == (want.iterations, want.status)
+
+
+def test_bisect_refusals_keep_their_messages():
+    big = int("1" + "0" * 400)
+    for mats, message in (
+        ([], "need at least one matrix"),
+        ([[[1.0, np.nan], [0.0, 1.0]]], "matrix entries must be finite"),
+        ([np.eye(2), np.full((2, 2), np.inf)], "matrix entries must be finite"),
+        ([[[1.0, big], [0.0, 1.0]]], "matrix entries must be finite"),
+        ([np.ones((2, 3))], "expected a square matrix, got shape (2, 3)"),
+        ([np.eye(2), np.ones(2)], "expected a square matrix, got shape (2,)"),
+        ([np.eye(2), np.eye(3)], "matrices must share one dimension"),
+    ):
+        for fam in (L1, LINF):
+            with pytest.raises(ValueError) as info:
+                bisect_min_mu(mats, fam)
+            assert str(info.value) == message
