@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    _float_or_nan,
     _majorant,
     as_matrix,
     as_weights,
@@ -303,7 +304,12 @@ def pruning_robustness(A) -> PruningReport:
 
 def edge_removal_check(A, zeroed, shift: float = 0.0) -> tuple[bool, bool]:
     """Hurwitz status of shift*I + A before and after zeroing the listed
-    off-diagonal positions (0-based (row, col) pairs)."""
+    off-diagonal positions (0-based (row, col) pairs).  A shift that is not
+    finite is refused before any work: inf * 0 off the diagonal would make
+    NaNs.  A finite one whose sum with the diagonal overflows is refused
+    as a matrix entry that is not finite, with no numpy warning."""
+    if not np.isfinite(_float_or_nan(shift)):
+        raise ValueError(f"shift must be finite, got {shift!r}")
     A = as_matrix(A)
     n = A.shape[0]
     removed = A.copy()
@@ -315,4 +321,5 @@ def edge_removal_check(A, zeroed, shift: float = 0.0) -> tuple[bool, bool]:
             raise IndexError(f"position ({i}, {j}) out of range for dimension {n}")
         removed[i, j] = 0.0
     S = shift * np.eye(n)
-    return is_hurwitz(S + A), is_hurwitz(S + removed)
+    with np.errstate(over="ignore"):  # an overflowed sum is refused as not finite
+        return is_hurwitz(S + A), is_hurwitz(S + removed)

@@ -312,10 +312,10 @@ def cmd_verify(args, model, act, w):
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--remove-edge expects 'row,col', got {text!r}")
-    i, j = (int(p) for p in parts)
+    try:
+        i, j = (int(p) for p in text.split(","))
+    except ValueError:  # not two parts, or one is not an integer
+        raise ValueError(f"--remove-edge expects 'row,col', got {text!r}") from None
     if i < 1 or j < 1:
         raise ValueError("--remove-edge positions are 1-based")
     return i - 1, j - 1

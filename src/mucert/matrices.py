@@ -3,7 +3,8 @@
 All functions accept anything ``np.array`` can turn into a float array and
 validate shape and finiteness up front; an integer beyond the float range
 counts as a non-finite entry.  Everything here is pure; inputs are
-never mutated.
+never mutated.  The resolvent solve over :func:`strong_blocks` is
+`spectral._resolvent_weights`, the package's one.
 """
 
 from itertools import filterfalse
@@ -125,32 +126,6 @@ def strong_blocks(A) -> list[np.ndarray]:
                     low[w] = n + 1
                 del stack[k:]
     return blocks
-
-
-def block_resolvent(S: np.ndarray, blocks, b: float) -> np.ndarray:
-    """w = (bI - S)^-1 1 for a Metzler S, solved one block of
-    :func:`strong_blocks` at a time, in the order given:
-    w_B = (bI - S_BB)^-1 (1 + S_B w), where S_B w reads only blocks solved
-    before.
-
-    One dense solve would square the condition number on tied blocks coupled
-    one way (b - alpha is tiny against both).  Block by block, each solve is
-    an irreducible system with a right-hand side of at least 1: for b above
-    the abscissa of every block, bI - S_BB is a nonsingular M-matrix and w
-    is positive.  A singular block raises numpy.linalg.LinAlgError.  Its one
-    caller is `spectral._resolvent_weights`, which also solves the left
-    weights through it and checks that w is finite and positive.
-
-    A single block is solved as (bI - S) w = 1, without the block copies:
-    those are the loop's own operands, since 1 + S w = 1 exactly at w = 0.
-    """
-    n = S.shape[0]
-    if len(blocks) == 1:
-        return np.linalg.solve(b * np.eye(n) - S, np.ones(n))
-    w = np.zeros(n)
-    for B in blocks:
-        w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
-    return w
 
 
 def _invertible(M: np.ndarray) -> bool:

@@ -15,8 +15,8 @@ diagonal floor from it.
 Entrywise is a Persidskii model with its own witness and certificate.  Lure
 steps MultiLure's map at m = 1 and takes its floor.  The
 module-level functions (`certify`, `fixed_weight_osl`, ...) delegate to these
-methods; `certify_persidskii` and the other per-model certify names are
-aliases of `certify`.  `MODELS` maps each tag to its class.
+methods; `certify_persidskii`, `certify_lure` and the other per-model
+certify names are aliases of `certify`.  `MODELS` maps each tag to its class.
 
 Every certificate reports the one-sided Lipschitz bound actually certified at
 the weight vector it carries (`osl`), the fixed-weight bound there, so the
@@ -141,7 +141,7 @@ def _witness_osl(mats, family, weights) -> float:
     return max(float(split(*_split(M), w)) for M in mats)
 
 
-def _perron_certificate(model, metzler, family, theorem, key,
+def _perron_certificate(model, family, theorem, metzler, key,
                         level=lambda alpha: alpha) -> ContractionCertificate:
     """Certificate in the weighted `family` norm at the dominant eigenvector
     of the Metzler matrix that `metzler()` builds, left for l1 and right for
@@ -207,6 +207,14 @@ def _less_diagonal(M, v) -> np.ndarray:
     return M
 
 
+def _fixed_norms(model, family, *families):
+    """Refuse, before any work, a `family` other than the norms that the
+    model's analysis fixes."""
+    if family is not None and family not in families:
+        raise ValueError(f"{type(model).__name__} certificates fix their norm family "
+                         f"({' and '.join(families)})")
+
+
 class _Model:
     """Behaviour shared by every network model.
 
@@ -234,15 +242,17 @@ class _Model:
     linf solver instead) and every certificate's `osl`.  The slope-scaled
     models (`_SlopeScaled`) state their Jacobian once and take `jacobians`,
     `diagonal_floor` and the `_slope_form` of the sampled log norm from it;
-    Lure takes MultiLure's map and floor.  Models whose
-    analysis fixes its own norm define `_certify()`, which `certificate`
-    calls; the others (the leaky models and Lure) override `certificate` to
-    call `optimal_certificate`, which takes `_closed_form` where it applies,
-    reporting its level under `_closed_form_key`, and the optimizer only
-    where it does not.
+    Lure takes MultiLure's map and floor.  `certificate(family)` is the one
+    certify hook: here it takes `_closed_form(family)` where that gives a
+    Metzler matrix and the details key of its level, and the optimizer only
+    where it does not, in the class's default norm `family` when none is
+    given.  The analyses that fix their norms (AxMinusCPhi, Entrywise,
+    MultiLure) override it and refuse any other family through
+    `_fixed_norms` before any work.
     """
 
     exact = True
+    family = L1  # the default norm
     _slope_form = None  # dense Jacobians only; see `_SlopeScaled`
 
     @property
@@ -265,23 +275,14 @@ class _Model:
         return _witness_osl(self.witnesses(family), family, weights), self.exact
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
-        cert = self._certify()
-        if family is not None and family not in (cert.family, cert.alt_family):
-            raise ValueError(
-                f"{type(self).__name__} certificates fix their norm family "
-                f"({cert.family}{' and ' + cert.alt_family if cert.alt_family else ''})"
-            )
-        return cert
-
-    def optimal_certificate(self, family: str) -> ContractionCertificate:
-        """Certificate at the weights minimizing the largest witness log norm:
-        the closed-form ones where `_closed_form` gives them, else the
+        """Certificate in the `family` norm (the model's `family` by default)
+        at the weights minimizing the largest witness log norm: the
+        closed-form ones where `_closed_form` gives them, else the
         optimizer's.  Only one of the two runs."""
+        family = self.family if family is None else family
         closed = self._closed_form(family)
         if closed is not None:
-            metzler, level = closed
-            return _perron_certificate(self, metzler, family, f"{self.kind}/{family}/perron",
-                                       self._closed_form_key, level)
+            return _perron_certificate(self, family, f"{self.kind}/{family}/perron", *closed)
         mats = self.witnesses(family)
         res = bisect_min_mu(mats, family)
         return _certificate(
@@ -290,14 +291,11 @@ class _Model:
         )
 
     def _closed_form(self, family):
-        """(builder of a Metzler matrix, rule from its abscissa to the optimal
-        level) where the optimal weight is that matrix's dominant
-        eigenvector; else None.  The builder is called once, by
-        `_perron_certificate`."""
+        """(builder of a Metzler matrix, the details key of the level, rule
+        from the matrix's abscissa to the optimal level) where the optimal
+        weight is that matrix's dominant eigenvector; else None.  The
+        builder is called once, by `_perron_certificate`."""
         return None
-
-    # The details key under which a closed-form certificate reports its level.
-    _closed_form_key = "closed_form"
 
 
 class _SlopeScaled(_Model):
@@ -414,13 +412,10 @@ class _Leaky(_SlopeScaled):
         return list(_envelope(self.A, -np.diag(self.C), self.slopes, self.side, family))
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
-        fam = self.family if family is None else family
         if self.slopes.bounded:
-            return self.optimal_certificate(fam)
-        if fam != self.family:
-            raise ValueError(
-                f"unbounded-slope certificates for {self.tag} are {self.family}-only"
-            )
+            return super().certificate(family)
+        if family not in (None, self.family):
+            raise ValueError(f"unbounded-slope certificates for {self.tag} are {self.family}-only")
         return self._unbounded_certificate()
 
     def _closed_form(self, family):
@@ -433,9 +428,10 @@ class _Leaky(_SlopeScaled):
         cdiag = np.diag(self.C)
         if d1 == 0.0 and d2 > 0.0 and np.all(cdiag > 0.0):
             floor = float(np.max(-cdiag))
-            return lambda: self._leak_shifted_majorant(d2), lambda a: max(floor, a)
+            return lambda: self._leak_shifted_majorant(d2), "closed_form", lambda a: max(floor, a)
         if d1 >= 0.0 and np.all(cdiag == cdiag[0]):
-            return lambda: _majorant(self.A), lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a)
+            return (lambda: _majorant(self.A), "closed_form",
+                    lambda a: -float(cdiag[0]) + max(d1 * a, d2 * a))
         return None
 
     def _leak_shifted_majorant(self, d2) -> np.ndarray:
@@ -577,7 +573,6 @@ class Persidskii(_Leaky):
     tag = "persidskii"
     side = RIGHT
     family = L1
-    _closed_form_key = "alpha_majorant"
 
     C: np.ndarray = field(init=False)
     u: np.ndarray = field(init=False)
@@ -596,7 +591,8 @@ class Persidskii(_Leaky):
 
     def _closed_form(self, family):
         """The majorant of A, whose abscissa is the reported level, in l1."""
-        return (lambda: _majorant(self.A), lambda a: a) if family == L1 else None
+        if family == L1:
+            return lambda: _majorant(self.A), "alpha_majorant", lambda a: a
 
 
 @dataclass(frozen=True, eq=False)
@@ -643,12 +639,15 @@ class AxMinusCPhi(_SlopeScaled):
         """A - d1 C, in one n x n array."""
         return [_less_diagonal(self.A.copy(), self.slopes.d1 * np.diag(self.C))]
 
-    def _certify(self) -> ContractionCertificate:
-        # maj(A) - d1 C in one n x n array: maj(A) has no -0.0 to flip.
-        return _perron_certificate(
-            self, lambda: _less_diagonal(_majorant(self.A), self.slopes.d1 * np.diag(self.C)),
-            L1, "ax-minus-cphi/l1/perron", "alpha_shifted_majorant",
-        )
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        _fixed_norms(self, family, L1)
+        return super().certificate()
+
+    def _closed_form(self, family):
+        """maj(A) - d1 C at its own abscissa, in one n x n array: maj(A) has
+        no -0.0 to flip."""
+        return (lambda: _less_diagonal(_majorant(self.A), self.slopes.d1 * np.diag(self.C)),
+                "alpha_shifted_majorant", lambda a: a)
 
 
 class Entrywise(Persidskii):
@@ -664,7 +663,6 @@ class Entrywise(Persidskii):
 
     tag = "entrywise"
     exact = False
-    certificate = _Model.certificate
 
     def envelope(self) -> np.ndarray:
         """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
@@ -675,7 +673,8 @@ class Entrywise(Persidskii):
     def witnesses(self, family: str) -> list[np.ndarray]:
         return [self.envelope()]
 
-    def _certify(self) -> ContractionCertificate:
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        _fixed_norms(self, family, L1, LINF)
         return _coupling_certificate(self, "entrywise/coupling-bound", "alpha_envelope")
 
 
@@ -749,7 +748,8 @@ class MultiLure(_Model):
             raise ValueError("multivariable loop bounds are linf-only")
         return osl_multilure_linf(self, weights)
 
-    def _certify(self) -> ContractionCertificate:
+    def certificate(self, family: str | None = None) -> ContractionCertificate:
+        _fixed_norms(self, family, L1, LINF)
         return _coupling_certificate(self, "multilure/coupling-bound", "alpha_coupling")
 
 
@@ -803,9 +803,6 @@ class Lure(_Model):
         rank_one = np.outer(self.b, self.c)
         return [self.A + d * rank_one for d in (self.slopes.d1, self.slopes.d2)]
 
-    def certificate(self, family: str | None = None) -> ContractionCertificate:
-        return self.optimal_certificate(L1 if family is None else family)
-
 
 # A new model is one class above plus its member here.
 NetworkModel = (
@@ -854,7 +851,7 @@ def optimal_certificate(model, family: str) -> ContractionCertificate:
     """
     if not isinstance(model, (Hopfield, FiringRate)):
         raise TypeError("optimal_certificate expects a Hopfield or FiringRate model")
-    return model.optimal_certificate(family)
+    return _Model.certificate(model, family)
 
 
 def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificate:
@@ -886,15 +883,8 @@ def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     model = Hopfield(C, A, SlopeInterval(0.0, d2))
     if np.any(np.diag(model.C) <= 0.0):
         raise ValueError("leak matrix must have strictly positive diagonal")
-    return _perron_certificate(
-        model, lambda: model._leak_shifted_majorant(d2), L1,
-        "hopfield-mh/l1/perron", "alpha_shifted_majorant",
-    )
-
-
-def certify_lure(model: Lure, family: str) -> ContractionCertificate:
-    """Weight-optimized certificate of a Lure model in the `family` norm."""
-    return model.certificate(family)
+    return _perron_certificate(model, L1, "hopfield-mh/l1/perron",
+                               lambda: model._leak_shifted_majorant(d2), "alpha_shifted_majorant")
 
 
 def multilure_coupling_bound(model: MultiLure) -> np.ndarray:
@@ -985,3 +975,4 @@ def certify(model, family: str | None = None) -> ContractionCertificate:
 
 # Per-model names of `certify`.
 certify_persidskii = certify_ax_minus_cphi = certify_entrywise = certify_multilure = certify
+certify_lure = certify

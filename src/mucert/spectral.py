@@ -21,14 +21,15 @@ abscissae, each the alpha of the block's own right Perron vector (the
 diagonal entry of a 1 x 1 block): `_block_abscissa`.  Its M-matrix
 resolvent weights w = (bI - S)^-1 1 above that abscissa (Berman and
 Plemmons, Nonnegative Matrices in the Mathematical Sciences) have one entry
-point, `_resolvent_weights`, which solves block by block, right or left, and
-checks that w is finite and positive.  The weight optimizer's reducible row
-selections, the secular pair below and classify's diagonal Lyapunov witness
-call it, and so does `_perron_weights`, which gives the certificates of
-:mod:`mucert.networks` their weights: a Perron vector of an irreducible
-Metzler matrix, or resolvent weights at RESOLVENT_SHIFT above the abscissa
-of a reducible one.  The public `perron_pair(M, delta > 0)` on
-a reducible M takes the pair of M + delta * ones from its secular equation
+point and one solve, `_resolvent_weights`, which solves block by block,
+right or left, and checks that w is finite and positive.  The weight
+optimizer's reducible row selections, the secular pair below and classify's
+diagonal Lyapunov witness call it, and so does `_perron_weights`, which
+gives the certificates of :mod:`mucert.networks` their weights: a Perron
+vector of an irreducible Metzler matrix, or resolvent weights at
+RESOLVENT_SHIFT above the abscissa of a reducible one.  The public
+`perron_pair(M, delta > 0)` on a reducible M takes the pair of
+M + delta * ones from its secular equation
 (`_secular_pair`): (M + delta 11^T) x = rho x with x > 0 exactly when
 x is proportional to (rho I - M)^-1 1 and delta 1^T (rho I - M)^-1 1 = 1
 with rho > alpha(M), and the left vector is (rho I - M^T)^-1 1.  This is the
@@ -90,7 +91,7 @@ import numpy as np
 from numpy.linalg import solve
 
 from .lognorm import L1, LINF
-from .matrices import _checked_square, as_matrix, block_resolvent, is_metzler, strong_blocks
+from .matrices import _checked_square, as_matrix, is_metzler, strong_blocks
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1) within
@@ -174,21 +175,33 @@ def _block_abscissa(S: np.ndarray, blocks) -> float:
 
 
 def _resolvent_weights(S: np.ndarray, blocks, b: float, left: bool = False) -> np.ndarray:
-    """Weights w = (bI - S)^-1 1 of a Metzler S, solved by
-    `block_resolvent` on its strongly connected `blocks` (in the order of
-    :func:`mucert.matrices.strong_blocks`); the left weights
-    (bI - S^T)^-1 1 with `left`, solved on S.T with the blocks reversed, so
-    that each block again reads only blocks solved before.  For b above
-    every block's abscissa each block is a nonsingular M-matrix system, so w
-    is positive and S w = b w - 1 < b w.  This is the one caller of
-    `block_resolvent`: the weight optimizer, the certificates
-    (`_perron_weights`), the secular pair and classify's witness all solve
-    through it.  Raises NumericalError if a block solve fails or w is not
-    finite and positive."""
+    """Weights w = (bI - S)^-1 1 of a Metzler S, solved one strongly
+    connected block at a time in the order of `blocks` (that of
+    :func:`mucert.matrices.strong_blocks`): w_B = (bI - S_BB)^-1 (1 + S_B w),
+    where S_B w reads only blocks solved before.  The left weights
+    (bI - S^T)^-1 1 with `left` are solved on S.T with the blocks reversed,
+    so that each block again reads only blocks solved before.  This is the
+    one resolvent solve: the weight optimizer, the certificates
+    (`_perron_weights`), the secular pair and classify's witness all call it.
+
+    One dense solve would square the condition number on tied blocks coupled
+    one way (b - alpha is tiny against both).  Block by block, each solve is
+    an irreducible system with a right-hand side of at least 1: for b above
+    every block's abscissa, bI - S_BB is a nonsingular M-matrix, so w is
+    positive and S w = b w - 1 < b w.  A single block is solved as
+    (bI - S) w = 1, without the block copies: those are the loop's own
+    operands, since 1 + S w = 1 exactly at w = 0.  Raises NumericalError if
+    a block solve fails or w is not finite and positive."""
     if left:
         S, blocks = S.T, blocks[::-1]
+    n = S.shape[0]
     try:
-        w = block_resolvent(S, blocks, b)
+        if len(blocks) == 1:
+            w = solve(b * np.eye(n) - S, np.ones(n))
+        else:
+            w = np.zeros(n)
+            for B in blocks:
+                w[B] = solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"resolvent weights failed: {exc}") from exc
     if not (w.min() > 0.0 and w.max() < math.inf):  # also true on NaN
@@ -467,7 +480,7 @@ def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
     RESIDUAL_RTOL * (1 + max|N|) under S + delta * ones (also when it is not
     finite).
     """
-    _, shift, scale = _shifted(M, delta)
+    shift, scale = _shifted(M, delta)[1:]  # N itself is not kept
     S = M.copy()
     S.flat[:: S.shape[0] + 1] += shift
     alpha = _block_abscissa(S, blocks)

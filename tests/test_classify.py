@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -160,6 +161,25 @@ def test_edge_removal_check():
         edge_removal_check(SKEW_RING, [(1, 1)])
     with pytest.raises(IndexError):
         edge_removal_check(SKEW_RING, [(0, 3)])
+
+
+@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
+def test_edge_removal_check_refuses_a_shift_that_is_not_finite(shift):
+    # inf * 0 off the diagonal of shift * I made NaNs, with a numpy warning,
+    # and the refusal blamed the matrix entries.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            edge_removal_check(SKEW_RING, [SKEW_RING_EDGE], shift=shift)
+    assert str(info.value) == f"shift must be finite, got {shift!r}"
+
+
+def test_edge_removal_check_refuses_an_overflowing_shift_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            edge_removal_check([[1e308, 2.0], [0.5, -3.0]], [(0, 1)], shift=1e308)
+    assert str(info.value) == "matrix entries must be finite"
 
 
 def test_metzler_edge_removal_never_raises_abscissa():

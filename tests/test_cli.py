@@ -465,6 +465,56 @@ def test_overflowing_shift_is_a_numerical_error(tmp_path, capsys):
     assert err.splitlines() == ["error: shifted matrix overflows float64; rescale the input"]
 
 
+_HOPFIELD_NO_C = {k: v for k, v in HOPFIELD_DOC.items() if k != "C"}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({**HOPFIELD_DOC, "slopes": {"d1": "x", "d2": 1}}, ["certify"],
+     'slope bound d1 must be a number or "inf", got \'x\''),
+    ({**HOPFIELD_DOC, "slopes": {"d1": 0, "d2": True}}, ["certify"],
+     "slope bound d2 must be a number, got True"),
+    ({**HOPFIELD_DOC, "slopes": [0, 1]}, ["certify"],
+     'slopes must be an object {"d1": ..., "d2": ...}'),
+    ({**HOPFIELD_DOC, "activation": "tanh"}, ["verify"],
+     'activation must be an object with a "kind" field'),
+    ({**HOPFIELD_DOC, "activation": {"kind": "tanh", "a": 1}}, ["verify"],
+     "unknown activation fields: ['a']"),
+    ({**HOPFIELD_DOC, "activation": {"kind": "leaky_relu"}}, ["verify"],
+     "activation 'leaky_relu' is missing fields: ['a']"),
+    ([[1.0]], ["classify"], "model file must contain a JSON object"),
+    (_HOPFIELD_NO_C, ["certify"], "model 'hopfield' is missing fields: ['C']"),
+    (HOPFIELD_DOC, ["certify", "--family", "l1", "--eta", "1,x"],
+     "cannot parse weight list '1,x'"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "a,b"],
+     "--remove-edge expects 'row,col', got 'a,b'"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "1,2,3"],
+     "--remove-edge expects 'row,col', got '1,2,3'"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "0,1"],
+     "--remove-edge positions are 1-based"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "1,2", "--shift", "inf"],
+     "shift must be finite, got inf"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "1,2", "--shift=-inf"],
+     "shift must be finite, got -inf"),
+    (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "1,2", "--shift", "nan"],
+     "shift must be finite, got nan"),
+])
+def test_refusals_print_one_error_line(tmp_path, capsys, doc, argv, message):
+    # Exit 2, no output, and one stderr line: no numpy warning comes first.
+    path = write(tmp_path, "refused.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_canonical_json_refuses_what_it_cannot_print():
+    for obj, error, message in ((float("nan"), ValueError, "cannot serialize NaN"),
+                                ({"x": object()}, TypeError, "cannot serialize object")):
+        with pytest.raises(error) as info:
+            dumps_canonical(obj)
+        assert str(info.value) == message
+
+
 def test_unbounded_hopfield_via_cli(tmp_path, capsys):
     doc = {
         "schema_version": "1",

@@ -418,3 +418,10 @@ def test_slope_interval_validation():
     assert s.contains(SlopeInterval(0.0, 5.0))
     with pytest.raises(ValueError):
         PolytopeSpec(np.eye(2), np.zeros(2), s, LEFT)
+
+
+def test_kernels_refuse_unknown_families():
+    for family in ("l3", "L1", None):
+        with pytest.raises(ValueError) as info:
+            kernels(family)
+        assert str(info.value) == f"unknown norm family {family!r}"

@@ -20,12 +20,11 @@ from mucert.matrices import (
     as_matrix,
     as_vector,
     as_weights,
-    block_resolvent,
     check_diagonal,
     is_metzler,
     strong_blocks,
 )
-from mucert.spectral import is_irreducible
+from mucert.spectral import NumericalError, _resolvent_weights, is_irreducible
 
 from helpers import DAMPED_SPIRAL, SKEW_RING, closure_reference
 
@@ -190,13 +189,13 @@ def test_block_resolvent_solves_the_whole_system():
         np.fill_diagonal(M, rng.normal(size=n))
         b = float(np.max(np.linalg.eigvals(M).real)) + rng.uniform(0.1, 1.0)
         blocks = strong_blocks(M)
-        w = block_resolvent(M, blocks, b)
+        w = _resolvent_weights(M, blocks, b)
         assert np.all(w > 0.0)
         np.testing.assert_allclose((b * np.eye(n) - M) @ w, 1.0, rtol=1e-9, atol=0.0)
-        wt = block_resolvent(M.T, blocks[::-1], b)
+        wt = _resolvent_weights(M, blocks, b, left=True)
         np.testing.assert_allclose((b * np.eye(n) - M.T) @ wt, 1.0, rtol=1e-9, atol=0.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        block_resolvent(np.zeros((2, 2)), strong_blocks(np.zeros((2, 2))), 0.0)
+    with pytest.raises(NumericalError):
+        _resolvent_weights(np.zeros((2, 2)), strong_blocks(np.zeros((2, 2))), 0.0)
 
 
 def test_integers_beyond_the_float_range_are_not_finite():
@@ -223,3 +222,10 @@ def test_integers_beyond_the_float_range_are_not_finite():
     top = np.finfo(float).max
     assert SlopeInterval(0, int(top)).d2 == top
     assert Activation("linear", k=-int(top)).k == -int(top)
+
+
+def test_empty_index_sets_are_refused():
+    for make in (lambda: principal_submatrix(np.eye(2), []), lambda: pad([], (), 3)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == "index set must be nonempty"

@@ -653,6 +653,62 @@ def test_certify_multilure():
     assert not c.contracting
 
 
+def test_fixed_norm_analyses_refuse_other_families_before_any_work(monkeypatch):
+    # AxMinusCPhi fixes l1, Entrywise and MultiLure fix l1 and linf.  Any
+    # other family is refused before a Perron vector is taken, so a MultiLure
+    # with d1 < 0, whose coupling bound raises, is refused for its family.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused family reached the Perron weights")
+
+    monkeypatch.setattr(networks, "_perron_weights", no_work)
+    A = np.array([[-2.0, 1.0], [1.0, -2.0]])
+    Z = np.zeros((2, 2))
+    for model, family, norms in (
+        (AxMinusCPhi(A, np.eye(2), SlopeInterval(0.0, 1.0)), LINF, "l1"),
+        (AxMinusCPhi(A, np.eye(2), SlopeInterval(0.0, 1.0)), "l2", "l1"),
+        (Entrywise(A, SlopeInterval(0.5, 1.0)), "l2", "l1 and linf"),
+        (MultiLure(A, Z, Z, SlopeInterval(0.0, 1.0)), "l2", "l1 and linf"),
+        (MultiLure(A, Z, Z, SlopeInterval(-0.5, 1.0)), "l2", "l1 and linf"),
+    ):
+        with pytest.raises(ValueError) as info:
+            certify(model, family)
+        assert str(info.value) == (
+            f"{type(model).__name__} certificates fix their norm family ({norms})")
+
+
+def test_model_refusals_keep_their_messages():
+    S = SlopeInterval(0.0, 1.0)
+    for make, message in (
+        (lambda: AxMinusCPhi(np.eye(2), np.eye(3), S), "C and A must share one dimension"),
+        (lambda: MultiLure(np.eye(2), np.ones((3, 1)), np.ones((1, 2)), S),
+         "B must be 2 x m, got shape (3, 1)"),
+        (lambda: MultiLure(np.eye(2), np.ones(2), np.ones((1, 2)), S),
+         "B must be 2 x m, got shape (2,)"),
+        (lambda: MultiLure(np.eye(2), np.ones((2, 1)), np.ones((2, 1)), S),
+         "C must be 1 x 2, got shape (2, 1)"),
+        (lambda: MultiLure(np.eye(2), [[1.0], [np.inf]], np.ones((1, 2)), S),
+         "matrix entries must be finite"),
+        (lambda: MultiLure(np.eye(2), np.ones((2, 1)), [[np.nan, 1.0]], S),
+         "matrix entries must be finite"),
+        (lambda: certify_unbounded_slope("lure", np.eye(2), np.eye(2), 0.0),
+         "kind must be 'hopfield' or 'firing_rate', got 'lure'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_fixed_weight_osl_of_a_multilure_is_its_linf_solver():
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3):
+        model = MultiLure(random_matrix(rng, 3), rng.normal(size=(3, m)),
+                          rng.normal(size=(m, 3)), SlopeInterval(0.0, 1.0))
+        for w in (None, random_weights(rng, 3)):
+            value, tight = fixed_weight_osl(model, LINF, w)
+            want, want_tight = osl_multilure_linf(model, w)
+            assert value.hex() == want.hex() and tight == want_tight
+
+
 def test_osl_multilure_known_cases():
     rng = np.random.default_rng(10)
     A = random_matrix(rng, 3)

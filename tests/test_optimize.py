@@ -216,7 +216,7 @@ def test_defective_block_reaches_optimum():
 
 def _reference_resolvent_weights(S, reach, shift):
     """The optimizer's resolvent weights as they were before the block-wise
-    solve became `matrices.block_resolvent`, kept as the reference, with
+    solve became `spectral._resolvent_weights`, kept as the reference, with
     each block's abscissa from its own right Perron vector (its entry for a
     1 x 1 block)."""
     label = np.argmax(reach & reach.T, axis=1)
@@ -705,3 +705,18 @@ def test_bisect_refusals_keep_their_messages():
             with pytest.raises(ValueError) as info:
                 bisect_min_mu(mats, fam)
             assert str(info.value) == message
+
+
+def test_feasibility_and_family_refusals_keep_their_messages():
+    M = np.array([[-1.0, 0.5], [0.5, -1.0]])
+    for make, message in (
+        (lambda: FeasibilityProblem((), 0.0), "need at least one constraint matrix"),
+        (lambda: FeasibilityProblem((M, np.eye(3)), 0.0),
+         "constraint matrices must share one dimension"),
+        (lambda: FeasibilityProblem((M,), np.inf), "level b must be finite"),
+        (lambda: FeasibilityProblem((M,), np.nan), "level b must be finite"),
+        (lambda: bisect_min_mu([M], "l2"), "weight optimization is defined for l1/linf only"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message

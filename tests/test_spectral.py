@@ -26,7 +26,7 @@ from mucert import (
     spectral_abscissa,
 )
 from mucert import mh_lds_witness, networks, optimize, spectral
-from mucert.matrices import block_resolvent, strong_blocks
+from mucert.matrices import strong_blocks
 from mucert.optimize import RESOLVENT_SHIFT
 
 from helpers import (
@@ -519,9 +519,18 @@ def test_secular_pair_resolves_a_root_near_a_large_abscissa():
     assert abs(pair.alpha - a) <= 2.0 * np.spacing(1e8)
 
 
+def _textbook_block_resolvent(S, blocks, b):
+    """(bI - S)^-1 1 one block at a time in the order given, each block by
+    solve(b I - S_BB, 1 + S_B w): the reference for `_resolvent_weights`."""
+    w = np.zeros(S.shape[0])
+    for B in blocks:
+        w[B] = np.linalg.solve(b * np.eye(B.size) - S[np.ix_(B, B)], 1.0 + S[B] @ w)
+    return w
+
+
 def test_resolvent_weights_solve_the_transpose_on_reversed_blocks():
-    # The left weights are `block_resolvent` on S.T with the blocks in the
-    # reverse order, bit for bit, and the right ones on S itself.  A block
+    # The left weights are the textbook block loop on S.T with the blocks in
+    # the reverse order, bit for bit, and the right ones on S itself.  A block
     # that is singular at b, or whose abscissa is above b, raises
     # NumericalError on either side, and classify's witness reads that as
     # no witness.
@@ -534,9 +543,9 @@ def test_resolvent_weights_solve_the_transpose_on_reversed_blocks():
         assert len(blocks) > 1
         b = spectral._block_abscissa(M, blocks) + RESOLVENT_SHIFT
         left = spectral._resolvent_weights(M, blocks, b, left=True)
-        assert left.tobytes() == block_resolvent(M.T, blocks[::-1], b).tobytes()
+        assert left.tobytes() == _textbook_block_resolvent(M.T, blocks[::-1], b).tobytes()
         right = spectral._resolvent_weights(M, blocks, b)
-        assert right.tobytes() == block_resolvent(M, blocks, b).tobytes()
+        assert right.tobytes() == _textbook_block_resolvent(M, blocks, b).tobytes()
     singular = np.array([[0.0, 0.0], [1.0, -1.0]])  # block {0} is 0 at b = 0
     above = np.array([[-1.0, 0.0], [1.0, 0.5]])  # block {1} has abscissa 0.5 > b = 0
     for M in (singular, above):
@@ -808,11 +817,11 @@ def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch
     # none of the inputs takes a dense eigensolve.
     cases = _sweep_cases()
     noda_calls, solves = [], []
-    noda, resolvent = spectral._noda, spectral.block_resolvent
+    noda, resolvent = spectral._noda, spectral._resolvent_weights
     monkeypatch.setattr(spectral, "_noda",
                         lambda B, x=None: noda_calls.append(B.shape[0]) or noda(B, x))
-    monkeypatch.setattr(spectral, "block_resolvent",
-                        lambda *args: solves.append(1) or resolvent(*args))
+    monkeypatch.setattr(spectral, "_resolvent_weights",
+                        lambda *args, **kw: solves.append(1) or resolvent(*args, **kw))
     tie_handovers, newton = 0, []
     for M, delta, k in cases:
         noda_calls.clear()
