@@ -212,10 +212,6 @@ def _read_json(path, name):
         raise ValueError(f"cannot read {name}: {exc}") from exc
 
 
-def load_model_file(path):
-    return parse_model_dict(_read_json(path, path))
-
-
 def _fields(obj) -> dict:
     """A dataclass instance's constructor fields by name: its file or report
     keys."""
@@ -263,7 +259,7 @@ def _run(args):
     command."""
     if args.json_indent is not None and not 0 <= args.json_indent <= 16:
         raise ValueError(f"--json-indent must be 0 to 16, got {args.json_indent}")
-    tag, payload, act = load_model_file(args.file)
+    tag, payload, act = parse_model_dict(_read_json(args.file, args.file))
     if args.reads is MODELS:
         if tag not in MODELS:
             raise ValueError(f"{args.command} expects a network model file, got {tag!r}")
@@ -322,6 +318,8 @@ def _parse_edge(text: str) -> tuple[int, int]:
 
 
 def cmd_prune(args, A, act, w) -> dict:
+    if args.shift is not None and not args.remove_edge:
+        raise ValueError("--shift applies only with --remove-edge")
     report = classify_mod.pruning_robustness(A)
     out = {
         "subsets": [{**_fields(e), "indices": [i + 1 for i in e.indices]} for e in report.entries],
@@ -329,10 +327,11 @@ def cmd_prune(args, A, act, w) -> dict:
     }
     if args.remove_edge:
         edges = [_parse_edge(e) for e in args.remove_edge]
-        before, after = classify_mod.edge_removal_check(A, edges, args.shift)
+        shift = 0.0 if args.shift is None else args.shift
+        before, after = classify_mod.edge_removal_check(A, edges, shift)
         out["edge_removal"] = {
             "zeroed": [[i + 1, j + 1] for i, j in edges],
-            "shift": args.shift,
+            "shift": shift,
             "before_hurwitz": before,
             "after_hurwitz": after,
         }
@@ -395,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--remove-edge", action="append", metavar="I,J",
         help="also zero the (1-based) off-diagonal entry I,J and compare",
     )
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="diagonal shift applied before the edge-removal comparison")
+    p.add_argument("--shift", type=float,
+                   help="diagonal shift applied before the edge-removal comparison (default 0)")
 
     add("worst-case", cmd_worst_case, "polytope", eta=weights, family=([L1, LINF], L1),
         help="worst-case log norm over a slope polytope")

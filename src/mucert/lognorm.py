@@ -222,7 +222,9 @@ def weighted_norm(x, family: str, weights=None):
 
 def _scales_summed_lines(side, family: str) -> bool:
     """Whether slopes on `side` scale the lines that the `family` log norm
-    sums: the columns (right side) on l1, the rows (left side) on linf."""
+    sums: the columns (right side) on l1, the rows (left side) on linf.
+    Side None (the slopes on C, or one slope per entry of A) scales no line
+    of A as a whole."""
     return (family == L1 and side == RIGHT) or (family == LINF and side == LEFT)
 
 
@@ -242,7 +244,12 @@ def _envelope(A, c, slopes, side, family: str) -> tuple[np.ndarray, np.ndarray]:
     finite square A, vector c and bounded slopes, without a `PolytopeSpec`.
     c and the diagonal correction are added to the diagonals in place: each
     diagonal entry is the same IEEE expression as through diag(c) and I o A,
-    and an off-diagonal entry can differ from it only in the sign of a zero."""
+    and an off-diagonal entry can differ from it only in the sign of a zero.
+
+    Side None is a third case: the per-entry box {diag(c) + D o A : each
+    D_ij in [d1, d2]}, where no line of A is scaled as a whole.  Both norms
+    then take the dbar pair, off-diagonal dbar A with the diagonals d1 a_ii
+    and d2 a_ii, whose largest log norm is the box's worst case."""
     if family not in (L1, LINF):
         raise ValueError("worst-case polytope values are defined for l1/linf only")
     d1, d2 = slopes.d1, slopes.d2

@@ -12,7 +12,8 @@ models share one code path, `_Leaky`: Hopfield, FiringRate, and Persidskii,
 which is Hopfield with C = 0 and u = 0.  They and AxMinusCPhi state their
 Jacobian once, and `_SlopeScaled` derives their Jacobians, slope form and
 diagonal floor from it.
-Entrywise is a Persidskii model with its own witness and certificate.  Lure
+Entrywise is a Persidskii model with its own witnesses, the envelope pair of
+its per-entry slope box, and its own certificate.  Lure
 steps MultiLure's map at m = 1 and takes its floor.  The
 module-level functions (`certify`, `fixed_weight_osl`, ...) delegate to these
 methods; `certify_persidskii`, `certify_lure` and the other per-model
@@ -33,6 +34,7 @@ to max_i |x_i| / w_i.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -166,15 +168,17 @@ def _perron_certificate(model, family, theorem, metzler, key,
 
 
 def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
-    """Certificate from the one witness, the same in both norms, whose Metzler
-    majorant dominates every Jacobian majorant: one rate in the weighted l1 and
-    linf norms at its left and right dominant eigenvectors (resolvent
-    weights if it is reducible), never exact.
+    """Certificate from the entrywise maximum W of the model's witnesses
+    (MultiLure's one coupling bound, Entrywise's envelope pair), the same in
+    both norms, whose Metzler majorant dominates every Jacobian majorant: one
+    rate in the weighted l1 and linf norms at its left and right dominant
+    eigenvectors (resolvent weights if it is reducible), never exact.
 
-    The witness W is the one n x n array: it is turned into its majorant in
-    place for the Perron weights, then into its off-diagonal magnitudes, by
-    zeroing that diagonal, for both log norms."""
-    W = model.witnesses(L1)[0]
+    W is written over the first witness, and the others are freed before the
+    Perron solve, so it is the one n x n array: it is turned into its
+    majorant in place for the Perron weights, then into its off-diagonal
+    magnitudes, by zeroing that diagonal, for both log norms."""
+    W = reduce(lambda M, N: np.maximum(M, N, out=M), model.witnesses(L1))
     d = np.diagonal(W).copy()
     np.fill_diagonal(np.abs(W, out=W), d)
     right, left, alpha, shift = _perron_weights(W)
@@ -653,25 +657,25 @@ class AxMinusCPhi(_SlopeScaled):
 class Entrywise(Persidskii):
     """Entrywise-coupled model  dx_i/dt = sum_j A_ij act_ij(x_j)  where every
     scalar activation shares the slope interval (d1 > 0).  Simulation uses
-    one activation for every entry, which makes it a Persidskii model; only
-    its certificate differs.
+    one activation for every entry, which makes it a Persidskii model: its
+    Jacobians and slope form are Persidskii's, on side RIGHT; only its
+    witnesses and certificate differ.
 
-    Contracting iff the envelope matrix is M-Hurwitz; the rate holds
-    simultaneously in the weighted l1 and linf norms at the envelope
-    majorant's dominant left and right eigenvectors.  The bound is an
-    entrywise-domination upper bound, never claimed exact."""
+    Each entry has its own slope, so no line of A is scaled as a whole: the
+    witnesses are `_envelope`'s pair of the per-entry box (side None), d2 A
+    off the diagonal with d1 a_ii on it in one and d2 a_ii in the other, in
+    l1 and linf alike; l2 is refused.  Contracting iff their entrywise
+    maximum is M-Hurwitz; the rate holds simultaneously in the weighted l1
+    and linf norms at its majorant's dominant left and right eigenvectors.
+    The bound is an entrywise-domination upper bound, never claimed exact."""
 
     tag = "entrywise"
     exact = False
 
-    def envelope(self) -> np.ndarray:
-        """The matrix d2 A - (d2 - d1)(I o A) whose Metzler majorant dominates
-        every Jacobian majorant of the model, built in one n x n array."""
-        d1, d2 = self.slopes.d1, self.slopes.d2
-        return _less_diagonal(d2 * self.A, (d2 - d1) * np.diag(self.A))
-
     def witnesses(self, family: str) -> list[np.ndarray]:
-        return [self.envelope()]
+        """The envelope pair of the per-entry slope box (side None): d2 A off
+        the diagonal, d1 a_ii and d2 a_ii on it; l2 is refused."""
+        return list(_envelope(self.A, -np.diag(self.C), self.slopes, None, family))
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         _fixed_norms(self, family, L1, LINF)

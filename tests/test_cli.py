@@ -465,6 +465,18 @@ def test_overflowing_shift_is_a_numerical_error(tmp_path, capsys):
     assert err.splitlines() == ["error: shifted matrix overflows float64; rescale the input"]
 
 
+def test_eigensolver_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    # LAPACK's refusal to converge reaches the user as exit 1 and one line.
+    def refuse(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = write(tmp_path, "m.json", matrix_doc(SKEW_RING))
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: eigenvalue computation failed: Eigenvalues did not converge"]
+
+
 _HOPFIELD_NO_C = {k: v for k, v in HOPFIELD_DOC.items() if k != "C"}
 
 
@@ -497,6 +509,8 @@ _HOPFIELD_NO_C = {k: v for k, v in HOPFIELD_DOC.items() if k != "C"}
      "shift must be finite, got -inf"),
     (matrix_doc(SKEW_RING), ["prune", "--remove-edge", "1,2", "--shift", "nan"],
      "shift must be finite, got nan"),
+    (matrix_doc(SKEW_RING), ["prune", "--shift", "1"],
+     "--shift applies only with --remove-edge"),
 ])
 def test_refusals_print_one_error_line(tmp_path, capsys, doc, argv, message):
     # Exit 2, no output, and one stderr line: no numpy warning comes first.

@@ -8,6 +8,7 @@ import pytest
 
 from mucert import (
     L1,
+    L2,
     Activation,
     LEFT,
     LINF,
@@ -852,6 +853,66 @@ def test_fixed_weight_osl_dispatch():
             fixed_weight_osl(big, L1)
 
 
+# The norm families whose fixed-weight bound each model tag gives; it
+# refuses the others.
+_BOUND_FAMILIES = {
+    "hopfield": (L1, LINF), "firing_rate": (L1, LINF), "persidskii": (L1, LINF),
+    "ax_minus_cphi": (L1, LINF, L2), "entrywise": (L1, LINF), "lure": (L1, LINF, L2),
+    "multilure": (LINF,),
+}
+
+
+def _vertex_jacobians(model):
+    """Every Jacobian of a small model at a vertex of its slope box, from the
+    model's own formula: per coordinate for the slope-scaled models, per
+    loop slope for the loops, per entry of A for Entrywise."""
+    d, A, n = (model.slopes.d1, model.slopes.d2), model.A, model.n
+    if model.tag == "entrywise":
+        return [A * np.reshape(s, (n, n)) for s in itertools.product(d, repeat=n * n)]
+    if model.tag in ("lure", "multilure"):
+        B, C = model.B, model.C
+        return [A + B @ (np.array(s)[:, None] * C)
+                for s in itertools.product(d, repeat=B.shape[1])]
+    J = {"hopfield": lambda s: A * s - model.C, "persidskii": lambda s: A * s,
+         "firing_rate": lambda s: s[:, None] * A - model.C,
+         "ax_minus_cphi": lambda s: A - model.C * s}[model.tag]
+    return [J(np.array(s)) for s in itertools.product(d, repeat=n)]
+
+
+def test_fixed_weight_bounds_dominate_every_slope_vertex():
+    # Each tag's fixed-weight bound at random weights is at least the log norm
+    # of every vertex Jacobian, in each family the tag accepts, and each
+    # other family raises ValueError.  Diagonals of A take both signs: the
+    # Jacobian diagonal d2 a_ii > d1 a_ii of a positive a_ii is reached.
+    rng = np.random.default_rng(29)
+    for trial in range(30):
+        n = int(rng.integers(1, 4))
+        A, C = rng.normal(size=(n, n)), np.diag(rng.uniform(0.0, 1.5, size=n))
+        lo = float(rng.uniform(-0.6, 0.6))
+        slopes = SlopeInterval(lo, lo + float(rng.uniform(0.0, 1.5)))
+        positive = SlopeInterval(abs(lo) + 0.1, abs(lo) + 0.1 + slopes.d2 - slopes.d1)
+        m = int(rng.integers(1, 4))
+        models = [
+            Hopfield(C, A, slopes, rng.normal(size=n)), FiringRate(C, A, slopes),
+            Persidskii(A, positive), AxMinusCPhi(A, C, slopes), Entrywise(A, positive),
+            Lure(A, rng.normal(size=n), rng.normal(size=n), slopes),
+            MultiLure(A, rng.normal(size=(n, m)), rng.normal(size=(m, n)), positive),
+        ]
+        assert {model.tag for model in models} == set(_BOUND_FAMILIES)
+        for model in models:
+            vertices = _vertex_jacobians(model)
+            for family in (L1, LINF, L2):
+                w = random_weights(rng, n)
+                if family not in _BOUND_FAMILIES[model.tag]:
+                    with pytest.raises(ValueError):
+                        fixed_weight_osl(model, family, w)
+                    continue
+                bound = fixed_weight_osl(model, family, w)[0]
+                worst = max(log_norm(J, family, w) for J in vertices)
+                assert worst <= bound + 1e-12 * max(1.0, abs(bound)), \
+                    (trial, model.tag, family, worst, bound)
+
+
 def test_certificate_invariants():
     # Every bounded-slope certificate's osl is, to the last bit, the model's
     # own fixed-weight bound at the certificate's weights (the larger of the
@@ -1100,7 +1161,7 @@ def _same_but_off_diagonal_zero_signs(got, want):
 def test_in_place_builders_are_bit_identical_to_their_expressions(monkeypatch):
     # Each n x n matrix that the Perron route builds in place is the bytes of
     # the plain expression it replaced, kept here as the reference: every
-    # Metzler matrix handed to `_perron_weights`, Entrywise's envelope and
+    # Metzler matrix handed to `_perron_weights`, Entrywise's envelope pair and
     # AxMinusCPhi's witness A - d1 C, which may differ only in the sign of
     # an off-diagonal zero, and only for d1 < 0.  Inputs have -0.0 entries,
     # zero diagonals (+0.0 and -0.0), d1 = 0 and d1 < 0, and m = 0 loops.
@@ -1136,10 +1197,13 @@ def test_in_place_builders_are_bit_identical_to_their_expressions(monkeypatch):
 
         e1 = abs(d1) + 0.1
         slopes = SlopeInterval(e1, e1 + spread)
-        envelope = slopes.d2 * A - (slopes.d2 - e1) * np.diag(np.diag(A))
+        pair = [slopes.d2 * A - (slopes.d2 - d) * np.diag(np.diag(A)) for d in (e1, slopes.d2)]
         entrywise = Entrywise(A, slopes)
-        assert entrywise.envelope().tobytes() == envelope.tobytes()
-        assert perron_matrix(lambda: certify(entrywise)) == metzler_majorant(envelope).tobytes()
+        assert [W.tobytes() for W in entrywise.witnesses(L1)] == [W.tobytes() for W in pair]
+        assert (perron_matrix(lambda: certify(entrywise))
+                == metzler_majorant(np.maximum(*pair)).tobytes())
+        if np.all(np.diag(A) <= 0.0):  # the single envelope d2 A - (d2 - d1)(I o A)
+            assert np.maximum(*pair).tobytes() == pair[0].tobytes()
         assert (perron_matrix(lambda: certify(Persidskii(A, slopes)))
                 == metzler_majorant(A).tobytes())
 
@@ -1424,7 +1488,8 @@ def _old_expression_certificate(model):
     d1, d2 = model.slopes.d1, model.slopes.d2
     if isinstance(model, (Entrywise, MultiLure)):
         if isinstance(model, Entrywise):
-            W = d2 * model.A - (d2 - d1) * np.diag(np.diag(model.A))
+            W = np.maximum(*(d2 * model.A - (d2 - d) * np.diag(np.diag(model.A))
+                             for d in (d1, d2)))
             theorem, key = "entrywise/coupling-bound", "alpha_envelope"
         else:
             W = _tensor_coupling_bound(model)

@@ -25,7 +25,7 @@ from mucert import (
     perron_weights,
     spectral_abscissa,
 )
-from mucert import mh_lds_witness, networks, optimize, spectral
+from mucert import classify, mh_lds_witness, networks, optimize, spectral
 from mucert.matrices import strong_blocks
 from mucert.optimize import RESOLVENT_SHIFT
 
@@ -96,7 +96,7 @@ def _perron_certificates(rng, M):
          lambda m: max(0.5 * m, 1.0 * m)),
         (certify(AxMinusCPhi(A, C, SlopeInterval(0.4, 1.0))),
          "alpha_shifted_majorant", M - 0.4 * C, identity),
-        (certify(entrywise), "alpha_envelope", metzler_majorant(entrywise.envelope()),
+        (certify(entrywise), "alpha_envelope", metzler_majorant(np.maximum(*entrywise.witnesses("l1"))),
          identity),
         (certify(multilure), "alpha_coupling",
          metzler_majorant(multilure_coupling_bound(multilure)), identity),
@@ -837,3 +837,53 @@ def test_stagnation_test_keeps_convergent_inputs_and_stops_near_ties(monkeypatch
             tie_handovers += sum(handed)
     assert len(cases) >= 240 and tie_handovers >= 70
     assert len(newton) >= 40 and max(newton) <= spectral.NODA_MAXITER
+
+
+def _refuse_eigvals(A):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _second_eigenvector(B, x):
+    """An eigenvector of B for its second largest real eigenvalue: one that
+    passes the residual check and has entries of both signs."""
+    lam, V = np.linalg.eig(B)
+    return V[:, np.argsort(-lam.real)[1]].real
+
+
+def _skewed_resolvent_weights(*args, resolvent_weights=spectral._resolvent_weights, **kwargs):
+    """Resolvent weights with their first entry 0.1 % too large."""
+    w = resolvent_weights(*args, **kwargs)
+    w[0] *= 1.001
+    return w
+
+
+_REDUCIBLE = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.0, 0.0, -1.5]])
+
+
+@pytest.mark.parametrize("target, name, replacement, call, message", [
+    (np.linalg, "eigvals", _refuse_eigvals, lambda: spectral.eigenvalues(SKEW_RING),
+     "eigenvalue computation failed"),
+    (spectral, "solve", lambda A, b: np.full_like(b, np.inf),
+     lambda: spectral._noda(np.array([[0.0, 1.0], [2.0, 0.0]])),
+     "Noda iteration failed after 0 solves"),
+    (spectral, "_noda", _second_eigenvector,
+     lambda: perron_pair(near_tie_metzler(np.random.default_rng(8), 4)),
+     "nonpositive entries"),
+    (spectral, "_resolvent_weights", _skewed_resolvent_weights,
+     lambda: perron_pair(_REDUCIBLE, delta=1e-8), "residual check failed"),
+    (np.linalg, "eigvals", _refuse_eigvals,
+     lambda: classify._stacked_abscissae(np.stack([SKEW_RING, -SKEW_RING])),
+     "eigenvalue computation failed"),
+], ids=["eigenvalues", "noda-non-finite", "perron-nonpositive", "secular-residual",
+        "stacked-abscissae"])
+def test_failure_branches_raise_numerical_error(monkeypatch, target, name, replacement, call,
+                                                message):
+    # Each branch that turns a failed or implausible solve into
+    # NumericalError, reached by replacing the solve with one that fails.
+    # Each stops before numpy warns: past `_noda`'s non-finite stop, an
+    # infinite iterate would be rescaled to NaN, with a warning.
+    monkeypatch.setattr(target, name, replacement)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(spectral.NumericalError, match=message):
+            call()
