@@ -7,6 +7,7 @@ never mutated.  The resolvent solve over :func:`strong_blocks` is
 `spectral._resolvent_weights`, the package's one.
 """
 
+import numbers
 from itertools import filterfalse
 
 import numpy as np
@@ -37,6 +38,14 @@ def _float_or_nan(x) -> float:
         return float(x)
     except OverflowError:
         return float("nan")
+
+
+def _check_integers(*checks):
+    """Raise ValueError unless the value of each (name, value, least) is an
+    integer (a bool is not one here) of at least `least`."""
+    for name, value, least in checks:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _checked_square(A: np.ndarray) -> np.ndarray:

@@ -40,11 +40,13 @@ The returned level `b_star` is evaluated at the returned weights, so it is
 attained there, up to rounding, by construction.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _checked_square, _floats, _majorant, as_matrix, is_metzler, strong_blocks
+from .matrices import (_check_integers, _checked_square, _floats, _majorant, as_matrix,
+                       is_metzler, strong_blocks)
 from .lognorm import L1, LINF
 from .spectral import RESOLVENT_SHIFT, _block_abscissa, _noda, _resolvent_weights
 
@@ -107,7 +109,14 @@ def _policy_iteration(stack: np.ndarray, tol: float, max_iter: int) -> BisectRes
     which its products read it, so they set the last bits of the result."""
     n = stack.shape[1]
     rows = np.arange(n)
-    magnitude = np.abs(stack)
+    # |M_k| = M_k - 2 min(diag M_k, 0) on the diagonal of a Metzler M_k, so
+    # max_k (|M_k| w)_i, the scale of row i's move test, is read off the
+    # products M_k w plus this (k, n) term times w, with no n x n |M_k|.
+    # Either way the scale carries a relative rounding error of at most
+    # gamma_{n+2}, about (n + 2) * 2**-53: the threshold ROUNDING_RTOL * scale
+    # moves by that fraction of itself (1.4e-14 at n = 128), far below the
+    # gains the test separates from rounding noise.
+    leak = np.minimum(stack.diagonal(0, 1, 2), 0.0) * -2.0
     selection = np.argmax(stack @ np.ones(n), axis=0)
     best_level, best_w = np.inf, None
     status = STATUS_TOLERANCE
@@ -119,7 +128,7 @@ def _policy_iteration(stack: np.ndarray, tol: float, max_iter: int) -> BisectRes
         if level < best_level:
             best_level, best_w = level, w
         gain = top - values[selection, rows]
-        moves = gain > ROUNDING_RTOL * np.max(magnitude @ w, axis=0)
+        moves = gain > ROUNDING_RTOL * np.max(values + leak * w, axis=0)
         if not moves.any():
             status = STATUS_OPTIMAL
             break
@@ -157,15 +166,15 @@ def bisect_min_mu(
     stacking the transposed majorants would give.  `tol` is the resolvent
     shift used on reducible selections and `max_iter` bounds the selections
     visited; status "tolerance-reached" means the budget ran out before no
-    row moved.  Either way b_star is the level evaluated at eta_star.  Raises ValueError
-    unless `tol` is finite and positive and `max_iter` is at least 1.
+    row moved.  Either way b_star is the level evaluated at eta_star.  Raises
+    ValueError, before any work, unless `tol` is a finite positive real
+    number and `max_iter` an integer of at least 1 (a bool is neither).
     """
     if family not in (L1, LINF):
         raise ValueError("weight optimization is defined for l1/linf only")
-    if not (np.isfinite(tol) and tol > 0.0):
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_integers(("max_iter", max_iter, 1))
     mats = [_checked_square(_floats(M, "matrix", copy=False)) for M in matrices]
     if len(mats) == 0:
         raise ValueError("need at least one matrix")

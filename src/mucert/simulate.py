@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_lines, kernels
-from .matrices import _float_or_nan, _weights_or_ones, as_vector
+from .matrices import _check_integers, _float_or_nan, _weights_or_ones, as_vector
 from .networks import ContractionCertificate, check_model
 
 # Relative headroom on the decay ratio, for rounding only: the Euler bound is
@@ -265,7 +265,9 @@ def slope_bounds(act: Activation) -> SlopeInterval:
 
 
 def _check_act(model, act: Activation):
-    if not model.slopes.contains(act.slopes()):
+    """Raise TypeError unless `model` is a network model, and ValueError if
+    the activation's slopes fall outside its declared interval."""
+    if not check_model(model).slopes.contains(act.slopes()):
         raise ValueError(
             f"activation slopes {act.slopes()} fall outside the model's "
             f"declared interval {model.slopes}"
@@ -399,7 +401,8 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     Returns (times, states) with states of shape (steps + 1, n).  Divergence
     (a non-finite state) raises :class:`DivergenceError` carrying the first
     bad time.  The horizon and step must be finite and positive, with at least
-    one step in the horizon, and x0 a finite vector of length n.
+    one step in the horizon, and x0 a finite vector of length n.  A
+    non-model raises TypeError.
     """
     n_steps = _step_count(horizon, step)
     _check_act(model, act)
@@ -467,14 +470,6 @@ def _worst_ratio(dist, log_d0, log_bound) -> float:
     return float(np.where(top > -np.inf, np.exp(top - log_bound), 0.0).max())
 
 
-def _check_integers(*checks):
-    """Raise ValueError unless the value of each (name, value, least) is an
-    integer (a bool is not one here) of at least `least`."""
-    for name, value, least in checks:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def verify_contraction(
     model,
     act: Activation,
@@ -507,7 +502,8 @@ def verify_contraction(
     otherwise for an l2 certificate, initial pair arrays of other shapes, a
     halving past the budget, and unless the horizon and step are finite and
     positive, at least one step fits, there is at least one pair, and every
-    pair's entries and start distance are finite.
+    pair's entries and start distance are finite.  A non-model raises
+    TypeError once the integer and certificate checks pass.
     """
     _check_integers(("mu_sample_stride", mu_sample_stride, 1), ("pairs", pairs, 1),
                     ("seed", seed, 0))
@@ -531,7 +527,7 @@ def verify_contraction(
         pairs = X0.shape[1]
     if pairs < 1:
         raise ValueError(f"need at least one trajectory pair, got {pairs}")
-    floor = check_model(model).diagonal_floor()
+    floor = model.diagonal_floor()
     if np.isneginf(floor).any() and act.slopes().bounded:
         floor = model.diagonal_floor(act.slopes().d2)
     stiffness = float(np.max(-floor))
@@ -659,11 +655,10 @@ def sample_jacobian_mu(
     kink is nudged by 1e-12 rather than skipped; the nudge count is available
     via with_stats=True.  Zero samples return -inf.  Raises ValueError,
     before any work, if `samples` or `seed` is not an integer of at least 0
-    (a bool is not an integer here).
+    (a bool is not an integer here), and TypeError for a non-model.
     """
     _check_integers(("samples", samples, 0), ("seed", seed, 0))
     _check_act(model, act)
-    check_model(model)
     w = _weights_or_ones(weights, model.n)
     max_jacobian_mu = _max_jacobian_mu(model, act, family, w)
     X = np.random.default_rng(seed).normal(scale=scale, size=(samples, model.n))

@@ -4,15 +4,15 @@ Each quantity has one route, and the Perron route takes no dense
 eigensolve.  The spectral abscissa of a general matrix comes from the dense
 eigensolver (:func:`spectral_abscissa`, which classify reads).  The dominant
 left and right eigenvectors of an irreducible Metzler matrix (its Perron
-pair) come from one power iteration loop on a diagonal shift N that makes
-the matrix nonnegative, within POWER_MAXITER steps.  A vector that has not
-converged by then, or that misses the residual bound, is finished from its
-last power iterate by Noda's inverse iteration (T. Noda, Numer. Math. 17,
-1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for the right vector or
-N.T for the left one, within NODA_MAXITER solves; if Noda's iteration fails,
-NumericalError is raised.  The weight optimizer takes the right Perron vector
-of an irreducible row selection from the same iteration, started at the ones
-vector.
+pair) come from power iteration on a diagonal shift N that makes the
+matrix nonnegative, one loop per vector, within POWER_MAXITER steps.  A
+vector that has not converged by then, or that misses the residual bound, is
+finished from its last power iterate by Noda's inverse iteration (T. Noda,
+Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for
+the right vector or N.T for the left one, within NODA_MAXITER solves; if
+Noda's iteration fails, NumericalError is raised.  The weight optimizer
+takes the right Perron vector of an irreducible row selection from the same
+iteration, started at the ones vector.
 
 A reducible Metzler matrix has more than one strongly connected block
 (:func:`mucert.matrices.strong_blocks`; the same search decides
@@ -41,20 +41,19 @@ delta, where rounding in q = (S x) / x keeps the bracket above its stop
 test.
 
 The shifted matrix N takes one n x n pass, M + delta, and an in-place add
-to its diagonal.  The right iterate (on N) and the left one (on N.T) share
-one (2, n) block and one loop: a turn is one product per row and one
-row-wise sum, scale, difference, absolute value and max over both rows, so
-a pair costs as many turns as its slower vector needs, not the sum of both.
-Each row rounds as a lone iteration would, so its iterates and stopping step
-are those of a loop of its own.  The iterates have unit sum, so no entry
-exceeds 1 and the stop test is absolute.  One more product per vector gives
-both its Rayleigh quotient and its residual.
+to its diagonal.  Each vector asked for has a loop of its own,
+`_power_vector`, on N for the right vector and on N.T for the left one: a
+step is one product and one sum, scale, difference, absolute value and max,
+so a vector costs one product per step it takes, and a pair the sum of its
+two vectors' steps.  The iterates have unit sum, so no entry exceeds 1 and
+the stop test is absolute.  One more product per vector gives both its
+Rayleigh quotient and its residual.
 
-Every row gets the same budget, and no heuristic guesses early which rows
-will not converge.  Two blocks coupled by 1e-9 have dominant eigenvalues
-about 1e-9 apart; their power steps fall to a plateau of 1e-12 to 1e-11 by
-about step 20 and never converge, and a sparse ring whose steps shrink by
-about 0.9 each would need some 250.  Noda's shifted solves converge
+Every vector gets the same budget, and no heuristic guesses early which
+vectors will not converge.  Two blocks coupled by 1e-9 have dominant
+eigenvalues about 1e-9 apart; their power steps fall to a plateau of 1e-12
+to 1e-11 by about step 20 and never converge, and a sparse ring whose steps
+shrink by about 0.9 each would need some 250.  Noda's shifted solves converge
 quadratically to the dominant eigenvalue, so they separate such a pair in a
 few solves where power steps cannot.  Its stop test is scaled by |hi| as
 well as by max|S|, because the rounding floor of the bracket grows with the
@@ -72,15 +71,15 @@ Perron pair.  It computes only what it carries.  :func:`perron_pair`
 validates its input (square, finite, Metzler, delta), hands a reducible
 one to `_secular_pair` and an irreducible one to the private `_perron`,
 which takes an already validated C-ordered irreducible Metzler matrix and
-steps only the rows asked for: both for `perron_pair`.  The
+steps only the vectors asked for: both for `perron_pair`.  The
 certificates in :mod:`mucert.networks` build their Metzler matrix from the
 model's validated arrays and hand it to `_perron_weights`, which calls
 `_perron` directly on an irreducible one.  A one-norm
 certificate steps one vector, the left one for l1 and the right one for
 linf, and its abscissa detail is that vector's Rayleigh quotient less the
 shift; a certificate in both norms steps both, and its abscissa is the mean
-of their two quotients, as in `perron_pair`.  Each row rounds as a lone
-iteration would, so the weights are those of `perron_pair`.
+of their two quotients, as in `perron_pair`.  Every vector comes from the
+same one-vector loop, so the weights are those of `perron_pair`.
 """
 
 import math
@@ -95,7 +94,7 @@ from .matrices import _checked_square, as_matrix, is_metzler, strong_blocks
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1) within
-# POWER_MAXITER steps.  A row that has not converged by then, or whose
+# POWER_MAXITER steps.  A vector that has not converged by then, or whose
 # vector's residual exceeds RESIDUAL_RTOL * (1 + max|N|), is finished by
 # Noda's iteration from its last iterate.  The perfbench certify-perron
 # inputs with n >= 64 converged within 44 steps on seeds 1 to 3; a
@@ -170,7 +169,7 @@ def _block_abscissa(S: np.ndarray, blocks) -> float:
     diagonal entry of a 1 x 1 block and the `_perron` alpha of the right
     Perron vector of a larger one (irreducible, as its block is strongly
     connected).  Raises NumericalError as `_perron` does."""
-    return max(float(S[B[0], B[0]]) if B.size == 1 else _perron(S[np.ix_(B, B)], 0.0, 0, 1).alpha
+    return max(float(S[B[0], B[0]]) if B.size == 1 else _perron(S[np.ix_(B, B)], 0.0, (0,)).alpha
                for B in blocks)
 
 
@@ -218,12 +217,14 @@ class PerronPair:
     records the rank-one perturbation actually applied.  `steps` holds the
     power steps taken for the (right, left) vectors, at most POWER_MAXITER
     each; a vector that did not converge within them, or missed the residual
-    bound, was finished by Noda's iteration.  The secular route of a
-    delta-perturbed reducible matrix takes no power steps: (0, 0).  `dense`
-    is always (False, False), as no vector comes from a dense eigensolve; it
-    stays for the API.  The package's one-norm certificates ask the private
-    `_perron` for one vector only: the other is then None with 0 steps, and
-    `alpha` is the Rayleigh quotient of the one vector, less the shift.
+    bound, was finished by Noda's iteration.  Each vector has a power loop
+    of its own, so a pair's power work is the sum of its two `steps`.  The
+    secular route of a delta-perturbed reducible matrix takes no power
+    steps: (0, 0).  `dense` is always (False, False), as no vector comes
+    from a dense eigensolve; it stays for the API.  The package's one-norm
+    certificates ask the private `_perron` for one vector only: the other is
+    then None with 0 steps, and `alpha` is the Rayleigh quotient of the one
+    vector, less the shift.
     """
 
     alpha: float
@@ -235,59 +236,32 @@ class PerronPair:
     dense: tuple[bool, bool]
 
 
-def _power_vector(N: np.ndarray, lo: int, hi: int) -> tuple[list, list[int], list[bool]]:
-    """Power iteration for the dominant right eigenvector of N (row 0, on N)
-    and the dominant left one (row 1, on N.T), for a nonnegative N with
-    positive diagonal: rows lo to hi - 1 of the two, in one loop (see the
-    module docstring).
+def _power_vector(B: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Power iteration from the uniform vector for the dominant eigenvector
+    of B, which is N (the right vector) or N.T (the left one) for a
+    nonnegative N with positive diagonal.
 
-    A turn is one `np.matmul(..., out=row)` per row, then one row-wise sum,
-    scale, difference, absolute value and max over the rows still
-    iterating: eight numpy calls for both vectors.  Each row rounds as a
-    lone iteration would.  POWER_TOL bounds the change absolutely: N is
-    nonnegative and x positive, and a rounded sum of nonnegative numbers is
-    at least each of its terms, so every entry of a unit-sum iterate is at
-    most 1.
+    A step is one `np.matmul(B, x, out=y)`, then one sum, scale, difference,
+    absolute value and max: six numpy calls.  POWER_TOL bounds the change
+    absolutely: B is nonnegative and x positive, and a rounded sum of
+    nonnegative numbers is at least each of its terms, so every entry of a
+    unit-sum iterate is at most 1.
 
-    A row stops when its step max|y - x| falls below POWER_TOL, or after
-    POWER_MAXITER steps; the other row goes on alone.
-
-    Returns ([right, left], [steps of each], [converged, for each]): the
-    converged vector of a row that stopped below POWER_TOL, the last
-    iterate (unit sum and positive) of one that ran out of steps, and None
-    with 0 steps for a row not asked for.
+    Returns (vector, steps, converged): the iterate at the first step whose
+    max|y - x| falls below POWER_TOL, or after POWER_MAXITER steps the last
+    iterate (unit sum and positive), unconverged.
     """
-    n = N.shape[0]
-    mats = (N, N.T)
-    X, Y = np.full((2, n), 1.0 / n), np.empty((2, n))
-    xs, ys = tuple(X), tuple(Y)  # row views
-    x, y = X[lo:hi], Y[lo:hi]  # the rows still iterating
-    vectors = [None, None]
-    steps = [POWER_MAXITER if lo <= i < hi else 0 for i in range(2)]
+    n = B.shape[0]
+    x, y = np.full(n, 1.0 / n), np.empty(n)
     for step in range(1, POWER_MAXITER + 1):
-        for i in range(lo, hi):
-            np.matmul(mats[i], xs[i], out=ys[i])
-        y /= y.sum(axis=1, keepdims=True)
+        np.matmul(B, x, out=y)
+        y /= y.sum()
         x -= y  # the step y - x up to its sign, which rounds alike
         np.abs(x, out=x)
-        rows = lo, hi
-        for i, change in enumerate(x.max(axis=1).tolist(), lo):
-            if change < POWER_TOL:
-                vectors[i] = ys[i].copy()
-                steps[i] = step
-                if i == lo:
-                    lo += 1
-                else:
-                    hi -= 1
-        if lo >= hi:
-            break
-        X, Y, xs, ys, x, y = Y, X, ys, xs, y, x
-        if rows != (lo, hi):
-            x, y = X[lo:hi], Y[lo:hi]
-    converged = [v is not None for v in vectors]
-    for i in range(lo, hi):  # out of steps: the last iterate, swapped into X
-        vectors[i] = xs[i]
-    return vectors, steps, converged
+        if x.max() < POWER_TOL:
+            return y, step, True
+        x, y = y, x
+    return x, POWER_MAXITER, False
 
 
 def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
@@ -384,17 +358,16 @@ def _shifted(M: np.ndarray, delta: float) -> tuple[np.ndarray, float, float]:
     return N, shift, scale
 
 
-def _perron(M: np.ndarray, delta: float, lo: int, hi: int) -> PerronPair:
+def _perron(M: np.ndarray, delta: float, rows: tuple[int, ...]) -> PerronPair:
     """Perron vectors of M + delta * ones for an irreducible Metzler M that
-    is already validated, finite and C-ordered, and a finite delta >= 0: the
-    right one (row 0) and the left one (row 1), rows lo to hi - 1 of the
-    two.  Only
-    the rows asked for are computed; a row not asked for is None in the
-    pair, with 0 steps.  Each asked row is power-iterated, and one that did
-    not converge within POWER_MAXITER steps or misses the residual bound is
-    finished by :func:`_noda` from its last iterate, and rescaled to
-    unit sum.  `alpha` is the mean of the asked rows' Rayleigh quotients,
-    less the shift: one vector's own quotient when one is asked.
+    is already validated, finite and C-ordered, and a finite delta >= 0: of
+    the right one (0) and the left one (1), those in `rows`.  A vector not
+    asked for is None in the pair, with 0 steps.  Each asked vector has its
+    own :func:`_power_vector` run, and one that did not converge within
+    POWER_MAXITER steps or misses the residual bound is finished by
+    :func:`_noda` from its last iterate, and rescaled to unit sum.  `alpha`
+    is the mean of the asked vectors' Rayleigh quotients, less the shift:
+    one vector's own quotient when one is asked.
 
     Raises NumericalError, before any iteration, if the shifted matrix or a
     power step's sum (at most n times its largest entry) would overflow, and
@@ -402,33 +375,33 @@ def _perron(M: np.ndarray, delta: float, lo: int, hi: int) -> PerronPair:
     or is not positive.
     """
     N, shift, scale = _shifted(M, delta)
-    vectors, steps, converged = _power_vector(N, lo, hi)
     bound = RESIDUAL_RTOL * scale
-    lams = []
-    for i in range(lo, hi):
-        B, x = (N, N.T)[i], vectors[i]
-        if converged[i]:
+    vectors, steps, lams = [None, None], [0, 0], []
+    for i in rows:
+        B = (N, N.T)[i]
+        x, steps[i], converged = _power_vector(B)
+        if converged:
             lam, residual = _rayleigh(B, x)
-        if not converged[i] or residual > bound:
+        if not converged or residual > bound:
             x = _noda(B, x)
-            vectors[i] = x = x / x.sum()
+            x = x / x.sum()
             lam, residual = _rayleigh(B, x)
             if residual > bound:
                 raise NumericalError("Perron eigenvector residual check failed")
+        vectors[i] = x
         lams.append(lam)
-    if any(np.any(vectors[i] <= 0.0) for i in range(lo, hi)):
+    if any(np.any(vectors[i] <= 0.0) for i in rows):
         raise NumericalError(
             "Perron eigenvector has nonpositive entries; the matrix is too close "
             "to reducible, retry with a larger delta"
         )
-    lam = 0.5 * (lams[0] + lams[1]) if len(lams) == 2 else lams[0]
-    return PerronPair(alpha=lam - shift, right=vectors[0], left=vectors[1], delta_used=delta,
-                      irreducible=True, steps=tuple(steps), dense=(False, False))
+    return PerronPair(alpha=sum(lams) / len(lams) - shift, right=vectors[0], left=vectors[1],
+                      delta_used=delta, irreducible=True, steps=tuple(steps), dense=(False, False))
 
 
-# Rows of the Perron pair that a certificate in each norm carries: (lo, hi)
-# of `_perron`, the left vector for l1 and the right one for linf.
-_PERRON_ROWS = {L1: (1, 2), LINF: (0, 1), None: (0, 2)}
+# The Perron vectors that a certificate in each norm carries, as `_perron`'s
+# rows: the left one (1) for l1, the right one (0) for linf, both for None.
+_PERRON_ROWS = {L1: (1,), LINF: (0,), None: (0, 1)}
 
 
 def _perron_weights(M, family=None):
@@ -443,13 +416,13 @@ def _perron_weights(M, family=None):
     are wanted, so each weight vector is the same bits in every family.  M
     is checked to be finite before its blocks are searched, so an M that
     overflowed when it was built raises ValueError."""
-    lo, hi = _PERRON_ROWS[family]
+    rows = _PERRON_ROWS[family]
     blocks = strong_blocks(_checked_square(M))
     if len(blocks) == 1:
-        pair = _perron(M, 0.0, lo, hi)
+        pair = _perron(M, 0.0, rows)
         return pair.right, pair.left, pair.alpha, 0.0
     vectors, alpha = [None, None], _block_abscissa(M, blocks)
-    for i in range(lo, hi):
+    for i in rows:
         w = _resolvent_weights(M, blocks, alpha + RESOLVENT_SHIFT, left=i == 1)
         vectors[i] = w / w.sum()
     return *vectors, alpha, RESOLVENT_SHIFT
@@ -533,7 +506,7 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
         raise ValueError(f"delta must be finite, got {delta!r}")
     blocks = strong_blocks(M)
     if len(blocks) == 1:
-        return _perron(M, delta, 0, 2)
+        return _perron(M, delta, (0, 1))
     if delta == 0.0:
         raise ReducibleMatrixError(
             "matrix is reducible; pass delta > 0 to perturb it into irreducibility"

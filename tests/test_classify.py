@@ -409,7 +409,7 @@ def test_mh_lds_witness_gives_none_without_a_positive_weight():
 
 
 def test_m_hurwitz_classify_takes_no_power_step(monkeypatch):
-    def no_power_step(N):
+    def no_power_step(B):
         raise AssertionError("power iteration ran")
 
     monkeypatch.setattr(spectral_mod, "_power_vector", no_power_step)
@@ -417,6 +417,9 @@ def test_m_hurwitz_classify_takes_no_power_step(monkeypatch):
     for A in _mh_sweep_inputs(rng, 30):
         report = classify_matrix(A)
         assert report.m_hurwitz and report.lds_certified_at is not None
+    # The spy binds: a Perron pair, which does step, trips it.
+    with pytest.raises(AssertionError, match="power iteration ran"):
+        spectral_mod.perron_pair([[-1.0, 1.0], [1.0, -1.0]])
 
 
 def test_classify_matrix_takes_each_abscissa_once(monkeypatch):

@@ -1290,7 +1290,7 @@ def _reference_pair(M):
         label = np.argmax(reach & reach.T, axis=1)
         heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
         blocks = [np.flatnonzero(label == h) for h in heads]
-        b = max(M[B[0], B[0]] if B.size == 1 else spectral._perron(M[np.ix_(B, B)], 0.0, 0, 1).alpha
+        b = max(M[B[0], B[0]] if B.size == 1 else spectral._perron(M[np.ix_(B, B)], 0.0, (0,)).alpha
                 for B in blocks) + RESOLVENT_SHIFT
 
         def resolvent(S, order):
@@ -1567,10 +1567,11 @@ def test_perron_certificates_hold_few_n_by_n_arrays():
 
 def test_weight_lp_certificates_hold_few_n_by_n_arrays():
     # Peak traced memory of one n = 128 weight-lp certify, in n x n float
-    # arrays (8.1 measured): the two witnesses, their majorants written once
-    # into one stack, its magnitude, the row selection, Noda's one shifted
-    # matrix and the solve's copy of it.  A copy of the witnesses, or a
-    # fresh identity per Noda step, fails (12.07 before both went).
+    # arrays (6.1 measured): the two witnesses, their majorants written once
+    # into one stack, the row selection, Noda's one shifted matrix and the
+    # solve's copy of it.  The stack's magnitude |M_k| (8.10), a copy of the
+    # witnesses, or a fresh identity per Noda step fails (12.07 before the
+    # last two went).
     rng = np.random.default_rng(74)
     n = 128
     for cls, fam in ((Hopfield, L1), (FiringRate, LINF)):
@@ -1584,7 +1585,7 @@ def test_weight_lp_certificates_hold_few_n_by_n_arrays():
             peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
         finally:
             tracemalloc.stop()
-        assert peak <= 8.5, (cls.__name__, peak)
+        assert peak <= 6.5, (cls.__name__, peak)
 
 
 def test_reducible_weights_are_the_same_bits_in_every_family():
@@ -1611,16 +1612,17 @@ def test_reducible_weights_are_the_same_bits_in_every_family():
 
 def test_one_norm_certificate_makes_one_product_per_power_step(monkeypatch):
     # A one-norm certificate power-iterates only the vector it carries, the
-    # left one (on N.T) for l1 and the right one (on N) for linf: one matmul
-    # per step.  A certificate in both norms steps both.
+    # left one (on N.T) for l1 and the right one (on N) for linf: one loop,
+    # one matmul per step.  A certificate in both norms runs one loop per
+    # vector, right then left.
     products, runs = [], []
     matmul, power = np.matmul, spectral._power_vector
     monkeypatch.setattr(np, "matmul", lambda a, *args, **kw: products.append(a) or
                         matmul(a, *args, **kw))
 
-    def spy(N, *rows):
-        runs.append(power(N, *rows))
-        return runs[-1]
+    def spy(B):
+        runs.append((B.flags.c_contiguous, *power(B)))
+        return runs[-1][1:]
 
     monkeypatch.setattr(spectral, "_power_vector", spy)
     rng = np.random.default_rng(5)
@@ -1641,16 +1643,20 @@ def test_one_norm_certificate_makes_one_product_per_power_step(monkeypatch):
         products.clear()
         runs.clear()
         cert = certify(model)
-        assert len(runs) == 1, model.tag
-        vectors, steps, _ = runs[0]
         if row is None:
-            assert len(products) == sum(steps) and min(steps) > 0
+            (_, right, right_steps, _), (_, left, left_steps, _) = runs
+            assert [run[0] for run in runs] == [True, False], model.tag
+            assert len(products) == right_steps + left_steps and min(right_steps, left_steps) > 0
+            assert cert.family == L1 and cert.alt_family == LINF
+            assert cert.weights.tobytes() == left.tobytes()
+            assert cert.alt_weights.tobytes() == right.tobytes()
             continue
-        assert steps[1 - row] == 0 and vectors[1 - row] is None
-        assert len(products) == steps[row] > 0, model.tag
+        (right_side, vector, steps, _), = runs
+        assert len(products) == steps > 0, model.tag
         # The left vector steps on the transposed (Fortran-ordered) view.
+        assert right_side == (row == 0)
         assert all(p.flags.c_contiguous == (row == 0) for p in products)
-        assert cert.weights.tobytes() == vectors[row].tobytes()
+        assert cert.weights.tobytes() == vector.tobytes()
 
 
 def test_overflowing_perron_matrix_is_a_validation_error():

@@ -222,7 +222,7 @@ def _reference_resolvent_weights(S, reach, shift):
     label = np.argmax(reach & reach.T, axis=1)
     heads = sorted(set(label.tolist()), key=lambda h: int(reach[h].sum()))
     blocks = [np.flatnonzero(label == h) for h in heads]
-    b = max(S[B[0], B[0]] if B.size == 1 else spectral._perron(S[np.ix_(B, B)], 0.0, 0, 1).alpha
+    b = max(S[B[0], B[0]] if B.size == 1 else spectral._perron(S[np.ix_(B, B)], 0.0, (0,)).alpha
             for B in blocks) + shift
     w = np.zeros(S.shape[0])
     for B in blocks:
@@ -300,6 +300,33 @@ def test_bisect_rejects_bad_resolvent_shift_up_front(tol):
     for mats in (irreducible, reducible):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             bisect_min_mu(mats, L1, tol=tol)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("max_iter", 2.5, "max_iter must be an integer >= 1, got 2.5"),
+    ("max_iter", "3", "max_iter must be an integer >= 1, got '3'"),
+    ("max_iter", True, "max_iter must be an integer >= 1, got True"),
+    ("max_iter", 0, "max_iter must be an integer >= 1, got 0"),
+    ("tol", True, "tol must be finite and positive, got True"),
+    ("tol", "1e-8", "tol must be finite and positive, got '1e-8'"),
+    ("tol", None, "tol must be finite and positive, got None"),
+])
+def test_bisect_refuses_non_numeric_budget_and_shift_before_any_work(name, value, message,
+                                                                     monkeypatch):
+    # max_iter=2.5 and "3" used to raise TypeError from inside the loop or a
+    # comparison, and max_iter=True or tol=True ran as 1.  Each is refused up
+    # front, with verify_contraction's integer rule for max_iter.
+    mats = [np.array([[-1.0, 0.5], [0.0, -2.0]])]
+    want = bisect_min_mu(mats, L1, tol=np.float64(1e-8), max_iter=np.int64(3))
+    assert want.b_star == bisect_min_mu(mats, L1).b_star
+
+    def no_work(*args):
+        raise AssertionError("policy iteration ran")
+
+    monkeypatch.setattr(optimize, "_policy_iteration", no_work)
+    with pytest.raises(ValueError) as info:
+        bisect_min_mu(mats, L1, **{name: value})
+    assert str(info.value) == message
 
 
 def _zero_start_policy_iteration(mats, tol, max_iter):

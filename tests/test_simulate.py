@@ -22,6 +22,7 @@ from mucert import (
     Persidskii,
     SlopeInterval,
     certify,
+    fixed_weight_osl,
     integrate,
     jacobian,
     log_norm,
@@ -328,6 +329,29 @@ def test_sample_jacobian_mu_rejects_bad_samples_and_seed_before_any_work(name, v
     kwargs = {"samples": 3, "seed": 0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
         sample_jacobian_mu(m, Activation("tanh"), family=L1, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["certify", "jacobian", "fixed_weight_osl",
+                                   "verify_contraction", "sample_jacobian_mu", "integrate"])
+def test_every_entry_point_refuses_a_non_model_with_type_error(entry):
+    # verify_contraction, sample_jacobian_mu and integrate used to raise
+    # AttributeError ('object' has no attribute 'slopes'); all six refuse a
+    # non-model as certify does.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    act, cert = Activation("tanh"), certify(m, L1)
+    call = {
+        "certify": lambda model: certify(model),
+        "jacobian": lambda model: jacobian(model, act, np.zeros(2)),
+        "fixed_weight_osl": lambda model: fixed_weight_osl(model, L1, np.ones(2)),
+        "verify_contraction": lambda model: verify_contraction(model, act, cert, pairs=2,
+                                                               horizon=0.01),
+        "sample_jacobian_mu": lambda model: sample_jacobian_mu(model, act, 3, L1),
+        "integrate": lambda model: integrate(model, act, np.zeros(2), 0.01, 1e-3),
+    }[entry]
+    call(m)
+    for bad in (object(), None, {"model": "hopfield"}):
+        with pytest.raises(TypeError, match=f"^unsupported model type {type(bad).__name__}$"):
+            call(bad)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 2, 3), (), (3,), (5, 2)])

@@ -182,22 +182,28 @@ def test_reducible_hopfield_closed_form_stays_within_the_shift():
 
 def test_near_tie_noda_failure_raises_within_power_budget(monkeypatch):
     assert spectral.POWER_MAXITER <= 1000
-    # A near tie's power steps sit on a plateau from about step 20, so both
-    # vectors run the whole power budget and go to Noda's iteration.  No
+    # A near tie's power steps sit on a plateau from about step 20, so each
+    # vector runs the whole power budget and goes to Noda's iteration.  No
     # dense eigensolve backs it: with no solve left in Noda's budget, the
-    # pair raises NumericalError.
+    # pair raises NumericalError at its first vector, the right one, and so
+    # does the left one asked for alone.
     monkeypatch.setattr(spectral, "NODA_MAXITER", 0)
     runs = []
     power = spectral._power_vector
     monkeypatch.setattr(spectral, "_power_vector",
-                        lambda N, *rows: runs.append(power(N, *rows)) or runs[-1])
+                        lambda B: runs.append((B, *power(B))) or runs[-1][1:])
     rng = np.random.default_rng(8)
     for k in (4, 8):
-        runs.clear()
-        with pytest.raises(spectral.NumericalError, match="Noda iteration failed after 0 solves"):
-            perron_pair(near_tie_metzler(rng, k))
-        (_, steps, converged), = runs
-        assert steps == [spectral.POWER_MAXITER] * 2 and converged == [False, False]
+        M = near_tie_metzler(rng, k)
+        N = spectral._shifted(M, 0.0)[0]
+        for ask, B in ((lambda: perron_pair(M), N), (lambda: spectral._perron(M, 0.0, (1,)), N.T)):
+            runs.clear()
+            with pytest.raises(spectral.NumericalError,
+                               match="Noda iteration failed after 0 solves"):
+                ask()
+            (stepped, _, steps, converged), = runs
+            assert np.array_equal(stepped, B) and stepped.flags.c_contiguous == (B is N)
+            assert steps == spectral.POWER_MAXITER and not converged
 
     # A well-separated input converges by power iteration alone.
     pair = perron_pair(random_irreducible_metzler(rng, 16))
@@ -623,8 +629,7 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
     # step, and without a warning.
     calls = []
     power = spectral._power_vector
-    monkeypatch.setattr(spectral, "_power_vector",
-                        lambda N, *rows: calls.append(N) or power(N, *rows))
+    monkeypatch.setattr(spectral, "_power_vector", lambda B: calls.append(B) or power(B))
     M = [[-1.0, 1.0], [1.0, -1.0]]
     big = [[1e308, 1.0], [1.0, -1.0]]
     # Finite shifted matrix, but the sum of a power step's product overflows.
@@ -644,7 +649,8 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
             perron_weights(M, 2)
         assert calls == []
         perron_pair(M)
-    assert len(calls) == 1  # one loop steps both vectors
+    assert len(calls) == 2  # one loop per vector: N, then N.T
+    assert np.array_equal(calls[0], calls[1].T) and calls[1].base is calls[0]
 
 
 def _reference_perron_pair(M, delta=0.0):
