@@ -16,8 +16,10 @@ kind it reads (a tag, or `MODELS` for any network model) and, where it takes
 them, its --family choices and --eta help, plus a `cmd_x(args, payload,
 act, w)` function.  `_run` does the shared work once: it loads the file,
 checks its kind, parses --eta at the payload's dimension (None without it)
-and calls the command.  Matrix and vector entries in files must be numbers:
-JSON strings and booleans are refused, not converted.
+and calls the command.  File values are read by the library's number rule
+(see `matrices`): matrix and vector fields and --eta files by
+`matrices._floats`, which names the field or the file in its refusal, and
+slope bounds and activation parameters by their classes.
 
 Exit codes: 0 success, 1 numerical failure (solver or simulation), 2
 validation / guard / parse failure.  All numbers are printed with 17
@@ -55,7 +57,7 @@ from .networks import (
 )
 from .simulate import ACTIVATIONS, Activation, DivergenceError, verify_contraction
 from .spectral import NumericalError
-from .matrices import as_matrix, as_weights
+from .matrices import _floats, as_matrix, as_weights
 
 SCHEMA_VERSION = "1"
 
@@ -121,33 +123,13 @@ def dumps_canonical(obj, indent: int | None = None) -> str:
 _FILE_TYPES = {**MODELS, "polytope": PolytopeSpec}
 
 
-def _slope_number(x, name):
-    if isinstance(x, str):
-        if x == "inf":
-            return math.inf
-        raise ValueError(f"slope bound {name} must be a number or \"inf\", got {x!r}")
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"slope bound {name} must be a number, got {x!r}")
-    return x
-
-
-def _check_numbers(value, name):
-    """`value`, once no entry of its nested arrays is a string or a boolean,
-    which numpy would read as numbers ("1.5" as 1.5, true as 1)."""
-    rows = [value] if isinstance(value, list) else []
-    for row in rows:  # grows as nested arrays are found
-        for x in row:
-            if isinstance(x, list):
-                rows.append(x)
-            elif isinstance(x, (str, bool)):
-                raise ValueError(f"entries of {name} must be numbers, got {x!r}")
-    return value
-
-
 def parse_slopes(doc) -> SlopeInterval:
+    """The slope interval of a {"d1": ..., "d2": ...} object, where the
+    string "inf" reads as inf; `SlopeInterval` refuses any other value that
+    is not a number."""
     if not isinstance(doc, dict) or set(doc) != {"d1", "d2"}:
         raise ValueError('slopes must be an object {"d1": ..., "d2": ...}')
-    return SlopeInterval(_slope_number(doc["d1"], "d1"), _slope_number(doc["d2"], "d2"))
+    return SlopeInterval(*(math.inf if doc[k] == "inf" else doc[k] for k in ("d1", "d2")))
 
 
 def parse_activation(doc) -> Activation:
@@ -192,12 +174,12 @@ def parse_model_dict(doc):
         raise ValueError(f"model {tag!r} is missing fields: {sorted(missing)}")
 
     act = parse_activation(doc["activation"]) if "activation" in doc else None
-    # Every other field is a matrix or a vector.
-    for name in sorted(present - {"slopes", "activation", "side"}):
-        _check_numbers(doc[name], name)
+    # Every other field but the side is a matrix or a vector (or u = null),
+    # read in name order by the number rule, which names the field.
+    values = {k: doc[k] if k == "side" or doc[k] is None else _floats(doc[k], k)
+              for k in sorted(present - {"slopes", "activation"})}
     if tag == "matrix":
-        return tag, as_matrix(doc["A"]), act
-    values = {k: doc[k] for k in present - {"slopes", "activation"}}
+        return tag, as_matrix(values["A"]), act
     return tag, _FILE_TYPES[tag](**values, slopes=parse_slopes(doc["slopes"])), act
 
 
@@ -241,7 +223,7 @@ def parse_weights_arg(arg: str, n: int) -> np.ndarray:
     """--eta accepts a comma-separated list or a path to a JSON array."""
     if os.path.exists(arg):
         name = f"--eta file {arg}"
-        return as_weights(_check_numbers(_read_json(arg, name), name), n)
+        return as_weights(_floats(_read_json(arg, name), name), n)
     try:
         values = [float(tok) for tok in arg.split(",")]
     except ValueError as exc:

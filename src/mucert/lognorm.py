@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _float_or_nan, _weights_or_ones, as_matrix, as_vector, metzler_majorant
+from .matrices import (_float_or_nan, _floats, _weights_or_ones, as_matrix, as_vector,
+                       metzler_majorant)
 
 L1 = "l1"
 LINF = "linf"
@@ -47,6 +48,9 @@ class SlopeInterval:
     """Bounds d1 <= d2 on the difference quotients of a scalar activation.
 
     d1 must be finite; d2 may be +inf (activations with unbounded slope).
+    Both are read by `matrices._float_or_nan` and stored as floats: a bool,
+    a string or an integer beyond the float range is refused as a bound that
+    is not a number, with ValueError.
     """
 
     d1: float
@@ -55,9 +59,9 @@ class SlopeInterval:
     def __post_init__(self):
         d1, d2 = _float_or_nan(self.d1), _float_or_nan(self.d2)
         if not np.isfinite(d1):
-            raise ValueError("lower slope bound must be finite")
+            raise ValueError(f"lower slope bound d1 must be finite, got {self.d1!r}")
         if np.isnan(d2) or d2 == -np.inf:
-            raise ValueError("upper slope bound must be a real number or +inf")
+            raise ValueError(f"upper slope bound d2 must be a number or +inf, got {self.d2!r}")
         if d1 > d2:
             raise ValueError(f"slope interval needs d1 <= d2, got [{d1}, {d2}]")
         object.__setattr__(self, "d1", d1)
@@ -77,6 +81,14 @@ class SlopeInterval:
         return np.where(p < 0.0, self.d2, self.d1) * p
 
 
+def _check_slopes(slopes) -> SlopeInterval:
+    """`slopes`, once it is a SlopeInterval; TypeError otherwise.  Every
+    network model and `PolytopeSpec` calls it when it is constructed."""
+    if not isinstance(slopes, SlopeInterval):
+        raise TypeError(f"slopes must be a SlopeInterval, got {type(slopes).__name__}")
+    return slopes
+
+
 @dataclass(frozen=True)
 class PolytopeSpec:
     """The matrix polytope {diag(c) + diag(d) A : d in [d1, d2]^n} (side="left")
@@ -92,7 +104,7 @@ class PolytopeSpec:
         c = as_vector(self.c, A.shape[0])
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"side must be '{LEFT}' or '{RIGHT}', got {self.side!r}")
-        if not self.slopes.bounded:
+        if not _check_slopes(self.slopes).bounded:
             raise ValueError("polytope operations require a finite upper slope bound")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
@@ -212,7 +224,7 @@ def weighted_norm(x, family: str, weights=None):
     Accepts a single vector or a 2-D array of column vectors (norms are taken
     per column).
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "vector", copy=False)
     w = _weights_or_ones(weights, x.shape[0])
     norm = kernels(family)[1]
     if x.ndim == 1:
@@ -311,9 +323,11 @@ def brute_force_worst_case(spec: PolytopeSpec, family: str, weights=None) -> flo
 def scaled_majorant_identity(gamma: float, A) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the scaling identity for Metzler majorants:
     the majorant of gamma*A, and the majorant of |gamma|*A - (|gamma|-gamma)(I o A).
-    The two returned matrices are entrywise equal."""
+    The two returned matrices are entrywise equal.  A gamma that is not a
+    finite number (read as NaN by `matrices._float_or_nan`) makes their
+    entries non-finite, and `metzler_majorant` refuses them with ValueError."""
     A = as_matrix(A)
-    g = float(gamma)
+    g = _float_or_nan(gamma)
     lhs = metzler_majorant(g * A)
     rhs = metzler_majorant(abs(g) * A - (abs(g) - g) * np.diag(np.diag(A)))
     return lhs, rhs

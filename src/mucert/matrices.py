@@ -1,10 +1,21 @@
-"""Dense matrix primitives: Metzler majorants, principal submatrices, zero padding.
+"""Dense matrix primitives: Metzler majorants, principal submatrices, zero
+padding, and the package's one reader of input numbers.
 
-All functions accept anything ``np.array`` can turn into a float array and
-validate shape and finiteness up front; an integer beyond the float range
-counts as a non-finite entry.  Everything here is pure; inputs are
-never mutated.  The resolvent solve over :func:`strong_blocks` is
-`spectral._resolvent_weights`, the package's one.
+The number rule: an input number is a real number (a `numbers.Real`: an
+int, a float, a numpy integer or floating scalar) other than a bool or an
+np.bool_.  Strings, bytes, None and any other type are not numbers either,
+even where numpy or float() would read them as one ("1.5" as 1.5, True as
+1).  An integer beyond the float range is a number but not a finite one.
+Every array input of the package is read by `_floats`, which refuses an
+entry that is not a number, and every scalar by `_float_or_nan`, which
+reads it as NaN, so that the site's own finiteness or range check refuses
+it with its own message; `_check_integers` is the rule for integer counts,
+budgets and seeds.  The command line reads its files through the same
+functions, so a model file and a library call accept the same numbers.
+
+All functions here validate shape and finiteness up front.  Everything here
+is pure; inputs are never mutated.  The resolvent solve over
+:func:`strong_blocks` is `spectral._resolvent_weights`, the package's one.
 """
 
 import numbers
@@ -22,27 +33,47 @@ def as_matrix(a) -> np.ndarray:
 
 def _floats(a, kind: str, copy: bool = True) -> np.ndarray:
     """``np.array(a, dtype=float, order="C")``, or without `copy`
-    ``np.asarray(a, dtype=float)``, which returns a float array itself.  An
-    integer beyond the float range, for which numpy raises OverflowError, is
-    refused as a non-finite `kind` entry."""
+    ``np.asarray(a, dtype=float)``, which returns a float array itself, once
+    every entry of `a` is a number (see the module docstring).  An ndarray
+    of integer or floating dtype costs one dtype test; any other input is
+    walked, nested lists, tuples and arrays of other dtypes (bool, string,
+    bytes, object) entry by entry.  An entry that is not a number is refused
+    as "entries of `kind` must be numbers", and an integer beyond the float
+    range, for which numpy raises OverflowError, as a non-finite `kind`
+    entry."""
+    items = [] if isinstance(a, np.ndarray) and a.dtype.kind in "iuf" else [a]
+    for x in items:  # grows as nested sequences and arrays are walked
+        if isinstance(x, (list, tuple, np.ndarray)):
+            items.extend(x.ravel().tolist() if isinstance(x, np.ndarray) else x)
+        elif type(x) not in (float, int) and not _is_number(x):
+            raise ValueError(f"entries of {kind} must be numbers, got {x!r}")
     try:
         return np.array(a, dtype=float, order="C") if copy else np.asarray(a, dtype=float)
     except OverflowError:
         raise ValueError(f"{kind} entries must be finite") from None
 
 
+def _is_number(x) -> bool:
+    """Whether the scalar x is a number by the module's rule: a real number
+    other than a bool or an np.bool_."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
+
 def _float_or_nan(x) -> float:
-    """float(x), or NaN for an integer beyond the float range, so that a
-    finiteness check refuses it."""
+    """float(x) for a number x (see the module docstring), and NaN for
+    anything else, a bool, an np.bool_, a string or any other type, and for
+    an integer beyond the float range: so that the caller's finiteness or
+    range check refuses it with the caller's own message."""
     try:
-        return float(x)
+        return float(x) if _is_number(x) else np.nan
     except OverflowError:
-        return float("nan")
+        return np.nan
 
 
 def _check_integers(*checks):
     """Raise ValueError unless the value of each (name, value, least) is an
-    integer (a bool is not one here) of at least `least`."""
+    integer (a bool is not one) of at least `least`: the number rule for
+    counts, budgets and seeds."""
     for name, value, least in checks:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -84,7 +115,7 @@ def _weights_or_ones(weights, n: int) -> np.ndarray:
 
 def is_metzler(A, tol: float = 0.0) -> bool:
     """True iff all off-diagonal entries are >= -tol."""
-    ok = np.asarray(A, dtype=float) >= -tol
+    ok = _floats(A, "matrix", copy=False) >= -tol
     np.fill_diagonal(ok, True)
     return bool(ok.all())
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .matrices import (
     _checked_square,
+    _float_or_nan,
     _floats,
     _invertible,
     _majorant,
@@ -55,6 +56,7 @@ from .lognorm import (
     RIGHT,
     SlopeInterval,
     _SPLIT_KERNELS,
+    _check_slopes,
     _envelope,
     _mu1_split,
     _muinf_split,
@@ -264,15 +266,21 @@ class _Model:
         return self.A.shape[0]
 
     def jacobian(self, act, x) -> np.ndarray:
-        """The Jacobian at the single state x."""
-        return self.jacobians(act, np.asarray(x, dtype=float)[:, None])[0]
+        """The Jacobian at the single state x, a vector of n numbers, read
+        without a copy: a copy in another layout could change its bits."""
+        x = _floats(x, "vector", copy=False)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}, got shape {x.shape}")
+        return self.jacobians(act, x[:, None])[0]
 
     @property
     def kind(self) -> str:
         return self.tag.replace("_", "-")
 
     def _require_bounded(self):
-        if not self.slopes.bounded:
+        """Raise TypeError unless the slopes are a SlopeInterval, and
+        ValueError unless it is bounded."""
+        if not _check_slopes(self.slopes).bounded:
             raise ValueError(f"{type(self).__name__} requires a finite upper slope bound")
 
     def fixed_weight_osl(self, family: str, weights=None) -> tuple[float, bool]:
@@ -390,6 +398,7 @@ class _Leaky(_SlopeScaled):
         A = as_matrix(self.A)
         if A.shape != C.shape:
             raise ValueError("C and A must share one dimension")
+        _check_slopes(self.slopes)
         u = np.zeros(A.shape[0]) if self.u is None else as_vector(self.u, A.shape[0])
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "A", A)
@@ -880,8 +889,10 @@ def certify_unbounded_slope(kind: str, C, A, d1: float) -> ContractionCertificat
 def certify_hopfield_mh(C, A, d2: float) -> ContractionCertificate:
     """Certificate for the Hopfield model with d1 = 0 and strictly positive
     diagonal leak: contracting iff -C + d2 A has a Hurwitz Metzler majorant,
-    with rate -max(alpha(-C), alpha(-C + d2 majorant(A)))."""
-    d2 = float(d2)
+    with rate -max(alpha(-C), alpha(-C + d2 majorant(A))).  A d2 that is not
+    a finite number of at least 0 (a bool or a string, say) is refused with
+    ValueError before any work."""
+    d2 = _float_or_nan(d2)
     if not (np.isfinite(d2) and d2 >= 0.0):
         raise ValueError("d2 must be finite and nonnegative")
     model = Hopfield(C, A, SlopeInterval(0.0, d2))

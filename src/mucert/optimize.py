@@ -40,13 +40,12 @@ The returned level `b_star` is evaluated at the returned weights, so it is
 attained there, up to rounding, by construction.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (_check_integers, _checked_square, _floats, _majorant, as_matrix,
-                       is_metzler, strong_blocks)
+from .matrices import (_check_integers, _checked_square, _float_or_nan, _floats, _majorant,
+                       as_matrix, is_metzler, strong_blocks)
 from .lognorm import L1, LINF
 from .spectral import RESOLVENT_SHIFT, _block_abscissa, _noda, _resolvent_weights
 
@@ -63,7 +62,8 @@ STATUS_TOLERANCE = "tolerance-reached"
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Constraint matrices (each Metzler) and the level b being tested."""
+    """Constraint matrices (each Metzler) and the level b being tested, a
+    finite number, stored as a float."""
 
     matrices: tuple
     b: float
@@ -77,6 +77,7 @@ class FeasibilityProblem:
             raise ValueError("constraint matrices must share one dimension")
         if any(not is_metzler(M) for M in mats):
             raise ValueError("constraint matrices must be Metzler (pass majorants)")
+        object.__setattr__(self, "b", _float_or_nan(self.b))
         if not np.isfinite(self.b):
             raise ValueError("level b must be finite")
         object.__setattr__(self, "matrices", mats)
@@ -167,12 +168,14 @@ def bisect_min_mu(
     shift used on reducible selections and `max_iter` bounds the selections
     visited; status "tolerance-reached" means the budget ran out before no
     row moved.  Either way b_star is the level evaluated at eta_star.  Raises
-    ValueError, before any work, unless `tol` is a finite positive real
-    number and `max_iter` an integer of at least 1 (a bool is neither).
+    ValueError, before any work, unless `tol` is a finite positive number
+    and `max_iter` an integer of at least 1 (a bool or a string is neither),
+    and, before any solve, unless every matrix is a finite square array of
+    numbers (`matrices._floats`).
     """
     if family not in (L1, LINF):
         raise ValueError("weight optimization is defined for l1/linf only")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
+    if not 0.0 < _float_or_nan(tol) < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     _check_integers(("max_iter", max_iter, 1))
     mats = [_checked_square(_floats(M, "matrix", copy=False)) for M in matrices]

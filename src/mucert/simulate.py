@@ -80,14 +80,13 @@ order than the dense log norm and can differ from it in its last bits.
 """
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lognorm import L1, L2, LINF, SlopeInterval, _offdiag_abs, _scales_summed_lines, kernels
-from .matrices import _check_integers, _float_or_nan, _weights_or_ones, as_vector
+from .matrices import _check_integers, _float_or_nan, _floats, _weights_or_ones, as_vector
 from .networks import ContractionCertificate, check_model
 
 # Relative headroom on the decay ratio, for rounding only: the Euler bound is
@@ -115,13 +114,6 @@ VERIFY_ENTRY_BUDGET = 1 << 24
 # Distances below the smallest normal float carry no relative precision: the
 # decay check counts them as 0.
 DISTANCE_FLOOR = np.finfo(float).tiny
-
-
-def _is_finite(v) -> bool:
-    """Whether an activation parameter is a finite real number: not a bool,
-    nor an integer beyond the float range."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(_float_or_nan(v)))
 
 
 class DivergenceError(RuntimeError):
@@ -182,7 +174,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: np.where(x > 0.0, 1.0, act.a),
         slopes=lambda act: SlopeInterval(act.a, 1.0),
         params=("a",),
-        valid=lambda act: _is_finite(act.a) and 0.0 < act.a < 1.0,
+        valid=lambda act: 0.0 < _float_or_nan(act.a) < 1.0,
         error="leaky_relu needs a slope parameter a in (0, 1)",
         kinks=(0.0,),
     ),
@@ -202,7 +194,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: int(act.r) * np.maximum(x, 0.0) ** (int(act.r) - 1),
         slopes=lambda act: SlopeInterval(0.0, np.inf),
         params=("r",),
-        valid=lambda act: _is_finite(act.r) and act.r == int(act.r) >= 2,
+        valid=lambda act: math.isfinite(_float_or_nan(act.r)) and act.r == int(act.r) >= 2,
         error="rect_poly needs an integer exponent r >= 2",
     ),
     "linear": ActivationSpec(
@@ -210,7 +202,7 @@ ACTIVATIONS = {
         deriv=lambda act, x: np.full_like(x, act.k),
         slopes=lambda act: SlopeInterval(act.k, act.k),
         params=("k",),
-        valid=lambda act: _is_finite(act.k),
+        valid=lambda act: math.isfinite(_float_or_nan(act.k)),
         error="linear needs a finite gain k",
     ),
 }
@@ -384,12 +376,13 @@ def _first_nonfinite(S):
 
 def _step_count(horizon: float, step: float) -> int:
     """Number of whole steps in the horizon; ValueError unless the horizon and
-    step are finite and positive and the horizon holds one to finitely many
-    steps."""
-    n_steps = np.floor(horizon / step) if 0.0 < step < np.inf else np.nan
-    if not (0.0 < horizon < np.inf and 1.0 <= n_steps < np.inf):
+    step are finite positive numbers (read by `matrices._float_or_nan`) and
+    the horizon holds one to finitely many steps."""
+    h, s = _float_or_nan(horizon), _float_or_nan(step)
+    n_steps = np.floor(h / s) if 0.0 < s < np.inf else np.nan
+    if not (0.0 < h < np.inf and 1.0 <= n_steps < np.inf):
         raise ValueError(
-            f"horizon {horizon} and step {step} must be finite and positive, "
+            f"horizon {horizon!r} and step {step!r} must be finite and positive, "
             "with one to finitely many steps in the horizon"
         )
     return int(n_steps)
@@ -400,9 +393,9 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
 
     Returns (times, states) with states of shape (steps + 1, n).  Divergence
     (a non-finite state) raises :class:`DivergenceError` carrying the first
-    bad time.  The horizon and step must be finite and positive, with at least
-    one step in the horizon, and x0 a finite vector of length n.  A
-    non-model raises TypeError.
+    bad time.  The horizon and step must be finite positive numbers, with at
+    least one step in the horizon, and x0 a finite vector of n numbers, else
+    ValueError, before any step.  A non-model raises TypeError.
     """
     n_steps = _step_count(horizon, step)
     _check_act(model, act)
@@ -501,9 +494,10 @@ def verify_contraction(
     `seed` not an integer of at least 0 (a bool is not an integer here), and
     otherwise for an l2 certificate, initial pair arrays of other shapes, a
     halving past the budget, and unless the horizon and step are finite and
-    positive, at least one step fits, there is at least one pair, and every
-    pair's entries and start distance are finite.  A non-model raises
-    TypeError once the integer and certificate checks pass.
+    positive numbers, at least one step fits, there is at least one pair, and
+    every pair's entries are numbers and its entries and start distance
+    finite.  A non-model raises TypeError once the integer and certificate
+    checks pass.
     """
     _check_integers(("mu_sample_stride", mu_sample_stride, 1), ("pairs", pairs, 1),
                     ("seed", seed, 0))
@@ -512,12 +506,12 @@ def verify_contraction(
     if cert.family not in (L1, LINF):
         raise ValueError(f"verification checks l1 and linf certificates, not {cert.family}")
     _check_act(model, act)
-    if not act.slopes().bounded:
-        step = 0.5 * step
+    if not act.slopes().bounded and math.isfinite(_float_or_nan(step)):
+        step = 0.5 * step  # any other step is left for _step_count to refuse
     n_steps = _step_count(horizon, step)
 
     if initial_pairs is not None:
-        X0, Y0 = (np.asarray(a, dtype=float) for a in initial_pairs)
+        X0, Y0 = (_floats(a, "initial pair", copy=False) for a in initial_pairs)
         if X0.shape != Y0.shape or X0.ndim not in (1, 2) or X0.shape[0] != model.n:
             raise ValueError(
                 f"initial pair arrays must both have shape ({model.n},) or "
@@ -655,9 +649,12 @@ def sample_jacobian_mu(
     kink is nudged by 1e-12 rather than skipped; the nudge count is available
     via with_stats=True.  Zero samples return -inf.  Raises ValueError,
     before any work, if `samples` or `seed` is not an integer of at least 0
-    (a bool is not an integer here), and TypeError for a non-model.
+    (a bool is not an integer here) or `scale` is not a finite nonnegative
+    number (a bool or a string is not one), and TypeError for a non-model.
     """
     _check_integers(("samples", samples, 0), ("seed", seed, 0))
+    if not 0.0 <= _float_or_nan(scale) < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     _check_act(model, act)
     w = _weights_or_ones(weights, model.n)
     max_jacobian_mu = _max_jacobian_mu(model, act, family, w)

@@ -83,14 +83,14 @@ same one-vector loop, so the weights are those of `perron_pair`.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import solve
 
 from .lognorm import L1, LINF
-from .matrices import _checked_square, as_matrix, is_metzler, strong_blocks
+from .matrices import (_checked_square, _float_or_nan, _floats, _is_number, as_matrix,
+                       is_metzler, strong_blocks)
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
 # bound: the iterates have unit sum, so no entry exceeds 1) within
@@ -160,7 +160,7 @@ def spectral_abscissa(A) -> float:
 def is_irreducible(A) -> bool:
     """True iff the digraph with an edge j -> i whenever i != j and A[i, j] != 0
     is strongly connected."""
-    return len(strong_blocks(_checked_square(np.asarray(A, dtype=float)))) == 1
+    return len(strong_blocks(_checked_square(_floats(A, "matrix", copy=False)))) == 1
 
 
 def _block_abscissa(S: np.ndarray, blocks) -> float:
@@ -489,8 +489,10 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     rank-one perturbation (see the module docstring), and `alpha` is its
     root rho.
 
-    Raises ValueError for a non-Metzler M or a delta that is not a real
-    number (a bool included), negative or not finite, and NumericalError,
+    Raises ValueError for a non-Metzler M, for a delta that is not a number
+    by `matrices`' rule (a bool or a string, say), and for one that is
+    negative or not finite (an integer beyond the float range included),
+    each with its own message, and NumericalError,
     before any iteration, if the shifted matrix or a power step's sum (at
     most n times its largest entry) would overflow, and after it if an
     iteration fails or a vector misses the residual bound.
@@ -498,11 +500,11 @@ def perron_pair(M, delta: float = 0.0) -> PerronPair:
     M = as_matrix(M)
     if not is_metzler(M):
         raise ValueError("perron_pair requires a Metzler matrix")
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+    if not _is_number(delta):
         raise ValueError(f"delta must be a real number, got {delta!r}")
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    if not delta < math.inf:  # also true for NaN
+    if not _float_or_nan(delta) < math.inf:  # NaN, inf, or beyond the float range
         raise ValueError(f"delta must be finite, got {delta!r}")
     blocks = strong_blocks(M)
     if len(blocks) == 1:
@@ -523,10 +525,10 @@ def perron_weights(M, p, delta: float = 0.0) -> np.ndarray:
     For p=1 this is the left dominant eigenvector w, and the weight matrix is
     diag(w).  For p=inf it is 1/v with v the right dominant eigenvector; the
     weight matrix diag(1/v) realizes the norm max_i |x_i| / v_i, so pass the
-    reciprocal of this vector to :func:`mucert.lognorm.muinf`.  Raises
-    ValueError for any other p, True included.
+    reciprocal of this vector to :func:`mucert.lognorm.muinf`; the string
+    "inf" reads as inf.  Raises ValueError for any other p, True included.
     """
-    if isinstance(p, (bool, np.bool_)) or p != 1 and p not in (math.inf, "inf"):
+    if _float_or_nan(p) not in (1.0, math.inf) and p != "inf":
         raise ValueError(f"p must be 1 or inf, got {p!r}")
     pair = perron_pair(M, delta)
     return pair.left if p == 1 else 1.0 / pair.right

@@ -163,10 +163,11 @@ def test_edge_removal_check():
         edge_removal_check(SKEW_RING, [(0, 3)])
 
 
-@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan, "2", True, np.True_])
 def test_edge_removal_check_refuses_a_shift_that_is_not_finite(shift):
     # inf * 0 off the diagonal of shift * I made NaNs, with a numpy warning,
-    # and the refusal blamed the matrix entries.
+    # and the refusal blamed the matrix entries.  A string or a bool is not
+    # a number ("2" failed inside numpy, True ran as 1).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:

@@ -482,9 +482,9 @@ _HOPFIELD_NO_C = {k: v for k, v in HOPFIELD_DOC.items() if k != "C"}
 
 @pytest.mark.parametrize("doc, argv, message", [
     ({**HOPFIELD_DOC, "slopes": {"d1": "x", "d2": 1}}, ["certify"],
-     'slope bound d1 must be a number or "inf", got \'x\''),
+     "lower slope bound d1 must be finite, got 'x'"),
     ({**HOPFIELD_DOC, "slopes": {"d1": 0, "d2": True}}, ["certify"],
-     "slope bound d2 must be a number, got True"),
+     "upper slope bound d2 must be a number or +inf, got True"),
     ({**HOPFIELD_DOC, "slopes": [0, 1]}, ["certify"],
      'slopes must be an object {"d1": ..., "d2": ...}'),
     ({**HOPFIELD_DOC, "activation": "tanh"}, ["verify"],
@@ -780,11 +780,11 @@ def _hopfield_text(slopes='{"d1": 0, "d2": 1}', activation='{"kind": "tanh"}'):
     "command, text, eta, message",
     [
         ("classify", '{"schema_version": "1", "model": "matrix", "A": [[-1.0, %s], [0.0, -1.0]]}'
-         % BIG, None, "matrix entries must be finite"),
+         % BIG, None, "A entries must be finite"),
         ("certify", _hopfield_text(slopes='{"d1": 0, "d2": %s}' % BIG), None,
-         "upper slope bound must be a real number or +inf"),
+         f"upper slope bound d2 must be a number or +inf, got {BIG}"),
         ("lognorm", '{"schema_version": "1", "model": "matrix", "A": [[-1.0]]}', "[%s]" % BIG,
-         "vector entries must be finite"),
+         "--eta file {eta} entries must be finite"),
         ("verify", _hopfield_text(slopes='{"d1": -0.5, "d2": 1}',
                                   activation='{"kind": "linear", "k": %s}' % BIG), None,
          "linear needs a finite gain k"),
@@ -796,12 +796,13 @@ def test_integers_beyond_the_float_range_are_validation_errors(tmp_path, capsys,
     path = tmp_path / "big.json"
     path.write_text(text, encoding="utf-8")
     argv = [command, str(path)]
+    eta_path = tmp_path / "eta.json"
     if eta is not None:
-        eta_path = tmp_path / "eta.json"
         eta_path.write_text(eta, encoding="utf-8")
         argv += ["--eta", str(eta_path)]
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # The file's own field, or the --eta file, is named.
+    assert (code, out, err) == (2, "", f"error: {message.format(eta=eta_path)}\n")
 
 
 @pytest.mark.parametrize(
@@ -818,8 +819,14 @@ def test_integers_beyond_the_float_range_are_validation_errors(tmp_path, capsys,
          "entries of c must be numbers, got '-1'"),
         ("multilure-osl", {**DOC["multilure"], "C": [[0.3], [False]]},
          "entries of C must be numbers, got False"),
+        # null and objects are not numbers either (null read as NaN, and an
+        # object failed inside numpy with TypeError).
+        ("certify", {**DOC["lure"], "b": [0.3, None]}, "entries of b must be numbers, got None"),
+        ("classify", matrix_doc([[0.0]]) | {"A": {"x": 1}},
+         "entries of A must be numbers, got {'x': 1}"),
     ],
-    ids=["strings", "mixed", "hopfield-u", "lure-c", "polytope-c", "multilure-C"],
+    ids=["strings", "mixed", "hopfield-u", "lure-c", "polytope-c", "multilure-C", "lure-b-null",
+         "object"],
 )
 def test_strings_and_booleans_in_arrays_are_validation_errors(tmp_path, capsys, command, doc,
                                                               message):

@@ -1,20 +1,42 @@
-
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
 
+import mucert.classify as classify
+import mucert.lognorm as lognorm
+import mucert.networks as networks
+import mucert.optimize as optimize
+import mucert.simulate as simulate
+import mucert.spectral as spectral
 from mucert import (
     Activation,
+    FeasibilityProblem,
     Hopfield,
+    Lure,
     MultiLure,
     PolytopeSpec,
     SlopeInterval,
+    bisect_min_mu,
+    certify,
+    certify_hopfield_mh,
+    edge_removal_check,
+    integrate,
+    jacobian,
+    log_norm,
     metzler_majorant,
     nonneg_metzler_majorant,
     pad,
+    perron_pair,
+    perron_weights,
     principal_submatrix,
+    sample_jacobian_mu,
+    scaled_majorant_identity,
+    verify_contraction,
+    weighted_norm,
 )
 from mucert.matrices import (
     as_matrix,
@@ -211,7 +233,7 @@ def test_integers_beyond_the_float_range_are_not_finite():
         (lambda: MultiLure([[-1.0]], [[big]], [[1.0]], slopes), "matrix entries must be finite"),
         (lambda: PolytopeSpec([[0.0]], [big], slopes, "left"), "vector entries must be finite"),
         (lambda: SlopeInterval(0, big), "upper slope bound"),
-        (lambda: SlopeInterval(-big, 1), "lower slope bound must be finite"),
+        (lambda: SlopeInterval(-big, 1), "lower slope bound d1 must be finite"),
         (lambda: Activation("linear", k=big), "linear needs a finite gain k"),
         (lambda: Activation("rect_poly", r=big), "rect_poly needs an integer exponent"),
     ]
@@ -229,3 +251,126 @@ def test_empty_index_sets_are_refused():
         with pytest.raises(ValueError) as info:
             make()
         assert str(info.value) == "index set must be nonempty"
+
+
+# The number rule (see the matrices module docstring) at every entry point
+# that reads a number: each entry places the value v in one slot, a scalar
+# argument or one entry of an array argument, and `nan` says whether the
+# slot requires a finite value (or, for d2, a value that is not NaN).
+_C2, _A2, _M2 = np.eye(2), [[0.0, 0.4], [0.3, 0.0]], [[-1.0, 0.5], [0.5, -1.0]]
+_SLOPES = SlopeInterval(0.0, 1.0)
+_TANH = Activation("tanh")
+_HOPFIELD = Hopfield(_C2, _A2, _SLOPES)
+_CERT = certify(_HOPFIELD)
+
+
+def _verify(**kwargs):
+    return verify_contraction(_HOPFIELD, _TANH, _CERT,
+                              **{"pairs": 2, "horizon": 1.0, "step": 0.125, **kwargs})
+
+
+_ARRAY_REFUSAL = "entries of {0} must be numbers|{0} entries must be finite"
+NUMBER_SLOTS = {
+    "SlopeInterval-d1": (lambda v: SlopeInterval(v, 2.0), True, "lower slope bound d1"),
+    "SlopeInterval-d2": (lambda v: SlopeInterval(0.0, v), True, "upper slope bound d2"),
+    "certify_hopfield_mh-d2": (lambda v: certify_hopfield_mh(_C2, _A2, v), True,
+                               "d2 must be finite and nonnegative"),
+    "verify_contraction-horizon": (lambda v: _verify(horizon=v), True, "horizon .* and step"),
+    "verify_contraction-step": (lambda v: _verify(horizon=2.0, step=v), True,
+                                "horizon .* and step"),
+    "verify_contraction-initial_pairs": (
+        lambda v: _verify(initial_pairs=([v, 0.0], [0.0, 0.5])), True,
+        _ARRAY_REFUSAL.format("initial pair") + "|pair 0 has a non-finite entry"),
+    "integrate-horizon": (lambda v: integrate(_HOPFIELD, _TANH, [0.1, 0.2], v, 0.25), True,
+                          "horizon .* and step"),
+    "integrate-step": (lambda v: integrate(_HOPFIELD, _TANH, [0.1, 0.2], 2.0, v), True,
+                       "horizon .* and step"),
+    "integrate-x0": (lambda v: integrate(_HOPFIELD, _TANH, [v, 0.2], 2.0, 0.25), True,
+                     _ARRAY_REFUSAL.format("vector")),
+    "sample_jacobian_mu-scale": (lambda v: sample_jacobian_mu(_HOPFIELD, _TANH, 4, "l1", scale=v),
+                                 True, "scale must be finite"),
+    "jacobian-x": (lambda v: jacobian(_HOPFIELD, _TANH, [v, 0.0]), False,
+                   _ARRAY_REFUSAL.format("vector")),
+    "FeasibilityProblem-b": (lambda v: FeasibilityProblem((_M2,), v), True, "level b"),
+    "scaled_majorant_identity-gamma": (lambda v: scaled_majorant_identity(v, _A2), True,
+                                       "matrix entries must be finite"),
+    "bisect_min_mu-tol": (lambda v: bisect_min_mu([_M2], "l1", tol=v), True, "tol must be"),
+    "bisect_min_mu-matrices": (lambda v: bisect_min_mu([[[-1.0, v], [0.5, -1.0]]], "l1"), True,
+                               _ARRAY_REFUSAL.format("matrix")),
+    "perron_pair-delta": (lambda v: perron_pair(_M2, v), True, "delta must be"),
+    "perron_weights-p": (lambda v: perron_weights(_M2, v), True, "p must be 1 or inf"),
+    "edge_removal_check-shift": (lambda v: edge_removal_check(_M2, [(0, 1)], v), True,
+                                 "shift must be finite"),
+    "as_matrix": (lambda v: as_matrix([[v, 0.5], [0.5, v]]), True,
+                  _ARRAY_REFUSAL.format("matrix")),
+    "as_vector": (lambda v: as_vector([v, 2.0]), True, _ARRAY_REFUSAL.format("vector")),
+    "as_weights": (lambda v: as_weights((2.0, v)), True, _ARRAY_REFUSAL.format("vector")),
+    "is_irreducible": (lambda v: is_irreducible([[v, 1.0], [1.0, v]]), True,
+                       _ARRAY_REFUSAL.format("matrix")),
+    "is_metzler": (lambda v: is_metzler([[v, 1.0], [1.0, v]]), False,
+                   _ARRAY_REFUSAL.format("matrix")),
+    "log_norm-weights": (lambda v: log_norm(_M2, "l1", [v, 1.0]), True,
+                         _ARRAY_REFUSAL.format("vector")),
+    "weighted_norm-x": (lambda v: weighted_norm([v, 2.0], "l1"), False,
+                        _ARRAY_REFUSAL.format("vector")),
+    "Hopfield-A": (lambda v: Hopfield(_C2, [[v, 0.4], [0.3, 0.0]], _SLOPES), True,
+                   _ARRAY_REFUSAL.format("matrix")),
+    "Hopfield-C": (lambda v: Hopfield([[v, 0.0], [0.0, 1.0]], _A2, _SLOPES), True,
+                   _ARRAY_REFUSAL.format("matrix")),
+    "Hopfield-u": (lambda v: Hopfield(_C2, _A2, _SLOPES, [v, 0.0]), True,
+                   _ARRAY_REFUSAL.format("vector")),
+    "MultiLure-B": (lambda v: MultiLure(_M2, [[v], [0.5]], [[0.5, 1.0]], _SLOPES), True,
+                    _ARRAY_REFUSAL.format("matrix")),
+    "Lure-c": (lambda v: Lure(_M2, [1.0, 0.5], [v, 0.5], _SLOPES), True,
+               _ARRAY_REFUSAL.format("vector")),
+    "PolytopeSpec-c": (lambda v: PolytopeSpec(_A2, [v, -1.0], _SLOPES, "left"), True,
+                       _ARRAY_REFUSAL.format("vector")),
+    "Activation-k": (lambda v: Activation("linear", k=v), True, "finite gain k"),
+}
+
+
+def _bits(x):
+    """x with every number replaced by the hex of its float and every array
+    by its shape and float64 bytes: equal iff the values are bit-identical
+    (`integrate` at an integer step gives integer times, as it always has)."""
+    if dataclasses.is_dataclass(x):
+        return _bits({f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.shape, x.astype(float).tobytes()
+    if isinstance(x, (bool, np.bool_, str)) or x is None:
+        return x
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("slot", list(NUMBER_SLOTS))
+def test_every_entry_point_reads_numbers_by_one_rule(slot, monkeypatch):
+    # Every spelling of the number 1 gives the same bits.  A bool, a string
+    # and an integer beyond the float range are refused with ValueError
+    # before any work, and NaN too where the slot needs a finite value.
+    call, finite, message = NUMBER_SLOTS[slot]
+    want = _bits(call(1.0))
+    for one in (1, np.float64(1.0), np.int64(1)):
+        assert _bits(call(one)) == want, one
+    if finite:
+        with pytest.raises(ValueError, match=message):
+            call(np.nan)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the input was read")
+
+    for module, name in ((spectral, "_perron"), (spectral, "_secular_pair"),
+                         (optimize, "_policy_iteration"), (simulate, "_state_blocks"),
+                         (simulate, "_max_jacobian_mu"), (classify, "is_hurwitz"),
+                         (networks, "_perron_certificate")):
+        monkeypatch.setattr(module, name, work)
+    monkeypatch.setattr(networks._SlopeScaled, "jacobians", work)
+    monkeypatch.setitem(lognorm._KERNELS, "l1", (work, work))
+    for bad in (True, np.True_, "1.5", 10**400):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call(bad)

@@ -699,6 +699,29 @@ def test_model_refusals_keep_their_messages():
         assert str(info.value) == message
 
 
+def test_models_refuse_slopes_that_are_not_a_slope_interval_at_construction():
+    # Hopfield(C, A, None) used to construct, and (0, 1) or a dict failed
+    # only when the model was certified, with AttributeError.
+    A, C = np.array([[-1.0, 0.2], [0.3, -1.0]]), np.eye(2)
+    makers = {
+        "hopfield": lambda s: Hopfield(C, A, s),
+        "firing_rate": lambda s: FiringRate(C, A, s),
+        "persidskii": lambda s: Persidskii(A, s),
+        "entrywise": lambda s: Entrywise(A, s),
+        "ax_minus_cphi": lambda s: AxMinusCPhi(A, C, s),
+        "lure": lambda s: Lure(A, [1.0, 0.5], [0.3, -0.2], s),
+        "multilure": lambda s: MultiLure(A, np.ones((2, 1)), np.ones((1, 2)), s),
+        "polytope": lambda s: PolytopeSpec(A, [-1.0, -1.0], s, LEFT),
+    }
+    assert set(makers) == set(networks.MODELS) | {"polytope"}
+    for tag, make in makers.items():
+        make(SlopeInterval(0.5, 1.0))
+        for bad in (None, (0.5, 1.0), {"d1": 0.5, "d2": 1.0}):
+            with pytest.raises(TypeError) as info:
+                make(bad)
+            assert str(info.value) == f"slopes must be a SlopeInterval, got {type(bad).__name__}"
+
+
 def test_fixed_weight_osl_of_a_multilure_is_its_linf_solver():
     rng = np.random.default_rng(41)
     for m in (1, 2, 3):

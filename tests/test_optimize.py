@@ -310,6 +310,7 @@ def test_bisect_rejects_bad_resolvent_shift_up_front(tol):
     ("tol", True, "tol must be finite and positive, got True"),
     ("tol", "1e-8", "tol must be finite and positive, got '1e-8'"),
     ("tol", None, "tol must be finite and positive, got None"),
+    ("tol", np.True_, "tol must be finite and positive, got np.True_"),
 ])
 def test_bisect_refuses_non_numeric_budget_and_shift_before_any_work(name, value, message,
                                                                      monkeypatch):

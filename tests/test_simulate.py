@@ -127,6 +127,9 @@ def test_activation_rejects_foreign_and_non_numeric_parameters():
         ("linear", {"k": "0.5"}, "gain k"),
         ("linear", {"k": [0.5]}, "gain k"),
         ("rect_poly", {"r": "2"}, "exponent r "),
+        ("leaky_relu", {"a": np.float64(np.nan)}, "slope parameter a "),
+        ("linear", {"k": np.True_}, "gain k"),
+        ("rect_poly", {"r": np.True_}, "exponent r "),
     ):
         with pytest.raises(ValueError, match=message):
             Activation(kind, **params)
@@ -352,6 +355,26 @@ def test_every_entry_point_refuses_a_non_model_with_type_error(entry):
     for bad in (object(), None, {"model": "hopfield"}):
         with pytest.raises(TypeError, match=f"^unsupported model type {type(bad).__name__}$"):
             call(bad)
+
+
+def test_jacobian_refuses_a_state_that_is_not_n_numbers_before_any_work(monkeypatch):
+    # A length-3 state on n = 2 used to fail inside numpy's broadcasting.
+    m = Hopfield(np.eye(2), [[0.0, 0.4], [0.3, 0.0]], SlopeInterval(0.0, 1.0))
+    act = Activation("tanh")
+    column = np.arange(6.0).reshape(2, 3)[:, 1]  # strided: read without a copy
+    assert np.array_equal(jacobian(m, act, column), m.jacobians(act, column.copy()[:, None])[0])
+
+    def no_work(*args):
+        raise AssertionError("the Jacobian was evaluated")
+
+    monkeypatch.setattr(type(m), "jacobians", no_work)
+    for x, message in (([0.1, 0.2, 0.3], r"expected a vector of length 2, got shape \(3,\)"),
+                       ([[0.1, 0.2]], r"expected a vector of length 2, got shape \(1, 2\)"),
+                       (0.1, r"expected a vector of length 2, got shape \(\)"),
+                       (["0.1", 0.2], "entries of vector must be numbers, got '0.1'"),
+                       ([True, 0.2], "entries of vector must be numbers, got True")):
+        with pytest.raises(ValueError, match=message):
+            jacobian(m, act, x)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 2, 3), (), (3,), (5, 2)])

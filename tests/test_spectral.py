@@ -498,7 +498,7 @@ def test_perron_pair_guards():
     for delta in (True, np.True_, "0.1", 1e-8j, None):
         with pytest.raises(ValueError, match="delta must be a real number"):
             perron_pair([[0.0, 1.0], [1.0, 0.0]], delta)
-    for p in (True, np.True_):
+    for p in (True, np.True_, "1.5", 10**400):
         with pytest.raises(ValueError, match="p must be 1 or inf"):
             perron_weights([[0.0, 1.0], [1.0, 0.0]], p)
     # reducible input works once perturbed
@@ -637,7 +637,7 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
     np.fill_diagonal(wide, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for delta in (np.nan, np.inf):
+        for delta in (np.nan, np.inf, 10**400):
             with pytest.raises(ValueError, match="delta must be finite"):
                 perron_pair(M, delta)
         for overflowing in (big, wide):
