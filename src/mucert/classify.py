@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    _check_integers,
     _float_or_nan,
     _majorant,
     as_matrix,
@@ -304,7 +305,10 @@ def pruning_robustness(A) -> PruningReport:
 
 def edge_removal_check(A, zeroed, shift: float = 0.0) -> tuple[bool, bool]:
     """Hurwitz status of shift*I + A before and after zeroing the listed
-    off-diagonal positions (0-based (row, col) pairs).  A shift that is not
+    off-diagonal positions (0-based (row, col) pairs).  A row or column that
+    is not an integer >= 0 by `matrices._check_integers` (a bool, a float
+    such as 1.0 or a string is not one) raises ValueError, and one of n or
+    more IndexError.  A shift that is not
     finite is refused before any work: inf * 0 off the diagonal would make
     NaNs.  A finite one whose sum with the diagonal overflows is refused
     as a matrix entry that is not finite, with no numpy warning."""
@@ -314,10 +318,11 @@ def edge_removal_check(A, zeroed, shift: float = 0.0) -> tuple[bool, bool]:
     n = A.shape[0]
     removed = A.copy()
     for pos in zeroed:
-        i, j = int(pos[0]), int(pos[1])
+        i, j = pos
+        _check_integers(("row", i, 0), ("col", j, 0))
         if i == j:
             raise ValueError(f"only off-diagonal entries may be removed, got ({i}, {j})")
-        if not (0 <= i < n and 0 <= j < n):
+        if not (i < n and j < n):
             raise IndexError(f"position ({i}, {j}) out of range for dimension {n}")
         removed[i, j] = 0.0
     S = shift * np.eye(n)

@@ -10,7 +10,7 @@ Every array input of the package is read by `_floats`, which refuses an
 entry that is not a number, and every scalar by `_float_or_nan`, which
 reads it as NaN, so that the site's own finiteness or range check refuses
 it with its own message; `_check_integers` is the rule for integer counts,
-budgets and seeds.  The command line reads its files through the same
+budgets, seeds and indices.  The command line reads its files through the same
 functions, so a model file and a library call accept the same numbers.
 
 All functions here validate shape and finiteness up front.  Everything here
@@ -73,7 +73,7 @@ def _float_or_nan(x) -> float:
 def _check_integers(*checks):
     """Raise ValueError unless the value of each (name, value, least) is an
     integer (a bool is not one) of at least `least`: the number rule for
-    counts, budgets and seeds."""
+    counts, budgets, seeds and indices."""
     for name, value, least in checks:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -114,8 +114,12 @@ def _weights_or_ones(weights, n: int) -> np.ndarray:
 
 
 def is_metzler(A, tol: float = 0.0) -> bool:
-    """True iff all off-diagonal entries are >= -tol."""
-    ok = _floats(A, "matrix", copy=False) >= -tol
+    """True iff all off-diagonal entries are >= -tol.  Raises ValueError
+    unless `tol` is a finite nonnegative number (a bool or a string is not
+    one)."""
+    if not 0.0 <= _float_or_nan(tol) < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    ok = _floats(A, "matrix", copy=False) >= -float(tol)
     np.fill_diagonal(ok, True)
     return bool(ok.all())
 
@@ -238,11 +242,16 @@ def nonneg_metzler_majorant(A) -> np.ndarray:
 
 
 def check_index_set(indices, n: int) -> tuple[int, ...]:
-    """Validate a nonempty strictly increasing tuple of 0-based indices."""
-    idx = tuple(int(i) for i in indices)
+    """Validate a nonempty strictly increasing tuple of 0-based indices.
+    Each index must be an integer >= 0 by `_check_integers` (a bool, a float
+    such as 1.0 or a string is not one), else ValueError; one of n or more
+    raises IndexError."""
+    idx = tuple(indices)
+    _check_integers(*(("index", i, 0) for i in idx))
+    idx = tuple(map(int, idx))
     if len(idx) == 0:
         raise ValueError("index set must be nonempty")
-    if any(i < 0 or i >= n for i in idx):
+    if any(i >= n for i in idx):
         raise IndexError(f"index out of range for dimension {n}: {idx}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"index set must be strictly increasing: {idx}")

@@ -20,11 +20,16 @@ choice at w = 1.  On the envelope pairs of the network models it is usually
 optimal already, so one Perron vector settles the optimization.
 
 The Perron vector of an irreducible selection comes from Noda's inverse
-iteration from the ones vector, one LU solve per step within a budget of
-NODA_MAXITER solves (see `spectral._noda`; T. Noda, Numer. Math. 17, 1971;
-L. Elsner, Linear Algebra Appl. 15, 1976).  It is the same routine that
-finishes the Perron vectors power iteration leaves unconverged; if it
-fails, NumericalError is raised.
+iteration, one LU solve per step within a budget of NODA_MAXITER solves
+(see `spectral._noda`; T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
+Algebra Appl. 15, 1976).  It starts from a fixed number of power steps on
+the selection shifted just enough to be nonnegative, with no convergence
+test of their own: Noda's bracket is the test.  Its shifted solves converge
+quadratically once the shift is near the Perron root, and from the ones
+vector the first two or three solves were spent getting there, so the
+warm start takes a selection from 5 or 6 solves to 1 or 2 at every size.
+It is the same routine that finishes the Perron vectors power iteration
+leaves unconverged; if it fails, NumericalError is raised.
 
 A reducible selection may have a Perron vector with zero entries.  It takes
 the resolvent weights w = (bI - S)^-1 1 at b = alpha(S) + shift instead, from

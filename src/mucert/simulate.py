@@ -398,6 +398,7 @@ def integrate(model, act: Activation, x0, horizon: float, step: float):
     ValueError, before any step.  A non-model raises TypeError.
     """
     n_steps = _step_count(horizon, step)
+    step = float(step)  # float64 times for an integer step too
     _check_act(model, act)
     X = as_vector(x0, model.n)[:, None]
     out = np.empty((n_steps + 1, X.shape[0]))

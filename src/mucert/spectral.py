@@ -12,7 +12,8 @@ Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for
 the right vector or N.T for the left one, within NODA_MAXITER solves; if
 Noda's iteration fails, NumericalError is raised.  The weight optimizer
 takes the right Perron vector of an irreducible row selection from the same
-iteration, started at the ones vector.
+iteration, started from a fixed number of power steps on a tightly shifted
+copy of the selection (see `_noda`).
 
 A reducible Metzler matrix has more than one strongly connected block
 (:func:`mucert.matrices.strong_blocks`; the same search decides
@@ -56,8 +57,24 @@ to 1e-11 by about step 20 and never converge, and a sparse ring whose steps
 shrink by about 0.9 each would need some 250.  Noda's shifted solves converge
 quadratically to the dominant eigenvalue, so they separate such a pair in a
 few solves where power steps cannot.  Its stop test is scaled by |hi| as
-well as by max|S|, because the rounding floor of the bracket grows with the
-Perron root, which can sit far above the largest entry.
+well as by the power of two above max|S|, because the rounding floor of the
+bracket grows with the Perron root, which can sit far above the largest
+entry; with no absolute term, a matrix scaled by a power of two gives the
+same bits.
+
+Started from the ones vector, Noda's iteration spends its first two or
+three solves getting near the Perron root: the certify-lp selections took
+5.0 to 5.3 solves each at every n from 16 to 1024.  Without a start, `_noda`
+therefore first takes _NODA_WARM_STEPS power steps on S + tI with t just
+above max(-diag S), the least shift that keeps S + tI nonnegative, in the
+buffer its solves use.  The steps converge at the ratio
+|lam_2 + t| / (alpha + t), which a larger t pushes towards 1: `_shifted`'s
+shift, 1 + max|diag|, left 2.0 to 2.8 solves per selection where the
+tight one leaves 1.0 to 1.4 (n = 16 to 512, one BLAS thread).  The steps
+take no convergence test, as the Collatz-Wielandt bracket that Noda's
+iteration reads at their iterate is the test, and no normalization either,
+as S + tI is scaled by a power of two that bounds their growth: at n = 16,
+a sum and a divide per step took the 16 steps from 17 to 44 us.
 
 Power iteration stays the first stage because on inputs that converge a
 solve per step costs more than the steps it saves: on twelve irreducible
@@ -105,13 +122,16 @@ POWER_MAXITER = 64
 RESIDUAL_RTOL = 1e-11
 
 # Noda iteration: stop once the Collatz-Wielandt bracket [lo, hi] at the
-# iterate is no wider than NODA_RTOL * (1 + max|S| + |hi|); raise
-# NumericalError after NODA_MAXITER solves or as soon as the bracket stops
-# shrinking.  The perfbench certify-lp selections (n = 16 to 128) take 5 or
-# 6 solves: 435 and 105 of the 540 in 20 s runs of seeds 1 to 3.
+# iterate is no wider than NODA_RTOL * (unit + |hi|), with unit the power of
+# two above max|S|; raise NumericalError after NODA_MAXITER solves or as
+# soon as the bracket stops shrinking.  From the _NODA_WARM_STEPS power
+# steps that start it, the perfbench certify-lp selections (n = 16 to 128)
+# take 1, 2 or 3 solves: 279, 260 and 1 of the 540 in 20 s runs of seeds 1
+# to 3, where from the ones vector 435 took 5 and 105 took 6.
 # NODA_MAXITER also budgets the Newton steps of `_secular_pair`.
 NODA_RTOL = 1e-14
 NODA_MAXITER = 20
+_NODA_WARM_STEPS = 16
 
 # Resolvent shift above the abscissa of a reducible Metzler matrix: of a
 # certificate's majorant (`_perron_weights`), or of a weight-optimizer row
@@ -268,47 +288,75 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """Right Perron vector of an irreducible Metzler matrix S, strictly
     positive with largest entry 1, by Noda's inverse iteration.
 
-    From x = 1, or from a given positive start rescaled to largest entry 1,
-    each step takes the Collatz-Wielandt bounds lo = min q and hi = max q of
-    q = (S x) / x, which bracket alpha(S), and stops once
-    hi - lo <= NODA_RTOL * (1 + max|S| + |hi|).  Otherwise it solves
-    (hi I - S) z = x, a nonsingular M-matrix system with a positive solution,
-    and rescales z to largest entry 1.  The shift converges quadratically to
-    alpha(S).  Once hi is alpha(S) to rounding, the system can be singular
-    in floating point, and is then solved at hi + NODA_RTOL * (1 + max|S| +
-    |hi|); and its solution can have every entry negative, and is then
-    rescaled to largest entry 1 in modulus, like inverse iteration.  A
-    singular solve there, an iterate that is not finite and positive, a
-    bracket that stops shrinking, or NODA_MAXITER solves without
-    convergence raise NumericalError.
+    With a given positive start, the iteration starts there, rescaled to
+    largest entry 1.  Without one, it starts from _NODA_WARM_STEPS power
+    steps from the ones vector on (S + tI) / unit, where unit is the power
+    of two above max|S| (2^1023 at most, as 2^1024 overflows) and
+    t = max(-diag S) + unit / 1024.  That matrix is nonnegative, with
+    entries below 5 and a diagonal of at least 1/1024 to rounding, so each
+    step multiplies every entry of the iterate by about 1/1024 or more and
+    the largest by at most 2n + 3: the iterate stays positive and finite
+    without normalization, and a step is one product.  The shift is tight
+    because the steps converge at the ratio |lam_2 + t| / (alpha(S) + t),
+    which a larger t pushes towards 1, and they take no convergence test
+    because the bracket below is one.
 
-    Each hi I - S is written into one buffer per call, as -S with hi added
-    to its diagonal: the values of hi I - S, though a zero may differ in
-    sign, which no nonzero entry of the solve depends on.  q and the
-    rescaled iterate are formed in place.
+    Each step takes the Collatz-Wielandt bounds lo = min q and hi = max q of
+    q = (S x) / x, which bracket alpha(S), and stops once
+    hi - lo <= NODA_RTOL * (unit + |hi|), though not before its first solve
+    unless hi == lo: every vector comes out of a solve, at the cost of one
+    solve more than the test asks when the start already meets it.
+    Otherwise it solves (hi I - S) z = x, a nonsingular
+    M-matrix system with a positive solution, and rescales z to largest
+    entry 1.  The shift converges quadratically to alpha(S), so from the
+    power iterate one or two solves meet the stop test.  Once hi is alpha(S)
+    to rounding, the system can be singular in floating point, and is then
+    solved at hi + NODA_RTOL * (unit + |hi|); and its solution can have
+    every entry negative, and is then rescaled to largest entry 1 in
+    modulus, like inverse iteration.  A singular solve there, an iterate
+    that is not finite and positive, a bracket that stops shrinking, or
+    NODA_MAXITER solves without convergence raise NumericalError.
+
+    The unit and the warm shift's margin are powers of two, so S times 2^k
+    gives the same bits as S wherever nothing overflows or underflows.
+
+    The power steps and each hi I - S are written into one buffer per call:
+    S / unit with t / unit added to its diagonal, then -S with hi added to
+    its diagonal, the values of hi I - S, though a zero may differ in sign,
+    which no nonzero entry of the solve depends on.  q and the rescaled
+    iterate are formed in place.
 
     At the stop every |(S x)_i - lam x_i| <= (hi - lo) x_i <= hi - lo for the
-    Rayleigh quotient lam, which lies in [lo, hi].  As RESIDUAL_RTOL is
-    1000 * NODA_RTOL, that meets RESIDUAL_RTOL * (1 + max|S|) whenever
-    |hi| <= 999 * (1 + max|S|).  The bracket holds alpha(S), which is at
-    most n * max|S| in modulus, so this covers every n below 999; `_perron`
-    checks the residual of what it returns either way.
+    Rayleigh quotient lam, which lies in [lo, hi].  The unit is at most
+    2 max|S| for S != 0, and RESIDUAL_RTOL is 1000 * NODA_RTOL, so that meets
+    RESIDUAL_RTOL * (1 + max|S|) whenever |hi| <= 998 * (1 + max|S|).  The
+    bracket holds alpha(S), which is at most n * max|S| in modulus, so this
+    covers every n below 998; `_perron` checks the residual of what it
+    returns either way.
     """
     n = S.shape[0]
-    size = 1.0 + float(np.max(np.abs(S)))
+    # max|S| without the n x n array |S|, as in `_shifted`.
+    unit = math.ldexp(1.0, min(math.frexp(max(float(S.max()), -float(S.min())))[1], 1023))
     shifted = np.empty_like(S)
-    x = np.ones(n) if x is None else x / np.max(x)
+    if x is None:
+        np.divide(S, unit, out=shifted)  # exact: unit is a power of two
+        shifted.flat[:: n + 1] += float(np.max(-np.diag(S))) / unit + 1.0 / 1024
+        x, y = np.ones(n), np.empty(n)
+        for _ in range(_NODA_WARM_STEPS):
+            np.matmul(shifted, x, out=y)
+            x, y = y, x
+    x = x / np.max(x)
     width = np.inf
     for solves in range(NODA_MAXITER + 1):
         q = S @ x
         q /= x
         lo, hi = float(q.min()), float(q.max())
-        if hi - lo <= NODA_RTOL * (size + abs(hi)):
+        if hi - lo <= NODA_RTOL * (unit + abs(hi)) and (solves or hi == lo):
             return x
         if solves == NODA_MAXITER or not hi - lo < width:
             break
         width = hi - lo
-        for b in (hi, hi + NODA_RTOL * (size + abs(hi))):
+        for b in (hi, hi + NODA_RTOL * (unit + abs(hi))):
             np.negative(S, out=shifted)
             shifted.flat[:: n + 1] += b
             try:

@@ -309,6 +309,8 @@ NUMBER_SLOTS = {
                        _ARRAY_REFUSAL.format("matrix")),
     "is_metzler": (lambda v: is_metzler([[v, 1.0], [1.0, v]]), False,
                    _ARRAY_REFUSAL.format("matrix")),
+    "is_metzler-tol": (lambda v: is_metzler([[0.0, -1.0], [0.0, 0.0]], tol=v), True,
+                       "tol must be finite and nonnegative"),
     "log_norm-weights": (lambda v: log_norm(_M2, "l1", [v, 1.0]), True,
                          _ARRAY_REFUSAL.format("vector")),
     "weighted_norm-x": (lambda v: weighted_norm([v, 2.0], "l1"), False,
@@ -331,8 +333,8 @@ NUMBER_SLOTS = {
 
 def _bits(x):
     """x with every number replaced by the hex of its float and every array
-    by its shape and float64 bytes: equal iff the values are bit-identical
-    (`integrate` at an integer step gives integer times, as it always has)."""
+    by its shape, dtype and bytes: equal iff the values are bit-identical and
+    of one dtype (`integrate` at an integer step gives float64 times)."""
     if dataclasses.is_dataclass(x):
         return _bits({f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
     if isinstance(x, dict):
@@ -340,7 +342,7 @@ def _bits(x):
     if isinstance(x, (list, tuple)):
         return [_bits(v) for v in x]
     if isinstance(x, np.ndarray):
-        return x.shape, x.astype(float).tobytes()
+        return x.shape, x.dtype.str, x.tobytes()
     if isinstance(x, (bool, np.bool_, str)) or x is None:
         return x
     return float(x).hex()
@@ -374,3 +376,36 @@ def test_every_entry_point_reads_numbers_by_one_rule(slot, monkeypatch):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 call(bad)
+
+
+def test_is_metzler_refuses_a_negative_tol():
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative, got -0.5"):
+        is_metzler(np.eye(2), tol=-0.5)
+    assert is_metzler([[0.0, -1.0], [0.0, 0.0]], tol=1.0)
+    assert not is_metzler([[0.0, -1.0], [0.0, 0.0]], tol=0.5)
+
+
+# The integer rule (`matrices._check_integers`) for index inputs: each entry
+# places the value v in one index slot, where the index 1 is valid.
+INDEX_SLOTS = {
+    "principal_submatrix": (lambda v: principal_submatrix(np.eye(3), [0, v]), "index"),
+    "pad": (lambda v: pad([1.0, 2.0], (0, v), 3), "index"),
+    "edge_removal_check-row": (lambda v: edge_removal_check(_M2, [(v, 0)]), "row"),
+    "edge_removal_check-col": (lambda v: edge_removal_check(_M2, [(0, v)]), "col"),
+}
+
+
+@pytest.mark.parametrize("slot", list(INDEX_SLOTS))
+def test_index_inputs_read_integers_by_one_rule(slot):
+    # Every integer spelling of 1 gives the same bits.  A float, even 1.0, a
+    # bool, a string and a negative integer are refused with ValueError,
+    # where int() would have read 1.7 as 1, True as 1 and "1" as 1.
+    call, name = INDEX_SLOTS[slot]
+    want = _bits(call(1))
+    for one in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert _bits(call(one)) == want, one
+    for bad in (1.0, 1.7, np.float64(1.0), True, np.True_, "1", -1):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0, got "):
+            call(bad)
+    with pytest.raises(IndexError):
+        call(3)

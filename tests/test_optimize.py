@@ -549,17 +549,28 @@ def test_noda_vector_matches_dense_reference(scale):
         assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (1.0 + np.max(np.abs(S)))
 
 
+# The certify-lp models: Hopfield (l1, right-side slopes) and FiringRate
+# (linf, left-side slopes) with d1 < 0, so no closed form applies.
+LP_KINDS = ((Hopfield, RIGHT, L1), (FiringRate, LEFT, LINF))
+
+
+def _lp_coupling(rng, n):
+    """(A, C, slopes) of a certify-lp model: a coupling on the scale where
+    about 80 % certify, a leak near 1 and d1 < 0."""
+    G = rng.normal(size=(n, n))
+    A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
+    C = rng.uniform(0.8, 1.2, size=n)
+    return A, C, SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
+
+
 @pytest.mark.parametrize("scale", SCALES)
 def test_policy_iteration_matches_dense_route(scale, monkeypatch):
     # certify-lp-style envelope pairs: d1 < 0, so no closed form applies.
     rng = np.random.default_rng([32, int(np.log10(scale)) + 4])
     cases = []
     for n in SIZES:
-        for cls, side, fam in ((Hopfield, RIGHT, L1), (FiringRate, LEFT, LINF)):
-            G = rng.normal(size=(n, n))
-            A = rng.uniform(0.4, 1.1) * G / spectral_abscissa(metzler_majorant(G))
-            C = rng.uniform(0.8, 1.2, size=n)
-            slopes = SlopeInterval(-rng.uniform(0.1, 0.5), 1.0)
+        for _, side, fam in LP_KINDS:
+            A, C, slopes = _lp_coupling(rng, n)
             spec = PolytopeSpec(scale * A, -scale * C, slopes, side)
             cases.append((list(envelope_matrices(spec, fam)), fam))
     got = [bisect_min_mu(mats, fam) for mats, fam in cases]
@@ -605,20 +616,92 @@ def test_noda_stop_test_scales_with_the_perron_root(monkeypatch):
     assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (size + np.max(q))
 
 
+@pytest.mark.parametrize("n", (16, 32, 64, 128, 256))
+def test_noda_warm_start_takes_few_solves_per_selection(n, monkeypatch):
+    # certify-lp selections.  From the ones vector Noda's iteration takes 5
+    # or more solves on each; from the warm power iterate it takes at most 2
+    # on average, and its vectors still match the dense reference.
+    per_call = _count_solves(monkeypatch)
+    counting, selections = optimize._noda, []
+
+    def recording(S):
+        x = counting(S)
+        selections.append((S.copy(), x))
+        return x
+
+    monkeypatch.setattr(optimize, "_noda", recording)
+    rng = np.random.default_rng([37, n])
+    for _, side, fam in LP_KINDS * 3:
+        A, C, slopes = _lp_coupling(rng, n)
+        bisect_min_mu(list(envelope_matrices(PolytopeSpec(A, -C, slopes, side), fam)), fam)
+    assert len(per_call) >= 6
+    assert sum(per_call) <= 2 * len(per_call), per_call
+    cold = []
+    for S, x in selections:
+        np.testing.assert_allclose(x, _dense_selection_weights(S), rtol=1e-12, atol=0.0)
+        per_call.append(0)
+        spectral._noda(S, np.ones(n))
+        cold.append(per_call.pop())
+    assert min(cold) >= 5, cold
+
+
+def test_noda_is_scale_free():
+    # The stop test's unit is a power of two, the power of two above max|S|,
+    # and the warm shift's margin a power-of-two fraction of it: S times 2^k
+    # gives the same bits, from the warm start and from a given one.
+    rng = np.random.default_rng(38)
+    for n in SIZES:
+        for scale in SCALES:
+            S = _irreducible_selection(rng, n, scale)
+            x0 = rng.uniform(0.5, 2.0, size=n)
+            want, want_given = spectral._noda(S), spectral._noda(S, x0)
+            for k in (-400, -40, 40, 400):
+                assert spectral._noda(2.0**k * S).tobytes() == want.tobytes(), (n, k)
+                assert spectral._noda(2.0**k * S, x0).tobytes() == want_given.tobytes(), (n, k)
+
+
+def test_noda_takes_matrices_at_the_top_of_the_float_range():
+    # The power of two above max|S| >= 2^1023 would be 2^1024, which
+    # overflows: the unit stops at 2^1023, and these give their Perron
+    # vector (1, 1) to rounding.
+    for S in ([[-1e308, 1e308], [1e308, -1e308]], [[0.0, 2.0**1023], [2.0**1023, 0.0]]):
+        np.testing.assert_allclose(spectral._noda(np.array(S)), [1.0, 1.0], rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", (1e-12, 1e-8, 1e-4, 1e4))
+def test_scaled_weight_lp_certificates_keep_their_rate(scale):
+    # Scaling C and A scales the certified osl, here measured in units of
+    # max(1, |osl|) of the unscaled model, whose C and A are of order 1.  A
+    # stop test with an absolute unit (1 + max|S|) accepted a bracket of
+    # 1e-14 on selections of size 1e-12, and osl / scale came out up to 2e-2
+    # weaker.
+    rng = np.random.default_rng([39, int(np.log10(scale)) + 12])
+    for n in (4, 16, 64):
+        for cls, _, fam in LP_KINDS:
+            A, C, slopes = _lp_coupling(rng, n)
+            want = certify(cls(np.diag(C), A, slopes), fam)
+            got = certify(cls(np.diag(scale * C), scale * A, slopes), fam)
+            assert got.theorem == want.theorem and got.tight == want.tight
+            assert abs(got.osl / scale - want.osl) <= 1e-13 * max(1.0, abs(want.osl)), (n, fam)
+
+
 def test_noda_budget_exhausted_raises_numerical_error(monkeypatch):
     # No dense eigensolve backs Noda's iteration: a vector that does not
     # converge within NODA_MAXITER solves raises NumericalError, and so does
-    # the optimizer that asked for it.
+    # the optimizer that asked for it.  Near-tied selections: the warm power
+    # steps cannot separate their two leading eigenvalues, so one solve does
+    # not meet the stop test.
     monkeypatch.setattr(spectral, "NODA_MAXITER", 1)
     per_call = _count_solves(monkeypatch)
     rng = np.random.default_rng(34)
-    for n in SIZES[1:]:
-        S = _irreducible_selection(rng, n, 1.0)
+    for k in (2, 4, 8, 32):
+        S = near_tie_metzler(rng, k)
         with pytest.raises(spectral.NumericalError, match="Noda iteration failed after 1 solves"):
             optimize._selection_weights(S, RESOLVENT_SHIFT)
-    assert per_call == [1] * len(SIZES[1:])
+    assert per_call == [1] * 4
     with pytest.raises(spectral.NumericalError, match="Noda iteration failed"):
         bisect_min_mu([S, 0.5 * S], LINF)
+    assert per_call[4:] == [1]
 
 
 def test_a_refused_solve_raises_numerical_error(monkeypatch):
@@ -639,21 +722,27 @@ def test_a_refused_solve_raises_numerical_error(monkeypatch):
 
 def _textbook_noda(S, x=None):
     """Noda's iteration as `_noda` states it, with a fresh identity, shifted
-    matrix, quotient and iterate at each step; None where `_noda` raises."""
+    matrix, quotient and iterate at each step, and without a start from
+    fresh power steps on S + tI; None where `_noda` raises."""
     n = S.shape[0]
-    size = 1.0 + float(np.max(np.abs(S)))
-    x = np.ones(n) if x is None else x / np.max(x)
+    unit = 2.0 ** np.frexp(np.max(np.abs(S)))[1]
+    if x is None:
+        N = S / unit + (np.max(-np.diag(S)) / unit + 1.0 / 1024) * np.eye(n)
+        x = np.ones(n)
+        for _ in range(spectral._NODA_WARM_STEPS):
+            x = N @ x
+    x = x / np.max(x)
     width = np.inf
     for solves in range(spectral.NODA_MAXITER + 1):
         q = (S @ x) / x
         lo, hi = float(q.min()), float(q.max())
-        if hi - lo <= spectral.NODA_RTOL * (size + abs(hi)):
+        if hi - lo <= spectral.NODA_RTOL * (unit + abs(hi)) and (solves > 0 or hi == lo):
             return x
         if solves == spectral.NODA_MAXITER or not hi - lo < width:
             return None
         width = hi - lo
         z = None
-        for b in (hi, hi + spectral.NODA_RTOL * (size + abs(hi))):
+        for b in (hi, hi + spectral.NODA_RTOL * (unit + abs(hi))):
             try:
                 z = np.linalg.solve(b * np.eye(n) - S, x)
                 break
