@@ -34,7 +34,6 @@ to max_i |x_i| / w_i.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -159,8 +158,10 @@ def _perron_certificate(model, family, theorem, metzler, key,
 
     The matrix lives only while its weights are taken, and `_witness_osl`
     writes each witness's magnitudes over the witness: so at most the
-    matrix and the shifted copy of `spectral._shifted`, or the witnesses,
-    are live n x n arrays at once."""
+    matrix and the prescaled copy that `spectral._perron` steps on
+    (`spectral._prescale`), or the witnesses, are live n x n arrays at
+    once.  The abscissa is the Rayleigh quotient on the matrix itself, with
+    no shift taken off."""
     right, left, alpha, shift = _perron_weights(metzler(), family)
     weights = left if family == L1 else right
     return _certificate(
@@ -169,18 +170,16 @@ def _perron_certificate(model, family, theorem, metzler, key,
     )
 
 
-def _coupling_certificate(model, theorem, alpha_key) -> ContractionCertificate:
-    """Certificate from the entrywise maximum W of the model's witnesses
-    (MultiLure's one coupling bound, Entrywise's envelope pair), the same in
+def _coupling_certificate(W, theorem, alpha_key) -> ContractionCertificate:
+    """Certificate from a model's coupling matrix W (MultiLure's one coupling
+    bound, the entrywise maximum of Entrywise's envelope pair), the same in
     both norms, whose Metzler majorant dominates every Jacobian majorant: one
     rate in the weighted l1 and linf norms at its left and right dominant
     eigenvectors (resolvent weights if it is reducible), never exact.
 
-    W is written over the first witness, and the others are freed before the
-    Perron solve, so it is the one n x n array: it is turned into its
-    majorant in place for the Perron weights, then into its off-diagonal
-    magnitudes, by zeroing that diagonal, for both log norms."""
-    W = reduce(lambda M, N: np.maximum(M, N, out=M), model.witnesses(L1))
+    W is the one n x n array: it is turned into its majorant in place for
+    the Perron weights, then into its off-diagonal magnitudes, by zeroing
+    that diagonal, for both log norms."""
     d = np.diagonal(W).copy()
     np.fill_diagonal(np.abs(W, out=W), d)
     right, left, alpha, shift = _perron_weights(W)
@@ -686,9 +685,22 @@ class Entrywise(Persidskii):
         the diagonal, d1 a_ii and d2 a_ii on it; l2 is refused."""
         return list(_envelope(self.A, -np.diag(self.C), self.slopes, None, family))
 
+    def _coupling(self) -> np.ndarray:
+        """The entrywise maximum of the two witnesses, in one n x n array.
+        They differ only on the diagonal, so it is dbar A with, on its
+        diagonal, the larger of their two diagonals, each evaluated as
+        `_envelope` evaluates it: the same bits as the n x n maximum."""
+        d1, d2 = self.slopes.d1, self.slopes.d2
+        dbar = max(abs(d1), abs(d2))
+        W, a = dbar * self.A, np.diag(self.A)
+        base = np.diag(W) - np.diag(self.C)
+        np.fill_diagonal(W, np.maximum(base - (dbar - d1) * a, base - (dbar - d2) * a))
+        return W
+
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         _fixed_norms(self, family, L1, LINF)
-        return _coupling_certificate(self, "entrywise/coupling-bound", "alpha_envelope")
+        return _coupling_certificate(self._coupling(), "entrywise/coupling-bound",
+                                     "alpha_envelope")
 
 
 @dataclass(frozen=True, eq=False)
@@ -763,7 +775,8 @@ class MultiLure(_Model):
 
     def certificate(self, family: str | None = None) -> ContractionCertificate:
         _fixed_norms(self, family, L1, LINF)
-        return _coupling_certificate(self, "multilure/coupling-bound", "alpha_coupling")
+        return _coupling_certificate(multilure_coupling_bound(self), "multilure/coupling-bound",
+                                     "alpha_coupling")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,16 +4,18 @@ Each quantity has one route, and the Perron route takes no dense
 eigensolve.  The spectral abscissa of a general matrix comes from the dense
 eigensolver (:func:`spectral_abscissa`, which classify reads).  The dominant
 left and right eigenvectors of an irreducible Metzler matrix (its Perron
-pair) come from power iteration on a diagonal shift N that makes the
-matrix nonnegative, one loop per vector, within POWER_MAXITER steps.  A
-vector that has not converged by then, or that misses the residual bound, is
-finished from its last power iterate by Noda's inverse iteration (T. Noda,
-Numer. Math. 17, 1971; L. Elsner, Linear Algebra Appl. 15, 1976) on N for
-the right vector or N.T for the left one, within NODA_MAXITER solves; if
-Noda's iteration fails, NumericalError is raised.  The weight optimizer
-takes the right Perron vector of an irreducible row selection from the same
-iteration, started from a fixed number of power steps on a tightly shifted
-copy of the selection (see `_noda`).
+pair) come from power iteration on P, the matrix tightly shifted to be
+nonnegative and scaled by a power of two, one loop per vector, within
+POWER_MAXITER steps.  A vector that has not converged by then, or that
+misses the residual bound, is finished from its last power iterate by
+Noda's inverse iteration (T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
+Algebra Appl. 15, 1976) on P for the right vector or P.T for the left one,
+within NODA_MAXITER solves; if Noda's iteration fails, NumericalError is
+raised.  The weight optimizer takes the right Perron vector of an
+irreducible row selection from the same iteration, started from a fixed
+number of power steps on the same prescaled matrix of the selection (see
+`_noda`).  Both routes take their power steps from one helper,
+`_power_steps`.
 
 A reducible Metzler matrix has more than one strongly connected block
 (:func:`mucert.matrices.strong_blocks`; the same search decides
@@ -41,14 +43,21 @@ cannot finish that pair itself: its vectors have entries of the order of
 delta, where rounding in q = (S x) / x keeps the bracket above its stop
 test.
 
-The shifted matrix N takes one n x n pass, M + delta, and an in-place add
-to its diagonal.  Each vector asked for has a loop of its own,
-`_power_vector`, on N for the right vector and on N.T for the left one: a
-step is one product and one sum, scale, difference, absolute value and max,
-so a vector costs one product per step it takes, and a pair the sum of its
-two vectors' steps.  The iterates have unit sum, so no entry exceeds 1 and
-the stop test is absolute.  One more product per vector gives both its
-Rayleigh quotient and its residual.
+The prescaled matrix P = (M + delta * ones + tI) / unit (`_prescale`),
+with unit the power of two above max|M + delta * ones| and the tight shift
+t = max(-diag(M + delta * ones)) + unit / 1024, takes one n x n product by
+1/unit and an in-place add to its diagonal.  Each vector asked for has a
+loop of its own, `_power_vector`, on P for the right vector and on P.T for
+the left one, in blocks of _POWER_BLOCK (8) steps: seven bare products, a
+normalization to unit sum, one product more and its normalization, then
+the block's one convergence test.  So a vector costs one product per step
+it takes, a multiple of 8, and a pair the sum of its two vectors' steps.
+The tested iterates have unit sum, so no entry exceeds 1 and the test is
+absolute.  One more product per vector, on M itself plus delta * sum(x),
+gives both its Rayleigh quotient and its residual: the quotient is alpha
+with no shift to take off.  The loop this replaced tested every step: a
+product and then a sum, scale, difference, absolute value and max, 5.4 to
+6.1 us per step at n = 16 to 64, where the product alone takes 1 to 2 us.
 
 Every vector gets the same budget, and no heuristic guesses early which
 vectors will not converge.  Two blocks coupled by 1e-9 have dominant
@@ -68,9 +77,10 @@ three solves getting near the Perron root: the certify-lp selections took
 therefore first takes _NODA_WARM_STEPS power steps on S + tI with t just
 above max(-diag S), the least shift that keeps S + tI nonnegative, in the
 buffer its solves use.  The steps converge at the ratio
-|lam_2 + t| / (alpha + t), which a larger t pushes towards 1: `_shifted`'s
-shift, 1 + max|diag|, left 2.0 to 2.8 solves per selection where the
-tight one leaves 1.0 to 1.4 (n = 16 to 512, one BLAS thread).  The steps
+|lam_2 + t| / (alpha + t), which a larger t pushes towards 1: the shift
+1 + max|diag| that the power loop once took left 2.0 to 2.8 solves per
+selection where the tight one leaves 1.0 to 1.4 (n = 16 to 512, one BLAS
+thread).  The steps
 take no convergence test, as the Collatz-Wielandt bracket that Noda's
 iteration reads at their iterate is the test, and no normalization either,
 as S + tI is scaled by a power of two that bounds their growth: at n = 16,
@@ -93,9 +103,9 @@ certificates in :mod:`mucert.networks` build their Metzler matrix from the
 model's validated arrays and hand it to `_perron_weights`, which calls
 `_perron` directly on an irreducible one.  A one-norm
 certificate steps one vector, the left one for l1 and the right one for
-linf, and its abscissa detail is that vector's Rayleigh quotient less the
-shift; a certificate in both norms steps both, and its abscissa is the mean
-of their two quotients, as in `perron_pair`.  Every vector comes from the
+linf, and its abscissa detail is that vector's Rayleigh quotient; a
+certificate in both norms steps both, and its abscissa is the mean of their
+two quotients, as in `perron_pair`.  Every vector comes from the
 same one-vector loop, so the weights are those of `perron_pair`.
 """
 
@@ -110,15 +120,19 @@ from .matrices import (_checked_square, _float_or_nan, _floats, _is_number, as_m
                        is_metzler, strong_blocks)
 
 # Power iteration: vector change below POWER_TOL in every entry (an absolute
-# bound: the iterates have unit sum, so no entry exceeds 1) within
-# POWER_MAXITER steps.  A vector that has not converged by then, or whose
-# vector's residual exceeds RESIDUAL_RTOL * (1 + max|N|), is finished by
-# Noda's iteration from its last iterate.  The perfbench certify-perron
-# inputs with n >= 64 converged within 44 steps on seeds 1 to 3; a
-# near-tied dominant eigenvalue never converges.  The residual bound is the
-# contract either way.
+# bound: the tested iterates have unit sum, so no entry exceeds 1), tested
+# once per block of _POWER_BLOCK steps, within POWER_MAXITER steps (8
+# blocks).  A vector that has not converged by then, or whose residual
+# exceeds RESIDUAL_RTOL * (1 + max|N|), with N the shift of `_shift_scale`,
+# is finished by Noda's iteration from its last iterate.  On 4 rounds of
+# perfbench certify-perron, seeds 1 to 3, every n = 256 vector converged in
+# one block and every n = 64 one in two (a per-step test stopped them at 8
+# and at 10 to 12 steps); at n = 16 the mean was 21.7 steps (16.5 with the
+# per-step test), and a near-tied dominant eigenvalue never converges.  The
+# residual bound is the contract either way.
 POWER_TOL = 1e-13
 POWER_MAXITER = 64
+_POWER_BLOCK = 8
 RESIDUAL_RTOL = 1e-11
 
 # Noda iteration: stop once the Collatz-Wielandt bracket [lo, hi] at the
@@ -235,16 +249,17 @@ class PerronPair:
     Both eigenvectors are normalized to unit sum.  `alpha` is the spectral
     abscissa of the (possibly delta-perturbed) Metzler input; `delta_used`
     records the rank-one perturbation actually applied.  `steps` holds the
-    power steps taken for the (right, left) vectors, at most POWER_MAXITER
-    each; a vector that did not converge within them, or missed the residual
-    bound, was finished by Noda's iteration.  Each vector has a power loop
-    of its own, so a pair's power work is the sum of its two `steps`.  The
+    power steps taken for the (right, left) vectors, in whole blocks of
+    _POWER_BLOCK (8) steps, at most POWER_MAXITER each; a vector that did
+    not converge within them, or missed the residual bound, was finished by
+    Noda's iteration.  Each vector has a power loop of its own, so a pair's
+    power work is the sum of its two `steps`.  The
     secular route of a delta-perturbed reducible matrix takes no power
     steps: (0, 0).  `dense` is always (False, False), as no vector comes
     from a dense eigensolve; it stays for the API.  The package's one-norm
     certificates ask the private `_perron` for one vector only: the other is
     then None with 0 steps, and `alpha` is the Rayleigh quotient of the one
-    vector, less the shift.
+    vector.
     """
 
     alpha: float
@@ -256,30 +271,71 @@ class PerronPair:
     dense: tuple[bool, bool]
 
 
+def _unit(S: np.ndarray, delta: float = 0.0) -> float:
+    """The power of two above max|S + delta * ones| (2^1023 at most, as
+    2^1024 overflows), read as max(max S + delta, -(min S + delta)), the
+    same number, without the n x n array."""
+    top = max(float(S.max()) + delta, -(float(S.min()) + delta))
+    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+
+
+def _prescale(S: np.ndarray, delta: float, unit: float, out: np.ndarray) -> np.ndarray:
+    """Write P = (S + delta * ones + tI) / unit into `out` and return it, for
+    a Metzler S, a power of two `unit` from :func:`_unit` and the tight
+    shift t = max(-diag(S + delta)) + unit / 1024, the least that keeps P
+    nonnegative, with a margin.  P is nonnegative, with entries below 5 and
+    a diagonal of at least 1/1024 to rounding, and it has the eigenvectors
+    of S + delta * ones.  The scale is a product by 1/unit, exact as unit
+    is a power of two (a divide gives the same bits, more slowly)."""
+    inv = 1.0 / unit
+    np.multiply(S, inv, out=out)
+    if delta:
+        out += delta * inv
+    out.flat[:: S.shape[0] + 1] += (float(np.max(-np.diag(S))) - delta) * inv + 1.0 / 1024
+    return out
+
+
+def _power_steps(P: np.ndarray, x: np.ndarray, y: np.ndarray, k: int):
+    """k unnormalized power steps `np.matmul(P, x, out=y)`, swapping the two
+    buffers after each: returns (P^k x, the other buffer).  The one power
+    loop: `_noda`'s warm start and every block of `_power_vector` run it."""
+    for _ in range(k):
+        np.matmul(P, x, out=y)
+        x, y = y, x
+    return x, y
+
+
 def _power_vector(B: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Power iteration from the uniform vector for the dominant eigenvector
-    of B, which is N (the right vector) or N.T (the left one) for a
-    nonnegative N with positive diagonal.
+    of B, which is the prescaled matrix P of `_prescale` (the right vector)
+    or P.T (the left one).
 
-    A step is one `np.matmul(B, x, out=y)`, then one sum, scale, difference,
-    absolute value and max: six numpy calls.  POWER_TOL bounds the change
-    absolutely: B is nonnegative and x positive, and a rounded sum of
-    nonnegative numbers is at least each of its terms, so every entry of a
-    unit-sum iterate is at most 1.
+    The steps come in blocks of _POWER_BLOCK: _POWER_BLOCK - 1 bare
+    products (`_power_steps`), a normalization to unit sum, one product
+    more and its normalization, and then the one convergence test of the
+    block, max|y - x| < POWER_TOL on the two unit-sum iterates.  P's
+    entries are below 5 and its diagonal at least about 1/1024, so the bare
+    steps keep the iterate positive and finite.  POWER_TOL bounds the
+    change absolutely: B is nonnegative and x positive, and a rounded sum
+    of nonnegative numbers is at least each of its terms, so every entry of
+    a unit-sum iterate is at most 1.
 
-    Returns (vector, steps, converged): the iterate at the first step whose
-    max|y - x| falls below POWER_TOL, or after POWER_MAXITER steps the last
-    iterate (unit sum and positive), unconverged.
+    Returns (vector, steps, converged): the unit-sum iterate of the first
+    block whose test passes, with steps a multiple of _POWER_BLOCK, or
+    after POWER_MAXITER steps the last iterate (unit sum and positive),
+    unconverged.
     """
     n = B.shape[0]
     x, y = np.full(n, 1.0 / n), np.empty(n)
-    for step in range(1, POWER_MAXITER + 1):
+    for steps in range(_POWER_BLOCK, POWER_MAXITER + 1, _POWER_BLOCK):
+        x, y = _power_steps(B, x, y, _POWER_BLOCK - 1)
+        x /= x.sum()
         np.matmul(B, x, out=y)
         y /= y.sum()
         x -= y  # the step y - x up to its sign, which rounds alike
         np.abs(x, out=x)
         if x.max() < POWER_TOL:
-            return y, step, True
+            return y, steps, True
         x, y = y, x
     return x, POWER_MAXITER, False
 
@@ -289,17 +345,15 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     positive with largest entry 1, by Noda's inverse iteration.
 
     With a given positive start, the iteration starts there, rescaled to
-    largest entry 1.  Without one, it starts from _NODA_WARM_STEPS power
-    steps from the ones vector on (S + tI) / unit, where unit is the power
-    of two above max|S| (2^1023 at most, as 2^1024 overflows) and
-    t = max(-diag S) + unit / 1024.  That matrix is nonnegative, with
-    entries below 5 and a diagonal of at least 1/1024 to rounding, so each
-    step multiplies every entry of the iterate by about 1/1024 or more and
-    the largest by at most 2n + 3: the iterate stays positive and finite
-    without normalization, and a step is one product.  The shift is tight
-    because the steps converge at the ratio |lam_2 + t| / (alpha(S) + t),
-    which a larger t pushes towards 1, and they take no convergence test
-    because the bracket below is one.
+    largest entry 1.  Without one, it starts from _NODA_WARM_STEPS
+    `_power_steps` from the ones vector on the prescaled (S + tI) / unit of
+    `_prescale`, where unit is the power of two above max|S| (`_unit`) and
+    t = max(-diag S) + unit / 1024.  Each step multiplies every entry of the
+    iterate by about 1/1024 or more and the largest by at most 2n + 3: the
+    iterate stays positive and finite without normalization, and a step is
+    one product.  The shift is tight because the steps converge at the
+    ratio |lam_2 + t| / (alpha(S) + t), which a larger t pushes towards 1,
+    and they take no convergence test because the bracket below is one.
 
     Each step takes the Collatz-Wielandt bounds lo = min q and hi = max q of
     q = (S x) / x, which bracket alpha(S), and stops once
@@ -321,10 +375,9 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     gives the same bits as S wherever nothing overflows or underflows.
 
     The power steps and each hi I - S are written into one buffer per call:
-    S / unit with t / unit added to its diagonal, then -S with hi added to
-    its diagonal, the values of hi I - S, though a zero may differ in sign,
-    which no nonzero entry of the solve depends on.  q and the rescaled
-    iterate are formed in place.
+    the prescaled matrix, then -S with hi added to its diagonal, the values
+    of hi I - S, though a zero may differ in sign, which no nonzero entry of
+    the solve depends on.  q and the rescaled iterate are formed in place.
 
     At the stop every |(S x)_i - lam x_i| <= (hi - lo) x_i <= hi - lo for the
     Rayleigh quotient lam, which lies in [lo, hi].  The unit is at most
@@ -335,16 +388,11 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     returns either way.
     """
     n = S.shape[0]
-    # max|S| without the n x n array |S|, as in `_shifted`.
-    unit = math.ldexp(1.0, min(math.frexp(max(float(S.max()), -float(S.min())))[1], 1023))
+    unit = _unit(S)
     shifted = np.empty_like(S)
     if x is None:
-        np.divide(S, unit, out=shifted)  # exact: unit is a power of two
-        shifted.flat[:: n + 1] += float(np.max(-np.diag(S))) / unit + 1.0 / 1024
-        x, y = np.ones(n), np.empty(n)
-        for _ in range(_NODA_WARM_STEPS):
-            np.matmul(shifted, x, out=y)
-            x, y = y, x
+        x = _power_steps(_prescale(S, 0.0, unit, shifted), np.ones(n), np.empty(n),
+                         _NODA_WARM_STEPS)[0]
     x = x / np.max(x)
     width = np.inf
     for solves in range(NODA_MAXITER + 1):
@@ -376,65 +424,70 @@ def _noda(S: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
                          f"bracket width {hi - lo:.3g}")
 
 
-def _rayleigh(N: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient lam of v under N and the residual max|N v - lam v|,
-    both from one product N v."""
-    Nv = N @ v
-    lam = float(v @ Nv / (v @ v))
-    return lam, float(np.max(np.abs(Nv - lam * v)))
+def _rayleigh(B: np.ndarray, delta: float, v: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient lam of v under B + delta * ones and the residual
+    max|(B + delta * ones) v - lam v|, both from one product B v, to which
+    delta * sum(v) is added."""
+    Bv = B @ v
+    Bv += delta * float(v.sum())
+    lam = float(v @ Bv / (v @ v))
+    return lam, float(np.max(np.abs(Bv - lam * v)))
 
 
-def _shifted(M: np.ndarray, delta: float) -> tuple[np.ndarray, float, float]:
-    """(N, shift, scale): N = M + delta * ones + shift * I, nonnegative for a
-    Metzler M, at shift = 1 + max|diag(M + delta * ones)|, and
-    scale = 1 + max|N|.  Raises NumericalError if N or a power step's sum
-    (at most n times its largest entry) would overflow.
-
-    N is the one n x n array written: M + delta in one pass (C-ordered, as
-    M is), then the shift added to its diagonal in place.  max|N| is read as
-    max(max N, -min N), the same number (a NaN propagates to both), without
-    the n x n array |N|."""
-    # Adding delta + 0.0 makes every -0.0 +0.0, also for delta = -0.0.
-    with np.errstate(over="ignore"):  # an overflow makes `scale` infinite
-        N = np.add(M, delta + 0.0)
-        shift = 1.0 + float(np.max(np.abs(np.diag(N))))
-        N.flat[:: N.shape[0] + 1] += shift
-    scale = 1.0 + max(float(N.max()), -float(N.min()))
+def _shift_scale(M: np.ndarray, delta: float) -> tuple[float, float]:
+    """(shift, scale) of N = M + delta * ones + shift * I for a Metzler M:
+    shift = 1 + max|diag(M + delta * ones)|, which makes N nonnegative with
+    a diagonal of at least 1, and scale = 1 + max|N|, the scale of the
+    residual bound.  Both are read from the extremes of M and of its
+    diagonal, without the n x n array N: rounding is monotone, so
+    max(M + delta) is max M + delta, and so on, and max|N| is the larger of
+    max M + delta and the largest shifted diagonal entry.  Raises
+    NumericalError if N or a power step's sum (at most n times its largest
+    entry) would overflow."""
+    diag = np.diagonal(M)
+    top = float(diag.max()) + delta
+    shift = 1.0 + max(top, -(float(diag.min()) + delta))
+    scale = 1.0 + max(float(M.max()) + delta, top + shift)
     # A unit-sum iterate's product sums to at most n * scale.
-    if not N.shape[0] * scale < math.inf:
+    if not M.shape[0] * scale < math.inf:
         raise NumericalError("shifted matrix overflows float64; rescale the input")
-    return N, shift, scale
+    return shift, scale
 
 
 def _perron(M: np.ndarray, delta: float, rows: tuple[int, ...]) -> PerronPair:
     """Perron vectors of M + delta * ones for an irreducible Metzler M that
     is already validated, finite and C-ordered, and a finite delta >= 0: of
     the right one (0) and the left one (1), those in `rows`.  A vector not
-    asked for is None in the pair, with 0 steps.  Each asked vector has its
-    own :func:`_power_vector` run, and one that did not converge within
-    POWER_MAXITER steps or misses the residual bound is finished by
-    :func:`_noda` from its last iterate, and rescaled to unit sum.  `alpha`
-    is the mean of the asked vectors' Rayleigh quotients, less the shift:
-    one vector's own quotient when one is asked.
+    asked for is None in the pair, with 0 steps.  The one n x n array built
+    is the prescaled P = (M + delta * ones + tI) / unit of `_prescale`.
+    Each asked vector has its own :func:`_power_vector` run, on P or P.T,
+    and one that did not converge within POWER_MAXITER steps or misses the
+    residual bound is finished by :func:`_noda` on P or P.T from its last
+    iterate, and rescaled to unit sum.  The Rayleigh quotient and the
+    residual are taken on M itself, plus delta * sum(x), against
+    RESIDUAL_RTOL * (1 + max|N|) with N of `_shift_scale`.  `alpha` is the
+    mean of the asked vectors' Rayleigh quotients: one vector's own quotient
+    when one is asked.
 
     Raises NumericalError, before any iteration, if the shifted matrix or a
     power step's sum (at most n times its largest entry) would overflow, and
     after it if Noda's iteration fails or a vector misses the residual bound
     or is not positive.
     """
-    N, shift, scale = _shifted(M, delta)
-    bound = RESIDUAL_RTOL * scale
+    d = float(delta)
+    bound = RESIDUAL_RTOL * _shift_scale(M, d)[1]
+    P = _prescale(M, d, _unit(M, d), np.empty_like(M))
     vectors, steps, lams = [None, None], [0, 0], []
     for i in rows:
-        B = (N, N.T)[i]
+        B, A = ((P, M), (P.T, M.T))[i]
         x, steps[i], converged = _power_vector(B)
         if converged:
-            lam, residual = _rayleigh(B, x)
-        if not converged or residual > bound:
+            lam, residual = _rayleigh(A, d, x)
+        if not converged or not residual <= bound:
             x = _noda(B, x)
             x = x / x.sum()
-            lam, residual = _rayleigh(B, x)
-            if residual > bound:
+            lam, residual = _rayleigh(A, d, x)
+            if not residual <= bound:
                 raise NumericalError("Perron eigenvector residual check failed")
         vectors[i] = x
         lams.append(lam)
@@ -443,7 +496,7 @@ def _perron(M: np.ndarray, delta: float, rows: tuple[int, ...]) -> PerronPair:
             "Perron eigenvector has nonpositive entries; the matrix is too close "
             "to reducible, retry with a larger delta"
         )
-    return PerronPair(alpha=sum(lams) / len(lams) - shift, right=vectors[0], left=vectors[1],
+    return PerronPair(alpha=sum(lams) / len(lams), right=vectors[0], left=vectors[1],
                       delta_used=delta, irreducible=True, steps=tuple(steps), dense=(False, False))
 
 
@@ -482,7 +535,7 @@ def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
     `blocks` (in the order of :func:`mucert.matrices.strong_blocks`), and a
     finite delta > 0, from its secular equation delta 1^T x = 1 with
     x = (rho I - S)^-1 1 (see the module docstring), solved on the diagonal
-    shift S = M + shift * I of `_shifted`: on M itself, rho could not
+    shift S = M + shift * I of `_shift_scale`: on M itself, rho could not
     resolve a root within delta of a large abscissa.
 
     With rho = alpha + t over alpha = `_block_abscissa` of S, Newton's method
@@ -496,12 +549,12 @@ def _secular_pair(M: np.ndarray, delta: float, blocks) -> PerronPair:
     the vectors x and y of its last solves, scaled to unit sum.
 
     Raises NumericalError, before any solve, if the shifted matrix of
-    `_shifted` would overflow, and after it if a solve fails as
+    `_shift_scale` would overflow, and after it if a solve fails as
     `_resolvent_weights` says, or a vector misses the residual bound
     RESIDUAL_RTOL * (1 + max|N|) under S + delta * ones (also when it is not
     finite).
     """
-    shift, scale = _shifted(M, delta)[1:]  # N itself is not kept
+    shift, scale = _shift_scale(M, float(delta))
     S = M.copy()
     S.flat[:: S.shape[0] + 1] += shift
     alpha = _block_abscissa(S, blocks)

@@ -1184,9 +1184,10 @@ def _same_but_off_diagonal_zero_signs(got, want):
 def test_in_place_builders_are_bit_identical_to_their_expressions(monkeypatch):
     # Each n x n matrix that the Perron route builds in place is the bytes of
     # the plain expression it replaced, kept here as the reference: every
-    # Metzler matrix handed to `_perron_weights`, Entrywise's envelope pair and
-    # AxMinusCPhi's witness A - d1 C, which may differ only in the sign of
-    # an off-diagonal zero, and only for d1 < 0.  Inputs have -0.0 entries,
+    # Metzler matrix handed to `_perron_weights`, Entrywise's envelope pair
+    # and coupling (their maximum) and AxMinusCPhi's witness A - d1 C, which
+    # may differ only in the sign of an off-diagonal zero, and only for
+    # d1 < 0.  Inputs have -0.0 entries,
     # zero diagonals (+0.0 and -0.0), d1 = 0 and d1 < 0, and m = 0 loops.
     seen = []
     weights = networks._perron_weights
@@ -1223,6 +1224,8 @@ def test_in_place_builders_are_bit_identical_to_their_expressions(monkeypatch):
         pair = [slopes.d2 * A - (slopes.d2 - d) * np.diag(np.diag(A)) for d in (e1, slopes.d2)]
         entrywise = Entrywise(A, slopes)
         assert [W.tobytes() for W in entrywise.witnesses(L1)] == [W.tobytes() for W in pair]
+        # The coupling takes the two witnesses' maximum on the diagonal alone.
+        assert entrywise._coupling().tobytes() == np.maximum(*entrywise.witnesses(L1)).tobytes()
         assert (perron_matrix(lambda: certify(entrywise))
                 == metzler_majorant(np.maximum(*pair)).tobytes())
         if np.all(np.diag(A) <= 0.0):  # the single envelope d2 A - (d2 - d1)(I o A)

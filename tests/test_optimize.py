@@ -546,7 +546,9 @@ def test_noda_vector_matches_dense_reference(scale):
         alpha = float(np.max(np.linalg.eigvals(S).real))
         slack = 1e-14 * (1.0 + float(np.max(np.abs(S))))
         assert np.min(q) - slack <= alpha <= np.max(q) + slack
-        assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (1.0 + np.max(np.abs(S)))
+        # `_noda`'s own stop test: the power of two above max|S| plus |hi|.
+        unit = 2.0 ** int(np.frexp(np.max(np.abs(S)))[1])
+        assert np.max(q) - np.min(q) <= spectral.NODA_RTOL * (unit + abs(np.max(q)))
 
 
 # The certify-lp models: Hopfield (l1, right-side slopes) and FiringRate

@@ -186,7 +186,9 @@ def test_near_tie_noda_failure_raises_within_power_budget(monkeypatch):
     # vector runs the whole power budget and goes to Noda's iteration.  No
     # dense eigensolve backs it: with no solve left in Noda's budget, the
     # pair raises NumericalError at its first vector, the right one, and so
-    # does the left one asked for alone.
+    # does the left one asked for alone.  Both step the prescaled matrix P
+    # (the left one its transposed view), with the bytes of the plain
+    # expression.
     monkeypatch.setattr(spectral, "NODA_MAXITER", 0)
     runs = []
     power = spectral._power_vector
@@ -195,14 +197,14 @@ def test_near_tie_noda_failure_raises_within_power_budget(monkeypatch):
     rng = np.random.default_rng(8)
     for k in (4, 8):
         M = near_tie_metzler(rng, k)
-        N = spectral._shifted(M, 0.0)[0]
-        for ask, B in ((lambda: perron_pair(M), N), (lambda: spectral._perron(M, 0.0, (1,)), N.T)):
+        P = _prescaled_reference(M)
+        for ask, B in ((lambda: perron_pair(M), P), (lambda: spectral._perron(M, 0.0, (1,)), P.T)):
             runs.clear()
             with pytest.raises(spectral.NumericalError,
                                match="Noda iteration failed after 0 solves"):
                 ask()
             (stepped, _, steps, converged), = runs
-            assert np.array_equal(stepped, B) and stepped.flags.c_contiguous == (B is N)
+            assert np.array_equal(stepped, B) and stepped.flags.c_contiguous == (B is P)
             assert steps == spectral.POWER_MAXITER and not converged
 
     # A well-separated input converges by power iteration alone.
@@ -389,23 +391,13 @@ def test_noda_finishes_weakly_coupled_blocks_at_a_rounded_shift(monkeypatch):
 
 def test_noda_finishes_from_the_last_power_iterate(monkeypatch):
     # A vector that runs out of power steps, or converges at a vector that
-    # misses the residual bound, is finished by Noda's iteration started from
-    # its last power iterate, and must then meet the bound itself.
+    # misses the residual bound, is finished by Noda's iteration on the
+    # prescaled P (or P.T) started from its last power iterate, and must
+    # then meet the bound itself.
     starts = []
     noda = spectral._noda
     monkeypatch.setattr(spectral, "_noda",
-                        lambda B, x=None: starts.append(x.copy()) or noda(B, x))
-
-    def last_power_iterate(B, tol):
-        x = np.full(B.shape[0], 1.0 / B.shape[0])
-        for _ in range(spectral.POWER_MAXITER):
-            y = B @ x
-            y /= y.sum()
-            if np.max(np.abs(y - x)) < tol:
-                return y
-            x = y
-        return x
-
+                        lambda B, x=None: starts.append((B, x.copy())) or noda(B, x))
     rng = np.random.default_rng(31)
     near_tie = near_tie_metzler(rng, 4)
     well_separated = random_irreducible_metzler(rng, 16)
@@ -415,9 +407,11 @@ def test_noda_finishes_from_the_last_power_iterate(monkeypatch):
         pair = perron_pair(M)
         # The near tie runs out of steps; the loose stop test converges early.
         assert (max(pair.steps) == spectral.POWER_MAXITER) == (M is near_tie)
-        N = M + (1.0 + np.max(np.abs(np.diag(M)))) * np.eye(M.shape[0])
+        P = _prescaled_reference(M)
         assert len(starts) == 2
-        assert all(np.array_equal(x, last_power_iterate(B, tol)) for x, B in zip(starts, (N, N.T)))
+        for (B, x), ref in zip(starts, (P, P.T)):
+            assert np.array_equal(B, ref) and B.flags.c_contiguous == (ref is P)
+            assert np.array_equal(x, _power_block_reference(ref, tol)[0])
         scale = 1.0 + np.max(np.abs(M))
         want = float(np.max(np.linalg.eigvals(M).real))
         assert pair.alpha == pytest.approx(want, abs=1e-12 * scale)
@@ -599,11 +593,13 @@ def test_abscissa_never_exceeds_majorant_abscissa():
 
 
 def test_shifted_scale_reads_max_magnitude_without_a_copy():
-    # `_shifted` writes one n x n array, N, and reads max|N| as
-    # max(max N, -min N): N and the scale are the bytes that M + delta,
-    # the diagonal shift and 1 + max|N| give, on Metzler inputs with -0.0
-    # entries and zero diagonals, at delta 0, -0.0 and 1e-8.  Entries of
-    # 1e308 still raise NumericalError, in N or in a power step's sum.
+    # `_shift_scale` reads the shift 1 + max|diag(M + delta)| and the scale
+    # 1 + max|N| of N = M + delta + shift I from the extremes of M and of its
+    # diagonal, without building N: both are the bytes that the n x n array
+    # N gives, on Metzler inputs with -0.0 entries and zero diagonals, at
+    # delta 0, -0.0 and 1e-8.  The prescaled matrix that `_perron` steps on
+    # has the values of its plain expression.  Entries of 1e308 still raise
+    # NumericalError, in N or in a power step's sum.
     rng = np.random.default_rng(37)
     for trial in range(40):
         n = int(rng.integers(1, 12))
@@ -611,16 +607,19 @@ def test_shifted_scale_reads_max_magnitude_without_a_copy():
         M[rng.random(size=(n, n)) < 0.3] = -0.0
         np.fill_diagonal(M, (0.0, -0.0, rng.normal())[trial % 3])
         for delta in (0.0, -0.0, 1e-8):
-            N, shift, scale = spectral._shifted(M, delta)
+            shift, scale = spectral._shift_scale(M, delta)
             want = M + (delta + 0.0)
-            want += (1.0 + float(np.max(np.abs(np.diag(want))))) * np.eye(n)
-            assert N.tobytes() == want.tobytes()
+            want_shift = 1.0 + float(np.max(np.abs(np.diag(want))))
+            want += want_shift * np.eye(n)
+            assert shift.hex() == want_shift.hex()
             assert scale.hex() == (1.0 + float(np.max(np.abs(want)))).hex()
+            P = spectral._prescale(M, delta, spectral._unit(M, delta), np.empty_like(M))
+            assert np.array_equal(P, _prescaled_reference(M, delta))
     wide = np.full((3, 3), 1.5e308)
     np.fill_diagonal(wide, 0.0)
     for overflowing in (np.array([[1e308, 1.0], [1.0, -1.0]]), wide):
         with pytest.raises(spectral.NumericalError, match="overflows"):
-            spectral._shifted(overflowing, 0.0)
+            spectral._shift_scale(overflowing, 0.0)
 
 
 def test_non_finite_inputs_fail_before_iterating(monkeypatch):
@@ -653,48 +652,77 @@ def test_non_finite_inputs_fail_before_iterating(monkeypatch):
     assert np.array_equal(calls[0], calls[1].T) and calls[1].base is calls[0]
 
 
+def _prescaled_reference(M, delta=0.0):
+    """The matrix the Perron route steps on, as a plain expression:
+    (M + delta * ones + tI) / unit, with unit the power of two above
+    max|M + delta * ones| and t = max(-diag(M + delta * ones)) + unit / 1024."""
+    S = np.array(M, dtype=float) + delta
+    unit = 2.0 ** min(int(np.frexp(np.max(np.abs(S)))[1]), 1023)
+    t = float(np.max(-np.diag(S))) + unit / 1024
+    return (S + t * np.eye(S.shape[0])) * (1.0 / unit)
+
+
+def _power_block_reference(B, tol=None):
+    """Power iteration on B as fresh arrays, from the uniform vector, in
+    blocks of 8 steps: 7 bare products, a unit-sum normalization, one
+    product more and its normalization, then the one convergence test
+    max|y - x| < tol (POWER_TOL by default) of the block.  Returns (the
+    unit-sum iterate at the first block that passes it, or the last one,
+    steps, converged)."""
+    tol = spectral.POWER_TOL if tol is None else tol
+    x = np.full(B.shape[0], 1.0 / B.shape[0])
+    for steps in range(8, spectral.POWER_MAXITER + 1, 8):
+        for _ in range(7):
+            x = B @ x
+        x = x / x.sum()
+        y = B @ x
+        y = y / y.sum()
+        if np.max(np.abs(y - x)) < tol:
+            return y, steps, True
+        x = y
+    return x, spectral.POWER_MAXITER, False
+
+
 def _reference_perron_pair(M, delta=0.0):
-    """perron_pair before the lean power step, with a dense eigensolve in
-    place of Noda's iteration: M + delta * ones, then P + shift * eye, a
-    stop test scaled by max(1, max|y|), and separate B @ x products for the
-    Rayleigh quotient and the residual.  Returns (alpha, right, left, max|y|
-    of every power iterate, which vectors took the dense eigensolve)."""
+    """perron_pair as fresh-array expressions, with a dense eigensolve in
+    place of Noda's iteration: `_power_block_reference` on the prescaled
+    `_prescaled_reference` P and on P.T, then the Rayleigh quotient and the
+    residual on M + delta * ones itself, from one product M v plus
+    delta * sum(v), against RESIDUAL_RTOL * (1 + max|N|) with N the diagonal
+    shift M + delta * ones + (1 + max|diag|) I.  Returns (alpha, right,
+    left, steps of each vector, which vectors took the dense eigensolve)."""
     M = np.array(M, dtype=float)
-    n = M.shape[0]
-    P = M + delta * np.ones((n, n))
-    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
-    N = P + shift * np.eye(n)
-    scale = 1.0 + float(np.max(np.abs(N)))
-    tops, dense = [], []
+    P = _prescaled_reference(M, delta)
+    bound = spectral.RESIDUAL_RTOL * _shifted_scale(M, delta)
 
-    def residual(B, v, lam):
-        return float(np.max(np.abs(B @ v - lam * v)))
+    def rayleigh(A, v):
+        Av = A @ v + delta * v.sum()
+        lam = float(v @ Av / (v @ v))
+        return lam, float(np.max(np.abs(Av - lam * v)))
 
-    def power(B):
-        x = np.full(n, 1.0 / n)
-        for _ in range(spectral.POWER_MAXITER):
-            y = B @ x
-            y /= y.sum()
-            tops.append(np.max(np.abs(y)))
-            if np.max(np.abs(y - x)) < spectral.POWER_TOL * max(1.0, tops[-1]):
-                return y, True
-            x = y
-        return x, False
-
-    vectors = []
-    for B in (N, N.T):
-        x, ok = power(B)
-        lam = float(x @ (B @ x) / (x @ x))
-        dense.append(not ok or residual(B, x, lam) > spectral.RESIDUAL_RTOL * scale)
+    vectors, steps, dense = [], [], []
+    for B, A in ((P, M), (P.T, M.T)):
+        x, k, ok = _power_block_reference(B)
+        lam, residual = rayleigh(A, x)
+        dense.append(not ok or residual > bound)
         if dense[-1]:
             lams, V = np.linalg.eig(B)
             x = V[:, int(np.argmax(lams.real))].real
             x = x / x.sum()
-            lam = float(x @ (B @ x) / (x @ x))
-            assert residual(B, x, lam) <= spectral.RESIDUAL_RTOL * scale
+            lam, residual = rayleigh(A, x)
+            assert residual <= bound
         vectors.append((x, lam))
+        steps.append(k)
     (v, lam_r), (w, lam_l) = vectors
-    return 0.5 * (lam_r + lam_l) - shift, v, w, tops, tuple(dense)
+    return 0.5 * (lam_r + lam_l), v, w, tuple(steps), tuple(dense)
+
+
+def _shifted_scale(M, delta=0.0):
+    """1 + max|N| for N = M + delta * ones + (1 + max|diag(M + delta)|) I,
+    the scale of the residual bound, from the n x n array N."""
+    P = np.array(M, dtype=float) + delta
+    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
+    return 1.0 + float(np.max(np.abs(P + shift * np.eye(P.shape[0]))))
 
 
 def _check_secular_pair(M, delta, pair):
@@ -715,28 +743,27 @@ def _check_secular_pair(M, delta, pair):
 
 
 def _check_against_reference(M, delta, pair):
-    """Every vector the reference's power steps converge on matches it bit
-    for bit, and so does the whole pair when both do.  Every other vector
-    was finished by Noda's iteration: it must be strictly positive, meet
-    RESIDUAL_RTOL * (1 + max|N|), and have a Rayleigh quotient, less the
-    shift, within 1e-12 (1 + max|N|) of the dense eigvals abscissa.  A
-    delta-perturbed reducible M takes the secular pair instead, checked by
-    `_check_secular_pair`.  Returns which vectors were handed over to Noda's
-    iteration."""
+    """Every vector the reference's power blocks converge on matches it bit
+    for bit, at the same steps, and so does the whole pair when both do.
+    Every other vector was finished by Noda's iteration: it must be strictly
+    positive, meet RESIDUAL_RTOL * (1 + max|N|) under M + delta * ones, and
+    have a Rayleigh quotient within 1e-12 (1 + max|N|) of the dense eigvals
+    abscissa.  A delta-perturbed reducible M takes the secular pair instead,
+    checked by `_check_secular_pair`.  Returns which vectors were handed
+    over to Noda's iteration."""
     if delta > 0.0 and not is_irreducible(M):
         _check_secular_pair(M, delta, pair)
         return (False, False)
-    alpha, v, w, tops, handed = _reference_perron_pair(M, delta)
-    assert max(tops) <= 1.0  # unit-sum iterates: the reference's stop scale was 1
+    alpha, v, w, steps, handed = _reference_perron_pair(M, delta)
     if not any(handed):
         assert pair.alpha == alpha and pair.dense == (False, False)
-        assert sum(pair.steps) == len(tops)
+        assert pair.steps == steps
     P = M + delta * np.ones(M.shape)
-    shift = 1.0 + float(np.max(np.abs(np.diag(P))))
-    N = P + shift * np.eye(M.shape[0])
-    scale = 1.0 + float(np.max(np.abs(N)))
+    scale = _shifted_scale(M, delta)
     want = float(np.max(np.linalg.eigvals(P).real))
-    for x, ref, B, to_noda in zip((pair.right, pair.left), (v, w), (N, N.T), handed):
+    for x, ref, B, to_noda, k in zip((pair.right, pair.left), (v, w), (P, P.T), handed,
+                                     pair.steps):
+        assert k % 8 == 0
         if not to_noda:
             assert np.array_equal(x, ref)
             continue
@@ -744,7 +771,7 @@ def _check_against_reference(M, delta, pair):
         lam = float(x @ Bx / (x @ x))
         assert np.all(x > 0.0) and x.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(Bx - lam * x)) <= spectral.RESIDUAL_RTOL * scale
-        assert abs(lam - shift - want) <= 1e-12 * scale
+        assert abs(lam - want) <= 1e-12 * scale
     return handed
 
 
@@ -775,13 +802,99 @@ def test_perron_pair_is_bit_identical_to_reference():
         assert M.tobytes() == before
         if any(_check_against_reference(M, delta, pair)):
             handed.append(M)
-    # The slow sparse ring (n = 16, see _slow_sparse_inputs), the near tie
-    # (n = 8) and the n = 2 input, whose eigenvalue ratio after the shift is
-    # 0.67, go to Noda's iteration; every input with n >= 64 converges.  The
-    # slow perturbed sparse input is reducible and takes the secular pair.
+    # The slow sparse ring (n = 16, see _slow_sparse_inputs) and the near tie
+    # (n = 8) go to Noda's iteration; every other input converges, among
+    # them the n = 2 one, whose eigenvalue ratio is 0.064 under the tight
+    # shift (0.67 under the shift 1 + max|diag|).  The slow perturbed sparse
+    # input is reducible and takes the secular pair.
     slow = [M for M, delta in _slow_sparse_inputs() if delta == 0.0]
     assert all(any(np.array_equal(M, H) for H in handed) for M in slow + [near_tie])
-    assert {M.shape[0] for M in handed} == {2, 8, 16}
+    assert {M.shape[0] for M in handed} == {8, 16}
+
+
+def test_converged_vector_takes_one_product_per_step_and_one_test_per_block(monkeypatch):
+    # Spy on the iterate buffers that `_power_vector` allocates: a vector
+    # that converges takes `steps` products, a multiple of the block of 8,
+    # plus one product for its Rayleigh quotient and residual, and at most
+    # two sums per block, the normalizations before and after its last
+    # product.  No test runs after every product.
+    counts = {"products": 0, "sums": 0}
+
+    class Counted(np.ndarray):
+        """Counts its matrix products (a matmul with a 2-D operand) and its
+        `sum` calls; every result but an `out` is a plain array."""
+
+        def sum(self, *args, **kwargs):
+            counts["sums"] += 1
+            return self.view(np.ndarray).sum(*args, **kwargs)
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [a.view(np.ndarray) if isinstance(a, Counted) else a for a in inputs]
+            if ufunc is np.matmul and any(np.ndim(a) == 2 for a in plain):
+                counts["products"] += 1
+            out = kwargs.get("out")
+            if out is not None:
+                kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Counted) else o
+                                      for o in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return out[0] if out is not None else result
+
+    class Counting:
+        """numpy, but for the iterate buffers, which are Counted."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def full(self, *args, **kwargs):
+            return np.full(*args, **kwargs).view(Counted)
+
+        def empty(self, *args, **kwargs):
+            return np.empty(*args, **kwargs).view(Counted)
+
+    monkeypatch.setattr(spectral, "np", Counting())
+    blocks = []
+    power = spectral._power_vector
+
+    def counted_power(B):
+        sums = counts["sums"]
+        x, steps, converged = power(B)
+        blocks.append((steps, converged, counts["sums"] - sums))
+        return x, steps, converged
+
+    monkeypatch.setattr(spectral, "_power_vector", counted_power)
+    rng = np.random.default_rng(5)
+    for n in (4, 16, 64, 256):
+        M = random_irreducible_metzler(rng, n)
+        for rows in ((0,), (1,), (0, 1)):
+            blocks.clear()
+            counts.update(products=0, sums=0)
+            pair = spectral._perron(M, 0.0, rows)
+            assert [b[1] for b in blocks] == [True] * len(rows)
+            steps = [b[0] for b in blocks]
+            assert all(k > 0 and k % 8 == 0 for k in steps)
+            assert counts["products"] == sum(steps) + len(rows)
+            assert all(sums <= 2 * (k // 8) for k, _, sums in blocks)
+            assert [pair.steps[i] for i in rows] == steps
+
+
+def test_extreme_range_pairs_raise_or_keep_the_contract():
+    # [[-1, x], [1e-300, -1]] has alpha = -1 + sqrt(1e-300 x), -1 to
+    # rounding for x from 1e30 to 1e200.  Scaled by the power of two above
+    # x, its lower coupling underflows; an alpha of -0.5, inside the
+    # normwise residual bound, is still wrong.  Each input either raises
+    # NumericalError or gives positive, finite vectors and alpha within 1e-9
+    # of the truth, and never warns.
+    for x in (1e30, 1e60, 1e100, 1e150, 1e200):
+        M = np.array([[-1.0, x], [1e-300, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pair = perron_pair(M)
+            except spectral.NumericalError:
+                continue
+        for v in (pair.right, pair.left):
+            assert np.all(v > 0.0) and np.all(np.isfinite(v))
+        assert abs(pair.alpha - (-1.0 + np.sqrt(1e-300 * x))) <= 1e-9
 
 
 def _sweep_cases():
